@@ -3,7 +3,7 @@
 PYTHON ?= python
 BENCH_OUT ?= /tmp/repro-bench
 
-.PHONY: install test test-fast lint lint-strict lint-baseline check bench \
+.PHONY: install test test-fast lint lint-strict lint-baseline check loc bench \
 	bench-check bench-parallel bench-backend bench-spline bench-figures \
 	check-backends restart-check report examples clean
 
@@ -39,6 +39,13 @@ lint-baseline:
 # check-backends` when touching backend kernels (its jax parity legs
 # only run where jax is installed — see docs/backends.md).
 check: lint test
+
+# Python line counts of the package and its tests — ROADMAP item 4 wants
+# the trend visible; CI's tier-1 job prints it on every run.
+loc:
+	@printf 'src/repro %s\ntests     %s\n' \
+		"$$(find src/repro -name '*.py' | xargs cat | wc -l)" \
+		"$$(find tests -name '*.py' | xargs cat | wc -l)"
 
 # Quick bench suite -> BENCH_<tag>.json (REPRO_METRICS embeds the timer tree).
 bench:

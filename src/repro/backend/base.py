@@ -209,7 +209,7 @@ class KernelBackend:
     # Everything else still holds: no global state, all randoms are
     # drawn host-side into the plan's workspace before the call, and
     # exact backends must keep the accept/reject sequence bitwise equal
-    # to the reference loop (``BatchedCrowdDriver._loop_sweep``).
+    # to the reference loop (``repro.batched.reference.loop_sweep``).
 
     def sweep_step(self, plan, k):
         """One whole Metropolis move of electron ``k`` across the crowd:

@@ -13,6 +13,11 @@ stream ``w`` and draws, per sweep, first its (n, 3) Gaussian block and
 then its n uniforms — the identical call pattern the per-walker driver
 makes, so with equal seeds both paths see equal random numbers and the
 accept/reject sequences match bitwise.
+
+One crowd advances one generation in :meth:`BatchedCrowdDriver.run_generation`
+— the same call whether the crowd owns its walkers (``run``) or hosts a
+strided slice of a :class:`~repro.parallel.shm.SharedWalkerState` for
+:class:`~repro.parallel.crowds.ParallelCrowdDriver`.
 """
 
 # repro: hot
@@ -20,8 +25,7 @@ accept/reject sequences match bitwise.
 from __future__ import annotations
 
 import math
-import time
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -30,6 +34,7 @@ from repro.batched.sanitize import BatchedSanitizerSuite
 from repro.batched.sweep import SweepPlan, SweepWorkspace
 from repro.batched.system import JastrowSystemSpec, walker_streams
 from repro.batched.walkerbatch import WalkerBatch
+from repro.drivers.generation import DMCPolicy, Generation, GenerationLoop
 from repro.drivers.result import QMCResult
 from repro.estimators.scalar import EstimatorManager
 from repro.hamiltonian.nlpp import QuadratureRotations
@@ -39,8 +44,14 @@ from repro.precision.policy import FULL, PrecisionPolicy
 from repro.profiling.profiler import PROFILER
 
 
-class BatchedCrowdDriver:
-    """VMC over a WalkerBatch with per-walker RNG streams."""
+#: per-walker fields of a WalkerBatch that a checkpoint carries
+_BATCH_FIELDS = ("R", "weight", "logpsi", "local_energy", "age")
+
+
+class BatchedCrowdDriver(GenerationLoop):
+    """One crowd: a WalkerBatch advanced with per-walker RNG streams."""
+
+    checkpoint_kind = "batched"
 
     #: cap on the drift displacement per move, in units of sqrt(tau)
     DRIFT_CAP = 2.0
@@ -53,6 +64,7 @@ class BatchedCrowdDriver:
                  rngs: Optional[List[np.random.Generator]] = None,
                  backend=None):
         self.spec = spec
+        self.master_seed = int(master_seed)
         # Kernel backend: a name ("numpy"/"jax"), a KernelBackend
         # instance, or None for REPRO_BACKEND-then-default resolution.
         # Every driver entry point activates it for its own thread scope.
@@ -78,13 +90,13 @@ class BatchedCrowdDriver:
             raise ValueError(f"batch holds {self.batch.nw} walkers, "
                              f"expected {self.nw}")
         self.tables, self.components, self.ham = spec.build_batched(nwalkers)
-        nlpp = getattr(self.ham, "nlpp", None)
-        if nlpp is not None and nlpp.rotations is None:
+        self._nlpp = getattr(self.ham, "nlpp", None)
+        if self._nlpp is not None and self._nlpp.rotations is None:
             # Stateless quadrature-rotation streams keyed on the same
             # master seed as the walker RNGs; crowds hosting a subset of
             # a larger population re-key with their global walker ids
             # via nlpp.set_rotations(...).
-            nlpp.set_rotations(QuadratureRotations(master_seed))
+            self._nlpp.set_rotations(QuadratureRotations(master_seed))
         #: per-walker grad/lap of log Psi: (W, n, 3) and (W, n)
         self.G = np.zeros((self.nw, self.n, 3))
         self.L = np.zeros((self.nw, self.n))
@@ -98,6 +110,9 @@ class BatchedCrowdDriver:
                            if sanitizers_enabled() else None)
         #: optional fused-step trace: list of (W,) bool masks, one per move
         self.move_log: Optional[List[np.ndarray]] = None
+        #: an external writer (the DMC branch commit) rewrote batch.R
+        #: after the last generation; resync before the next sweep
+        self._stale = False
         # Fused-sweep state (docs/sweep_fusion.md): one workspace of
         # per-sweep/per-move scratch allocated here and reused for the
         # driver's whole lifetime, and one plan bundling everything a
@@ -127,39 +142,6 @@ class BatchedCrowdDriver:
         for c in self.components:
             c.evaluate_gl(self.tables, self.G, self.L)
 
-    def _grad(self, k: int) -> np.ndarray:
-        g = np.zeros((self.nw, 3))
-        for c in self.components:
-            g += c.grad(self.tables, k)
-        return g
-
-    def _ratio(self, k: int) -> np.ndarray:
-        rho = np.ones(self.nw)
-        for c in self.components:
-            rho *= c.ratio(self.tables, k)
-        return rho
-
-    def _ratio_grad(self, k: int):
-        rho = np.ones(self.nw)
-        g = np.zeros((self.nw, 3))
-        for c in self.components:
-            r, gc = c.ratio_grad(self.tables, k)
-            rho *= r
-            g += gc
-        return rho, g
-
-    def _limited_drift(self, g: np.ndarray) -> np.ndarray:
-        """Batched norm-capped drift; the norm uses the same BLAS dot the
-        per-walker ``np.linalg.norm`` lowers to, for bitwise agreement."""
-        drift = self.tau * g
-        norm = np.sqrt(np.matmul(drift[:, None, :],
-                                 drift[:, :, None])[:, 0, 0])
-        cap = self.DRIFT_CAP * math.sqrt(self.tau)
-        over = norm > cap
-        if np.any(over):
-            drift[over] *= (cap / norm[over])[:, None]
-        return drift
-
     # -- the fused sweep -----------------------------------------------------------
     def sweep(self) -> int:
         """One PbyP pass: W walkers advance electron k together."""
@@ -174,7 +156,8 @@ class BatchedCrowdDriver:
         the per-walker call pattern of the RNG contract; the plan's
         ``move_log``/``sanitizers`` are re-synced because tests attach
         them to the driver after construction.  Bitwise-pinned against
-        :meth:`_loop_sweep` by the differential suite.
+        :func:`repro.batched.reference.loop_sweep` by the differential
+        suite.
         """
         plan = self._plan
         plan.workspace.fill(self.rngs, plan.sqrt_tau)
@@ -184,60 +167,6 @@ class BatchedCrowdDriver:
         self.last_sweep_accepts = np.asarray(accepts, dtype=np.int64)
         self.n_accept += accepted_total
         self.n_moves += self.n * self.nw
-        return accepted_total
-
-    def _loop_sweep(self) -> int:
-        """The pre-fusion per-electron loop, retained verbatim as the
-        bitwise oracle for the fused pipeline (differential tests and
-        the ``sweep`` bench's ``loop`` leg rebind ``_sweep`` to this)."""
-        batch = self.batch
-        tau = self.tau
-        sqrt_tau = math.sqrt(tau)
-        n = self.n
-        # Per-walker streams, per-walker draw order (the RNG contract).
-        chi_all = np.stack([rng.normal(scale=sqrt_tau, size=(n, 3))
-                            for rng in self.rngs])
-        uniforms = np.stack([rng.uniform(size=n) for rng in self.rngs])
-        accepted_total = 0
-        accepts_per_walker = np.zeros(self.nw, dtype=np.int64)
-        for k in range(n):
-            chi = chi_all[:, k]
-            if self.use_drift:
-                drift_old = self._limited_drift(self._grad(k))
-                rnew = batch.R[:, k] + drift_old + chi
-            else:
-                rnew = batch.R[:, k] + chi
-            for t in self.tables:
-                with PROFILER.timer(t.category):
-                    t.move(batch, rnew, k)
-            if self.use_drift:
-                rho, g_new = self._ratio_grad(k)
-                drift_new = self._limited_drift(g_new)
-                # log T(R'->R) - log T(R->R'), batched over the crowd:
-                back = batch.R[:, k] - rnew - drift_new
-                fwd = rnew - batch.R[:, k] - drift_old
-                log_t = (-np.matmul(back[:, None, :], back[:, :, None])[:, 0, 0]
-                         + np.matmul(fwd[:, None, :],
-                                     fwd[:, :, None])[:, 0, 0]) / (2.0 * tau)
-            else:
-                rho = self._ratio(k)
-                log_t = None
-            acc = np.asarray(
-                self.backend.accept_mask(  # repro: noqa R012
-                    rho, log_t, uniforms[:, k]))
-            if self.move_log is not None:
-                self.move_log.append(acc.copy())
-            for t in self.tables:
-                with PROFILER.timer(t.category):
-                    t.update(k, acc)
-            batch.commit(k, rnew, acc)
-            if self.sanitizers is not None:
-                self.sanitizers.after_accept(batch, self.tables, k, acc)
-            accepts_per_walker += acc
-            accepted_total += int(np.count_nonzero(acc))
-        self.last_sweep_accepts = accepts_per_walker
-        self.n_accept += accepted_total
-        self.n_moves += n * self.nw
         return accepted_total
 
     # -- external-commit resync -----------------------------------------------------
@@ -282,16 +211,86 @@ class BatchedCrowdDriver:
                                            weight)
         return el
 
+    # -- one generation ---------------------------------------------------------------
+    def skip_generations(self, generations: int) -> None:
+        """Fast-forward every walker stream by replaying the sweep's
+        per-generation draw pattern (one (n, 3) Gaussian block, then n
+        uniforms, per walker) — how a respawned or resumed crowd lands
+        on the RNG position of an uninterrupted one."""
+        sqrt_tau = math.sqrt(self.tau)
+        for _ in range(generations):
+            for rng in self.rngs:
+                rng.normal(scale=sqrt_tau, size=(self.n, 3))
+            for rng in self.rngs:
+                rng.uniform(size=self.n)
+
+    def key_rotations(self, serial: int) -> None:
+        """Key the next Hamiltonian evaluation's NLPP quadrature
+        rotations on ``serial``.  Convention on every path: generation
+        g's measurement uses serial g, the setup (or post-branch
+        refresh) evaluation before it g - 1 — a function of the
+        generation alone, so respawned and resumed crowds agree with
+        uninterrupted ones."""
+        if self._nlpp is not None:
+            # evaluate() bumps the serial before using it
+            self._nlpp.set_rotations(self._nlpp.rotations, serial=serial - 1)
+
+    def evaluate_energies(self, serial: int) -> None:
+        """Setup E_L through the path :meth:`measure` uses (estimators
+        untouched), so a respawn reproduces checkpointed values bitwise."""
+        self.key_rotations(serial)
+        with self.backend.scope():
+            self._evaluate_gl()
+            self.batch.local_energy[...] = self.ham.evaluate(
+                self.batch, self.tables, self.G, self.L)
+
+    def run_generation(self, step: int, e_trial: Optional[float] = None
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+        """Advance the crowd one generation: sweep, measure, then age
+        the walkers (VMC, ``e_trial is None``) or reweight them against
+        ``e_trial`` (DMC, Alg. 1 L13).  Returns ``(E_L, weights)`` in
+        walker order — the weights are the ones the estimators saw,
+        i.e. before the reweight."""
+        batch = self.batch
+        if e_trial is None:
+            if self.precision.should_recompute(step):
+                with self.backend.scope():
+                    batch.logpsi[...] = self._evaluate_log()
+        else:
+            if self._stale:
+                self.key_rotations(step - 1)
+                self.refresh_from_positions()
+            el_old = batch.local_energy.copy()
+        self.sweep()
+        self.key_rotations(step)
+        el = self.measure()
+        weights = batch.weight.copy()
+        if e_trial is None:
+            batch.age += 1
+        else:
+            DMCPolicy.reweight(batch.weight, batch.age,
+                               self.last_sweep_accepts, el_old, el,
+                               e_trial, self.tau)
+            self._stale = True  # the branch commit follows
+        return el, weights
+
     # -- the driver loop --------------------------------------------------------------
-    def run(self, steps: int = 10, streams=None) -> QMCResult:
-        """Run ``steps`` fused generations over the whole crowd.
+    def run(self, steps: int = 10, streams=None, resume=None) -> QMCResult:
+        """Run ``steps`` fused VMC generations over the whole crowd.
 
         ``streams`` (a :class:`repro.output.stream.StreamSet`) streams
         each generation's per-walker energies, weights and Hamiltonian
-        components to the binary trace + online reblocker instead of
-        only keeping end-of-run aggregates."""
-        t0 = time.perf_counter()
-        result = QMCResult(method="VMC(batched)", steps=steps)
+        components to the binary trace + online reblocker and
+        checkpoints the run every ``checkpoint_every`` generations.
+        ``resume`` (a ``kind == "batched"``
+        :class:`~repro.output.runstate.RunCheckpoint`, on a freshly
+        constructed driver) continues such a run bitwise: the walker
+        block and move counters are restored, the walker streams
+        fast-forwarded, and generation numbering carries on."""
+        start = self._resume_step(resume, "batched", nwalkers=self.nw,
+                                  seed=self.master_seed)
+        if resume is not None:
+            self._restore(resume)
         armed = False
         if self.sanitizers is not None:
             # Fail fast on global-RNG draws for the whole loop: every
@@ -299,36 +298,42 @@ class BatchedCrowdDriver:
             RngStreamSanitizer.arm()
             armed = True
         try:
-            with METRICS.scope("BatchedVMC"):
-                for step in range(1, steps + 1):
-                    if self.precision.should_recompute(step):
-                        with self.backend.scope():
-                            self.batch.logpsi[...] = self._evaluate_log()
-                    self.sweep()
-                    el = self.measure()
-                    self.batch.age += 1
-                    result.energies.append(float(np.mean(el)))
-                    result.populations.append(self.nw)
-                    if streams is not None:
-                        comps = self.ham.last_components
-                        # Trace rows are schema-fixed <f8 regardless of the
-                        # run's PrecisionPolicy.
-                        streams.record(
-                            step, np.asarray(el, dtype=np.float64),  # repro: noqa R002
-                            np.array(self.batch.weight),
-                            {name: np.asarray(comps[name], dtype=np.float64)  # repro: noqa R002
-                             for name in self.ham.names})
+            return self._run_generations(steps, "VMC(batched)", "BatchedVMC",
+                                         streams=streams, start=start)
         finally:
             if armed:
                 RngStreamSanitizer.disarm()
-        result.elapsed = time.perf_counter() - t0
-        result.acceptance = self.acceptance_ratio
-        result.estimators = self.estimators
-        result.online = streams.online if streams is not None else None
-        result.extra["moves"] = float(self.n_moves)
-        result.extra["accepted"] = float(self.n_accept)
-        return result
 
-    @property
-    def acceptance_ratio(self) -> float:
-        return self.n_accept / self.n_moves if self.n_moves else 0.0
+    def _restore(self, resume) -> None:
+        for name in _BATCH_FIELDS:
+            getattr(self.batch, name)[...] = resume.shared_state[name]
+        self.n_accept = int(resume.scalars["n_accept"])
+        self.n_moves = int(resume.scalars["n_moves"])
+        self.skip_generations(resume.step)
+        self.key_rotations(resume.step)
+        self.refresh_from_positions()
+
+    def _checkpoint_state(self) -> dict:
+        """Walker RNG streams are not stored: a resume fast-forwards
+        fresh ones (:meth:`skip_generations`), like a respawned crowd."""
+        return {"rng_states": {},
+                "scalars": {"n_accept": float(self.n_accept),
+                            "n_moves": float(self.n_moves)},
+                "shared_state": {name: np.array(getattr(self.batch, name))
+                                 for name in _BATCH_FIELDS},
+                "meta": {"nwalkers": self.nw, "seed": self.master_seed,
+                         "n": self.n}}
+
+    def _advance(self, step: int, e_trial: Optional[float]) -> Generation:
+        el, weights = self.run_generation(step, e_trial)
+        comps = self.ham.last_components
+        # Trace rows are schema-fixed <f8 regardless of the run's
+        # PrecisionPolicy.
+        return Generation(
+            np.asarray(el, dtype=np.float64), weights,  # repro: noqa R002
+            {name: np.asarray(comps[name], dtype=np.float64)  # repro: noqa R002
+             for name in self.ham.names})
+
+    def _population_size(self) -> int:
+        return self.nw
+

@@ -1,15 +1,21 @@
-"""Per-walker reference runner for the differential suite.
+"""Reference oracles for the batched path's differential suites.
 
-Drives the *genuine* per-walker machinery (:class:`QMCDriverBase` with
-one compute-object set, walkers loaded/stored one at a time) with the
-same per-walker RNG streams the batched driver consumes, and records the
-per-move accept/reject trace.  Nothing here is a reimplementation — any
-divergence the differential suite finds is therefore attributable to the
-batched execution path.
+:func:`run_reference` drives the *genuine* per-walker machinery
+(:class:`QMCDriverBase` with one compute-object set, walkers
+loaded/stored one at a time) with the same per-walker RNG streams the
+batched driver consumes, and records the per-move accept/reject trace.
+Nothing there is a reimplementation — any divergence the differential
+suite finds is therefore attributable to the batched execution path.
+
+:func:`loop_sweep` is the pre-fusion per-electron batched sweep, the
+bitwise oracle of the fused ``sweep_run`` pipeline
+(docs/sweep_fusion.md); :func:`use_loop_sweep` installs it on a driver.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from typing import List
 
@@ -20,6 +26,7 @@ from repro.drivers.base import QMCDriverBase
 from repro.hamiltonian.nlpp import NonLocalPP, QuadratureRotations
 from repro.particles.walker import Walker
 from repro.precision.policy import FULL, PrecisionPolicy
+from repro.profiling.profiler import PROFILER
 
 
 @dataclass
@@ -89,3 +96,103 @@ def run_reference(spec: JastrowSystemSpec, nwalkers: int, steps: int,
     trace.n_accept = driver.n_accept
     trace.estimators = driver.estimators
     return trace
+
+
+# -- the pre-fusion batched sweep ---------------------------------------------------
+
+def _grad(drv, k: int) -> np.ndarray:
+    g = np.zeros((drv.nw, 3))
+    for c in drv.components:
+        g += c.grad(drv.tables, k)
+    return g
+
+
+def _ratio(drv, k: int) -> np.ndarray:
+    rho = np.ones(drv.nw)
+    for c in drv.components:
+        rho *= c.ratio(drv.tables, k)
+    return rho
+
+
+def _ratio_grad(drv, k: int):
+    rho = np.ones(drv.nw)
+    g = np.zeros((drv.nw, 3))
+    for c in drv.components:
+        r, gc = c.ratio_grad(drv.tables, k)
+        rho *= r
+        g += gc
+    return rho, g
+
+
+def loop_limited_drift(drv, g: np.ndarray) -> np.ndarray:
+    """Batched norm-capped drift; the norm uses the same BLAS dot the
+    per-walker ``np.linalg.norm`` lowers to, for bitwise agreement."""
+    drift = drv.tau * g
+    norm = np.sqrt(np.matmul(drift[:, None, :],
+                             drift[:, :, None])[:, 0, 0])
+    cap = drv.DRIFT_CAP * math.sqrt(drv.tau)
+    over = norm > cap
+    if np.any(over):
+        drift[over] *= (cap / norm[over])[:, None]
+    return drift
+
+
+def loop_sweep(drv) -> int:  # repro: hot
+    """One PbyP pass of a :class:`BatchedCrowdDriver` as the per-electron
+    loop it was before fusion, retained verbatim: ~14 backend dispatches
+    per electron where the fused pipeline makes one per sweep."""
+    batch = drv.batch
+    tau = drv.tau
+    sqrt_tau = math.sqrt(tau)
+    n = drv.n
+    # Per-walker streams, per-walker draw order (the RNG contract).
+    chi_all = np.stack([rng.normal(scale=sqrt_tau, size=(n, 3))
+                        for rng in drv.rngs])
+    uniforms = np.stack([rng.uniform(size=n) for rng in drv.rngs])
+    accepted_total = 0
+    accepts_per_walker = np.zeros(drv.nw, dtype=np.int64)
+    for k in range(n):
+        chi = chi_all[:, k]
+        if drv.use_drift:
+            drift_old = loop_limited_drift(drv, _grad(drv, k))
+            rnew = batch.R[:, k] + drift_old + chi
+        else:
+            rnew = batch.R[:, k] + chi
+        for t in drv.tables:
+            with PROFILER.timer(t.category):
+                t.move(batch, rnew, k)
+        if drv.use_drift:
+            rho, g_new = _ratio_grad(drv, k)
+            drift_new = loop_limited_drift(drv, g_new)
+            # log T(R'->R) - log T(R->R'), batched over the crowd:
+            back = batch.R[:, k] - rnew - drift_new
+            fwd = rnew - batch.R[:, k] - drift_old
+            log_t = (-np.matmul(back[:, None, :], back[:, :, None])[:, 0, 0]
+                     + np.matmul(fwd[:, None, :],
+                                 fwd[:, :, None])[:, 0, 0]) / (2.0 * tau)
+        else:
+            rho = _ratio(drv, k)
+            log_t = None
+        acc = np.asarray(
+            drv.backend.accept_mask(  # repro: noqa R012
+                rho, log_t, uniforms[:, k]))
+        if drv.move_log is not None:
+            drv.move_log.append(acc.copy())
+        for t in drv.tables:
+            with PROFILER.timer(t.category):
+                t.update(k, acc)
+        batch.commit(k, rnew, acc)
+        if drv.sanitizers is not None:
+            drv.sanitizers.after_accept(batch, drv.tables, k, acc)
+        accepts_per_walker += acc
+        accepted_total += int(np.count_nonzero(acc))
+    drv.last_sweep_accepts = accepts_per_walker
+    drv.n_accept += accepted_total
+    drv.n_moves += n * drv.nw
+    return accepted_total
+
+
+def use_loop_sweep(drv):
+    """Make ``drv.sweep()`` run :func:`loop_sweep`; returns ``drv``."""
+    drv._sweep = functools.partial(loop_sweep, drv)
+    return drv

@@ -24,7 +24,7 @@ safe because the vgl value channel is bitwise the value-only result
 (identical Horner, gather and reduction; see the fused-sweep notes in
 :mod:`repro.batched.jastrow`).  The differential suite pins the fused
 path against the retained loop oracle
-(``BatchedCrowdDriver._loop_sweep``) with exact accept/reject-sequence
+(``repro.batched.reference.loop_sweep``) with exact accept/reject-sequence
 and trace equality.
 
 Workspace lifetime: one :class:`SweepWorkspace` is allocated per driver

@@ -153,11 +153,11 @@ def run_parallel_case(case: BenchCase, progress=None) -> dict:
     """
     from repro.batched import JastrowSystemSpec
     from repro.parallel.crowds import ParallelCrowdDriver
-    from repro.parallel.shm import _layout
+    from repro.parallel.shm import SharedWalkerState
 
     ncpu = os.cpu_count() or 1
     spec = JastrowSystemSpec(n=case.n, seed=7)
-    _, state_bytes = _layout(case.nwalkers, case.n)
+    state_bytes = SharedWalkerState(case.nwalkers, case.n).nbytes
     versions: Dict[str, dict] = {}
     skipped = []
     traces: Dict[str, tuple] = {}
@@ -535,12 +535,13 @@ def _sweep_driver(case: BenchCase, backend: str, oracle: bool = False):
     where the fused pipeline's old-row value reuse applies (the OTF
     table refreshes the row inside ``move``, see batched/jastrow.py)."""
     from repro.batched import BatchedCrowdDriver, JastrowSystemSpec
+    from repro.batched.reference import use_loop_sweep
 
     spec = JastrowSystemSpec(n=case.n, seed=7, aa_flavor="soa")
     drv = BatchedCrowdDriver(spec, case.nwalkers, case.seed,
                              use_drift=True, backend=backend)
     if oracle:
-        drv._sweep = drv._loop_sweep
+        use_loop_sweep(drv)
     return drv
 
 

@@ -7,6 +7,7 @@ from typing import List
 
 import numpy as np
 
+from repro.drivers.generation import GenerationLoop, advance_walkers
 from repro.estimators.scalar import EstimatorManager
 from repro.lint.sanitizers import SanitizerSuite, sanitizers_enabled
 from repro.metrics.registry import METRICS
@@ -14,8 +15,10 @@ from repro.particles.walker import Walker
 from repro.precision.policy import FULL, PrecisionPolicy
 
 
-class QMCDriverBase:
-    """Owns the per-thread compute objects and the drift-diffusion sweep.
+class QMCDriverBase(GenerationLoop):
+    """Owns the per-thread compute objects and the drift-diffusion sweep,
+    and advances a Walker-list population through them one walker at a
+    time (the load/sweep/store structure of Fig. 4).
 
     Parameters
     ----------
@@ -48,6 +51,8 @@ class QMCDriverBase:
         self.precision = precision
         self.n_accept = 0
         self.n_moves = 0
+        #: the Walker list the current run advances
+        self.population: List[Walker] = []
         #: optional per-move accept/reject trace (list of bools); assign a
         #: list to record — the differential suite compares it against the
         #: batched path's fused-step decisions
@@ -82,6 +87,35 @@ class QMCDriverBase:
             w.properties["local_energy"] = el
             walkers.append(w)
         return walkers
+
+    def _begin(self, walkers: int | List[Walker], resume, label: str) -> int:
+        """Install the run's population — spawned, handed in, or restored
+        with the driver RNG and move counters from ``resume`` (a
+        :class:`repro.output.runstate.RunCheckpoint`) — and return the
+        number of generations already done."""
+        start = self._resume_step(resume, label)
+        if resume is not None:
+            from repro.output.runstate import restore_rng
+            restore_rng(self.rng, resume.rng_states["driver"])
+            self.n_accept = int(resume.scalars["n_accept"])
+            self.n_moves = int(resume.scalars["n_moves"])
+            self.population = resume.walkers
+        elif isinstance(walkers, int):
+            self.population = self.create_walkers(walkers)
+        else:
+            self.population = walkers
+        return start
+
+    # -- GenerationLoop hooks over the Walker list --------------------------------------
+    def _advance(self, step: int, e_trial: float | None):
+        return advance_walkers(self.population, lambda i: self, step, e_trial)
+
+    def _checkpoint_state(self) -> dict:
+        from repro.output.runstate import rng_state
+        return {"rng_states": {"driver": rng_state(self.rng)},
+                "scalars": {"n_accept": float(self.n_accept),
+                            "n_moves": float(self.n_moves)},
+                "walkers": self.population, "meta": {}}
 
     def load_walker(self, w: Walker, recompute: bool = False) -> None:
         with METRICS.scope("load"):
@@ -170,7 +204,3 @@ class QMCDriverBase:
         if norm > cap:
             drift *= cap / norm
         return drift
-
-    @property
-    def acceptance_ratio(self) -> float:
-        return self.n_accept / self.n_moves if self.n_moves else 0.0

@@ -10,31 +10,25 @@ deals walkers round-robin to the crowds.
 
 Execution is cooperative (one OS thread — the structural fidelity is
 the point: clone correctness, shared read-only state, disjoint mutable
-state), with an optional real thread pool since NumPy kernels release
-the GIL.
-
-.. deprecated:: the ``workers > 0`` thread pool.  The Python-level
-   bookkeeping between kernels keeps the GIL, so threads cannot deliver
-   real multi-core speedup here; use
-   :class:`repro.parallel.crowds.ParallelCrowdDriver`, which runs one
-   crowd per OS *process* over shared-memory walker blocks.
+state).  For real multi-core crowds use
+:class:`repro.parallel.crowds.ParallelCrowdDriver`, which runs one crowd
+per OS *process* over shared-memory walker blocks.
 """
 
 from __future__ import annotations
 
 import copy
-import time
-import warnings
-from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from repro.core.version import VERSION_CONFIGS, CodeVersion
+from repro.drivers.base import QMCDriverBase
+from repro.drivers.generation import (Generation, GenerationLoop,
+                                      advance_walkers)
 from repro.drivers.result import QMCResult
 from repro.drivers.vmc import VMCDriver
 from repro.estimators.scalar import EstimatorManager
-from repro.metrics.registry import METRICS
 from repro.workloads.builder import SystemParts
 
 
@@ -77,40 +71,55 @@ def clone_parts(parts: SystemParts) -> SystemParts:
     )
 
 
-class CrowdDriver:
+class CloneDrivers(GenerationLoop):
+    """N clones of the compute objects, one scalar driver each — the
+    per-thread (:class:`CrowdDriver`) or per-rank
+    (:class:`~repro.parallel.distributed.DistributedDMCDriver`) layer
+    under the one generation loop."""
+
+    def __init__(self, driver_cls, parts: SystemParts, n: int,
+                 rng: np.random.Generator, timestep: float,
+                 use_drift: bool, version: CodeVersion):
+        cfg = VERSION_CONFIGS[version]
+        self.drivers: List[QMCDriverBase] = []
+        for c in range(n):
+            p = parts if c == 0 else clone_parts(parts)
+            self.drivers.append(driver_cls(
+                p.electrons, p.twf, p.ham,
+                np.random.default_rng(rng.integers(2 ** 63)),
+                timestep=timestep, use_drift=use_drift,
+                precision=cfg.precision))
+
+    def _move_counts(self):
+        return (sum(d.n_moves for d in self.drivers),
+                sum(d.n_accept for d in self.drivers))
+
+    def _estimators(self) -> EstimatorManager:
+        """Reduce the per-clone accumulators, as the per-walker driver
+        reports its own (same QMCResult surface for all drivers)."""
+        merged = EstimatorManager()
+        for d in self.drivers:
+            merged.merge(d.estimators)
+        return merged
+
+
+class CrowdDriver(CloneDrivers):
     """VMC over a walker population partitioned across per-thread clones."""
 
     def __init__(self, parts: SystemParts, n_crowds: int,
                  rng: np.random.Generator, timestep: float = 0.3,
                  use_drift: bool = True,
-                 version: CodeVersion = CodeVersion.CURRENT,
-                 workers: int = 0):
+                 version: CodeVersion = CodeVersion.CURRENT):
         if n_crowds < 1:
             raise ValueError("need at least one crowd")
         self.n_crowds = n_crowds
-        cfg = VERSION_CONFIGS[version]
         # Walker-level seed drawn FIRST: the per-walker streams (spawn
         # jitter + sweep randomness) depend only on the master rng, not
         # on how many per-crowd seeds are drawn afterwards.  That is what
         # makes run() bitwise-reproducible across crowd counts.
         self._walker_seed = int(rng.integers(2 ** 63))
-        self.drivers: List[VMCDriver] = []
-        for c in range(n_crowds):
-            p = parts if c == 0 else clone_parts(parts)
-            self.drivers.append(VMCDriver(
-                p.electrons, p.twf, p.ham,
-                np.random.default_rng(rng.integers(2 ** 63)),
-                timestep=timestep, use_drift=use_drift,
-                precision=cfg.precision))
-        self._pool: Optional[ThreadPoolExecutor] = None
-        if workers > 0:
-            warnings.warn(
-                "CrowdDriver(workers>0) is thread-based and GIL-bound; "
-                "use repro.parallel.crowds.ParallelCrowdDriver for real "
-                "multi-core crowd parallelism",
-                DeprecationWarning, stacklevel=2)
-            self._pool = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="crowd")
+        super().__init__(VMCDriver, parts, n_crowds, rng, timestep,
+                         use_drift, version)
 
     def run(self, walkers: int = 8, steps: int = 5,
             streams=None) -> QMCResult:
@@ -120,8 +129,7 @@ class CrowdDriver:
         Determinism contract: walker w's spawn jitter and sweep
         randomness come from stream w of one SeedSequence, and the
         per-step mean reduces a walker-indexed array — so the energy
-        trace is bitwise identical across crowd counts and across
-        ``workers=0`` vs a thread pool.
+        trace is bitwise identical across crowd counts.
 
         ``streams`` streams each generation's walker-ordered energies to
         the binary trace + online reblocker (energies and unit weights
@@ -130,79 +138,32 @@ class CrowdDriver:
         """
         children = np.random.SeedSequence(self._walker_seed).spawn(
             walkers + 1)
-        spawn_rng = np.random.default_rng(children[0])
-        rng_streams = [np.random.default_rng(c) for c in children[1:]]
+        self._streams = [np.random.default_rng(c) for c in children[1:]]
         # Spawn the whole population centrally (crowd clones evaluate
         # identically, so any driver may host the initial evaluation).
         d0 = self.drivers[0]
         saved_rng = d0.rng
-        d0.rng = spawn_rng
-        pop = d0.create_walkers(walkers)
+        d0.rng = np.random.default_rng(children[0])
+        self.population = d0.create_walkers(walkers)
         d0.rng = saved_rng
-        deals = [[(i, pop[i]) for i in range(walkers)
-                  if i % self.n_crowds == c] for c in range(self.n_crowds)]
-        result = QMCResult(method="VMC(crowds)", steps=steps)
-        t0 = time.perf_counter()
-        try:
-            self._run_steps(steps, walkers, deals, rng_streams, result,
-                            streams)
-        except BaseException:
-            # A crowd_step that raised inside the pool must not leave
-            # queued work running against half-updated walker state.
-            self.close(cancel=True)
-            raise
-        result.elapsed = time.perf_counter() - t0
-        moves = sum(d.n_moves for d in self.drivers)
-        accepts = sum(d.n_accept for d in self.drivers)
-        result.acceptance = accepts / moves if moves else 0.0
-        # Reduce the per-crowd accumulators, as the per-walker VMCDriver
-        # reports its own (same QMCResult surface for both drivers).
-        merged = EstimatorManager()
-        for d in self.drivers:
-            merged.merge(d.estimators)
-        result.estimators = merged
-        result.online = streams.online if streams is not None else None
-        result.extra["moves"] = float(moves)
-        result.extra["accepted"] = float(accepts)
-        return result
+        return self._run_generations(steps, "VMC(crowds)", "CrowdVMC",
+                                     streams=streams)
 
-    def _run_steps(self, steps: int, walkers: int, deals, rng_streams,
-                   result: QMCResult, streams=None) -> None:
-        with METRICS.scope("CrowdVMC"):
-            for step in range(1, steps + 1):
-                recompute = self.drivers[0].precision.should_recompute(step)
-                energies = np.empty(walkers)
+    def _clone_for(self, i: int) -> QMCDriverBase:
+        d = self.drivers[i % self.n_crowds]
+        d.rng = self._streams[i]  # walker i always consumes stream i
+        return d
 
-                def crowd_step(idx: int) -> None:
-                    d = self.drivers[idx]
-                    for i, w in deals[idx]:
-                        d.rng = rng_streams[i]  # walker i always consumes stream i
-                        d.load_walker(w, recompute=recompute)
-                        d.sweep()
-                        energies[i] = d.store_walker(w)
-                        w.age += 1
+    def _advance(self, step: int, e_trial=None) -> Generation:
+        gen = advance_walkers(self.population, self._clone_for, step)
+        return Generation(gen.energies)  # unit weights, no components
 
-                if self._pool is not None:
-                    list(self._pool.map(crowd_step, range(self.n_crowds)))
-                else:
-                    for i in range(self.n_crowds):
-                        crowd_step(i)
-                result.energies.append(float(np.mean(energies)))
-                result.populations.append(walkers)
-                if streams is not None:
-                    streams.record(step, energies)
-
-    def close(self, cancel: bool = False) -> None:
-        """Idempotent pool shutdown; ``cancel`` drops queued work."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            try:
-                pool.shutdown(wait=True, cancel_futures=cancel)
-            except Exception:  # pragma: no cover - interpreter teardown
-                pass
+    def close(self) -> None:
+        """Nothing to release since the thread pool went; kept, with the
+        context manager, so callers written against it keep working."""
 
     def __enter__(self) -> "CrowdDriver":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self.close(cancel=exc_type is not None)
+        self.close()

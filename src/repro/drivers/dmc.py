@@ -2,38 +2,34 @@
 
 from __future__ import annotations
 
-import math
-import time
 from typing import List
 
 import numpy as np
 
 from repro.drivers.base import QMCDriverBase
+from repro.drivers.generation import DMCPolicy
 from repro.drivers.result import QMCResult
-from repro.metrics.registry import METRICS
 from repro.particles.walker import Walker
-from repro.profiling.profiler import PROFILER
 
 
 class DMCDriver(QMCDriverBase):
-    """DMC with weights, stochastic branching and trial-energy feedback.
+    """DMC with weights, branching and trial-energy feedback.
 
-    Branching uses the standard stochastic-rounding comb: each walker's
-    multiplicity is floor(weight + xi), capped to avoid population blow-up,
-    and the trial energy is fed back as
-    E_T = E_best - ln(Nw / N_target) / (g * tau), so a population
-    imbalance is worked off over about ``g`` generations regardless of
-    the time step.
+    The reweight rule, age damping and E_T feedback are the shared
+    :class:`~repro.drivers.generation.DMCPolicy`; this class adds the two
+    ways a Walker list branches: the stochastic-rounding scheme (each
+    walker's multiplicity is floor(weight + xi), capped to avoid
+    population blow-up) and the fixed-population comb.
     """
 
-    #: hard cap on children per walker per generation
-    MAX_MULTIPLICITY = 2
-    #: generations over which the feedback restores the target population
-    FEEDBACK_GENERATIONS = 5.0
-    #: generations without a single accepted move before a walker is
-    #: considered stuck and its branching weight is damped (QMCPACK's
-    #: age-based persistent-walker control)
-    MAX_AGE = 5
+    checkpoint_kind = "dmc"
+
+    MAX_MULTIPLICITY = DMCPolicy.MAX_MULTIPLICITY
+    FEEDBACK_GENERATIONS = DMCPolicy.FEEDBACK_GENERATIONS
+    MAX_AGE = DMCPolicy.MAX_AGE
+
+    #: branching scheme of the current run: "stochastic" or "comb"
+    branching = "stochastic"
 
     def run(self, walkers: int | List[Walker] = 16, steps: int = 20,
             profile: bool = False, label: str = "dmc",
@@ -47,134 +43,32 @@ class DMCDriver(QMCDriverBase):
         :class:`~repro.output.runstate.RunCheckpoint`."""
         if branching not in ("stochastic", "comb"):
             raise ValueError(f"unknown branching scheme {branching!r}")
-        start_step = 0
-        e_best = None
+        start = self._begin(walkers, resume, "DMC")
+        pop = self.population
+        policy = DMCPolicy(
+            self.tau, target_population if target_population else len(pop),
+            float(np.mean([w.properties["local_energy"] for w in pop])))
         if resume is not None:
-            from repro.output.runstate import restore_rng
-            if resume.kind != "dmc":
-                raise ValueError(
-                    f"checkpoint kind {resume.kind!r} is not a DMC run")
-            pop = resume.walkers
-            start_step = resume.step
-            restore_rng(self.rng, resume.rng_states["driver"])
-            self.n_accept = int(resume.scalars["n_accept"])
-            self.n_moves = int(resume.scalars["n_moves"])
-            target = int(resume.scalars["target"])
-            e_trial = float(resume.scalars["e_trial"])
-            e_best = float(resume.scalars["e_best"])
+            policy.restore(resume.scalars)
             branching = resume.meta.get("branching", branching)
-        else:
-            if isinstance(walkers, int):
-                pop = self.create_walkers(walkers)
-            else:
-                pop = walkers
-            target = target_population if target_population else len(pop)
-            e_trial = float(np.mean(
-                [w.properties["local_energy"] for w in pop]))
-        if profile:
-            PROFILER.start_run()
-        t0 = time.perf_counter()
-        result = QMCResult(method="DMC", steps=steps)
-        with METRICS.scope("DMC"):
-            pop, e_trial, result = self._generations(
-                pop, steps, target, branching, e_trial, result,
-                start_step=start_step, e_best=e_best, streams=streams)
-        result.elapsed = time.perf_counter() - t0
-        result.acceptance = self.acceptance_ratio
-        result.estimators = self.estimators
-        result.online = streams.online if streams is not None else None
-        result.extra["moves"] = float(self.n_moves)
-        result.extra["accepted"] = float(self.n_accept)
-        if profile:
-            result.profile = PROFILER.stop_run(label)
-        result.extra["final_population"] = len(pop)
+        self.branching = branching
+        result = self._run_generations(
+            steps, "DMC", "DMC", streams=streams, start=start, policy=policy,
+            profile=label if profile else None)
+        result.extra["final_population"] = len(self.population)
         return result
 
-    def _generations(self, pop: List[Walker], steps: int, target: int,
-                     branching: str, e_trial: float,
-                     result: QMCResult, start_step: int = 0,
-                     e_best: float | None = None, streams=None):
-        if e_best is None:
-            e_best = e_trial
-        for step in range(start_step + 1, start_step + steps + 1):
-            energies = []
-            weights = []
-            comps: dict[str, list] = {}
-            recompute = self.precision.should_recompute(step)
-            for w in pop:
-                el_old = w.properties["local_energy"]
-                self.load_walker(w, recompute=recompute)
-                accepted_before = self.n_accept
-                self.sweep()
-                el_new = self.store_walker(w)
-                for name, v in sorted(self.ham.last_components.items()):
-                    comps.setdefault(name, []).append(v)
-                # Age-based stuck-walker control: a walker whose sweep
-                # accepted nothing grows old; persistent walkers get
-                # their branching weight damped so they die out instead
-                # of multiplying a pathological configuration.
-                if self.n_accept == accepted_before:
-                    w.age += 1
-                else:
-                    w.age = 0
-                # Reweight (Alg. 1, L13): symmetric-rule growth estimator.
-                w.weight *= math.exp(
-                    -self.tau * (0.5 * (el_old + el_new) - e_trial))
-                if w.age > self.MAX_AGE:
-                    w.weight = min(w.weight, 0.5)
-                energies.append(el_new)
-                weights.append(w.weight)
-            weights = np.asarray(weights)
-            wsum = float(np.sum(weights))
-            e_mixed = float(np.sum(weights * np.asarray(energies)) / wsum)
-            result.energies.append(e_mixed)
-            if streams is not None:
-                # Pre-branch values: weight-carrying samples in walker
-                # order, the same stream the EstimatorManager saw.
-                streams.record(
-                    step, np.asarray(energies, dtype=np.float64), weights,
-                    {name: np.asarray(vals, dtype=np.float64)
-                     for name, vals in comps.items()})
-            # Branch (Alg. 1, L13) and update E_T (L14).
-            with METRICS.scope("branch"):
-                if branching == "comb":
-                    pop = self._branch_comb(pop, target)
-                else:
-                    pop = self._branch(pop)
-            # Track the mixed estimator closely: with a drifting E_L during
-            # equilibration a heavily-smoothed E_best starves the population.
-            e_best = 0.25 * e_best + 0.75 * e_mixed
-            feedback = 1.0 / (self.FEEDBACK_GENERATIONS * self.tau)
-            e_trial = e_best - feedback * math.log(
-                max(len(pop), 1) / target)
-            result.populations.append(len(pop))
-            result.trial_energies.append(e_trial)
-            if streams is not None and streams.want_checkpoint(step):
-                # Post-branch population + post-draw RNG + updated
-                # feedback scalars: a resume continues at step+1 bitwise.
-                self._save_checkpoint(streams, step, pop, target, branching,
-                                      e_trial, e_best)
-        return pop, e_trial, result
+    def _checkpoint_state(self) -> dict:
+        state = super()._checkpoint_state()
+        state["meta"]["branching"] = self.branching
+        return state
 
-    def _save_checkpoint(self, streams, step: int, pop: List[Walker],
-                         target: int, branching: str, e_trial: float,
-                         e_best: float) -> None:
-        from repro.output.runstate import (RunCheckpoint, rng_state,
-                                           save_run_checkpoint)
-        ckpt = RunCheckpoint(
-            kind="dmc", step=step,
-            rng_states={"driver": rng_state(self.rng)},
-            scalars={"n_accept": float(self.n_accept),
-                     "n_moves": float(self.n_moves),
-                     "target": float(target),
-                     "e_trial": e_trial, "e_best": e_best},
-            walkers=pop,
-            online_state=(streams.online.state_dict()
-                          if streams.online is not None else None),
-            trace_position=streams.trace_position.as_array(),
-            meta={"branching": branching},
-        )
-        save_run_checkpoint(streams.checkpoint_path, ckpt)
+    def _branch_population(self, policy: DMCPolicy) -> None:
+        if self.branching == "comb":
+            self.population = self._branch_comb(self.population,
+                                                policy.target)
+        else:
+            self.population = self._branch(self.population)
 
     def _branch(self, pop: List[Walker]) -> List[Walker]:
         """Stochastic-rounding branching; resets surviving weights to ~1."""
@@ -199,31 +93,18 @@ class DMCDriver(QMCDriverBase):
         return new_pop
 
     def _branch_comb(self, pop: List[Walker], target: int) -> List[Walker]:
-        """Stochastic reconfiguration ('comb'): resample exactly
-        ``target`` walkers with probabilities proportional to their
-        weights (systematic resampling), keeping the population constant
-        — the fixed-population alternative used by several production
-        codes.  Surviving weights reset to 1."""
-        weights = np.array([w.weight for w in pop], dtype=np.float64)
-        total = float(np.sum(weights))
-        if total <= 0:
-            survivor = pop[len(pop) // 2].copy()
-            survivor.weight = 1.0
-            return [survivor]
-        cum = np.cumsum(weights) / total
-        u0 = self.rng.uniform(0.0, 1.0 / target)
-        points = u0 + np.arange(target) / target
-        picks = np.searchsorted(cum, points)
+        """The comb over a Walker list: the first pick of an index keeps
+        the walker, every further pick is an independent copy whose age
+        restarts.  Surviving weights reset to 1."""
+        picks, clone = DMCPolicy.comb_picks(
+            [w.weight for w in pop], target,
+            self.rng.uniform(0.0, 1.0 / target))
         new_pop: List[Walker] = []
-        used = set()
-        for idx in picks:
-            idx = int(min(idx, len(pop) - 1))
-            if idx in used:
-                child = pop[idx].copy()
+        for idx, is_clone in zip(picks, clone):
+            child = pop[idx]
+            if is_clone:
+                child = child.copy()
                 child.age = 0
-            else:
-                child = pop[idx]
-                used.add(idx)
             child.weight = 1.0
             new_pop.append(child)
         return new_pop

@@ -2,20 +2,17 @@
 
 from __future__ import annotations
 
-import time
 from typing import List
-
-import numpy as np
 
 from repro.drivers.base import QMCDriverBase
 from repro.drivers.result import QMCResult
-from repro.metrics.registry import METRICS
 from repro.particles.walker import Walker
-from repro.profiling.profiler import PROFILER
 
 
 class VMCDriver(QMCDriverBase):
     """Fixed-population VMC: sample |Psi_T|^2 and average E_L."""
+
+    checkpoint_kind = "vmc"
 
     def run(self, walkers: int | List[Walker] = 8, steps: int = 10,
             profile: bool = False, label: str = "vmc",
@@ -35,71 +32,7 @@ class VMCDriver(QMCDriverBase):
         carries on from the checkpoint, so the continued trace and
         online error bars are identical to an uninterrupted run.
         """
-        start_step = 0
-        if resume is not None:
-            from repro.output.runstate import restore_rng
-            if resume.kind != "vmc":
-                raise ValueError(
-                    f"checkpoint kind {resume.kind!r} is not a VMC run")
-            pop = resume.walkers
-            start_step = resume.step
-            restore_rng(self.rng, resume.rng_states["driver"])
-            self.n_accept = int(resume.scalars["n_accept"])
-            self.n_moves = int(resume.scalars["n_moves"])
-        elif isinstance(walkers, int):
-            pop = self.create_walkers(walkers)
-        else:
-            pop = walkers
-        if profile:
-            PROFILER.start_run()
-        t0 = time.perf_counter()
-        result = QMCResult(method="VMC", steps=steps)
-        with METRICS.scope("VMC"):
-            for step in range(start_step + 1, start_step + steps + 1):
-                energies = []
-                comps: dict[str, list] = {}
-                recompute = self.precision.should_recompute(step)
-                for w in pop:
-                    self.load_walker(w, recompute=recompute)
-                    self.sweep()
-                    energies.append(self.store_walker(w))
-                    for name, v in sorted(self.ham.last_components.items()):
-                        comps.setdefault(name, []).append(v)
-                    w.age += 1
-                result.energies.append(float(np.mean(energies)))
-                result.populations.append(len(pop))
-                if streams is not None:
-                    streams.record(
-                        step, np.asarray(energies, dtype=np.float64),
-                        np.asarray([w.weight for w in pop],
-                                   dtype=np.float64),
-                        {name: np.asarray(vals, dtype=np.float64)
-                         for name, vals in comps.items()})
-                    if streams.want_checkpoint(step):
-                        self._save_checkpoint(streams, step, pop)
-        result.elapsed = time.perf_counter() - t0
-        result.acceptance = self.acceptance_ratio
-        result.estimators = self.estimators
-        result.online = streams.online if streams is not None else None
-        result.extra["moves"] = float(self.n_moves)
-        result.extra["accepted"] = float(self.n_accept)
-        if profile:
-            result.profile = PROFILER.stop_run(label)
-        return result
-
-    def _save_checkpoint(self, streams, step: int,
-                         pop: List[Walker]) -> None:
-        """Durable end-of-generation snapshot (atomic; see runstate)."""
-        from repro.output.runstate import (RunCheckpoint, rng_state,
-                                           save_run_checkpoint)
-        ckpt = RunCheckpoint(
-            kind="vmc", step=step,
-            rng_states={"driver": rng_state(self.rng)},
-            scalars={"n_accept": float(self.n_accept),
-                     "n_moves": float(self.n_moves)},
-            walkers=pop,
-            online_state=(streams.online.state_dict()
-                          if streams.online is not None else None),
-            trace_position=streams.trace_position.as_array(),
-        )
-        save_run_checkpoint(streams.checkpoint_path, ckpt)
+        start = self._begin(walkers, resume, "VMC")
+        return self._run_generations(
+            steps, "VMC", "VMC", streams=streams, start=start,
+            profile=label if profile else None)

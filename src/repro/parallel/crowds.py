@@ -45,7 +45,6 @@ the crash-free one.  Incidents are counted in ``result.extra`` and the
 
 from __future__ import annotations
 
-import math
 import multiprocessing as mp
 import os
 import time
@@ -58,15 +57,15 @@ from repro.batched.driver import BatchedCrowdDriver
 from repro.batched.system import BatchedHamiltonian, JastrowSystemSpec, \
     walker_streams
 from repro.batched.walkerbatch import WalkerBatch
-from repro.drivers.dmc import DMCDriver
+from repro.drivers.generation import DMCPolicy, Generation, GenerationLoop
 from repro.drivers.result import QMCResult
-from repro.hamiltonian.nlpp import QuadratureRotations
 from repro.estimators.scalar import EstimatorManager
 from repro.lint.sanitizers import (CollectiveOrderChecker,
                                    RngStreamSanitizer, ShmRaceSanitizer,
                                    sanitizers_enabled)
 from repro.metrics.registry import METRICS
-from repro.parallel.shm import SharedTraceBlock, SharedWalkerState
+from repro.parallel.shm import (STATE_FIELDS, SharedTraceBlock,
+                                SharedWalkerState)
 from repro.parallel.shmcomm import CommPeerLost, CommTimeout, SharedMemComm
 from repro.precision.policy import FULL, PrecisionPolicy
 
@@ -75,189 +74,68 @@ if TYPE_CHECKING:  # import cycle: repro.splines.slab maps shm via us
 
 __all__ = ["ParallelCrowdDriver"]
 
-#: per-walker fields of the shared state block, in layout order
-_STATE_FIELDS = ("R", "weight", "logpsi", "local_energy", "age")
-
-
 class _WorkerDown(RuntimeError):
     """A worker process died or stopped responding (internal signal)."""
 
 
-class _LocalWalkerState:  # repro: cold
-    """Plain-numpy stand-in for :class:`SharedWalkerState` used by the
-    ``workers=0`` serial path, so the driver loop is identical."""
+def _host_crowd(spec: JastrowSystemSpec, state: SharedWalkerState,
+                crowd: int, n_crowds: int, master_seed: int,
+                timestep: float, use_drift: bool,
+                precision: PrecisionPolicy, start_generation: int,
+                backend: Optional[str]
+                ) -> BatchedCrowdDriver:  # repro: cold
+    """Crowd ``crowd`` of ``n_crowds``: a batched driver over its strided
+    views of the walker block, ready to run ``start_generation``.
 
-    def __init__(self, nwalkers: int, n: int):
-        self.nw = int(nwalkers)
-        self.n = int(n)
-        self.R = np.zeros((self.nw, self.n, 3))
-        self.weight = np.ones(self.nw)
-        self.logpsi = np.zeros(self.nw)
-        self.local_energy = np.zeros(self.nw)
-        self.age = np.zeros(self.nw, dtype=np.int64)
-
-    def crowd_views(self, crowd: int, n_crowds: int) -> Dict[str, np.ndarray]:
-        return {name: getattr(self, name)[crowd::n_crowds]
-                for name in _STATE_FIELDS}
-
-    def checkpoint(self) -> Dict[str, np.ndarray]:
-        return {name: getattr(self, name).copy() for name in _STATE_FIELDS}
-
-    def restore_all(self, snapshot: Dict[str, np.ndarray]) -> None:
-        for name in _STATE_FIELDS:
-            getattr(self, name)[...] = snapshot[name]
-
-    def close(self) -> None:
-        pass
-
-
-class _LocalTrace:  # repro: cold
-    """Plain-numpy stand-in for :class:`SharedTraceBlock` (serial path)."""
-
-    def __init__(self, steps: int, nwalkers: int, ncomp: int):
-        self.weight = np.zeros((steps, nwalkers))
-        self.local_energy = np.zeros((steps, nwalkers))
-        self.components = np.zeros((steps, nwalkers, ncomp))
-
-    def as_arrays(self) -> Dict[str, np.ndarray]:
-        return {"weight": self.weight.copy(),
-                "local_energy": self.local_energy.copy(),
-                "components": self.components.copy()}
-
-    def close(self) -> None:
-        pass
-
-
-class _CrowdEngine:
-    """One crowd's driver over its strided views of the shared state.
-
-    Used identically by the serial path (crowd 0 of 1, plain arrays) and
+    Used identically by the serial path (crowd 0 of 1, heap block) and
     by every worker process (crowd c of K, shared-memory views), which is
     what makes ``workers=0`` a bitwise reference for ``workers=N``.
     """
+    ids = np.arange(crowd, state.nw, n_crowds)
+    views = state.crowd_views(crowd, n_crowds)
+    batch = WalkerBatch.attach(
+        views["R"], views["weight"], views["logpsi"],
+        views["local_energy"], views["age"], dtype=precision)
+    # RNG-stream contract: walker w owns stream w of the master seed no
+    # matter which crowd hosts it; a respawned crowd fast-forwards by
+    # replaying the per-generation draw pattern of the sweep.
+    streams = walker_streams(master_seed, state.nw)
+    drv = BatchedCrowdDriver(
+        spec, len(ids), master_seed, timestep, use_drift, precision,
+        batch=batch, rngs=[streams[w] for w in ids], backend=backend)
+    drv.skip_generations(start_generation - 1)
+    nlpp = getattr(drv.ham, "nlpp", None)
+    if nlpp is not None:
+        # Quadrature-rotation contract: rotations are keyed on the
+        # *global* walker id and the master seed, so crowd membership
+        # cannot perturb the NLPP trace.
+        nlpp.set_rotations(nlpp.rotations, walker_ids=ids)
+    drv.evaluate_energies(start_generation - 1)
+    return drv
 
-    def __init__(self, spec: JastrowSystemSpec, state, trace, crowd: int,
-                 n_crowds: int, total_walkers: int, master_seed: int,
-                 timestep: float, use_drift: bool,
-                 precision: PrecisionPolicy, mode: str,
-                 start_generation: int = 1, trace_base: int = 0,
-                 backend: Optional[str] = None, spline=None):
-        self.crowd = int(crowd)
-        #: optional SPO table (a slab-backed or in-process BSpline3D):
-        #: when set, every generation appends a per-walker orbital-norm
-        #: component through the tile-blocked vgh kernel
-        self.spline = spline
-        self.n_crowds = int(n_crowds)
-        self.mode = mode
-        self.tau = float(timestep)
-        self.trace = trace
-        #: generations completed before this run segment (full-run
-        #: resume): trace row 0 holds generation ``trace_base + 1``
-        self.trace_base = int(trace_base)
-        #: this crowd's columns of the (steps, W) trace arrays
-        self.cols = slice(self.crowd, None, self.n_crowds)
-        views = state.crowd_views(crowd, n_crowds)
-        self.nw = views["R"].shape[0]
-        # RNG-stream contract: walker w owns stream w of the master seed
-        # no matter which crowd hosts it; a respawned engine fast-forwards
-        # by replaying the exact per-generation draw pattern of the sweep
-        # (one (n, 3) Gaussian block then n uniforms, per walker).
-        streams = walker_streams(master_seed, total_walkers)
-        rngs = [streams[w] for w in range(crowd, total_walkers, n_crowds)]
-        n = spec.n
-        sqrt_tau = math.sqrt(self.tau)
-        for _ in range(start_generation - 1):
-            for rng in rngs:
-                rng.normal(scale=sqrt_tau, size=(n, 3))
-            for rng in rngs:
-                rng.uniform(size=n)
-        batch = WalkerBatch.attach(
-            views["R"], views["weight"], views["logpsi"],
-            views["local_energy"], views["age"], dtype=precision)
-        self.driver = BatchedCrowdDriver(
-            spec, self.nw, 0, timestep, use_drift, precision,
-            batch=batch, rngs=rngs, backend=backend)
-        nlpp = getattr(self.driver.ham, "nlpp", None)
-        if nlpp is not None:
-            # Quadrature-rotation contract: rotations are keyed on the
-            # *global* walker id and the master seed, so crowd membership
-            # cannot perturb the NLPP trace.  The serial starts one below
-            # the spawn generation: the initial E_L evaluation below
-            # bumps it to start_generation, and generation g's measure
-            # lands on serial g+1 for crashed and uncrashed crowds alike.
-            nlpp.set_rotations(
-                QuadratureRotations(master_seed),
-                walker_ids=np.arange(crowd, total_walkers, n_crowds),
-                serial=start_generation - 1)
-        # Initial E_L through the same path measure() uses, so a respawn
-        # reproduces the checkpointed values bitwise.
-        drv = self.driver
-        drv._evaluate_gl()
-        batch.local_energy[...] = drv.ham.evaluate(
-            batch, drv.tables, drv.G, drv.L)
-        self._needs_refresh = False
 
-    @property
-    def component_names(self) -> tuple:
-        """Trace component order: Hamiltonian terms, then the optional
-        SPO diagnostic column."""
-        names = tuple(self.driver.ham.names)
-        if self.spline is not None:
-            names += ("SpoNorm",)
-        return names
-
-    def run_generation(self, step: int,
-                       e_trial: Optional[float] = None) -> int:  # repro: hot
-        """Advance this crowd one generation; returns accepted moves."""
-        drv = self.driver
-        batch = drv.batch
-        if self.mode == "dmc":
-            if self._needs_refresh:
-                # The parent's branch commit rewrote positions behind the
-                # driver's back; resync tables/Rsoa from shared memory.
-                drv.refresh_from_positions()
-            el_old = batch.local_energy.copy()
-            drv.sweep()
-            el_new = drv.measure()
-            self._record(step, el_new)  # pre-reweight weights, like store_walker
-            stuck = drv.last_sweep_accepts == 0
-            batch.age[stuck] += 1
-            batch.age[~stuck] = 0
-            batch.weight *= np.exp(
-                -self.tau * (0.5 * (el_old + el_new) - e_trial))
-            aged = batch.age > DMCDriver.MAX_AGE
-            if np.any(aged):
-                batch.weight[aged] = np.minimum(batch.weight[aged], 0.5)
-            self._needs_refresh = True
-        else:
-            if drv.precision.should_recompute(step):
-                batch.logpsi[...] = drv._evaluate_log()
-            drv.sweep()
-            el_new = drv.measure()
-            self._record(step, el_new)
-            batch.age += 1
-        return int(np.sum(drv.last_sweep_accepts))
-
-    def _record(self, step: int, el: np.ndarray) -> None:  # repro: hot  # repro: commit
-        """Write this generation's estimator inputs into the trace block
-        (strided shared-memory columns — never pickled)."""
-        row = step - 1 - self.trace_base
-        self.trace.local_energy[row, self.cols] = el
-        self.trace.weight[row, self.cols] = self.driver.batch.weight
-        comps = self.driver.ham.last_components
-        for i, name in enumerate(self.driver.ham.names):
-            self.trace.components[row, self.cols, i] = comps[name]
-        if self.spline is not None:
-            # Per-walker orbital norm at each walker's first particle,
-            # through the tile-blocked vgh kernel on the shared table.
-            # Every einsum is per-walker independent, so the column is
-            # bitwise identical across crowd decompositions.
-            from repro.batched.spo import batched_multi_vgh
-            v, _, _ = batched_multi_vgh(self.spline,
-                                        self.driver.batch.R[:, 0])
-            self.trace.components[row, self.cols,
-                                  len(self.driver.ham.names)] = \
-                np.einsum("wm,wm->w", v, v)
+def _record_row(trace: SharedTraceBlock, row: int, cols: slice,
+                crowd: BatchedCrowdDriver, el: np.ndarray,
+                weights: np.ndarray,
+                spline=None) -> None:  # repro: hot  # repro: commit
+    """Write one crowd's generation into its columns of the trace block
+    (strided shared-memory columns — never pickled).  ``spline`` (a
+    slab-backed or in-process BSpline3D) appends the per-walker
+    orbital-norm column after the Hamiltonian terms."""
+    trace.local_energy[row, cols] = el
+    trace.weight[row, cols] = weights
+    comps = crowd.ham.last_components
+    for i, name in enumerate(crowd.ham.names):
+        trace.components[row, cols, i] = comps[name]
+    if spline is not None:
+        # Per-walker orbital norm at each walker's first particle,
+        # through the tile-blocked vgh kernel on the shared table.
+        # Every einsum is per-walker independent, so the column is
+        # bitwise identical across crowd decompositions.
+        from repro.batched.spo import batched_multi_vgh
+        v, _, _ = batched_multi_vgh(spline, crowd.batch.R[:, 0])
+        trace.components[row, cols, len(crowd.ham.names)] = \
+            np.einsum("wm,wm->w", v, v)
 
 
 @dataclass
@@ -267,18 +145,18 @@ class _WorkerConfig:  # repro: cold
     spec: JastrowSystemSpec
     master_seed: int
     total_walkers: int
-    n: int
     crowd: int
     n_crowds: int
     timestep: float
     use_drift: bool
     precision: PrecisionPolicy
-    mode: str
     steps: int
     start_generation: int
     state_name: str
     trace_name: str
-    ncomp: int
+    #: trace-block component columns: Hamiltonian terms, then the
+    #: optional SPO diagnostic column
+    component_names: tuple
     comm: SharedMemComm
     metrics_enabled: bool
     crash_generation: Optional[int] = None  # injected-fault hook (tests)
@@ -326,28 +204,25 @@ def _segment_open(cfg: _WorkerConfig):  # repro: cold
     return TraceWriter(cfg.segment_path, fields, meta=meta, flush_every=1)
 
 
-def _segment_append(writer, engine: _CrowdEngine, cfg: _WorkerConfig,
-                    step: int) -> None:
+def _segment_append(writer, trace: SharedTraceBlock, cols: slice,
+                    cfg: _WorkerConfig, step: int) -> None:
     """Append this generation's strided trace-row slice to the crowd's
     segment file, component columns permuted from Hamiltonian order to
     the sorted order the merged canonical trace declares."""
     row = step - 1 - cfg.trace_base
-    trace = engine.trace
-    cols = engine.cols
     values = {"weight": np.array(trace.weight[row, cols]),
               "local_energy": np.array(trace.local_energy[row, cols])}
     names = tuple(cfg.segment_names or ())
     if names:
-        ham_names = engine.component_names
-        perm = [ham_names.index(nm) for nm in names]
+        perm = [cfg.component_names.index(nm) for nm in names]
         values["components"] = np.ascontiguousarray(
             trace.components[row, cols][:, perm])
     writer.append_row(step, values)
 
 
 def _worker_main(cfg: _WorkerConfig) -> None:  # repro: hot
-    """Worker-process entry: attach shared blocks, build the crowd
-    engine, then serve generation commands until told to stop."""
+    """Worker-process entry: attach shared blocks, host this crowd,
+    then serve generation commands until told to stop."""
     comm = cfg.comm
     state = None
     trace = None
@@ -364,20 +239,21 @@ def _worker_main(cfg: _WorkerConfig) -> None:  # repro: hot
             RngStreamSanitizer.arm()
             armed = True
         state = SharedWalkerState.attach(
-            cfg.state_name, cfg.total_walkers, cfg.n)
+            cfg.state_name, cfg.total_walkers, cfg.spec.n)
         trace = SharedTraceBlock.attach(
-            cfg.trace_name, cfg.steps, cfg.total_walkers, cfg.ncomp)
+            cfg.trace_name, cfg.steps, cfg.total_walkers,
+            len(cfg.component_names))
         if cfg.slab is not None:
             # Map the one shared coefficient table (read-only) instead
             # of rebuilding or copying it per worker.
             from repro.splines.slab import SharedCoefSlab
             slab = SharedCoefSlab.attach(cfg.slab)
-        engine = _CrowdEngine(
-            cfg.spec, state, trace, cfg.crowd, cfg.n_crowds,
-            cfg.total_walkers, cfg.master_seed, cfg.timestep,
-            cfg.use_drift, cfg.precision, cfg.mode, cfg.start_generation,
-            cfg.trace_base, backend=cfg.backend,
-            spline=slab.as_spline() if slab is not None else None)
+        crowd = _host_crowd(
+            cfg.spec, state, cfg.crowd, cfg.n_crowds, cfg.master_seed,
+            cfg.timestep, cfg.use_drift, cfg.precision,
+            cfg.start_generation, cfg.backend)
+        spline = slab.as_spline() if slab is not None else None
+        cols = slice(cfg.crowd, None, cfg.n_crowds)
         if cfg.segment_path is not None:
             segment = _segment_open(cfg)
         comm.allgather(("ready", cfg.crowd, os.getpid()))
@@ -390,24 +266,26 @@ def _worker_main(cfg: _WorkerConfig) -> None:  # repro: hot
                 if (cfg.crash_generation is not None
                         and step >= cfg.crash_generation):
                     os._exit(23)  # injected fault: die without cleanup
-                accepted = engine.run_generation(step, e_trial)
+                el, weights = crowd.run_generation(step, e_trial)
+                _record_row(trace, step - 1 - cfg.trace_base, cols, crowd,
+                            el, weights, spline)
                 if segment is not None:
                     # Durable before the done token: the parent may
                     # checkpoint right after this generation.
-                    _segment_append(segment, engine, cfg, step)
+                    _segment_append(segment, trace, cols, cfg, step)
                 if cfg.race_generation == step and step >= 2:
                     # Injected fault: scribble on a frozen history row,
                     # outside any commit scope — exactly the out-of-band
                     # mutation the parent's quiescent-window checksums
                     # exist to catch.
                     trace.local_energy[0, cfg.crowd] += 1.0  # repro: noqa R008 — deliberate race fixture
-                comm.allgather(("done", accepted, engine.nw))
+                comm.allgather(
+                    ("done", int(np.sum(crowd.last_sweep_accepts))))
         collective_log = list(comm.order_log)
         payload = {
             "crowd": cfg.crowd,
-            "nw": engine.nw,
-            "n_moves": engine.driver.n_moves,
-            "n_accept": engine.driver.n_accept,
+            "n_moves": crowd.n_moves,
+            "n_accept": crowd.n_accept,
             "metrics": METRICS.snapshot() if METRICS.enabled else None,
             "comm": {"allreduce_count": comm.allreduce_count,
                      "p2p_messages": comm.p2p_messages,
@@ -434,13 +312,17 @@ def _worker_main(cfg: _WorkerConfig) -> None:  # repro: hot
         os._exit(1)
 
 
-class ParallelCrowdDriver:  # repro: cold
+class ParallelCrowdDriver(GenerationLoop):  # repro: cold
     """VMC/DMC over K crowd processes sharing one walker-state block.
 
-    ``workers=0`` runs the identical generation loop in-process (the
-    bitwise reference); ``workers=K >= 1`` spawns K crowd processes.
-    See the module docstring for the determinism and crash contracts.
+    ``workers=0`` advances one crowd over a heap-backed block in-process
+    (the bitwise reference); ``workers=K >= 1`` spawns K crowd
+    processes over a shared-memory one.  Either way the generation loop
+    is :class:`~repro.drivers.generation.GenerationLoop`.  See the module
+    docstring for the determinism and crash contracts.
     """
+
+    checkpoint_kind = "parallel"
 
     def __init__(self, spec: JastrowSystemSpec, nwalkers: int,
                  master_seed: int, workers: int = 0, timestep: float = 0.5,
@@ -499,21 +381,18 @@ class ParallelCrowdDriver:  # repro: cold
         self._comm: Optional[SharedMemComm] = None
         self._state = None
         self._trace = None
-        self._engine: Optional[_CrowdEngine] = None
+        #: the in-process crowd of the serial path and its SPO table
+        self._crowd: Optional[BatchedCrowdDriver] = None
+        self._spline = None
         self._race: Optional[ShmRaceSanitizer] = None
-        self._checkpoint: Optional[Dict[str, np.ndarray]] = None
-        self._incarnation = 0
-        self._mode = "vmc"
-        self._steps = 0
-        self._trace_base = 0
+        #: generation-start copy of the shared block (crash recovery)
+        self._snapshot: Optional[Dict[str, np.ndarray]] = None
         #: per-crowd segment trace paths of the latest run (or None)
         self.segment_paths: Optional[List[str]] = None
-        self._segment_meta: Optional[dict] = None
-        self._segment_names: Optional[tuple] = None
         self._comm_totals = {"allreduce_count": 0, "p2p_messages": 0,
                              "p2p_bytes": 0.0}
 
-    # -- the run loop (shared by serial and process paths) -----------------------
+    # -- the run (one generation loop for serial and process paths) -------------
     def run(self, steps: int = 10, mode: str = "vmc", streams=None,
             resume=None, segment_dir: Optional[str] = None,
             abort_after: Optional[int] = None) -> QMCResult:
@@ -541,23 +420,13 @@ class ParallelCrowdDriver:  # repro: cold
             raise ValueError(f"unknown mode {mode!r}")
         if steps < 1:
             raise ValueError(f"need at least one step, got {steps}")
-        start_gen = 0
-        if resume is not None:
-            if resume.kind != "parallel":
-                raise ValueError(
-                    f"checkpoint kind {resume.kind!r} is not a parallel run")
-            if resume.meta.get("mode") != mode:
-                raise ValueError(
-                    f"checkpoint is a {resume.meta.get('mode')!r} run, "
-                    f"not {mode!r}")
-            if int(resume.meta.get("nwalkers", -1)) != self.nw \
-                    or int(resume.meta.get("seed", -1)) != self.master_seed:
-                raise ValueError(
-                    "checkpoint population/seed do not match this driver")
-            start_gen = int(resume.step)
+        start_gen = self._resume_step(resume, "parallel", mode=mode,
+                                      nwalkers=self.nw,
+                                      seed=self.master_seed)
         self._mode = mode
         self._steps = int(steps)
         self._trace_base = start_gen
+        self._abort_after = abort_after
         self._incarnation = 0
         self.respawns = 0
         self._comm_totals = {"allreduce_count": 0, "p2p_messages": 0,
@@ -591,24 +460,19 @@ class ParallelCrowdDriver:  # repro: cold
         if shared:
             self._state = SharedWalkerState.create(W, n)
             self._trace = SharedTraceBlock.create(steps, W, ncomp)
-        else:
-            self._state = _LocalWalkerState(W, n)
-            self._trace = _LocalTrace(steps, W, ncomp)
+        else:  # the same blocks over heap memory
+            self._state = SharedWalkerState(W, n)
+            self._trace = SharedTraceBlock(steps, W, ncomp)
         state = self._state
+        self._branch_rng = np.random.default_rng(
+            np.random.SeedSequence(self.master_seed).spawn(W + 1)[W])
+        self._accepted = 0
         if resume is not None:
             state.restore_all(resume.shared_state)
+            self._branch_rng.bit_generator.state = resume.rng_states["branch"]
+            self._accepted = int(resume.scalars["accepted_total"])
         else:
             state.R[...] = self.spec.initial_positions(W)
-        label = "ParallelDMC" if mode == "dmc" else "ParallelVMC"
-        result = QMCResult(
-            method=f"{mode.upper()}(crowds x{max(self.workers, 1)})",
-            steps=steps)
-        branch_rng = np.random.default_rng(
-            np.random.SeedSequence(self.master_seed).spawn(W + 1)[W])
-        accepted_total = 0
-        if resume is not None:
-            branch_rng.bit_generator.state = resume.rng_states["branch"]
-            accepted_total = int(resume.scalars["accepted_total"])
         armed = False
         if sanitizers_enabled():
             # Same fail-fast global-RNG guard the workers arm; stream
@@ -621,94 +485,30 @@ class ParallelCrowdDriver:  # repro: cold
             if shared:
                 self._ensure_pool(start_gen + 1)
             else:
-                spline = None
-                if self._slab is not None:
-                    spline = self._slab.as_spline()
-                elif self.spo_slab is not None:
-                    spline = self.spo_slab
-                self._engine = _CrowdEngine(
-                    self.spec, state, self._trace, 0, 1, W,
-                    self.master_seed, self.tau, self.use_drift,
-                    self.precision, mode, start_gen + 1, start_gen,
-                    backend=self.backend, spline=spline)
+                self._spline = (self._slab.as_spline()
+                                if self._slab is not None else self.spo_slab)
+                self._crowd = _host_crowd(
+                    self.spec, state, 0, 1, self.master_seed, self.tau,
+                    self.use_drift, self.precision, start_gen + 1,
+                    self.backend)
             setup_s = time.perf_counter() - t_setup
-            e_trial = (float(np.mean(state.local_energy))
-                       if mode == "dmc" else None)
-            e_best = e_trial
-            if resume is not None and mode == "dmc":
-                e_trial = float(resume.scalars["e_trial"])
-                e_best = float(resume.scalars["e_best"])
-            t0 = time.perf_counter()
-            with METRICS.scope(label):
-                for step in range(start_gen + 1, start_gen + steps + 1):
-                    self._checkpoint = state.checkpoint()
-                    if shared:
-                        self._race_begin(step)
-                        accepted_total += self._parallel_generation(
-                            step, e_trial)
-                        self._race_end(step)
-                    else:
-                        accepted_total += self._engine.run_generation(
-                            step, e_trial)
-                    if streams is not None:
-                        self._stream_row(streams, step,
-                                         step - 1 - start_gen)
-                    el = state.local_energy
-                    if mode == "vmc":
-                        result.energies.append(float(np.mean(el)))
-                        result.populations.append(W)
-                    else:
-                        # E_T sync (Alg. 1, L14): the shared-memory form
-                        # of the allreduce — reduce in walker order over
-                        # the full shared arrays, every crowd sees the
-                        # result in the next generation's broadcast.
-                        weights = state.weight
-                        wsum = float(np.sum(weights))
-                        if wsum > 0.0:
-                            e_mixed = float(np.sum(weights * el) / wsum)
-                        else:  # extinction guard: reset and carry on
-                            e_mixed = float(np.mean(el))
-                            state.weight[...] = 1.0
-                        result.energies.append(e_mixed)
-                        with METRICS.scope("branch"):
-                            self._branch_comb(state, branch_rng)
-                        e_best = 0.25 * e_best + 0.75 * e_mixed
-                        feedback = 1.0 / (
-                            DMCDriver.FEEDBACK_GENERATIONS * self.tau)
-                        e_trial = e_best - feedback * math.log(W / W)
-                        result.populations.append(W)
-                        result.trial_energies.append(e_trial)
-                    if shared:
-                        self._race_seal_state()
-                    if streams is not None and streams.want_checkpoint(step):
-                        self._save_run_checkpoint(
-                            streams, step, mode, branch_rng,
-                            accepted_total, e_trial, e_best)
-                    if abort_after is not None and step >= abort_after:
-                        # Restart-battery kill hook: die like a SIGKILL
-                        # between generations — checkpoint and trace are
-                        # already durable; no flush/close/unlink runs.
-                        # Workers are torn down first only because they
-                        # inherit every comm pipe fd at fork: orphans
-                        # would deadlock in recv() holding each other's
-                        # write ends open (they carry no durable state —
-                        # segment files flush every generation).
-                        self._terminate_pool()
-                        os._exit(17)
-            elapsed = time.perf_counter() - t0
-            trace_data = self._trace.as_arrays()
+            policy = None
+            if mode == "dmc":
+                # The comb holds the population at W, so the feedback
+                # term vanishes and E_T tracks E_best.
+                policy = DMCPolicy(self.tau, W,
+                                   float(np.mean(state.local_energy)))
+                if resume is not None:
+                    policy.restore(resume.scalars)
+            result = self._run_generations(
+                steps, f"{mode.upper()}(crowds x{max(self.workers, 1)})",
+                "ParallelDMC" if mode == "dmc" else "ParallelVMC",
+                streams=streams, start=start_gen, policy=policy)
             worker_stats = self._finalize() if shared else None
         finally:
             if armed:
                 RngStreamSanitizer.disarm()
-            self._teardown()
-        result.online = streams.online if streams is not None else None
-        result.elapsed = elapsed
-        moves = (start_gen + steps) * W * n
-        result.acceptance = accepted_total / moves if moves else 0.0
-        result.estimators = self._build_estimators(trace_data)
-        result.extra["moves"] = float(moves)
-        result.extra["accepted"] = float(accepted_total)
+            self.close()
         result.extra["workers"] = float(self.workers)
         result.extra["respawns"] = float(self.respawns)
         result.extra["setup_seconds"] = float(setup_s)
@@ -722,113 +522,97 @@ class ParallelCrowdDriver:  # repro: cold
                     sum(p["n_moves"] for p in worker_stats))
         return result
 
-    def run_dmc(self, steps: int = 10) -> QMCResult:
-        return self.run(steps=steps, mode="dmc")
-
-    # -- streaming + full-run checkpoints ----------------------------------------
-    def _stream_row(self, streams, step: int, row: int) -> None:
-        """Feed one generation's walker-ordered trace-block row to the
-        stream bundle (binary trace + online reblocker) — the same
-        pre-reweight values ``_build_estimators`` replays at end of run,
-        so online results are bitwise independent of the worker count."""
+    # -- what K crowds over one block add to the shared generation loop ----------
+    def _advance(self, step: int, e_trial: Optional[float]) -> Generation:
+        """One generation across the pool (or the in-process crowd); the
+        rows come back through the trace block — the same pre-reweight
+        values ``_estimators`` replays at end of run, so online results
+        are bitwise independent of the worker count."""
         trace = self._trace
-        el = np.array(trace.local_energy[row])
-        wt = np.array(trace.weight[row])
-        comps = {name: np.array(trace.components[row, :, i])
-                 for i, name in enumerate(self._ham_names)}
-        streams.record(step, el, wt, comps)
+        row = step - 1 - self._trace_base
+        if self.workers > 0:
+            self._snapshot = self._state.checkpoint()
+            self._race_state("verify")
+            self._race_history("seal", step)
+            self._accepted += self._parallel_generation(step, e_trial)
+            self._race_history("verify", step)
+        else:
+            el, weights = self._crowd.run_generation(step, e_trial)
+            _record_row(trace, row, slice(None), self._crowd, el, weights,
+                        self._spline)
+            self._accepted += int(np.sum(self._crowd.last_sweep_accepts))
+        return Generation(
+            np.array(trace.local_energy[row]), np.array(trace.weight[row]),
+            {name: np.array(trace.components[row, :, i])
+             for i, name in enumerate(self._ham_names)})
 
-    def _save_run_checkpoint(self, streams, step: int, mode: str,
-                             branch_rng: np.random.Generator,
-                             accepted_total: int, e_trial, e_best) -> None:
-        """Durable end-of-generation snapshot: the shared walker block
-        (post-branch), the branch RNG and the feedback scalars.  Worker
-        RNG streams are *not* stored — a resume respawns every crowd at
-        ``step + 1`` and the engines fast-forward deterministically,
-        exactly like within-run crash recovery."""
-        from repro.output.runstate import (RunCheckpoint, rng_state,
-                                           save_run_checkpoint)
-        scalars = {"accepted_total": float(accepted_total)}
-        if mode == "dmc":
-            scalars["e_trial"] = float(e_trial)
-            scalars["e_best"] = float(e_best)
-        ckpt = RunCheckpoint(
-            kind="parallel", step=step,
-            rng_states={"branch": rng_state(branch_rng)},
-            scalars=scalars,
-            shared_state={name: np.array(getattr(self._state, name))
-                          for name in _STATE_FIELDS},
-            online_state=(streams.online.state_dict()
-                          if streams.online is not None else None),
-            trace_position=streams.trace_position.as_array(),
-            meta={"mode": mode, "nwalkers": self.nw,
-                  "seed": self.master_seed, "n": self.spec.n},
-        )
-        save_run_checkpoint(streams.checkpoint_path, ckpt)
+    def _mixed_energy(self, policy: DMCPolicy, gen: Generation) -> float:
+        """E_T sync (Alg. 1, L14), the shared-memory form of the
+        allreduce: reduce the reweighted block in walker order; every
+        crowd sees the result in the next generation's broadcast."""
+        return policy.mixed_energy(self._state.weight, gen.energies)
 
-    # -- parent-side DMC branch (walker migration between crowds) ----------------
-    def _branch_comb(self, state, rng: np.random.Generator) -> None:
-        """Stochastic-reconfiguration comb over the shared block: exactly
-        W survivors, weights reset to 1, clones' age reset — applied by
-        rewriting slices in shared memory, which *is* the inter-crowd
-        walker migration (a pick landing in another crowd's slot)."""
-        W = self.nw
-        weights = state.weight.copy()
-        total = float(np.sum(weights))
-        cum = np.cumsum(weights) / total
-        u0 = rng.uniform(0.0, 1.0 / W)
-        points = u0 + np.arange(W) / W
-        picks = np.minimum(np.searchsorted(cum, points), W - 1)
-        age = state.age[picks].copy()
-        first = np.zeros(W, dtype=bool)
-        first[np.unique(picks, return_index=True)[1]] = True
-        age[~first] = 0  # clones restart the stuck-walker clock
-        state.R[...] = state.R[picks]
-        state.logpsi[...] = state.logpsi[picks]
-        state.local_energy[...] = state.local_energy[picks]
-        state.age[...] = age
-        state.weight[...] = 1.0
+    def _branch_population(self, policy: DMCPolicy) -> None:
+        """The comb over the shared block: exactly W survivors, applied
+        parent-side by rewriting slices in shared memory."""
+        picks, clone = policy.comb_picks(
+            self._state.weight, self.nw,
+            self._branch_rng.uniform(0.0, 1.0 / self.nw))
+        self._state.resample(picks, clone)
+
+    def _population_size(self) -> int:
+        return self.nw
+
+    def _move_counts(self):
+        generations = self._trace_base + self._steps
+        return generations * self.nw * self.spec.n, self._accepted
+
+    def _checkpoint_state(self) -> dict:
+        """The shared walker block (post-branch) and the branch RNG.
+        Worker RNG streams are *not* stored — a resume respawns every
+        crowd at ``step + 1`` and the crowds fast-forward
+        deterministically, exactly like within-run crash recovery."""
+        from repro.output.runstate import rng_state
+        return {"rng_states": {"branch": rng_state(self._branch_rng)},
+                "scalars": {"accepted_total": float(self._accepted)},
+                "shared_state": self._state.checkpoint(),
+                "meta": {"mode": self._mode, "nwalkers": self.nw,
+                         "seed": self.master_seed, "n": self.spec.n}}
+
+    def _end_generation(self, step: int) -> None:
+        self._race_state("seal")
+        if self._abort_after is not None and step >= self._abort_after:
+            # Restart-battery kill hook: die like a SIGKILL between
+            # generations — checkpoint and trace are already durable; no
+            # flush/close/unlink runs.  Workers are torn down first only
+            # because they inherit every comm pipe fd at fork: orphans
+            # would deadlock in recv() holding each other's write ends
+            # open (they carry no durable state — segment files flush
+            # every generation).
+            self._terminate_pool()
+            os._exit(17)
 
     # -- shm race quiescent windows (ShmRaceSanitizer, armed runs only) ----------
-    def _race_begin(self, step: int) -> None:
-        """Close the inter-generation state window (nobody may have
-        written walker state since the parent's last commit) and seal
-        the frozen trace history before workers write row ``step - 1``."""
-        race = self._race
-        if race is None:
-            return
-        for name in _STATE_FIELDS:
-            race.verify(f"state/{name}", getattr(self._state, name))
-        hist = step - 1 - self._trace_base
-        if hist > 0:
-            race.seal("trace/local_energy",
-                      self._trace.local_energy[:hist])
-            race.seal("trace/weight", self._trace.weight[:hist])
-            race.seal("trace/components", self._trace.components[:hist])
+    def _race_state(self, op: str) -> None:
+        """``seal`` opens the inter-generation window (the parent's
+        commits — branch comb, weight resets — are done; nothing may
+        write walker state until the next generation command),
+        ``verify`` closes it."""
+        if self._race is not None:
+            for name in STATE_FIELDS:
+                getattr(self._race, op)(f"state/{name}",
+                                        getattr(self._state, name))
 
-    def _race_end(self, step: int) -> None:
-        """Every worker's done token happened-before this point, so an
-        out-of-band write to the frozen history is detected
-        deterministically — not probabilistically."""
-        race = self._race
-        if race is None:
-            return
+    def _race_history(self, op: str, step: int) -> None:
+        """``seal`` the frozen trace history before workers write row
+        ``step - 1``; ``verify`` it once every worker's done token has
+        happened-before — so an out-of-band write to the history is
+        detected deterministically, not probabilistically."""
         hist = step - 1 - self._trace_base
-        if hist > 0:
-            race.verify("trace/local_energy",
-                        self._trace.local_energy[:hist])
-            race.verify("trace/weight", self._trace.weight[:hist])
-            race.verify("trace/components", self._trace.components[:hist])
-
-    def _race_seal_state(self) -> None:
-        """Open the inter-generation window: the parent's commits for
-        this generation (branch comb, weight resets) are done; nothing
-        may write walker state until the next generation command."""
-        race = self._race
-        if race is None:
-            return
-        for name in _STATE_FIELDS:
-            race.seal(f"state/{name}", getattr(self._state, name))
+        if self._race is not None and hist > 0:
+            for name in ("local_energy", "weight", "components"):
+                getattr(self._race, op)(f"trace/{name}",
+                                        getattr(self._trace, name)[:hist])
 
     # -- process-pool management -------------------------------------------------
     def _spawn_pool(self, start_generation: int) -> None:
@@ -844,12 +628,12 @@ class ParallelCrowdDriver:  # repro: cold
             crowd = r - 1
             cfg = _WorkerConfig(
                 spec=self.spec, master_seed=self.master_seed,
-                total_walkers=self.nw, n=self.spec.n, crowd=crowd,
+                total_walkers=self.nw, crowd=crowd,
                 n_crowds=K, timestep=self.tau, use_drift=self.use_drift,
-                precision=self.precision, mode=self._mode,
-                steps=self._steps, start_generation=start_generation,
+                precision=self.precision, steps=self._steps,
+                start_generation=start_generation,
                 state_name=self._state.name, trace_name=self._trace.name,
-                ncomp=len(self._ham_names), comm=endpoints[r],
+                component_names=self._ham_names, comm=endpoints[r],
                 metrics_enabled=METRICS.enabled,
                 crash_generation=(crash_plan or {}).get(crowd),
                 race_generation=(race_plan or {}).get(crowd),
@@ -933,9 +717,8 @@ class ParallelCrowdDriver:  # repro: cold
         if self.respawns > self.max_respawns:
             raise RuntimeError(
                 f"gave up after {self.respawns - 1} respawns: {exc}")
-        if self._checkpoint is not None:
-            for name in _STATE_FIELDS:
-                getattr(self._state, name)[...] = self._checkpoint[name]
+        if self._snapshot is not None:
+            self._state.restore_all(self._snapshot)
 
     def _terminate_pool(self) -> None:
         for proc in self._procs.values():
@@ -974,12 +757,9 @@ class ParallelCrowdDriver:  # repro: cold
                                        label=f"crowd-{p['crowd']}")
             for key in ("allreduce_count", "p2p_messages", "p2p_bytes"):
                 self._comm_totals[key] += p["comm"][key]
-        if self._race is not None:
-            # every worker's final payload happened-before this point:
-            # the state sealed after the last generation must be intact
-            for name in _STATE_FIELDS:
-                self._race.verify(f"state/{name}",
-                                  getattr(self._state, name))
+        # every worker's final payload happened-before this point: the
+        # state sealed after the last generation must be intact
+        self._race_state("verify")
         if sanitizers_enabled() and self.respawns == 0 \
                 and len(payloads) == self.workers:
             # Cross-check the SPMD collective call sequences.  Skipped
@@ -994,16 +774,14 @@ class ParallelCrowdDriver:  # repro: cold
         return payloads
 
     # -- estimators (rebuilt parent-side from the trace block) -------------------
-    def _build_estimators(self,
-                          trace_data: Dict[str, np.ndarray]
-                          ) -> EstimatorManager:
+    def _estimators(self) -> EstimatorManager:
         """Rebuild the scalar estimator series in (step, walker) order
         from the trace block — the same order the serial batched driver
         accumulates in, hence identical across worker counts."""
         est = EstimatorManager()
-        le = trace_data["local_energy"]
-        wt = trace_data["weight"]
-        comps = trace_data["components"]
+        le = self._trace.local_energy
+        wt = self._trace.weight
+        comps = self._trace.components
         for s in range(le.shape[0]):
             for w in range(le.shape[1]):
                 weight = float(wt[s, w])
@@ -1013,7 +791,8 @@ class ParallelCrowdDriver:  # repro: cold
         return est
 
     # -- lifecycle ---------------------------------------------------------------
-    def _teardown(self) -> None:
+    def close(self) -> None:
+        """Idempotent cleanup of the pool and the shared segments."""
         self._terminate_pool()
         for obj in (self._trace, self._state):
             if obj is not None:
@@ -1024,13 +803,10 @@ class ParallelCrowdDriver:  # repro: cold
         self._slab_owned = False
         self._trace = None
         self._state = None
-        self._engine = None
+        self._crowd = None
+        self._spline = None
         self._race = None
-        self._checkpoint = None
-
-    def close(self) -> None:
-        """Idempotent external cleanup (pool, shared segments)."""
-        self._teardown()
+        self._snapshot = None
 
     def __enter__(self) -> "ParallelCrowdDriver":
         return self

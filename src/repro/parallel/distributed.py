@@ -21,14 +21,15 @@ message *sizes*).
 
 from __future__ import annotations
 
-import math
-import time
 from dataclasses import dataclass, field
 from typing import List
 
 import numpy as np
 
+from repro.core.version import CodeVersion
+from repro.drivers.crowd import CloneDrivers
 from repro.drivers.dmc import DMCDriver
+from repro.drivers.generation import DMCPolicy, Generation, advance_walkers
 from repro.drivers.result import QMCResult
 from repro.parallel.balancer import WalkerLoadBalancer
 from repro.parallel.simcomm import SimComm
@@ -46,96 +47,78 @@ class DistributedStats:
     per_generation_imbalance: List[int] = field(default_factory=list)
 
 
-class DistributedDMCDriver:
-    """DMC over ``ranks`` in-process MPI ranks, each with its own clones."""
+class DistributedDMCDriver(CloneDrivers):
+    """DMC over ``ranks`` in-process MPI ranks, each with its own clones.
+
+    The generation loop, reweight/age rule and E_T feedback are the
+    shared ones (:mod:`repro.drivers.generation`); this class adds what
+    ranks add — the allreduce behind the mixed estimator, per-rank
+    branching and the walker exchange, with every message counted."""
 
     def __init__(self, parts, ranks: int, rng: np.random.Generator,
                  timestep: float = 0.005, use_drift: bool = True,
                  version=None):
-        from repro.core.version import VERSION_CONFIGS, CodeVersion
-        from repro.drivers.crowd import clone_parts
         if ranks < 1:
             raise ValueError("need at least one rank")
         self.ranks = ranks
         self.comm = SimComm(ranks)
-        cfg = VERSION_CONFIGS[version or CodeVersion.CURRENT]
-        self.drivers: List[DMCDriver] = []
-        for r in range(ranks):
-            p = parts if r == 0 else clone_parts(parts)
-            self.drivers.append(DMCDriver(
-                p.electrons, p.twf, p.ham,
-                np.random.default_rng(rng.integers(2 ** 63)),
-                timestep=timestep, use_drift=use_drift,
-                precision=cfg.precision))
+        super().__init__(DMCDriver, parts, ranks, rng, timestep, use_drift,
+                         version or CodeVersion.CURRENT)
         self.tau = timestep
         self.stats = DistributedStats()
+        #: per-rank Walker lists
+        self.pops: List[List[Walker]] = []
 
-    # -- the distributed generation loop -------------------------------------------
     def run(self, walkers_per_rank: int = 4, steps: int = 5) -> QMCResult:
-        pops: List[List[Walker]] = [
-            d.create_walkers(walkers_per_rank) for d in self.drivers]
-        target = walkers_per_rank * self.ranks
+        self.pops = [d.create_walkers(walkers_per_rank)
+                     for d in self.drivers]
         # Initial E_T from a real allreduce of local sums.
         sums = [sum(w.properties["local_energy"] for w in pop)
-                for pop in pops]
-        counts = [float(len(pop)) for pop in pops]
+                for pop in self.pops]
+        counts = [float(len(pop)) for pop in self.pops]
         tot_e = self.comm.allreduce(sums)[0]
         tot_n = self.comm.allreduce(counts)[0]
         self.stats.allreduces += 2
-        e_trial = tot_e / tot_n
-        e_best = e_trial
-
-        result = QMCResult(method="DMC(distributed)", steps=steps)
-        t0 = time.perf_counter()
-        for _ in range(steps):
-            # 1. local sweeps + reweighting on every rank.
-            local_we = np.zeros(self.ranks)   # sum w * E_L
-            local_w = np.zeros(self.ranks)    # sum w
-            for r, drv in enumerate(self.drivers):
-                for w in pops[r]:
-                    el_old = w.properties["local_energy"]
-                    drv.load_walker(w)
-                    drv.sweep()
-                    el_new = drv.store_walker(w)
-                    w.age += 1
-                    w.weight *= math.exp(
-                        -self.tau * (0.5 * (el_old + el_new) - e_trial))
-                    local_we[r] += w.weight * el_new
-                    local_w[r] += w.weight
-            # 2. global mixed estimator + E_T feedback (one allreduce of
-            #    the packed [sum wE, sum w] pair, as production codes do).
-            packed = [np.array([local_we[r], local_w[r]])
-                      for r in range(self.ranks)]
-            tot = self.comm.allreduce_array(packed)[0]
-            self.stats.allreduces += 1
-            e_mixed = float(tot[0] / tot[1]) if tot[1] > 0 else e_best
-            result.energies.append(e_mixed)
-            # 3. local branching.
-            for r, drv in enumerate(self.drivers):
-                pops[r] = drv._branch(pops[r])
-            # 4. load balancing with real serialized walkers.
-            before = [len(p) for p in pops]
-            self.stats.per_generation_imbalance.append(
-                max(before) - min(before))
-            m0, b0 = self.comm.p2p_messages, self.comm.p2p_bytes
-            pops = WalkerLoadBalancer.apply(pops, self.comm)
-            moved = (self.comm.p2p_messages - m0)
-            self.stats.messages += moved
-            self.stats.bytes += self.comm.p2p_bytes - b0
-            self.stats.migrated_walkers += moved
-            # 5. trial-energy update.
-            pop_now = sum(len(p) for p in pops)
-            e_best = 0.25 * e_best + 0.75 * e_mixed
-            feedback = 1.0 / (5.0 * self.tau)
-            e_trial = e_best - feedback * math.log(
-                max(pop_now, 1) / target)
-            result.populations.append(pop_now)
-            result.trial_energies.append(e_trial)
-        result.elapsed = time.perf_counter() - t0
-        moves = sum(d.n_moves for d in self.drivers)
-        accepts = sum(d.n_accept for d in self.drivers)
-        result.acceptance = accepts / moves if moves else 0.0
-        result.extra["final_population"] = sum(len(p) for p in pops)
+        policy = DMCPolicy(self.tau, walkers_per_rank * self.ranks,
+                           tot_e / tot_n)
+        result = self._run_generations(steps, "DMC(distributed)",
+                                       "DistributedDMC", policy=policy)
+        result.extra["final_population"] = self._population_size()
         result.extra["migrated_walkers"] = self.stats.migrated_walkers
         result.extra["comm_bytes"] = self.stats.bytes
         return result
+
+    # -- what ranks add to the shared generation loop -------------------------------
+    def _population_size(self) -> int:
+        return sum(len(pop) for pop in self.pops)
+
+    def _advance(self, step: int, e_trial: float) -> Generation:
+        """Local sweeps + reweighting on every rank, rank-major."""
+        owners = [d for d, pop in zip(self.drivers, self.pops) for _ in pop]
+        walkers = [w for pop in self.pops for w in pop]
+        return advance_walkers(walkers, owners.__getitem__, step, e_trial)
+
+    def _mixed_energy(self, policy: DMCPolicy, gen: Generation) -> float:
+        """One allreduce of the packed per-rank [sum wE, sum w] pair, as
+        production codes do."""
+        bounds = np.cumsum([len(pop) for pop in self.pops])[:-1]
+        packed = [np.array([np.sum(w * e), np.sum(w)])
+                  for w, e in zip(np.split(gen.weights, bounds),
+                                  np.split(gen.energies, bounds))]
+        tot = self.comm.allreduce_array(packed)[0]
+        self.stats.allreduces += 1
+        return float(tot[0] / tot[1]) if tot[1] > 0 else policy.e_best
+
+    def _branch_population(self, policy: DMCPolicy) -> None:
+        """Local branching, then load balancing with real serialized
+        walkers."""
+        self.pops = [d._branch(pop)
+                     for d, pop in zip(self.drivers, self.pops)]
+        before = [len(p) for p in self.pops]
+        self.stats.per_generation_imbalance.append(max(before) - min(before))
+        m0, b0 = self.comm.p2p_messages, self.comm.p2p_bytes
+        self.pops = WalkerLoadBalancer.apply(self.pops, self.comm)
+        moved = self.comm.p2p_messages - m0
+        self.stats.messages += moved
+        self.stats.bytes += self.comm.p2p_bytes - b0
+        self.stats.migrated_walkers += moved

@@ -10,7 +10,9 @@ its crowd's walkers (``arr[c::k]``), so an accepted Metropolis move is
 committed straight into shared memory by the batched driver's normal
 ``WalkerBatch.commit`` write — no pickling of walker state, ever.
 
-Lifecycle contract (see docs/parallel_crowds.md):
+Lifecycle contract (see docs/parallel_crowds.md), written once in
+:class:`_SharedBlock` for the walker state, the trace block and the
+B-spline coefficient slab (:mod:`repro.splines.slab`):
 
 * the creating process calls :meth:`unlink` exactly once (idempotent);
   a ``weakref.finalize`` guard unlinks on interpreter exit if the owner
@@ -18,7 +20,10 @@ Lifecycle contract (see docs/parallel_crowds.md):
 * attaching processes call :meth:`close` only — and their attachment is
   excluded from the ``resource_tracker`` so a worker's exit (normal or
   violent) neither unlinks the segment under the parent nor spams
-  tracker warnings.
+  tracker warnings;
+* a block built with ``heap`` has the same fields over plain process
+  memory — what the in-process serial path (``workers=0``) runs on, so
+  its generation loop is the parallel one.
 """
 
 from __future__ import annotations
@@ -26,37 +31,28 @@ from __future__ import annotations
 import secrets
 import weakref
 from multiprocessing import resource_tracker, shared_memory
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.containers.aligned import CACHE_LINE_BYTES
-
-#: field name -> (per-walker shape tail, dtype)
-_FIELDS: Tuple[Tuple[str, tuple, str], ...] = (
-    ("R", (-1, 3), "float64"),         # -1 = particles per walker
-    ("weight", (), "float64"),
-    ("logpsi", (), "float64"),
-    ("local_energy", (), "float64"),
-    ("age", (), "int64"),
-)
 
 
 def _align(offset: int, alignment: int = CACHE_LINE_BYTES) -> int:
     return (offset + alignment - 1) // alignment * alignment
 
 
-def _layout(nwalkers: int, n: int) -> Tuple[Dict[str, tuple], int]:
-    """{field: (offset, shape, dtype)} plus the total segment size."""
+def _pack(fields) -> Tuple[Dict[str, tuple], int]:
+    """Lay ``(name, shape, dtype)`` fields out back to back at
+    cache-line-aligned offsets; returns ``{name: (offset, shape,
+    dtype)}`` and the total size."""
     out: Dict[str, tuple] = {}
     offset = 0
-    for name, tail, dtype in _FIELDS:
-        shape = (nwalkers,) + tuple(n if d == -1 else d for d in tail)
-        nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    for name, shape, dtype in fields:
         offset = _align(offset)
-        out[name] = (offset, shape, dtype)
-        offset += nbytes
-    return out, _align(offset)
+        out[name] = (offset, tuple(shape), dtype)
+        offset += int(np.prod(shape)) * np.dtype(dtype).itemsize
+    return out, offset
 
 
 def _untrack(shm: shared_memory.SharedMemory) -> None:
@@ -73,110 +69,78 @@ def _untrack(shm: shared_memory.SharedMemory) -> None:
         pass
 
 
-class SharedWalkerState:
-    """The population's canonical walker state in one shared segment."""
+def _unlink(shm: shared_memory.SharedMemory) -> None:
+    """Close and unlink an owned segment (idempotent)."""
+    try:
+        shm.close()
+    except (BufferError, OSError):  # a view still pins the mapping;
+        pass                        # the unlink below must still run
+    try:
+        # Re-arm the tracker entry first: forked workers share this
+        # process's tracker, so their attach-time _untrack() removed
+        # our registration and unlink()'s internal unregister would
+        # otherwise make the tracker process print a KeyError.
+        resource_tracker.register("/" + shm.name.lstrip("/"),
+                                  "shared_memory")
+    except Exception:  # pragma: no cover - tracker internals
+        pass
+    try:
+        shm.unlink()
+    except (FileNotFoundError, OSError):  # already gone
+        pass
 
-    def __init__(self, nwalkers: int, n: int,
-                 shm: shared_memory.SharedMemory, owner: bool):
-        self.nw = int(nwalkers)
-        self.n = int(n)
-        self._shm = shm
-        self._owner = owner
-        layout, _ = _layout(self.nw, self.n)
-        for name, (offset, shape, dtype) in layout.items():
-            setattr(self, name, np.ndarray(
-                shape, dtype=dtype, buffer=shm.buf, offset=offset))
-        if owner:
-            self._finalizer = weakref.finalize(
-                self, SharedWalkerState._cleanup, shm)
-        else:
-            self._finalizer = None
 
-    # -- construction -----------------------------------------------------------
-    @classmethod
-    def create(cls, nwalkers: int, n: int) -> "SharedWalkerState":
-        """Allocate a fresh segment (parent side) and zero it."""
-        _, size = _layout(nwalkers, n)
-        name = f"repro-crowds-{secrets.token_hex(6)}"
-        shm = shared_memory.SharedMemory(name=name, create=True, size=size)
-        shm.buf[:] = b"\x00" * size
-        state = cls(nwalkers, n, shm, owner=True)
-        state.weight[...] = 1.0
-        return state
+def fresh_name(prefix: str) -> str:
+    """A new ``/dev/shm`` segment name under ``prefix``."""
+    return f"{prefix}-{secrets.token_hex(6)}"
 
-    @classmethod
-    def attach(cls, name: str, nwalkers: int, n: int) -> "SharedWalkerState":
-        """Map an existing segment (worker side), untracked."""
-        shm = shared_memory.SharedMemory(name=name)
-        _untrack(shm)
-        return cls(nwalkers, n, shm, owner=False)
 
-    # -- identity / bookkeeping --------------------------------------------------
+class _SharedBlock:
+    """Named numpy fields over one buffer, with the segment lifecycle.
+
+    ``name=None`` builds the fields over plain heap memory; otherwise
+    the buffer is the shared-memory segment ``name``, which this process
+    either creates (zero-filled, owned, unlinked exactly once — by
+    ``close`` or by the ``weakref.finalize`` guard) or attaches to
+    (untracked, never unlinked)."""
+
+    def __init__(self, fields, name: Optional[str] = None,
+                 create: bool = False):
+        layout, size = _pack(fields)
+        self.owner = create
+        self._fields = tuple(layout)
+        self._shm = None
+        if create:
+            self._shm = shared_memory.SharedMemory(
+                name=name, create=True, size=size)
+            self._shm.buf[:] = b"\x00" * size
+        elif name is not None:
+            self._shm = shared_memory.SharedMemory(name=name)
+            _untrack(self._shm)
+        buf = self._shm.buf if self._shm is not None else bytearray(size)
+        self.nbytes = len(buf)
+        for field, (offset, shape, dtype) in layout.items():
+            setattr(self, field, np.ndarray(
+                shape, dtype=dtype, buffer=buf, offset=offset))
+        self._finalizer = (weakref.finalize(self, _unlink, self._shm)
+                           if create else None)
+
     @property
-    def name(self) -> str:
-        return self._shm.name
-
-    @property
-    def nbytes(self) -> int:
-        return self._shm.size
-
-    def crowd_views(self, crowd: int, n_crowds: int) -> Dict[str, np.ndarray]:
-        """Strided views of crowd ``crowd``'s walkers (round-robin deal:
-        crowd c hosts global walkers w with ``w % n_crowds == c``)."""
-        return {name: getattr(self, name)[crowd::n_crowds]
-                for name, _, _ in _FIELDS}
-
-    def checkpoint(self) -> Dict[str, np.ndarray]:
-        """Private (process-local) copy of every field — the parent's
-        generation-start snapshot used to restore a crashed crowd."""
-        return {name: getattr(self, name).copy() for name, _, _ in _FIELDS}
-
-    def restore(self, snapshot: Dict[str, np.ndarray], crowd: int,
-                n_crowds: int) -> None:
-        """Overwrite crowd ``crowd``'s slices from a checkpoint."""
-        for name, _, _ in _FIELDS:
-            getattr(self, name)[crowd::n_crowds] = \
-                snapshot[name][crowd::n_crowds]
-
-    def restore_all(self, snapshot: Dict[str, np.ndarray]) -> None:
-        """Overwrite every field from a snapshot — used by within-run
-        crash recovery and by full-run restart from an on-disk
-        :class:`~repro.output.runstate.RunCheckpoint`."""
-        for name, _, _ in _FIELDS:
-            getattr(self, name)[...] = snapshot[name]
-
-    # -- teardown ---------------------------------------------------------------
-    @staticmethod
-    def _cleanup(shm: shared_memory.SharedMemory) -> None:
-        try:
-            shm.close()
-        except (BufferError, OSError):  # a view still pins the mapping;
-            pass                        # the unlink below must still run
-        try:
-            # Re-arm the tracker entry first: forked workers share this
-            # process's tracker, so their attach-time _untrack() removed
-            # our registration and unlink()'s internal unregister would
-            # otherwise make the tracker process print a KeyError.
-            resource_tracker.register("/" + shm.name.lstrip("/"),
-                                      "shared_memory")
-        except Exception:  # pragma: no cover - tracker internals
-            pass
-        try:
-            shm.unlink()
-        except (FileNotFoundError, OSError):  # already gone
-            pass
+    def name(self) -> Optional[str]:
+        """Segment name attachers map by (None for a heap block)."""
+        return self._shm.name if self._shm is not None else None
 
     def close(self) -> None:
         """Drop this process's mapping (attachers); owners also unlink."""
-        for name, _, _ in _FIELDS:  # views pin shm.buf; release them first
-            if hasattr(self, name):
-                delattr(self, name)
-        if self._owner:
-            if self._finalizer is not None:
-                self._finalizer.detach()
-                self._finalizer = None
-            self._cleanup(self._shm)
-        else:
+        for field in self._fields:  # views pin shm.buf; release them first
+            if hasattr(self, field):
+                delattr(self, field)
+        if self._finalizer is not None:
+            self._finalizer.detach()
+            self._finalizer = None
+        if self.owner:
+            _unlink(self._shm)
+        elif self._shm is not None:
             try:
                 self._shm.close()
             except OSError:  # pragma: no cover
@@ -184,35 +148,86 @@ class SharedWalkerState:
 
     unlink = close  # owner-side alias; close() already unlinks for owners
 
-    def __enter__(self) -> "SharedWalkerState":
+    def __enter__(self):
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
+
+#: per-walker fields of the state block, in layout order
+STATE_FIELDS = ("R", "weight", "logpsi", "local_energy", "age")
+
+
+class SharedWalkerState(_SharedBlock):
+    """The population's canonical walker state in one block (over heap
+    memory when constructed without a segment name)."""
+
+    def __init__(self, nwalkers: int, n: int, name: Optional[str] = None,
+                 create: bool = False):
+        self.nw = nw = int(nwalkers)
+        self.n = int(n)
+        super().__init__((("R", (nw, self.n, 3), "float64"),
+                          ("weight", (nw,), "float64"),
+                          ("logpsi", (nw,), "float64"),
+                          ("local_energy", (nw,), "float64"),
+                          ("age", (nw,), "int64")), name, create)
+        if create or name is None:
+            self.weight[...] = 1.0
+
+    # -- construction -----------------------------------------------------------
+    @classmethod
+    def create(cls, nwalkers: int, n: int) -> "SharedWalkerState":
+        """Allocate a fresh zeroed segment (parent side)."""
+        return cls(nwalkers, n, fresh_name("repro-crowds"), create=True)
+
+    @classmethod
+    def attach(cls, name: str, nwalkers: int, n: int) -> "SharedWalkerState":
+        """Map an existing segment (worker side), untracked."""
+        return cls(nwalkers, n, name)
+
+    # -- the population as a block ------------------------------------------------
+    def crowd_views(self, crowd: int, n_crowds: int) -> Dict[str, np.ndarray]:
+        """Strided views of crowd ``crowd``'s walkers (round-robin deal:
+        crowd c hosts global walkers w with ``w % n_crowds == c``)."""
+        return {name: getattr(self, name)[crowd::n_crowds]
+                for name in STATE_FIELDS}
+
+    def checkpoint(self) -> Dict[str, np.ndarray]:
+        """Private (process-local) copy of every field — the parent's
+        generation-start crash snapshot and the on-disk
+        :class:`~repro.output.runstate.RunCheckpoint` payload."""
+        return {name: getattr(self, name).copy() for name in STATE_FIELDS}
+
+    def restore_all(self, snapshot: Dict[str, np.ndarray]) -> None:
+        """Overwrite every field from a snapshot — used by within-run
+        crash recovery and by full-run restart."""
+        for name in STATE_FIELDS:
+            getattr(self, name)[...] = snapshot[name]
+
+    def resample(self, picks: np.ndarray,
+                 clone: np.ndarray) -> None:  # repro: commit
+        """Apply comb picks (:meth:`DMCPolicy.comb_picks
+        <repro.drivers.generation.DMCPolicy.comb_picks>`) by rewriting
+        slices: slot i takes walker ``picks[i]``, weights reset to 1,
+        clones restart the stuck-walker clock.  On a shared block this
+        *is* the inter-crowd walker migration (a pick landing in another
+        crowd's slot)."""
+        age = self.age[picks]
+        age[clone] = 0
+        self.R[...] = self.R[picks]
+        self.logpsi[...] = self.logpsi[picks]
+        self.local_energy[...] = self.local_energy[picks]
+        self.age[...] = age
+        self.weight[...] = 1.0
+
     def __repr__(self) -> str:
         return (f"SharedWalkerState(nw={self.nw}, n={self.n}, "
-                f"name={self._shm.name!r}, owner={self._owner})")
+                f"name={self.name!r}, owner={self.owner})")
 
 
-def _trace_layout(steps: int, nwalkers: int,
-                  ncomp: int) -> Tuple[Dict[str, tuple], int]:
-    shapes = (
-        ("weight", (steps, nwalkers)),
-        ("local_energy", (steps, nwalkers)),
-        ("components", (steps, nwalkers, ncomp)),
-    )
-    out: Dict[str, tuple] = {}
-    offset = 0
-    for name, shape in shapes:
-        offset = _align(offset)
-        out[name] = (offset, shape, "float64")
-        offset += int(np.prod(shape)) * 8
-    return out, _align(offset)
-
-
-class SharedTraceBlock:
-    """Per-(step, walker) estimator inputs in one shared segment.
+class SharedTraceBlock(_SharedBlock):
+    """Per-(step, walker) estimator inputs in one block.
 
     Workers write each generation's per-walker E_L, pre-branch weight and
     Hamiltonian components straight into their crowd's columns
@@ -223,64 +238,27 @@ class SharedTraceBlock:
     """
 
     def __init__(self, steps: int, nwalkers: int, ncomp: int,
-                 shm: shared_memory.SharedMemory, owner: bool):
+                 name: Optional[str] = None, create: bool = False):
         self.steps = int(steps)
         self.nw = int(nwalkers)
         self.ncomp = int(ncomp)
-        self._shm = shm
-        self._owner = owner
-        layout, _ = _trace_layout(self.steps, self.nw, self.ncomp)
-        self._fields = tuple(layout)
-        for name, (offset, shape, dtype) in layout.items():
-            setattr(self, name, np.ndarray(
-                shape, dtype=dtype, buffer=shm.buf, offset=offset))
-        if owner:
-            self._finalizer = weakref.finalize(
-                self, SharedWalkerState._cleanup, shm)
-        else:
-            self._finalizer = None
+        rows = (self.steps, self.nw)
+        super().__init__((("weight", rows, "float64"),
+                          ("local_energy", rows, "float64"),
+                          ("components", rows + (self.ncomp,), "float64")),
+                         name, create)
 
     @classmethod
     def create(cls, steps: int, nwalkers: int,
                ncomp: int) -> "SharedTraceBlock":
-        _, size = _trace_layout(steps, nwalkers, ncomp)
-        name = f"repro-trace-{secrets.token_hex(6)}"
-        shm = shared_memory.SharedMemory(name=name, create=True, size=size)
-        shm.buf[:] = b"\x00" * size
-        return cls(steps, nwalkers, ncomp, shm, owner=True)
+        return cls(steps, nwalkers, ncomp, fresh_name("repro-trace"),
+                   create=True)
 
     @classmethod
     def attach(cls, name: str, steps: int, nwalkers: int,
                ncomp: int) -> "SharedTraceBlock":
-        shm = shared_memory.SharedMemory(name=name)
-        _untrack(shm)
-        return cls(steps, nwalkers, ncomp, shm, owner=False)
-
-    @property
-    def name(self) -> str:
-        return self._shm.name
+        return cls(steps, nwalkers, ncomp, name)
 
     def as_arrays(self) -> Dict[str, np.ndarray]:
         """Private copies of every field (safe to keep past close())."""
         return {name: getattr(self, name).copy() for name in self._fields}
-
-    def close(self) -> None:
-        for name in self._fields:
-            if hasattr(self, name):
-                delattr(self, name)
-        if self._owner:
-            if self._finalizer is not None:
-                self._finalizer.detach()
-                self._finalizer = None
-            SharedWalkerState._cleanup(self._shm)
-        else:
-            try:
-                self._shm.close()
-            except OSError:  # pragma: no cover
-                pass
-
-    def __enter__(self) -> "SharedTraceBlock":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()

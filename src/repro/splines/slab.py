@@ -6,8 +6,8 @@ memory lever is simply *not copying it*: K crowd processes should map
 one physical table, not K private replicas.  :class:`SharedCoefSlab`
 promotes a :class:`~repro.splines.bspline3d.BSpline3D` coefficient table
 into a :mod:`multiprocessing.shared_memory` segment with the same
-lifecycle contract as the walker-state blocks in
-:mod:`repro.parallel.shm`:
+lifecycle contract as the walker-state blocks — its segment is the same
+:class:`repro.parallel.shm._SharedBlock`:
 
 * the creating process (``promote``) owns the segment and unlinks it
   exactly once — a ``weakref.finalize`` guard covers a forgotten
@@ -32,28 +32,14 @@ runtime sanitizers (``REPRO_SANITIZE=1``).
 
 from __future__ import annotations
 
-import secrets
 from dataclasses import dataclass, field
-from multiprocessing import shared_memory
 from typing import Optional, Tuple
-import weakref
 
 import numpy as np
 
 from repro.lint.sanitizers import sanitizers_enabled
 from repro.precision.policy import PrecisionPolicy
 from repro.splines.bspline3d import BSpline3D
-
-
-def _shm_lifecycle():
-    """Lazy handle on the shm lifecycle helpers.
-
-    ``repro.parallel``'s package import fans out through the whole
-    driver stack, which imports back into :mod:`repro.splines` — a
-    top-level import here would be circular.
-    """
-    from repro.parallel.shm import SharedWalkerState, _untrack
-    return SharedWalkerState._cleanup, _untrack
 
 
 @dataclass(frozen=True)
@@ -71,20 +57,20 @@ class SlabDescriptor:
 class SharedCoefSlab:
     """One read-only coefficient table shared by every crowd process."""
 
-    def __init__(self, shm: shared_memory.SharedMemory,
-                 descriptor: SlabDescriptor, owner: bool):
-        self._shm = shm
-        self._owner = owner
+    def __init__(self, descriptor: SlabDescriptor, spline=None):
+        """Map ``descriptor``'s segment; with ``spline`` create it and
+        fill it from that table first (owner side)."""
+        # Lazy: ``repro.parallel``'s package import fans out through the
+        # whole driver stack, which imports back into repro.splines.
+        from repro.parallel.shm import _SharedBlock
         self.descriptor = descriptor
-        view = np.ndarray(descriptor.shape, dtype=np.dtype(descriptor.dtype),
-                          buffer=shm.buf)
-        view.flags.writeable = False
-        self.coefs = view
-        if owner:
-            cleanup, _ = _shm_lifecycle()
-            self._finalizer = weakref.finalize(self, cleanup, shm)
-        else:
-            self._finalizer = None
+        self._block = _SharedBlock(
+            (("coefs", descriptor.shape, descriptor.dtype),),
+            descriptor.name, create=spline is not None)
+        self.coefs = self._block.coefs
+        if spline is not None:
+            self.coefs[...] = spline.coefs
+        self.coefs.flags.writeable = False
 
     # -- construction -----------------------------------------------------------
     @classmethod
@@ -98,35 +84,27 @@ class SharedCoefSlab:
         """
         dtype = (np.dtype(policy.value_dtype) if policy is not None
                  else spline.coefs.dtype)
-        shape = spline.coefs.shape
-        size = int(np.prod(shape)) * dtype.itemsize
-        name = f"repro-slab-{secrets.token_hex(6)}"
-        shm = shared_memory.SharedMemory(name=name, create=True, size=size)
-        staging = np.ndarray(shape, dtype=dtype, buffer=shm.buf)
-        staging[...] = spline.coefs
-        desc = SlabDescriptor(
-            name=name, shape=tuple(shape), dtype=dtype.str,
+        from repro.parallel.shm import fresh_name
+        shape = tuple(spline.coefs.shape)
+        return cls(SlabDescriptor(
+            name=fresh_name("repro-slab"), shape=shape, dtype=dtype.str,
             dims=(spline.nx, spline.ny, spline.nz),
             cell_inverse=np.array(spline.cell_inverse, dtype=np.float64),
-            nbytes=size)
-        return cls(shm, desc, owner=True)
+            nbytes=int(np.prod(shape)) * dtype.itemsize), spline)
 
     @classmethod
     def attach(cls, descriptor: SlabDescriptor) -> "SharedCoefSlab":
         """Map an existing slab (worker side), untracked."""
-        shm = shared_memory.SharedMemory(name=descriptor.name)
-        _, untrack = _shm_lifecycle()
-        untrack(shm)
-        return cls(shm, descriptor, owner=False)
+        return cls(descriptor)
 
     # -- identity ---------------------------------------------------------------
     @property
     def name(self) -> str:
-        return self._shm.name
+        return self._block.name
 
     @property
     def nbytes(self) -> int:
-        return self._shm.size
+        return self._block.nbytes
 
     @property
     def norb(self) -> int:
@@ -151,17 +129,7 @@ class SharedCoefSlab:
         """Drop this process's mapping (attachers); owners also unlink."""
         if hasattr(self, "coefs"):  # the view pins shm.buf; release first
             delattr(self, "coefs")
-        if self._owner:
-            if self._finalizer is not None:
-                self._finalizer.detach()
-                self._finalizer = None
-            cleanup, _ = _shm_lifecycle()
-            cleanup(self._shm)
-        else:
-            try:
-                self._shm.close()
-            except OSError:  # pragma: no cover
-                pass
+        self._block.close()
 
     unlink = close  # owner-side alias, mirroring SharedWalkerState
 
@@ -172,9 +140,9 @@ class SharedCoefSlab:
         self.close()
 
     def __repr__(self) -> str:
-        return (f"SharedCoefSlab(name={self._shm.name!r}, "
+        return (f"SharedCoefSlab(name={self.name!r}, "
                 f"shape={self.descriptor.shape}, "
-                f"dtype={self.descriptor.dtype}, owner={self._owner})")
+                f"dtype={self.descriptor.dtype}, owner={self._block.owner})")
 
 
 class MixedTableGuard:

@@ -2,7 +2,7 @@
 sweep_run) at the backend surface.
 
 Numpy leg: the fused pipeline must be BITWISE the retained loop oracle
-(``BatchedCrowdDriver._loop_sweep``) — the `exact_match = True` claim
+(``repro.batched.reference.loop_sweep``) — the `exact_match = True` claim
 for the new kernels.  Jax leg (importorskip; the CI backend-parity
 matrix runs it): the whole-sweep jit must actually engage (payload
 built, not the per-step fallback) and drive an end-to-end VMC run to
@@ -16,6 +16,7 @@ import pytest
 
 from repro.backend import get_backend
 from repro.batched import BatchedCrowdDriver, JastrowSystemSpec
+from repro.batched.reference import use_loop_sweep
 
 SEED = 17
 
@@ -34,7 +35,7 @@ class TestNumpySweepExact:
     def test_sweep_run_bitwise_vs_loop(self, use_drift):
         fused = _driver("numpy", use_drift=use_drift)
         loop = _driver("numpy", use_drift=use_drift)
-        loop._sweep = loop._loop_sweep
+        use_loop_sweep(loop)
         fused.move_log = []
         loop.move_log = []
         for _ in range(2):

@@ -4,10 +4,10 @@ Three contracts:
 
 * the fused ``sweep_run`` path (the driver default) is **bitwise
   identical** to the retained pre-fusion loop oracle
-  (``BatchedCrowdDriver._loop_sweep``) — accept/reject sequences,
+  (``repro.batched.reference.loop_sweep``) — accept/reject sequences,
   energy traces, final configurations, counters;
 * the workspace-buffered ``limited_drift`` is bitwise the driver's
-  ``_limited_drift`` across value dtypes, crowd widths and cap-branch
+  ``loop_limited_drift`` across value dtypes, crowd widths and cap-branch
   outcomes (the hypothesis sweep);
 * the crowd-split determinism guarantee survives fusion: the process
   -parallel driver produces bitwise-equal traces at workers 0 and 2
@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.batched import BatchedCrowdDriver, JastrowSystemSpec
+from repro.batched.reference import loop_limited_drift, use_loop_sweep
 from repro.batched.sweep import SweepWorkspace, limited_drift
 from repro.parallel.crowds import ParallelCrowdDriver
 
@@ -34,7 +35,7 @@ def _pair(flavor="otf", use_drift=True, n=16, nwalkers=W):
     spec = JastrowSystemSpec(n=n, seed=7, aa_flavor=flavor)
     fused = BatchedCrowdDriver(spec, nwalkers, SEED, use_drift=use_drift)
     loop = BatchedCrowdDriver(spec, nwalkers, SEED, use_drift=use_drift)
-    loop._sweep = loop._loop_sweep
+    use_loop_sweep(loop)
     fused.move_log = []
     loop.move_log = []
     return fused, loop
@@ -128,13 +129,13 @@ class TestFusedSweepSurface:
     seed=st.integers(min_value=0, max_value=2 ** 31 - 1),
 )
 def test_limited_drift_bitwise_property(w, dtype, scale, tau, seed):
-    """Workspace-buffered limited_drift == driver._limited_drift, bit
+    """Workspace-buffered limited_drift == the loop oracle's, bit
     for bit, on both sides of the norm-cap branch (satellite: the
     fp32/fp64 x W in {1,7,32} hypothesis sweep)."""
     rng = np.random.default_rng(seed)
     g = rng.normal(scale=scale, size=(w, 3)).astype(dtype)
     host = SimpleNamespace(tau=tau, DRIFT_CAP=BatchedCrowdDriver.DRIFT_CAP)
-    want = BatchedCrowdDriver._limited_drift(host, g.copy())
+    want = loop_limited_drift(host, g.copy())
     out = np.empty_like(g)
     got = limited_drift(tau, BatchedCrowdDriver.DRIFT_CAP, g.copy(),
                         out=out)

@@ -98,16 +98,6 @@ class TestCrowdDriver:
         res = drv.run(walkers=3, steps=2)
         assert len(res.energies) == 2
 
-    def test_threaded_crowds(self, parts):
-        drv = CrowdDriver(parts, n_crowds=2,
-                          rng=np.random.default_rng(3), timestep=0.3,
-                          workers=2)
-        try:
-            res = drv.run(walkers=4, steps=2)
-            assert np.all(np.isfinite(res.energies))
-        finally:
-            drv.close()
-
     def test_invalid_crowds(self, parts):
         with pytest.raises(ValueError):
             CrowdDriver(parts, n_crowds=0, rng=np.random.default_rng(0))
@@ -126,40 +116,27 @@ class TestCrowdDriver:
         assert le.size == 2 * 4  # steps x walkers
         assert np.all(np.isfinite(le))
 
-    def test_context_manager_closes_pool(self, parts):
-        with CrowdDriver(parts, n_crowds=2,
-                         rng=np.random.default_rng(5), timestep=0.3,
-                         workers=2) as drv:
-            res = drv.run(walkers=4, steps=1)
-            assert np.all(np.isfinite(res.energies))
-        assert drv._pool is None
-
 
 class TestCrowdDeterminism:
     """Same master seed => bitwise-identical energy trace, however the
-    population is dealt to crowds or threads."""
+    population is dealt to crowds."""
 
-    def _run(self, parts, n_crowds, workers, seed=11):
+    def _run(self, parts, n_crowds, seed=11):
         p = clone_parts(parts)  # fresh mutable state per experiment
         with CrowdDriver(p, n_crowds=n_crowds,
                          rng=np.random.default_rng(seed),
-                         timestep=0.3, workers=workers) as drv:
+                         timestep=0.3) as drv:
             return drv.run(walkers=5, steps=3)
 
     def test_energy_trace_independent_of_crowd_count(self, parts):
-        base = self._run(parts, n_crowds=1, workers=0)
+        base = self._run(parts, n_crowds=1)
         for nc in (2, 3, 5):
-            res = self._run(parts, n_crowds=nc, workers=0)
+            res = self._run(parts, n_crowds=nc)
             assert res.energies == base.energies  # bitwise
             assert res.extra["moves"] == base.extra["moves"]
             assert res.extra["accepted"] == base.extra["accepted"]
 
-    def test_energy_trace_independent_of_threading(self, parts):
-        serial = self._run(parts, n_crowds=2, workers=0)
-        threaded = self._run(parts, n_crowds=2, workers=2)
-        assert threaded.energies == serial.energies  # bitwise
-
     def test_different_seeds_diverge(self, parts):
-        a = self._run(parts, n_crowds=2, workers=0, seed=11)
-        b = self._run(parts, n_crowds=2, workers=0, seed=12)
+        a = self._run(parts, n_crowds=2, seed=11)
+        b = self._run(parts, n_crowds=2, seed=12)
         assert a.energies != b.energies

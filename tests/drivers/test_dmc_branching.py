@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.system import QmcSystem
 from repro.core.version import CodeVersion
 from repro.drivers.dmc import DMCDriver
+from repro.drivers.generation import DMCPolicy
+from repro.parallel.shm import SharedWalkerState
 from repro.particles.walker import Walker
 
 
@@ -56,6 +59,35 @@ class TestCombBranching:
         out = driver._branch_comb([heavy], target=3)
         out[0].R[0, 0] = 42.0
         assert not any(np.allclose(w.R[0, 0], 42.0) for w in out[1:])
+
+    @settings(max_examples=60, deadline=None)
+    @given(weights=st.lists(st.one_of(st.just(0.0),
+                                      st.floats(0.0, 50.0, allow_nan=False)),
+                            min_size=1, max_size=9),
+           ages=st.lists(st.integers(0, 9), min_size=9, max_size=9),
+           seed=st.integers(0, 2 ** 31 - 1))
+    def test_list_and_block_forms_comb_identically(self, driver, weights,
+                                                   ages, seed):
+        """The Walker-list comb and the walker-block comb are one policy:
+        same picks and same age resets for the same weights and ``u0`` —
+        the all-zero-weight guard included (it combs uniformly)."""
+        nw = len(weights)
+        pop = [Walker(2) for _ in range(nw)]
+        block = SharedWalkerState(nw, 2)  # heap-backed
+        for i, w in enumerate(pop):
+            w.R[...] = block.R[i] = i  # tag each walker with its index
+            w.weight = block.weight[i] = weights[i]
+            w.age = block.age[i] = ages[i]
+        driver.rng = np.random.default_rng(seed)
+        u0 = np.random.default_rng(seed).uniform(0.0, 1.0 / nw)
+        out = driver._branch_comb(pop, target=nw)
+        block.resample(*DMCPolicy.comb_picks(weights, nw, u0))
+        assert [w.R[0, 0] for w in out] == list(block.R[:, 0, 0])
+        assert [w.age for w in out] == list(block.age)
+        assert all(w.weight == 1.0 for w in out)
+        assert np.all(block.weight == 1.0)
+        if sum(weights) == 0.0:
+            assert list(block.R[:, 0, 0]) == list(range(nw))
 
     def test_unknown_branching_rejected(self, driver):
         with pytest.raises(ValueError):

@@ -7,7 +7,9 @@ generation G and resumed from its last checkpoint produces
 * **bit-identical** online error bars,
 
 versus the same run left uninterrupted.  Asserted for the scalar VMC and
-DMC drivers and for :class:`~repro.parallel.crowds.ParallelCrowdDriver`
+DMC drivers, for :class:`~repro.batched.driver.BatchedCrowdDriver` (with
+and without NLPP) and for
+:class:`~repro.parallel.crowds.ParallelCrowdDriver`
 at workers in {0, 2} — the parallel kill is a real ``SIGKILL``-style
 death (``os._exit`` mid-run in a forked child), so the resume path is
 exercised against a genuinely torn-down process tree.
@@ -23,6 +25,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.batched.driver import BatchedCrowdDriver
 from repro.batched.system import JastrowSystemSpec
 from repro.core.system import QmcSystem
 from repro.core.version import CodeVersion
@@ -43,10 +46,14 @@ def _read(path):
 
 
 # ----------------------------------------------------------------------
-# Scalar drivers: kill simulated by abandoning the run mid-stream
+# In-process drivers: kill simulated by abandoning the run mid-stream
 # ----------------------------------------------------------------------
 
 def _scalar_driver(mode):
+    if mode.startswith("batched"):
+        spec = JastrowSystemSpec(n=8, seed=7,
+                                 with_nlpp=mode == "batched-nlpp")
+        return BatchedCrowdDriver(spec, 6, 11, timestep=0.3)
     sys_ = QmcSystem.from_workload("Graphite", scale=0.125, seed=6,
                                    with_nlpp=False)
     parts = sys_.build(CodeVersion.CURRENT)
@@ -59,8 +66,18 @@ def _scalar_driver(mode):
                      np.random.default_rng(99), timestep=0.02)
 
 
+def _run(mode, steps, streams, resume=None):
+    drv = _scalar_driver(mode)
+    if mode.startswith("batched"):  # the population is the driver's own
+        return drv.run(steps, streams=streams, resume=resume)
+    if resume is not None:
+        return drv.run(steps=steps, streams=streams, resume=resume)
+    return drv.run(walkers=3, steps=steps, streams=streams)
+
+
 class TestScalarKillRestart:
-    @pytest.mark.parametrize("mode", ["vmc", "dmc"])
+    @pytest.mark.parametrize("mode",
+                             ["vmc", "dmc", "batched", "batched-nlpp"])
     def test_restart_trace_bitwise_and_error_bars_exact(self, mode,
                                                         tmp_path):
         # Reference: uninterrupted run.
@@ -68,8 +85,7 @@ class TestScalarKillRestart:
         full = StreamSet(trace_path=full_trace, meta={"mode": mode},
                          flush_every=FLUSH_EVERY)
         with full:
-            res_full = _scalar_driver(mode).run(walkers=3, steps=STEPS,
-                                                streams=full)
+            res_full = _run(mode, STEPS, full)
         # Killed run: checkpoint at 4, abandoned after generation 7.
         trace = str(tmp_path / "killed.trace")
         ckpt_path = str(tmp_path / "run.ckpt")
@@ -78,20 +94,18 @@ class TestScalarKillRestart:
                            checkpoint_path=ckpt_path,
                            checkpoint_every=CKPT_EVERY)
         with killed:
-            _scalar_driver(mode).run(walkers=3, steps=KILL_AFTER,
-                                     streams=killed)
+            _run(mode, KILL_AFTER, killed)
         assert _read(trace) != _read(full_trace)  # 7 vs 10 generations
         # Restart: fresh driver + resumed streams continue to the end.
         ckpt = load_run_checkpoint(ckpt_path)
-        assert ckpt.kind == mode
+        assert ckpt.kind == mode.partition("-")[0]
         assert ckpt.step == CKPT_EVERY
         resumed = StreamSet.resume(ckpt, trace_path=trace,
                                    flush_every=FLUSH_EVERY,
                                    checkpoint_path=ckpt_path,
                                    checkpoint_every=CKPT_EVERY)
         with resumed:
-            res_b = _scalar_driver(mode).run(steps=STEPS - ckpt.step,
-                                             streams=resumed, resume=ckpt)
+            res_b = _run(mode, STEPS - ckpt.step, resumed, resume=ckpt)
         assert _read(trace) == _read(full_trace)
         est_full = res_full.online.estimate("LocalEnergy")
         est_b = res_b.online.estimate("LocalEnergy")

@@ -125,7 +125,7 @@ def test_threads_record_into_private_trees_and_merge(reg):
 
 
 def test_crowd_driver_threads_merge_cleanly():
-    """The registry survives the real crowd thread pool."""
+    """Every crowd clone's sweep scope lands under the driver's."""
     np = pytest.importorskip("numpy")
     from repro.core.system import QmcSystem
     from repro.core.version import CodeVersion
@@ -139,7 +139,7 @@ def test_crowd_driver_threads_merge_cleanly():
     METRICS.enable()
     try:
         with CrowdDriver(parts, n_crowds=2,
-                         rng=np.random.default_rng(5), workers=2) as drv:
+                         rng=np.random.default_rng(5)) as drv:
             drv.run(walkers=4, steps=2)
         flat = METRICS.flat()
     finally:
@@ -147,9 +147,7 @@ def test_crowd_driver_threads_merge_cleanly():
             METRICS.disable()
         METRICS.reset()
     assert flat["CrowdVMC"]["calls"] == 1
-    # Pool threads each record into a private tree (their stacks are
-    # empty, so their sweep scopes sit at their own roots); the merge
-    # must still account for every sweep exactly once.
+    # Every sweep is accounted for exactly once.
     sweeps = sum(v["calls"] for k, v in flat.items()
                  if k.split("/")[-1] == "sweep")
     assert sweeps == 4 * 2  # walkers * steps

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.system import QmcSystem
-from repro.core.version import CodeVersion
+from repro.core.version import VERSION_CONFIGS, CodeVersion
+from repro.drivers.dmc import DMCDriver
 from repro.parallel.distributed import DistributedDMCDriver
 
 
@@ -52,12 +53,31 @@ class TestDistributedDMC:
             assert res.extra["comm_bytes"] >= \
                 res.extra["migrated_walkers"] * parts.electrons.R.nbytes
 
-    def test_single_rank_degenerates_to_plain_dmc_shape(self, parts):
-        drv = DistributedDMCDriver(parts, ranks=1,
+    def test_single_rank_degenerates_to_plain_dmc_shape(self):
+        """One rank is plain DMC: same feedback constant, age damping and
+        periodic recompute (the shared policy), so the energy and E_T
+        traces equal ``DMCDriver``'s — up to the order of the weighted
+        sums behind the rank's allreduce."""
+        sys_ = QmcSystem.from_workload("NiO-32", scale=0.125, seed=6,
+                                       with_nlpp=False)
+        steps = 17  # past MIXED's recompute at generation 16
+        drv = DistributedDMCDriver(sys_.build(CodeVersion.CURRENT), ranks=1,
                                    rng=np.random.default_rng(5))
-        res = drv.run(walkers_per_rank=4, steps=3)
+        res = drv.run(walkers_per_rank=4, steps=steps)
         assert drv.stats.migrated_walkers == 0
-        assert len(res.populations) == 3
+        assert len(res.populations) == steps
+        parts = sys_.build(CodeVersion.CURRENT)
+        rank_rng = np.random.default_rng(
+            np.random.default_rng(5).integers(2 ** 63))
+        plain = DMCDriver(
+            parts.electrons, parts.twf, parts.ham, rank_rng, timestep=0.005,
+            precision=VERSION_CONFIGS[CodeVersion.CURRENT].precision
+        ).run(walkers=4, steps=steps)
+        assert res.populations == plain.populations
+        np.testing.assert_allclose(res.energies, plain.energies,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(res.trial_energies, plain.trial_energies,
+                                   rtol=0, atol=1e-12)
 
     def test_invalid_ranks(self, parts):
         with pytest.raises(ValueError):
