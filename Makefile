@@ -4,7 +4,7 @@ PYTHON ?= python
 BENCH_OUT ?= /tmp/repro-bench
 
 .PHONY: install test test-fast lint lint-strict lint-baseline check loc bench \
-	bench-check bench-parallel bench-backend bench-spline bench-figures \
+	bench-check bench-e2e bench-backend bench-spline bench-figures \
 	check-backends restart-check report examples clean
 
 LINT_BASELINE = benchmarks/baselines/lint_baseline.json
@@ -54,18 +54,19 @@ bench:
 
 # Regression gate: quick suite vs the committed baseline artifact.
 # --enforce-floors makes a speedup_floors entry (e.g. the >=3x batched
-# NLPP win) that the candidate failed to measure a failure, not a skip.
+# NLPP win) that the candidate failed to measure a failure, not a skip;
+# only a leg the candidate declared skipped (jax absent) is excused.
 bench-check: bench
 	PYTHONPATH=src $(PYTHON) -m repro.bench.compare \
 		benchmarks/baselines/baseline.json $(BENCH_OUT)/BENCH_local.json \
 		--enforce-floors
 
-# Multi-core crowd scaling (workers = 0/1/2/4; counts the host cannot
-# seat are skipped).  The runner asserts bitwise-identical energy traces
-# across worker counts, so this doubles as the determinism smoke.
-bench-parallel:
-	PYTHONPATH=src REPRO_METRICS=1 $(PYTHON) -m repro.bench \
-		--suite parallel --tag parallel --out $(BENCH_OUT)
+# The repo benchmark (BENCHMARK.json, benchmarks/e2e/README.md): four
+# workloads end to end in fresh interpreters — walker-steps/s, run and
+# setup seconds, peak RSS — plus one traced run attributed per layer.
+bench-e2e:
+	mkdir -p $(BENCH_OUT)
+	$(PYTHON) benchmarks/e2e/run.py --out $(BENCH_OUT)/e2e.json
 
 # Kernel-backend micro-benchmarks (docs/backends.md): every registered
 # hot kernel timed under numpy and, when importable, jax, on the two

@@ -24,7 +24,6 @@ from repro.bench.suite import BENCH_SCALE  # canonical home of the scales
 from repro.core.system import QmcSystem, run_vmc
 from repro.core.version import VERSION_CONFIGS, CodeVersion
 from repro.perfmodel.opcount import OPS, KernelOps
-from repro.profiling.profiler import PROFILER
 
 _system_cache: Dict[tuple, QmcSystem] = {}
 _measure_cache: Dict[tuple, "Measurement"] = {}

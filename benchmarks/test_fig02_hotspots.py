@@ -14,7 +14,7 @@ import pytest
 
 from harness import BENCH_SCALE, heading, measure, row
 from repro.core.version import CodeVersion
-from repro.profiling.profiler import PAPER_CATEGORIES
+from repro.metrics.profile import PAPER_CATEGORIES
 
 
 @pytest.mark.parametrize("workload", ["NiO-32", "NiO-64"])

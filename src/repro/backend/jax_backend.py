@@ -39,6 +39,7 @@ import jax.numpy as jnp  # noqa: E402
 
 from repro.backend.base import KernelBackend  # noqa: E402
 from repro.distances.base import BIG_DISTANCE  # noqa: E402
+from repro.metrics.registry import METRICS  # noqa: E402
 from repro.splines.cubic1d import (  # noqa: E402
     _A as _A1, _dA as _dA1, _d2A as _d2A1)
 from repro.splines.bspline3d import (  # noqa: E402
@@ -548,7 +549,7 @@ class JaxBackend(KernelBackend):
         banks, lattice args, group indices) and caches it on the plan;
         component sets the payload builder does not understand fall back
         to the per-step pipeline, which is still one backend call per
-        electron.  Payload staging and the post-sweep host writeback
+        electron, and bump the ``jax_sweep_fallback`` counter once.  Payload staging and the post-sweep host writeback
         are host code by design and live in
         :mod:`repro.backend.jax_sweep_host`, outside this module's
         backend-pure scope.
@@ -560,9 +561,10 @@ class JaxBackend(KernelBackend):
 
         payload = plan._jax_payload
         if payload is None:
-            payload = build_sweep_payload(plan)
-            plan._jax_payload = payload if payload is not None else False
-        if payload is False or payload is None:
+            payload = plan._jax_payload = build_sweep_payload(plan) or False
+            if payload is False:
+                METRICS.count("jax_sweep_fallback")  # once per plan
+        if payload is False:
             with self.scope():
                 return fused_sweep_run(self, plan)
         batch = plan.batch

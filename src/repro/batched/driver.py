@@ -41,7 +41,6 @@ from repro.hamiltonian.nlpp import QuadratureRotations
 from repro.lint.sanitizers import RngStreamSanitizer, sanitizers_enabled
 from repro.metrics.registry import METRICS
 from repro.precision.policy import FULL, PrecisionPolicy
-from repro.profiling.profiler import PROFILER
 
 
 #: per-walker fields of a WalkerBatch that a checkpoint carries
@@ -179,7 +178,7 @@ class BatchedCrowdDriver(GenerationLoop):
         with self.backend.scope():
             self.batch.sync_soa()
             for t in self.tables:
-                with PROFILER.timer(t.category):
+                with METRICS.scope(t.category):
                     t.evaluate(self.batch)
             self.batch.logpsi[...] = self._evaluate_log()
             el = self.ham.evaluate(self.batch, self.tables, self.G, self.L)
@@ -195,7 +194,7 @@ class BatchedCrowdDriver(GenerationLoop):
 
     def _measure(self) -> np.ndarray:
         for t in self.tables:
-            with PROFILER.timer(t.category):
+            with METRICS.scope(t.category):
                 t.evaluate(self.batch)
         if self.sanitizers is not None:
             self.sanitizers.check_state(self.batch, self.tables)

@@ -32,8 +32,8 @@ from repro.backend import active
 from repro.distances.base import BIG_DISTANCE
 from repro.jastrow.functor import BsplineFunctor
 from repro.lint.hot import hot_kernel
+from repro.metrics.registry import METRICS
 from repro.perfmodel.opcount import OPS
-from repro.profiling.profiler import PROFILER
 
 
 def exp_rows(x: np.ndarray) -> np.ndarray:
@@ -99,7 +99,7 @@ class BatchedTwoBodyJastrow:
     # -- batched component API ---------------------------------------------------
     def evaluate_log(self, tables, G: np.ndarray, L: np.ndarray) -> np.ndarray:
         """Full log Psi_J2 per walker; accumulates into G (W,n,3), L (W,n)."""
-        with PROFILER.timer("J2"):
+        with METRICS.scope("J2"):
             table = tables[self.table_index]
             logpsi = np.zeros(self.nw)
             for i in range(self.n):
@@ -112,7 +112,7 @@ class BatchedTwoBodyJastrow:
 
     def grad(self, tables, k: int) -> np.ndarray:
         """(W, 3) gradient at the current positions (for the drift)."""
-        with PROFILER.timer("J2"):
+        with METRICS.scope("J2"):
             table = tables[self.table_index]
             _, g, _ = self._rows_vgl(table.dist_rows(k), table.disp_rows(k),
                                      k)
@@ -120,7 +120,7 @@ class BatchedTwoBodyJastrow:
 
     def ratio(self, tables, k: int) -> np.ndarray:
         """(W,) Psi(R')/Psi(R) for the proposed crowd-wide move of k."""
-        with PROFILER.timer("J2"):
+        with METRICS.scope("J2"):
             table = tables[self.table_index]
             u_new = self._rows_v(table.temp_rows(), k)
             u_old = self._rows_v(table.dist_rows(k), k)
@@ -128,7 +128,7 @@ class BatchedTwoBodyJastrow:
 
     def ratio_grad(self, tables, k: int):
         """((W,) ratio, (W, 3) gradient at the proposed positions)."""
-        with PROFILER.timer("J2"):
+        with METRICS.scope("J2"):
             table = tables[self.table_index]
             u_new, grad_new, _ = self._rows_vgl(table.temp_rows(),
                                                 table.temp_disp_rows(), k)
@@ -137,7 +137,7 @@ class BatchedTwoBodyJastrow:
 
     # -- fused-sweep API (repro.batched.sweep) -----------------------------------
     # Same numerics as grad/ratio/ratio_grad with the per-call
-    # PROFILER.timer hoisted out, plus the drift path's one redundancy
+    # METRICS.scope hoisted out, plus the drift path's one redundancy
     # fix: ``_rows_vgl``'s value channel is bitwise the ``_rows_v`` row
     # sum (identical Horner, coefficient gather and per-slice pairwise
     # reduction), so ``sweep_grad`` hands its old-row value sum to
@@ -178,7 +178,7 @@ class BatchedTwoBodyJastrow:
 
     def evaluate_gl(self, tables, G: np.ndarray, L: np.ndarray) -> None:
         """Measurement-time grad/lap recomputed from the row blocks."""
-        with PROFILER.timer("J2"):
+        with METRICS.scope("J2"):
             table = tables[self.table_index]
             for i in range(self.n):
                 _, grad, lap = self._rows_vgl(table.dist_rows(i),
@@ -196,7 +196,7 @@ class BatchedTwoBodyJastrow:
         policy downcast, as ``move`` performs), owner-group functor sums,
         and ``u_old`` from the stored row blocks; nothing is written.
         """
-        with PROFILER.timer("J2"):
+        with METRICS.scope("J2"):
             table = tables[self.table_index]
             owners_w = np.asarray(owners_w)
             owners_k = np.asarray(owners_k)
@@ -271,7 +271,7 @@ class BatchedOneBodyJastrow:
         return u_sum, grad, lap
 
     def evaluate_log(self, tables, G: np.ndarray, L: np.ndarray) -> np.ndarray:
-        with PROFILER.timer("J1"):
+        with METRICS.scope("J1"):
             table = tables[self.table_index]
             logpsi = np.zeros(self.nw)
             for k in range(self.n):
@@ -283,20 +283,20 @@ class BatchedOneBodyJastrow:
             return logpsi
 
     def grad(self, tables, k: int) -> np.ndarray:
-        with PROFILER.timer("J1"):
+        with METRICS.scope("J1"):
             table = tables[self.table_index]
             _, g, _ = self._rows_vgl(table.dist_rows(k), table.disp_rows(k))
             return g
 
     def ratio(self, tables, k: int) -> np.ndarray:
-        with PROFILER.timer("J1"):
+        with METRICS.scope("J1"):
             table = tables[self.table_index]
             u_new = self._rows_v(table.temp_rows())
             u_old = self._rows_v(table.dist_rows(k))
             return exp_rows(-(u_new - u_old))
 
     def ratio_grad(self, tables, k: int):
-        with PROFILER.timer("J1"):
+        with METRICS.scope("J1"):
             table = tables[self.table_index]
             u_new, grad_new, _ = self._rows_vgl(table.temp_rows(),
                                                 table.temp_disp_rows())
@@ -333,7 +333,7 @@ class BatchedOneBodyJastrow:
         return exp_rows(-(u_new - u_old)), grad_new
 
     def evaluate_gl(self, tables, G: np.ndarray, L: np.ndarray) -> None:
-        with PROFILER.timer("J1"):
+        with METRICS.scope("J1"):
             table = tables[self.table_index]
             for k in range(self.n):
                 _, g, l = self._rows_vgl(table.dist_rows(k),
@@ -346,7 +346,7 @@ class BatchedOneBodyJastrow:
         """Ratio-only J1 over a crowd-wide virtual-particle slab: one
         ``(Nvp, nions)`` distance recompute against the shared fixed
         ions, per-species functor sums, ``u_old`` from the stored rows."""
-        with PROFILER.timer("J1"):
+        with METRICS.scope("J1"):
             table = tables[self.table_index]
             owners_w = np.asarray(owners_w)
             owners_k = np.asarray(owners_k)

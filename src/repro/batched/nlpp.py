@@ -28,7 +28,6 @@ from repro.hamiltonian.nlpp import (QuadratureRotations, legendre,
                                     sphere_quadrature)
 from repro.metrics.registry import METRICS
 from repro.perfmodel.opcount import OPS
-from repro.profiling.profiler import PROFILER
 
 
 class BatchedNonLocalPP:
@@ -72,7 +71,7 @@ class BatchedNonLocalPP:
 
     def evaluate(self, batch, tables, wf_components) -> np.ndarray:
         """(W,) V_NL for the crowd; walker state is never mutated."""
-        with PROFILER.timer("NLPP"):
+        with METRICS.scope("NLPP"):
             self._serial += 1
             return self._evaluate_vp(batch, tables, wf_components)
 

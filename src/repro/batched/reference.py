@@ -24,9 +24,9 @@ import numpy as np
 from repro.batched.system import JastrowSystemSpec, walker_streams
 from repro.drivers.base import QMCDriverBase
 from repro.hamiltonian.nlpp import NonLocalPP, QuadratureRotations
+from repro.metrics.registry import METRICS
 from repro.particles.walker import Walker
 from repro.precision.policy import FULL, PrecisionPolicy
-from repro.profiling.profiler import PROFILER
 
 
 @dataclass
@@ -159,7 +159,7 @@ def loop_sweep(drv) -> int:  # repro: hot
         else:
             rnew = batch.R[:, k] + chi
         for t in drv.tables:
-            with PROFILER.timer(t.category):
+            with METRICS.scope(t.category):
                 t.move(batch, rnew, k)
         if drv.use_drift:
             rho, g_new = _ratio_grad(drv, k)
@@ -179,7 +179,7 @@ def loop_sweep(drv) -> int:  # repro: hot
         if drv.move_log is not None:
             drv.move_log.append(acc.copy())
         for t in drv.tables:
-            with PROFILER.timer(t.category):
+            with METRICS.scope(t.category):
                 t.update(k, acc)
         batch.commit(k, rnew, acc)
         if drv.sanitizers is not None:

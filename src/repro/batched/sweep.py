@@ -1,7 +1,7 @@
 """Fused per-electron sweep pipeline: workspace, plan, reference kernels.
 
 The pre-fusion ``BatchedCrowdDriver._sweep`` issued ~14 separate backend
-calls, two table moves/updates with their own ``PROFILER.timer`` context
+calls, two table moves/updates with their own ``METRICS.scope`` context
 managers, and a handful of fresh (W, 3)/(W,) allocations *per electron
 per sweep* — pure host-side dispatch overhead that grows linearly with
 N (ROADMAP item 1; the same observation drives QMCPACK's batched "move
@@ -16,7 +16,7 @@ Bitwise contract: :func:`fused_sweep_step` is an op-for-op extraction of
 the pre-fusion loop body.  Every floating-point operation runs on the
 same operands; the changes are *where* results land (reused workspace
 buffers instead of fresh allocations — identical values, elementwise
-ufunc semantics), the removal of per-electron ``PROFILER.timer`` context
+ufunc semantics), the removal of per-electron ``METRICS.scope`` context
 managers (timers never touch numerics), and one eliminated redundancy:
 in the drift path the component's old-row value sum is taken from the
 ``sweep_grad`` vgl evaluation instead of a second value-only pass —
@@ -44,7 +44,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.profiling.profiler import PROFILER
+from repro.metrics.registry import METRICS
 
 
 class SweepWorkspace:
@@ -243,7 +243,7 @@ def fused_sweep_step(backend, plan: SweepPlan, k: int) -> np.ndarray:
 def fused_sweep_run(backend, plan: SweepPlan):
     """One whole PbyP sweep through :func:`fused_sweep_step`.
 
-    Per-electron ``PROFILER.timer`` context managers are hoisted into a
+    Per-electron ``METRICS.scope`` context managers are hoisted into a
     single per-sweep ``Sweep`` scope (per-category attribution stays
     available through ``measure()`` and the retained loop oracle).
     Returns ``(accepts_per_walker, accepted_total)`` where the first is
@@ -253,7 +253,7 @@ def fused_sweep_run(backend, plan: SweepPlan):
     accepts = ws.accepts
     accepts[...] = 0
     accepted_total = 0
-    with PROFILER.timer("Sweep"):
+    with METRICS.scope("Sweep"):
         for k in range(plan.n):
             acc = fused_sweep_step(backend, plan, k)
             accepts += acc

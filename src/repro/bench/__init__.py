@@ -1,11 +1,11 @@
 """repro.bench — machine-readable performance trajectory.
 
-``python -m repro.bench`` runs the reduced-scale workload suite across
-code versions (Ref / Ref+MP / Current, plus the per-walker-vs-batched
-pair) and emits a schema-validated ``BENCH_<tag>.json`` artifact;
-``python -m repro.bench.compare`` diffs two artifacts with per-metric
-tolerance bands and exits nonzero on regression.  See
-docs/observability.md.
+``python -m repro.bench`` runs a suite of isolated speedup guards (NLPP
+engine, kernel backends, fused sweep, tiled splines) and emits a
+schema-validated ``BENCH_<tag>.json`` artifact; ``python -m
+repro.bench.compare`` diffs two artifacts with per-metric tolerance
+bands and exits nonzero on regression.  End-to-end and per-layer numbers
+come from ``benchmarks/e2e/``.  See docs/observability.md.
 """
 
 from repro.bench.suite import BENCH_SCALE, SUITES, BenchCase

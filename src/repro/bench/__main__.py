@@ -1,6 +1,6 @@
 """CLI: ``python -m repro.bench [--quick] [--tag TAG] [--out DIR]``.
 
-Runs a bench suite across code versions and writes a schema-validated
+Runs a bench suite (isolated speedup guards) and writes a schema-validated
 ``BENCH_<tag>.json`` artifact.  Arm ``REPRO_METRICS=1`` to embed the
 hierarchical timer tree in the artifact.  Exit status is 0 on success,
 2 on usage errors.
@@ -20,10 +20,10 @@ from repro.bench.suite import SUITES
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
-        description="Run the reduced-scale workload suite across code "
-                    "versions and emit a BENCH_<tag>.json artifact.")
-    parser.add_argument("--suite", choices=sorted(SUITES), default="full",
-                        help="which suite to run (default: full)")
+        description="Run a suite of isolated speedup guards and emit a "
+                    "BENCH_<tag>.json artifact.")
+    parser.add_argument("--suite", choices=sorted(SUITES), default="quick",
+                        help="which suite to run (default: quick)")
     parser.add_argument("--quick", action="store_true",
                         help="shorthand for --suite quick")
     parser.add_argument("--tag", default=None,

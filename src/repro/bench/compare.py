@@ -18,15 +18,14 @@ Three metric families, three bands:
   candidate's speedup must stay above ``--min-speedup-ratio`` times the
   baseline's.
 * **speedup floors** (absolute): a baseline workload may carry a
-  ``speedup_floors`` object (e.g. the multi-core crowd gate
-  ``{"w4_over_serial": 2.5}``); a candidate that *measured* the named
-  speedup must meet the floor outright.  A candidate missing it — the
-  bench runner's CPU guard skips worker counts the host cannot seat —
-  passes by default; ``--enforce-floors`` makes absence itself a
-  regression (for runners known to have the cores), except when the
-  candidate workload *reported* the leg in its ``skipped`` list (the
-  CPU guard, or the backend case's optional-dep guard on hosts without
-  jax): a declared skip is never a floor failure.
+  ``speedup_floors`` object (e.g. ``{"fused_over_loop": 1.15}``); a
+  candidate that *measured* the named speedup must meet the floor
+  outright.  A candidate missing it passes by default;
+  ``--enforce-floors`` makes absence itself a regression, except when
+  the candidate workload *reported* one of that speedup's own legs
+  (``A_over_B`` names them) in its ``skipped`` list — the backend and
+  sweep cases' optional-dependency guard on hosts without jax.  A
+  declared skip of some other leg excuses nothing.
 
 A workload or version present in the baseline but missing from the
 candidate is itself a regression (the suite silently lost coverage)
@@ -122,22 +121,22 @@ def compare_artifacts(baseline: dict, candidate: dict,
         for sname, floor in wl.get("speedup_floors", {}).items():
             cand_speedup = cand_wl.get("speedups", {}).get(sname)
             if cand_speedup is None:
-                # A leg the runner *reported* skipping (parallel's CPU
-                # guard, backend's optional-dep guard) is excused even
-                # under --enforce-floors: the host could not measure it
-                # and said so in the artifact.
-                skipped = cand_wl.get("skipped") or []
+                # A floor whose own leg (``A_over_B`` names both) the
+                # runner *reported* skipping — the optional-dependency
+                # guard on hosts without jax — is excused even under
+                # --enforce-floors: the host could not measure it and
+                # said so.  Any other declared skip excuses nothing.
+                skipped = [leg for leg in sname.split("_over_")
+                           if leg in (cand_wl.get("skipped") or ())]
                 if skipped:
-                    checks.append(Check(
-                        f"{name}/floor/{sname}", floor, 0.0,
-                        f"not measured (skipped: {', '.join(skipped)})",
-                        ok=True))
-                    continue
-                checks.append(Check(
-                    f"{name}/floor/{sname}", floor, 0.0,
-                    "not measured" if not enforce_floors
-                    else "floor speedup missing from candidate",
-                    ok=not enforce_floors))
+                    detail = f"not measured (skipped: {', '.join(skipped)})"
+                elif enforce_floors:
+                    detail = "floor speedup missing from candidate"
+                else:
+                    detail = "not measured"
+                checks.append(Check(f"{name}/floor/{sname}", floor, 0.0,
+                                    detail,
+                                    ok=bool(skipped) or not enforce_floors))
                 continue
             checks.append(Check(
                 f"{name}/floor/{sname}", floor, cand_speedup,
@@ -185,8 +184,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="missing workloads/versions are not regressions")
     parser.add_argument("--enforce-floors", action="store_true",
                         help="a speedup_floors entry the candidate did not "
-                             "measure is itself a regression (use on "
-                             "runners known to have the cores)")
+                             "measure is itself a regression, unless it "
+                             "declared one of that speedup's legs skipped")
     args = parser.parse_args(argv)
     try:
         baseline = _load(args.baseline)

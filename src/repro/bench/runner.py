@@ -1,11 +1,12 @@
 """Execute a bench suite and assemble the BENCH artifact document.
 
-Every case runs each of its code versions through the real drivers with
-the kernel profiler armed, so the artifact carries measured hot-spot
-fractions (the paper's Fig. 2 taxonomy), throughput, and a measured
-per-walker memory footprint.  When the global metrics registry is armed
-(``REPRO_METRICS=1``) the artifact additionally embeds the hierarchical
-scope tree of the whole suite run.
+Every kind puts one question to two or three *legs* — two engines, two
+code paths, two backends on identical inputs — and answers it the same
+way, so that sequence is written once, in :func:`_measure`.  A kind is a
+small function that supplies its legs, its exactness predicate and its
+extras; :data:`KINDS` is the one table of them.  With the global metrics
+registry armed (``REPRO_METRICS=1``) the artifact also embeds the scope
+tree of the whole suite run.
 """
 
 from __future__ import annotations
@@ -13,29 +14,82 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional, Sequence
 
 from repro.bench.fingerprint import host_fingerprint
-from repro.bench.suite import SUITES, BenchCase
+from repro.metrics.profile import PROFILE_CATEGORIES, HotspotProfile
 from repro.metrics.registry import METRICS
 from repro.metrics.schema import BENCH_SCHEMA_VERSION, validate_artifact
-from repro.profiling.profiler import PROFILER
 
-#: artifact version label -> CodeVersion value (resolved lazily to keep
-#: import costs out of ``repro.bench.compare``)
-_SYSTEM_VERSIONS = {"ref": "ref", "ref+mp": "ref+mp", "current": "current"}
+if TYPE_CHECKING:  # suite.py imports KINDS from here
+    from repro.bench.suite import BenchCase
 
 
-def _version_entry(throughput: float, seconds_per_step: float,
-                   total_seconds: float, hotspots: Dict[str, float],
-                   peak_walker_bytes: float) -> dict:
+def _version_entry(prof: HotspotProfile, work: float, steps: int,
+                   walker_bytes: float) -> dict:
     return {
-        "throughput": float(throughput),
-        "seconds_per_step": float(seconds_per_step),
-        "total_seconds": float(total_seconds),
-        "hotspots": {k: float(v) for k, v in hotspots.items()},
-        "peak_walker_bytes": float(peak_walker_bytes),
+        "throughput": work / prof.total,
+        "seconds_per_step": prof.total / steps,
+        "total_seconds": prof.total,
+        "hotspots": prof.normalized(),
+        "peak_walker_bytes": float(walker_bytes),
     }
+
+
+def _measure(case: BenchCase, legs: Dict[str, Optional[Callable[[], object]]],
+             *, work: float, steps: int, reps: int, walker_bytes: float,
+             speedups: Sequence[str],
+             check: Optional[Callable[[Dict[str, object]], None]] = None,
+             categories: Iterable[str] = PROFILE_CATEGORIES) -> dict:
+    """The measurement sequence every kind shares.
+
+    ``legs`` maps version labels to callables running one repetition
+    (``work`` walker-steps in ``steps`` steps); a ``None`` leg is one the
+    host cannot run and lands in ``skipped``.  Each leg first runs once
+    untimed (jit compilation, page faults) and ``check`` gets those
+    results by label: it raises when the kind's exactness contract is
+    broken, so a silently wrong fast path fails the bench before
+    anything is timed.  Then ``reps`` rounds run the legs interleaved
+    (host drift hits all equally), each repetition under
+    ``METRICS.profile_run``; the fastest one's time and profile are kept.
+    ``speedups`` names ``A_over_B`` pairs (B's time over A's, where both
+    ran); ``case.floor`` gates the first.
+    """
+    skipped = [label for label, leg in legs.items() if leg is None]
+    legs = {label: leg for label, leg in legs.items() if leg is not None}
+    warm = {label: leg() for label, leg in legs.items()}
+    if check is not None:
+        check(warm)
+    best: Dict[str, HotspotProfile] = {}
+    for _ in range(reps):
+        for label, leg in legs.items():
+            with METRICS.profile_run(label, f"{case.name}/{label}",
+                                     categories) as prof:
+                leg()
+            if label not in best or prof.total < best[label].total:
+                best[label] = prof
+    out = {
+        "name": case.name, "kind": case.kind, "steps": case.steps,
+        "versions": {label: _version_entry(prof, work, steps, walker_bytes)
+                     for label, prof in best.items()},
+        "speedups": {}, "skipped": skipped,
+    }
+    for name in speedups:
+        fast, slow = name.split("_over_")
+        if fast in best and slow in best:
+            out["speedups"][name] = best[slow].total / best[fast].total
+    if case.floor > 0:
+        out["speedup_floors"] = {speedups[0]: float(case.floor)}
+    return out
+
+
+def _or_skip(leg: Callable, label: str):
+    """``leg(label)``, or None when the host lacks the optional backend."""
+    from repro.backend import BackendUnavailableError
+    try:
+        return leg(label)
+    except BackendUnavailableError:
+        return None
 
 
 def _system_walker_bytes(parts, precision) -> int:
@@ -49,169 +103,13 @@ def _system_walker_bytes(parts, precision) -> int:
     return int(w.message_nbytes())
 
 
-def run_system_case(case: BenchCase) -> dict:
-    """Run one full-workload case across its code versions."""
-    from repro.core.system import QmcSystem, run_vmc
-    from repro.core.version import CodeVersion, VERSION_CONFIGS
-
-    sys_ = QmcSystem.from_workload(case.workload, scale=case.scale,
-                                   seed=case.seed, with_nlpp=False)
-    versions: Dict[str, dict] = {}
-    for label in case.versions:
-        version = CodeVersion(_SYSTEM_VERSIONS[label])
-        parts = sys_.build(version)
-        res = run_vmc(sys_, version, walkers=case.walkers, steps=case.steps,
-                      parts=parts, profile=True, seed=case.seed + 1)
-        versions[label] = _version_entry(
-            throughput=res.throughput,
-            seconds_per_step=res.elapsed / case.steps,
-            total_seconds=res.elapsed,
-            hotspots=res.profile.normalized(),
-            peak_walker_bytes=_system_walker_bytes(
-                parts, VERSION_CONFIGS[version].precision),
-        )
-    out = {
-        "name": case.name, "kind": "system", "workload": case.workload,
-        "scale": case.scale, "steps": case.steps, "walkers": case.walkers,
-        "n_electrons": parts.n_electrons, "versions": versions,
-        "speedups": {},
-    }
-    if "ref" in versions and "current" in versions:
-        out["speedups"]["current_over_ref"] = (
-            versions["current"]["throughput"] / versions["ref"]["throughput"])
-    return out
-
-
-def run_batched_case(case: BenchCase) -> dict:
-    """Run the per-walker-vs-batched differential pair on one spec."""
-    from repro.batched import (BatchedCrowdDriver, JastrowSystemSpec,
-                               run_reference)
-    from repro.particles.walker import Walker
-    from repro.precision.policy import FULL
-
-    spec = JastrowSystemSpec(n=case.n, seed=7, aa_flavor="otf")
-    # -- per-walker reference --------------------------------------------------
-    PROFILER.start_run()
-    t0 = time.perf_counter()
-    run_reference(spec, case.nwalkers, case.steps, case.seed, use_drift=True)
-    ref_elapsed = time.perf_counter() - t0
-    ref_prof = PROFILER.stop_run(f"{case.name}/ref")
-    P, twf, _ = spec.build_scalar()
-    w = Walker.from_positions(spec.base_positions, dtype=FULL.value_dtype)
-    P.load_walker(w)
-    twf.evaluate_log(P)
-    twf.register_data(P, w.buffer)
-    ref_walker_bytes = int(w.message_nbytes())
-    # -- batched ---------------------------------------------------------------
-    drv = BatchedCrowdDriver(spec, case.nwalkers, case.seed, use_drift=True)
-    PROFILER.start_run()
-    t0 = time.perf_counter()
-    drv.run(case.steps)
-    bat_elapsed = time.perf_counter() - t0
-    bat_prof = PROFILER.stop_run(f"{case.name}/batched")
-    bat_walker_bytes = (
-        drv.batch.R.nbytes + drv.batch.Rsoa.nbytes
-        + sum(t.storage_bytes for t in drv.tables)) / case.nwalkers
-    steps_walkers = case.steps * case.nwalkers
-    versions = {
-        "ref": _version_entry(
-            throughput=steps_walkers / ref_elapsed,
-            seconds_per_step=ref_elapsed / case.steps,
-            total_seconds=ref_elapsed,
-            hotspots=ref_prof.normalized(),
-            peak_walker_bytes=ref_walker_bytes),
-        "batched": _version_entry(
-            throughput=steps_walkers / bat_elapsed,
-            seconds_per_step=bat_elapsed / case.steps,
-            total_seconds=bat_elapsed,
-            hotspots=bat_prof.normalized(),
-            peak_walker_bytes=bat_walker_bytes),
-    }
-    return {
-        "name": case.name, "kind": "batched", "n_electrons": case.n,
-        "steps": case.steps, "walkers": case.nwalkers, "versions": versions,
-        "speedups": {"batched_over_ref": versions["batched"]["throughput"]
-                     / versions["ref"]["throughput"]},
-    }
-
-
-def run_parallel_case(case: BenchCase, progress=None) -> dict:
-    """Run the multi-core crowd-scaling case across its worker counts.
-
-    Worker counts that would oversubscribe the host (``workers + 1``
-    processes: the parent coordinates while workers compute) are skipped
-    and reported in the workload's ``skipped`` list — the CPU guard that
-    keeps the case meaningful on small CI runners.  Energy traces must
-    come out bitwise identical across every count that ran (the
-    determinism contract of docs/parallel_crowds.md); a mismatch fails
-    the whole bench run.
-
-    Kernel-level hot-spot taxonomy is not meaningful from the parent
-    process (the kernels run inside the workers), so entries carry a
-    single ``crowd`` category; the per-scope breakdown lives in the
-    metrics tree when ``REPRO_METRICS=1`` is armed.
-    """
-    from repro.batched import JastrowSystemSpec
-    from repro.parallel.crowds import ParallelCrowdDriver
-    from repro.parallel.shm import SharedWalkerState
-
-    ncpu = os.cpu_count() or 1
-    spec = JastrowSystemSpec(n=case.n, seed=7)
-    state_bytes = SharedWalkerState(case.nwalkers, case.n).nbytes
-    versions: Dict[str, dict] = {}
-    skipped = []
-    traces: Dict[str, tuple] = {}
-    for nworkers in case.workers:
-        label = "serial" if nworkers == 0 else f"w{nworkers}"
-        if nworkers + 1 > ncpu:
-            skipped.append(label)
-            if progress is not None:
-                progress(f"  {case.name}: skipping {label} "
-                         f"(needs {nworkers + 1} CPUs, host has {ncpu})")
-            continue
-        drv = ParallelCrowdDriver(spec, case.nwalkers, case.seed,
-                                  workers=nworkers, timestep=0.3)
-        try:
-            res = drv.run(case.steps, mode="vmc")
-        finally:
-            drv.close()
-        traces[label] = tuple(res.energies)
-        entry = _version_entry(
-            throughput=res.throughput,
-            seconds_per_step=res.elapsed / case.steps,
-            total_seconds=res.elapsed,
-            hotspots={"crowd": 1.0},
-            peak_walker_bytes=state_bytes / case.nwalkers)
-        entry["workers"] = nworkers
-        entry["setup_seconds"] = float(res.extra.get("setup_seconds", 0.0))
-        versions[label] = entry
-    if len(set(traces.values())) > 1:
-        raise RuntimeError(
-            f"{case.name}: energy traces are NOT bitwise identical across "
-            f"worker counts {sorted(traces)} — determinism regression")
-    speedups = {}
-    serial = versions.get("serial")
-    if serial is not None:
-        for label, entry in versions.items():
-            if label != "serial":
-                speedups[f"{label}_over_serial"] = (
-                    entry["throughput"] / serial["throughput"])
-    return {
-        "name": case.name, "kind": "parallel", "n_electrons": case.n,
-        "steps": case.steps, "walkers": case.nwalkers,
-        "versions": versions, "speedups": speedups, "skipped": skipped,
-        "trace_bitwise_identical": bool(traces),
-    }
-
-
 def run_nlpp_case(case: BenchCase) -> dict:
-    """Time the scalar temp-move NLPP oracle vs the fused
-    virtual-particle engine on identical walker state and rotations.
+    """Scalar temp-move NLPP oracle vs the fused virtual-particle engine
+    on identical walker state and rotations.
 
     Both engines are keyed on the same stateless quadrature-rotation
-    stream, so their V_NL values must agree to accumulation precision —
-    a silent-wrong fast path fails the whole bench run.  Cases with a
-    ``floor`` emit a ``speedup_floors`` entry the compare gate enforces.
+    stream, so their V_NL values must agree to accumulation precision
+    (the exactness check); ``floor`` gates ``batched_over_scalar``.
     """
     import numpy as np
 
@@ -230,119 +128,32 @@ def run_nlpp_case(case: BenchCase) -> dict:
                       width=0.8, rcut=rcut, npoints=case.npoints,
                       table_index=1)
     term.use_rotations(QuadratureRotations(case.seed + 1))
-    walker_bytes = _system_walker_bytes(parts, FULL)
 
-    def timed(fn, label):
-        PROFILER.start_run()
-        t0 = time.perf_counter()
-        vals = []
-        for s in range(case.steps):
-            term.set_walker(0, s + 1)  # same rotation key for both engines
-            vals.append(fn(P, twf))
-        elapsed = time.perf_counter() - t0
-        prof = PROFILER.stop_run(f"{case.name}/{label}")
-        return vals, elapsed, prof
+    def leg(engine):
+        def run():
+            vals = []
+            for s in range(case.steps):
+                term.set_walker(0, s + 1)  # same rotation key, both engines
+                vals.append(engine(P, twf))
+            return vals
+        return run
 
-    scalar_vals, scalar_s, scalar_prof = timed(term.evaluate_reference,
-                                               "scalar")
-    vp_vals, vp_s, vp_prof = timed(term.evaluate, "batched")
-    tol = 1e4 * float(np.finfo(np.float64).eps)
-    for v_vp, v_ref in zip(vp_vals, scalar_vals):
-        if abs(v_vp - v_ref) > tol * max(1.0, abs(v_ref)):
-            raise RuntimeError(
-                f"{case.name}: batched NLPP diverged from the scalar "
-                f"oracle ({v_vp!r} vs {v_ref!r}) — parity regression")
-    versions = {
-        "scalar": _version_entry(
-            throughput=case.steps / scalar_s,
-            seconds_per_step=scalar_s / case.steps,
-            total_seconds=scalar_s,
-            hotspots=scalar_prof.normalized(),
-            peak_walker_bytes=walker_bytes),
-        "batched": _version_entry(
-            throughput=case.steps / vp_s,
-            seconds_per_step=vp_s / case.steps,
-            total_seconds=vp_s,
-            hotspots=vp_prof.normalized(),
-            peak_walker_bytes=walker_bytes),
-    }
-    out = {
-        "name": case.name, "kind": "nlpp", "workload": case.workload,
-        "scale": case.scale, "steps": case.steps, "walkers": 1,
-        "n_electrons": parts.n_electrons, "npoints": case.npoints,
-        "versions": versions,
-        "speedups": {"batched_over_scalar": scalar_s / vp_s},
-    }
-    if case.floor > 0:
-        out["speedup_floors"] = {"batched_over_scalar": float(case.floor)}
-    return out
-
-
-def run_streaming_case(case: BenchCase) -> dict:
-    """Measure the trace-pipeline overhead on the batched driver.
-
-    Repetitions interleave the in-memory and streaming variants
-    (alternating A/B so warm-up and host drift hit both equally) and
-    each variant keeps its best time.  The streamed run writes a real
-    per-generation binary trace (flush_every=1, the production cadence)
-    and feeds the online reblocker; its energy trace must come out
-    bitwise equal to the in-memory run's — streaming observes, never
-    perturbs.  Cases with a ``floor`` gate ``streaming_over_memory``
-    (0.95 = at most 5% overhead).
-    """
-    import tempfile
-
-    from repro.batched import BatchedCrowdDriver, JastrowSystemSpec
-    from repro.output.stream import StreamSet
-
-    spec = JastrowSystemSpec(n=case.n, seed=7)
-    reps = 3
-    times = {"memory": [], "streaming": []}
-    profs = {}
-    energies = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for rep in range(reps):
-            for label in ("memory", "streaming"):
-                drv = BatchedCrowdDriver(spec, case.nwalkers, case.seed)
-                streams = None
-                if label == "streaming":
-                    streams = StreamSet(
-                        trace_path=os.path.join(tmp, f"rep{rep}.trace"),
-                        meta={"bench": case.name})
-                PROFILER.start_run()
-                t0 = time.perf_counter()
-                res = drv.run(case.steps, streams=streams)
-                if streams is not None:
-                    streams.close()  # the final flush is part of the cost
-                times[label].append(time.perf_counter() - t0)
-                profs[label] = PROFILER.stop_run(f"{case.name}/{label}")
-                energies[label] = tuple(res.energies)
-            if energies["streaming"] != energies["memory"]:
+    def check(warm):
+        tol = 1e4 * float(np.finfo(np.float64).eps)
+        for v_vp, v_ref in zip(warm["batched"], warm["scalar"]):
+            if abs(v_vp - v_ref) > tol * max(1.0, abs(v_ref)):
                 raise RuntimeError(
-                    f"{case.name}: streamed run's energies diverged from "
-                    f"the in-memory run — streaming perturbed the walk")
-        walker_bytes = (drv.batch.R.nbytes + drv.batch.Rsoa.nbytes
-                        + sum(t.storage_bytes for t in drv.tables)
-                        ) / case.nwalkers
-    steps_walkers = case.steps * case.nwalkers
-    best = {label: min(ts) for label, ts in times.items()}
-    versions = {
-        label: _version_entry(
-            throughput=steps_walkers / best[label],
-            seconds_per_step=best[label] / case.steps,
-            total_seconds=best[label],
-            hotspots=profs[label].normalized(),
-            peak_walker_bytes=walker_bytes)
-        for label in ("memory", "streaming")
-    }
-    out = {
-        "name": case.name, "kind": "streaming", "n_electrons": case.n,
-        "steps": case.steps, "walkers": case.nwalkers, "versions": versions,
-        "speedups": {"streaming_over_memory": best["memory"]
-                     / best["streaming"]},
-    }
-    if case.floor > 0:
-        out["speedup_floors"] = {"streaming_over_memory": float(case.floor)}
+                    f"{case.name}: batched NLPP diverged from the scalar "
+                    f"oracle ({v_vp!r} vs {v_ref!r}) — parity regression")
+
+    out = _measure(
+        case, {"scalar": leg(term.evaluate_reference),
+               "batched": leg(term.evaluate)},
+        work=case.steps, steps=case.steps, reps=3, check=check,
+        walker_bytes=_system_walker_bytes(parts, FULL),
+        speedups=("batched_over_scalar",))
+    out.update(workload=case.workload, scale=case.scale, walkers=1,
+               n_electrons=parts.n_electrons, npoints=case.npoints)
     return out
 
 
@@ -416,73 +227,51 @@ def _force(out) -> None:
     """Materialize a kernel result (drains jax's async dispatch queue the
     same way the real call sites do: a host coercion)."""
     import numpy as np
-    if isinstance(out, tuple):
-        for o in out:
-            np.asarray(o)
-    else:
-        np.asarray(out)
+    for o in out if isinstance(out, tuple) else (out,):
+        np.asarray(o)
 
 
 def run_backend_case(case: BenchCase) -> dict:
     """Per-kernel micro-benchmarks of the kernel-backend registry.
 
-    Every kernel in ``_BACKEND_BENCH_KERNELS`` runs under each requested
-    backend on identical inputs: one untimed warm-up call (jit
-    compilation lands there), then ``case.steps`` timed repetitions,
-    best-of kept.  A backend the host cannot construct (jax not
-    installed) lands in ``skipped`` — the same report-don't-fail pattern
-    as the parallel case's CPU guard — and a ``floor`` case emits a
-    ``speedup_floors`` entry for ``jax_over_numpy`` that the compare
-    gate enforces only on hosts that measured it (the CI jax leg).
+    A leg is one pass over ``_BACKEND_BENCH_KERNELS`` under one backend,
+    each kernel in a scope of its own name, so the hot-spot fractions are
+    per-kernel shares and ``jax_over_numpy`` is reported per kernel and
+    in aggregate.  A backend the host cannot construct (no jax) lands in
+    ``skipped`` and the floor is enforced where it is measured (the CI
+    jax leg).  Kernel parity itself is tier-1's (tests/backend/).
     """
-    from repro.backend import BackendUnavailableError, get_backend
+    from repro.backend import get_backend
 
     inputs, input_bytes = _backend_kernel_inputs(case.n, case.nwalkers,
                                                  case.seed)
-    versions: Dict[str, dict] = {}
-    skipped = []
-    kernel_best: Dict[str, Dict[str, float]] = {}
-    for label in case.versions:
-        try:
-            backend = get_backend(label)
-        except BackendUnavailableError:
-            skipped.append(label)
-            continue
-        best: Dict[str, float] = {}
-        with backend.scope():
-            for kname in _BACKEND_BENCH_KERNELS:
-                args = inputs[kname]
-                fn = getattr(backend, kname)
-                _force(fn(*args))  # warm-up: jit tracing + compilation
-                times = []
-                for _ in range(case.steps):
-                    t0 = time.perf_counter()
-                    _force(fn(*args))
-                    times.append(time.perf_counter() - t0)
-                best[kname] = min(times)
-        total = sum(best.values())
-        versions[label] = _version_entry(
-            throughput=len(best) * case.nwalkers / total,
-            seconds_per_step=total / len(best),
-            total_seconds=total,
-            hotspots={k: v / total for k, v in best.items()},
-            peak_walker_bytes=input_bytes / case.nwalkers)
-        kernel_best[label] = best
-    speedups: Dict[str, float] = {}
-    if "numpy" in kernel_best and "jax" in kernel_best:
-        np_best, jx_best = kernel_best["numpy"], kernel_best["jax"]
+
+    def leg(label):
+        backend = get_backend(label)
+
+        def run():
+            with backend.scope():
+                for kname in _BACKEND_BENCH_KERNELS:
+                    with METRICS.scope(kname):
+                        _force(getattr(backend, kname)(*inputs[kname]))
+        return run
+
+    legs = {label: _or_skip(leg, label) for label in case.versions}
+    nk = len(_BACKEND_BENCH_KERNELS)
+    out = _measure(case, legs, work=nk * case.nwalkers, steps=nk,
+                   reps=case.steps,
+                   walker_bytes=input_bytes / case.nwalkers,
+                   speedups=("jax_over_numpy",),
+                   categories=_BACKEND_BENCH_KERNELS)
+    v = out["versions"]
+    if "numpy" in v and "jax" in v:
+        def seconds(label, kname):
+            return v[label]["hotspots"][kname] * v[label]["total_seconds"]
         for kname in _BACKEND_BENCH_KERNELS:
-            speedups[f"jax_over_numpy:{kname}"] = (
-                np_best[kname] / jx_best[kname])
-        speedups["jax_over_numpy"] = (
-            sum(np_best.values()) / sum(jx_best.values()))
-    out = {
-        "name": case.name, "kind": "backend", "workload": case.workload,
-        "n_electrons": case.n, "steps": case.steps, "walkers": case.nwalkers,
-        "versions": versions, "speedups": speedups, "skipped": skipped,
-    }
-    if case.floor > 0:
-        out["speedup_floors"] = {"jax_over_numpy": float(case.floor)}
+            out["speedups"][f"jax_over_numpy:{kname}"] = (
+                seconds("numpy", kname) / seconds("jax", kname))
+    out.update(workload=case.workload, n_electrons=case.n,
+               walkers=case.nwalkers)
     return out
 
 
@@ -490,12 +279,10 @@ class _CountingBackend:
     """Proxy backend that counts dispatch crossings of the kernel seam.
 
     Every registered kernel method increments ``dispatches`` at call
-    depth 0 and delegates to the wrapped backend.  Nested crossings are
-    not double-counted, and a delegated pipeline kernel (``sweep_run``)
-    re-scopes to the *inner* backend for its body, so the fused leg
-    counts exactly one dispatch per sweep while the loop leg counts
-    every per-electron table/functor/exp/accept call routed through
-    ``active()`` under this proxy's scope.
+    depth 0 and delegates to the wrapped backend.  A delegated pipeline
+    kernel (``sweep_run``) re-scopes to the *inner* backend for its
+    body, so the fused leg counts one dispatch per sweep while the loop
+    leg counts every per-electron table/functor/exp/accept call.
     """
 
     def __init__(self, inner):
@@ -545,106 +332,61 @@ def _sweep_driver(case: BenchCase, backend: str, oracle: bool = False):
     return drv
 
 
-def _assert_sweep_bitwise(case: BenchCase) -> None:
-    """The in-runner exactness gate: the fused numpy pipeline must be
-    bitwise the loop oracle — accept totals, energies, positions."""
+def run_sweep_case(case: BenchCase) -> dict:
+    """What whole-sweep fusion buys (docs/sweep_fusion.md).
+
+    Legs: ``loop`` (the retained per-electron loop oracle, ~14 backend
+    dispatches per electron), ``fused`` (the ``sweep_run`` pipeline
+    kernel, one per sweep) and, when importable, ``jax`` (the
+    whole-sweep ``lax.fori_loop`` jit).  All start from one seed, so
+    after the warm-up the fused leg must be bitwise the loop oracle —
+    accepts, energies, positions.  Dispatches per leg are counted with a
+    proxy backend; ``floor`` gates ``fused_over_loop``.
+    """
     import numpy as np
 
-    fused = _sweep_driver(case, "numpy")
-    loop = _sweep_driver(case, "numpy", oracle=True)
-    for _ in range(2):
-        ta, tb = fused.sweep(), loop.sweep()
-        if ta != tb or not np.array_equal(fused.last_sweep_accepts,
-                                          loop.last_sweep_accepts):
-            raise RuntimeError(
-                f"{case.name}: fused sweep accept stream diverged from "
-                f"the loop oracle — exactness regression")
-        if not np.array_equal(fused.measure(), loop.measure()):
-            raise RuntimeError(
-                f"{case.name}: fused sweep energies diverged from the "
-                f"loop oracle — exactness regression")
-    if not np.array_equal(fused.batch.R, loop.batch.R):
-        raise RuntimeError(
-            f"{case.name}: fused sweep positions diverged from the loop "
-            f"oracle — exactness regression")
+    drivers, dispatches = {}, {}
 
-
-def run_sweep_case(case: BenchCase) -> dict:
-    """Measure what whole-sweep fusion buys (docs/sweep_fusion.md).
-
-    Legs: ``loop`` (the retained per-electron loop oracle — one backend
-    dispatch per table move/functor/exp/accept, ~14 per electron),
-    ``fused`` (the ``sweep_run`` pipeline kernel, one dispatch per
-    sweep) and, when importable, ``jax`` (the whole-sweep
-    ``lax.fori_loop`` jit; skipped otherwise, the backend-kind
-    pattern).  The fused numpy leg is asserted bitwise against the
-    loop oracle before any timing, each leg's backend-dispatch count
-    is measured with a counting proxy, repetitions interleave with
-    best-of kept, and a ``floor`` case emits a ``speedup_floors``
-    entry for ``fused_over_loop``.
-    """
-    from repro.backend import BackendUnavailableError
-
-    _assert_sweep_bitwise(case)
-    legs = {}
-    skipped = []
-    for label in case.versions:
-        backend = "jax" if label == "jax" else "numpy"
-        try:
-            drv = _sweep_driver(case, backend, oracle=(label == "loop"))
-        except BackendUnavailableError:
-            skipped.append(label)
-            continue
-        drv.sweep()  # warm-up (jit tracing + payload staging land here)
+    def leg(label):
+        drv = drivers[label] = _sweep_driver(
+            case, "jax" if label == "jax" else "numpy",
+            oracle=(label == "loop"))
+        drv.sweep()  # jit tracing + payload staging land here
         counting = _CountingBackend(drv.backend)
         drv.backend = counting
         drv.sweep()
         drv.backend = counting._inner
-        legs[label] = {"drv": drv, "dispatches": counting.dispatches,
-                       "times": [], "prof": None}
-    reps = 3
-    for _ in range(reps):
-        for label, leg in legs.items():
-            drv = leg["drv"]
-            PROFILER.start_run()
-            t0 = time.perf_counter()
-            for _ in range(case.steps):
-                drv.sweep()
-            leg["times"].append(time.perf_counter() - t0)
-            leg["prof"] = PROFILER.stop_run(f"{case.name}/{label}")
-    steps_walkers = case.steps * case.nwalkers
-    versions: Dict[str, dict] = {}
-    for label, leg in legs.items():
-        drv = leg["drv"]
-        best = min(leg["times"])
-        walker_bytes = (drv.batch.R.nbytes + drv.batch.Rsoa.nbytes
-                        + sum(t.storage_bytes for t in drv.tables)
-                        ) / case.nwalkers
-        entry = _version_entry(
-            throughput=steps_walkers / best,
-            seconds_per_step=best / case.steps,
-            total_seconds=best,
-            hotspots=leg["prof"].normalized(),
-            peak_walker_bytes=walker_bytes)
-        entry["dispatches_per_sweep"] = float(leg["dispatches"])
-        entry["dispatches_per_electron"] = leg["dispatches"] / case.n
-        versions[label] = entry
-    speedups: Dict[str, float] = {}
-    if "loop" in versions and "fused" in versions:
-        speedups["fused_over_loop"] = (
-            versions["loop"]["total_seconds"]
-            / versions["fused"]["total_seconds"])
-    if "loop" in versions and "jax" in versions:
-        speedups["jax_over_loop"] = (
-            versions["loop"]["total_seconds"]
-            / versions["jax"]["total_seconds"])
-    out = {
-        "name": case.name, "kind": "sweep", "n_electrons": case.n,
-        "steps": case.steps, "walkers": case.nwalkers,
-        "versions": versions, "speedups": speedups, "skipped": skipped,
-    }
-    if case.floor > 0:
-        out["speedup_floors"] = {"fused_over_loop": float(case.floor)}
+        dispatches[label] = counting.dispatches
+        return lambda: [drv.sweep() for _ in range(case.steps)]
+
+    legs = {label: _or_skip(leg, label) for label in case.versions}
+
+    def check(warm):
+        fused, loop = drivers["fused"], drivers["loop"]
+        for what, a, b in (
+                ("accept totals", warm["fused"], warm["loop"]),
+                ("accept stream", fused.last_sweep_accepts,
+                 loop.last_sweep_accepts),
+                ("energies", fused.measure(), loop.measure()),
+                ("positions", fused.batch.R, loop.batch.R)):
+            if not np.array_equal(a, b):
+                raise RuntimeError(
+                    f"{case.name}: fused sweep {what} diverged from the "
+                    f"loop oracle — exactness regression")
+
+    drv = next(iter(drivers.values()))
+    out = _measure(
+        case, legs, work=case.steps * case.nwalkers, steps=case.steps,
+        reps=7, check=check,
+        walker_bytes=(drv.batch.R.nbytes + drv.batch.Rsoa.nbytes
+                      + sum(t.storage_bytes for t in drv.tables)
+                      ) / case.nwalkers,
+        speedups=("fused_over_loop", "jax_over_loop"))
+    for label, count in dispatches.items():
+        out["versions"][label].update(
+            dispatches_per_sweep=float(count),
+            dispatches_per_electron=count / case.n)
+    out.update(n_electrons=case.n, walkers=case.nwalkers)
     return out
 
 
@@ -714,13 +456,8 @@ def _measure_worker_rss(descriptor, k: int) -> Optional[Dict[str, list]]:
                 os.close(rfd)
                 _rss_probe_child(descriptor, mode, wfd)
             os.close(wfd)
-            data = b""
-            while len(data) < 8:
-                chunk = os.read(rfd, 8 - len(data))
-                if not chunk:
-                    break
-                data += chunk
-            os.close(rfd)
+            with os.fdopen(rfd, "rb") as fh:
+                data = fh.read(8)
             _, st = os.waitpid(pid, 0)
             if len(data) == 8 and os.WIFEXITED(st) \
                     and os.WEXITSTATUS(st) == 0:
@@ -731,15 +468,13 @@ def _measure_worker_rss(descriptor, k: int) -> Optional[Dict[str, list]]:
 
 
 def run_spline_memory_case(case: BenchCase) -> dict:
-    """Time the flat per-channel 3D vgh path against the tile-blocked
-    kernel on one shared-slab table, and measure what the slab saves.
+    """The flat per-channel 3D vgh path vs the tile-blocked kernel on
+    one shared-slab table, and what the slab saves.
 
-    Timing legs interleave (A/B per repetition, best-of kept) on the
-    identical slab-backed spline; the tiled result must be **bitwise**
-    equal to the flat oracle — a mismatch fails the whole bench run.
-    The memory half forks ``workers[0]`` children per strategy
-    (private table copy vs shared-slab attach) and reports each child's
-    private-RSS delta against the
+    The tiled result must be **bitwise** the flat oracle's; ``floor``
+    gates ``tiled_over_flat``.  The memory half forks ``case.workers``
+    children per strategy (private table copy vs shared-slab attach) and
+    reports each child's private-RSS delta against the
     :meth:`~repro.memory.model.MemoryModel.shared_table_report`
     prediction; hosts without ``/proc`` fall back to pure accounting
     with ``rss_measured: false``.
@@ -751,34 +486,35 @@ def run_spline_memory_case(case: BenchCase) -> dict:
     from repro.splines.bspline3d import BSpline3D
     from repro.splines.slab import SharedCoefSlab
 
-    norb = case.n
-    grid = case.grid or 12
-    tile = case.tile or 64
-    k = case.workers[0] if case.workers else 4
+    norb, grid, tile, k = case.n, case.grid, case.tile, case.workers
     rng = np.random.default_rng(case.seed)
     a = 6.0
-    values = rng.normal(size=(grid, grid, grid, norb))
-    source = BSpline3D.fit(values, np.linalg.inv(np.eye(3) * a),
-                           dtype=np.float64)
+    source = BSpline3D.fit(rng.normal(size=(grid, grid, grid, norb)),
+                           np.linalg.inv(np.eye(3) * a), dtype=np.float64)
     r = rng.uniform(0, a, (case.nwalkers, 3))
-    with SharedCoefSlab.promote(source) as slab:
-        sp = slab.as_spline()
-        legs = {
-            "flat": lambda: batched_multi_vgh_flat(sp, r),
-            "tiled": lambda: batched_multi_vgh(sp, r, tile=tile),
-        }
-        results = {label: fn() for label, fn in legs.items()}  # warm-up
-        for ref, got in zip(results["flat"], results["tiled"]):
+
+    def leg(kernel, sp, **kwargs):
+        def run():
+            with METRICS.scope("Bspline-vgh"):
+                return kernel(sp, r, **kwargs)
+        return run
+
+    def check(warm):
+        for ref, got in zip(warm["flat"], warm["tiled"]):
             if not np.array_equal(ref, got):
                 raise RuntimeError(
                     f"{case.name}: tiled vgh kernel is NOT bitwise equal "
                     f"to the flat path (tile={tile}) — exactness regression")
-        best = {label: float("inf") for label in legs}
-        for _ in range(case.steps):
-            for label, fn in legs.items():
-                t0 = time.perf_counter()
-                fn()
-                best[label] = min(best[label], time.perf_counter() - t0)
+
+    with SharedCoefSlab.promote(source) as slab:
+        sp = slab.as_spline()
+        out_bytes = sum(arr.nbytes for arr in batched_multi_vgh_flat(sp, r))
+        out = _measure(
+            case, {"flat": leg(batched_multi_vgh_flat, sp),
+                   "tiled": leg(batched_multi_vgh, sp, tile=tile)},
+            work=case.nwalkers, steps=1, reps=case.steps, check=check,
+            walker_bytes=out_bytes / case.nwalkers,
+            speedups=("tiled_over_flat",))
         deltas = _measure_worker_rss(slab.descriptor, k)
         table_bytes = float(slab.nbytes)
     predicted = MemoryModel.shared_table_report(table_bytes, k)
@@ -787,66 +523,47 @@ def run_spline_memory_case(case: BenchCase) -> dict:
         # An attacher's private delta is ~0; its fair share of the one
         # physical slab is table/K.
         shared_b = float(np.median(deltas["slab"])) + table_bytes / k
-        rss_measured = True
     else:
         copy_b = predicted["per_worker_copy_bytes"]
         shared_b = predicted["per_worker_shared_bytes"]
-        rss_measured = False
-    out_bytes = float(sum(arr.nbytes for arr in results["flat"]))
-    versions = {
-        label: _version_entry(
-            throughput=case.nwalkers / best[label],
-            seconds_per_step=best[label],
-            total_seconds=best[label] * case.steps,
-            hotspots={"Bspline-vgh": 1.0},
-            peak_walker_bytes=out_bytes / case.nwalkers)
-        for label in ("flat", "tiled")
-    }
-    out = {
-        "name": case.name, "kind": "spline_memory", "n_electrons": case.n,
-        "steps": case.steps, "walkers": case.nwalkers,
-        "norb": norb, "grid": grid, "tile": tile,
-        "versions": versions,
-        "speedups": {"tiled_over_flat": best["flat"] / best["tiled"]},
-        "memory": {
+    out.update(
+        n_electrons=case.n, walkers=case.nwalkers, norb=norb, grid=grid,
+        tile=tile,
+        memory={
             "table_bytes": table_bytes,
             "n_processes": k,
             "predicted": predicted,
             "per_worker_copy_bytes": copy_b,
             "per_worker_shared_bytes": shared_b,
             "measured_ratio": shared_b / copy_b if copy_b else 0.0,
-            "rss_measured": rss_measured,
-        },
-        "skipped": [],
-    }
-    if case.floor > 0:
-        out["speedup_floors"] = {"tiled_over_flat": float(case.floor)}
+            "rss_measured": deltas is not None,
+        })
     return out
 
 
-_CASE_RUNNERS = {"system": run_system_case, "batched": run_batched_case,
-                 "nlpp": run_nlpp_case, "streaming": run_streaming_case,
-                 "backend": run_backend_case,
-                 "spline_memory": run_spline_memory_case,
-                 "sweep": run_sweep_case}
+#: The one table of kinds: ``BenchCase`` validates against it,
+#: :func:`run_suite` dispatches through it, the artifact schema reads it.
+KINDS: Dict[str, Callable[["BenchCase"], dict]] = {
+    "nlpp": run_nlpp_case,
+    "backend": run_backend_case,
+    "sweep": run_sweep_case,
+    "spline_memory": run_spline_memory_case,
+}
 
 
-def run_suite(suite_name: str, tag: str,
-              progress=None) -> dict:
+def run_suite(suite_name: str, tag: str, progress=None) -> dict:
     """Run every case of a named suite and return the artifact document."""
-    cases = SUITES[suite_name]
+    from repro.bench.suite import SUITES
+
     if METRICS.enabled:
         METRICS.reset()
     workloads = []
-    for case in cases:
+    for case in SUITES[suite_name]:
         if progress is not None:
             progress(f"running {case.kind} case {case.name} "
                      f"(versions: {', '.join(case.versions)})")
         with METRICS.scope(f"bench:{case.name}"):
-            if case.kind == "parallel":
-                workloads.append(run_parallel_case(case, progress=progress))
-            else:
-                workloads.append(_CASE_RUNNERS[case.kind](case))
+            workloads.append(KINDS[case.kind](case))
     doc = {
         "schema": BENCH_SCHEMA_VERSION,
         "tag": tag,

@@ -5,60 +5,20 @@ per-figure benchmarks under ``benchmarks/`` also use (``harness.py``
 imports it from here): each keeps a pure-Python Ref run to seconds while
 preserving the workload's species mix, density and code paths.
 
-Two kinds of cases:
-
-* ``system`` — a full workload (``QmcSystem``) run at reduced scale
-  through the real VMC driver, once per code version (Ref / Ref+MP /
-  Current a.k.a. the SoA+OTF build).
-* ``batched`` — the Jastrow-level differential pair: the genuine
-  per-walker machinery (``ref``) vs the walker-batched driver
-  (``batched``) on the identical :class:`JastrowSystemSpec`, the repo's
-  headline ~18x walker-throughput win.
-* ``parallel`` — multi-core crowd scaling: the same batched workload
-  through :class:`~repro.parallel.crowds.ParallelCrowdDriver` at each
-  worker count in ``workers`` (0 = in-process serial).  Worker counts
-  needing more CPUs than the host has are skipped (the CPU guard), and
-  the runner asserts the energy traces are bitwise identical across all
-  counts that did run.
-* ``nlpp`` — the virtual-particle NLPP pair on a determinant+Jastrow
-  workload: the scalar temp-move oracle (``scalar``) vs the fused
-  slab engine (``batched``) on identical walker state and rotation,
-  with a ``speedup_floors`` entry gating the batched-over-scalar win.
-* ``streaming`` — the trace-pipeline overhead pair: the identical
-  batched workload with (``streaming``) and without (``memory``) the
-  per-generation binary trace + online reblocker attached, interleaved
-  repetitions, energies asserted bitwise equal.  ``floor`` gates
-  ``streaming_over_memory`` (0.95 = at most 5% overhead).
-* ``backend`` — per-kernel micro-benchmarks of the kernel-backend
-  registry (docs/backends.md): every registered hot kernel timed under
-  the ``numpy`` backend and, when importable, the ``jax`` backend on
-  workload-shaped inputs.  Reports ``jax_over_numpy`` per kernel and in
-  aggregate; on hosts without jax the leg lands in ``skipped`` (the
-  same pattern as the parallel CPU guard) and only the floors entry is
-  committed, to be enforced by the CI jax leg that can measure it.
-* ``sweep`` — the dispatch-amortization pair of the fused per-electron
-  move pipeline (docs/sweep_fusion.md): the retained pre-fusion loop
-  oracle (``loop``, ~14 backend dispatches per electron) vs the fused
-  ``sweep_run`` pipeline kernel (``fused``, one dispatch per sweep) on
-  the identical batched workload, energies and accept streams asserted
-  bitwise equal in-runner; a ``jax`` leg runs the whole-sweep jit when
-  importable (skipped otherwise, like the backend kind).  Reports the
-  measured backend dispatches per electron for every leg and gates
-  ``fused_over_loop`` with ``floor``.
-* ``spline_memory`` — the shared-slab + tiled-vgh pair
-  (docs/spline_memory.md): the flat per-channel 3D vgh evaluation
-  (``flat``) vs the tile-blocked kernel (``tiled``) on one fitted
-  orbital table, results asserted bitwise equal, ``floor`` gating
-  ``tiled_over_flat``; plus per-worker coefficient-table RSS measured
-  by forking ``workers[0]`` children per strategy (private copy vs
-  :class:`~repro.splines.slab.SharedCoefSlab` attach), reported
-  against the :class:`~repro.memory.model.MemoryModel` prediction.
+The four kinds (:data:`repro.bench.runner.KINDS`: ``nlpp``, ``backend``,
+``sweep``, ``spline_memory``) are isolated ratio guards for things the
+end-to-end benchmark (``benchmarks/e2e/``) does not see.  Each asserts
+its exactness contract in-runner before timing and gates its first
+speedup with ``floor``; the ``run_*_case`` docstrings say what the legs
+are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Tuple
+
+from repro.bench.runner import KINDS
 
 #: Scales keeping pure-Python Ref runs to seconds while preserving the
 #: workload's species mix, density and code paths.
@@ -75,56 +35,39 @@ class BenchCase:
     """One row of a bench suite."""
 
     name: str
-    kind: str    # "system" | "batched" | "parallel" | "nlpp" | "streaming"
-                 # | "backend"
-    versions: Tuple[str, ...]
-    # system-kind knobs
+    kind: str    # a key of repro.bench.runner.KINDS
+    versions: Tuple[str, ...]   # the legs, in artifact order
+    # nlpp: the workload and its scale (backend: a label only)
     workload: str = ""
     scale: float = 1.0
-    walkers: int = 1
-    # batched-kind knobs (parallel reuses n / nwalkers)
+    # electrons (spline_memory: orbitals) and crowd size
     n: int = 0
     nwalkers: int = 0
-    # parallel-kind knobs: worker-process counts (0 = in-process serial)
-    workers: Tuple[int, ...] = ()
-    # nlpp-kind knobs: quadrature size and the batched-over-scalar
-    # speedup floor (0 = report only, don't gate)
+    # nlpp: quadrature size
     npoints: int = 12
+    # floor on the kind's first speedup (0 = report only, don't gate)
     floor: float = 0.0
-    # spline_memory-kind knobs: orbital tile width and logical grid
-    # points per axis of the fitted table (0 = kind-specific default)
-    tile: int = 0
-    grid: int = 0
-    # shared
+    # spline_memory: orbital tile width, grid points per axis of the
+    # fitted table, forked RSS-probe children per strategy
+    tile: int = 64
+    grid: int = 12
+    workers: int = 4
+    # nlpp, sweep: steps per repetition; backend, spline_memory: repetitions
     steps: int = 2
     seed: int = 21
 
     def __post_init__(self):
-        if self.kind not in ("system", "batched", "parallel", "nlpp",
-                             "streaming", "backend", "spline_memory",
-                             "sweep"):
+        if self.kind not in KINDS:
             raise ValueError(f"unknown bench kind {self.kind!r}")
 
 
-#: The CI / acceptance suite: one reduced full-system workload across
-#: code versions plus the batched-vs-per-walker pair.  Runs in well
-#: under a minute on a laptop.
+#: The CI / acceptance suite and the committed baseline: every kind at
+#: the size its floor was set on.  About a minute on a laptop.
 QUICK_SUITE = (
-    BenchCase(name="Graphite-x0.125", kind="system",
-              versions=("ref", "current"),
-              workload="Graphite", scale=0.125, walkers=2, steps=2),
-    BenchCase(name="jastrow-N32-W16", kind="batched",
-              versions=("ref", "batched"), n=32, nwalkers=16, steps=2),
-    BenchCase(name="crowds-N32-W32", kind="parallel",
-              versions=("serial", "w2", "w4"),
-              n=32, nwalkers=32, workers=(0, 2, 4), steps=2),
     BenchCase(name="nlpp-NiO32-x0.25", kind="nlpp",
               versions=("scalar", "batched"),
               workload="NiO-32", scale=BENCH_SCALE["NiO-32"],
               npoints=12, floor=3.0, steps=2),
-    BenchCase(name="streaming-N32-W16", kind="streaming",
-              versions=("memory", "streaming"),
-              n=32, nwalkers=16, steps=6, floor=0.95),
     BenchCase(name="backend-NiO32-N96-W8", kind="backend",
               versions=("numpy", "jax"),
               workload="NiO-32", n=96, nwalkers=8, steps=3, floor=0.5),
@@ -133,63 +76,23 @@ QUICK_SUITE = (
               workload="Be-64", n=32, nwalkers=16, steps=3, floor=0.5),
     BenchCase(name="spline-mem-M256-W32", kind="spline_memory",
               versions=("flat", "tiled"),
-              n=256, nwalkers=32, grid=16, tile=64, workers=(4,),
+              n=256, nwalkers=32, grid=16, tile=64, workers=4,
               steps=3, floor=1.2),
     BenchCase(name="sweep-N24-W8", kind="sweep",
               versions=("loop", "fused", "jax"),
               n=24, nwalkers=8, steps=3, floor=1.15),
 )
 
-#: The fuller trajectory: two chemistries, all three versions, and a
-#: larger batched crowd.
-FULL_SUITE = (
-    BenchCase(name="Graphite-x0.25", kind="system",
-              versions=("ref", "ref+mp", "current"),
-              workload="Graphite", scale=BENCH_SCALE["Graphite"],
-              walkers=2, steps=2),
-    BenchCase(name="NiO-32-x0.25", kind="system",
-              versions=("ref", "current"),
-              workload="NiO-32", scale=BENCH_SCALE["NiO-32"],
-              walkers=2, steps=2),
-    BenchCase(name="jastrow-N32-W32", kind="batched",
-              versions=("ref", "batched"), n=32, nwalkers=32, steps=2),
-    BenchCase(name="nlpp-NiO32-x0.25", kind="nlpp",
-              versions=("scalar", "batched"),
-              workload="NiO-32", scale=BENCH_SCALE["NiO-32"],
-              npoints=12, floor=3.0, steps=3),
-)
-
-#: Sub-second smoke suite for the test suite itself.
+#: Seconds-long smoke suite for the test suite itself.
 SMOKE_SUITE = (
-    BenchCase(name="Graphite-x0.0625", kind="system",
-              versions=("ref", "current"),
-              workload="Graphite", scale=0.0625, walkers=1, steps=1),
-    BenchCase(name="jastrow-N12-W4", kind="batched",
-              versions=("ref", "batched"), n=12, nwalkers=4, steps=1),
-    BenchCase(name="crowds-N8-W4", kind="parallel",
-              versions=("serial", "w1"),
-              n=8, nwalkers=4, workers=(0, 1), steps=1),
     BenchCase(name="nlpp-NiO32-x0.125", kind="nlpp",
               versions=("scalar", "batched"),
               workload="NiO-32", scale=0.125, npoints=6, steps=1),
-    BenchCase(name="streaming-N12-W4", kind="streaming",
-              versions=("memory", "streaming"),
-              n=12, nwalkers=4, steps=2),
     BenchCase(name="spline-mem-M16-W8", kind="spline_memory",
               versions=("flat", "tiled"),
-              n=16, nwalkers=8, grid=8, tile=4, workers=(2,), steps=1),
+              n=16, nwalkers=8, grid=8, tile=4, workers=2, steps=1),
     BenchCase(name="sweep-N10-W4", kind="sweep",
               versions=("loop", "fused"), n=10, nwalkers=4, steps=1),
-)
-
-#: Multi-core crowd scaling (``make bench-parallel``): one sized
-#: workload, workers = 0/1/2/4.  Per-walker compute dominates at this
-#: size, so the speedup-vs-workers curve reflects crowd parallelism
-#: rather than sync overhead.
-PARALLEL_SUITE = (
-    BenchCase(name="crowds-N48-W64", kind="parallel",
-              versions=("serial", "w1", "w2", "w4"),
-              n=48, nwalkers=64, workers=(0, 1, 2, 4), steps=2),
 )
 
 #: Backend-only suite (``make bench-backend``): the two workload-shaped
@@ -208,14 +111,13 @@ BACKEND_SUITE = (
 SPLINE_SUITE = (
     BenchCase(name="spline-mem-M256-W32", kind="spline_memory",
               versions=("flat", "tiled"),
-              n=256, nwalkers=32, grid=16, tile=64, workers=(4,),
+              n=256, nwalkers=32, grid=16, tile=64, workers=4,
               steps=5, floor=1.2),
     BenchCase(name="spline-mem-M512-W32", kind="spline_memory",
               versions=("flat", "tiled"),
-              n=512, nwalkers=32, grid=16, tile=64, workers=(4,),
+              n=512, nwalkers=32, grid=16, tile=64, workers=4,
               steps=3, floor=1.2),
 )
 
-SUITES = {"quick": QUICK_SUITE, "full": FULL_SUITE, "smoke": SMOKE_SUITE,
-          "parallel": PARALLEL_SUITE, "backend": BACKEND_SUITE,
-          "spline": SPLINE_SUITE}
+SUITES = {"quick": QUICK_SUITE, "smoke": SMOKE_SUITE,
+          "backend": BACKEND_SUITE, "spline": SPLINE_SUITE}

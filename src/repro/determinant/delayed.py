@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.metrics.registry import METRICS
 from repro.perfmodel.opcount import OPS
-from repro.profiling.profiler import PROFILER
 
 
 class DelayedUpdateEngine:
@@ -67,7 +67,7 @@ class DelayedUpdateEngine:
         k = self.pending
         if k == 0:
             return col
-        with PROFILER.timer("DetUpdate"):
+        with METRICS.scope("DetUpdate"):
             # A'^-1 e_q = A^-1 e_q - (A^-1 E) M^-1 (W^T A^-1 e_q)
             wt_col = np.array([w[q] for w in self._wt_ainv])  # (k,)
             M = self._m_matrix()
@@ -115,7 +115,7 @@ class DelayedUpdateEngine:
         k = self.pending
         if k == 0:
             return
-        with PROFILER.timer("DetUpdate"):
+        with METRICS.scope("DetUpdate"):
             AE = np.stack(self._ainv_e, axis=1)
             WA = np.stack(self._wt_ainv, axis=0)
             M = self._m_matrix()

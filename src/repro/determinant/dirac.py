@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backend import active
+from repro.metrics.registry import METRICS
 from repro.perfmodel.opcount import OPS
-from repro.profiling.profiler import PROFILER
 
 
 class DiracDeterminant:
@@ -54,7 +54,7 @@ class DiracDeterminant:
     # -- full recompute (double precision, then stored in self.dtype) ---------------
     def recompute(self, P) -> float:
         """Build psiM and its inverse from scratch; returns log|det|."""
-        with PROFILER.timer("DetUpdate"):
+        with METRICS.scope("DetUpdate"):
             n = self.nel
             A = np.empty((n, n), dtype=np.float64)
             dA = np.empty((n, n, 3), dtype=np.float64)
@@ -87,7 +87,7 @@ class DiracDeterminant:
 
     def evaluate_gl(self, P) -> None:
         """Grad/lap of log|det| from the current (SM-updated) matrices."""
-        with PROFILER.timer("SPO-vgl"):
+        with METRICS.scope("SPO-vgl"):
             n = self.nel
             Ainv = self.psiM_inv.astype(np.float64, copy=False)
             # grad_i log det = sum_j dpsi[i, j] Ainv[j, i]
@@ -107,7 +107,7 @@ class DiracDeterminant:
         if not self.owns(k):
             return np.zeros(3)
         i = k - self.first
-        with PROFILER.timer("DetUpdate"):
+        with METRICS.scope("DetUpdate"):
             g = self.dpsiM[i].astype(np.float64, copy=False).T @ \
                 self.psiM_inv[:, i].astype(np.float64, copy=False)
             OPS.record("DetUpdate", flops=6.0 * self.nel,
@@ -120,7 +120,7 @@ class DiracDeterminant:
             return 1.0
         i = k - self.first
         v = self.spo.evaluate_v(P.active_pos)[: self.nel]
-        with PROFILER.timer("DetUpdate"):
+        with METRICS.scope("DetUpdate"):
             rho = active().det_ratio(
                 np.asarray(v, dtype=np.float64),
                 self.psiM_inv[:, i].astype(np.float64, copy=False))
@@ -143,7 +143,7 @@ class DiracDeterminant:
             return 1.0
         i = k - self.first
         v = self.spo.evaluate_v(np.asarray(r_new, dtype=np.float64))[: self.nel]
-        with PROFILER.timer("DetUpdate"):
+        with METRICS.scope("DetUpdate"):
             rho = active().det_ratio(
                 np.asarray(v, dtype=np.float64),
                 self.psiM_inv[:, i].astype(np.float64, copy=False))
@@ -176,7 +176,7 @@ class DiracDeterminant:
             for m, j in enumerate(idx):
                 phi[m] = np.asarray(self.spo.evaluate_v(pos[j])[: self.nel],
                                     dtype=np.float64)
-        with PROFILER.timer("DetUpdate"):
+        with METRICS.scope("DetUpdate"):
             cols = self.psiM_inv.astype(np.float64, copy=False)[
                 :, owners[idx] - self.first]
             rho[idx] = np.asarray(active().det_ratios_vp(phi, cols))
@@ -192,7 +192,7 @@ class DiracDeterminant:
         i = k - self.first
         v, g, l = self.spo.evaluate_vgl(P.active_pos)
         v, g, l = v[: self.nel], g[: self.nel], l[: self.nel]
-        with PROFILER.timer("DetUpdate"):
+        with METRICS.scope("DetUpdate"):
             col = self.psiM_inv[:, i].astype(np.float64, copy=False)
             rho = active().det_ratio(np.asarray(v, dtype=np.float64), col)
             grad = (np.asarray(g, dtype=np.float64).T @ col) / rho
@@ -214,7 +214,7 @@ class DiracDeterminant:
             # measurement-time evaluate_gl.
             _, g, l = self.spo.evaluate_vgl(P.active_pos)
             g, l = g[: self.nel], l[: self.nel]
-        with PROFILER.timer("DetUpdate"):
+        with METRICS.scope("DetUpdate"):
             n = self.nel
             Ainv = self.psiM_inv
             v_t = np.asarray(v, dtype=self.dtype)

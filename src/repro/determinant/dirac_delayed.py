@@ -14,8 +14,8 @@ import numpy as np
 
 from repro.determinant.delayed import DelayedUpdateEngine
 from repro.determinant.dirac import DiracDeterminant
+from repro.metrics.registry import METRICS
 from repro.perfmodel.opcount import OPS
-from repro.profiling.profiler import PROFILER
 
 
 class DiracDeterminantDelayed(DiracDeterminant):
@@ -57,7 +57,7 @@ class DiracDeterminantDelayed(DiracDeterminant):
             return np.zeros(3)
         i = k - self.first
         eng = self._ensure_engine()
-        with PROFILER.timer("DetUpdate"):
+        with METRICS.scope("DetUpdate"):
             col = eng.effective_column(i)
             g = self.dpsiM[i].astype(np.float64, copy=False).T @ col
             OPS.record("DetUpdate", flops=6.0 * self.nel,
@@ -70,7 +70,7 @@ class DiracDeterminantDelayed(DiracDeterminant):
         i = k - self.first
         v = self.spo.evaluate_v(P.active_pos)[: self.nel]
         eng = self._ensure_engine()
-        with PROFILER.timer("DetUpdate"):
+        with METRICS.scope("DetUpdate"):
             rho = eng.ratio(i, np.asarray(v, dtype=np.float64))
             self._cache[k] = (v, None, None, rho)
             return rho
@@ -82,7 +82,7 @@ class DiracDeterminantDelayed(DiracDeterminant):
         v, g, l = self.spo.evaluate_vgl(P.active_pos)
         v, g, l = v[: self.nel], g[: self.nel], l[: self.nel]
         eng = self._ensure_engine()
-        with PROFILER.timer("DetUpdate"):
+        with METRICS.scope("DetUpdate"):
             col = eng.effective_column(i)
             rho = float(np.asarray(v, dtype=np.float64) @ col)
             grad = (np.asarray(g, dtype=np.float64).T @ col) / rho
@@ -98,7 +98,7 @@ class DiracDeterminantDelayed(DiracDeterminant):
             _, g, l = self.spo.evaluate_vgl(P.active_pos)
             g, l = g[: self.nel], l[: self.nel]
         eng = self._ensure_engine()
-        with PROFILER.timer("DetUpdate"):
+        with METRICS.scope("DetUpdate"):
             eng.accept(i, np.asarray(v, dtype=np.float64),
                        self.psiM[i].astype(np.float64, copy=False))
             self.psiM[i] = np.asarray(v, dtype=self.dtype)

@@ -23,8 +23,8 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from repro.metrics.registry import METRICS
 from repro.perfmodel.opcount import OPS
-from repro.profiling.profiler import PROFILER
 
 
 class _SubDet:
@@ -86,7 +86,7 @@ class MultiSlaterDeterminant:
 
     # -- full recompute ------------------------------------------------------------
     def recompute(self, P) -> float:
-        with PROFILER.timer("DetUpdate"):
+        with METRICS.scope("DetUpdate"):
             n = self.nel
             for i in range(n):
                 v, g, l = self.spo.evaluate_vgl(P.R[self.first + i])
@@ -120,7 +120,7 @@ class MultiSlaterDeterminant:
 
     def evaluate_gl(self, P) -> None:
         """Accumulate grad/lap of log Psi_MSD into P.G / P.L."""
-        with PROFILER.timer("SPO-vgl"):
+        with METRICS.scope("SPO-vgl"):
             w = self._weights()
             wsum = float(np.sum(w))
             omega = w / wsum
@@ -156,7 +156,7 @@ class MultiSlaterDeterminant:
             return 1.0
         i = k - self.first
         v = self.spo.evaluate_v(P.active_pos)[: self.norb_used]
-        with PROFILER.timer("DetUpdate"):
+        with METRICS.scope("DetUpdate"):
             w = self._weights()
             rhos = np.array([float(v[d.occ] @ d.inv[:, i])
                              for d in self.dets])
@@ -175,7 +175,7 @@ class MultiSlaterDeterminant:
         v = v[: self.norb_used]
         g = g[: self.norb_used]
         l = l[: self.norb_used]
-        with PROFILER.timer("DetUpdate"):
+        with METRICS.scope("DetUpdate"):
             w = self._weights()
             rhos = np.array([float(v[d.occ] @ d.inv[:, i])
                              for d in self.dets])
@@ -201,7 +201,7 @@ class MultiSlaterDeterminant:
             _, g, l = self.spo.evaluate_vgl(P.active_pos)
             g = g[: self.norb_used]
             l = l[: self.norb_used]
-        with PROFILER.timer("DetUpdate"):
+        with METRICS.scope("DetUpdate"):
             for d, rho_d in zip(self.dets, rhos):
                 vd = v[d.occ]
                 vAinv = vd @ d.inv

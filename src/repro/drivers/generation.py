@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.drivers.result import QMCResult
 from repro.metrics.registry import METRICS
-from repro.profiling.profiler import PROFILER
 
 
 class Generation(NamedTuple):
@@ -235,11 +234,10 @@ class GenerationLoop:
         generation's walker-ordered rows and sets the checkpoint
         cadence; ``policy`` turns the branch + E_T update on;
         ``profile`` labels a hot-spot profile of the run."""
-        if profile is not None:
-            PROFILER.start_run()
         t0 = time.perf_counter()
         result = QMCResult(method=method, steps=steps)
-        with METRICS.scope(scope):
+        with (METRICS.scope(scope) if profile is None
+              else METRICS.profile_run(scope, profile)) as run:
             for step in range(start + 1, start + steps + 1):
                 gen = self._advance(
                     step, None if policy is None else policy.e_trial)
@@ -271,7 +269,7 @@ class GenerationLoop:
         result.extra["moves"] = float(moves)
         result.extra["accepted"] = float(accepted)
         if profile is not None:
-            result.profile = PROFILER.stop_run(profile)
+            result.profile = run
         return result
 
     def _save_checkpoint(self, streams, step: int,

@@ -18,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.metrics.registry import METRICS
 from repro.perfmodel.opcount import OPS
-from repro.profiling.profiler import PROFILER
 
 
 class PairCorrelationEstimator:
@@ -52,7 +52,7 @@ class PairCorrelationEstimator:
 
     def accumulate(self, P, weight: float = 1.0) -> None:
         """Add one configuration's pair distances (from the AA table)."""
-        with PROFILER.timer("Other"):
+        with METRICS.scope("Other"):
             table = P.distance_tables[self.table_index]
             dists = []
             for i in range(self.n):
@@ -194,7 +194,7 @@ class StructureFactorEstimator:
         self.n_samples = 0.0
 
     def accumulate(self, P, weight: float = 1.0) -> None:
-        with PROFILER.timer("Other"):
+        with METRICS.scope("Other"):
             phases = P.R @ self.kvecs.T  # (N, nk)
             re = np.sum(np.cos(phases), axis=0)
             im = np.sum(np.sin(phases), axis=0)

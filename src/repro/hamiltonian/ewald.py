@@ -30,8 +30,8 @@ import numpy as np
 from scipy.special import erfc
 
 from repro.lattice.cell import CrystalLattice
+from repro.metrics.registry import METRICS
 from repro.perfmodel.opcount import OPS
-from repro.profiling.profiler import PROFILER
 
 
 class EwaldHandler:
@@ -119,7 +119,7 @@ class EwaldHandler:
         """Total periodic Coulomb energy of charges q at positions R."""
         R = np.asarray(R, dtype=np.float64)
         q = np.asarray(q, dtype=np.float64)
-        with PROFILER.timer("Other"):
+        with METRICS.scope("Other"):
             return (self.real_space(R, q) + self.reciprocal_space(R, q)
                     + self.self_energy(q) + self.background(q))
 

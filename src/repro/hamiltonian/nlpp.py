@@ -40,7 +40,6 @@ import numpy as np
 
 from repro.metrics.registry import METRICS
 from repro.perfmodel.opcount import OPS
-from repro.profiling.profiler import PROFILER
 
 
 def sphere_quadrature(npoints: int = 12) -> tuple[np.ndarray, np.ndarray]:
@@ -219,7 +218,7 @@ class NonLocalPP:
         grid bias, as production codes do.  Exactly one rotation is drawn
         per call regardless of how many pairs are in range.
         """
-        with PROFILER.timer("NLPP"):
+        with METRICS.scope("NLPP"):
             rot = self._draw_rotation()
             if self.mode == "vp":
                 return self._evaluate_vp(P, twf, rot)
@@ -228,7 +227,7 @@ class NonLocalPP:
     def evaluate_reference(self, P, twf) -> float:
         """The scalar per-point oracle under the same rotation contract —
         one temp-move wavefunction ratio per quadrature point."""
-        with PROFILER.timer("NLPP"):
+        with METRICS.scope("NLPP"):
             return self._evaluate_loop(P, twf, self._draw_rotation())
 
     def build_vps(self, P, dirs_rot: np.ndarray) -> VirtualParticleSet:

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.metrics.registry import METRICS
 from repro.perfmodel.opcount import OPS
-from repro.profiling.profiler import PROFILER
 
 
 class KineticEnergy:
@@ -15,7 +15,7 @@ class KineticEnergy:
     name = "Kinetic"
 
     def evaluate(self, P, twf) -> float:
-        with PROFILER.timer("Other"):
+        with METRICS.scope("Other"):
             g2 = np.sum(P.G * P.G, axis=1)
             val = -0.5 * float(np.sum(P.L + g2))
             OPS.record("Other", flops=5.0 * P.n, rbytes=32.0 * P.n,
@@ -37,7 +37,7 @@ class CoulombEE:
         self.table_index = table_index
 
     def evaluate(self, P, twf) -> float:
-        with PROFILER.timer("Other"):
+        with METRICS.scope("Other"):
             table = P.distance_tables[self.table_index]
             total = 0.0
             for i in range(P.n):
@@ -58,7 +58,7 @@ class CoulombEI:
         self.table_index = table_index
 
     def evaluate(self, P, twf) -> float:
-        with PROFILER.timer("Other"):
+        with METRICS.scope("Other"):
             table = P.distance_tables[self.table_index]
             total = 0.0
             for k in range(P.n):

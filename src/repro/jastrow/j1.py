@@ -18,8 +18,8 @@ import numpy as np
 
 from repro.jastrow.functor import BsplineFunctor
 from repro.lint.hot import hot_kernel
+from repro.metrics.registry import METRICS
 from repro.perfmodel.opcount import OPS
-from repro.profiling.profiler import PROFILER
 
 
 class _J1Base:
@@ -73,7 +73,7 @@ class OneBodyJastrowOtf(_J1Base):
         return u_sum, grad, lap
 
     def evaluate_log(self, P) -> float:
-        with PROFILER.timer("J1"):
+        with METRICS.scope("J1"):
             table = P.distance_tables[self.table_index]
             logpsi = 0.0
             for k in range(self.n):
@@ -84,20 +84,20 @@ class OneBodyJastrowOtf(_J1Base):
             return logpsi
 
     def grad(self, P, k: int) -> np.ndarray:
-        with PROFILER.timer("J1"):
+        with METRICS.scope("J1"):
             table = P.distance_tables[self.table_index]
             _, g, _ = self._row_vgl(table.dist_row(k), table.disp_row(k))
             return g
 
     def ratio(self, P, k: int) -> float:
-        with PROFILER.timer("J1"):
+        with METRICS.scope("J1"):
             table = P.distance_tables[self.table_index]
             u_new = self._row_v(table.temp_r[: self.nions])
             u_old = self._row_v(table.dist_row(k))
             return math.exp(-(u_new - u_old))
 
     def ratio_grad(self, P, k: int):
-        with PROFILER.timer("J1"):
+        with METRICS.scope("J1"):
             table = P.distance_tables[self.table_index]
             u_new, grad_new, _ = self._row_vgl(
                 table.temp_r[: self.nions],
@@ -113,7 +113,7 @@ class OneBodyJastrowOtf(_J1Base):
         ``table.move`` would (double-precision min-image, then the table's
         policy downcast) without touching ``temp_r`` or any stored state.
         """
-        with PROFILER.timer("J1"):
+        with METRICS.scope("J1"):
             table = P.distance_tables[self.table_index]
             # Min-image math in accumulation precision, then the table's
             # policy downcast — exactly what table.move() would produce.
@@ -131,7 +131,7 @@ class OneBodyJastrowOtf(_J1Base):
         """Vectorized :meth:`ratio_at` over a virtual-particle slab: one
         ``(Nvp, nions)`` distance recompute, per-species functor sums, and
         ``u_old`` cached per unique owner electron."""
-        with PROFILER.timer("J1"):
+        with METRICS.scope("J1"):
             table = P.distance_tables[self.table_index]
             owners = np.asarray(owners)
             pos = np.asarray(positions, dtype=np.float64)  # repro: noqa R002
@@ -162,7 +162,7 @@ class OneBodyJastrowOtf(_J1Base):
 
     def evaluate_gl(self, P) -> None:
         """Measurement-time grad/lap recomputed from the AB table rows."""
-        with PROFILER.timer("J1"):
+        with METRICS.scope("J1"):
             table = P.distance_tables[self.table_index]
             for k in range(self.n):
                 _, g, l = self._row_vgl(table.dist_row(k), table.disp_row(k))
@@ -216,7 +216,7 @@ class OneBodyJastrowRef(_J1Base):
         return u_sum, np.array([gx, gy, gz]), lap
 
     def evaluate_log(self, P) -> float:
-        with PROFILER.timer("J1"):
+        with METRICS.scope("J1"):
             table = P.distance_tables[self.table_index]
             logpsi = 0.0
             for k in range(self.n):
@@ -234,7 +234,7 @@ class OneBodyJastrowRef(_J1Base):
         return self.dU[k].copy()
 
     def ratio(self, P, k: int) -> float:
-        with PROFILER.timer("J1"):
+        with METRICS.scope("J1"):
             table = P.distance_tables[self.table_index]
             u_new, g_new, l_new = self._scalar_row(table.temp_r,
                                                    table.temp_dr)
@@ -248,7 +248,7 @@ class OneBodyJastrowRef(_J1Base):
     def ratio_at(self, P, k: int, r_new) -> float:
         """Ratio-only virtual move: scalar per-ion recompute at ``r_new``
         against the stored ``U[k]``; no cache entry, no state change."""
-        with PROFILER.timer("J1"):
+        with METRICS.scope("J1"):
             table = P.distance_tables[self.table_index]
             disp64 = (np.asarray(table.source.R, dtype=np.float64)
                       - np.asarray(r_new, dtype=np.float64)[None, :])

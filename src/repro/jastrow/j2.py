@@ -21,8 +21,8 @@ import numpy as np
 from repro.distances.base import BIG_DISTANCE
 from repro.jastrow.functor import BsplineFunctor
 from repro.lint.hot import hot_kernel
+from repro.metrics.registry import METRICS
 from repro.perfmodel.opcount import OPS
-from repro.profiling.profiler import PROFILER
 
 
 class _J2Base:
@@ -91,7 +91,7 @@ class TwoBodyJastrowOtf(_J2Base):
     # -- WaveFunctionComponent API ---------------------------------------------------
     def evaluate_log(self, P) -> float:
         """Full log Psi_J2; accumulates into P.G and P.L."""
-        with PROFILER.timer("J2"):
+        with METRICS.scope("J2"):
             table = P.distance_tables[self.table_index]
             logpsi = 0.0
             for i in range(self.n):
@@ -104,14 +104,14 @@ class TwoBodyJastrowOtf(_J2Base):
 
     def grad(self, P, k: int) -> np.ndarray:
         """grad_k log Psi_J2 at the current position (for the drift)."""
-        with PROFILER.timer("J2"):
+        with METRICS.scope("J2"):
             table = P.distance_tables[self.table_index]
             _, g, _ = self._row_vgl(table.dist_row(k), table.disp_row(k), k)
             return g
 
     def ratio(self, P, k: int) -> float:
         """Psi(R')/Psi(R) for the proposed move of particle k."""
-        with PROFILER.timer("J2"):
+        with METRICS.scope("J2"):
             table = P.distance_tables[self.table_index]
             u_new = self._row_v(table.temp_r[: self.n], k)
             u_old = self._row_v(table.dist_row(k), k)
@@ -120,7 +120,7 @@ class TwoBodyJastrowOtf(_J2Base):
 
     def ratio_grad(self, P, k: int):
         """(ratio, grad at the proposed position)."""
-        with PROFILER.timer("J2"):
+        with METRICS.scope("J2"):
             table = P.distance_tables[self.table_index]
             u_new, grad_new, _ = self._row_vgl(
                 table.temp_r[: self.n],
@@ -135,7 +135,7 @@ class TwoBodyJastrowOtf(_J2Base):
         electron-electron row in accumulation precision with the table's
         policy downcast, self-distance masked by the BIG sentinel; no
         temp rows or cache entries are written."""
-        with PROFILER.timer("J2"):
+        with METRICS.scope("J2"):
             table = P.distance_tables[self.table_index]
             disp64 = (np.asarray(P.R, dtype=np.float64)  # repro: noqa R002
                       - np.asarray(r_new, dtype=np.float64)[None, :])  # repro: noqa R002
@@ -152,7 +152,7 @@ class TwoBodyJastrowOtf(_J2Base):
         """Vectorized :meth:`ratio_at` over a virtual-particle slab: one
         ``(Nvp, N)`` distance recompute, owner-group-resolved functor
         sums, and ``u_old`` cached per unique owner electron."""
-        with PROFILER.timer("J2"):
+        with METRICS.scope("J2"):
             table = P.distance_tables[self.table_index]
             owners = np.asarray(owners)
             pos = np.asarray(positions, dtype=np.float64)  # repro: noqa R002
@@ -190,7 +190,7 @@ class TwoBodyJastrowOtf(_J2Base):
     def evaluate_gl(self, P) -> None:
         """Measurement-time grad/lap: recomputed from the distance rows —
         that is the compute-on-the-fly policy (nothing was stored)."""
-        with PROFILER.timer("J2"):
+        with METRICS.scope("J2"):
             table = P.distance_tables[self.table_index]
             for i in range(self.n):
                 _, grad, lap = self._row_vgl(table.dist_row(i),
@@ -233,7 +233,7 @@ class TwoBodyJastrowRef(_J2Base):
 
     # -- full evaluation ------------------------------------------------------------
     def evaluate_log(self, P) -> float:
-        with PROFILER.timer("J2"):
+        with METRICS.scope("J2"):
             table = P.distance_tables[self.table_index]
             n = self.n
             logpsi = 0.0
@@ -271,7 +271,7 @@ class TwoBodyJastrowRef(_J2Base):
 
     def grad(self, P, k: int) -> np.ndarray:
         """From the stored matrices — the retrieve side of store-over-compute."""
-        with PROFILER.timer("J2"):
+        with METRICS.scope("J2"):
             OPS.record("J2", rbytes=24.0 * self.n, wbytes=24.0)
             return np.sum(self.dUmat[k], axis=0)
 
@@ -311,14 +311,14 @@ class TwoBodyJastrowRef(_J2Base):
         return u_new, du_new, d2u_new, np.array(grad)
 
     def ratio(self, P, k: int) -> float:
-        with PROFILER.timer("J2"):
+        with METRICS.scope("J2"):
             u_new, du_new, d2u_new, _ = self._scalar_row(P, k, with_grad=False)
             u_old = float(np.sum(self.Umat[k]))
             self._cache[k] = (u_new, None, None)
             return math.exp(-(sum(u_new) - u_old))
 
     def ratio_grad(self, P, k: int):
-        with PROFILER.timer("J2"):
+        with METRICS.scope("J2"):
             u_new, du_new, d2u_new, grad = self._scalar_row(P, k, with_grad=True)
             u_old = float(np.sum(self.Umat[k]))
             self._cache[k] = (u_new, du_new, d2u_new)
@@ -327,7 +327,7 @@ class TwoBodyJastrowRef(_J2Base):
     def ratio_at(self, P, k: int, r_new) -> float:
         """Ratio-only virtual move against the stored ``Umat[k]`` row:
         scalar per-pair recompute at ``r_new``, no cache entry."""
-        with PROFILER.timer("J2"):
+        with METRICS.scope("J2"):
             disp64 = (np.asarray(P.R, dtype=np.float64)
                       - np.asarray(r_new, dtype=np.float64)[None, :])
             table = P.distance_tables[self.table_index]
@@ -346,7 +346,7 @@ class TwoBodyJastrowRef(_J2Base):
 
     def accept_move(self, P, k: int) -> None:
         """Row + column writes into all three matrices (scalar loop)."""
-        with PROFILER.timer("J2"):
+        with METRICS.scope("J2"):
             u_new, du_new, d2u_new = self._cache.pop(k)
             if du_new is None:
                 # ratio() was called without gradients; rebuild them now from
@@ -377,7 +377,7 @@ class TwoBodyJastrowRef(_J2Base):
     def evaluate_gl(self, P) -> None:
         """Measurement-time grad/lap retrieved from the stored matrices —
         the store-over-compute policy's read side."""
-        with PROFILER.timer("J2"):
+        with METRICS.scope("J2"):
             n = self.n
             P.G[:n] += np.sum(self.dUmat, axis=1)
             P.L[:n] += -np.sum(self.d2Umat, axis=1)

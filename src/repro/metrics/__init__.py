@@ -4,13 +4,16 @@ The :data:`METRICS` registry is the process-global instrumentation
 spine: hot paths open named scopes (``with METRICS.scope("sweep")``),
 attribute data traffic (``METRICS.add_bytes(row.nbytes)``) and bump
 event counters.  It is a near-zero-cost no-op unless armed by
-``REPRO_METRICS=1``.  The legacy :data:`repro.profiling.PROFILER` is a
-thin category-profile adapter over this registry.
+``REPRO_METRICS=1`` or, for one run, by ``METRICS.profile_run(...)``,
+which yields the paper-category :class:`HotspotProfile` of that run.
 """
 
+from repro.metrics.profile import (PAPER_CATEGORIES, HotspotProfile,
+                                   category_seconds)
 from repro.metrics.registry import (METRICS, MetricsRegistry, ScopeNode,
                                     metrics_enabled)
 from repro.metrics.schema import BENCH_SCHEMA_VERSION, validate_artifact
 
 __all__ = ["METRICS", "MetricsRegistry", "ScopeNode", "metrics_enabled",
+           "PAPER_CATEGORIES", "HotspotProfile", "category_seconds",
            "BENCH_SCHEMA_VERSION", "validate_artifact"]

@@ -18,11 +18,11 @@ Threading: each thread records into its own tree (crowd workers never
 contend on a lock); :meth:`MetricsRegistry.snapshot` merges the
 per-thread trees path-by-path under the registry lock.
 
-Cost discipline: the registry is armed by ``REPRO_METRICS=1`` (or
-:meth:`enable`).  When disarmed, :meth:`scope` returns a shared no-op
-context manager and the counter methods return immediately — one
-attribute check per call site, so production sweeps pay effectively
-nothing.
+Cost discipline: the registry is armed by ``REPRO_METRICS=1``,
+:meth:`enable` or, for one run, :meth:`MetricsRegistry.profile_run`.
+When disarmed, :meth:`scope` returns a shared no-op context manager and
+the counter methods return immediately — one attribute check per call
+site, so production sweeps pay effectively nothing.
 """
 
 from __future__ import annotations
@@ -30,17 +30,18 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import Dict, Iterator, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+
+from repro.metrics.profile import (PROFILE_CATEGORIES, HotspotProfile,
+                                   category_seconds)
 
 __all__ = ["MetricsRegistry", "ScopeNode", "METRICS", "metrics_enabled"]
 
-#: Environment variable arming the global registry.
-METRICS_ENV = "REPRO_METRICS"
-
 
 def metrics_enabled() -> bool:
-    """True when the environment arms the global registry."""
-    return os.environ.get(METRICS_ENV, "") not in ("", "0")
+    """True when the environment (``REPRO_METRICS``) arms the global registry."""
+    return os.environ.get("REPRO_METRICS", "") not in ("", "0")
 
 
 class _NullScope:
@@ -174,10 +175,6 @@ class MetricsRegistry:
         self._states: List[Tuple[str, _ThreadState]] = []
         self._generation = 0
 
-    @classmethod
-    def from_env(cls) -> "MetricsRegistry":
-        return cls(enabled=metrics_enabled())
-
     # -- arming -----------------------------------------------------------------
     def enable(self) -> None:
         self.enabled = True
@@ -206,6 +203,36 @@ class MetricsRegistry:
         if not self.enabled:
             return _NULL_SCOPE
         return _ScopeTimer(self, name)
+
+    @contextmanager
+    def profile_run(self, scope: str, label: str = "",  # repro: cold
+                    categories: Iterable[str] = PROFILE_CATEGORIES
+                    ) -> Iterator[HotspotProfile]:
+        """Open ``scope`` as a profiled run: arm the registry for the
+        block if it is not armed, restore the previous arming on exit
+        (normal or not), and fill the yielded ``HotspotProfile`` with the
+        paper view of what *this* run recorded on the calling thread.
+        The run records into a node of its own — an earlier run under
+        the same name never leaks in — which is then merged into the
+        tree (where :meth:`scope` would have put it) if that was armed.
+        Once per run, never per move — hence cold to ``repro.lint``."""
+        profile = HotspotProfile({}, 0.0, label or scope)
+        was_enabled = self.enabled
+        self.enabled = True
+        state = self._state()
+        node = ScopeNode(scope)
+        state.stack.append((node, time.perf_counter()))
+        try:
+            yield profile
+        finally:
+            _, t0 = state.stack.pop()
+            node.calls = 1
+            node.seconds = time.perf_counter() - t0
+            self.enabled = was_enabled
+            profile.seconds = category_seconds(node, categories)
+            profile.total = node.seconds
+            if was_enabled:
+                state.current.child(scope).merge(node)
 
     def add_bytes(self, nbytes: int) -> None:
         """Attribute data traffic to the innermost open scope."""
@@ -287,9 +314,9 @@ class MetricsRegistry:
 
     def exclusive_by_name(self) -> Dict[str, float]:
         """Exclusive seconds summed over every node with a given *leaf*
-        name, anywhere in any thread's tree.  This is exactly the
-        innermost-category attribution the flat hot-spot profiles
-        (Fig. 2 / Fig. 7) are built from."""
+        name, anywhere in any thread's tree — the whole-registry form
+        of the innermost-category attribution a run's paper view
+        (:func:`repro.metrics.profile.category_seconds`) is built from."""
         out: Dict[str, float] = {}
 
         def walk(node: ScopeNode) -> None:
@@ -300,11 +327,6 @@ class MetricsRegistry:
         walk(self._merged_root())
         return out
 
-    def total_calls(self) -> int:
-        def count(node: ScopeNode) -> int:
-            return node.calls + sum(count(c) for c in node.children.values())
-        return count(self._merged_root())
-
 
 #: The process-global registry, armed by ``REPRO_METRICS=1``.
-METRICS = MetricsRegistry.from_env()
+METRICS = MetricsRegistry(enabled=metrics_enabled())

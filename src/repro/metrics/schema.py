@@ -73,38 +73,27 @@ def _check_workload(entry: Any, index: int, errors: List[str]) -> None:
     for key, typ in (("name", str), ("kind", str), ("versions", dict)):
         if not isinstance(entry.get(key), typ):
             _err(errors, f"{path}.{key}", f"missing or not a {typ.__name__}")
-    if entry.get("kind") not in (None, "system", "batched", "parallel",
-                                 "nlpp", "streaming", "backend",
-                                 "spline_memory", "sweep"):
-        _err(errors, f"{path}.kind",
-             "must be 'system', 'batched', 'parallel', 'nlpp', "
-             "'streaming', 'backend', 'spline_memory' or 'sweep'")
+    from repro.bench.runner import KINDS  # lazy: runner imports this module
+    if isinstance(entry.get("kind"), str) and entry["kind"] not in KINDS:
+        _err(errors, f"{path}.kind", f"must be one of {sorted(KINDS)}")
     versions = entry.get("versions")
     if isinstance(versions, dict):
         if not versions:
             _err(errors, f"{path}.versions", "must not be empty")
         for label, ventry in versions.items():
             _check_version_entry(ventry, f"{path}.versions.{label}", errors)
-    speedups = entry.get("speedups", {})
-    if not isinstance(speedups, dict):
-        _err(errors, f"{path}.speedups", "must be an object")
-    else:
-        for label, value in speedups.items():
+    # ``speedup_floors``: absolute floors the named speedups must meet;
+    # enforced by repro.bench.compare when the candidate measured the
+    # speedup (an optional-dependency leg may be declared skipped instead).
+    for key in ("speedups", "speedup_floors"):
+        values = entry.get(key, {})
+        if not isinstance(values, dict):
+            _err(errors, f"{path}.{key}", "must be an object")
+            continue
+        for label, value in values.items():
             if not isinstance(value, (int, float)) or isinstance(value, bool) \
                     or value <= 0:
-                _err(errors, f"{path}.speedups.{label}",
-                     "must be a positive number")
-    # Absolute floors a candidate's speedups must meet (the multi-core
-    # scaling gate); enforced by repro.bench.compare when the candidate
-    # actually measured the named speedup (the CPU guard may skip it).
-    floors = entry.get("speedup_floors", {})
-    if not isinstance(floors, dict):
-        _err(errors, f"{path}.speedup_floors", "must be an object")
-    else:
-        for label, value in floors.items():
-            if not isinstance(value, (int, float)) or isinstance(value, bool) \
-                    or value <= 0:
-                _err(errors, f"{path}.speedup_floors.{label}",
+                _err(errors, f"{path}.{key}.{label}",
                      "must be a positive number")
 
 

@@ -10,14 +10,12 @@ measurement or branching, exactly like the paper's miniQMC.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.core.system import QmcSystem
 from repro.core.version import CodeVersion
+from repro.metrics.registry import METRICS
 from repro.miniapps.common import MiniappResult
-from repro.profiling.profiler import PROFILER
 
 
 def run_miniqmc(workload: str = "NiO-32", scale: float = 0.125,
@@ -37,32 +35,31 @@ def run_miniqmc(workload: str = "NiO-32", scale: float = 0.125,
         twf.evaluate_log(P)
         n = P.n
         tau = 0.3
-        PROFILER.start_run()
-        t0 = time.perf_counter()
-        for _ in range(steps):
-            for k in range(n):
-                chi = rng.normal(0, np.sqrt(tau), 3)
-                g_old = twf.grad(P, k)
-                P.make_move(k, P.R[k] + tau * g_old + chi)
-                rho, g_new = twf.ratio_grad(P, k)
-                if rng.uniform() < min(1.0, rho * rho):
-                    twf.accept_move(P, k, float(np.log(abs(rho))))
-                    P.accept_move(k)
-                else:
-                    twf.reject_move(P, k)
-                    P.reject_move(k)
-            # Pseudopotential-style extra ratios (no acceptance).
-            for k in range(0, n, max(1, n // 8)):
-                for _ in range(nlpp_ratios):
-                    P.make_move(k, P.R[k] + rng.normal(0, 0.3, 3))
-                    twf.ratio(P, k)
-                    twf.reject_move(P, k)
-                    P.reject_move(k)
-            P.update_tables()
-            twf.evaluate_gl(P)
-        result.seconds[ver.label] = time.perf_counter() - t0
-        result.profiles[ver.label] = PROFILER.stop_run(
-            f"miniqmc/{workload}/{ver.label}")
+        with METRICS.profile_run(
+                "miniQMC", f"miniqmc/{workload}/{ver.label}") as profile:
+            for _ in range(steps):
+                for k in range(n):
+                    chi = rng.normal(0, np.sqrt(tau), 3)
+                    g_old = twf.grad(P, k)
+                    P.make_move(k, P.R[k] + tau * g_old + chi)
+                    rho, g_new = twf.ratio_grad(P, k)
+                    if rng.uniform() < min(1.0, rho * rho):
+                        twf.accept_move(P, k, float(np.log(abs(rho))))
+                        P.accept_move(k)
+                    else:
+                        twf.reject_move(P, k)
+                        P.reject_move(k)
+                # Pseudopotential-style extra ratios (no acceptance).
+                for k in range(0, n, max(1, n // 8)):
+                    for _ in range(nlpp_ratios):
+                        P.make_move(k, P.R[k] + rng.normal(0, 0.3, 3))
+                        twf.ratio(P, k)
+                        twf.reject_move(P, k)
+                        P.reject_move(k)
+                P.update_tables()
+                twf.evaluate_gl(P)
+        result.seconds[ver.label] = profile.total
+        result.profiles[ver.label] = profile
         result.checks[ver.label] = float(np.sum(P.R))
     return result
 

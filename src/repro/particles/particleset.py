@@ -23,9 +23,9 @@ import numpy as np
 from repro.containers.tinyvector import TinyVector
 from repro.containers.vsc import VectorSoaContainer
 from repro.lattice.cell import CrystalLattice
+from repro.metrics.registry import METRICS
 from repro.particles.species import SpeciesSet
 from repro.precision.policy import resolve_value_dtype
-from repro.profiling.profiler import PROFILER
 
 
 class ParticleSet:
@@ -133,7 +133,7 @@ class ParticleSet:
     def update_tables(self) -> None:
         """Full recompute of every attached table (loadWalker / donePbyP)."""
         for t in self.distance_tables:
-            with PROFILER.timer(t.category):
+            with METRICS.scope(t.category):
                 t.evaluate(self)
 
     # -- PbyP move protocol ---------------------------------------------------------
@@ -144,7 +144,7 @@ class ParticleSet:
         self.active_index = k
         self.active_pos = np.asarray(new_pos, dtype=np.float64).copy()
         for t in self.distance_tables:
-            with PROFILER.timer(t.category):
+            with METRICS.scope(t.category):
                 t.move(self, self.active_pos, k)
 
     def accept_move(self, k: int) -> None:
@@ -159,7 +159,7 @@ class ParticleSet:
         if self.Rsoa is not None:
             self.Rsoa[k] = self.active_pos  # the paper's "6 floats" update
         for t in self.distance_tables:
-            with PROFILER.timer(t.category):
+            with METRICS.scope(t.category):
                 t.update(k)
         self.active_index = -1
         self.active_pos = None

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.profiling.profiler import PROFILER
+from repro.metrics.registry import METRICS
 
 
 class SlaterOrbitalSPOSet:
@@ -45,12 +45,12 @@ class SlaterOrbitalSPOSet:
         return dr, np.maximum(d, 1e-300)
 
     def evaluate_v(self, r: np.ndarray) -> np.ndarray:
-        with PROFILER.timer("Bspline-v"):
+        with METRICS.scope("Bspline-v"):
             _, d = self._dists(r)
             return np.exp(-self.zetas * d)
 
     def evaluate_vgl(self, r: np.ndarray):
-        with PROFILER.timer("Bspline-vgh"):
+        with METRICS.scope("Bspline-vgh"):
             dr, d = self._dists(r)
             v = np.exp(-self.zetas * d)
             u = dr / d[:, None]

@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.lattice.cell import CrystalLattice
 from repro.lint.hot import hot_kernel
-from repro.profiling.profiler import PROFILER
+from repro.metrics.registry import METRICS
 from repro.splines.bspline3d import BSpline3D
 
 
@@ -34,19 +34,19 @@ class BsplineSPOSet:
 
     def evaluate_v(self, r: np.ndarray) -> np.ndarray:
         """Orbital values at r (the ratio-only path) — Bspline-v."""
-        with PROFILER.timer("Bspline-v"):
+        with METRICS.scope("Bspline-v"):
             if self.layout == "soa":
                 return self.spline.multi_v(r)[: self.norb]
             return self.spline.ref_v(r)[: self.norb]
 
     def evaluate_vgl(self, r: np.ndarray):
         """(values, gradients, laplacians) at r — Bspline-vgh + SPO-vgl."""
-        with PROFILER.timer("Bspline-vgh"):
+        with METRICS.scope("Bspline-vgh"):
             if self.layout == "soa":
                 v, g, h = self.spline.multi_vgh(r)
             else:
                 v, g, h = self.spline.ref_vgh(r)
-        with PROFILER.timer("SPO-vgl"):
+        with METRICS.scope("SPO-vgl"):
             lap = np.trace(h, axis1=1, axis2=2)
         return v[: self.norb], g[: self.norb], lap[: self.norb]
 
@@ -99,12 +99,12 @@ class PlaneWaveSPOSet:
         return np.array(out[:norb])
 
     def evaluate_v(self, r: np.ndarray) -> np.ndarray:
-        with PROFILER.timer("Bspline-v"):
+        with METRICS.scope("Bspline-v"):
             phase = self.gvecs @ np.asarray(r, dtype=np.float64)
             return np.where(self.is_cos, np.cos(phase), np.sin(phase))
 
     def evaluate_vgl(self, r: np.ndarray):
-        with PROFILER.timer("Bspline-vgh"):
+        with METRICS.scope("Bspline-vgh"):
             phase = self.gvecs @ np.asarray(r, dtype=np.float64)
             cosp, sinp = np.cos(phase), np.sin(phase)
             v = np.where(self.is_cos, cosp, sinp)

@@ -115,3 +115,30 @@ class TestDriverUnderJax:
         assert 0.0 < b.acceptance_ratio <= 1.0
         el = np.asarray(b.batch.local_energy)
         assert np.all(np.isfinite(el))
+
+    def test_sweep_fallback_is_counted_once_per_plan(self, monkeypatch):
+        """A component set the whole-sweep jit does not understand runs
+        the per-step pipeline — and says so, once per plan."""
+        from repro.batched import BatchedCrowdDriver, JastrowSystemSpec
+        from repro.metrics.registry import METRICS
+        monkeypatch.setattr(
+            "repro.backend.jax_sweep_host.build_sweep_payload",
+            lambda plan: None)
+        drv = BatchedCrowdDriver(JastrowSystemSpec(n=8, seed=5), 3, 17,
+                                 backend="jax")
+        was_enabled = METRICS.enabled
+        METRICS.reset()
+        METRICS.enable()
+        try:
+            drv.sweep()
+            drv.sweep()
+            snap = METRICS.snapshot()
+        finally:
+            METRICS.enabled = was_enabled
+            METRICS.reset()
+
+        def fallbacks(node):
+            return (node.get("counters", {}).get("jax_sweep_fallback", 0)
+                    + sum(fallbacks(c) for c in node.get("children", ())))
+        assert sum(fallbacks(s) for s in snap["scopes"]) == 1
+        assert 0.0 < drv.acceptance_ratio <= 1.0

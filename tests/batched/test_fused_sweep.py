@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from repro.batched import BatchedCrowdDriver, JastrowSystemSpec
 from repro.batched.reference import loop_limited_drift, use_loop_sweep
 from repro.batched.sweep import SweepWorkspace, limited_drift
+from repro.output.stream import StreamSet, TraceReader
 from repro.parallel.crowds import ParallelCrowdDriver
 
 SEED = 42
@@ -73,6 +74,30 @@ class TestFusedSweepBitwise:
         for name in fused.estimators.names():
             np.testing.assert_array_equal(fused.estimators.series(name),
                                           loop.estimators.series(name))
+
+    def test_streamed_run_traces_bitwise(self, flavor, use_drift, tmp_path):
+        """Streaming observes, never perturbs: a run that writes the
+        per-generation binary trace and feeds the online reblocker walks
+        the trajectory of the in-memory run, and the file holds it."""
+        spec = JastrowSystemSpec(n=16, seed=7, aa_flavor=flavor)
+        plain = BatchedCrowdDriver(spec, W, SEED, use_drift=use_drift)
+        streamed = BatchedCrowdDriver(spec, W, SEED, use_drift=use_drift)
+        trace = str(tmp_path / "run.trace")
+        with StreamSet(trace_path=trace) as streams:
+            rb = streamed.run(4, streams=streams)
+        ra = plain.run(4, streams=None)
+        assert ra.energies == rb.energies
+        assert ra.acceptance == rb.acceptance
+        assert np.array_equal(plain.batch.R, streamed.batch.R)
+        for name in plain.estimators.names():
+            np.testing.assert_array_equal(plain.estimators.series(name),
+                                          streamed.estimators.series(name))
+        with TraceReader(trace) as reader:
+            steps, rows = reader.read_all()
+        assert steps.tolist() == [1, 2, 3, 4]
+        assert [float(np.mean(r["local_energy"])) for r in rows] \
+            == rb.energies
+        assert rb.online is not None and ra.online is None
 
 
 class TestFusedSweepSurface:

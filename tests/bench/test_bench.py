@@ -7,8 +7,9 @@ import pytest
 
 from repro.bench.compare import compare_artifacts
 from repro.bench.compare import main as compare_main
-from repro.bench.runner import run_suite, write_artifact
-from repro.bench.suite import SUITES
+from repro.bench.runner import KINDS, run_suite, write_artifact
+from repro.bench.suite import SUITES, BenchCase
+from repro.metrics.profile import PAPER_CATEGORIES
 from repro.metrics.schema import BENCH_SCHEMA_VERSION, validate_artifact
 
 
@@ -42,17 +43,20 @@ def test_cli_writes_schema_valid_artifact(tmp_path, monkeypatch):
 
 def test_smoke_doc_has_ref_and_optimized_hotspots(smoke_doc):
     assert validate_artifact(smoke_doc) == []
+    assert {wl["kind"] for wl in smoke_doc["workloads"]} == {
+        "nlpp", "spline_memory", "sweep"}
     by_name = {wl["name"]: wl for wl in smoke_doc["workloads"]}
-    system = by_name["Graphite-x0.0625"]
-    assert set(system["versions"]) == {"ref", "current"}
-    # the acceptance criterion: hotspot fractions for Ref vs optimized
-    for entry in system["versions"].values():
+    nlpp = by_name["nlpp-NiO32-x0.125"]
+    assert set(nlpp["versions"]) == {"scalar", "batched"}
+    # hotspot fractions for the reference vs the optimized engine, in
+    # the paper's categories, summing to the whole run
+    for entry in nlpp["versions"].values():
         assert entry["hotspots"]
+        assert set(entry["hotspots"]) <= set(PAPER_CATEGORIES)
         assert abs(sum(entry["hotspots"].values()) - 1.0) < 1e-6
         assert entry["peak_walker_bytes"] > 0
-    batched = by_name["jastrow-N12-W4"]
-    assert set(batched["versions"]) == {"ref", "batched"}
-    assert batched["speedups"]["batched_over_ref"] > 0
+    assert nlpp["versions"]["batched"]["hotspots"]["NLPP"] > 0
+    assert nlpp["speedups"]["batched_over_scalar"] > 0
 
 
 def test_write_artifact_refuses_invalid_doc(tmp_path, smoke_doc):
@@ -64,36 +68,29 @@ def test_write_artifact_refuses_invalid_doc(tmp_path, smoke_doc):
 
 def test_validator_flags_malformed_entries(smoke_doc):
     bad = copy.deepcopy(smoke_doc)
-    entry = bad["workloads"][0]["versions"]["ref"]
+    entry = bad["workloads"][0]["versions"]["scalar"]
     entry["throughput"] = -1.0
     entry["hotspots"]["J2"] = 1.5
+    bad["workloads"][1]["kind"] = "system"  # a kind the table dropped
     errors = validate_artifact(bad)
     assert any("throughput" in e for e in errors)
     assert any("hotspots" in e for e in errors)
+    assert any("kind" in e for e in errors)
 
 
 def test_suites_are_well_formed():
+    assert set(SUITES) == {"quick", "smoke", "backend", "spline"}
     for name, cases in SUITES.items():
         assert cases, name
         for case in cases:
-            assert case.kind in ("system", "batched", "parallel", "nlpp",
-                                 "streaming", "backend", "spline_memory",
-                                 "sweep")
+            assert case.kind in KINDS
             assert case.versions
-            if case.kind in ("parallel", "spline_memory"):
+            if case.kind == "spline_memory":
                 assert case.workers
-
-
-def test_parallel_case_in_smoke_doc(smoke_doc):
-    by_name = {wl["name"]: wl for wl in smoke_doc["workloads"]}
-    wl = by_name["crowds-N8-W4"]
-    assert wl["kind"] == "parallel"
-    # the serial count always runs; higher counts obey the CPU guard
-    assert "serial" in wl["versions"]
-    assert set(wl["versions"]) | set(wl["skipped"]) == {"serial", "w1"}
-    assert wl["trace_bitwise_identical"]
-    for entry in wl["versions"].values():
-        assert entry["throughput"] > 0
+    # the quick suite (the committed baseline) exercises every kind
+    assert {case.kind for case in SUITES["quick"]} == set(KINDS)
+    with pytest.raises(ValueError, match="unknown bench kind"):
+        BenchCase(name="x", kind="system", versions=("ref",))
 
 
 def test_spline_memory_case_in_smoke_doc(smoke_doc):
@@ -122,18 +119,6 @@ def test_sweep_case_in_smoke_doc(smoke_doc):
     assert wl["versions"]["fused"]["dispatches_per_sweep"] == 1
     assert wl["versions"]["loop"]["dispatches_per_electron"] >= 10
     assert wl["speedups"]["fused_over_loop"] > 0
-
-
-def test_streaming_case_in_smoke_doc(smoke_doc):
-    by_name = {wl["name"]: wl for wl in smoke_doc["workloads"]}
-    wl = by_name["streaming-N12-W4"]
-    assert wl["kind"] == "streaming"
-    assert set(wl["versions"]) == {"memory", "streaming"}
-    # the runner itself asserts bitwise energy parity; here we only need
-    # the overhead ratio to have been measured and be positive
-    assert wl["speedups"]["streaming_over_memory"] > 0
-    for entry in wl["versions"].values():
-        assert entry["throughput"] > 0
 
 
 # -- regression gate ----------------------------------------------------------
@@ -166,7 +151,7 @@ def test_compare_fails_on_collapsed_speedup(smoke_doc):
 
 def test_compare_fails_on_hotspot_upheaval(smoke_doc):
     shifted = copy.deepcopy(smoke_doc)
-    entry = shifted["workloads"][0]["versions"]["ref"]
+    entry = shifted["workloads"][0]["versions"]["scalar"]
     top = max(entry["hotspots"], key=entry["hotspots"].get)
     entry["hotspots"][top] = 0.0
     checks = compare_artifacts(smoke_doc, shifted)
@@ -208,37 +193,48 @@ def test_compare_missing_workload_is_a_regression(smoke_doc):
 def test_compare_speedup_floor_gate(smoke_doc):
     base = copy.deepcopy(smoke_doc)
     for wl in base["workloads"]:
-        if wl["kind"] == "parallel":
-            wl["speedup_floors"] = {"w4_over_serial": 2.5}
+        if wl["kind"] == "sweep":
+            wl["speedup_floors"] = {"fused_over_loop": 1.15,
+                                    "jax_over_loop": 0.5}
     assert validate_artifact(base) == []
-    # candidate without the measured speedup: ok by default (CPU guard),
-    # a regression under enforce_floors — unless the candidate *declared*
-    # the skip in its workload's ``skipped`` list
-    checks = compare_artifacts(base, smoke_doc)
-    floor_checks = [c for c in checks if "floor/w4_over_serial" in c.label]
-    assert floor_checks and all(c.ok for c in floor_checks)
-    undeclared = copy.deepcopy(smoke_doc)
-    for wl in undeclared["workloads"]:
-        wl.pop("skipped", None)
-    strict = compare_artifacts(base, undeclared, enforce_floors=True)
-    assert any(not c.ok and "floor/" in c.label for c in strict)
+
+    def floors(checks, name):
+        return [c for c in checks if f"floor/{name}" in c.label]
+
+    # the smoke run measured no jax leg: ok by default, a regression
+    # under enforce_floors — unless the candidate *declared* that very
+    # leg in its workload's ``skipped`` list
+    assert all(c.ok for c in floors(compare_artifacts(base, smoke_doc),
+                                    "jax_over_loop"))
+    strict = compare_artifacts(base, smoke_doc, enforce_floors=True)
+    assert not any(c.ok for c in floors(strict, "jax_over_loop"))
     declared = copy.deepcopy(smoke_doc)
     for wl in declared["workloads"]:
-        if wl["kind"] == "parallel":
-            wl["skipped"] = ["w4"]
+        if wl["kind"] == "sweep":
+            wl["skipped"] = ["jax"]
     excused = compare_artifacts(base, declared, enforce_floors=True)
-    assert all(c.ok for c in excused if "floor/" in c.label)
+    assert all(c.ok for c in floors(excused, "jax_over_loop"))
+    # a declared skip of *another* leg excuses nothing: a candidate that
+    # lost fused_over_loop fails even though it says skipped: ["jax"]
+    lost = copy.deepcopy(declared)
+    for wl in lost["workloads"]:
+        if wl["kind"] == "sweep":
+            del wl["speedups"]["fused_over_loop"]
+    assert all(c.ok for c in floors(compare_artifacts(base, lost),
+                                    "fused_over_loop"))
+    strict = compare_artifacts(base, lost, enforce_floors=True)
+    assert not any(c.ok for c in floors(strict, "fused_over_loop"))
     # candidate carrying the speedup must meet the floor outright
     meets = copy.deepcopy(smoke_doc)
     misses = copy.deepcopy(smoke_doc)
-    for doc, value in ((meets, 3.1), (misses, 1.2)):
+    for doc, value in ((meets, 3.1), (misses, 1.01)):
         for wl in doc["workloads"]:
-            if wl["kind"] == "parallel":
-                wl["speedups"]["w4_over_serial"] = value
-    assert all(c.ok for c in compare_artifacts(base, meets)
-               if "floor/" in c.label)
-    assert any(not c.ok and "floor/" in c.label
-               for c in compare_artifacts(base, misses))
+            if wl["kind"] == "sweep":
+                wl["speedups"]["fused_over_loop"] = value
+    assert all(c.ok for c in floors(compare_artifacts(base, meets),
+                                    "fused_over_loop"))
+    assert not any(c.ok for c in floors(compare_artifacts(base, misses),
+                                        "fused_over_loop"))
 
 
 def test_compare_cli_exit_codes(tmp_path, smoke_doc):

@@ -17,7 +17,6 @@ from repro.hamiltonian.local_energy import Hamiltonian
 from repro.hamiltonian.terms import KineticEnergy
 from repro.lattice.cell import CrystalLattice
 from repro.particles.particleset import ParticleSet
-from repro.profiling.profiler import PROFILER
 from repro.wavefunction.trialwf import TrialWaveFunction
 
 L = 4.0

@@ -42,7 +42,7 @@ class TestPackage:
                     "repro.wavefunction", "repro.hamiltonian",
                     "repro.drivers", "repro.precision", "repro.workloads",
                     "repro.miniapps", "repro.parallel", "repro.perfmodel",
-                    "repro.profiling", "repro.memory", "repro.stats",
+                    "repro.metrics", "repro.memory", "repro.stats",
                     "repro.estimators", "repro.optimize", "repro.input",
                     "repro.output"):
             importlib.import_module(mod)
