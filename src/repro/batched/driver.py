@@ -201,13 +201,11 @@ class BatchedCrowdDriver(GenerationLoop):
         self._evaluate_gl()
         el = self.ham.evaluate(self.batch, self.tables, self.G, self.L)
         self.batch.local_energy[...] = el
-        comps = self.ham.last_components
-        for w in range(self.nw):
-            weight = float(self.batch.weight[w])
-            self.estimators.accumulate("LocalEnergy", float(el[w]), weight)
-            for name in self.ham.names:
-                self.estimators.accumulate(name, float(comps[name][w]),
-                                           weight)
+        weights = self.batch.weight
+        self.estimators.accumulate_block("LocalEnergy", el, weights)
+        for name in self.ham.names:
+            self.estimators.accumulate_block(
+                name, self.ham.last_components[name], weights)
         return el
 
     # -- one generation ---------------------------------------------------------------

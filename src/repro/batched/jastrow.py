@@ -24,12 +24,13 @@ differential suite):
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.backend import active
-from repro.distances.base import BIG_DISTANCE
+from repro.jastrow import vp
 from repro.jastrow.functor import BsplineFunctor
 from repro.lint.hot import hot_kernel
 from repro.metrics.registry import METRICS
@@ -56,8 +57,8 @@ class BatchedTwoBodyJastrow:
         self.n = int(n)
         self.group_slices = group_slices
         self.functors = {}
-        for (gi, gj), f in functors.items():
-            self.functors[(min(gi, gj), max(gi, gj))] = f
+        for gi, gj in sorted(functors):
+            self.functors[(min(gi, gj), max(gi, gj))] = functors[(gi, gj)]
         self.group_of = np.empty(n, dtype=np.int64)
         for g, s in group_slices:
             self.group_of[s] = g
@@ -191,39 +192,18 @@ class BatchedTwoBodyJastrow:
         """Ratio-only J2 over a crowd-wide virtual-particle slab.
 
         ``owners_w[m]`` / ``owners_k[m]`` name the walker and electron
-        owning virtual position ``positions[m]``.  One fresh ``(Nvp, n)``
-        distance recompute in accumulation precision (with the table's
-        policy downcast, as ``move`` performs), owner-group functor sums,
-        and ``u_old`` from the stored row blocks; nothing is written.
+        owning virtual position ``positions[m]``.  Fresh rows against
+        each owner walker's canonical (accumulation-precision) positions
+        through :func:`repro.jastrow.vp.ratios_vp`, ``u_old`` from the
+        stored row blocks; nothing is written.
         """
         with METRICS.scope("J2"):
             table = tables[self.table_index]
-            owners_w = np.asarray(owners_w)
-            owners_k = np.asarray(owners_k)
-            pos = np.asarray(positions, dtype=np.float64)  # repro: noqa R002
-            nvp = len(pos)
-            disp64 = batch.R[owners_w] - pos[:, None, :]
-            if table.lattice.periodic:
-                disp64 = table.lattice.min_image_disp(disp64)
-            d64 = np.sqrt(np.sum(np.square(disp64), axis=-1))
-            d64[np.arange(nvp), owners_k] = BIG_DISTANCE
-            dists = d64.astype(table.dtype)
-            u_new = np.zeros(nvp)
-            owner_groups = self.group_of[owners_k]
-            for gk in np.unique(owner_groups):
-                sel = np.nonzero(owner_groups == gk)[0]
-                for g, s in self.group_slices:
-                    f = self.functor_for(int(gk), g)
-                    u_new[sel] += np.sum(f.evaluate_v(dists[sel][:, s]),
-                                         axis=-1)
-            u_old = np.empty(nvp)
-            for k in np.unique(owners_k):
-                row_sum = self._rows_v(table.dist_rows(int(k)), int(k))
-                sel = owners_k == k
-                u_old[sel] = row_sum[owners_w[sel]]
-            OPS.record("J2", flops=10.0 * self.n * nvp,
-                       rbytes=8.0 * self.n * nvp, wbytes=8.0 * nvp)
-            return np.exp(-(u_new - u_old))
+            return vp.ratios_vp(
+                "J2", table.lattice, table.dtype, owners_w, owners_k,
+                positions, source=lambda w: batch.R[w].T,
+                stored_rows=lambda ws, ks: table.distances[ws, ks, : self.n],
+                row_sums=partial(vp.j2_row_sums, self), mask_self=True)
 
 
 @hot_kernel
@@ -240,14 +220,15 @@ class BatchedOneBodyJastrow:
         self.nions = self.ion_species_ids.size
         self.functors = dict(functors)
         self.table_index = table_index
-        self._species_masks = {
-            g: np.where(self.ion_species_ids == g)[0]
-            for g in self.functors
-        }
+        #: (species id, ion indices) in ascending species order — the
+        #: pinned visit order of every per-species accumulation
+        self.species_masks = tuple(
+            (g, np.where(self.ion_species_ids == g)[0])
+            for g in sorted(self.functors))
 
     def _rows_v(self, rows_r: np.ndarray) -> np.ndarray:
         total = np.zeros(self.nw)
-        for g, idx in self._species_masks.items():
+        for g, idx in self.species_masks:
             f = self.functors[g]
             total += np.sum(f.evaluate_v(rows_r[:, idx]), axis=-1)
         OPS.record("J1", flops=10.0 * self.nw * self.nions,
@@ -258,7 +239,7 @@ class BatchedOneBodyJastrow:
         u_sum = np.zeros(self.nw)
         grad = np.zeros((self.nw, 3))
         lap = np.zeros(self.nw)
-        for g, idx in self._species_masks.items():
+        for g, idx in self.species_masks:
             f = self.functors[g]
             r = rows_r[:, idx]
             u, du, d2u = f.evaluate_vgl(r)
@@ -343,29 +324,15 @@ class BatchedOneBodyJastrow:
 
     def ratios_vp(self, batch, tables, owners_w, owners_k,
                   positions) -> np.ndarray:
-        """Ratio-only J1 over a crowd-wide virtual-particle slab: one
-        ``(Nvp, nions)`` distance recompute against the shared fixed
-        ions, per-species functor sums, ``u_old`` from the stored rows."""
+        """Ratio-only J1 over a crowd-wide virtual-particle slab: fresh
+        rows against the shared fixed ions through
+        :func:`repro.jastrow.vp.ratios_vp`, ``u_old`` from the stored
+        rows."""
         with METRICS.scope("J1"):
             table = tables[self.table_index]
-            owners_w = np.asarray(owners_w)
-            owners_k = np.asarray(owners_k)
-            pos = np.asarray(positions, dtype=np.float64)  # repro: noqa R002
-            nvp = len(pos)
-            disp64 = table._src_soa.T[None, :, :] - pos[:, None, :]
-            if table.lattice.periodic:
-                disp64 = table.lattice.min_image_disp(disp64)
-            dists = np.sqrt(np.sum(np.square(disp64), axis=-1)).astype(
-                table.dtype)
-            u_new = np.zeros(nvp)
-            for g, idx in self._species_masks.items():
-                f = self.functors[g]
-                u_new += np.sum(f.evaluate_v(dists[:, idx]), axis=-1)
-            u_old = np.empty(nvp)
-            for k in np.unique(owners_k):
-                row_sum = self._rows_v(table.dist_rows(int(k)))
-                sel = owners_k == k
-                u_old[sel] = row_sum[owners_w[sel]]
-            OPS.record("J1", flops=10.0 * self.nions * nvp,
-                       rbytes=8.0 * self.nions * nvp, wbytes=8.0 * nvp)
-            return np.exp(-(u_new - u_old))
+            nions = self.nions
+            return vp.ratios_vp(
+                "J1", table.lattice, table.dtype, owners_w, owners_k,
+                positions, source=lambda w: table._src_soa,
+                stored_rows=lambda ws, ks: table.distances[ws, ks, :nions],
+                row_sums=partial(vp.j1_row_sums, self), mask_self=False)

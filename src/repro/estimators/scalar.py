@@ -69,6 +69,16 @@ class EstimatorManager:
         self._samples.setdefault(name, []).append(float(value))
         self._weights.setdefault(name, []).append(float(weight))
 
+    def accumulate_block(self, name: str, values: np.ndarray,
+                         weights: np.ndarray) -> None:
+        """Record one sample per walker of a named scalar, in walker
+        order — ``accumulate`` over ``zip(values, weights)`` in one
+        append."""
+        if np.any(np.asarray(weights) < 0):
+            raise ValueError("weight must be non-negative")
+        self._samples.setdefault(name, []).extend(map(float, values))
+        self._weights.setdefault(name, []).extend(map(float, weights))
+
     def accumulate_many(self, values: Dict[str, float],
                         weight: float = 1.0) -> None:
         for name, v in values.items():

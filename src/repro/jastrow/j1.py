@@ -12,10 +12,12 @@ disp(k->I) = R_I - r_k.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Dict
 
 import numpy as np
 
+from repro.jastrow import vp
 from repro.jastrow.functor import BsplineFunctor
 from repro.lint.hot import hot_kernel
 from repro.metrics.registry import METRICS
@@ -35,12 +37,12 @@ class _J1Base:
         self.functors = dict(functors)
         self.table_index = table_index
         # Pre-resolved per-ion functor list for the scalar path, and
-        # per-species index masks for the vector path.
+        # (species id, ion indices) in ascending species order for the
+        # vector path — the pinned visit order of every accumulation.
         self._ion_functors = [self.functors[g] for g in self.ion_species_ids]
-        self._species_masks = {
-            g: np.where(self.ion_species_ids == g)[0]
-            for g in self.functors
-        }
+        self.species_masks = tuple(
+            (g, np.where(self.ion_species_ids == g)[0])
+            for g in sorted(self.functors))
 
 
 @hot_kernel
@@ -49,7 +51,7 @@ class OneBodyJastrowOtf(_J1Base):
 
     def _row_v(self, row_r: np.ndarray) -> float:
         total = 0.0
-        for g, idx in self._species_masks.items():
+        for g, idx in self.species_masks:
             f = self.functors[g]
             total += float(np.sum(f.evaluate_v(row_r[idx])))
         OPS.record("J1", flops=10.0 * self.nions, rbytes=8.0 * self.nions,
@@ -60,7 +62,7 @@ class OneBodyJastrowOtf(_J1Base):
         u_sum = 0.0
         grad = np.zeros(3)
         lap = 0.0
-        for g, idx in self._species_masks.items():
+        for g, idx in self.species_masks:
             f = self.functors[g]
             r = row_r[idx]
             u, du, d2u = f.evaluate_vgl(r)
@@ -128,31 +130,18 @@ class OneBodyJastrowOtf(_J1Base):
             return math.exp(-(u_new - u_old))
 
     def ratios_vp(self, P, owners, positions) -> np.ndarray:
-        """Vectorized :meth:`ratio_at` over a virtual-particle slab: one
-        ``(Nvp, nions)`` distance recompute, per-species functor sums, and
-        ``u_old`` cached per unique owner electron."""
+        """Vectorized :meth:`ratio_at` over a virtual-particle slab
+        through :func:`repro.jastrow.vp.ratios_vp` (one walker: one
+        tile)."""
         with METRICS.scope("J1"):
             table = P.distance_tables[self.table_index]
-            owners = np.asarray(owners)
-            pos = np.asarray(positions, dtype=np.float64)  # repro: noqa R002
-            disp64 = (np.asarray(table.source.R, dtype=np.float64)[None, :, :]  # repro: noqa R002
-                      - pos[:, None, :])
-            if table.lattice.periodic:
-                disp64 = table.lattice.min_image_disp(disp64)
-            dists = np.sqrt(np.sum(np.square(disp64), axis=-1)).astype(
-                getattr(table, "dtype", np.float64))
-            u_new = np.zeros(len(pos))
-            for g, idx in self._species_masks.items():
-                f = self.functors[g]
-                u_new += np.sum(f.evaluate_v(dists[:, idx]), axis=1)
-            u_old = np.empty(len(pos))
-            for k in np.unique(owners):
-                u_k = self._row_v(table.dist_row_array(int(k))[: self.nions])
-                u_old[owners == k] = u_k
-            OPS.record("J1", flops=10.0 * self.nions * len(pos),
-                       rbytes=8.0 * self.nions * len(pos),
-                       wbytes=8.0 * len(pos))
-            return np.exp(-(u_new - u_old))
+            return vp.ratios_vp(
+                "J1", table.lattice, getattr(table, "dtype", np.float64),
+                np.zeros(len(owners), dtype=np.intp), owners, positions,
+                source=lambda w: table.source.R.T,
+                stored_rows=lambda ws, ks: np.stack(
+                    [table.dist_row_array(int(k))[: self.nions] for k in ks]),
+                row_sums=partial(vp.j1_row_sums, self), mask_self=False)
 
     def accept_move(self, P, k: int) -> None:
         pass  # stateless

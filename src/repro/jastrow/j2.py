@@ -14,11 +14,13 @@ where disp(i->j) = r_j - r_i is the distance-table convention.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.distances.base import BIG_DISTANCE
+from repro.jastrow import vp
 from repro.jastrow.functor import BsplineFunctor
 from repro.lint.hot import hot_kernel
 from repro.metrics.registry import METRICS
@@ -149,37 +151,18 @@ class TwoBodyJastrowOtf(_J2Base):
             return math.exp(-(u_new - u_old))
 
     def ratios_vp(self, P, owners, positions) -> np.ndarray:
-        """Vectorized :meth:`ratio_at` over a virtual-particle slab: one
-        ``(Nvp, N)`` distance recompute, owner-group-resolved functor
-        sums, and ``u_old`` cached per unique owner electron."""
+        """Vectorized :meth:`ratio_at` over a virtual-particle slab
+        through :func:`repro.jastrow.vp.ratios_vp` (one walker: one
+        tile)."""
         with METRICS.scope("J2"):
             table = P.distance_tables[self.table_index]
-            owners = np.asarray(owners)
-            pos = np.asarray(positions, dtype=np.float64)  # repro: noqa R002
-            disp64 = (np.asarray(P.R, dtype=np.float64)[None, :, :]  # repro: noqa R002
-                      - pos[:, None, :])
-            if table.lattice.periodic:
-                disp64 = table.lattice.min_image_disp(disp64)
-            d64 = np.sqrt(np.sum(np.square(disp64), axis=-1))
-            d64[np.arange(len(owners)), owners] = BIG_DISTANCE
-            dists = d64.astype(getattr(table, "dtype", np.float64))
-            u_new = np.zeros(len(owners))
-            owner_groups = self.group_of[owners]
-            for gk in np.unique(owner_groups):
-                rows = np.nonzero(owner_groups == gk)[0]
-                for g, s in self.group_slices:
-                    f = self.functor_for(int(gk), g)
-                    u_new[rows] += np.sum(
-                        f.evaluate_v(dists[rows][:, s]), axis=1)
-            u_old = np.empty(len(owners))
-            for k in np.unique(owners):
-                u_k = self._row_v(table.dist_row_array(int(k))[: self.n],
-                                  int(k))
-                u_old[owners == k] = u_k
-            OPS.record("J2", flops=10.0 * self.n * len(owners),
-                       rbytes=8.0 * self.n * len(owners),
-                       wbytes=8.0 * len(owners))
-            return np.exp(-(u_new - u_old))
+            return vp.ratios_vp(
+                "J2", table.lattice, getattr(table, "dtype", np.float64),
+                np.zeros(len(owners), dtype=np.intp), owners, positions,
+                source=lambda w: P.R.T,
+                stored_rows=lambda ws, ks: np.stack(
+                    [table.dist_row_array(int(k))[: self.n] for k in ks]),
+                row_sums=partial(vp.j2_row_sums, self), mask_self=True)
 
     def accept_move(self, P, k: int) -> None:
         self._cache.pop(k, None)  # stateless: nothing else to update

@@ -42,6 +42,11 @@ class CrystalLattice:
         # Orthogonal cells admit the exact fast rounding path; skewed
         # cells need the neighbor-image refinement (see min_image_disp).
         self.orthogonal = bool(np.allclose(a - np.diag(np.diag(a)), 0.0))
+        # Exactly diagonal cells (every catalog workload) reduce the SoA
+        # minimum image to one scale / rint / scale per axis.
+        offdiag = ~np.eye(3, dtype=bool)
+        self._diagonal = bool(np.all(a[offdiag] == 0.0)
+                              and np.all(self.inverse[offdiag] == 0.0))
         if not self.orthogonal:
             ij = np.mgrid[-1:2, -1:2, -1:2].reshape(3, -1).T
             self._image_shifts = ij.astype(np.float64) @ a
@@ -125,6 +130,51 @@ class CrystalLattice:
         idx = np.argmin(d2, axis=-1)
         return np.take_along_axis(
             cand, idx[..., None, None], axis=-2).squeeze(-2)
+
+    def min_image_soa(self, dx: np.ndarray, dy: np.ndarray,
+                      dz: np.ndarray) -> None:
+        """:meth:`min_image_disp` on SoA components, in place.
+
+        ``dx``/``dy``/``dz`` are same-shape float64 component blocks and
+        are overwritten with the minimum-image displacement; scratch is
+        a small constant number of blocks of that shape, never a
+        ``(..., 3)`` or ``(..., 27, 3)`` array.  On an exactly diagonal
+        cell each axis is scale / ``rint`` / scale, bitwise the
+        ``min_image_disp`` result (its GEMMs only add exact zeros).
+        Otherwise the fractional transform is written out per component
+        and, on a skewed cell, the 27 neighbor images are scanned one
+        shift at a time, keeping the first shortest candidate exactly as
+        ``argmin`` does.
+        """
+        if not self.periodic:
+            return
+        comps = (dx, dy, dz)
+        if self._diagonal:
+            for c, comp in enumerate(comps):
+                comp *= self.inverse[c, c]
+                comp -= np.rint(comp)
+                comp *= self.axes[c, c]
+            return
+        inv, ax = self.inverse, self.axes
+        frac = [dx * inv[0, j] + dy * inv[1, j] + dz * inv[2, j]
+                for j in range(3)]
+        for s in frac:
+            s -= np.rint(s)
+        for j, comp in enumerate(comps):
+            comp[...] = frac[0] * ax[0, j] + frac[1] * ax[1, j] \
+                + frac[2] * ax[2, j]
+        if self.orthogonal:
+            return
+        del frac  # the scan's scratch bound counts live blocks
+        base = [comp.copy() for comp in comps]
+        best2 = np.full(dx.shape, np.inf)
+        for shift in self._image_shifts:
+            cand = [b + sc for b, sc in zip(base, shift)]
+            c2 = cand[0] * cand[0] + cand[1] * cand[1] + cand[2] * cand[2]
+            closer = c2 < best2
+            np.copyto(best2, c2, where=closer)
+            for comp, cnd in zip(comps, cand):
+                np.copyto(comp, cnd, where=closer)
 
     def min_image_dist(self, dr: np.ndarray) -> np.ndarray:
         """Minimum-image distances for displacement(s) ``dr`` of shape (..., 3)."""

@@ -783,11 +783,9 @@ class ParallelCrowdDriver(GenerationLoop):  # repro: cold
         wt = self._trace.weight
         comps = self._trace.components
         for s in range(le.shape[0]):
-            for w in range(le.shape[1]):
-                weight = float(wt[s, w])
-                est.accumulate("LocalEnergy", float(le[s, w]), weight)
-                for i, name in enumerate(self._ham_names):
-                    est.accumulate(name, float(comps[s, w, i]), weight)
+            est.accumulate_block("LocalEnergy", le[s], wt[s])
+            for i, name in enumerate(self._ham_names):
+                est.accumulate_block(name, comps[s, :, i], wt[s])
         return est
 
     # -- lifecycle ---------------------------------------------------------------

@@ -47,6 +47,21 @@ class TestEstimatorManager:
         with pytest.raises(ValueError):
             em.accumulate("x", 1.0, weight=-1.0)
 
+    def test_accumulate_block_equals_per_sample_accumulate(self):
+        values = np.array([1.5, -2.0, 3.25])
+        weights = np.array([1.0, 0.0, 2.5])
+        block, loop = EstimatorManager(), EstimatorManager()
+        block.accumulate("x", 9.0, 1.0)
+        loop.accumulate("x", 9.0, 1.0)
+        block.accumulate_block("x", values, weights)
+        for v, w in zip(values, weights):
+            loop.accumulate("x", float(v), float(w))
+        assert block._samples == loop._samples
+        assert block._weights == loop._weights
+        with pytest.raises(ValueError):
+            block.accumulate_block("x", values, np.array([1.0, -1.0, 1.0]))
+        assert block._samples == loop._samples  # nothing appended
+
     def test_accumulate_many_and_names(self):
         em = EstimatorManager()
         em.accumulate_many({"a": 1.0, "b": 2.0})
