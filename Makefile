@@ -4,8 +4,8 @@ PYTHON ?= python
 BENCH_OUT ?= /tmp/repro-bench
 
 .PHONY: install test test-fast lint lint-strict lint-baseline check loc bench \
-	bench-check bench-e2e bench-backend bench-spline bench-figures \
-	check-backends restart-check report examples clean
+	bench-check bench-e2e bench-spline bench-figures \
+	restart-check report examples clean
 
 LINT_BASELINE = benchmarks/baselines/lint_baseline.json
 
@@ -26,7 +26,7 @@ lint:
 # findings absent from the committed baseline (CI's lint-strict job).
 lint-strict:
 	PYTHONPATH=src $(PYTHON) -m repro.lint src/ benchmarks/ \
-		--select R001,R002,R003,R004,R005,R006,R007,R008,R009,R010,R011,R012 \
+		--select R001,R002,R003,R004,R005,R006,R007,R008,R009,R010,R012 \
 		--baseline $(LINT_BASELINE)
 
 # Regenerate the grandfathered-findings baseline (review the diff!).
@@ -34,13 +34,10 @@ lint-baseline:
 	PYTHONPATH=src $(PYTHON) -m repro.lint src/ benchmarks/ \
 		--write-baseline $(LINT_BASELINE)
 
-# lint + tier-1 tests.  Optional-dependency targets are NOT included:
-# run `make bench-check` before perf-sensitive PRs, and `make
-# check-backends` when touching backend kernels (its jax parity legs
-# only run where jax is installed — see docs/backends.md).
+# lint + tier-1 tests.  Run `make bench-check` before perf-sensitive PRs.
 check: lint test
 
-# Python line counts of the package and its tests — ROADMAP item 4 wants
+# Python line counts of the package and its tests — ROADMAP item 8 wants
 # the trend visible; CI's tier-1 job prints it on every run.
 loc:
 	@printf 'src/repro %s\ntests     %s\n' \
@@ -54,8 +51,7 @@ bench:
 
 # Regression gate: quick suite vs the committed baseline artifact.
 # --enforce-floors makes a speedup_floors entry (e.g. the >=3x batched
-# NLPP win) that the candidate failed to measure a failure, not a skip;
-# only a leg the candidate declared skipped (jax absent) is excused.
+# NLPP win) that the candidate failed to measure a failure, not a skip.
 bench-check: bench
 	PYTHONPATH=src $(PYTHON) -m repro.bench.compare \
 		benchmarks/baselines/baseline.json $(BENCH_OUT)/BENCH_local.json \
@@ -68,35 +64,12 @@ bench-e2e:
 	mkdir -p $(BENCH_OUT)
 	$(PYTHON) benchmarks/e2e/run.py --out $(BENCH_OUT)/e2e.json
 
-# Kernel-backend micro-benchmarks (docs/backends.md): every registered
-# hot kernel timed under numpy and, when importable, jax, on the two
-# workload-shaped cases.  On jax-less hosts the jax leg is declared in
-# the artifact's `skipped` list instead of failing.
-bench-backend:
-	PYTHONPATH=src REPRO_METRICS=1 $(PYTHON) -m repro.bench \
-		--suite backend --tag backend --out $(BENCH_OUT)
-
 # Shared-slab + tiled-vgh suite (docs/spline_memory.md): flat vs
 # tile-blocked 3D vgh (bitwise-asserted, tiled_over_flat floor) plus
 # forked per-worker RSS with a private table copy vs one SharedCoefSlab.
 bench-spline:
 	PYTHONPATH=src REPRO_METRICS=1 $(PYTHON) -m repro.bench \
 		--suite spline --tag spline --out $(BENCH_OUT)
-
-# Backend-parity gate, the local mirror of CI's backend-parity job:
-# the backend suite plus the batched differential suite under each
-# *available* backend (REPRO_BACKEND routes the kernels; the batched
-# conftest skips bitwise-only classes for non-exact backends).
-check-backends:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/backend/ -x -q
-	PYTHONPATH=src REPRO_BACKEND=numpy $(PYTHON) -m pytest \
-		tests/batched/ -x -q
-	@PYTHONPATH=src $(PYTHON) -c "from repro.backend import available_backends; \
-		import sys; sys.exit(0 if 'jax' in available_backends() else 3)" \
-		&& PYTHONPATH=src REPRO_BACKEND=jax $(PYTHON) -m pytest \
-			tests/backend/ tests/batched/ -x -q \
-		|| { [ $$? -eq 3 ] && echo "jax not installed - jax leg skipped" \
-			"(pip install -r requirements-ci-jax.txt)"; }
 
 # Kill-and-restart parity battery with the runtime sanitizers armed:
 # byte-identical traces + bit-identical online error bars after a

@@ -1,14 +1,27 @@
-"""The reference NumPy kernel backend — bitwise-identical to the code it
-was extracted from.
+"""The kernel class: the hot array math behind one seam.
 
-Every method here is the pre-backend implementation of its kernel,
-moved verbatim (op for op, in the same order) out of
+Every method named in :data:`repro.backend.base.KERNEL_NAMES` is a pure
+function of plain array (plus a read-only ``CrystalLattice``) arguments,
+returning fresh arrays, with zero driver or walker state threaded
+through.  Two contracts the class — and any proxy substituted for it
+through ``repro.backend.use_backend`` — must honor:
+
+* **Purity** — kernels never mutate their inputs and never touch global
+  state; all bookkeeping (OPS/METRICS records, padded-storage writes,
+  precision-policy downcasts) stays at the call site.  Sole sanctioned
+  exception: the ``sweep_step``/``sweep_run`` *pipeline kernels*, which
+  take a host-side :class:`repro.batched.sweep.SweepPlan` and commit
+  accepted moves into its batch/tables — see their docstrings.
+* **Boundary types** — inputs arrive as NumPy arrays; call sites coerce
+  results with ``np.asarray`` / ``float``.
+
+Every method is the pre-seam implementation of its kernel, moved
+verbatim (op for op, in the same order) out of
 ``repro.batched.distances`` / ``repro.batched.spo`` /
 ``repro.jastrow.functor`` / ``repro.splines.cubic1d`` /
-``repro.determinant.dirac`` / ``repro.batched.driver``.  That verbatim
-extraction is what lets this backend declare ``exact_match = True``:
-``REPRO_BACKEND=numpy`` (and the default) must reproduce current traces
-bit for bit, and the restart/differential suites gate exactly that.
+``repro.determinant.dirac`` / ``repro.batched.driver``, so traces are
+reproduced bit for bit and the restart/differential suites gate exactly
+that.
 
 Keep it boring.  Any "improvement" to an expression here that changes
 its floating-point op sequence is a determinism regression, not a
@@ -22,7 +35,6 @@ import math
 
 import numpy as np
 
-from repro.backend.base import KernelBackend
 from repro.distances.base import BIG_DISTANCE
 
 # 1D segment basis (Horner form) and the 3D stencil basis — imported
@@ -39,16 +51,27 @@ def _weight_rows3(u: np.ndarray):
             np.matmul(_d2A3, pu[:, :, None])[:, :, 0])
 
 
-class NumpyBackend(KernelBackend):
-    """Bitwise-exact NumPy implementation of every registered kernel."""
+class NumpyBackend:
+    """NumPy implementation of every name in ``KERNEL_NAMES``.
 
-    name = "numpy"
-    exact_match = True
+    Shapes below use W = walkers, n = particles of the table, ns = fixed
+    sources (ions), m = orbitals, Nvp = virtual-particle slab length.
+    Every kernel computes in float64 whatever the storage dtype of its
+    inputs (Sec. 7.2: accumulation precision is fixed at the kernel
+    boundary) — the reason for the ``noqa R002`` marks below.
+    """
 
     # -- distance kernels ----------------------------------------------------------
     def aa_row(self, soa, rk, lattice, self_index=-1):
+        """Distances/displacements from each walker's center ``rk[w]``
+        to that walker's own particles.
+
+        ``soa`` is (W, 3, n), ``rk`` (W, 3); returns ``(r, dr)`` of
+        shapes (W, n) and (W, 3, n) in accumulation precision, with row
+        ``self_index`` masked to (BIG_DISTANCE, 0) when >= 0.
+        """
         nw, _, n = soa.shape
-        dr64 = np.empty((nw, 3, n), dtype=np.float64)
+        dr64 = np.empty((nw, 3, n), dtype=np.float64)  # repro: noqa R002
         for d in range(3):
             dr64[:, d] = soa[:, d] - rk[:, d, None]
         if lattice.periodic:
@@ -63,9 +86,12 @@ class NumpyBackend(KernelBackend):
         return r, dr64
 
     def ab_row(self, src_soa, rk, lattice):
+        """Distances/displacements from each walker's center ``rk[w]``
+        to the shared fixed sources ``src_soa`` (3, ns); returns
+        ``(r, dr)`` of shapes (W, ns) and (W, 3, ns)."""
         nw = rk.shape[0]
         ns = src_soa.shape[1]
-        dr64 = np.empty((nw, 3, ns), dtype=np.float64)
+        dr64 = np.empty((nw, 3, ns), dtype=np.float64)  # repro: noqa R002
         for d in range(3):
             dr64[:, d] = src_soa[d][None, :] - rk[:, d, None]
         if lattice.periodic:
@@ -76,6 +102,9 @@ class NumpyBackend(KernelBackend):
         return r, dr64
 
     def aa_pairs(self, R, lattice):
+        """All-pairs AA table from canonical positions ``R`` (W, n, 3);
+        returns ``(dist, disp)`` of shapes (W, n, n) and (W, n, 3, n)
+        with the self diagonal masked to (BIG_DISTANCE, 0)."""
         n = R.shape[1]
         dr = R[:, None, :, :] - R[:, :, None, :]  # dr[w, k, i] = r_i - r_k
         if lattice.periodic:
@@ -88,6 +117,9 @@ class NumpyBackend(KernelBackend):
         return dist, disp
 
     def ab_pairs(self, src_R, R, lattice):
+        """All-pairs AB table: sources ``src_R`` (ns, 3) vs ``R``
+        (W, nt, 3); returns ``(dist, disp)`` of shapes (W, nt, ns) and
+        (W, nt, 3, ns)."""
         # dr[w, k, I] = R_I - r_k, matching the per-walker AB convention.
         dr = src_R[None, None, :, :] - R[:, :, None, :]
         if lattice.periodic:
@@ -97,7 +129,10 @@ class NumpyBackend(KernelBackend):
 
     # -- Jastrow functor kernels -----------------------------------------------------
     def functor_v(self, coefs, x0, h, nintervals, rcut, r):
-        r = np.asarray(r, dtype=np.float64)
+        """Cutoff 1D B-spline functor value u(r): zero at/beyond
+        ``rcut``, elementwise Horner inside.  ``r`` is any shape; the
+        result matches it."""
+        r = np.asarray(r, dtype=np.float64)  # repro: noqa R002
         mask = r < rcut
         out = np.zeros_like(r)
         if np.any(mask):
@@ -105,7 +140,9 @@ class NumpyBackend(KernelBackend):
         return out
 
     def functor_vgl(self, coefs, x0, h, nintervals, rcut, r):
-        r = np.asarray(r, dtype=np.float64)
+        """(u, du/dr, d2u/dr2) of the cutoff functor, each zero at or
+        beyond ``rcut``."""
+        r = np.asarray(r, dtype=np.float64)  # repro: noqa R002
         mask = r < rcut
         u = np.zeros_like(r)
         du = np.zeros_like(r)
@@ -120,12 +157,13 @@ class NumpyBackend(KernelBackend):
 
     # -- raw 1D spline kernels (elementwise Horner) ----------------------------------
     def _locate1(self, x0, h, nintervals, r):
-        t = (np.asarray(r, dtype=np.float64) - x0) / h
+        t = (np.asarray(r, dtype=np.float64) - x0) / h  # repro: noqa R002
         i = np.clip(np.floor(t).astype(np.int64), 0, nintervals - 1)
         u = t - i
         return i, u
 
     def bspline1d_v(self, coefs, x0, h, nintervals, r):
+        """Uncut 1D cubic B-spline values at ``r`` (1-D array)."""
         i, u = self._locate1(x0, h, nintervals, r)
         v = np.zeros_like(u)
         for k in range(4):
@@ -135,6 +173,7 @@ class NumpyBackend(KernelBackend):
         return v
 
     def bspline1d_vgl(self, coefs, x0, h, nintervals, r):
+        """(value, d/dr, d2/dr2) of the uncut 1D spline at ``r``."""
         i, u = self._locate1(x0, h, nintervals, r)
         v = np.zeros_like(u)
         dv = np.zeros_like(u)
@@ -153,9 +192,9 @@ class NumpyBackend(KernelBackend):
 
     # -- 3D B-spline SPO kernels -----------------------------------------------------
     def _locate3(self, cell_inverse, dims, r):
-        frac = np.asarray(r, dtype=np.float64) @ cell_inverse
+        frac = np.asarray(r, dtype=np.float64) @ cell_inverse  # repro: noqa R002
         frac = frac - np.floor(frac)
-        dimsf = np.array(dims, dtype=np.float64)
+        dimsf = np.array(dims, dtype=np.float64)  # repro: noqa R002
         t = frac * dimsf
         i = np.minimum(t.astype(np.int64), (dimsf - 1).astype(np.int64))
         u = t - i
@@ -171,9 +210,12 @@ class NumpyBackend(KernelBackend):
             i[:, 1, None, None, None] + o[None, :, None],
             i[:, 2, None, None, None] + o[None, None, :],
         ]
-        return blocks.astype(np.float64, copy=False)
+        return blocks.astype(np.float64, copy=False)  # repro: noqa R002
 
     def spline3d_v(self, coefs, cell_inverse, dims, r):
+        """All-orbital values at W points: ``coefs`` is the padded
+        (nx+3, ny+3, nz+3, m) table, ``dims`` = (nx, ny, nz), ``r``
+        (W, 3) Cartesian; returns (W, m) in accumulation precision."""
         i, u = self._locate3(cell_inverse, dims, r)
         ax, _, _ = _weight_rows3(u[:, 0])
         by, _, _ = _weight_rows3(u[:, 1])
@@ -182,6 +224,7 @@ class NumpyBackend(KernelBackend):
         return np.einsum("wi,wj,wk,wijkm->wm", ax, by, cz, blocks)
 
     def spline3d_vgl(self, coefs, cell_inverse, dims, r):
+        """(v (W, m), g (W, m, 3), lap (W, m)) at W Cartesian points."""
         nw = r.shape[0]
         norb = coefs.shape[-1]
         nx, ny, nz = dims
@@ -216,7 +259,9 @@ class NumpyBackend(KernelBackend):
         return v, g, lap
 
     def spline3d_vgh_tiled(self, coefs, cell_inverse, dims, r, tile):
-        """Tile-blocked vgh: one neighborhood walk per orbital tile.
+        """Tile-blocked value-grad-Hessian: (v (W, m), g (W, m, 3),
+        h (W, m, 3, 3)) at W Cartesian points, one neighborhood walk
+        per tile of ``tile`` orbitals.
 
         The ten per-channel contractions of the flat path each stream
         the gathered (W, 4, 4, 4, m) blocks once; here the ten channel
@@ -282,22 +327,32 @@ class NumpyBackend(KernelBackend):
 
     # -- determinant ratio kernels ---------------------------------------------------
     def det_ratio(self, phi, ainv_col):
+        """Sherman-Morrison row ratio phi . A^-1[:, i] — a scalar."""
         return float(phi @ ainv_col)
 
     def det_ratios_vp(self, phi, ainv_cols):
+        """Slab of row ratios: ``phi`` (Nvp, nel) against the gathered
+        columns ``ainv_cols`` (nel, Nvp); returns (Nvp,)."""
         return np.einsum("mj,jm->m", phi, ainv_cols)
 
     # -- fused accept/reject ---------------------------------------------------------
     def exp_rows(self, x):
-        """Per-walker libm exp — bitwise-matches the scalar path's
-        math.exp (np.exp's SIMD path strays by 1 ulp on a few percent of
-        arguments, enough to flip a Metropolis comparison)."""
+        """Per-walker libm exp of a (W,) vector — bitwise-matches the
+        scalar path's math.exp (np.exp's SIMD path strays by 1 ulp on a
+        few percent of arguments, enough to flip a Metropolis
+        comparison)."""
         out = np.empty_like(x)
         for w in range(x.shape[0]):
             out[w] = math.exp(x[w])
         return out
 
     def accept_mask(self, rho, log_t, uniforms):
+        """Fused Metropolis decision for the whole crowd.
+
+        ``A = min(1, rho^2 * exp(log_t))`` (``log_t is None`` for the
+        no-drift walk), accepted where ``uniforms < A`` and ``rho != 0``;
+        returns the (W,) boolean mask.
+        """
         if log_t is None:
             A = np.minimum(1.0, rho * rho)
         else:
@@ -305,23 +360,38 @@ class NumpyBackend(KernelBackend):
         return (uniforms < A) & (rho != 0.0)
 
     # -- fused sweep pipeline --------------------------------------------------------
-    # The reference fused implementation lives in repro.batched.sweep
-    # (the op-for-op extraction of the pre-fusion loop body).  The scope
-    # push routes the table/functor/exp_rows kernels the pipeline calls
-    # internally through *this* backend regardless of the ambient
-    # thread-local state.  The import is deferred: repro.batched.sweep
-    # is driver-layer code the registry must not pull in at backend
-    # construction time.
+    # ``sweep_step``/``sweep_run`` are *pipeline kernels* — the one
+    # sanctioned exception to the purity contract above.  They take a
+    # host-side :class:`repro.batched.sweep.SweepPlan` instead of plain
+    # arrays and COMMIT accepted moves into its batch and tables; that
+    # mutation is the pipeline's entire point (one seam crossing replaces
+    # the ~14 per-electron kernel dispatches the driver used to issue).
+    # Everything else still holds: no global state, all randoms are
+    # drawn host-side into the plan's workspace before the call, and the
+    # accept/reject sequence is bitwise the reference loop's
+    # (``repro.batched.reference.loop_sweep``).  The implementation lives
+    # in repro.batched.sweep (the op-for-op extraction of the pre-fusion
+    # loop body); the import is deferred because that is driver-layer
+    # code this module must not pull in at import time.
 
     def sweep_step(self, plan, k):
+        """One whole Metropolis move of electron ``k`` across the crowd:
+        propose -> table move -> ratio/ratio_grad product -> drift limit
+        -> log T -> accept_mask -> commit.  Consumes ``plan.workspace``'s
+        pre-drawn ``chi_all[:, k]`` / ``uniforms[:, k]``, mutates the
+        plan's batch/tables, and returns the (W,) boolean accept mask.
+        """
         from repro.batched.sweep import fused_sweep_step
-        with self.scope():
-            return fused_sweep_step(self, plan, k)
+        return fused_sweep_step(self, plan, k)
 
     def sweep_run(self, plan):
+        """One whole particle-by-particle sweep (all ``plan.n``
+        electrons) looping over the :meth:`sweep_step` body.  Returns
+        ``(accepts_per_walker, accepted_total)`` — a fresh (W,) int64
+        array and a Python int.
+        """
         from repro.batched.sweep import fused_sweep_run
-        with self.scope():
-            return fused_sweep_run(self, plan)
+        return fused_sweep_run(self, plan)
 
 
 def flat_spline3d_vgh(coefs, cell_inverse, dims, r):

@@ -29,7 +29,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.backend import get_backend
+from repro.backend import active
 from repro.batched.sanitize import BatchedSanitizerSuite
 from repro.batched.sweep import SweepPlan, SweepWorkspace
 from repro.batched.system import JastrowSystemSpec, walker_streams
@@ -60,14 +60,9 @@ class BatchedCrowdDriver(GenerationLoop):
                  use_drift: bool = True,
                  precision: PrecisionPolicy = FULL,
                  batch: Optional[WalkerBatch] = None,
-                 rngs: Optional[List[np.random.Generator]] = None,
-                 backend=None):
+                 rngs: Optional[List[np.random.Generator]] = None):
         self.spec = spec
         self.master_seed = int(master_seed)
-        # Kernel backend: a name ("numpy"/"jax"), a KernelBackend
-        # instance, or None for REPRO_BACKEND-then-default resolution.
-        # Every driver entry point activates it for its own thread scope.
-        self.backend = get_backend(backend)
         self.nw = int(nwalkers)
         self.n = spec.n
         self.tau = float(timestep)
@@ -115,16 +110,15 @@ class BatchedCrowdDriver(GenerationLoop):
         # Fused-sweep state (docs/sweep_fusion.md): one workspace of
         # per-sweep/per-move scratch allocated here and reused for the
         # driver's whole lifetime, and one plan bundling everything a
-        # backend sweep_run call needs.
+        # sweep_run call needs.
         self._workspace = SweepWorkspace(self.nw, self.n)
         self._plan = SweepPlan(self.batch, self.tables, self.components,
                                self._workspace, tau=self.tau,
                                drift_cap=self.DRIFT_CAP,
                                use_drift=self.use_drift)
-        with self.backend.scope():
-            for t in self.tables:
-                t.evaluate(self.batch)
-            self.batch.logpsi[...] = self._evaluate_log()
+        for t in self.tables:
+            t.evaluate(self.batch)
+        self.batch.logpsi[...] = self._evaluate_log()
 
     # -- wavefunction over components ---------------------------------------------
     def _evaluate_log(self) -> np.ndarray:
@@ -144,11 +138,11 @@ class BatchedCrowdDriver(GenerationLoop):
     # -- the fused sweep -----------------------------------------------------------
     def sweep(self) -> int:
         """One PbyP pass: W walkers advance electron k together."""
-        with self.backend.scope(), METRICS.scope("sweep"):
+        with METRICS.scope("sweep"):
             return self._sweep()
 
     def _sweep(self) -> int:
-        """Fused sweep: one ``sweep_run`` backend call for the whole
+        """Fused sweep: one ``sweep_run`` kernel call for the whole
         PbyP pass (docs/sweep_fusion.md).
 
         The randoms are drawn host-side into the standing workspace with
@@ -162,7 +156,7 @@ class BatchedCrowdDriver(GenerationLoop):
         plan.workspace.fill(self.rngs, plan.sqrt_tau)
         plan.move_log = self.move_log
         plan.sanitizers = self.sanitizers
-        accepts, accepted_total = self.backend.sweep_run(plan)
+        accepts, accepted_total = active().sweep_run(plan)
         self.last_sweep_accepts = np.asarray(accepts, dtype=np.int64)
         self.n_accept += accepted_total
         self.n_moves += self.n * self.nw
@@ -175,21 +169,20 @@ class BatchedCrowdDriver(GenerationLoop):
         writer (the DMC branch commit of the process-parallel crowds)
         rewrites positions behind the driver's back.  Estimators are not
         touched.  Returns the refreshed per-walker local energies."""
-        with self.backend.scope():
-            self.batch.sync_soa()
-            for t in self.tables:
-                with METRICS.scope(t.category):
-                    t.evaluate(self.batch)
-            self.batch.logpsi[...] = self._evaluate_log()
-            el = self.ham.evaluate(self.batch, self.tables, self.G, self.L)
-            self.batch.local_energy[...] = el
-            return el
+        self.batch.sync_soa()
+        for t in self.tables:
+            with METRICS.scope(t.category):
+                t.evaluate(self.batch)
+        self.batch.logpsi[...] = self._evaluate_log()
+        el = self.ham.evaluate(self.batch, self.tables, self.G, self.L)
+        self.batch.local_energy[...] = el
+        return el
 
     # -- measurement ----------------------------------------------------------------
     def measure(self) -> np.ndarray:
         """Refresh tables from scratch and evaluate E_L per walker —
         the batched ``store_walker``."""
-        with self.backend.scope(), METRICS.scope("measure"):
+        with METRICS.scope("measure"):
             return self._measure()
 
     def _measure(self) -> np.ndarray:
@@ -236,10 +229,9 @@ class BatchedCrowdDriver(GenerationLoop):
         """Setup E_L through the path :meth:`measure` uses (estimators
         untouched), so a respawn reproduces checkpointed values bitwise."""
         self.key_rotations(serial)
-        with self.backend.scope():
-            self._evaluate_gl()
-            self.batch.local_energy[...] = self.ham.evaluate(
-                self.batch, self.tables, self.G, self.L)
+        self._evaluate_gl()
+        self.batch.local_energy[...] = self.ham.evaluate(
+            self.batch, self.tables, self.G, self.L)
 
     def run_generation(self, step: int, e_trial: Optional[float] = None
                        ) -> Tuple[np.ndarray, np.ndarray]:
@@ -251,8 +243,7 @@ class BatchedCrowdDriver(GenerationLoop):
         batch = self.batch
         if e_trial is None:
             if self.precision.should_recompute(step):
-                with self.backend.scope():
-                    batch.logpsi[...] = self._evaluate_log()
+                batch.logpsi[...] = self._evaluate_log()
         else:
             if self._stale:
                 self.key_rotations(step - 1)

@@ -38,8 +38,8 @@ from repro.perfmodel.opcount import OPS
 
 
 def exp_rows(x: np.ndarray) -> np.ndarray:
-    """Per-walker exp via the active backend (the exact backend uses a
-    libm loop that bitwise-matches the scalar path's math.exp)."""
+    """Per-walker exp via the kernel seam (a libm loop that
+    bitwise-matches the scalar path's math.exp)."""
     return np.asarray(active().exp_rows(x))
 
 

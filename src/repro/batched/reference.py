@@ -21,6 +21,7 @@ from typing import List
 
 import numpy as np
 
+from repro.backend import active
 from repro.batched.system import JastrowSystemSpec, walker_streams
 from repro.drivers.base import QMCDriverBase
 from repro.hamiltonian.nlpp import NonLocalPP, QuadratureRotations
@@ -139,7 +140,7 @@ def loop_limited_drift(drv, g: np.ndarray) -> np.ndarray:
 
 def loop_sweep(drv) -> int:  # repro: hot
     """One PbyP pass of a :class:`BatchedCrowdDriver` as the per-electron
-    loop it was before fusion, retained verbatim: ~14 backend dispatches
+    loop it was before fusion, retained verbatim: ~14 kernel dispatches
     per electron where the fused pipeline makes one per sweep."""
     batch = drv.batch
     tau = drv.tau
@@ -174,7 +175,7 @@ def loop_sweep(drv) -> int:  # repro: hot
             rho = _ratio(drv, k)
             log_t = None
         acc = np.asarray(
-            drv.backend.accept_mask(  # repro: noqa R012
+            active().accept_mask(  # repro: noqa R012
                 rho, log_t, uniforms[:, k]))
         if drv.move_log is not None:
             drv.move_log.append(acc.copy())

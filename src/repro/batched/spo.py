@@ -49,8 +49,8 @@ def batched_multi_vgh(spline: BSpline3D, r: np.ndarray, tile: int = 64):
     This is the batched generalization of the per-walker
     ``TiledBSpline3D`` path: each walker's 4x4x4 neighborhood is walked
     once per tile of ``tile`` orbitals for all ten derivative channels.
-    On the numpy backend the result is bitwise independent of ``tile``
-    and bitwise equal to :func:`batched_multi_vgh_flat`.
+    The result is bitwise independent of ``tile`` and bitwise equal to
+    :func:`batched_multi_vgh_flat`.
     """
     nw = r.shape[0]
     v, g, h = active().spline3d_vgh_tiled(

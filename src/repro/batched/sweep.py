@@ -9,7 +9,7 @@ pipeline" redesign).  This module packages one whole Metropolis move —
 propose → table move → ratio/ratio_grad product → drift limit → log T →
 accept_mask → commit — as data (:class:`SweepPlan` + the preallocated
 :class:`SweepWorkspace`) plus the bitwise reference implementation the
-``numpy`` backend dispatches to, so the driver makes **one** backend
+kernel class dispatches to, so the driver makes **one** kernel
 call per electron (``sweep_step``) or per sweep (``sweep_run``) instead.
 
 Bitwise contract: :func:`fused_sweep_step` is an op-for-op extraction of
@@ -93,11 +93,11 @@ class SweepWorkspace:
 
 
 class SweepPlan:
-    """Everything one backend sweep call needs, bundled once per driver.
+    """Everything one sweep kernel call needs, bundled once per driver.
 
-    The sweep kernels are the registry's one documented departure from
+    The sweep kernels are the seam's one documented departure from
     the pure array-in/array-out contract (see
-    :mod:`repro.backend.base`): they receive this host-side plan and
+    :mod:`repro.backend.numpy_backend`): they receive this host-side plan and
     *commit* accepted moves into its batch and tables — that mutation is
     the pipeline's whole point.  All fields except ``move_log`` and
     ``sanitizers`` are fixed at driver construction; those two are
@@ -107,7 +107,7 @@ class SweepPlan:
 
     __slots__ = ("batch", "tables", "components", "workspace", "tau",
                  "sqrt_tau", "use_drift", "drift_cap", "n", "nw",
-                 "move_log", "sanitizers", "u_olds", "_jax_payload")
+                 "move_log", "sanitizers", "u_olds")
 
     def __init__(self, batch, tables, components, workspace: SweepWorkspace,
                  tau: float, drift_cap: float, use_drift: bool,
@@ -127,8 +127,6 @@ class SweepPlan:
         #: per-component old-row value sums of the move in flight
         #: (written by ``_fused_grad``, read by ``_fused_ratio_grad``)
         self.u_olds = [None] * len(components)
-        #: lazily built device-side constants of a jitting backend
-        self._jax_payload = None
 
 
 def limited_drift(tau: float, drift_cap: float, g: np.ndarray,
@@ -198,8 +196,7 @@ def fused_sweep_step(backend, plan: SweepPlan, k: int) -> np.ndarray:
     table move → ratio/ratio_grad product → drift limit → log T →
     accept_mask → commit, mutating the plan's batch/tables and returning
     the (W,) accept mask.  ``backend`` supplies ``accept_mask``; the
-    table and component kernels dispatch through the active-backend
-    scope the caller holds open.
+    table and component kernels dispatch through ``active()``.
     """
     batch = plan.batch
     ws = plan.workspace

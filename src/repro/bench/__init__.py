@@ -1,7 +1,7 @@
 """repro.bench — machine-readable performance trajectory.
 
 ``python -m repro.bench`` runs a suite of isolated speedup guards (NLPP
-engine, kernel backends, fused sweep, tiled splines) and emits a
+engine, fused sweep, tiled splines) and emits a
 schema-validated ``BENCH_<tag>.json`` artifact; ``python -m
 repro.bench.compare`` diffs two artifacts with per-metric tolerance
 bands and exits nonzero on regression.  End-to-end and per-layer numbers

@@ -21,11 +21,7 @@ Three metric families, three bands:
   ``speedup_floors`` object (e.g. ``{"fused_over_loop": 1.15}``); a
   candidate that *measured* the named speedup must meet the floor
   outright.  A candidate missing it passes by default;
-  ``--enforce-floors`` makes absence itself a regression, except when
-  the candidate workload *reported* one of that speedup's own legs
-  (``A_over_B`` names them) in its ``skipped`` list — the backend and
-  sweep cases' optional-dependency guard on hosts without jax.  A
-  declared skip of some other leg excuses nothing.
+  ``--enforce-floors`` makes absence itself a regression.
 
 A workload or version present in the baseline but missing from the
 candidate is itself a regression (the suite silently lost coverage)
@@ -121,22 +117,10 @@ def compare_artifacts(baseline: dict, candidate: dict,
         for sname, floor in wl.get("speedup_floors", {}).items():
             cand_speedup = cand_wl.get("speedups", {}).get(sname)
             if cand_speedup is None:
-                # A floor whose own leg (``A_over_B`` names both) the
-                # runner *reported* skipping — the optional-dependency
-                # guard on hosts without jax — is excused even under
-                # --enforce-floors: the host could not measure it and
-                # said so.  Any other declared skip excuses nothing.
-                skipped = [leg for leg in sname.split("_over_")
-                           if leg in (cand_wl.get("skipped") or ())]
-                if skipped:
-                    detail = f"not measured (skipped: {', '.join(skipped)})"
-                elif enforce_floors:
-                    detail = "floor speedup missing from candidate"
-                else:
-                    detail = "not measured"
+                detail = ("floor speedup missing from candidate"
+                          if enforce_floors else "not measured")
                 checks.append(Check(f"{name}/floor/{sname}", floor, 0.0,
-                                    detail,
-                                    ok=bool(skipped) or not enforce_floors))
+                                    detail, ok=not enforce_floors))
                 continue
             checks.append(Check(
                 f"{name}/floor/{sname}", floor, cand_speedup,
@@ -184,8 +168,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="missing workloads/versions are not regressions")
     parser.add_argument("--enforce-floors", action="store_true",
                         help="a speedup_floors entry the candidate did not "
-                             "measure is itself a regression, unless it "
-                             "declared one of that speedup's legs skipped")
+                             "measure is itself a regression")
     args = parser.parse_args(argv)
     try:
         baseline = _load(args.baseline)

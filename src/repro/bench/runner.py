@@ -1,10 +1,10 @@
 """Execute a bench suite and assemble the BENCH artifact document.
 
-Every kind puts one question to two or three *legs* — two engines, two
-code paths, two backends on identical inputs — and answers it the same
-way, so that sequence is written once, in :func:`_measure`.  A kind is a
-small function that supplies its legs, its exactness predicate and its
-extras; :data:`KINDS` is the one table of them.  With the global metrics
+Every kind puts one question to two *legs* — two engines or two code
+paths on identical inputs — and answers it the same way, so that
+sequence is written once, in :func:`_measure`.  A kind is a small
+function that supplies its legs, its exactness predicate and its extras;
+:data:`KINDS` is the one table of them.  With the global metrics
 registry armed (``REPRO_METRICS=1``) the artifact also embeds the scope
 tree of the whole suite run.
 """
@@ -14,10 +14,10 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence
 
 from repro.bench.fingerprint import host_fingerprint
-from repro.metrics.profile import PROFILE_CATEGORIES, HotspotProfile
+from repro.metrics.profile import HotspotProfile
 from repro.metrics.registry import METRICS
 from repro.metrics.schema import BENCH_SCHEMA_VERSION, validate_artifact
 
@@ -36,35 +36,29 @@ def _version_entry(prof: HotspotProfile, work: float, steps: int,
     }
 
 
-def _measure(case: BenchCase, legs: Dict[str, Optional[Callable[[], object]]],
+def _measure(case: BenchCase, legs: Dict[str, Callable[[], object]],
              *, work: float, steps: int, reps: int, walker_bytes: float,
              speedups: Sequence[str],
-             check: Optional[Callable[[Dict[str, object]], None]] = None,
-             categories: Iterable[str] = PROFILE_CATEGORIES) -> dict:
+             check: Callable[[Dict[str, object]], None]) -> dict:
     """The measurement sequence every kind shares.
 
     ``legs`` maps version labels to callables running one repetition
-    (``work`` walker-steps in ``steps`` steps); a ``None`` leg is one the
-    host cannot run and lands in ``skipped``.  Each leg first runs once
-    untimed (jit compilation, page faults) and ``check`` gets those
-    results by label: it raises when the kind's exactness contract is
-    broken, so a silently wrong fast path fails the bench before
-    anything is timed.  Then ``reps`` rounds run the legs interleaved
-    (host drift hits all equally), each repetition under
-    ``METRICS.profile_run``; the fastest one's time and profile are kept.
-    ``speedups`` names ``A_over_B`` pairs (B's time over A's, where both
-    ran); ``case.floor`` gates the first.
+    (``work`` walker-steps in ``steps`` steps).  Each leg first runs once
+    untimed (page faults, lazy setup) and ``check`` gets those results
+    by label: it raises when the kind's exactness contract is broken, so
+    a silently wrong fast path fails the bench before anything is timed.
+    Then ``reps`` rounds run the legs interleaved (host drift hits all
+    equally), each repetition under ``METRICS.profile_run``; the fastest
+    one's time and profile are kept.
+    ``speedups`` names ``A_over_B`` pairs (B's time over A's);
+    ``case.floor`` gates the first.
     """
-    skipped = [label for label, leg in legs.items() if leg is None]
-    legs = {label: leg for label, leg in legs.items() if leg is not None}
     warm = {label: leg() for label, leg in legs.items()}
-    if check is not None:
-        check(warm)
+    check(warm)
     best: Dict[str, HotspotProfile] = {}
     for _ in range(reps):
         for label, leg in legs.items():
-            with METRICS.profile_run(label, f"{case.name}/{label}",
-                                     categories) as prof:
+            with METRICS.profile_run(label, f"{case.name}/{label}") as prof:
                 leg()
             if label not in best or prof.total < best[label].total:
                 best[label] = prof
@@ -72,24 +66,14 @@ def _measure(case: BenchCase, legs: Dict[str, Optional[Callable[[], object]]],
         "name": case.name, "kind": case.kind, "steps": case.steps,
         "versions": {label: _version_entry(prof, work, steps, walker_bytes)
                      for label, prof in best.items()},
-        "speedups": {}, "skipped": skipped,
+        "speedups": {},
     }
     for name in speedups:
         fast, slow = name.split("_over_")
-        if fast in best and slow in best:
-            out["speedups"][name] = best[slow].total / best[fast].total
+        out["speedups"][name] = best[slow].total / best[fast].total
     if case.floor > 0:
         out["speedup_floors"] = {speedups[0]: float(case.floor)}
     return out
-
-
-def _or_skip(leg: Callable, label: str):
-    """``leg(label)``, or None when the host lacks the optional backend."""
-    from repro.backend import BackendUnavailableError
-    try:
-        return leg(label)
-    except BackendUnavailableError:
-        return None
 
 
 def _system_walker_bytes(parts, precision) -> int:
@@ -157,139 +141,18 @@ def run_nlpp_case(case: BenchCase) -> dict:
     return out
 
 
-#: kernels timed by the ``backend`` bench kind — the array-shaped subset
-#: of repro.backend.base.KERNEL_NAMES (the scalar det_ratio and the 1D
-#: value-only kernel are dominated by call overhead, not kernel work)
-_BACKEND_BENCH_KERNELS = (
-    "aa_row", "ab_row", "aa_pairs", "ab_pairs", "functor_v", "functor_vgl",
-    "bspline1d_vgl", "spline3d_v", "spline3d_vgl", "det_ratios_vp",
-    "exp_rows", "accept_mask",
-)
-
-
-def _backend_kernel_inputs(n: int, nwalkers: int, seed: int):
-    """Workload-shaped inputs for every benched kernel.
-
-    Sizes mirror the batched driver's call sites: W walkers of n
-    electrons in a cubic cell scaled to roughly constant density, with
-    n/4 ions, n/2 orbitals and a Jastrow cutoff inside the cell.
-    Returns ``(inputs, input_bytes)``.
-    """
-    import numpy as np
-
-    from repro.jastrow.functor import BsplineFunctor
-    from repro.lattice.cell import CrystalLattice
-    from repro.splines.bspline3d import BSpline3D
-
-    rng = np.random.default_rng(seed)
-    W = nwalkers
-    a = 6.0 * (n / 32.0) ** (1.0 / 3.0)
-    lattice = CrystalLattice.cubic(a)
-    ns = max(4, n // 4)
-    norb = max(4, n // 2)
-    nvp = 12
-    f = BsplineFunctor.from_shape(rcut=min(2.5, 0.45 * a), cusp=-0.25)
-    s = f.spline
-    sp = BSpline3D.fit(rng.normal(size=(8, 8, 8, norb)),
-                       np.linalg.inv(np.eye(3) * a), dtype=np.float64)
-    soa = rng.uniform(0, a, (W, 3, n))
-    rk = rng.uniform(0, a, (W, 3))
-    inputs = {
-        "aa_row": (soa, rk, lattice, 0),
-        "ab_row": (rng.uniform(0, a, (3, ns)), rk, lattice),
-        "aa_pairs": (rng.uniform(0, a, (W, n, 3)), lattice),
-        "ab_pairs": (rng.uniform(0, a, (ns, 3)),
-                     rng.uniform(0, a, (W, n, 3)), lattice),
-        "functor_v": (s.coefs, s.x0, s.h, s.n, f.rcut,
-                      rng.uniform(0, 1.5 * f.rcut, (W, n))),
-        "functor_vgl": (s.coefs, s.x0, s.h, s.n, f.rcut,
-                        rng.uniform(0, 1.5 * f.rcut, (W, n))),
-        "bspline1d_vgl": (s.coefs, s.x0, s.h, s.n,
-                          rng.uniform(0, f.rcut, (W * n,))),
-        "spline3d_v": (sp.coefs, sp.cell_inverse, (sp.nx, sp.ny, sp.nz),
-                       rng.uniform(0, a, (W, 3))),
-        "spline3d_vgl": (sp.coefs, sp.cell_inverse, (sp.nx, sp.ny, sp.nz),
-                         rng.uniform(0, a, (W, 3))),
-        "det_ratios_vp": (rng.normal(size=(nvp, n)),
-                          rng.normal(size=(n, nvp))),
-        "exp_rows": (rng.normal(scale=0.3, size=W),),
-        "accept_mask": (rng.normal(loc=0.9, scale=0.3, size=W),
-                        rng.normal(scale=0.3, size=W),
-                        rng.uniform(size=W)),
-    }
-    input_bytes = sum(
-        arg.nbytes for args in inputs.values() for arg in args
-        if hasattr(arg, "nbytes"))
-    return inputs, input_bytes
-
-
-def _force(out) -> None:
-    """Materialize a kernel result (drains jax's async dispatch queue the
-    same way the real call sites do: a host coercion)."""
-    import numpy as np
-    for o in out if isinstance(out, tuple) else (out,):
-        np.asarray(o)
-
-
-def run_backend_case(case: BenchCase) -> dict:
-    """Per-kernel micro-benchmarks of the kernel-backend registry.
-
-    A leg is one pass over ``_BACKEND_BENCH_KERNELS`` under one backend,
-    each kernel in a scope of its own name, so the hot-spot fractions are
-    per-kernel shares and ``jax_over_numpy`` is reported per kernel and
-    in aggregate.  A backend the host cannot construct (no jax) lands in
-    ``skipped`` and the floor is enforced where it is measured (the CI
-    jax leg).  Kernel parity itself is tier-1's (tests/backend/).
-    """
-    from repro.backend import get_backend
-
-    inputs, input_bytes = _backend_kernel_inputs(case.n, case.nwalkers,
-                                                 case.seed)
-
-    def leg(label):
-        backend = get_backend(label)
-
-        def run():
-            with backend.scope():
-                for kname in _BACKEND_BENCH_KERNELS:
-                    with METRICS.scope(kname):
-                        _force(getattr(backend, kname)(*inputs[kname]))
-        return run
-
-    legs = {label: _or_skip(leg, label) for label in case.versions}
-    nk = len(_BACKEND_BENCH_KERNELS)
-    out = _measure(case, legs, work=nk * case.nwalkers, steps=nk,
-                   reps=case.steps,
-                   walker_bytes=input_bytes / case.nwalkers,
-                   speedups=("jax_over_numpy",),
-                   categories=_BACKEND_BENCH_KERNELS)
-    v = out["versions"]
-    if "numpy" in v and "jax" in v:
-        def seconds(label, kname):
-            return v[label]["hotspots"][kname] * v[label]["total_seconds"]
-        for kname in _BACKEND_BENCH_KERNELS:
-            out["speedups"][f"jax_over_numpy:{kname}"] = (
-                seconds("numpy", kname) / seconds("jax", kname))
-    out.update(workload=case.workload, n_electrons=case.n,
-               walkers=case.nwalkers)
-    return out
-
-
 class _CountingBackend:
-    """Proxy backend that counts dispatch crossings of the kernel seam.
+    """Proxy that counts dispatch crossings of the kernel seam.
 
-    Every registered kernel method increments ``dispatches`` at call
-    depth 0 and delegates to the wrapped backend.  A delegated pipeline
-    kernel (``sweep_run``) re-scopes to the *inner* backend for its
-    body, so the fused leg counts one dispatch per sweep while the loop
-    leg counts every per-electron table/functor/exp/accept call.
+    Every kernel method increments ``dispatches`` at call depth 0 and
+    delegates to the wrapped kernel class.  Kernels a pipeline kernel
+    (``sweep_run``) calls from inside run at depth > 0, so the fused leg
+    counts one dispatch per sweep while the loop leg counts every
+    per-electron table/functor/exp/accept call.
     """
 
     def __init__(self, inner):
-        from repro.backend.base import KERNEL_NAMES
-        self._inner = inner
-        self.name = inner.name
-        self.exact_match = inner.exact_match
+        from repro.backend import KERNEL_NAMES
         self.dispatches = 0
         self._depth = 0
         for kname in KERNEL_NAMES:
@@ -306,15 +169,8 @@ class _CountingBackend:
                 self._depth -= 1
         return call
 
-    def scope(self):
-        from repro.backend.registry import _backend_scope
-        return _backend_scope(self)
 
-    def __getattr__(self, name):  # non-kernel attributes pass through
-        return getattr(self._inner, name)
-
-
-def _sweep_driver(case: BenchCase, backend: str, oracle: bool = False):
+def _sweep_driver(case: BenchCase, oracle: bool = False):
     """One batched driver for the sweep case; ``oracle=True`` rebinds
     the retained pre-fusion loop body as its sweep implementation.
 
@@ -326,7 +182,7 @@ def _sweep_driver(case: BenchCase, backend: str, oracle: bool = False):
 
     spec = JastrowSystemSpec(n=case.n, seed=7, aa_flavor="soa")
     drv = BatchedCrowdDriver(spec, case.nwalkers, case.seed,
-                             use_drift=True, backend=backend)
+                             use_drift=True)
     if oracle:
         use_loop_sweep(drv)
     return drv
@@ -335,31 +191,28 @@ def _sweep_driver(case: BenchCase, backend: str, oracle: bool = False):
 def run_sweep_case(case: BenchCase) -> dict:
     """What whole-sweep fusion buys (docs/sweep_fusion.md).
 
-    Legs: ``loop`` (the retained per-electron loop oracle, ~14 backend
-    dispatches per electron), ``fused`` (the ``sweep_run`` pipeline
-    kernel, one per sweep) and, when importable, ``jax`` (the
-    whole-sweep ``lax.fori_loop`` jit).  All start from one seed, so
-    after the warm-up the fused leg must be bitwise the loop oracle —
-    accepts, energies, positions.  Dispatches per leg are counted with a
-    proxy backend; ``floor`` gates ``fused_over_loop``.
+    Legs: ``loop`` (the retained per-electron loop oracle, ~14 kernel
+    dispatches per electron) and ``fused`` (the ``sweep_run`` pipeline
+    kernel, one per sweep).  Both start from one seed, so after the
+    warm-up the fused leg must be bitwise the loop oracle — accepts,
+    energies, positions.  Dispatches per leg are counted with a proxy
+    on the kernel seam; ``floor`` gates ``fused_over_loop``.
     """
     import numpy as np
+
+    from repro.backend import get_backend, use_backend
 
     drivers, dispatches = {}, {}
 
     def leg(label):
-        drv = drivers[label] = _sweep_driver(
-            case, "jax" if label == "jax" else "numpy",
-            oracle=(label == "loop"))
-        drv.sweep()  # jit tracing + payload staging land here
-        counting = _CountingBackend(drv.backend)
-        drv.backend = counting
-        drv.sweep()
-        drv.backend = counting._inner
+        drv = drivers[label] = _sweep_driver(case, oracle=(label == "loop"))
+        counting = _CountingBackend(get_backend())
+        with use_backend(counting):
+            drv.sweep()
         dispatches[label] = counting.dispatches
         return lambda: [drv.sweep() for _ in range(case.steps)]
 
-    legs = {label: _or_skip(leg, label) for label in case.versions}
+    legs = {label: leg(label) for label in case.versions}
 
     def check(warm):
         fused, loop = drivers["fused"], drivers["loop"]
@@ -381,7 +234,7 @@ def run_sweep_case(case: BenchCase) -> dict:
         walker_bytes=(drv.batch.R.nbytes + drv.batch.Rsoa.nbytes
                       + sum(t.storage_bytes for t in drv.tables)
                       ) / case.nwalkers,
-        speedups=("fused_over_loop", "jax_over_loop"))
+        speedups=("fused_over_loop",))
     for label, count in dispatches.items():
         out["versions"][label].update(
             dispatches_per_sweep=float(count),
@@ -545,7 +398,6 @@ def run_spline_memory_case(case: BenchCase) -> dict:
 #: :func:`run_suite` dispatches through it, the artifact schema reads it.
 KINDS: Dict[str, Callable[["BenchCase"], dict]] = {
     "nlpp": run_nlpp_case,
-    "backend": run_backend_case,
     "sweep": run_sweep_case,
     "spline_memory": run_spline_memory_case,
 }

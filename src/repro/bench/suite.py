@@ -5,8 +5,8 @@ per-figure benchmarks under ``benchmarks/`` also use (``harness.py``
 imports it from here): each keeps a pure-Python Ref run to seconds while
 preserving the workload's species mix, density and code paths.
 
-The four kinds (:data:`repro.bench.runner.KINDS`: ``nlpp``, ``backend``,
-``sweep``, ``spline_memory``) are isolated ratio guards for things the
+The three kinds (:data:`repro.bench.runner.KINDS`: ``nlpp``, ``sweep``,
+``spline_memory``) are isolated ratio guards for things the
 end-to-end benchmark (``benchmarks/e2e/``) does not see.  Each asserts
 its exactness contract in-runner before timing and gates its first
 speedup with ``floor``; the ``run_*_case`` docstrings say what the legs
@@ -37,7 +37,7 @@ class BenchCase:
     name: str
     kind: str    # a key of repro.bench.runner.KINDS
     versions: Tuple[str, ...]   # the legs, in artifact order
-    # nlpp: the workload and its scale (backend: a label only)
+    # nlpp: the workload and its scale
     workload: str = ""
     scale: float = 1.0
     # electrons (spline_memory: orbitals) and crowd size
@@ -52,7 +52,7 @@ class BenchCase:
     tile: int = 64
     grid: int = 12
     workers: int = 4
-    # nlpp, sweep: steps per repetition; backend, spline_memory: repetitions
+    # nlpp, sweep: steps per repetition; spline_memory: repetitions
     steps: int = 2
     seed: int = 21
 
@@ -68,18 +68,12 @@ QUICK_SUITE = (
               versions=("scalar", "batched"),
               workload="NiO-32", scale=BENCH_SCALE["NiO-32"],
               npoints=12, floor=3.0, steps=2),
-    BenchCase(name="backend-NiO32-N96-W8", kind="backend",
-              versions=("numpy", "jax"),
-              workload="NiO-32", n=96, nwalkers=8, steps=3, floor=0.5),
-    BenchCase(name="backend-Be64-N32-W16", kind="backend",
-              versions=("numpy", "jax"),
-              workload="Be-64", n=32, nwalkers=16, steps=3, floor=0.5),
     BenchCase(name="spline-mem-M256-W32", kind="spline_memory",
               versions=("flat", "tiled"),
               n=256, nwalkers=32, grid=16, tile=64, workers=4,
               steps=3, floor=1.2),
     BenchCase(name="sweep-N24-W8", kind="sweep",
-              versions=("loop", "fused", "jax"),
+              versions=("loop", "fused"),
               n=24, nwalkers=8, steps=3, floor=1.15),
 )
 
@@ -93,17 +87,6 @@ SMOKE_SUITE = (
               n=16, nwalkers=8, grid=8, tile=4, workers=2, steps=1),
     BenchCase(name="sweep-N10-W4", kind="sweep",
               versions=("loop", "fused"), n=10, nwalkers=4, steps=1),
-)
-
-#: Backend-only suite (``make bench-backend``): the two workload-shaped
-#: kernel micro-benchmarks, at more repetitions than the quick suite.
-BACKEND_SUITE = (
-    BenchCase(name="backend-NiO32-N96-W8", kind="backend",
-              versions=("numpy", "jax"),
-              workload="NiO-32", n=96, nwalkers=8, steps=7, floor=0.5),
-    BenchCase(name="backend-Be64-N32-W16", kind="backend",
-              versions=("numpy", "jax"),
-              workload="Be-64", n=32, nwalkers=16, steps=7, floor=0.5),
 )
 
 #: Spline-memory suite (``make bench-spline``): the shared-slab +
@@ -120,4 +103,4 @@ SPLINE_SUITE = (
 )
 
 SUITES = {"quick": QUICK_SUITE, "smoke": SMOKE_SUITE,
-          "backend": BACKEND_SUITE, "spline": SPLINE_SUITE}
+          "spline": SPLINE_SUITE}

@@ -157,13 +157,3 @@ class CrowdDriver(CloneDrivers):
     def _advance(self, step: int, e_trial=None) -> Generation:
         gen = advance_walkers(self.population, self._clone_for, step)
         return Generation(gen.energies)  # unit weights, no components
-
-    def close(self) -> None:
-        """Nothing to release since the thread pool went; kept, with the
-        context manager, so callers written against it keep working."""
-
-    def __enter__(self) -> "CrowdDriver":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()

@@ -2,8 +2,7 @@
 
 The engine parses each file once, extracts the comment pragmas
 (``# repro: hot`` / ``# repro: cold`` / ``# repro: commit`` /
-``# repro: backend-pure`` / ``# repro: noqa R00x``), resolves which
-scopes are hot, runs every
+``# repro: noqa R00x``), resolves which scopes are hot, runs every
 registered rule's AST visitor, and filters suppressed violations.
 
 Hotness has two sources:
@@ -37,7 +36,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 _PRAGMA_HOT = re.compile(r"#\s*repro:\s*hot\b")
 _PRAGMA_COLD = re.compile(r"#\s*repro:\s*cold\b")
 _PRAGMA_COMMIT = re.compile(r"#\s*repro:\s*commit\b")
-_PRAGMA_BACKEND_PURE = re.compile(r"#\s*repro:\s*backend-pure\b")
 _PRAGMA_NOQA = re.compile(
     r"#\s*repro:\s*noqa\b\s*:?\s*([A-Z]\d{3}(?:\s*,\s*[A-Z]\d{3})*)?")
 
@@ -76,10 +74,7 @@ class FileContext:
     cold_lines: Set[int] = field(default_factory=set)
     #: lines carrying a `# repro: commit` comment (R008 epoch boundary)
     commit_lines: Set[int] = field(default_factory=set)
-    #: lines carrying a `# repro: backend-pure` comment (R011 scopes)
-    backend_pure_lines: Set[int] = field(default_factory=set)
     module_hot: bool = False
-    module_backend_pure: bool = False
     #: dotted in-file qualnames made hot by call-graph propagation
     propagated_hot: Set[str] = field(default_factory=set)
 
@@ -118,14 +113,6 @@ def _scan_pragmas(ctx: FileContext) -> None:
                 ctx.cold_lines.add(line)
             if _PRAGMA_COMMIT.search(text):
                 ctx.commit_lines.add(line)
-            if _PRAGMA_BACKEND_PURE.search(text):
-                ctx.backend_pure_lines.add(line)
-                # Standalone comment at column 0 marks the whole module
-                # (the shape jax_backend.py uses).
-                if col == 0:
-                    src_line = ctx.source.splitlines()[line - 1]
-                    if src_line.lstrip().startswith("#"):
-                        ctx.module_backend_pure = True
     except tokenize.TokenError:
         pass
 
@@ -192,7 +179,6 @@ class ScopedVisitor(ast.NodeVisitor):
         self.violations: List[Violation] = []
         self._hot_stack: List[bool] = [ctx.module_hot]
         self._commit_stack: List[bool] = [False]
-        self._pure_stack: List[bool] = [ctx.module_backend_pure]
         self._qual_stack: List[str] = []
 
     @property
@@ -202,10 +188,6 @@ class ScopedVisitor(ast.NodeVisitor):
     @property
     def in_commit(self) -> bool:
         return self._commit_stack[-1]
-
-    @property
-    def in_backend_pure(self) -> bool:
-        return self._pure_stack[-1]
 
     @property
     def qualname(self) -> str:
@@ -234,21 +216,14 @@ class ScopedVisitor(ast.NodeVisitor):
             return True
         return self.in_commit
 
-    def _effective_backend_pure(self, node: ast.AST) -> bool:
-        if set(_scope_lines(node)) & self.ctx.backend_pure_lines:
-            return True
-        return self.in_backend_pure
-
     def _enter_scope(self, node: ast.AST) -> None:
         self._hot_stack.append(self._effective_hot(node))
         self._commit_stack.append(self._effective_commit(node))
-        self._pure_stack.append(self._effective_backend_pure(node))
         self._qual_stack.append(scope_name(node))
         self.scope_entered(node)
         self.generic_visit(node)
         self.scope_left(node)
         self._qual_stack.pop()
-        self._pure_stack.pop()
         self._commit_stack.pop()
         self._hot_stack.pop()
 

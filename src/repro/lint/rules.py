@@ -15,11 +15,6 @@ R005  per-step serialization of array payloads in a hot scope — pickling
       walker state, or shipping arrays through ``.send()``/``.put()``
       pipes/queues; bulk state crosses processes only through the
       shared-memory blocks (docs/parallel_crowds.md zero-copy contract)
-R011  direct ``np.``/``numpy.`` use inside a ``# repro: backend-pure``
-      scope — registered kernel bodies of an accelerator backend must
-      stay inside that backend's array namespace (``jnp``) so they
-      remain jit/vmap-traceable; a host-NumPy call silently falls back
-      to eager CPU execution mid-trace (docs/backends.md)
 R012  per-electron Python-loop backend dispatch in a hot scope — a
       ``for k in range(n)`` loop calling registered backend kernels
       pays the dispatch seam n times per sweep; the loop belongs
@@ -398,34 +393,12 @@ class RuleR005(ScopedVisitor):
         self.generic_visit(node)
 
 
-class RuleR011(ScopedVisitor):
-    """Host-NumPy use inside a ``# repro: backend-pure`` kernel scope."""
-
-    rule = "R011"
-
-    NUMPY_ALIASES = {"np", "numpy"}
-
-    def visit_Attribute(self, node: ast.Attribute):
-        # Report once per chain, at the innermost np.<attr> link
-        # (``np.random.rand`` fires on ``np.random``, not twice).
-        if self.in_backend_pure \
-                and isinstance(node.value, ast.Name) \
-                and node.value.id in self.NUMPY_ALIASES:
-            self.report(node, (
-                f"host NumPy reference "
-                f"'{node.value.id}.{node.attr}' in a backend-pure kernel "
-                f"— use the backend's own array namespace (jnp) so the "
-                f"kernel stays jit/vmap-traceable; hoist genuine "
-                f"constants to module level outside the pure scope"))
-        self.generic_visit(node)
-
-
 class RuleR012(ScopedVisitor):
     """Per-electron Python-loop backend kernel dispatch in a hot scope."""
 
     rule = "R012"
 
-    #: call spellings that resolve to a KernelBackend at runtime
+    #: call spellings that resolve to the kernel seam at runtime
     DISPATCH_GETTERS = {"active", "get_backend"}
 
     def __init__(self, ctx):
@@ -482,7 +455,7 @@ from repro.lint.determinism import (  # noqa: E402 — avoids import cycle
 )
 
 ALL_RULES = [RuleR001, RuleR002, RuleR003, RuleR004,
-             RuleR005, RuleR011, RuleR012] + DETERMINISM_RULES
+             RuleR005, RuleR012] + DETERMINISM_RULES
 
 #: short catalog for reporters and docs
 RULE_CATALOG = {
@@ -491,7 +464,6 @@ RULE_CATALOG = {
     "R003": "SoA row conversion/copy or strided gather in a hot kernel",
     "R004": "accumulation in value_dtype where accum_dtype is mandated",
     "R005": "per-step pickling or pipe-shipping of arrays in a hot kernel",
-    "R011": "host NumPy call inside a backend-pure kernel scope",
     "R012": "per-electron Python-loop backend dispatch in a hot scope",
     **DETERMINISM_CATALOG,
     "W001": "bare '# repro: noqa' — suppressions must be rule-scoped",

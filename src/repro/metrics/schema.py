@@ -83,8 +83,7 @@ def _check_workload(entry: Any, index: int, errors: List[str]) -> None:
         for label, ventry in versions.items():
             _check_version_entry(ventry, f"{path}.versions.{label}", errors)
     # ``speedup_floors``: absolute floors the named speedups must meet;
-    # enforced by repro.bench.compare when the candidate measured the
-    # speedup (an optional-dependency leg may be declared skipped instead).
+    # enforced by repro.bench.compare.
     for key in ("speedups", "speedup_floors"):
         values = entry.get(key, {})
         if not isinstance(values, dict):

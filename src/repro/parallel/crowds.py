@@ -81,8 +81,7 @@ class _WorkerDown(RuntimeError):
 def _host_crowd(spec: JastrowSystemSpec, state: SharedWalkerState,
                 crowd: int, n_crowds: int, master_seed: int,
                 timestep: float, use_drift: bool,
-                precision: PrecisionPolicy, start_generation: int,
-                backend: Optional[str]
+                precision: PrecisionPolicy, start_generation: int
                 ) -> BatchedCrowdDriver:  # repro: cold
     """Crowd ``crowd`` of ``n_crowds``: a batched driver over its strided
     views of the walker block, ready to run ``start_generation``.
@@ -102,7 +101,7 @@ def _host_crowd(spec: JastrowSystemSpec, state: SharedWalkerState,
     streams = walker_streams(master_seed, state.nw)
     drv = BatchedCrowdDriver(
         spec, len(ids), master_seed, timestep, use_drift, precision,
-        batch=batch, rngs=[streams[w] for w in ids], backend=backend)
+        batch=batch, rngs=[streams[w] for w in ids])
     drv.skip_generations(start_generation - 1)
     nlpp = getattr(drv.ham, "nlpp", None)
     if nlpp is not None:
@@ -173,9 +172,6 @@ class _WorkerConfig:  # repro: cold
     segment_path: Optional[str] = None
     segment_meta: Optional[dict] = None
     segment_names: Optional[tuple] = None
-    #: kernel-backend *name* (picklable; each worker resolves its own
-    #: instance), None for REPRO_BACKEND-then-default resolution
-    backend: Optional[str] = None
     #: shared read-only SPO coefficient slab to attach (descriptor only
     #: crosses the process boundary — the table itself never pickles)
     slab: Optional[SlabDescriptor] = None
@@ -251,7 +247,7 @@ def _worker_main(cfg: _WorkerConfig) -> None:  # repro: hot
         crowd = _host_crowd(
             cfg.spec, state, cfg.crowd, cfg.n_crowds, cfg.master_seed,
             cfg.timestep, cfg.use_drift, cfg.precision,
-            cfg.start_generation, cfg.backend)
+            cfg.start_generation)
         spline = slab.as_spline() if slab is not None else None
         cols = slice(cfg.crowd, None, cfg.n_crowds)
         if cfg.segment_path is not None:
@@ -331,7 +327,7 @@ class ParallelCrowdDriver(GenerationLoop):  # repro: cold
                  max_respawns: int = 3, start_method: Optional[str] = None,
                  crash_plan: Optional[Dict[int, int]] = None,
                  race_plan: Optional[Dict[int, int]] = None,
-                 backend: Optional[str] = None, spo_slab=None):
+                 spo_slab=None):
         if nwalkers < 1:
             raise ValueError(f"need at least one walker, got {nwalkers}")
         if workers < 0:
@@ -346,9 +342,6 @@ class ParallelCrowdDriver(GenerationLoop):  # repro: cold
         self.sync_timeout = float(sync_timeout)
         self.liveness_poll = float(liveness_poll)
         self.max_respawns = int(max_respawns)
-        #: kernel-backend name shipped to every crowd (None = resolve
-        #: REPRO_BACKEND-then-default in each process independently)
-        self.backend = backend
         #: optional SPO orbital table: a BSpline3D (promoted to one
         #: shared read-only SharedCoefSlab when workers > 0) or an
         #: already-built SharedCoefSlab.  Adds a per-walker "SpoNorm"
@@ -489,8 +482,7 @@ class ParallelCrowdDriver(GenerationLoop):  # repro: cold
                                 if self._slab is not None else self.spo_slab)
                 self._crowd = _host_crowd(
                     self.spec, state, 0, 1, self.master_seed, self.tau,
-                    self.use_drift, self.precision, start_gen + 1,
-                    self.backend)
+                    self.use_drift, self.precision, start_gen + 1)
             setup_s = time.perf_counter() - t_setup
             policy = None
             if mode == "dmc":
@@ -642,7 +634,6 @@ class ParallelCrowdDriver(GenerationLoop):  # repro: cold
                               if self.segment_paths else None),
                 segment_meta=self._segment_meta,
                 segment_names=self._segment_names,
-                backend=self.backend,
                 slab=(self._slab.descriptor
                       if self._slab is not None else None))
             proc = self._ctx.Process(

@@ -102,7 +102,7 @@ class CubicBSpline1D:
     def evaluate_v(self, r):
         """Values at point(s) r (vectorized). Scalar in, scalar out.
 
-        The exact backend's kernel is elementwise Horner in the same
+        The ``bspline1d_v`` kernel is elementwise Horner in the same
         operation order as :meth:`evaluate_v_scalar`: IEEE elementwise
         ops are exactly rounded, so the result is bitwise independent of
         the batch length, strides and SIMD path — a GEMM there

@@ -1,134 +1,179 @@
-"""Registry resolution: names, env var, scoping, and failure modes."""
+"""The kernel seam: one singleton, kernels resolved by attribute at call
+time, and the ``use_backend`` substitution a counting proxy or a test
+fake goes through.
 
-import importlib.util
-import os
-from unittest import mock
+``benchmarks/e2e/spans.py`` counts dispatches by wrapping attributes on
+``get_backend()``; a refactor that binds kernels at import time would
+zero its ``backend.dispatches_per_sweep`` silently.  The seam tests here
+make that a tier-1 failure instead.
+"""
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from repro.backend import (
-    ENV_VAR,
-    BackendUnavailableError,
-    KernelBackend,
-    active,
-    available_backends,
-    get_backend,
-    known_backends,
-    register_backend,
-    use_backend,
-)
+import repro.backend
+from repro.backend import KERNEL_NAMES, active, get_backend, use_backend
 from repro.backend.numpy_backend import NumpyBackend
+from repro.batched import BatchedCrowdDriver, JastrowSystemSpec
+from repro.batched.reference import use_loop_sweep
 
-HAVE_JAX = importlib.util.find_spec("jax") is not None
+
+class _Counter:
+    """Depth-0 kernel entries, counted per kernel name."""
+
+    def __init__(self):
+        self.calls = dict.fromkeys(KERNEL_NAMES, 0)
+        self._depth = 0
+
+    @property
+    def dispatches(self):
+        return sum(self.calls.values())
+
+    def wrap(self, name, fn):
+        def call(*args, **kwargs):
+            if self._depth == 0:
+                self.calls[name] += 1
+            self._depth += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self._depth -= 1
+        return call
+
+
+@contextmanager
+def patched_singleton():
+    """Wrap every kernel attribute on ``get_backend()`` itself — the way
+    ``benchmarks/e2e/spans.py`` instruments a run."""
+    backend, counter = get_backend(), _Counter()
+    for name in KERNEL_NAMES:
+        setattr(backend, name, counter.wrap(name, getattr(backend, name)))
+    try:
+        yield counter
+    finally:
+        for name in KERNEL_NAMES:
+            delattr(backend, name)
+
+
+class _Proxy:
+    """A substitute for ``use_backend``: same kernels, counted."""
+
+    def __init__(self):
+        self.counter = _Counter()
+        for name in KERNEL_NAMES:
+            setattr(self, name,
+                    self.counter.wrap(name, getattr(get_backend(), name)))
+
+
+def _driver(nw=3, n=8):
+    return BatchedCrowdDriver(JastrowSystemSpec(n=n, seed=3), nw, 11)
+
+
+def test_public_surface_is_the_kept_one():
+    assert sorted(repro.backend.__all__) == [
+        "KERNEL_NAMES", "active", "get_backend", "use_backend"]
 
 
 class TestResolution:
     def test_default_is_numpy(self):
-        with mock.patch.dict(os.environ, {}, clear=False):
-            os.environ.pop(ENV_VAR, None)
-            b = get_backend()
-            assert b.name == "numpy"
-            assert b.exact_match is True
-            assert isinstance(b, NumpyBackend)
-
-    def test_env_var_resolution(self):
-        with mock.patch.dict(os.environ, {ENV_VAR: "numpy"}):
-            assert get_backend().name == "numpy"
+        assert isinstance(get_backend(), NumpyBackend)
+        assert active() is get_backend()
 
     def test_instances_are_cached(self):
-        assert get_backend("numpy") is get_backend("numpy")
+        assert get_backend() is get_backend()
 
-    def test_instance_passthrough(self):
-        b = NumpyBackend()
-        assert get_backend(b) is b
-
-    def test_known_backends_lists_both(self):
-        assert known_backends() == ["jax", "numpy"]
-
-    def test_available_backends_matches_host(self):
-        avail = available_backends()
-        assert "numpy" in avail
-        assert ("jax" in avail) == HAVE_JAX
-
-    def test_unknown_name_is_typed_and_actionable(self):
-        with pytest.raises(BackendUnavailableError) as err:
-            get_backend("cupy")
-        msg = str(err.value)
-        assert "numpy" in msg and ENV_VAR in msg
-
-    def test_unavailable_is_an_importerror_subclass(self):
-        # Callers may catch plain ImportError around optional backends.
-        assert issubclass(BackendUnavailableError, ImportError)
-
-    @pytest.mark.skipif(HAVE_JAX, reason="jax installed on this host")
-    def test_missing_jax_raises_actionable_error(self):
-        """The satellite contract: a typed error naming the fix."""
-        with pytest.raises(BackendUnavailableError) as err:
-            get_backend("jax")
-        msg = str(err.value)
-        assert "jax" in msg
-        assert "pip install" in msg
-        assert ENV_VAR in msg
-
-    @pytest.mark.skipif(not HAVE_JAX, reason="jax not installed")
-    def test_jax_backend_constructs_when_available(self):
-        b = get_backend("jax")
-        assert b.name == "jax"
-        assert b.exact_match is False
+    def test_every_kernel_name_is_a_method(self):
+        for name in KERNEL_NAMES:
+            assert callable(getattr(get_backend(), name)), name
 
 
 class TestScoping:
     def test_use_backend_overrides_and_restores(self):
-        base = active().name
-        with use_backend("numpy") as b:
-            assert active() is b
-        assert active().name == base
-
-    def test_scope_method_matches_use_backend(self):
-        b = get_backend("numpy")
-        with b.scope():
-            assert active() is b
+        proxy = _Proxy()
+        with use_backend(proxy) as b:
+            assert b is proxy and active() is proxy
+        assert active() is get_backend()
+        with pytest.raises(RuntimeError):
+            with use_backend(proxy):
+                raise RuntimeError("boom")
+        assert active() is get_backend()
 
     def test_scopes_nest(self):
-        outer = NumpyBackend()
-        inner = NumpyBackend()
-        with outer.scope():
-            with inner.scope():
-                assert active() is inner
+        outer, inner = _Proxy(), _Proxy()
+        with use_backend(outer):
+            with pytest.raises(RuntimeError):
+                with use_backend(inner):
+                    assert active() is inner
+                    raise RuntimeError("boom")
             assert active() is outer
+        assert active() is get_backend()
 
-    def test_register_backend_round_trip(self):
-        class Fake(KernelBackend):
-            name = "fake"
 
-        register_backend("fake", Fake)
-        try:
-            assert "fake" in known_backends()
-            assert isinstance(get_backend("fake"), Fake)
-        finally:
-            from repro.backend import registry
-            registry._FACTORIES.pop("fake", None)
-            registry._instances.pop("fake", None)
+class TestCallTimeDispatch:
+    """Wrappers set on the singleton are seen by every call site."""
+
+    def test_fused_sweep_is_one_dispatch(self):
+        drv = _driver()
+        with patched_singleton() as counter:
+            drv.sweep()
+        assert counter.dispatches == 1
+        assert counter.calls["sweep_run"] == 1
+
+    def test_loop_sweep_dispatches_per_electron(self):
+        drv = use_loop_sweep(_driver())
+        with patched_singleton() as counter:
+            drv.sweep()
+        assert counter.calls["sweep_run"] == 0
+        assert counter.dispatches >= 10 * drv.n
+
+    def test_patch_is_undone(self):
+        with patched_singleton():
+            pass
+        assert not vars(get_backend())
+
+    def test_scalar_functor_call_site(self):
+        from repro.jastrow.functor import BsplineFunctor
+        f = BsplineFunctor.from_shape(rcut=2.0, cusp=-0.25)
+        r = np.linspace(0.1, 2.5, 7)
+        with patched_singleton() as counter:
+            f.evaluate_v(r)
+            f.evaluate_vgl(r)
+        assert counter.calls["functor_v"] == 1
+        assert counter.calls["functor_vgl"] == 1
+
+    def test_scalar_determinant_call_site(self):
+        from repro.determinant.dirac import DiracDeterminant
+        from repro.lattice.cell import CrystalLattice
+        from repro.particles.particleset import ParticleSet
+        from repro.spo.sposet import PlaneWaveSPOSet
+        rng = np.random.default_rng(4)
+        lat = CrystalLattice.cubic(6.0)
+        P = ParticleSet("e", rng.uniform(0, 6, (8, 3)), lat)
+        det = DiracDeterminant(PlaneWaveSPOSet(lat, 8), 0, 8)
+        det.recompute(P)
+        P.make_move(2, P.R[2] + 0.2)
+        with patched_singleton() as counter:
+            det.ratio(P, 2)
+        assert counter.calls["det_ratio"] == 1
 
 
 class TestDriverIntegration:
-    def test_driver_accepts_backend_name_and_instance(self):
-        from repro.batched import BatchedCrowdDriver, JastrowSystemSpec
-        spec = JastrowSystemSpec(n=8, seed=3)
-        by_name = BatchedCrowdDriver(spec, 2, 1, backend="numpy")
-        inst = NumpyBackend()
-        by_inst = BatchedCrowdDriver(spec, 2, 1, backend=inst)
-        assert by_name.backend.name == "numpy"
-        assert by_inst.backend is inst
-
     def test_driver_backend_override_reproduces_default(self):
-        """An explicit numpy override is the default path, bitwise."""
-        from repro.batched import BatchedCrowdDriver, JastrowSystemSpec
-        spec = JastrowSystemSpec(n=8, seed=3)
-        a = BatchedCrowdDriver(spec, 3, 11)
+        """A delegating proxy substituted through ``use_backend`` sees
+        the run and leaves it bitwise the default path."""
+        a = _driver()
         a.run(2)
-        b = BatchedCrowdDriver(spec, 3, 11, backend="numpy")
-        b.run(2)
+        b = _driver()
+        proxy = _Proxy()
+        with use_backend(proxy):
+            b.run(2)
+        assert proxy.counter.calls["sweep_run"] == 2
         assert np.array_equal(a.batch.R, b.batch.R)
         assert np.array_equal(a.batch.local_energy, b.batch.local_energy)
+
+    def test_driver_has_no_backend_parameter(self):
+        with pytest.raises(TypeError):
+            BatchedCrowdDriver(JastrowSystemSpec(n=8, seed=3), 2, 1,
+                               backend="numpy")

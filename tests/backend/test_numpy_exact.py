@@ -1,6 +1,6 @@
 """The numpy backend is a faithful extraction of the pre-backend code.
 
-These tests pin the `exact_match = True` claim against *independent*
+These tests pin the bitwise-extraction claim against *independent*
 references — the scalar Ref kernels, the per-point spline evaluators,
 brute-force minimum-image loops and libm — so a "cleanup" of the numpy
 backend that reorders floating-point ops fails here, not three suites
@@ -20,7 +20,7 @@ from repro.splines.bspline3d import BSpline3D
 
 from kernel_cases import LATTICES
 
-B = get_backend("numpy")
+B = get_backend()
 
 
 @pytest.fixture

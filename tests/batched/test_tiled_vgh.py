@@ -12,7 +12,7 @@ einsums exactly.
 import numpy as np
 import pytest
 
-from repro.backend import get_backend
+from repro.backend import use_backend
 from repro.backend.numpy_backend import NumpyBackend, flat_spline3d_vgh
 from repro.batched.spo import (batched_multi_vgh, batched_multi_vgh_flat,
                                batched_multi_vgl)
@@ -83,25 +83,17 @@ class TestBackendDispatch:
         for got, exp in zip(out, ref):
             np.testing.assert_array_equal(got, exp)
 
-    def test_jax_backend_within_parity_band(self, spline, points):
-        jax_be = pytest.importorskip("repro.backend.jax_backend")
-        try:
-            be = jax_be.JaxBackend()
-        except Exception:
-            pytest.skip("jax not importable on this host")
-        out = be.spline3d_vgh_tiled(
-            spline.coefs, spline.cell_inverse,
-            (spline.nx, spline.ny, spline.nz), points, 3)
-        ref = flat_spline3d_vgh(spline.coefs, spline.cell_inverse,
-                                (spline.nx, spline.ny, spline.nz), points)
-        for got, exp in zip(out, ref):
-            np.testing.assert_allclose(np.asarray(got), exp,
-                                       rtol=1e-8, atol=1e-8)
-
     def test_active_backend_used(self, spline, points):
-        # batched_multi_vgh goes through the registry, not a direct call
-        be = get_backend("numpy")
-        with be.scope():
+        # batched_multi_vgh goes through the seam, not a direct call
+        class Seen(NumpyBackend):
+            calls = 0
+
+            def spline3d_vgh_tiled(self, *args):
+                Seen.calls += 1
+                return super().spline3d_vgh_tiled(*args)
+
+        with use_backend(Seen()):
             v, _, _ = batched_multi_vgh(spline, points, tile=2)
+        assert Seen.calls == 1
         fv, _, _ = batched_multi_vgh_flat(spline, points)
         np.testing.assert_array_equal(v, fv)

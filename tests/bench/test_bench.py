@@ -79,7 +79,7 @@ def test_validator_flags_malformed_entries(smoke_doc):
 
 
 def test_suites_are_well_formed():
-    assert set(SUITES) == {"quick", "smoke", "backend", "spline"}
+    assert set(SUITES) == {"quick", "smoke", "spline"}
     for name, cases in SUITES.items():
         assert cases, name
         for case in cases:
@@ -158,29 +158,6 @@ def test_compare_fails_on_hotspot_upheaval(smoke_doc):
     assert any(not c.ok and f"hotspot/{top}" in c.label for c in checks)
 
 
-def test_backend_case_runs_and_reports_skips():
-    import importlib.util
-
-    from repro.bench.runner import run_backend_case
-    from repro.bench.suite import BenchCase
-
-    case = BenchCase(name="backend-tiny", kind="backend",
-                     versions=("numpy", "jax"), workload="Be-64",
-                     n=8, nwalkers=2, steps=1, floor=0.5)
-    out = run_backend_case(case)
-    assert out["kind"] == "backend"
-    entry = out["versions"]["numpy"]
-    assert entry["throughput"] > 0
-    assert abs(sum(entry["hotspots"].values()) - 1.0) < 1e-9
-    if importlib.util.find_spec("jax") is None:
-        assert out["skipped"] == ["jax"]
-        assert out["speedups"] == {}
-    else:
-        assert out["skipped"] == []
-        assert out["speedups"]["jax_over_numpy"] > 0
-    assert out["speedup_floors"] == {"jax_over_numpy": 0.5}
-
-
 def test_compare_missing_workload_is_a_regression(smoke_doc):
     partial = copy.deepcopy(smoke_doc)
     partial["workloads"] = partial["workloads"][:1]
@@ -194,32 +171,19 @@ def test_compare_speedup_floor_gate(smoke_doc):
     base = copy.deepcopy(smoke_doc)
     for wl in base["workloads"]:
         if wl["kind"] == "sweep":
-            wl["speedup_floors"] = {"fused_over_loop": 1.15,
-                                    "jax_over_loop": 0.5}
+            wl["speedup_floors"] = {"fused_over_loop": 1.15}
     assert validate_artifact(base) == []
 
     def floors(checks, name):
         return [c for c in checks if f"floor/{name}" in c.label]
 
-    # the smoke run measured no jax leg: ok by default, a regression
-    # under enforce_floors — unless the candidate *declared* that very
-    # leg in its workload's ``skipped`` list
-    assert all(c.ok for c in floors(compare_artifacts(base, smoke_doc),
-                                    "jax_over_loop"))
-    strict = compare_artifacts(base, smoke_doc, enforce_floors=True)
-    assert not any(c.ok for c in floors(strict, "jax_over_loop"))
-    declared = copy.deepcopy(smoke_doc)
-    for wl in declared["workloads"]:
-        if wl["kind"] == "sweep":
-            wl["skipped"] = ["jax"]
-    excused = compare_artifacts(base, declared, enforce_floors=True)
-    assert all(c.ok for c in floors(excused, "jax_over_loop"))
-    # a declared skip of *another* leg excuses nothing: a candidate that
-    # lost fused_over_loop fails even though it says skipped: ["jax"]
-    lost = copy.deepcopy(declared)
+    # a candidate that lost fused_over_loop: ok by default, a
+    # regression under enforce_floors — nothing excuses it
+    lost = copy.deepcopy(smoke_doc)
     for wl in lost["workloads"]:
         if wl["kind"] == "sweep":
             del wl["speedups"]["fused_over_loop"]
+            wl["skipped"] = ["fused"]
     assert all(c.ok for c in floors(compare_artifacts(base, lost),
                                     "fused_over_loop"))
     strict = compare_artifacts(base, lost, enforce_floors=True)

@@ -123,10 +123,9 @@ class TestCrowdDeterminism:
 
     def _run(self, parts, n_crowds, seed=11):
         p = clone_parts(parts)  # fresh mutable state per experiment
-        with CrowdDriver(p, n_crowds=n_crowds,
-                         rng=np.random.default_rng(seed),
-                         timestep=0.3) as drv:
-            return drv.run(walkers=5, steps=3)
+        drv = CrowdDriver(p, n_crowds=n_crowds,
+                          rng=np.random.default_rng(seed), timestep=0.3)
+        return drv.run(walkers=5, steps=3)
 
     def test_energy_trace_independent_of_crowd_count(self, parts):
         base = self._run(parts, n_crowds=1)

@@ -73,22 +73,6 @@ class TestGoldenFixtures:
     def test_r010_clean(self):
         assert lint_fixture("good_r010.py") == []
 
-    def test_r011_exact_lines(self):
-        assert lint_fixture("bad_r011.py") == [("R011", 8), ("R011", 9)]
-
-    def test_r011_clean(self):
-        assert lint_fixture("good_r011.py") == []
-
-    def test_r011_module_pragma_covers_all_defs(self):
-        src = (
-            "# repro: backend-pure\n"
-            "import numpy as np\n"
-            "def kernel(x):\n"
-            "    return np.exp(x)\n"
-        )
-        hits = [(v.rule, v.line) for v in lint_source(src, "x.py", ALL_RULES)]
-        assert hits == [("R011", 4)]
-
     def test_r012_exact_lines(self):
         assert lint_fixture("bad_r012.py") == [("R012", 10), ("R012", 12)]
 

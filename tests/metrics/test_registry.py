@@ -138,9 +138,8 @@ def test_crowd_driver_threads_merge_cleanly():
     METRICS.reset()
     METRICS.enable()
     try:
-        with CrowdDriver(parts, n_crowds=2,
-                         rng=np.random.default_rng(5)) as drv:
-            drv.run(walkers=4, steps=2)
+        CrowdDriver(parts, n_crowds=2,
+                    rng=np.random.default_rng(5)).run(walkers=4, steps=2)
         flat = METRICS.flat()
     finally:
         if not was_enabled:
