@@ -4,7 +4,7 @@ PYTHON ?= python
 BENCH_OUT ?= /tmp/repro-bench
 
 .PHONY: install test test-fast lint lint-strict lint-baseline check loc bench \
-	bench-check bench-e2e bench-spline bench-figures \
+	bench-check bench-e2e digests bench-spline bench-figures \
 	restart-check report examples clean
 
 LINT_BASELINE = benchmarks/baselines/lint_baseline.json
@@ -63,6 +63,16 @@ bench-check: bench
 bench-e2e:
 	mkdir -p $(BENCH_OUT)
 	$(PYTHON) benchmarks/e2e/run.py --out $(BENCH_OUT)/e2e.json
+
+# Trace sha256 of the four benchmark workloads on seeds 21 and 7 (one
+# in-process repeat each, through the benchmark's own worker.repeat,
+# imported read-only).  A change that promises "same bits" prints the
+# same eight lines as its parent commit.
+digests:
+	@PYTHONPATH=src:benchmarks/e2e PYTHONHASHSEED=0 $(PYTHON) -c \
+	"import worker; [print(seed, name, worker.repeat(name, seed, \
+	w.generations).digest, flush=True) for seed in (21, 7) \
+	for name, w in worker.WORKLOADS.items()]"
 
 # Shared-slab + tiled-vgh suite (docs/spline_memory.md): flat vs
 # tile-blocked 3D vgh (bitwise-asserted, tiled_over_flat floor) plus

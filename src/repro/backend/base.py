@@ -24,8 +24,10 @@ KERNEL_NAMES = (
     "ab_row",
     "aa_pairs",
     "ab_pairs",
-    # J1/J2 cutoff B-spline functor evaluation (elementwise Horner)
+    # J1/J2 cutoff B-spline functor evaluation (elementwise Horner);
+    # ``_vg`` is ``_vgl`` without the Laplacian channel (sweep callers)
     "functor_v",
+    "functor_vg",
     "functor_vgl",
     # raw 1D cubic B-spline value / value-grad-lap (elementwise Horner)
     "bspline1d_v",

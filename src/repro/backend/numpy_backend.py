@@ -21,7 +21,9 @@ verbatim (op for op, in the same order) out of
 ``repro.jastrow.functor`` / ``repro.splines.cubic1d`` /
 ``repro.determinant.dirac`` / ``repro.batched.driver``, so traces are
 reproduced bit for bit and the restart/differential suites gate exactly
-that.
+that.  The one rebuilt pair: ``aa_pairs``/``ab_pairs`` run the row
+kernels' SoA op sequence (:meth:`NumpyBackend._pairs`) — the same bits
+on exactly diagonal cells, 1e-13 on skewed ones.
 
 Keep it boring.  Any "improvement" to an expression here that changes
 its floating-point op sequence is a determinism regression, not a
@@ -41,6 +43,14 @@ from repro.distances.base import BIG_DISTANCE
 # from their canonical homes so the numerical constants cannot drift.
 from repro.splines.cubic1d import _A as _A1, _dA as _dA1, _d2A as _d2A1
 from repro.splines.bspline3d import _A as _A3, _dA as _dA3, _d2A as _d2A3
+
+
+#: Horner coefficients of the 1D segment basis and its first two
+#: u-derivatives: ``_HORNER1[c][k]`` is row ``k`` of the c-th derivative
+#: basis, innermost coefficient first, as Python floats (same doubles,
+#: cheaper per-op dispatch than NumPy scalars).
+_HORNER1 = tuple(tuple(tuple(float(c) for c in row[::-1]) for row in basis)
+                 for basis in (_A1, _dA1, _d2A1))
 
 
 def _weight_rows3(u: np.ndarray):
@@ -101,18 +111,32 @@ class NumpyBackend:
                     + dr64[:, 2] * dr64[:, 2])
         return r, dr64
 
+    def _pairs(self, a, b, lattice):
+        """Shared body of the all-pairs kernels: ``a - b`` (broadcastable
+        (..., 3) position views) one Cartesian component at a time ->
+        in-place SoA minimum image -> distances, the op sequence of
+        :meth:`aa_row`/:meth:`ab_row` (bitwise on exactly diagonal
+        cells).  No ``(..., 3)`` or ``(..., 27, 3)`` array is
+        materialised: the displacement is built component-major and
+        returned as a (W, nt, 3, ns) view."""
+        shape = np.broadcast_shapes(a.shape, b.shape)[:-1]
+        comps = np.empty((3,) + shape, dtype=np.float64)  # repro: noqa R002
+        for d in range(3):
+            np.subtract(a[..., d], b[..., d], out=comps[d])
+        dx, dy, dz = comps
+        lattice.min_image_soa(dx, dy, dz)
+        dist = dx * dx + dy * dy + dz * dz
+        np.sqrt(dist, out=dist)
+        return dist, comps.transpose(1, 2, 0, 3)
+
     def aa_pairs(self, R, lattice):
         """All-pairs AA table from canonical positions ``R`` (W, n, 3);
         returns ``(dist, disp)`` of shapes (W, n, n) and (W, n, 3, n)
         with the self diagonal masked to (BIG_DISTANCE, 0)."""
-        n = R.shape[1]
-        dr = R[:, None, :, :] - R[:, :, None, :]  # dr[w, k, i] = r_i - r_k
-        if lattice.periodic:
-            dr = lattice.min_image_disp(dr)
-        dist = np.sqrt(np.sum(np.square(dr), axis=-1))
-        idx = np.arange(n)
+        # disp[w, k, :, i] = r_i - r_k
+        dist, disp = self._pairs(R[:, None, :, :], R[:, :, None, :], lattice)
+        idx = np.arange(R.shape[1])
         dist[:, idx, idx] = BIG_DISTANCE
-        disp = np.transpose(dr, (0, 1, 3, 2))
         disp[:, idx, :, idx] = 0
         return dist, disp
 
@@ -120,75 +144,71 @@ class NumpyBackend:
         """All-pairs AB table: sources ``src_R`` (ns, 3) vs ``R``
         (W, nt, 3); returns ``(dist, disp)`` of shapes (W, nt, ns) and
         (W, nt, 3, ns)."""
-        # dr[w, k, I] = R_I - r_k, matching the per-walker AB convention.
-        dr = src_R[None, None, :, :] - R[:, :, None, :]
-        if lattice.periodic:
-            dr = lattice.min_image_disp(dr)
-        dist = np.sqrt(np.sum(np.square(dr), axis=-1))
-        return dist, np.transpose(dr, (0, 1, 3, 2))
+        # disp[w, k, :, I] = R_I - r_k, matching the per-walker AB convention.
+        return self._pairs(src_R[None, None, :, :], R[:, :, None, :], lattice)
 
     # -- Jastrow functor kernels -----------------------------------------------------
-    def functor_v(self, coefs, x0, h, nintervals, rcut, r):
-        """Cutoff 1D B-spline functor value u(r): zero at/beyond
-        ``rcut``, elementwise Horner inside.  ``r`` is any shape; the
-        result matches it."""
+    def _functor(self, coefs, x0, h, nintervals, rcut, r, nch):
+        """The cutoff scaffold of the functor kernels: the first ``nch``
+        :meth:`_spline1d` channels inside ``rcut``, zero at and beyond
+        it.  ``r`` is any shape; every channel matches it."""
         r = np.asarray(r, dtype=np.float64)  # repro: noqa R002
         mask = r < rcut
-        out = np.zeros_like(r)
+        out = tuple(np.zeros_like(r) for _ in range(nch))
         if np.any(mask):
-            out[mask] = self.bspline1d_v(coefs, x0, h, nintervals, r[mask])
+            inside = self._spline1d(coefs, x0, h, nintervals, r[mask], nch)
+            for channel, values in zip(out, inside):
+                channel[mask] = values
         return out
+
+    def functor_v(self, coefs, x0, h, nintervals, rcut, r):
+        """Cutoff 1D B-spline functor value u(r): zero at/beyond
+        ``rcut``, elementwise Horner inside."""
+        return self._functor(coefs, x0, h, nintervals, rcut, r, 1)[0]
+
+    def functor_vg(self, coefs, x0, h, nintervals, rcut, r):
+        """(u, du/dr) of the cutoff functor: channels 0 and 1 of
+        :meth:`functor_vgl`, op for op, for the sweep's drift and ratio
+        callers, which never read the Laplacian channel."""
+        return self._functor(coefs, x0, h, nintervals, rcut, r, 2)
 
     def functor_vgl(self, coefs, x0, h, nintervals, rcut, r):
         """(u, du/dr, d2u/dr2) of the cutoff functor, each zero at or
         beyond ``rcut``."""
-        r = np.asarray(r, dtype=np.float64)  # repro: noqa R002
-        mask = r < rcut
-        u = np.zeros_like(r)
-        du = np.zeros_like(r)
-        d2u = np.zeros_like(r)
-        if np.any(mask):
-            v, dv, d2v = self.bspline1d_vgl(coefs, x0, h, nintervals,
-                                            r[mask])
-            u[mask] = v
-            du[mask] = dv
-            d2u[mask] = d2v
-        return u, du, d2u
+        return self._functor(coefs, x0, h, nintervals, rcut, r, 3)
 
     # -- raw 1D spline kernels (elementwise Horner) ----------------------------------
-    def _locate1(self, x0, h, nintervals, r):
+    def _spline1d(self, coefs, x0, h, nintervals, r, nch):
+        """The one Horner loop of the 1D spline and functor kernels:
+        the first ``nch`` of (value, d/dr, d2/dr2) at ``r``.
+
+        Channel ``c`` is ``sum_k coefs[i + k] * P_ck(u)``, ``P_ck`` being
+        ``_HORNER1[c][k]`` evaluated innermost coefficient first, then
+        scaled by the chain-rule ``1 / h**c``.  Channels never read each
+        other, so asking for fewer of them changes no bit of the rest."""
         t = (np.asarray(r, dtype=np.float64) - x0) / h  # repro: noqa R002
         i = np.clip(np.floor(t).astype(np.int64), 0, nintervals - 1)
         u = t - i
-        return i, u
+        out = [np.zeros_like(u) for _ in range(nch)]
+        for k in range(4):
+            ck = coefs[i + k]
+            for acc, rows in zip(out, _HORNER1):
+                horner = iter(rows[k])
+                p = next(horner)
+                for c in horner:
+                    p = c + u * p
+                acc += ck * p
+        for acc, scale in zip(out[1:], (h, h * h)):
+            acc /= scale
+        return out
 
     def bspline1d_v(self, coefs, x0, h, nintervals, r):
         """Uncut 1D cubic B-spline values at ``r`` (1-D array)."""
-        i, u = self._locate1(x0, h, nintervals, r)
-        v = np.zeros_like(u)
-        for k in range(4):
-            row = _A1[k]
-            b = row[0] + u * (row[1] + u * (row[2] + u * row[3]))
-            v += coefs[i + k] * b
-        return v
+        return self._spline1d(coefs, x0, h, nintervals, r, 1)[0]
 
     def bspline1d_vgl(self, coefs, x0, h, nintervals, r):
         """(value, d/dr, d2/dr2) of the uncut 1D spline at ``r``."""
-        i, u = self._locate1(x0, h, nintervals, r)
-        v = np.zeros_like(u)
-        dv = np.zeros_like(u)
-        d2v = np.zeros_like(u)
-        for k in range(4):
-            b = _A1[k][0] + u * (_A1[k][1] + u * (_A1[k][2] + u * _A1[k][3]))
-            db = _dA1[k][0] + u * (_dA1[k][1] + u * _dA1[k][2])
-            d2b = _d2A1[k][0] + u * _d2A1[k][1]
-            ck = coefs[i + k]
-            v += ck * b
-            dv += ck * db
-            d2v += ck * d2b
-        dv /= h
-        d2v /= h * h
-        return v, dv, d2v
+        return tuple(self._spline1d(coefs, x0, h, nintervals, r, 3))
 
     # -- 3D B-spline SPO kernels -----------------------------------------------------
     def _locate3(self, cell_inverse, dims, r):

@@ -104,8 +104,8 @@ class BatchedCrowdDriver(GenerationLoop):
                            if sanitizers_enabled() else None)
         #: optional fused-step trace: list of (W,) bool masks, one per move
         self.move_log: Optional[List[np.ndarray]] = None
-        #: an external writer (the DMC branch commit) rewrote batch.R
-        #: after the last generation; resync before the next sweep
+        #: an external writer (the DMC branch commit) rewrote the walker
+        #: block after the last generation; resync before the next sweep
         self._stale = False
         # Fused-sweep state (docs/sweep_fusion.md): one workspace of
         # per-sweep/per-move scratch allocated here and reused for the
@@ -116,24 +116,20 @@ class BatchedCrowdDriver(GenerationLoop):
                                self._workspace, tau=self.tau,
                                drift_cap=self.DRIFT_CAP,
                                use_drift=self.use_drift)
-        for t in self.tables:
-            t.evaluate(self.batch)
-        self.batch.logpsi[...] = self._evaluate_log()
+        self.resync_tables()
+        self._evaluate_log()
 
     # -- wavefunction over components ---------------------------------------------
-    def _evaluate_log(self) -> np.ndarray:
+    def _evaluate_log(self) -> None:
+        """The from-scratch wavefunction pass: G, L and ``batch.logpsi``
+        from the current tables, so log Psi always sits beside the ``R``
+        it describes."""
         self.G[...] = 0.0
         self.L[...] = 0.0
         logpsi = np.zeros(self.nw)
         for c in self.components:
             logpsi += c.evaluate_log(self.tables, self.G, self.L)
-        return logpsi
-
-    def _evaluate_gl(self) -> None:
-        self.G[...] = 0.0
-        self.L[...] = 0.0
-        for c in self.components:
-            c.evaluate_gl(self.tables, self.G, self.L)
+        self.batch.logpsi[...] = logpsi
 
     # -- the fused sweep -----------------------------------------------------------
     def sweep(self) -> int:
@@ -163,20 +159,25 @@ class BatchedCrowdDriver(GenerationLoop):
         return accepted_total
 
     # -- external-commit resync -----------------------------------------------------
-    def refresh_from_positions(self) -> np.ndarray:
-        """Resynchronize every derived structure (Rsoa, tables, log Psi,
-        E_L) from the canonical ``batch.R`` — required after an external
-        writer (the DMC branch commit of the process-parallel crowds)
-        rewrites positions behind the driver's back.  Estimators are not
-        touched.  Returns the refreshed per-walker local energies."""
+    def resync_tables(self) -> None:
+        """Rebuild the position-derived structures (Rsoa, distance
+        tables) from the canonical ``batch.R`` — all a crowd owes the
+        DMC branch commit, which rewrites positions behind the driver's
+        back but carries ``logpsi``/``local_energy`` along with them."""
         self.batch.sync_soa()
         for t in self.tables:
             with METRICS.scope(t.category):
                 t.evaluate(self.batch)
-        self.batch.logpsi[...] = self._evaluate_log()
-        el = self.ham.evaluate(self.batch, self.tables, self.G, self.L)
-        self.batch.local_energy[...] = el
-        return el
+
+    def refresh_from_positions(self, serial: int) -> None:
+        """Recompute everything (Rsoa, tables, log Psi, E_L with its
+        rotations keyed on ``serial``) from the canonical ``batch.R``
+        alone: the resume path, and the post-branch path of a slot-keyed
+        Hamiltonian (see :meth:`run_generation`).  Estimators are not
+        touched."""
+        self.resync_tables()
+        self._evaluate_log()
+        self.evaluate_energies(serial)
 
     # -- measurement ----------------------------------------------------------------
     def measure(self) -> np.ndarray:
@@ -191,7 +192,7 @@ class BatchedCrowdDriver(GenerationLoop):
                 t.evaluate(self.batch)
         if self.sanitizers is not None:
             self.sanitizers.check_state(self.batch, self.tables)
-        self._evaluate_gl()
+        self._evaluate_log()
         el = self.ham.evaluate(self.batch, self.tables, self.G, self.L)
         self.batch.local_energy[...] = el
         weights = self.batch.weight
@@ -226,10 +227,11 @@ class BatchedCrowdDriver(GenerationLoop):
             self._nlpp.set_rotations(self._nlpp.rotations, serial=serial - 1)
 
     def evaluate_energies(self, serial: int) -> None:
-        """Setup E_L through the path :meth:`measure` uses (estimators
-        untouched), so a respawn reproduces checkpointed values bitwise."""
+        """E_L from the G/L the last :meth:`_evaluate_log` pass left
+        (set-up: the constructor's — nothing has moved since), through
+        the ``ham.evaluate`` :meth:`measure` uses, so a respawn
+        reproduces checkpointed values bitwise."""
         self.key_rotations(serial)
-        self._evaluate_gl()
         self.batch.local_energy[...] = self.ham.evaluate(
             self.batch, self.tables, self.G, self.L)
 
@@ -241,13 +243,16 @@ class BatchedCrowdDriver(GenerationLoop):
         walker order — the weights are the ones the estimators saw,
         i.e. before the reweight."""
         batch = self.batch
-        if e_trial is None:
-            if self.precision.should_recompute(step):
-                batch.logpsi[...] = self._evaluate_log()
-        else:
-            if self._stale:
-                self.key_rotations(step - 1)
-                self.refresh_from_positions()
+        if e_trial is not None:
+            if self._stale and self._nlpp is not None:
+                # NLPP quadrature rotations are keyed on the walker
+                # *slot*, so a walker the comb moved has a different E_L
+                # there than the one it carried along: recompute.
+                self.refresh_from_positions(step - 1)
+            elif self._stale:
+                # The comb carried logpsi/local_energy with the
+                # positions (bitwise what a recompute would give).
+                self.resync_tables()
             el_old = batch.local_energy.copy()
         self.sweep()
         self.key_rotations(step)
@@ -298,8 +303,7 @@ class BatchedCrowdDriver(GenerationLoop):
         self.n_accept = int(resume.scalars["n_accept"])
         self.n_moves = int(resume.scalars["n_moves"])
         self.skip_generations(resume.step)
-        self.key_rotations(resume.step)
-        self.refresh_from_positions()
+        self.refresh_from_positions(resume.step)
 
     def _checkpoint_state(self) -> dict:
         """Walker RNG streams are not stored: a resume fast-forwards

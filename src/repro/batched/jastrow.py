@@ -97,6 +97,24 @@ class BatchedTwoBodyJastrow:
                    rbytes=32.0 * self.nw * self.n, wbytes=40.0 * self.nw)
         return u_sum, grad, lap
 
+    def _rows_vg(self, rows_r: np.ndarray, rows_dr: np.ndarray, k: int):
+        """(sum u, grad_k) per walker: :meth:`_rows_vgl` without the
+        Laplacian channel the sweep never reads, bitwise its first two
+        results."""
+        gk = self.group_of[k]
+        u_sum = np.zeros(self.nw)
+        grad = np.zeros((self.nw, 3))
+        for g, s in self.group_slices:
+            f = self.functor_for(gk, g)
+            r = rows_r[:, s]
+            u, du = f.evaluate_vg(r)
+            u_sum += np.sum(u, axis=-1)
+            w = du / r
+            grad += np.matmul(rows_dr[:, :, s], w[:, :, None])[:, :, 0]
+        OPS.record("J2", flops=16.0 * self.nw * self.n,
+                   rbytes=32.0 * self.nw * self.n, wbytes=32.0 * self.nw)
+        return u_sum, grad
+
     # -- batched component API ---------------------------------------------------
     def evaluate_log(self, tables, G: np.ndarray, L: np.ndarray) -> np.ndarray:
         """Full log Psi_J2 per walker; accumulates into G (W,n,3), L (W,n)."""
@@ -138,8 +156,9 @@ class BatchedTwoBodyJastrow:
 
     # -- fused-sweep API (repro.batched.sweep) -----------------------------------
     # Same numerics as grad/ratio/ratio_grad with the per-call
-    # METRICS.scope hoisted out, plus the drift path's one redundancy
-    # fix: ``_rows_vgl``'s value channel is bitwise the ``_rows_v`` row
+    # METRICS.scope hoisted out and the Laplacian channel dropped
+    # (``_rows_vg``), plus the drift path's one redundancy fix:
+    # ``_rows_vg``'s value channel is bitwise the ``_rows_v`` row
     # sum (identical Horner, coefficient gather and per-slice pairwise
     # reduction), so ``sweep_grad`` hands its old-row value sum to
     # ``sweep_ratio_grad`` as ``u_old`` instead of evaluating the old
@@ -153,8 +172,7 @@ class BatchedTwoBodyJastrow:
     def sweep_grad(self, tables, k: int):
         """Timer-free :meth:`grad`; returns ``(u_old_or_None, grad)``."""
         table = tables[self.table_index]
-        u_old, g, _ = self._rows_vgl(table.dist_rows(k), table.disp_rows(k),
-                                     k)
+        u_old, g = self._rows_vg(table.dist_rows(k), table.disp_rows(k), k)
         if not getattr(table, "forward_update", True):
             u_old = None  # OTF: move() refreshes the row we just read
         return u_old, g
@@ -171,21 +189,11 @@ class BatchedTwoBodyJastrow:
         ``u_old`` (bitwise the ``_rows_v`` sum the eager path computes)
         when available; ``None`` re-evaluates the post-move row."""
         table = tables[self.table_index]
-        u_new, grad_new, _ = self._rows_vgl(table.temp_rows(),
-                                            table.temp_disp_rows(), k)
+        u_new, grad_new = self._rows_vg(table.temp_rows(),
+                                        table.temp_disp_rows(), k)
         if u_old is None:
             u_old = self._rows_v(table.dist_rows(k), k)
         return exp_rows(-(u_new - u_old)), grad_new
-
-    def evaluate_gl(self, tables, G: np.ndarray, L: np.ndarray) -> None:
-        """Measurement-time grad/lap recomputed from the row blocks."""
-        with METRICS.scope("J2"):
-            table = tables[self.table_index]
-            for i in range(self.n):
-                _, grad, lap = self._rows_vgl(table.dist_rows(i),
-                                              table.disp_rows(i), i)
-                G[:, i] += grad
-                L[:, i] += lap
 
     def ratios_vp(self, batch, tables, owners_w, owners_k,
                   positions) -> np.ndarray:
@@ -251,6 +259,21 @@ class BatchedOneBodyJastrow:
                    rbytes=32.0 * self.nw * self.nions, wbytes=40.0 * self.nw)
         return u_sum, grad, lap
 
+    def _rows_vg(self, rows_r: np.ndarray, rows_dr: np.ndarray):
+        """:meth:`_rows_vgl` without the Laplacian channel (see J2)."""
+        u_sum = np.zeros(self.nw)
+        grad = np.zeros((self.nw, 3))
+        for g, idx in self.species_masks:
+            f = self.functors[g]
+            r = rows_r[:, idx]
+            u, du = f.evaluate_vg(r)
+            u_sum += np.sum(u, axis=-1)
+            w = du / r
+            grad += np.matmul(rows_dr[:, :, idx], w[:, :, None])[:, :, 0]
+        OPS.record("J1", flops=16.0 * self.nw * self.nions,
+                   rbytes=32.0 * self.nw * self.nions, wbytes=32.0 * self.nw)
+        return u_sum, grad
+
     def evaluate_log(self, tables, G: np.ndarray, L: np.ndarray) -> np.ndarray:
         with METRICS.scope("J1"):
             table = tables[self.table_index]
@@ -290,7 +313,7 @@ class BatchedOneBodyJastrow:
     def sweep_grad(self, tables, k: int):
         """Timer-free :meth:`grad`; returns ``(u_old_or_None, grad)``."""
         table = tables[self.table_index]
-        u_old, g, _ = self._rows_vgl(table.dist_rows(k), table.disp_rows(k))
+        u_old, g = self._rows_vg(table.dist_rows(k), table.disp_rows(k))
         if not getattr(table, "forward_update", True):
             u_old = None
         return u_old, g
@@ -307,20 +330,11 @@ class BatchedOneBodyJastrow:
         ``u_old`` (bitwise the ``_rows_v`` sum the eager path computes)
         when available; ``None`` re-evaluates the post-move row."""
         table = tables[self.table_index]
-        u_new, grad_new, _ = self._rows_vgl(table.temp_rows(),
-                                            table.temp_disp_rows())
+        u_new, grad_new = self._rows_vg(table.temp_rows(),
+                                        table.temp_disp_rows())
         if u_old is None:
             u_old = self._rows_v(table.dist_rows(k))
         return exp_rows(-(u_new - u_old)), grad_new
-
-    def evaluate_gl(self, tables, G: np.ndarray, L: np.ndarray) -> None:
-        with METRICS.scope("J1"):
-            table = tables[self.table_index]
-            for k in range(self.n):
-                _, g, l = self._rows_vgl(table.dist_rows(k),
-                                         table.disp_rows(k))
-                G[:, k] += g
-                L[:, k] += l
 
     def ratios_vp(self, batch, tables, owners_w, owners_k,
                   positions) -> np.ndarray:

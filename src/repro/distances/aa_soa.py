@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.backend import active
 from repro.containers.aligned import aligned_empty, padded_size
 from repro.distances.base import BIG_DISTANCE, DistanceTable
 from repro.metrics.registry import METRICS
@@ -75,16 +76,12 @@ class DistanceTableAASoA(DistanceTable):
 
     # -- full evaluation -----------------------------------------------------------
     def evaluate(self, P) -> None:
-        R = P.R  # (N, 3) float64
+        # The crowd-wide all-pairs kernel at W = 1 (diagonal masked to
+        # (BIG, 0) inside; the assignments downcast).
         n = self.n
-        dr = R[None, :, :] - R[:, None, :]  # dr[k, i] = r_i - r_k
-        if self.lattice.periodic:
-            dr = self.lattice.min_image_disp(dr)
-        dist = np.sqrt(np.sum(np.square(dr), axis=-1))
-        self.distances[:, :n] = dist
-        self.distances[np.arange(n), np.arange(n)] = BIG_DISTANCE
-        self.displacements[:, :, :n] = np.transpose(dr, (0, 2, 1))
-        self.displacements[np.arange(n), :, np.arange(n)] = 0
+        dist, disp = active().aa_pairs(P.R[None], self.lattice)
+        self.distances[:, :n] = np.asarray(dist)[0]
+        self.displacements[:, :, :n] = np.asarray(disp)[0]
         itemsize = self.dtype.itemsize
         OPS.record(self.category, flops=9.0 * n * n,
                    rbytes=24.0 * n, wbytes=4.0 * itemsize * n * n)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.backend import active
 from repro.containers.aligned import aligned_empty, padded_size
 from repro.containers.vsc import VectorSoaContainer
 from repro.distances.base import DistanceTable
@@ -63,12 +64,10 @@ class DistanceTableABSoA(DistanceTable):
             dr64[0] * dr64[0] + dr64[1] * dr64[1] + dr64[2] * dr64[2])
 
     def evaluate(self, P) -> None:
-        R = P.R
-        dr = self.source.R[None, :, :] - R[:, None, :]  # [k, I] = ion - electron
-        if self.lattice.periodic:
-            dr = self.lattice.min_image_disp(dr)
-        self.distances[:, : self.ns] = np.sqrt(np.sum(np.square(dr), axis=-1))
-        self.displacements[:, :, : self.ns] = np.transpose(dr, (0, 2, 1))
+        # The crowd-wide all-pairs kernel at W = 1: [k, I] = ion - electron.
+        dist, disp = active().ab_pairs(self.source.R, P.R[None], self.lattice)
+        self.distances[:, : self.ns] = np.asarray(dist)[0]
+        self.displacements[:, :, : self.ns] = np.asarray(disp)[0]
         itemsize = self.dtype.itemsize
         OPS.record(self.category, flops=9.0 * self.nt * self.ns,
                    rbytes=24.0 * (self.nt + self.ns),

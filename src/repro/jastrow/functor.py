@@ -84,6 +84,14 @@ class BsplineFunctor:
             active().functor_v(s.coefs, s.x0, s.h, s.n, self.rcut, r))
 
     @hot_kernel
+    def evaluate_vg(self, r: np.ndarray):
+        """(u, du/dr): :meth:`evaluate_vgl` without the Laplacian channel,
+        bitwise its first two results."""
+        s = self.spline
+        u, du = active().functor_vg(s.coefs, s.x0, s.h, s.n, self.rcut, r)
+        return np.asarray(u), np.asarray(du)
+
+    @hot_kernel
     def evaluate_vgl(self, r: np.ndarray):
         """(u, du/dr, d2u/dr2), each zero beyond the cutoff, vectorized."""
         s = self.spline

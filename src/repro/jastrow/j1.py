@@ -74,6 +74,21 @@ class OneBodyJastrowOtf(_J1Base):
                    wbytes=40.0)
         return u_sum, grad, lap
 
+    def _row_vg(self, row_r: np.ndarray, row_dr: np.ndarray):
+        """:meth:`_row_vgl` without the Laplacian channel the PbyP moves
+        never read, bitwise its first two results."""
+        u_sum = 0.0
+        grad = np.zeros(3)
+        for g, idx in self.species_masks:
+            f = self.functors[g]
+            r = row_r[idx]
+            u, du = f.evaluate_vg(r)
+            u_sum += float(np.sum(u))
+            grad += row_dr[:, idx] @ (du / r)
+        OPS.record("J1", flops=16.0 * self.nions, rbytes=32.0 * self.nions,
+                   wbytes=32.0)
+        return u_sum, grad
+
     def evaluate_log(self, P) -> float:
         with METRICS.scope("J1"):
             table = P.distance_tables[self.table_index]
@@ -88,8 +103,7 @@ class OneBodyJastrowOtf(_J1Base):
     def grad(self, P, k: int) -> np.ndarray:
         with METRICS.scope("J1"):
             table = P.distance_tables[self.table_index]
-            _, g, _ = self._row_vgl(table.dist_row(k), table.disp_row(k))
-            return g
+            return self._row_vg(table.dist_row(k), table.disp_row(k))[1]
 
     def ratio(self, P, k: int) -> float:
         with METRICS.scope("J1"):
@@ -101,7 +115,7 @@ class OneBodyJastrowOtf(_J1Base):
     def ratio_grad(self, P, k: int):
         with METRICS.scope("J1"):
             table = P.distance_tables[self.table_index]
-            u_new, grad_new, _ = self._row_vgl(
+            u_new, grad_new = self._row_vg(
                 table.temp_r[: self.nions],
                 table.temp_dr[:, : self.nions])
             u_old = self._row_v(table.dist_row(k))

@@ -90,6 +90,23 @@ class TwoBodyJastrowOtf(_J2Base):
                    wbytes=8.0 * 5)
         return u_sum, grad, lap
 
+    def _row_vg(self, row_r: np.ndarray, row_dr: np.ndarray, k: int):
+        """(sum u, grad_k): :meth:`_row_vgl` without the Laplacian
+        channel the PbyP moves never read, bitwise its first two
+        results."""
+        gk = self.group_of[k]
+        u_sum = 0.0
+        grad = np.zeros(3)
+        for g, s in self.group_slices:
+            f = self.functor_for(gk, g)
+            r = row_r[s]
+            u, du = f.evaluate_vg(r)
+            u_sum += float(np.sum(u))
+            grad += row_dr[:, s] @ (du / r)
+        OPS.record("J2", flops=16.0 * self.n, rbytes=32.0 * self.n,
+                   wbytes=8.0 * 4)
+        return u_sum, grad
+
     # -- WaveFunctionComponent API ---------------------------------------------------
     def evaluate_log(self, P) -> float:
         """Full log Psi_J2; accumulates into P.G and P.L."""
@@ -108,8 +125,7 @@ class TwoBodyJastrowOtf(_J2Base):
         """grad_k log Psi_J2 at the current position (for the drift)."""
         with METRICS.scope("J2"):
             table = P.distance_tables[self.table_index]
-            _, g, _ = self._row_vgl(table.dist_row(k), table.disp_row(k), k)
-            return g
+            return self._row_vg(table.dist_row(k), table.disp_row(k), k)[1]
 
     def ratio(self, P, k: int) -> float:
         """Psi(R')/Psi(R) for the proposed move of particle k."""
@@ -124,7 +140,7 @@ class TwoBodyJastrowOtf(_J2Base):
         """(ratio, grad at the proposed position)."""
         with METRICS.scope("J2"):
             table = P.distance_tables[self.table_index]
-            u_new, grad_new, _ = self._row_vgl(
+            u_new, grad_new = self._row_vg(
                 table.temp_r[: self.n],
                 table.temp_dr[:, : self.n], k)
             u_old = self._row_v(table.dist_row(k), k)

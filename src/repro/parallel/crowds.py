@@ -109,6 +109,8 @@ def _host_crowd(spec: JastrowSystemSpec, state: SharedWalkerState,
         # *global* walker id and the master seed, so crowd membership
         # cannot perturb the NLPP trace.
         nlpp.set_rotations(nlpp.rotations, walker_ids=ids)
+    # Set-up is one from-scratch pass: the constructor built the tables
+    # and log Psi (leaving G/L), this adds E_L on top of them.
     drv.evaluate_energies(start_generation - 1)
     return drv
 

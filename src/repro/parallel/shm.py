@@ -210,9 +210,11 @@ class SharedWalkerState(_SharedBlock):
         """Apply comb picks (:meth:`DMCPolicy.comb_picks
         <repro.drivers.generation.DMCPolicy.comb_picks>`) by rewriting
         slices: slot i takes walker ``picks[i]``, weights reset to 1,
-        clones restart the stuck-walker clock.  On a shared block this
-        *is* the inter-crowd walker migration (a pick landing in another
-        crowd's slot)."""
+        clones restart the stuck-walker clock.  ``logpsi`` and
+        ``local_energy`` travel with the positions they describe, so a
+        crowd rebuilds only its distance tables afterwards.  On a shared
+        block this *is* the inter-crowd walker migration (a pick landing
+        in another crowd's slot)."""
         age = self.age[picks]
         age[clone] = 0
         self.R[...] = self.R[picks]

@@ -21,6 +21,7 @@ BOOL = np.dtype(bool)
 LATTICES = {
     "open": CrystalLattice.open_bc(),
     "cubic": CrystalLattice.cubic(6.0),
+    "orthorhombic": CrystalLattice.orthorhombic(5.0, 6.0, 7.0),
     # a few percent of skew: exercises the 27-image refinement branch
     "skewed": CrystalLattice([[6.0, 0.0, 0.0],
                               [0.4, 6.0, 0.0],
@@ -79,13 +80,13 @@ def build_case(name, rng, value_dtype, lattice, W=3, n=6, ns=4):
         src_R = rng.uniform(0, 6, (ns, 3))
         R = rng.uniform(0, 6, (W, n, 3))
         return (src_R, R, lattice), [((W, n, ns), F64), ((W, n, 3, ns), F64)]
-    if name in ("functor_v", "functor_vgl"):
+    if name in ("functor_v", "functor_vg", "functor_vgl"):
         f = _functor(rng)
         s = f.spline
         r = rng.uniform(0, 4.0, (W, n)).astype(vd)  # straddles rcut
         out = [((W, n), F64)]
         return ((s.coefs, s.x0, s.h, s.n, f.rcut, r),
-                out * (3 if name == "functor_vgl" else 1))
+                out * {"functor_v": 1, "functor_vg": 2, "functor_vgl": 3}[name])
     if name in ("bspline1d_v", "bspline1d_vgl"):
         f = _functor(rng)
         s = f.spline

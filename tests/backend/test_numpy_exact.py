@@ -81,17 +81,30 @@ class TestDistanceKernels:
                 np.testing.assert_allclose(
                     r[w, i], math.sqrt(float(d @ d)), rtol=1e-14)
 
+    # The all-pairs kernels run the row kernels' op sequence: bitwise on
+    # exactly diagonal (and open) cells; the skewed cell scans its 27
+    # images in SoA against the rows' (..., 27, 3) argmin.
+    @staticmethod
+    def _assert_rows(key, got, want):
+        if key == "skewed":
+            np.testing.assert_allclose(got, want, atol=1e-13)
+        else:
+            assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("key", sorted(LATTICES))
     def test_aa_pairs_rows_match_aa_row(self, rng, key):
         lattice = LATTICES[key]
         W, n = 3, 6
         R = rng.uniform(0, 6, (W, n, 3))
         dist, disp = B.aa_pairs(R, lattice)
+        assert dist.shape == (W, n, n) and disp.shape == (W, n, 3, n)
         soa = np.transpose(R, (0, 2, 1)).copy()
         for k in range(n):
             r, dr = B.aa_row(soa, R[:, k].copy(), lattice, self_index=k)
-            np.testing.assert_allclose(dist[:, k], r, atol=1e-13)
-            np.testing.assert_allclose(disp[:, k], dr, atol=1e-13)
+            self._assert_rows(key, dist[:, k], r)
+            self._assert_rows(key, disp[:, k], dr)
+            assert np.all(dist[:, k, k] == BIG_DISTANCE)
+            assert np.all(disp[:, k, :, k] == 0.0)
 
     @pytest.mark.parametrize("key", sorted(LATTICES))
     def test_ab_pairs_rows_match_ab_row(self, rng, key):
@@ -100,11 +113,63 @@ class TestDistanceKernels:
         src_R = rng.uniform(0, 6, (ns, 3))
         R = rng.uniform(0, 6, (W, n, 3))
         dist, disp = B.ab_pairs(src_R, R, lattice)
+        assert dist.shape == (W, n, ns) and disp.shape == (W, n, 3, ns)
         src_soa = src_R.T.copy()
         for k in range(n):
             r, dr = B.ab_row(src_soa, R[:, k].copy(), lattice)
-            np.testing.assert_allclose(dist[:, k], r, atol=1e-13)
-            np.testing.assert_allclose(disp[:, k], dr, atol=1e-13)
+            self._assert_rows(key, dist[:, k], r)
+            self._assert_rows(key, disp[:, k], dr)
+
+    def test_pairs_do_not_mutate_positions(self, rng):
+        R = rng.uniform(0, 6, (2, 5, 3))
+        src_R = rng.uniform(0, 6, (3, 3))
+        R0, src0 = R.copy(), src_R.copy()
+        B.aa_pairs(R, LATTICES["cubic"])
+        B.ab_pairs(src_R, R, LATTICES["skewed"])
+        assert np.array_equal(R, R0) and np.array_equal(src_R, src0)
+
+
+class TestTableEvaluate:
+    """The batched tables' from-scratch pass over the SoA pair kernels."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_storage_rows_are_downcast_row_kernel_rows(self, rng, dtype):
+        from repro.batched.distances import BatchedDistTableAA
+        from repro.batched.walkerbatch import WalkerBatch
+        lattice = LATTICES["orthorhombic"]
+        W, n = 3, 7
+        batch = WalkerBatch.from_positions(rng.uniform(0, 6, (W, n, 3)),
+                                           dtype=dtype)
+        table = BatchedDistTableAA(W, n, lattice, dtype=dtype)
+        table.evaluate(batch)
+        soa = np.transpose(batch.R, (0, 2, 1)).copy()
+        for k in range(n):
+            r, dr = B.aa_row(soa, batch.R[:, k].copy(), lattice, k)
+            assert table.distances.dtype == dtype
+            assert np.array_equal(table.dist_rows(k), r.astype(dtype))
+            assert np.array_equal(table.disp_rows(k), dr.astype(dtype))
+        # padding columns keep their sentinels
+        assert np.all(table.distances[:, :, n:] == BIG_DISTANCE)
+        assert np.all(table.displacements[:, :, :, n:] == 0)
+
+    def test_evaluate_peak_memory_below_eight_blocks(self, rng):
+        """No (W,n,n,3) -> GEMM -> rint -> GEMM chain: the peak of one
+        AA evaluate stays under 8 (W, n, n) float64 blocks (the AoS
+        min-image body peaked above 9)."""
+        import tracemalloc
+        from repro.batched.distances import BatchedDistTableAA
+        from repro.batched.walkerbatch import WalkerBatch
+        W, n = 16, 96
+        batch = WalkerBatch.from_positions(rng.uniform(0, 9, (W, n, 3)))
+        table = BatchedDistTableAA(W, n, CrystalLattice.cubic(9.0))
+        table.evaluate(batch)  # warm: imports, lazy singletons
+        tracemalloc.start()
+        try:
+            table.evaluate(batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * W * n * n * 8
 
 
 class TestSplineKernels:
@@ -133,6 +198,21 @@ class TestSplineKernels:
         for j, rj in enumerate(r.ravel()):
             ref = f.evaluate_vgl_scalar(float(rj))
             assert (uu.ravel()[j], du.ravel()[j], d2u.ravel()[j]) == ref
+
+    def test_functor_vg_is_channels_0_1_of_vgl(self, rng):
+        f = BsplineFunctor.from_shape(rcut=2.5, cusp=-0.25)
+        s = f.spline
+        r = rng.uniform(0, 4.0, (3, 11))
+        r[0, 0] = BIG_DISTANCE  # the masked AA diagonal
+        r[1, 1] = f.rcut
+        args = (s.coefs, s.x0, s.h, s.n, f.rcut)
+        u, du = B.functor_vg(*args, r)
+        uu, dd, _ = B.functor_vgl(*args, r)
+        assert np.array_equal(u, uu) and np.array_equal(du, dd)
+        assert np.all(du[r >= f.rcut] == 0.0)
+        # all-beyond-cutoff input: the no-gather early exit
+        far = np.full((2, 3), BIG_DISTANCE)
+        assert not any(np.any(c) for c in B.functor_vg(*args, far))
 
     def test_spline3d_matches_per_point_evaluators(self, rng):
         vals = rng.normal(size=(6, 6, 6, 4))

@@ -55,3 +55,28 @@ def test_shapes_and_dtypes_match_across_precisions(
         if a.dtype == bool:
             continue  # accept decisions may legitimately flip at f32
         np.testing.assert_allclose(a, b, rtol=2e-4, atol=2e-4)
+
+
+@given(seed=st.integers(0, 2**31 - 1), W=st.integers(1, 6),
+       n=st.integers(1, 17), step=st.integers(1, 3),
+       big=st.floats(0.0, 0.5))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_functor_vg_is_vgl_without_the_laplacian(seed, W, n, step, big):
+    """Bitwise channels 0 and 1 of ``functor_vgl`` on what call sites
+    pass: (W, n) row blocks, strided group slices of them, distances
+    straddling the cutoff and masked-diagonal BIG_DISTANCE entries."""
+    from repro.distances.base import BIG_DISTANCE
+    from repro.jastrow.functor import BsplineFunctor
+
+    backend = get_backend()
+    rng = np.random.default_rng(seed)
+    f = BsplineFunctor.from_shape(rcut=2.5, cusp=-0.25, npts=12)
+    s = f.spline
+    block = rng.uniform(0, 2.0 * f.rcut, (W, step * n))
+    block[rng.uniform(size=block.shape) < big] = BIG_DISTANCE
+    r = block[:, ::step]
+    args = (s.coefs, s.x0, s.h, s.n, f.rcut)
+    u, du = backend.functor_vg(*args, r)
+    uu, dd, _ = backend.functor_vgl(*args, r)
+    assert u.shape == du.shape == r.shape
+    assert np.array_equal(u, uu) and np.array_equal(du, dd)
