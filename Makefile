@@ -3,8 +3,8 @@
 PYTHON ?= python
 BENCH_OUT ?= /tmp/repro-bench
 
-.PHONY: install test test-fast lint lint-strict lint-baseline check loc bench \
-	bench-check bench-e2e digests bench-spline bench-figures \
+.PHONY: install test test-fast lint lint-strict lint-baseline check loc \
+	bench-check bench-e2e digests bench-figures \
 	restart-check report examples clean
 
 LINT_BASELINE = benchmarks/baselines/lint_baseline.json
@@ -37,25 +37,22 @@ lint-baseline:
 # lint + tier-1 tests.  Run `make bench-check` before perf-sensitive PRs.
 check: lint test
 
-# Python line counts of the package and its tests — ROADMAP item 8 wants
-# the trend visible; CI's tier-1 job prints it on every run.
+# Python line counts of the package, its tests and the benchmarks (the
+# end-to-end harness aside) — ROADMAP item 8 wants the trend visible,
+# lines that move out of src/ included; CI's tier-1 job prints it on
+# every run.
 loc:
-	@printf 'src/repro %s\ntests     %s\n' \
+	@printf 'src/repro  %s\ntests      %s\nbenchmarks %s\n' \
 		"$$(find src/repro -name '*.py' | xargs cat | wc -l)" \
-		"$$(find tests -name '*.py' | xargs cat | wc -l)"
+		"$$(find tests -name '*.py' | xargs cat | wc -l)" \
+		"$$(find benchmarks -name '*.py' -not -path 'benchmarks/e2e/*' \
+			| xargs cat | wc -l)"
 
-# Quick bench suite -> BENCH_<tag>.json (REPRO_METRICS embeds the timer tree).
-bench:
-	PYTHONPATH=src REPRO_METRICS=1 $(PYTHON) -m repro.bench --quick \
-		--tag local --out $(BENCH_OUT)
-
-# Regression gate: quick suite vs the committed baseline artifact.
-# --enforce-floors makes a speedup_floors entry (e.g. the >=3x batched
-# NLPP win) that the candidate failed to measure a failure, not a skip.
-bench-check: bench
-	PYTHONPATH=src $(PYTHON) -m repro.bench.compare \
-		benchmarks/baselines/baseline.json $(BENCH_OUT)/BENCH_local.json \
-		--enforce-floors
+# Isolated ratio guards (docs/observability.md): each asserts its
+# exactness contract, then that the fast path still beats the retained
+# oracle by its floor.  ~10 s; run on a quiet machine.
+bench-check:
+	PYTHONPATH=src $(PYTHON) -m pytest -s benchmarks/test_ratio_guards.py
 
 # The repo benchmark (BENCHMARK.json, benchmarks/e2e/README.md): four
 # workloads end to end in fresh interpreters — walker-steps/s, run and
@@ -73,13 +70,6 @@ digests:
 	"import worker; [print(seed, name, worker.repeat(name, seed, \
 	w.generations).digest, flush=True) for seed in (21, 7) \
 	for name, w in worker.WORKLOADS.items()]"
-
-# Shared-slab + tiled-vgh suite (docs/spline_memory.md): flat vs
-# tile-blocked 3D vgh (bitwise-asserted, tiled_over_flat floor) plus
-# forked per-worker RSS with a private table copy vs one SharedCoefSlab.
-bench-spline:
-	PYTHONPATH=src REPRO_METRICS=1 $(PYTHON) -m repro.bench \
-		--suite spline --tag spline --out $(BENCH_OUT)
 
 # Kill-and-restart parity battery with the runtime sanitizers armed:
 # byte-identical traces + bit-identical online error bars after a

@@ -16,14 +16,22 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict
 
 import numpy as np
 
-from repro.bench.suite import BENCH_SCALE  # canonical home of the scales
 from repro.core.system import QmcSystem, run_vmc
 from repro.core.version import VERSION_CONFIGS, CodeVersion
 from repro.perfmodel.opcount import OPS, KernelOps
+
+#: Scales keeping pure-Python Ref runs to seconds while preserving the
+#: workload's species mix, density and code paths.
+BENCH_SCALE: Dict[str, float] = {
+    "Graphite": 0.25,    # 4 cells  -> 64 electrons
+    "Be-64": 0.125,      # 4 cells  -> 32 electrons
+    "NiO-32": 0.25,      # 2 cells  -> 96 electrons
+    "NiO-64": 0.25,      # 4 cells  -> 192 electrons
+}
 
 _system_cache: Dict[tuple, QmcSystem] = {}
 _measure_cache: Dict[tuple, "Measurement"] = {}
@@ -100,6 +108,26 @@ def measure(workload: str, version: CodeVersion, steps: int = 2,
     )
     _measure_cache[key] = m
     return m
+
+
+def best_of(legs: Dict[str, Callable[[], object]], reps: int,
+            check: Callable[[Dict[str, object]], None]) -> Dict[str, float]:
+    """Fastest wall time of each leg, for two code paths on one input.
+
+    Each leg first runs once untimed (page faults, lazy setup) and
+    ``check`` gets those results by label: it asserts the exactness
+    contract, so a silently wrong fast path fails before anything is
+    timed.  Then ``reps`` rounds run the legs interleaved (host drift
+    hits all equally) and the fastest repetition of each is kept.
+    """
+    check({label: leg() for label, leg in legs.items()})
+    best = dict.fromkeys(legs, float("inf"))
+    for _ in range(reps):
+        for label, leg in legs.items():
+            t0 = time.perf_counter()
+            leg()
+            best[label] = min(best[label], time.perf_counter() - t0)
+    return best
 
 
 def projected_node_time(m: Measurement, machine, version: CodeVersion,

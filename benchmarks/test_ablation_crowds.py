@@ -4,7 +4,8 @@ QMCPACK's on-node parallelism distributes walkers over per-thread clones
 of the compute objects.  This bench measures the crowd structure on this
 substrate: clone overhead (crowds=1 vs plain driver) and that dealing
 the walkers over more clones leaves the total work unchanged.  Real
-multi-core crowds are ``repro.parallel.crowds`` (the ``parallel`` bench).
+multi-core crowds are ``repro.parallel.crowds`` (``j96-dmc-w2`` of the
+end-to-end benchmark).
 """
 
 import time

@@ -420,7 +420,7 @@ def flat_spline3d_vgh(coefs, cell_inverse, dims, r):
     The direct extension of :meth:`NumpyBackend.spline3d_vgl` to the full
     Hessian — each of the ten channels streams the gathered blocks once.
     This is the bitwise oracle the tiled kernel is pinned against and the
-    ``flat`` leg of the ``spline_memory`` bench.
+    ``flat`` leg of the ``tiled_over_flat`` ratio guard.
     """
     be = _REFERENCE
     nw = r.shape[0]

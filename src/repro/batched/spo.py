@@ -65,7 +65,7 @@ def batched_multi_vgh(spline: BSpline3D, r: np.ndarray, tile: int = 64):
 def batched_multi_vgh_flat(spline: BSpline3D, r: np.ndarray):
     """Flat (one einsum per derivative channel) batched vgh — the
     numpy-only bitwise oracle and the ``flat`` leg of the
-    ``spline_memory`` bench.  Not backend-dispatched by design."""
+    ``tiled_over_flat`` ratio guard.  Not backend-dispatched by design."""
     from repro.backend.numpy_backend import flat_spline3d_vgh
     return flat_spline3d_vgh(
         spline.coefs, spline.cell_inverse,

@@ -15,7 +15,6 @@ update, trading BLAS2 for BLAS3.
 from repro.determinant.dirac import DiracDeterminant
 from repro.determinant.delayed import DelayedUpdateEngine
 from repro.determinant.dirac_delayed import DiracDeterminantDelayed
-from repro.determinant.multi import MultiSlaterDeterminant
 
 __all__ = ["DiracDeterminant", "DelayedUpdateEngine",
-           "DiracDeterminantDelayed", "MultiSlaterDeterminant"]
+           "DiracDeterminantDelayed"]

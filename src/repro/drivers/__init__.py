@@ -15,7 +15,6 @@ from repro.drivers.result import QMCResult
 from repro.drivers.vmc import VMCDriver
 from repro.drivers.dmc import DMCDriver
 from repro.drivers.crowd import CrowdDriver, clone_parts
-from repro.drivers.tuning import measure_acceptance, tune_timestep
 
 __all__ = ["QMCResult", "VMCDriver", "DMCDriver", "CrowdDriver",
-           "clone_parts", "measure_acceptance", "tune_timestep"]
+           "clone_parts"]

@@ -58,7 +58,6 @@ class TwoBodyJastrowOtf(_J2Base):
     def __init__(self, n, group_slices, functors, table_index: int = 0):
         super().__init__(n, group_slices, functors)
         self.table_index = table_index
-        self._cache: dict = {}
 
     # -- row kernels --------------------------------------------------------------
     def _row_v(self, row_r: np.ndarray, k: int) -> float:
@@ -133,7 +132,6 @@ class TwoBodyJastrowOtf(_J2Base):
             table = P.distance_tables[self.table_index]
             u_new = self._row_v(table.temp_r[: self.n], k)
             u_old = self._row_v(table.dist_row(k), k)
-            self._cache[k] = (u_new, u_old)
             return math.exp(-(u_new - u_old))
 
     def ratio_grad(self, P, k: int):
@@ -144,7 +142,6 @@ class TwoBodyJastrowOtf(_J2Base):
                 table.temp_r[: self.n],
                 table.temp_dr[:, : self.n], k)
             u_old = self._row_v(table.dist_row(k), k)
-            self._cache[k] = (u_new, u_old)
             return math.exp(-(u_new - u_old)), grad_new
 
     # -- ratio-only "virtual move" API (NLPP quadrature) -------------------------
@@ -152,7 +149,7 @@ class TwoBodyJastrowOtf(_J2Base):
         """J2 ratio for electron ``k`` virtually at ``r_new``: fresh
         electron-electron row in accumulation precision with the table's
         policy downcast, self-distance masked by the BIG sentinel; no
-        temp rows or cache entries are written."""
+        temp rows are written."""
         with METRICS.scope("J2"):
             table = P.distance_tables[self.table_index]
             disp64 = (np.asarray(P.R, dtype=np.float64)  # repro: noqa R002
@@ -181,10 +178,10 @@ class TwoBodyJastrowOtf(_J2Base):
                 row_sums=partial(vp.j2_row_sums, self), mask_self=True)
 
     def accept_move(self, P, k: int) -> None:
-        self._cache.pop(k, None)  # stateless: nothing else to update
+        pass  # stateless: every row is recomputed from the table
 
     def reject_move(self, P, k: int) -> None:
-        self._cache.pop(k, None)
+        pass
 
     def evaluate_gl(self, P) -> None:
         """Measurement-time grad/lap: recomputed from the distance rows —

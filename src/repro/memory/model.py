@@ -127,8 +127,9 @@ class MemoryModel:
     def shared_table_report(table_bytes: float, n_processes: int) -> dict:
         """Predicted per-worker coefficient-table bytes: K private
         copies vs one shared slab (whose single mapping amortizes to
-        ``table_bytes / K`` per worker).  The ``spline_memory`` bench
-        reports its measured RSS deltas against exactly these numbers.
+        ``table_bytes / K`` per worker).  The slab guard in
+        ``benchmarks/test_ratio_guards.py`` measures both per-worker
+        costs with forked children.
         """
         k = max(1, int(n_processes))
         per_copy = float(table_bytes)

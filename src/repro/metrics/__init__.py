@@ -1,4 +1,4 @@
-"""repro.metrics — hierarchical timers, counters and BENCH artifacts.
+"""repro.metrics — hierarchical timers and counters.
 
 The :data:`METRICS` registry is the process-global instrumentation
 spine: hot paths open named scopes (``with METRICS.scope("sweep")``),
@@ -12,8 +12,6 @@ from repro.metrics.profile import (PAPER_CATEGORIES, HotspotProfile,
                                    category_seconds)
 from repro.metrics.registry import (METRICS, MetricsRegistry, ScopeNode,
                                     metrics_enabled)
-from repro.metrics.schema import BENCH_SCHEMA_VERSION, validate_artifact
 
 __all__ = ["METRICS", "MetricsRegistry", "ScopeNode", "metrics_enabled",
-           "PAPER_CATEGORIES", "HotspotProfile", "category_seconds",
-           "BENCH_SCHEMA_VERSION", "validate_artifact"]
+           "PAPER_CATEGORIES", "HotspotProfile", "category_seconds"]

@@ -74,6 +74,11 @@ if TYPE_CHECKING:  # import cycle: repro.splines.slab maps shm via us
 
 __all__ = ["ParallelCrowdDriver"]
 
+#: Seconds a root-side collective waits on live but silent workers
+#: before the pool counts as wedged and is respawned.
+SYNC_TIMEOUT = 120.0
+
+
 class _WorkerDown(RuntimeError):
     """A worker process died or stopped responding (internal signal)."""
 
@@ -325,8 +330,7 @@ class ParallelCrowdDriver(GenerationLoop):  # repro: cold
     def __init__(self, spec: JastrowSystemSpec, nwalkers: int,
                  master_seed: int, workers: int = 0, timestep: float = 0.5,
                  use_drift: bool = True, precision: PrecisionPolicy = FULL,
-                 sync_timeout: float = 120.0, liveness_poll: float = 0.25,
-                 max_respawns: int = 3, start_method: Optional[str] = None,
+                 liveness_poll: float = 0.25, max_respawns: int = 3,
                  crash_plan: Optional[Dict[int, int]] = None,
                  race_plan: Optional[Dict[int, int]] = None,
                  spo_slab=None):
@@ -341,7 +345,6 @@ class ParallelCrowdDriver(GenerationLoop):  # repro: cold
         self.tau = float(timestep)
         self.use_drift = use_drift
         self.precision = precision
-        self.sync_timeout = float(sync_timeout)
         self.liveness_poll = float(liveness_poll)
         self.max_respawns = int(max_respawns)
         #: optional SPO orbital table: a BSpline3D (promoted to one
@@ -362,10 +365,9 @@ class ParallelCrowdDriver(GenerationLoop):  # repro: cold
         #: test hook proving the ShmRaceSanitizer fires.  Only active
         #: when sanitizers are armed (the write itself always happens).
         self.race_plan = dict(race_plan) if race_plan else None
-        if start_method is None and "fork" in mp.get_all_start_methods():
-            start_method = "fork"  # cheapest respawn; spawn also works
-        self._ctx = (mp.get_context(start_method) if start_method
-                     else mp.get_context())
+        # fork where the platform has it: cheapest respawn; spawn also works
+        self._ctx = mp.get_context(
+            "fork" if "fork" in mp.get_all_start_methods() else None)
         self._ham_names = tuple(BatchedHamiltonian.BASE_NAMES)
         if getattr(spec, "with_nlpp", False):
             self._ham_names += ("NonLocalECP",)
@@ -672,8 +674,8 @@ class ParallelCrowdDriver(GenerationLoop):  # repro: cold
         """Run a root-side collective with liveness-aware polling: wait
         in short slices, checking worker processes between slices, so a
         dead worker surfaces in ~``liveness_poll`` seconds rather than
-        after the full ``sync_timeout``."""
-        deadline = time.monotonic() + self.sync_timeout
+        after the full ``SYNC_TIMEOUT``."""
+        deadline = time.monotonic() + SYNC_TIMEOUT
         call = op
         while True:
             try:
@@ -691,7 +693,7 @@ class ParallelCrowdDriver(GenerationLoop):  # repro: cold
                 if time.monotonic() > deadline:
                     raise _WorkerDown(
                         f"ranks {exc.missing} unresponsive for "
-                        f"{self.sync_timeout:.0f}s") from exc
+                        f"{SYNC_TIMEOUT:.0f}s") from exc
                 if self._comm is not None and self._comm.pending:
                     call = lambda t: self._comm.resume(timeout=t)
 

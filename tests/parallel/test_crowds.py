@@ -12,8 +12,8 @@ The load-bearing claims, from the module's determinism contract:
 
 Workloads are deliberately tiny (n=8 electrons, 6 walkers, 3 steps):
 these are correctness tests, so oversubscribing a small host with more
-crowd processes than cores is fine — the scaling *performance* claims
-live in the CPU-guarded bench suite instead.
+crowd processes than cores is fine — the scaling *performance* numbers
+are the end-to-end benchmark's (``j96-dmc-w2`` vs ``j96-dmc-serial``).
 """
 
 import glob
