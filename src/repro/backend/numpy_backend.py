@@ -21,9 +21,10 @@ verbatim (op for op, in the same order) out of
 ``repro.jastrow.functor`` / ``repro.splines.cubic1d`` /
 ``repro.determinant.dirac`` / ``repro.batched.driver``, so traces are
 reproduced bit for bit and the restart/differential suites gate exactly
-that.  The one rebuilt pair: ``aa_pairs``/``ab_pairs`` run the row
-kernels' SoA op sequence (:meth:`NumpyBackend._pairs`) — the same bits
-on exactly diagonal cells, 1e-13 on skewed ones.
+that.  The rebuilt four: ``aa_row``/``ab_row``/``aa_pairs``/``ab_pairs``
+are thin entries over one SoA body (:meth:`NumpyBackend._min_image`) —
+the pre-seam bits on exactly diagonal cells (every benchmark cell), and
+pair rows equal to the row kernels' rows bitwise on every cell.
 
 Keep it boring.  Any "improvement" to an expression here that changes
 its floating-point op sequence is a determinism regression, not a
@@ -72,6 +73,29 @@ class NumpyBackend:
     """
 
     # -- distance kernels ----------------------------------------------------------
+    def _min_image(self, a, b, lattice):
+        """The one body of all four distance kernels: ``a - b`` on
+        broadcastable component-major ``(3, ...)`` views -> in-place SoA
+        minimum image (:meth:`CrystalLattice.min_image_soa`) ->
+        ``sqrt(dx*dx + dy*dy + dz*dz)``.  Returns ``(dist, comps)`` of
+        shapes ``(...)`` and ``(3, ...)`` in accumulation precision; no
+        ``(..., 3)`` or ``(..., 27, 3)`` array is materialised."""
+        comps = np.empty(np.broadcast(a, b).shape,
+                         dtype=np.float64)  # repro: noqa R002
+        np.subtract(a, b, out=comps)
+        dx, dy, dz = comps
+        lattice.min_image_soa(dx, dy, dz)
+        dist = dx * dx + dy * dy + dz * dz
+        np.sqrt(dist, out=dist)
+        return dist, comps
+
+    def _rows(self, src, rk, lattice):
+        """Row kernels' shared entry: component-major sources ``src``
+        (3, W or 1, n) minus the (W, 3) centers ``rk``; the displacement
+        comes back as a (W, 3, n) view of the component-major block."""
+        r, comps = self._min_image(src, rk.T[:, :, None], lattice)
+        return r, comps.transpose(1, 0, 2)
+
     def aa_row(self, soa, rk, lattice, self_index=-1):
         """Distances/displacements from each walker's center ``rk[w]``
         to that walker's own particles.
@@ -80,53 +104,25 @@ class NumpyBackend:
         shapes (W, n) and (W, 3, n) in accumulation precision, with row
         ``self_index`` masked to (BIG_DISTANCE, 0) when >= 0.
         """
-        nw, _, n = soa.shape
-        dr64 = np.empty((nw, 3, n), dtype=np.float64)  # repro: noqa R002
-        for d in range(3):
-            dr64[:, d] = soa[:, d] - rk[:, d, None]
-        if lattice.periodic:
-            dr64 = lattice.min_image_disp(
-                dr64.transpose(0, 2, 1)).transpose(0, 2, 1)
-        r2 = dr64[:, 0] * dr64[:, 0] + dr64[:, 1] * dr64[:, 1] \
-            + dr64[:, 2] * dr64[:, 2]
-        r = np.sqrt(r2)
+        r, dr = self._rows(soa.transpose(1, 0, 2), rk, lattice)
         if self_index >= 0:
             r[:, self_index] = BIG_DISTANCE
-            dr64[:, :, self_index] = 0
-        return r, dr64
+            dr[:, :, self_index] = 0
+        return r, dr
 
     def ab_row(self, src_soa, rk, lattice):
         """Distances/displacements from each walker's center ``rk[w]``
         to the shared fixed sources ``src_soa`` (3, ns); returns
         ``(r, dr)`` of shapes (W, ns) and (W, 3, ns)."""
-        nw = rk.shape[0]
-        ns = src_soa.shape[1]
-        dr64 = np.empty((nw, 3, ns), dtype=np.float64)  # repro: noqa R002
-        for d in range(3):
-            dr64[:, d] = src_soa[d][None, :] - rk[:, d, None]
-        if lattice.periodic:
-            dr64 = lattice.min_image_disp(
-                dr64.transpose(0, 2, 1)).transpose(0, 2, 1)
-        r = np.sqrt(dr64[:, 0] * dr64[:, 0] + dr64[:, 1] * dr64[:, 1]
-                    + dr64[:, 2] * dr64[:, 2])
-        return r, dr64
+        return self._rows(src_soa[:, None, :], rk, lattice)
 
     def _pairs(self, a, b, lattice):
-        """Shared body of the all-pairs kernels: ``a - b`` (broadcastable
-        (..., 3) position views) one Cartesian component at a time ->
-        in-place SoA minimum image -> distances, the op sequence of
-        :meth:`aa_row`/:meth:`ab_row` (bitwise on exactly diagonal
-        cells).  No ``(..., 3)`` or ``(..., 27, 3)`` array is
-        materialised: the displacement is built component-major and
-        returned as a (W, nt, 3, ns) view."""
-        shape = np.broadcast_shapes(a.shape, b.shape)[:-1]
-        comps = np.empty((3,) + shape, dtype=np.float64)  # repro: noqa R002
-        for d in range(3):
-            np.subtract(a[..., d], b[..., d], out=comps[d])
-        dx, dy, dz = comps
-        lattice.min_image_soa(dx, dy, dz)
-        dist = dx * dx + dy * dy + dz * dz
-        np.sqrt(dist, out=dist)
+        """All-pairs kernels' shared entry: ``a - b`` on broadcastable
+        (..., 3) position views; the displacement comes back as a
+        (W, nt, 3, ns) view.  Row ``k`` is the row kernels' row for
+        center ``R[:, k]``, bit for bit on every cell (same body)."""
+        dist, comps = self._min_image(np.moveaxis(a, -1, 0),
+                                      np.moveaxis(b, -1, 0), lattice)
         return dist, comps.transpose(1, 2, 0, 3)
 
     def aa_pairs(self, R, lattice):

@@ -5,10 +5,9 @@ Same forward-update / compute-on-the-fly schemes as
 axis: the per-walker row kernel's one-vector-op-per-component becomes
 one-vector-op-per-component *over the whole crowd*.
 
-Bitwise contract: for any single walker, the arithmetic here is
-element-for-element the same sequence of operations as the per-walker
-tables (`DistanceTableAASoA` / `DistanceTableAAOtf` /
-`DistanceTableABSoA`), so the differential suite can demand exact
+Bitwise contract: the per-walker tables (`DistanceTableAASoA` /
+`DistanceTableAAOtf` / `DistanceTableABSoA`) call the same backend row
+and pair kernels at W = 1, so the differential suite can demand exact
 equality of the rows, not just closeness.
 """
 
@@ -30,7 +29,7 @@ def _batched_row_from(soa: np.ndarray, n: int, rk: np.ndarray, lattice,
                       out_r: np.ndarray, out_dr: np.ndarray,
                       self_index: int = -1) -> None:
     """Distances/displacements from each walker's point ``rk[w]`` to all
-    of that walker's particles — the batched twin of ``_row_from``.
+    of that walker's particles.
 
     ``soa`` is the (W, 3, Np) position block, ``rk`` a (W, 3) block of
     centers; outputs are (W, Np) and (W, 3, Np) views.  The arithmetic

@@ -1,23 +1,15 @@
-"""Walker-batched Jastrow kernels (J1 + J2).
+"""Walker-batched Jastrow components (J1 + J2).
 
-The per-walker row kernels in :mod:`repro.jastrow` evaluate one
-(electron, all-partners) row at a time; here the same kernels take the
+The per-walker components in :mod:`repro.jastrow` evaluate one
+(electron, all-partners) row at a time; here the same row sums
+(:mod:`repro.jastrow.rows` — one body for both stacks, which also
+states the bitwise contract the differential suite relies on) take the
 (W, n) row *block* of a :class:`~repro.batched.distances` table and
 produce per-walker scalars as (W,) vectors.
 
-Bitwise contract with the per-walker path (relied on by the
-differential suite):
-
-* functor evaluation is elementwise, so ``evaluate_v((W, n))`` rows
-  match ``evaluate_v((n,))`` per walker exactly;
-* row sums use ``np.sum(..., axis=-1)``, which performs the same
-  pairwise reduction per row as the per-walker 1-D ``np.sum``;
-* gradients use batched ``np.matmul`` — NumPy lowers both the
-  per-walker ``(3, n) @ (n,)`` and the batched ``(W, 3, n) @ (W, n, 1)``
-  forms to the same BLAS reduction, verified bitwise;
-* ratios apply ``math.exp`` per walker (a short scalar loop):
-  ``np.exp``'s SIMD path differs from libm by 1 ulp on a few percent of
-  arguments, which is enough to flip a Metropolis comparison.
+Ratios apply ``math.exp`` per walker (a short scalar loop): ``np.exp``'s
+SIMD path differs from libm by 1 ulp on a few percent of arguments,
+which is enough to flip a Metropolis comparison.
 """
 
 # repro: hot
@@ -30,7 +22,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.backend import active
-from repro.jastrow import vp
+from repro.jastrow import rows, vp
 from repro.jastrow.functor import BsplineFunctor
 from repro.lint.hot import hot_kernel
 from repro.metrics.registry import METRICS
@@ -67,53 +59,28 @@ class BatchedTwoBodyJastrow:
     def functor_for(self, gi: int, gj: int) -> BsplineFunctor:
         return self.functors[(min(gi, gj), max(gi, gj))]
 
-    # -- row-block kernels -------------------------------------------------------
+    # -- row-block kernels: repro.jastrow.rows ------------------------------------
     def _rows_v(self, rows_r: np.ndarray, k: int) -> np.ndarray:
         """sum_j u(r_kj) for each walker's row; rows_r is (W, n)."""
-        gk = self.group_of[k]
-        total = np.zeros(self.nw)
-        for g, s in self.group_slices:
-            f = self.functor_for(gk, g)
-            total += np.sum(f.evaluate_v(rows_r[:, s]), axis=-1)
         OPS.record("J2", flops=10.0 * self.nw * self.n,
                    rbytes=8.0 * self.nw * self.n, wbytes=8.0 * self.nw)
-        return total
+        return rows.rows_v(rows.j2_groups(self, self.group_of[k]), rows_r)
 
     def _rows_vgl(self, rows_r: np.ndarray, rows_dr: np.ndarray, k: int):
         """(sum u, grad_k, lap_k) per walker; rows_dr is (W, 3, n)."""
-        gk = self.group_of[k]
-        u_sum = np.zeros(self.nw)
-        grad = np.zeros((self.nw, 3))
-        lap = np.zeros(self.nw)
-        for g, s in self.group_slices:
-            f = self.functor_for(gk, g)
-            r = rows_r[:, s]
-            u, du, d2u = f.evaluate_vgl(r)
-            u_sum += np.sum(u, axis=-1)
-            w = du / r  # safe: du == 0 wherever r >= rcut (incl. BIG diag)
-            grad += np.matmul(rows_dr[:, :, s], w[:, :, None])[:, :, 0]
-            lap -= np.sum(d2u + 2.0 * w, axis=-1)
         OPS.record("J2", flops=20.0 * self.nw * self.n,
                    rbytes=32.0 * self.nw * self.n, wbytes=40.0 * self.nw)
-        return u_sum, grad, lap
+        return rows.rows_vgl(rows.j2_groups(self, self.group_of[k]),
+                             rows_r, rows_dr)
 
     def _rows_vg(self, rows_r: np.ndarray, rows_dr: np.ndarray, k: int):
         """(sum u, grad_k) per walker: :meth:`_rows_vgl` without the
         Laplacian channel the sweep never reads, bitwise its first two
         results."""
-        gk = self.group_of[k]
-        u_sum = np.zeros(self.nw)
-        grad = np.zeros((self.nw, 3))
-        for g, s in self.group_slices:
-            f = self.functor_for(gk, g)
-            r = rows_r[:, s]
-            u, du = f.evaluate_vg(r)
-            u_sum += np.sum(u, axis=-1)
-            w = du / r
-            grad += np.matmul(rows_dr[:, :, s], w[:, :, None])[:, :, 0]
         OPS.record("J2", flops=16.0 * self.nw * self.n,
                    rbytes=32.0 * self.nw * self.n, wbytes=32.0 * self.nw)
-        return u_sum, grad
+        return rows.rows_vg(rows.j2_groups(self, self.group_of[k]),
+                            rows_r, rows_dr)
 
     # -- batched component API ---------------------------------------------------
     def evaluate_log(self, tables, G: np.ndarray, L: np.ndarray) -> np.ndarray:
@@ -234,45 +201,22 @@ class BatchedOneBodyJastrow:
             (g, np.where(self.ion_species_ids == g)[0])
             for g in sorted(self.functors))
 
+    # -- row-block kernels: repro.jastrow.rows ------------------------------------
     def _rows_v(self, rows_r: np.ndarray) -> np.ndarray:
-        total = np.zeros(self.nw)
-        for g, idx in self.species_masks:
-            f = self.functors[g]
-            total += np.sum(f.evaluate_v(rows_r[:, idx]), axis=-1)
         OPS.record("J1", flops=10.0 * self.nw * self.nions,
                    rbytes=8.0 * self.nw * self.nions, wbytes=8.0 * self.nw)
-        return total
+        return rows.rows_v(rows.j1_groups(self), rows_r)
 
     def _rows_vgl(self, rows_r: np.ndarray, rows_dr: np.ndarray):
-        u_sum = np.zeros(self.nw)
-        grad = np.zeros((self.nw, 3))
-        lap = np.zeros(self.nw)
-        for g, idx in self.species_masks:
-            f = self.functors[g]
-            r = rows_r[:, idx]
-            u, du, d2u = f.evaluate_vgl(r)
-            u_sum += np.sum(u, axis=-1)
-            w = du / r
-            grad += np.matmul(rows_dr[:, :, idx], w[:, :, None])[:, :, 0]
-            lap -= np.sum(d2u + 2.0 * w, axis=-1)
         OPS.record("J1", flops=20.0 * self.nw * self.nions,
                    rbytes=32.0 * self.nw * self.nions, wbytes=40.0 * self.nw)
-        return u_sum, grad, lap
+        return rows.rows_vgl(rows.j1_groups(self), rows_r, rows_dr)
 
     def _rows_vg(self, rows_r: np.ndarray, rows_dr: np.ndarray):
         """:meth:`_rows_vgl` without the Laplacian channel (see J2)."""
-        u_sum = np.zeros(self.nw)
-        grad = np.zeros((self.nw, 3))
-        for g, idx in self.species_masks:
-            f = self.functors[g]
-            r = rows_r[:, idx]
-            u, du = f.evaluate_vg(r)
-            u_sum += np.sum(u, axis=-1)
-            w = du / r
-            grad += np.matmul(rows_dr[:, :, idx], w[:, :, None])[:, :, 0]
         OPS.record("J1", flops=16.0 * self.nw * self.nions,
                    rbytes=32.0 * self.nw * self.nions, wbytes=32.0 * self.nw)
-        return u_sum, grad
+        return rows.rows_vg(rows.j1_groups(self), rows_r, rows_dr)
 
     def evaluate_log(self, tables, G: np.ndarray, L: np.ndarray) -> np.ndarray:
         with METRICS.scope("J1"):

@@ -55,24 +55,16 @@ class DistanceTableAASoA(DistanceTable):
                   out_dr: np.ndarray, self_index: int) -> None:
         """Distances/displacements from point ``rk`` to all particles.
 
-        One contiguous vector operation per Cartesian component — the
-        Python analogue of the compiler-vectorized loop over Rsoa rows.
+        The crowd-wide ``aa_row`` kernel at W = 1 — one contiguous
+        vector operation per Cartesian component over the Rsoa rows, in
+        accumulation precision; the assignments into the out views
+        perform the policy downcast.
         """
         n = self.n
-        soa = P.Rsoa.data  # (3, Np_pos)
-        # Displacement intermediates stay in accumulation precision; the
-        # assignment into ``out_dr`` performs the policy downcast.
-        dr64 = np.empty((3, n), dtype=np.float64)  # repro: noqa R002
-        for d in range(3):
-            dr64[d] = soa[d, :n] - rk[d]
-        if self.lattice.periodic:
-            dr64 = self.lattice.min_image_disp(dr64.T).T
-        out_dr[:, :n] = dr64
-        r2 = dr64[0] * dr64[0] + dr64[1] * dr64[1] + dr64[2] * dr64[2]
-        out_r[:n] = np.sqrt(r2)
-        if self_index >= 0:
-            out_r[self_index] = BIG_DISTANCE
-            out_dr[:, self_index] = 0
+        r, dr = active().aa_row(P.Rsoa.data[None, :, :n], rk[None],
+                                self.lattice, self_index)
+        out_dr[:, :n] = np.asarray(dr)[0]
+        out_r[:n] = np.asarray(r)[0]
 
     # -- full evaluation -----------------------------------------------------------
     def evaluate(self, P) -> None:

@@ -51,17 +51,13 @@ class DistanceTableABSoA(DistanceTable):
 
     def _row_from(self, rk: np.ndarray, out_r: np.ndarray,
                   out_dr: np.ndarray) -> None:
+        # The crowd-wide ``ab_row`` kernel at W = 1 (accumulation
+        # precision); the assignments perform the policy downcast.
         ns = self.ns
-        # Displacement intermediates stay in accumulation precision; the
-        # assignment into ``out_dr`` performs the policy downcast.
-        dr64 = np.empty((3, ns), dtype=np.float64)  # repro: noqa R002
-        for d in range(3):
-            dr64[d] = self._src_soa[d, :ns] - rk[d]
-        if self.lattice.periodic:
-            dr64 = self.lattice.min_image_disp(dr64.T).T
-        out_dr[:, :ns] = dr64
-        out_r[:ns] = np.sqrt(
-            dr64[0] * dr64[0] + dr64[1] * dr64[1] + dr64[2] * dr64[2])
+        r, dr = active().ab_row(self._src_soa[:, :ns], rk[None],
+                                self.lattice)
+        out_dr[:, :ns] = np.asarray(dr)[0]
+        out_r[:ns] = np.asarray(r)[0]
 
     def evaluate(self, P) -> None:
         # The crowd-wide all-pairs kernel at W = 1: [k, I] = ion - electron.

@@ -17,7 +17,7 @@ from typing import Dict
 
 import numpy as np
 
-from repro.jastrow import vp
+from repro.jastrow import rows, vp
 from repro.jastrow.functor import BsplineFunctor
 from repro.lint.hot import hot_kernel
 from repro.metrics.registry import METRICS
@@ -49,45 +49,27 @@ class _J1Base:
 class OneBodyJastrowOtf(_J1Base):
     """Optimized J1: vectorized per-species row kernels, no stored state."""
 
+    # -- row kernels: repro.jastrow.rows at W = 1 ---------------------------------
     def _row_v(self, row_r: np.ndarray) -> float:
-        total = 0.0
-        for g, idx in self.species_masks:
-            f = self.functors[g]
-            total += float(np.sum(f.evaluate_v(row_r[idx])))
         OPS.record("J1", flops=10.0 * self.nions, rbytes=8.0 * self.nions,
                    wbytes=8.0)
-        return total
+        return float(rows.rows_v(rows.j1_groups(self), row_r[None])[0])
 
     def _row_vgl(self, row_r: np.ndarray, row_dr: np.ndarray):
-        u_sum = 0.0
-        grad = np.zeros(3)
-        lap = 0.0
-        for g, idx in self.species_masks:
-            f = self.functors[g]
-            r = row_r[idx]
-            u, du, d2u = f.evaluate_vgl(r)
-            u_sum += float(np.sum(u))
-            w = du / r
-            grad += row_dr[:, idx] @ w
-            lap -= float(np.sum(d2u + 2.0 * w))
         OPS.record("J1", flops=20.0 * self.nions, rbytes=32.0 * self.nions,
                    wbytes=40.0)
-        return u_sum, grad, lap
+        u_sum, grad, lap = rows.rows_vgl(rows.j1_groups(self), row_r[None],
+                                         row_dr[None])
+        return float(u_sum[0]), grad[0], float(lap[0])
 
     def _row_vg(self, row_r: np.ndarray, row_dr: np.ndarray):
         """:meth:`_row_vgl` without the Laplacian channel the PbyP moves
         never read, bitwise its first two results."""
-        u_sum = 0.0
-        grad = np.zeros(3)
-        for g, idx in self.species_masks:
-            f = self.functors[g]
-            r = row_r[idx]
-            u, du = f.evaluate_vg(r)
-            u_sum += float(np.sum(u))
-            grad += row_dr[:, idx] @ (du / r)
         OPS.record("J1", flops=16.0 * self.nions, rbytes=32.0 * self.nions,
                    wbytes=32.0)
-        return u_sum, grad
+        u_sum, grad = rows.rows_vg(rows.j1_groups(self), row_r[None],
+                                   row_dr[None])
+        return float(u_sum[0]), grad[0]
 
     def evaluate_log(self, P) -> float:
         with METRICS.scope("J1"):

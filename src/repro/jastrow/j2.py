@@ -20,7 +20,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.distances.base import BIG_DISTANCE
-from repro.jastrow import vp
+from repro.jastrow import rows, vp
 from repro.jastrow.functor import BsplineFunctor
 from repro.lint.hot import hot_kernel
 from repro.metrics.registry import METRICS
@@ -59,52 +59,31 @@ class TwoBodyJastrowOtf(_J2Base):
         super().__init__(n, group_slices, functors)
         self.table_index = table_index
 
-    # -- row kernels --------------------------------------------------------------
+    # -- row kernels: repro.jastrow.rows at W = 1 ---------------------------------
     def _row_v(self, row_r: np.ndarray, k: int) -> float:
         """sum_j u(r_kj) over a distance row (vectorized per group)."""
-        gk = self.group_of[k]
-        total = 0.0
-        for g, s in self.group_slices:
-            f = self.functor_for(gk, g)
-            total += float(np.sum(f.evaluate_v(row_r[s])))
         OPS.record("J2", flops=10.0 * self.n, rbytes=8.0 * self.n,
                    wbytes=8.0)
-        return total
+        return float(rows.rows_v(
+            rows.j2_groups(self, self.group_of[k]), row_r[None])[0])
 
     def _row_vgl(self, row_r: np.ndarray, row_dr: np.ndarray, k: int):
         """(sum u, grad_k, lap_k) over a row; row_dr is (3, N)."""
-        gk = self.group_of[k]
-        u_sum = 0.0
-        grad = np.zeros(3)
-        lap = 0.0
-        for g, s in self.group_slices:
-            f = self.functor_for(gk, g)
-            r = row_r[s]
-            u, du, d2u = f.evaluate_vgl(r)
-            u_sum += float(np.sum(u))
-            w = du / r  # safe: du == 0 wherever r >= rcut (incl. BIG diag)
-            grad += row_dr[:, s] @ w
-            lap -= float(np.sum(d2u + 2.0 * w))
         OPS.record("J2", flops=20.0 * self.n, rbytes=32.0 * self.n,
                    wbytes=8.0 * 5)
-        return u_sum, grad, lap
+        u_sum, grad, lap = rows.rows_vgl(
+            rows.j2_groups(self, self.group_of[k]), row_r[None], row_dr[None])
+        return float(u_sum[0]), grad[0], float(lap[0])
 
     def _row_vg(self, row_r: np.ndarray, row_dr: np.ndarray, k: int):
         """(sum u, grad_k): :meth:`_row_vgl` without the Laplacian
         channel the PbyP moves never read, bitwise its first two
         results."""
-        gk = self.group_of[k]
-        u_sum = 0.0
-        grad = np.zeros(3)
-        for g, s in self.group_slices:
-            f = self.functor_for(gk, g)
-            r = row_r[s]
-            u, du = f.evaluate_vg(r)
-            u_sum += float(np.sum(u))
-            grad += row_dr[:, s] @ (du / r)
         OPS.record("J2", flops=16.0 * self.n, rbytes=32.0 * self.n,
                    wbytes=8.0 * 4)
-        return u_sum, grad
+        u_sum, grad = rows.rows_vg(
+            rows.j2_groups(self, self.group_of[k]), row_r[None], row_dr[None])
+        return float(u_sum[0]), grad[0]
 
     # -- WaveFunctionComponent API ---------------------------------------------------
     def evaluate_log(self, P) -> float:

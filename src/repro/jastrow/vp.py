@@ -25,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.distances.base import BIG_DISTANCE
+from repro.jastrow.rows import j1_groups, j2_groups, rows_v
 from repro.perfmodel.opcount import OPS
 
 
@@ -59,26 +60,20 @@ def j2_row_sums(j2, rows: np.ndarray, ks: np.ndarray) -> np.ndarray:
     group of its electron ``ks[m]``.  Rows of one owner group are taken
     as a view when they are contiguous (a walker-sorted slab) and
     gathered otherwise."""
-    total = np.zeros(len(rows))
-    groups = j2.group_of[ks]
-    for gk in np.unique(groups):
-        sel = np.flatnonzero(groups == gk)
+    total = np.empty(len(rows))
+    owner_group = j2.group_of[ks]
+    for gk in np.unique(owner_group):
+        sel = np.flatnonzero(owner_group == gk)
         if sel[-1] - sel[0] + 1 == len(sel):
             sel = slice(sel[0], sel[-1] + 1)
-        block = rows[sel]
-        for g, s in j2.group_slices:
-            f = j2.functor_for(int(gk), g)
-            total[sel] += np.sum(f.evaluate_v(block[:, s]), axis=-1)
+        total[sel] = rows_v(j2_groups(j2, int(gk)), rows[sel])
     return total
 
 
 def j1_row_sums(j1, rows: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """``sum_I u_{s(I)}(rows[m, I])`` per row (``ks`` is unused: every
     electron sees the same per-species functors)."""
-    total = np.zeros(len(rows))
-    for g, idx in j1.species_masks:
-        total += np.sum(j1.functors[g].evaluate_v(rows[:, idx]), axis=-1)
-    return total
+    return rows_v(j1_groups(j1), rows)
 
 
 def ratios_vp(category: str, lattice, dtype, owners_w, owners_k, positions,

@@ -290,9 +290,7 @@ def _worker_main(cfg: _WorkerConfig) -> None:  # repro: hot
             "n_moves": crowd.n_moves,
             "n_accept": crowd.n_accept,
             "metrics": METRICS.snapshot() if METRICS.enabled else None,
-            "comm": {"allreduce_count": comm.allreduce_count,
-                     "p2p_messages": comm.p2p_messages,
-                     "p2p_bytes": comm.p2p_bytes},
+            "allreduce_count": comm.allreduce_count,
             "collective_log": collective_log,
         }
         comm.allgather(payload)
@@ -386,8 +384,7 @@ class ParallelCrowdDriver(GenerationLoop):  # repro: cold
         self._snapshot: Optional[Dict[str, np.ndarray]] = None
         #: per-crowd segment trace paths of the latest run (or None)
         self.segment_paths: Optional[List[str]] = None
-        self._comm_totals = {"allreduce_count": 0, "p2p_messages": 0,
-                             "p2p_bytes": 0.0}
+        self._comm_allreduces = 0
 
     # -- the run (one generation loop for serial and process paths) -------------
     def run(self, steps: int = 10, mode: str = "vmc", streams=None,
@@ -426,8 +423,7 @@ class ParallelCrowdDriver(GenerationLoop):  # repro: cold
         self._abort_after = abort_after
         self._incarnation = 0
         self.respawns = 0
-        self._comm_totals = {"allreduce_count": 0, "p2p_messages": 0,
-                             "p2p_bytes": 0.0}
+        self._comm_allreduces = 0
         W, n = self.nw, self.spec.n
         ncomp = len(self._ham_names)
         shared = self.workers > 0
@@ -509,10 +505,7 @@ class ParallelCrowdDriver(GenerationLoop):  # repro: cold
         result.extra["respawns"] = float(self.respawns)
         result.extra["setup_seconds"] = float(setup_s)
         if shared:
-            result.extra["comm_allreduces"] = float(
-                self._comm_totals["allreduce_count"])
-            result.extra["comm_p2p_bytes"] = float(
-                self._comm_totals["p2p_bytes"])
+            result.extra["comm_allreduces"] = float(self._comm_allreduces)
             if worker_stats:
                 result.extra["worker_moves"] = float(
                     sum(p["n_moves"] for p in worker_stats))
@@ -727,8 +720,7 @@ class ParallelCrowdDriver(GenerationLoop):  # repro: cold
                 proc.join(timeout=5.0)
         self._procs = {}
         if self._comm is not None:
-            for key in ("allreduce_count", "p2p_messages", "p2p_bytes"):
-                self._comm_totals[key] += getattr(self._comm, key)
+            self._comm_allreduces += self._comm.allreduce_count
             self._comm.close()
             self._comm = None
 
@@ -750,8 +742,7 @@ class ParallelCrowdDriver(GenerationLoop):  # repro: cold
             if p.get("metrics") and METRICS.enabled:
                 METRICS.merge_snapshot(p["metrics"],
                                        label=f"crowd-{p['crowd']}")
-            for key in ("allreduce_count", "p2p_messages", "p2p_bytes"):
-                self._comm_totals[key] += p["comm"][key]
+            self._comm_allreduces += p["allreduce_count"]
         # every worker's final payload happened-before this point: the
         # state sealed after the last generation must be intact
         self._race_state("verify")

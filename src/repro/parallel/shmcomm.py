@@ -2,12 +2,12 @@
 collective API across *real* processes.
 
 :class:`SimComm` simulates MPI inside one process (the caller hands in
-every rank's contribution at once).  ``SharedMemComm`` keeps the same
-collective vocabulary — ``allreduce`` / ``allreduce_array`` /
-``allgather`` plus point-to-point ``send``/``recv`` with the same byte
-accounting — but each rank is a genuine OS process calling in SPMD
-style with *its own* contribution.  Rank 0 (the coordinator) reduces in
-rank order and broadcasts, so collective results are deterministic.
+every rank's contribution at once).  ``SharedMemComm`` keeps the part of
+that vocabulary the crowd pool calls — ``bcast`` and ``allgather``,
+counted in ``allreduce_count`` like every SimComm collective — but each
+rank is a genuine OS process calling in SPMD style with *its own*
+contribution.  Rank 0 (the coordinator) gathers in rank order and
+broadcasts, so collective results are deterministic.
 
 Transport is a star of ``multiprocessing.Pipe`` duplex connections
 (rank 0 <-> every other rank).  Only *small control payloads* — scalars,
@@ -28,10 +28,7 @@ import multiprocessing as mp
 from multiprocessing import connection
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.lint.sanitizers import sanitizers_enabled
-from repro.parallel.simcomm import SimComm
 
 
 class CommTimeout(RuntimeError):
@@ -59,18 +56,14 @@ class SharedMemComm:
         self.size = int(size)
         self._conns = conns          # root: {r: conn}; worker: {0: conn}
         self._seq = 0                # SPMD collective sequence number
-        #: buffered out-of-band messages: ("p2p", src, tag) -> payloads
-        self._p2p_inbox: Dict[Tuple[int, int], List[Any]] = {}
         #: buffered collective contributions: (src, seq) -> payload
         self._coll_inbox: Dict[Tuple[int, int], Any] = {}
         #: root only: (seq, reduce_fn) of a gather that timed out and can
         #: be retried with :meth:`resume` (contributions already received
         #: stay buffered, so a slow rank costs nothing extra)
         self._pending: Optional[Tuple[int, Callable[[List[Any]], Any]]] = None
-        # SimComm-compatible accounting
+        #: collectives entered (SimComm-compatible accounting)
         self.allreduce_count = 0
-        self.p2p_messages = 0
-        self.p2p_bytes = 0.0
         #: (seq, kind) per collective entered, recorded while sanitizers
         #: are armed; CollectiveOrderChecker cross-checks these at
         #: shutdown (every kind shares one wire protocol, so divergent
@@ -110,8 +103,6 @@ class SharedMemComm:
                 old.close()
             except OSError:
                 pass
-        self._p2p_inbox = {k: v for k, v in self._p2p_inbox.items()
-                           if k[0] != rank}
         self._coll_inbox = {k: v for k, v in self._coll_inbox.items()
                             if k[0] != rank}
         parent_end, child_end = ctx.Pipe(duplex=True)
@@ -122,8 +113,8 @@ class SharedMemComm:
 
     # -- wire helpers ------------------------------------------------------------
     def _recv_routed(self, src: int, timeout: Optional[float]) -> Any:
-        """Receive the next raw message from ``src``, raising on EOF or
-        timeout; caller dispatches by message kind."""
+        """Receive the next raw ``(kind, seq, payload)`` message from
+        ``src``, raising on EOF or timeout."""
         conn = self._conns[src]
         if timeout is not None and not conn.poll(timeout):
             raise CommTimeout(
@@ -140,20 +131,12 @@ class SharedMemComm:
         buffering everything else for its own consumer."""
         key = (src, want_seq)
         while True:
-            if want_kind in ("coll", "collr") and key in self._coll_inbox:
+            if key in self._coll_inbox:
                 return self._coll_inbox.pop(key)
-            msg = self._recv_routed(src, timeout)
-            kind = msg[0]
-            if kind == want_kind and msg[1] == want_seq:
-                return msg[2]
-            if kind == "p2p":
-                _, msg_src, tag, payload = msg
-                self._p2p_inbox.setdefault((msg_src, tag),
-                                           []).append(payload)
-            elif kind in ("coll", "collr"):
-                self._coll_inbox[(src, msg[1])] = msg[2]
-            else:  # pragma: no cover - protocol error
-                raise RuntimeError(f"unknown message kind {kind!r}")
+            kind, seq, payload = self._recv_routed(src, timeout)
+            if kind == want_kind and seq == want_seq:
+                return payload
+            self._coll_inbox[(src, seq)] = payload
 
     def _send_raw(self, dst: int, msg: tuple) -> None:
         try:
@@ -161,7 +144,7 @@ class SharedMemComm:
         except (OSError, BrokenPipeError):
             raise CommPeerLost(dst) from None
 
-    # -- collectives (SimComm vocabulary, SPMD calling convention) ---------------
+    # -- collectives (SPMD calling convention) -----------------------------------
     def _collective(self, value: Any, reduce_fn: Callable[[List[Any]], Any],
                     timeout: Optional[float],
                     label: str = "collective") -> Any:
@@ -224,20 +207,6 @@ class SharedMemComm:
         """True while a root-side collective awaits contributions."""
         return self._pending is not None
 
-    def allreduce(self, value: Any, op: Callable = sum,
-                  timeout: Optional[float] = None) -> Any:
-        """Reduce one contribution per rank; every rank gets the result."""
-        return self._collective(value, op, timeout, label="allreduce")
-
-    def allreduce_array(self, array: np.ndarray,
-                        timeout: Optional[float] = None) -> np.ndarray:
-        """Element-wise sum-allreduce of equal-shape arrays (small control
-        arrays only — walker blocks live in shared memory)."""
-        return self._collective(
-            np.asarray(array),
-            lambda parts: np.sum(np.stack(parts), axis=0), timeout,
-            label="allreduce_array")
-
     def allgather(self, value: Any,
                   timeout: Optional[float] = None) -> List[Any]:
         """Every rank contributes one object; all get the rank-ordered list."""
@@ -252,48 +221,6 @@ class SharedMemComm:
                                 lambda parts: parts[0], timeout,
                                 label="bcast")
 
-    def barrier(self, timeout: Optional[float] = None) -> None:
-        self._collective(None, list, timeout, label="barrier")
-
-    # -- point to point ----------------------------------------------------------
-    def send(self, dst: int, obj: Any, nbytes: Optional[float] = None,
-             tag: int = 0) -> None:
-        """Send a control payload to ``dst`` (star: one end must be 0)."""
-        if dst == self.rank or not 0 <= dst < self.size:
-            raise ValueError(f"bad destination rank {dst}")
-        if dst != 0 and self.rank != 0:
-            raise NotImplementedError(
-                "star topology: worker-to-worker payloads go through "
-                "shared memory, not the pipes")
-        self.p2p_messages += 1
-        self.p2p_bytes += (SimComm._estimate_bytes(obj)
-                           if nbytes is None else nbytes)
-        self._send_raw(dst, ("p2p", self.rank, tag, obj))
-
-    def recv(self, src: int, tag: int = 0,
-             timeout: Optional[float] = None) -> Any:
-        """Receive the next payload sent by ``src`` with ``tag``."""
-        queue = self._p2p_inbox.get((src, tag))
-        if queue:
-            return queue.pop(0)
-        while True:
-            msg = self._recv_routed(src, timeout)
-            if msg[0] == "p2p":
-                _, msg_src, msg_tag, payload = msg
-                if msg_src == src and msg_tag == tag:
-                    return payload
-                self._p2p_inbox.setdefault((msg_src, msg_tag),
-                                           []).append(payload)
-            else:
-                self._coll_inbox[(src, msg[1])] = msg[2]
-
-    def poll_any(self, ranks: Sequence[int],
-                 timeout: Optional[float]) -> List[int]:
-        """Root only: ranks (subset) whose pipes have data ready."""
-        conns = {self._conns[r]: r for r in ranks}
-        ready = connection.wait(list(conns), timeout=timeout)
-        return [conns[c] for c in ready]
-
     # -- teardown ---------------------------------------------------------------
     def close(self) -> None:
         for conn in self._conns.values():
@@ -303,13 +230,7 @@ class SharedMemComm:
                 pass
         self._conns = {}
         self._pending = None
-        self._p2p_inbox = {}
         self._coll_inbox = {}
-
-    def reset_counters(self) -> None:
-        self.allreduce_count = 0
-        self.p2p_messages = 0
-        self.p2p_bytes = 0.0
 
     def __repr__(self) -> str:
         return f"SharedMemComm(rank={self.rank}, size={self.size})"

@@ -18,6 +18,9 @@ from repro.backend import KERNEL_NAMES, active, get_backend, use_backend
 from repro.backend.numpy_backend import NumpyBackend
 from repro.batched import BatchedCrowdDriver, JastrowSystemSpec
 from repro.batched.reference import use_loop_sweep
+from repro.drivers.vmc import VMCDriver
+from repro.lattice.cell import CrystalLattice
+from repro.lint.sanitizers import sanitizers_enabled
 
 
 class _Counter:
@@ -143,6 +146,19 @@ class TestCallTimeDispatch:
         assert counter.calls["functor_v"] == 1
         assert counter.calls["functor_vgl"] == 1
 
+    def test_scalar_table_row_call_sites(self):
+        """The per-walker SoA tables are W = 1 callers of the row
+        kernels: an OTF AA move is the refresh plus the proposed row."""
+        P, _, _ = JastrowSystemSpec(n=8, seed=3).build_scalar()
+        aa, ab = P.distance_tables
+        rnew = P.R[2] + 0.2
+        with patched_singleton() as counter:
+            aa.move(P, rnew, 2)
+            ab.move(P, rnew, 2)
+        assert counter.calls["aa_row"] == 2
+        assert counter.calls["ab_row"] == 1
+        assert counter.dispatches == 3
+
     def test_scalar_determinant_call_site(self):
         from repro.determinant.dirac import DiracDeterminant
         from repro.lattice.cell import CrystalLattice
@@ -157,6 +173,33 @@ class TestCallTimeDispatch:
         with patched_singleton() as counter:
             det.ratio(P, 2)
         assert counter.calls["det_ratio"] == 1
+
+
+@pytest.mark.skipif(
+    sanitizers_enabled(),
+    reason="the armed brute-force checks legitimately use the AoS oracle")
+class TestNoAosMinimumImageInCurrentSweep:
+    """Every Current-flavour distance row goes through the SoA minimum
+    image; ``min_image_disp`` is left to the Ref flavours, the cold
+    Hamiltonian terms and ``ratio_at``."""
+
+    @pytest.fixture(autouse=True)
+    def _aos_raises(self, monkeypatch):
+        def raise_(self, dr):
+            raise AssertionError("AoS min_image_disp inside a sweep")
+        monkeypatch.setattr(CrystalLattice, "min_image_disp", raise_)
+
+    @pytest.mark.parametrize("flavor", ["soa", "otf"])
+    def test_batched_sweep(self, flavor):
+        drv = BatchedCrowdDriver(
+            JastrowSystemSpec(n=8, seed=3, aa_flavor=flavor), 3, 11)
+        assert drv.sweep() > 0
+
+    def test_scalar_sweep(self):
+        P, twf, ham = JastrowSystemSpec(n=8, seed=3).build_scalar()
+        twf.evaluate_log(P)
+        drv = VMCDriver(P, twf, ham, np.random.default_rng(5))
+        assert drv.sweep() > 0
 
 
 class TestDriverIntegration:

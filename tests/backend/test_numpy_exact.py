@@ -81,16 +81,8 @@ class TestDistanceKernels:
                 np.testing.assert_allclose(
                     r[w, i], math.sqrt(float(d @ d)), rtol=1e-14)
 
-    # The all-pairs kernels run the row kernels' op sequence: bitwise on
-    # exactly diagonal (and open) cells; the skewed cell scans its 27
-    # images in SoA against the rows' (..., 27, 3) argmin.
-    @staticmethod
-    def _assert_rows(key, got, want):
-        if key == "skewed":
-            np.testing.assert_allclose(got, want, atol=1e-13)
-        else:
-            assert np.array_equal(got, want)
-
+    # The all-pairs kernels and the row kernels are one body: bitwise
+    # on every cell, the skewed 27-image scan included.
     @pytest.mark.parametrize("key", sorted(LATTICES))
     def test_aa_pairs_rows_match_aa_row(self, rng, key):
         lattice = LATTICES[key]
@@ -101,8 +93,8 @@ class TestDistanceKernels:
         soa = np.transpose(R, (0, 2, 1)).copy()
         for k in range(n):
             r, dr = B.aa_row(soa, R[:, k].copy(), lattice, self_index=k)
-            self._assert_rows(key, dist[:, k], r)
-            self._assert_rows(key, disp[:, k], dr)
+            assert np.array_equal(dist[:, k], r)
+            assert np.array_equal(disp[:, k], dr)
             assert np.all(dist[:, k, k] == BIG_DISTANCE)
             assert np.all(disp[:, k, :, k] == 0.0)
 
@@ -117,8 +109,8 @@ class TestDistanceKernels:
         src_soa = src_R.T.copy()
         for k in range(n):
             r, dr = B.ab_row(src_soa, R[:, k].copy(), lattice)
-            self._assert_rows(key, dist[:, k], r)
-            self._assert_rows(key, disp[:, k], dr)
+            assert np.array_equal(dist[:, k], r)
+            assert np.array_equal(disp[:, k], dr)
 
     def test_pairs_do_not_mutate_positions(self, rng):
         R = rng.uniform(0, 6, (2, 5, 3))
@@ -151,6 +143,36 @@ class TestTableEvaluate:
         # padding columns keep their sentinels
         assert np.all(table.distances[:, :, n:] == BIG_DISTANCE)
         assert np.all(table.displacements[:, :, :, n:] == 0)
+
+    def test_otf_row_refresh_reproduces_evaluate_on_skewed_cell(self, rng):
+        """The compute-on-the-fly refresh of row k from unchanged
+        positions is the from-scratch row, bit for bit, on a cell where
+        the AoS and SoA minimum images round differently."""
+        from repro.batched.distances import BatchedDistTableAAOtf
+        from repro.batched.walkerbatch import WalkerBatch
+        from repro.distances.aa_otf import DistanceTableAAOtf
+        from repro.particles.particleset import ParticleSet
+        lattice = LATTICES["skewed"]
+        W, n = 3, 10
+        batch = WalkerBatch.from_positions(rng.uniform(0, 6, (W, n, 3)))
+        table = BatchedDistTableAAOtf(W, n, lattice)
+        table.evaluate(batch)
+        dist, disp = table.distances.copy(), table.displacements.copy()
+        for k in range(n):
+            table.move(batch, batch.R[:, k], k)
+        assert np.array_equal(table.distances, dist)
+        assert np.array_equal(table.displacements, disp)
+
+        P = ParticleSet("e", batch.R[0], lattice, layout="both")
+        scalar = DistanceTableAAOtf(n, lattice)
+        P.add_table(scalar)
+        P.update_tables()
+        assert np.array_equal(scalar.distances, dist[0])
+        assert np.array_equal(scalar.displacements, disp[0])
+        for k in range(n):
+            scalar.move(P, P.R[k], k)
+        assert np.array_equal(scalar.distances, dist[0])
+        assert np.array_equal(scalar.displacements, disp[0])
 
     def test_evaluate_peak_memory_below_eight_blocks(self, rng):
         """No (W,n,n,3) -> GEMM -> rint -> GEMM chain: the peak of one
