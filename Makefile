@@ -64,7 +64,8 @@ bench-e2e:
 # Trace sha256 of the four benchmark workloads on seeds 21 and 7 (one
 # in-process repeat each, through the benchmark's own worker.repeat,
 # imported read-only).  A change that promises "same bits" prints the
-# same eight lines as its parent commit.
+# same eight lines as its parent commit; the committed ones are in
+# benchmarks/digests.txt (CI: `make digests | diff - benchmarks/digests.txt`).
 digests:
 	@PYTHONPATH=src:benchmarks/e2e PYTHONHASHSEED=0 $(PYTHON) -c \
 	"import worker; [print(seed, name, worker.repeat(name, seed, \

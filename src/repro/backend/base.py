@@ -24,12 +24,12 @@ KERNEL_NAMES = (
     "ab_row",
     "aa_pairs",
     "ab_pairs",
-    # J1/J2 cutoff B-spline functor evaluation (elementwise Horner);
-    # ``_vg`` is ``_vgl`` without the Laplacian channel (sweep callers)
+    # J1/J2 cutoff B-spline functors (per-interval monomial table, zero
+    # tail); ``_vg`` is ``_vgl`` without the Laplacian (sweep callers)
     "functor_v",
     "functor_vg",
     "functor_vgl",
-    # raw 1D cubic B-spline value / value-grad-lap (elementwise Horner)
+    # raw 1D cubic B-spline value / value-grad-lap (the same body, uncut)
     "bspline1d_v",
     "bspline1d_vgl",
     # batched 3D B-spline SPO value / value-grad-lap (stencil contraction)

@@ -24,7 +24,9 @@ reproduced bit for bit and the restart/differential suites gate exactly
 that.  The rebuilt four: ``aa_row``/``ab_row``/``aa_pairs``/``ab_pairs``
 are thin entries over one SoA body (:meth:`NumpyBackend._min_image`) —
 the pre-seam bits on exactly diagonal cells (every benchmark cell), and
-pair rows equal to the row kernels' rows bitwise on every cell.
+pair rows equal to the row kernels' rows bitwise on every cell.  The
+five 1D kernels (:meth:`NumpyBackend._poly1d`) are rebuilt too: within
+rounding of the scalar Ref, not bitwise.
 
 Keep it boring.  Any "improvement" to an expression here that changes
 its floating-point op sequence is a determinism regression, not a
@@ -40,18 +42,9 @@ import numpy as np
 
 from repro.distances.base import BIG_DISTANCE
 
-# 1D segment basis (Horner form) and the 3D stencil basis — imported
-# from their canonical homes so the numerical constants cannot drift.
-from repro.splines.cubic1d import _A as _A1, _dA as _dA1, _d2A as _d2A1
+# The 3D stencil basis, imported from its canonical home so the
+# numerical constants cannot drift.
 from repro.splines.bspline3d import _A as _A3, _dA as _dA3, _d2A as _d2A3
-
-
-#: Horner coefficients of the 1D segment basis and its first two
-#: u-derivatives: ``_HORNER1[c][k]`` is row ``k`` of the c-th derivative
-#: basis, innermost coefficient first, as Python floats (same doubles,
-#: cheaper per-op dispatch than NumPy scalars).
-_HORNER1 = tuple(tuple(tuple(float(c) for c in row[::-1]) for row in basis)
-                 for basis in (_A1, _dA1, _d2A1))
 
 
 def _weight_rows3(u: np.ndarray):
@@ -143,68 +136,77 @@ class NumpyBackend:
         # disp[w, k, :, I] = R_I - r_k, matching the per-walker AB convention.
         return self._pairs(src_R[None, None, :, :], R[:, :, None, :], lattice)
 
-    # -- Jastrow functor kernels -----------------------------------------------------
-    def _functor(self, coefs, x0, h, nintervals, rcut, r, nch):
-        """The cutoff scaffold of the functor kernels: the first ``nch``
-        :meth:`_spline1d` channels inside ``rcut``, zero at and beyond
-        it.  ``r`` is any shape; every channel matches it."""
+    # -- 1D spline and Jastrow functor kernels ----------------------------------------
+    def _poly1d(self, poly, x0, h, r, nch, rcut=None):
+        """The one body of the five 1D kernels: the first ``nch`` of
+        (value, d/dr, d2/dr2) at ``r`` (any shape) from the (4, n + 1)
+        monomial table ``poly`` of ``CubicBSpline1D``.  Interval
+        ``i = floor(t)``, ``t = (r - x0) / h``, is clamped to [0, n - 1]
+        uncut; cut, ``t`` is clamped to [0, n] and forced to n where
+        ``r >= rcut`` — column n is zero, so every channel is exactly 0
+        there, with no boolean gather or scatter.  One gather of column
+        ``i``, then per channel one Horner in ``u = t - i``:
+        ``a0 + u(a1 + u(a2 + u a3))``, ``(a1 + u(2 a2 + 3 a3 u)) / h``,
+        ``(2 a2 + 6 a3 u) / h**2``; channels never read each other."""
         r = np.asarray(r, dtype=np.float64)  # repro: noqa R002
-        mask = r < rcut
-        out = tuple(np.zeros_like(r) for _ in range(nch))
-        if np.any(mask):
-            inside = self._spline1d(coefs, x0, h, nintervals, r[mask], nch)
-            for channel, values in zip(out, inside):
-                channel[mask] = values
+        u = (r - x0) / h
+        n = poly.shape[1] - 1
+        if rcut is None:
+            lo = np.floor(np.clip(u, 0, n - 1))
+        else:
+            u = np.where(r < rcut, u, n)
+            np.clip(u, 0, n, out=u)
+            lo = np.floor(u)
+        i = lo.astype(np.int64)
+        u -= lo
+        a0, a1, a2, a3 = poly.take(i, axis=1)
+        v = a3 * u
+        v += a2
+        v *= u
+        v += a1
+        v *= u
+        v += a0
+        out = [v]
+        if nch > 1:
+            a2 *= 2.0
+            dv = a3 * 3.0
+            dv *= u
+            dv += a2
+            dv *= u
+            dv += a1
+            dv /= h
+            out.append(dv)
+        if nch > 2:
+            d2v = a3 * 6.0
+            d2v *= u
+            d2v += a2
+            d2v /= h * h
+            out.append(d2v)
         return out
 
-    def functor_v(self, coefs, x0, h, nintervals, rcut, r):
+    def functor_v(self, poly, x0, h, rcut, r):
         """Cutoff 1D B-spline functor value u(r): zero at/beyond
-        ``rcut``, elementwise Horner inside."""
-        return self._functor(coefs, x0, h, nintervals, rcut, r, 1)[0]
+        ``rcut``, one gather and one Horner inside."""
+        return self._poly1d(poly, x0, h, r, 1, rcut)[0]
 
-    def functor_vg(self, coefs, x0, h, nintervals, rcut, r):
+    def functor_vg(self, poly, x0, h, rcut, r):
         """(u, du/dr) of the cutoff functor: channels 0 and 1 of
         :meth:`functor_vgl`, op for op, for the sweep's drift and ratio
         callers, which never read the Laplacian channel."""
-        return self._functor(coefs, x0, h, nintervals, rcut, r, 2)
+        return tuple(self._poly1d(poly, x0, h, r, 2, rcut))
 
-    def functor_vgl(self, coefs, x0, h, nintervals, rcut, r):
+    def functor_vgl(self, poly, x0, h, rcut, r):
         """(u, du/dr, d2u/dr2) of the cutoff functor, each zero at or
         beyond ``rcut``."""
-        return self._functor(coefs, x0, h, nintervals, rcut, r, 3)
+        return tuple(self._poly1d(poly, x0, h, r, 3, rcut))
 
-    # -- raw 1D spline kernels (elementwise Horner) ----------------------------------
-    def _spline1d(self, coefs, x0, h, nintervals, r, nch):
-        """The one Horner loop of the 1D spline and functor kernels:
-        the first ``nch`` of (value, d/dr, d2/dr2) at ``r``.
-
-        Channel ``c`` is ``sum_k coefs[i + k] * P_ck(u)``, ``P_ck`` being
-        ``_HORNER1[c][k]`` evaluated innermost coefficient first, then
-        scaled by the chain-rule ``1 / h**c``.  Channels never read each
-        other, so asking for fewer of them changes no bit of the rest."""
-        t = (np.asarray(r, dtype=np.float64) - x0) / h  # repro: noqa R002
-        i = np.clip(np.floor(t).astype(np.int64), 0, nintervals - 1)
-        u = t - i
-        out = [np.zeros_like(u) for _ in range(nch)]
-        for k in range(4):
-            ck = coefs[i + k]
-            for acc, rows in zip(out, _HORNER1):
-                horner = iter(rows[k])
-                p = next(horner)
-                for c in horner:
-                    p = c + u * p
-                acc += ck * p
-        for acc, scale in zip(out[1:], (h, h * h)):
-            acc /= scale
-        return out
-
-    def bspline1d_v(self, coefs, x0, h, nintervals, r):
+    def bspline1d_v(self, poly, x0, h, r):
         """Uncut 1D cubic B-spline values at ``r`` (1-D array)."""
-        return self._spline1d(coefs, x0, h, nintervals, r, 1)[0]
+        return self._poly1d(poly, x0, h, r, 1)[0]
 
-    def bspline1d_vgl(self, coefs, x0, h, nintervals, r):
+    def bspline1d_vgl(self, poly, x0, h, r):
         """(value, d/dr, d2/dr2) of the uncut 1D spline at ``r``."""
-        return tuple(self._spline1d(coefs, x0, h, nintervals, r, 3))
+        return tuple(self._poly1d(poly, x0, h, r, 3))
 
     # -- 3D B-spline SPO kernels -----------------------------------------------------
     def _locate3(self, cell_inverse, dims, r):

@@ -4,6 +4,8 @@ A functor u(r) is a 1D cubic B-spline on [0, rcut] with u(rcut) = 0 and
 u'(rcut) = 0 (so the pair function switches off smoothly at the cutoff,
 producing the branchy masked loops the paper blames for Jastrow's
 slightly-sub-ideal vectorization) and a cusp condition u'(0) = cusp.
+The vectorized kernels have no such branch: the cutoff is the spline's
+zero tail interval, which is why ``rcut`` must equal the spline's ``x1``.
 
 :meth:`from_shape` synthesizes physically-shaped functors like Fig. 3's:
 an exponential correlation hole with the exact cusp, smoothly clamped at
@@ -26,6 +28,9 @@ class BsplineFunctor:
                  name: str = "u"):
         if rcut <= 0:
             raise ValueError("rcut must be positive")
+        if float(rcut) != spline.x1:  # the kernels' zero tail starts at x1
+            raise ValueError(f"rcut {rcut} must equal spline.x1 = "
+                             f"{spline.x1}")
         self.spline = spline
         self.rcut = float(rcut)
         self.cusp = float(cusp)
@@ -76,27 +81,25 @@ class BsplineFunctor:
     # -- vectorized evaluation (Current kernels) --------------------------------------
     @hot_kernel
     def evaluate_v(self, r: np.ndarray) -> np.ndarray:
-        """u(r) with the cutoff mask applied, vectorized."""
+        """u(r), exactly zero at and beyond the cutoff, vectorized."""
         # Functor math runs in accumulation precision by design: spline
         # coefficients are double, and the 1D tables are tiny.
         s = self.spline
-        return np.asarray(
-            active().functor_v(s.coefs, s.x0, s.h, s.n, self.rcut, r))
+        return np.asarray(active().functor_v(s.poly, s.x0, s.h, self.rcut, r))
 
     @hot_kernel
     def evaluate_vg(self, r: np.ndarray):
         """(u, du/dr): :meth:`evaluate_vgl` without the Laplacian channel,
         bitwise its first two results."""
         s = self.spline
-        u, du = active().functor_vg(s.coefs, s.x0, s.h, s.n, self.rcut, r)
+        u, du = active().functor_vg(s.poly, s.x0, s.h, self.rcut, r)
         return np.asarray(u), np.asarray(du)
 
     @hot_kernel
     def evaluate_vgl(self, r: np.ndarray):
         """(u, du/dr, d2u/dr2), each zero beyond the cutoff, vectorized."""
         s = self.spline
-        u, du, d2u = active().functor_vgl(s.coefs, s.x0, s.h, s.n,
-                                          self.rcut, r)
+        u, du, d2u = active().functor_vgl(s.poly, s.x0, s.h, self.rcut, r)
         return np.asarray(u), np.asarray(du), np.asarray(d2u)
 
     # -- scalar evaluation (Ref kernels) --------------------------------------------------

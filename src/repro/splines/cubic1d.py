@@ -1,10 +1,11 @@
 """Uniform-grid 1D cubic B-splines with value/derivative evaluation.
 
 The spline is f(r) = sum_i c_i B_i(r) with n+3 coefficients over n
-intervals on [x0, x1].  Evaluation uses the standard cubic B-spline
-segment matrix; fitting interpolates data at the n+1 knots plus two
-end-derivative (clamped) conditions, solved densely (functor grids are
-small, so exactness beats asymptotics here).
+intervals on [x0, x1].  The scalar (Ref) evaluators use the standard
+cubic B-spline segment matrix; the vectorized ones a per-interval
+monomial table built from it once.  Fitting interpolates data at the
+n+1 knots plus two end-derivative (clamped) conditions, solved densely
+(functor grids are small, so exactness beats asymptotics here).
 """
 
 from __future__ import annotations
@@ -52,6 +53,14 @@ class CubicBSpline1D:
         self.coefs = coefs
         self.n = coefs.size - 3  # number of intervals
         self.h = (self.x1 - self.x0) / self.n
+        # Monomial table: column i is a0..a3 of interval i (coefs[i:i+4]
+        # @ _A, summed elementwise in k order, no BLAS path); column n is
+        # the zero tail the functor kernels clamp the cutoff onto.
+        poly = np.zeros((4, self.n + 1))
+        for k in range(4):
+            poly[:, :-1] += _A[k][:, None] * coefs[k:k + self.n]
+        poly.setflags(write=False)
+        self.poly = poly
 
     # -- fitting -------------------------------------------------------------------
     @classmethod
@@ -102,27 +111,29 @@ class CubicBSpline1D:
     def evaluate_v(self, r):
         """Values at point(s) r (vectorized). Scalar in, scalar out.
 
-        The ``bspline1d_v`` kernel is elementwise Horner in the same
-        operation order as :meth:`evaluate_v_scalar`: IEEE elementwise
-        ops are exactly rounded, so the result is bitwise independent of
-        the batch length, strides and SIMD path — a GEMM there
-        (``_A @ pu``) picks BLAS kernels by column count and breaks the
-        cross-batch-width determinism contract (docs/parallel_crowds.md).
+        The ``bspline1d_v`` kernel gathers interval ``i``'s column of
+        ``poly`` (i clamped to [0, n - 1], so it extrapolates) and runs
+        one elementwise Horner ``a0 + u(a1 + u(a2 + u a3))``: exactly
+        rounded ops, bitwise independent of batch length and strides (a
+        GEMM would break the cross-batch-width contract,
+        docs/parallel_crowds.md); within rounding of
+        :meth:`evaluate_v_scalar`, not bitwise.
         """
         scalar = np.ndim(r) == 0
         v = np.asarray(active().bspline1d_v(
-            self.coefs, self.x0, self.h, self.n, np.atleast_1d(r)))
+            self.poly, self.x0, self.h, np.atleast_1d(r)))
         return float(v[0]) if scalar else v
 
     def evaluate_vgl(self, r):
         """(value, d/dr, d2/dr2) at point(s) r (vectorized).
 
-        Same length-independent Horner scheme as :meth:`evaluate_v`,
-        mirroring :meth:`evaluate_vgl_scalar` op for op.
+        The same gather as :meth:`evaluate_v`; the derivatives come from
+        the same four coefficients, ``(a1 + u(2 a2 + 3 a3 u)) / h`` and
+        ``(2 a2 + 6 a3 u) / h**2``.
         """
         scalar = np.ndim(r) == 0
         v, dv, d2v = active().bspline1d_vgl(
-            self.coefs, self.x0, self.h, self.n, np.atleast_1d(r))
+            self.poly, self.x0, self.h, np.atleast_1d(r))
         if scalar:
             return float(v[0]), float(dv[0]), float(d2v[0])
         return np.asarray(v), np.asarray(dv), np.asarray(d2v)

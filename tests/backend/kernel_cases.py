@@ -85,14 +85,14 @@ def build_case(name, rng, value_dtype, lattice, W=3, n=6, ns=4):
         s = f.spline
         r = rng.uniform(0, 4.0, (W, n)).astype(vd)  # straddles rcut
         out = [((W, n), F64)]
-        return ((s.coefs, s.x0, s.h, s.n, f.rcut, r),
+        return ((s.poly, s.x0, s.h, f.rcut, r),
                 out * {"functor_v": 1, "functor_vg": 2, "functor_vgl": 3}[name])
     if name in ("bspline1d_v", "bspline1d_vgl"):
         f = _functor(rng)
         s = f.spline
         r = rng.uniform(0, f.rcut, (n,)).astype(vd)
         out = [((n,), F64)]
-        return ((s.coefs, s.x0, s.h, s.n, r),
+        return ((s.poly, s.x0, s.h, r),
                 out * (3 if name == "bspline1d_vgl" else 1))
     if name == "spline3d_v":
         sp = _spline3d(rng, vd)

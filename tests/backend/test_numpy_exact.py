@@ -17,6 +17,7 @@ from repro.distances.base import BIG_DISTANCE
 from repro.jastrow.functor import BsplineFunctor
 from repro.lattice.cell import CrystalLattice
 from repro.splines.bspline3d import BSpline3D
+from repro.splines.cubic1d import CubicBSpline1D
 
 from kernel_cases import LATTICES
 
@@ -194,47 +195,130 @@ class TestTableEvaluate:
         assert peak < 8 * W * n * n * 8
 
 
+def _poly_point(poly, x0, h, r, rcut=None):
+    """(v, dv, d2v) of the monomial table at one point, in pure Python:
+    the op sequence the vector 1D kernels must reproduce bit for bit."""
+    n = poly.shape[1] - 1
+    t = (r - x0) / h
+    if rcut is None:
+        i = min(max(math.floor(t), 0), n - 1)
+    else:
+        t = float(n) if r >= rcut else min(max(t, 0.0), float(n))
+        i = math.floor(t)
+    u = t - i
+    a0, a1, a2, a3 = (float(poly[k, i]) for k in range(4))
+    return (a0 + u * (a1 + u * (a2 + u * a3)),
+            (a1 + u * (2.0 * a2 + 3.0 * a3 * u)) / h,
+            (2.0 * a2 + 6.0 * a3 * u) / (h * h))
+
+
 class TestSplineKernels:
-    def test_bspline1d_bitwise_matches_scalar_ref(self, rng):
-        f = BsplineFunctor.from_shape(rcut=2.5, cusp=-0.25)
-        s = f.spline
-        r = rng.uniform(0, f.rcut, 33)
-        v = B.bspline1d_v(s.coefs, s.x0, s.h, s.n, r)
-        vv, dv, d2v = B.bspline1d_vgl(s.coefs, s.x0, s.h, s.n, r)
-        for j, rj in enumerate(r):
-            assert v[j] == s.evaluate_v_scalar(float(rj))
-            ref = s.evaluate_vgl_scalar(float(rj))
-            assert (vv[j], dv[j], d2v[j]) == ref
+    @pytest.fixture
+    def functor(self):
+        return BsplineFunctor.from_shape(rcut=2.5, cusp=-0.25)
 
-    def test_functor_bitwise_matches_scalar_ref_and_cutoff(self, rng):
-        f = BsplineFunctor.from_shape(rcut=2.5, cusp=-0.25)
-        s = f.spline
+    @pytest.fixture
+    def rough(self, rng):
+        """O(1) random coefficients, so every monomial term reaches the
+        last bit of the sum (a smooth functor's a3 is ~1e-4 of a0 and
+        hides reorderings of its terms); 7 intervals on [0, 2.3] make
+        ``(rcut - x0) / h`` round below n."""
+        rcut = 2.3
+        return BsplineFunctor(CubicBSpline1D(0.0, rcut, rng.normal(size=10)),
+                              rcut)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_functor_bitwise_matches_per_point_table(self, rng, rough,
+                                                     dtype):
+        s = rough.spline
         r = rng.uniform(0, 4.0, (3, 11))  # straddles rcut
-        u = B.functor_v(s.coefs, s.x0, s.h, s.n, f.rcut, r)
-        uu, du, d2u = B.functor_vgl(s.coefs, s.x0, s.h, s.n, f.rcut, r)
-        assert np.all(u[r >= f.rcut] == 0.0)
-        assert np.all(du[r >= f.rcut] == 0.0)
-        flat_r, flat_u = r.ravel(), u.ravel()
-        for j, rj in enumerate(flat_r):
-            assert flat_u[j] == f.evaluate_v_scalar(float(rj))
-        for j, rj in enumerate(r.ravel()):
-            ref = f.evaluate_vgl_scalar(float(rj))
-            assert (uu.ravel()[j], du.ravel()[j], d2u.ravel()[j]) == ref
-
-    def test_functor_vg_is_channels_0_1_of_vgl(self, rng):
-        f = BsplineFunctor.from_shape(rcut=2.5, cusp=-0.25)
-        s = f.spline
-        r = rng.uniform(0, 4.0, (3, 11))
         r[0, 0] = BIG_DISTANCE  # the masked AA diagonal
-        r[1, 1] = f.rcut
-        args = (s.coefs, s.x0, s.h, s.n, f.rcut)
+        r[1, 1] = rough.rcut
+        r = r.astype(dtype)[:, ::2]  # a strided storage-precision view
+        args = (s.poly, s.x0, s.h, rough.rcut, r)
+        v = B.functor_v(*args)
+        vgl = B.functor_vgl(*args)
+        assert v.shape == r.shape and all(c.shape == r.shape for c in vgl)
+        for idx in np.ndindex(r.shape):
+            ref = _poly_point(s.poly, s.x0, s.h, float(r[idx]), rough.rcut)
+            assert v[idx] == ref[0]
+            assert tuple(c[idx] for c in vgl) == ref
+
+    def test_bspline1d_bitwise_matches_per_point_table(self, rng, rough):
+        s = rough.spline
+        # both ends extrapolate from their end intervals
+        r = rng.uniform(-0.3, s.x1 + 0.3, 33)
+        v = B.bspline1d_v(s.poly, s.x0, s.h, r)
+        vgl = B.bspline1d_vgl(s.poly, s.x0, s.h, r)
+        assert np.any(r < 0) and np.any(r > s.x1)
+        for j, rj in enumerate(r):
+            ref = _poly_point(s.poly, s.x0, s.h, float(rj))
+            assert v[j] == ref[0]
+            assert tuple(c[j] for c in vgl) == ref
+
+    def test_functor_exactly_zero_at_and_beyond_cutoff(self, rough):
+        s = rough.spline
+        rc = rough.rcut
+        assert (rc - s.x0) / s.h < s.n  # only the r >= rcut test cuts here
+        r = np.array([rc, np.nextafter(rc, np.inf), 2 * rc, BIG_DISTANCE])
+        args = (s.poly, s.x0, s.h, rc)
+        for channels in (B.functor_vgl(*args, r), B.functor_vg(*args, r),
+                         (B.functor_v(*args, r),)):
+            for c in channels:
+                assert np.array_equal(c, np.zeros(4))
+        # all-beyond-cutoff input
+        far = np.full((2, 3), BIG_DISTANCE)
+        assert not any(np.any(c) for c in B.functor_vgl(*args, far))
+        # and just inside the cutoff the table is live
+        inside = B.functor_vgl(*args, np.array([np.nextafter(rc, 0.0)]))
+        assert all(c[0] != 0.0 for c in inside)
+
+    def test_functor_vg_is_channels_0_1_of_vgl(self, rng, functor):
+        s = functor.spline
+        r = rng.uniform(0, 4.0, (3, 11))
+        r[0, 0] = BIG_DISTANCE
+        r[1, 1] = functor.rcut
+        args = (s.poly, s.x0, s.h, functor.rcut)
         u, du = B.functor_vg(*args, r)
         uu, dd, _ = B.functor_vgl(*args, r)
         assert np.array_equal(u, uu) and np.array_equal(du, dd)
-        assert np.all(du[r >= f.rcut] == 0.0)
-        # all-beyond-cutoff input: the no-gather early exit
-        far = np.full((2, 3), BIG_DISTANCE)
-        assert not any(np.any(c) for c in B.functor_vg(*args, far))
+        assert np.all(du[r >= functor.rcut] == 0.0)
+
+    def test_functor_within_rounding_of_scalar_ref(self, rng, functor):
+        """The Ref keeps the B-spline basis: agreement is to rounding,
+        ``1e-13 * max(1, |u|)`` per channel, not bitwise."""
+        s = functor.spline
+        r = rng.uniform(0, 4.0, (4, 25))
+        r[0, :3] = (functor.rcut, BIG_DISTANCE, 0.0)
+        vgl = B.functor_vgl(s.poly, s.x0, s.h, functor.rcut, r)
+        for idx in np.ndindex(r.shape):
+            ref = functor.evaluate_vgl_scalar(float(r[idx]))
+            for got, want in zip((c[idx] for c in vgl), ref):
+                assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+    def test_bspline1d_within_rounding_of_scalar_ref(self, rng, functor):
+        s = functor.spline
+        r = rng.uniform(0, functor.rcut, 33)
+        vgl = B.bspline1d_vgl(s.poly, s.x0, s.h, r)
+        for j, rj in enumerate(r):
+            ref = s.evaluate_vgl_scalar(float(rj))
+            for got, want in zip((c[j] for c in vgl), ref):
+                assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+    def test_poly_reproduces_basis_values_at_the_knots(self, rough):
+        """Interval i's polynomial at u = 0 and u = 1 is the B-spline
+        basis sum at knots i and i + 1; the tail column is zero."""
+        from repro.splines.cubic1d import _A
+        s = rough.spline
+        c = s.coefs
+        assert s.poly.shape == (4, s.n + 1) and not s.poly.flags.writeable
+        assert np.array_equal(s.poly[:, s.n], np.zeros(4))
+        for i in range(s.n):
+            for u in (0.0, 1.0):
+                basis = sum(c[i + k] * (_A[k] @ [1.0, u, u * u, u ** 3])
+                            for k in range(4))
+                mono = s.poly[:, i] @ [1.0, u, u * u, u ** 3]
+                assert abs(mono - basis) <= 1e-14 * max(1.0, abs(basis))
 
     def test_spline3d_matches_per_point_evaluators(self, rng):
         vals = rng.normal(size=(6, 6, 6, 4))

@@ -59,12 +59,15 @@ def test_shapes_and_dtypes_match_across_precisions(
 
 @given(seed=st.integers(0, 2**31 - 1), W=st.integers(1, 6),
        n=st.integers(1, 17), step=st.integers(1, 3),
-       big=st.floats(0.0, 0.5))
+       big=st.floats(0.0, 0.5),
+       dtype=st.sampled_from([np.float64, np.float32]))
 @settings(max_examples=40, deadline=None, derandomize=True)
-def test_functor_vg_is_vgl_without_the_laplacian(seed, W, n, step, big):
+def test_functor_vg_is_vgl_without_the_laplacian(seed, W, n, step, big,
+                                                  dtype):
     """Bitwise channels 0 and 1 of ``functor_vgl`` on what call sites
-    pass: (W, n) row blocks, strided group slices of them, distances
-    straddling the cutoff and masked-diagonal BIG_DISTANCE entries."""
+    pass: (W, n) row blocks in either storage precision, strided group
+    slices of them, distances straddling the cutoff and masked-diagonal
+    BIG_DISTANCE entries."""
     from repro.distances.base import BIG_DISTANCE
     from repro.jastrow.functor import BsplineFunctor
 
@@ -74,8 +77,8 @@ def test_functor_vg_is_vgl_without_the_laplacian(seed, W, n, step, big):
     s = f.spline
     block = rng.uniform(0, 2.0 * f.rcut, (W, step * n))
     block[rng.uniform(size=block.shape) < big] = BIG_DISTANCE
-    r = block[:, ::step]
-    args = (s.coefs, s.x0, s.h, s.n, f.rcut)
+    r = block.astype(dtype)[:, ::step]
+    args = (s.poly, s.x0, s.h, f.rcut)
     u, du = backend.functor_vg(*args, r)
     uu, dd, _ = backend.functor_vgl(*args, r)
     assert u.shape == du.shape == r.shape

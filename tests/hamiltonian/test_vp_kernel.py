@@ -6,15 +6,18 @@ Gates (docs/batched_nlpp.md, "The virtual-particle row kernel"):
   cubic/orthorhombic cells, picks an equally short image on skewed
   cells, and passes open boundaries through;
 * ``ratios_vp`` of all four Jastrow components (scalar and batched J1 /
-  J2) reproduces, bit for bit, the values the pre-kernel bodies gave —
-  digests captured from the parent commit
-  (``data/vp_parent_goldens.json``; regenerate with
-  ``PYTHONPATH=<checkout>/src python tests/hamiltonian/test_vp_kernel.py
-  --capture <file>``).  A golden binds only where this host rebuilds the
-  captured inputs bit for bit (positions, stored rows, spline
-  coefficients, an ``np.exp`` probe): a different libm or LAPACK build
-  skips with that reason instead of failing on a last-place difference
-  the kernel did not cause;
+  J2) reproduces, bit for bit, the values of a pinned commit — digests
+  in ``data/vp_parent_goldens.json``, re-captured once, deliberately,
+  when the functor kernels moved to the per-interval monomial table
+  (one gather and one Horner per point instead of the B-spline basis
+  sum), so they hold that commit's bits, not the pre-kernel bodies'.
+  Regenerate with ``PYTHONPATH=<checkout>/src python
+  tests/hamiltonian/test_vp_kernel.py --capture <file>``, only from the
+  commit whose numbers are meant to be kept.  A golden binds only where
+  this host rebuilds the captured inputs bit for bit (positions, stored
+  rows, spline coefficients, an ``np.exp`` probe): a different libm or
+  LAPACK build skips with that reason instead of failing on a
+  last-place difference the kernel did not cause;
 * the per-point value does not depend on slab order (shuffled owners);
 * on a triclinic cell the kernel keeps parity with ``ratio_at`` and its
   peak scratch stays under a stated multiple of one

@@ -45,6 +45,16 @@ class TestShape:
         with pytest.raises(ValueError):
             BsplineFunctor(sp, rcut=-1.0)
 
+    @pytest.mark.parametrize("rcut", [0.9, 1.1])
+    def test_rcut_off_the_spline_end_raises(self, rcut):
+        """The kernels encode the cutoff as the zero tail interval past
+        x1, so a cutoff anywhere else is refused."""
+        from repro.splines.cubic1d import CubicBSpline1D
+        sp = CubicBSpline1D(0, 1, np.zeros(8))
+        with pytest.raises(ValueError, match="x1"):
+            BsplineFunctor(sp, rcut=rcut)
+        assert BsplineFunctor(sp, rcut=1).rcut == sp.x1
+
 
 class TestEvaluation:
     @pytest.fixture
