@@ -62,7 +62,7 @@ class NumpyBackend:
     sources (ions), m = orbitals, Nvp = virtual-particle slab length.
     Every kernel computes in float64 whatever the storage dtype of its
     inputs (Sec. 7.2: accumulation precision is fixed at the kernel
-    boundary) — the reason for the ``noqa R002`` marks below.
+    boundary) — hence the literal ``float64`` promotions below.
     """
 
     # -- distance kernels ----------------------------------------------------------
@@ -74,7 +74,7 @@ class NumpyBackend:
         shapes ``(...)`` and ``(3, ...)`` in accumulation precision; no
         ``(..., 3)`` or ``(..., 27, 3)`` array is materialised."""
         comps = np.empty(np.broadcast(a, b).shape,
-                         dtype=np.float64)  # repro: noqa R002
+                         dtype=np.float64)
         np.subtract(a, b, out=comps)
         dx, dy, dz = comps
         lattice.min_image_soa(dx, dy, dz)
@@ -148,7 +148,7 @@ class NumpyBackend:
         ``i``, then per channel one Horner in ``u = t - i``:
         ``a0 + u(a1 + u(a2 + u a3))``, ``(a1 + u(2 a2 + 3 a3 u)) / h``,
         ``(2 a2 + 6 a3 u) / h**2``; channels never read each other."""
-        r = np.asarray(r, dtype=np.float64)  # repro: noqa R002
+        r = np.asarray(r, dtype=np.float64)
         u = (r - x0) / h
         n = poly.shape[1] - 1
         if rcut is None:
@@ -210,9 +210,9 @@ class NumpyBackend:
 
     # -- 3D B-spline SPO kernels -----------------------------------------------------
     def _locate3(self, cell_inverse, dims, r):
-        frac = np.asarray(r, dtype=np.float64) @ cell_inverse  # repro: noqa R002
+        frac = np.asarray(r, dtype=np.float64) @ cell_inverse
         frac = frac - np.floor(frac)
-        dimsf = np.array(dims, dtype=np.float64)  # repro: noqa R002
+        dimsf = np.array(dims, dtype=np.float64)
         t = frac * dimsf
         i = np.minimum(t.astype(np.int64), (dimsf - 1).astype(np.int64))
         u = t - i
@@ -228,7 +228,7 @@ class NumpyBackend:
             i[:, 1, None, None, None] + o[None, :, None],
             i[:, 2, None, None, None] + o[None, None, :],
         ]
-        return blocks.astype(np.float64, copy=False)  # repro: noqa R002
+        return blocks.astype(np.float64, copy=False)
 
     def spline3d_v(self, coefs, cell_inverse, dims, r):
         """All-orbital values at W points: ``coefs`` is the padded

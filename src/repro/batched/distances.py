@@ -11,8 +11,6 @@ and pair kernels at W = 1, so the differential suite can demand exact
 equality of the rows, not just closeness.
 """
 
-# repro: hot
-
 from __future__ import annotations
 
 import numpy as np
@@ -83,7 +81,7 @@ class BatchedDistTableAA:
     # -- PbyP protocol -----------------------------------------------------------
     def move(self, batch, rnew: np.ndarray, k: int) -> None:
         """Fill the temporaries for all W proposed moves of particle k."""
-        rk = np.asarray(rnew, dtype=np.float64)  # repro: noqa R002
+        rk = np.asarray(rnew, dtype=np.float64)
         _batched_row_from(batch.Rsoa, self.n, rk, self.lattice,
                           self.temp_r, self.temp_dr, k)
         itemsize = self.dtype.itemsize
@@ -182,7 +180,7 @@ class BatchedDistTableAB:
         self.dtype = resolve_value_dtype(dtype)
         self.nsp = padded_size(self.ns, self.dtype)
         # Shared fixed sources in accumulation precision (read-only).
-        src = np.empty((3, self.ns), dtype=np.float64)  # repro: noqa R002
+        src = np.empty((3, self.ns), dtype=np.float64)
         src[...] = source.R.T
         self._src_soa = src
         self.distances = aligned_empty((self.nw, self.nt, self.nsp),
@@ -204,7 +202,7 @@ class BatchedDistTableAB:
                    wbytes=4.0 * itemsize * self.nw * self.nt * self.ns)
 
     def move(self, batch, rnew: np.ndarray, k: int) -> None:
-        rk = np.asarray(rnew, dtype=np.float64)  # repro: noqa R002
+        rk = np.asarray(rnew, dtype=np.float64)
         nw, ns = self.nw, self.ns
         r, dr = active().ab_row(self._src_soa[:, :ns], rk, self.lattice)
         self.temp_dr[:, :, :ns] = np.asarray(dr)

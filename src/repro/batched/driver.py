@@ -20,8 +20,6 @@ strided slice of a :class:`~repro.parallel.shm.SharedWalkerState` for
 :class:`~repro.parallel.crowds.ParallelCrowdDriver`.
 """
 
-# repro: hot
-
 from __future__ import annotations
 
 import math
@@ -38,7 +36,7 @@ from repro.drivers.generation import DMCPolicy, Generation, GenerationLoop
 from repro.drivers.result import QMCResult
 from repro.estimators.scalar import EstimatorManager
 from repro.hamiltonian.nlpp import QuadratureRotations
-from repro.lint.sanitizers import RngStreamSanitizer, sanitizers_enabled
+from repro.sanitizers import RngStreamSanitizer, sanitizers_enabled
 from repro.metrics.registry import METRICS
 from repro.precision.policy import FULL, PrecisionPolicy
 
@@ -322,8 +320,8 @@ class BatchedCrowdDriver(GenerationLoop):
         # Trace rows are schema-fixed <f8 regardless of the run's
         # PrecisionPolicy.
         return Generation(
-            np.asarray(el, dtype=np.float64), weights,  # repro: noqa R002
-            {name: np.asarray(comps[name], dtype=np.float64)  # repro: noqa R002
+            np.asarray(el, dtype=np.float64), weights,
+            {name: np.asarray(comps[name], dtype=np.float64)
              for name in self.ham.names})
 
     def _population_size(self) -> int:

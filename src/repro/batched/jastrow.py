@@ -12,8 +12,6 @@ SIMD path differs from libm by 1 ulp on a few percent of arguments,
 which is enough to flip a Metropolis comparison.
 """
 
-# repro: hot
-
 from __future__ import annotations
 
 from functools import partial
@@ -24,7 +22,6 @@ import numpy as np
 from repro.backend import active
 from repro.jastrow import rows, vp
 from repro.jastrow.functor import BsplineFunctor
-from repro.lint.hot import hot_kernel
 from repro.metrics.registry import METRICS
 from repro.perfmodel.opcount import OPS
 
@@ -35,7 +32,6 @@ def exp_rows(x: np.ndarray) -> np.ndarray:
     return np.asarray(active().exp_rows(x))
 
 
-@hot_kernel
 class BatchedTwoBodyJastrow:
     """J2 over a batched AA table: per-walker scalars become (W,) vectors."""
 
@@ -181,7 +177,6 @@ class BatchedTwoBodyJastrow:
                 row_sums=partial(vp.j2_row_sums, self), mask_self=True)
 
 
-@hot_kernel
 class BatchedOneBodyJastrow:
     """J1 over a batched AB table, one functor per ion species."""
 

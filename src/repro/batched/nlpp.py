@@ -16,8 +16,6 @@ engine bumps ``serial`` once per evaluation, so the first measurement
 rotation a walker sees is independent of which crowd hosts it.
 """
 
-# repro: hot
-
 from __future__ import annotations
 
 from typing import Optional, Sequence
@@ -75,7 +73,7 @@ class BatchedNonLocalPP:
             self._serial += 1
             return self._evaluate_vp(batch, tables, wf_components)
 
-    def _evaluate_vp(self, batch, tables, wf_components) -> np.ndarray:  # repro: hot
+    def _evaluate_vp(self, batch, tables, wf_components) -> np.ndarray:
         if self.rotations is None:
             raise RuntimeError(
                 "BatchedNonLocalPP needs set_rotations() before evaluate "
@@ -86,7 +84,7 @@ class BatchedNonLocalPP:
         # One crowd-wide gather of all in-range (walker, electron, ion)
         # pairs off the stored (table-precision) distance block.
         dsel = np.asarray(ab.distances[:, :n, :][:, :, self.ion_indices],
-                          dtype=np.float64)  # repro: noqa R002
+                          dtype=np.float64)
         pairs = np.argwhere(dsel < self.rcut)
         npairs = len(pairs)
         nq = len(self.dirs)
@@ -101,7 +99,7 @@ class BatchedNonLocalPP:
         ion_cols = self.ion_indices[pairs[:, 2]]
         pd = dsel[pw, pk, pairs[:, 2]]
         dv = np.asarray(ab.displacements[pw, pk, :, ion_cols],
-                        dtype=np.float64)  # repro: noqa R002
+                        dtype=np.float64)
         pair_units = -(dv / pd[:, None])        # unit vectors ion -> electron
         # Per-walker rotated quadrature frames, only for active walkers.
         dirs_rot = np.empty((self.nw, nq, 3))

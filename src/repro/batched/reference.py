@@ -138,7 +138,7 @@ def loop_limited_drift(drv, g: np.ndarray) -> np.ndarray:
     return drift
 
 
-def loop_sweep(drv) -> int:  # repro: hot
+def loop_sweep(drv) -> int:
     """One PbyP pass of a :class:`BatchedCrowdDriver` as the per-electron
     loop it was before fusion, retained verbatim: ~14 kernel dispatches
     per electron where the fused pipeline makes one per sweep."""
@@ -175,7 +175,7 @@ def loop_sweep(drv) -> int:  # repro: hot
             rho = _ratio(drv, k)
             log_t = None
         acc = np.asarray(
-            active().accept_mask(  # repro: noqa R012
+            active().accept_mask(
                 rho, log_t, uniforms[:, k]))
         if drv.move_log is not None:
             drv.move_log.append(acc.copy())

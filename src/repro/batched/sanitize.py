@@ -1,6 +1,6 @@
 """Runtime sanitizers for the walker-batched path.
 
-Reuses the repro.lint sanitizer pieces (dtype / layout / tolerance
+Reuses the :mod:`repro.sanitizers` pieces (dtype / layout / tolerance
 conventions) and adds the batched layout contract: the ``(W, 3, Np)``
 block must stay contiguous, aligned, value-dtype and zero-padded, and
 the incrementally-updated table row blocks must agree with a
@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.lint.sanitizers import (DtypeSanitizer, ForwardUpdateChecker,
-                                   LayoutSanitizer, SanitizerError)
+from repro.sanitizers import (DtypeSanitizer, ForwardUpdateChecker,
+                              LayoutSanitizer, SanitizerError)
 from repro.precision.policy import PrecisionPolicy
 
 

@@ -15,19 +15,15 @@ SPO kernels feed determinants, not the Jastrow-level Metropolis loop, so
 this does not perturb the accept/reject sequence.
 """
 
-# repro: hot
-
 from __future__ import annotations
 
 import numpy as np
 
 from repro.backend import active
-from repro.lint.hot import hot_kernel
 from repro.perfmodel.opcount import OPS
 from repro.splines.bspline3d import BSpline3D
 
 
-@hot_kernel
 def batched_multi_v(spline: BSpline3D, r: np.ndarray) -> np.ndarray:
     """Values of all orbitals at W points: (W, 3) -> (W, norb)."""
     nw = r.shape[0]
@@ -40,7 +36,6 @@ def batched_multi_v(spline: BSpline3D, r: np.ndarray) -> np.ndarray:
     return v
 
 
-@hot_kernel
 def batched_multi_vgh(spline: BSpline3D, r: np.ndarray, tile: int = 64):
     """Values, Cartesian gradients and full Hessians of all orbitals at
     W points via the tile-blocked kernel: (W, 3) -> (v (W, m),
@@ -72,7 +67,6 @@ def batched_multi_vgh_flat(spline: BSpline3D, r: np.ndarray):
         (spline.nx, spline.ny, spline.nz), r)
 
 
-@hot_kernel
 def batched_multi_vgl(spline: BSpline3D, r: np.ndarray):
     """Values, Cartesian gradients and Laplacians of all orbitals at W
     points: (W, 3) -> (v (W, m), g (W, m, 3), lap (W, m))."""

@@ -35,8 +35,6 @@ pre-fusion ``np.stack`` comprehensions made, so RNG streams — and hence
 accept/reject sequences — are unchanged.
 """
 
-# repro: hot
-
 from __future__ import annotations
 
 import math

@@ -30,7 +30,6 @@ from repro.jastrow.functor import BsplineFunctor
 from repro.jastrow.j1 import OneBodyJastrowOtf
 from repro.jastrow.j2 import TwoBodyJastrowOtf
 from repro.lattice.cell import CrystalLattice
-from repro.lint.hot import hot_kernel
 from repro.particles.particleset import ParticleSet
 from repro.particles.species import SpeciesSet
 from repro.precision.policy import FULL, PrecisionPolicy
@@ -162,7 +161,6 @@ class JastrowSystemSpec:
         return groups
 
 
-@hot_kernel
 class BatchedHamiltonian:
     """Kinetic + CoulombEE + CoulombEI over a WalkerBatch: each term's
     per-walker scalar arithmetic, widened to (W,) vectors.
@@ -181,7 +179,7 @@ class BatchedHamiltonian:
         self.nw = int(nwalkers)
         # Fixed ion charges stay accumulation-precision (shared constant).
         self.charges = np.asarray(ion_charges,
-                                  dtype=np.float64)  # repro: noqa R002
+                                  dtype=np.float64)
         #: optional BatchedNonLocalPP term plus the wavefunction
         #: components its ratio-only slab evaluation consumes.
         self.nlpp = nlpp
@@ -201,14 +199,14 @@ class BatchedHamiltonian:
         ee = np.zeros(self.nw)
         for i in range(n):
             rows = np.asarray(aa.dist_rows(i),
-                              dtype=np.float64)  # repro: noqa R002
+                              dtype=np.float64)
             ee += np.sum(1.0 / rows[:, :i], axis=-1)
         # Electron-ion: -sum_{k,I} Z_I / r_kI from the AB row blocks.
         ab = tables[1]
         ei = np.zeros(self.nw)
         for k in range(n):
             rows = np.asarray(ab.dist_rows(k),
-                              dtype=np.float64)  # repro: noqa R002
+                              dtype=np.float64)
             ei -= np.sum(self.charges / rows, axis=-1)
         self.last_components = {"Kinetic": kin, "ElecElec": ee,
                                 "ElecIon": ei}

@@ -18,8 +18,6 @@ Layout contract (checked by the batched sanitizers):
 * per-walker scalars (weight, log Psi, E_L) are accumulation-precision.
 """
 
-# repro: hot
-
 from __future__ import annotations
 
 from typing import List, Sequence
@@ -134,7 +132,7 @@ class WalkerBatch:
         batch.sync_soa()
         return batch
 
-    def to_walkers(self) -> List[Walker]:  # repro: cold
+    def to_walkers(self) -> List[Walker]:
         """Scatter back into per-walker objects (AoS interop)."""
         out = []
         for w in range(self.nw):

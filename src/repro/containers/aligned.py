@@ -8,8 +8,6 @@ view whose data pointer is aligned to ``alignment`` bytes — the same trick
 ``aligned_alloc`` plays.
 """
 
-# repro: hot
-
 from __future__ import annotations
 
 import numpy as np

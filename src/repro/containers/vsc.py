@@ -12,8 +12,6 @@ The container interoperates with its AoS counterparts in place:
 assignment of ``loadWalker``).
 """
 
-# repro: hot
-
 from __future__ import annotations
 
 from typing import Iterable, Sequence, Union
@@ -54,7 +52,7 @@ class VectorSoaContainer:
     def __len__(self) -> int:
         return self.n
 
-    def __getitem__(self, i: int) -> np.ndarray:  # repro: cold
+    def __getitem__(self, i: int) -> np.ndarray:
         """Return particle ``i``'s D components (a strided gather, like the
         C++ ``operator[]`` returning a TinyVector)."""
         if not -self.n <= i < self.n:
@@ -93,7 +91,7 @@ class VectorSoaContainer:
         """Return an (N, D) AoS-ordered ndarray copy."""
         return self.data[:, : self.n].T.copy()
 
-    def to_tinyvectors(self) -> list:  # repro: cold
+    def to_tinyvectors(self) -> list:
         """Return the AoS list-of-TinyVector representation."""
         return [TinyVector(self.data[:, i]) for i in range(self.n)]
 

@@ -9,8 +9,6 @@ refreshed by :meth:`evaluate` because Hamiltonian objects reuse the full
 table several times per measurement.
 """
 
-# repro: hot
-
 from __future__ import annotations
 
 import numpy as np

@@ -15,8 +15,6 @@ stale entries for later-moved partners; :meth:`evaluate` (called before
 measurements) restores the full table.
 """
 
-# repro: hot
-
 from __future__ import annotations
 
 import numpy as np
@@ -82,7 +80,7 @@ class DistanceTableAASoA(DistanceTable):
     def move(self, P, rnew: np.ndarray, k: int) -> None:
         # Proposed position promoted to accumulation precision for the
         # min-image math.
-        rk = np.asarray(rnew, dtype=np.float64)  # repro: noqa R002
+        rk = np.asarray(rnew, dtype=np.float64)
         self._row_from(P, rk, self.temp_r, self.temp_dr, k)
         self._active = k
         itemsize = self.dtype.itemsize

@@ -5,8 +5,6 @@ a single contiguous row write.  The ions' SoA container is built once and
 reused for the whole calculation (Sec. 7.3).
 """
 
-# repro: hot
-
 from __future__ import annotations
 
 import numpy as np
@@ -38,7 +36,7 @@ class DistanceTableABSoA(DistanceTable):
             self._src_soa = source.Rsoa.data
         else:
             vsc = VectorSoaContainer(
-                self.ns, 3, dtype=np.float64)  # repro: noqa R002
+                self.ns, 3, dtype=np.float64)
             vsc.copy_in(source.R)
             self._src_soa = vsc.data
         self.distances = aligned_empty((self.nt, self.nsp), self.dtype)
@@ -72,7 +70,7 @@ class DistanceTableABSoA(DistanceTable):
     def move(self, P, rnew: np.ndarray, k: int) -> None:
         # Proposed position promoted to accumulation precision for the
         # min-image math.
-        rk = np.asarray(rnew, dtype=np.float64)  # repro: noqa R002
+        rk = np.asarray(rnew, dtype=np.float64)
         self._row_from(rk, self.temp_r, self.temp_dr)
         self._active = k
         itemsize = self.dtype.itemsize

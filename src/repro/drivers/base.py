@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.drivers.generation import GenerationLoop, advance_walkers
 from repro.estimators.scalar import EstimatorManager
-from repro.lint.sanitizers import SanitizerSuite, sanitizers_enabled
+from repro.sanitizers import SanitizerSuite, sanitizers_enabled
 from repro.metrics.registry import METRICS
 from repro.particles.walker import Walker
 from repro.precision.policy import FULL, PrecisionPolicy
@@ -59,7 +59,7 @@ class QMCDriverBase(GenerationLoop):
         self.move_log: list | None = None
         #: per-walker scalar accumulation (E_L, components, acceptance)
         self.estimators = EstimatorManager()
-        #: runtime invariant checks, armed by REPRO_SANITIZE=1 (repro.lint)
+        #: runtime invariant checks, armed by REPRO_SANITIZE=1 (repro.sanitizers)
         self.sanitizers = (SanitizerSuite(precision)
                            if sanitizers_enabled() else None)
 

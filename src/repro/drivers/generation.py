@@ -223,12 +223,11 @@ class GenerationLoop:
     def acceptance_ratio(self) -> float:
         return self.n_accept / self.n_moves if self.n_moves else 0.0
 
-    def _run_generations(self, steps: int, method: str,  # repro: cold
+    def _run_generations(self, steps: int, method: str,
                          scope: str, streams=None, start: int = 0,
                          policy: Optional[DMCPolicy] = None,
                          profile: Optional[str] = None) -> QMCResult:
-        """Run generations ``start + 1 .. start + steps`` (Alg. 1) — once
-        per generation, never per move, hence cold to ``repro.lint``.
+        """Run generations ``start + 1 .. start + steps`` (Alg. 1).
 
         ``streams`` (a :class:`repro.output.stream.StreamSet`) gets each
         generation's walker-ordered rows and sets the checkpoint

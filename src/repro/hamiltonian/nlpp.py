@@ -211,7 +211,7 @@ class NonLocalPP:
         return random_rotation(self.rng)
 
     # -- evaluation --------------------------------------------------------------
-    def evaluate(self, P, twf) -> float:  # repro: hot
+    def evaluate(self, P, twf) -> float:
         """Sum the channel over all in-range (electron, ion) pairs.
 
         Randomly rotating the quadrature frame per evaluation removes the
@@ -245,10 +245,10 @@ class NonLocalPP:
             ions_hit = self.ion_indices[hits]
             # Promote the stored (table-precision) rows to accumulation
             # precision before the divide, as the scalar oracle does.
-            d64 = np.asarray(dvals[hits], dtype=np.float64)  # repro: noqa R002
+            d64 = np.asarray(dvals[hits], dtype=np.float64)
             dv64 = np.asarray(
                 table.disp_row_array(k)[:, ions_hit],
-                dtype=np.float64)  # repro: noqa R002
+                dtype=np.float64)
             sel_k.append(np.full(hits.size, k, dtype=np.int64))
             sel_ion.append(ions_hit)
             sel_d.append(d64)
@@ -274,7 +274,7 @@ class NonLocalPP:
         self._pair_units = np.concatenate(sel_u, axis=0)
         return vps
 
-    def _evaluate_vp(self, P, twf, rot: np.ndarray) -> float:  # repro: hot
+    def _evaluate_vp(self, P, twf, rot: np.ndarray) -> float:
         """Virtual-particle engine: one fused ratio evaluation per slab."""
         dirs_rot = self.dirs @ rot.T
         vps = self.build_vps(P, dirs_rot)

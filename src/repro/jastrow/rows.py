@@ -23,8 +23,6 @@ Gradient/Laplacian conventions (contributions to log Psi):
 * lap_k  = -sum_j ( u''(d_kj) + 2 u'(d_kj) / d_kj )
 """
 
-# repro: hot
-
 from __future__ import annotations
 
 import numpy as np

@@ -18,8 +18,6 @@ the same floating-point operations per point as the per-point
 ``ratio_at`` recompute, whatever the tiling.
 """
 
-# repro: hot
-
 from __future__ import annotations
 
 import numpy as np
@@ -97,7 +95,7 @@ def ratios_vp(category: str, lattice, dtype, owners_w, owners_k, positions,
     """
     owners_w = np.asarray(owners_w)
     owners_k = np.asarray(owners_k)
-    pos = np.asarray(positions, dtype=np.float64)  # repro: noqa R002
+    pos = np.asarray(positions, dtype=np.float64)
     nvp = len(pos)
     if nvp == 0:
         return np.ones(0)

@@ -205,7 +205,7 @@ class MetricsRegistry:
         return _ScopeTimer(self, name)
 
     @contextmanager
-    def profile_run(self, scope: str, label: str = "",  # repro: cold
+    def profile_run(self, scope: str, label: str = "",
                     categories: Iterable[str] = PROFILE_CATEGORIES
                     ) -> Iterator[HotspotProfile]:
         """Open ``scope`` as a profiled run: arm the registry for the
@@ -214,8 +214,7 @@ class MetricsRegistry:
         paper view of what *this* run recorded on the calling thread.
         The run records into a node of its own — an earlier run under
         the same name never leaks in — which is then merged into the
-        tree (where :meth:`scope` would have put it) if that was armed.
-        Once per run, never per move — hence cold to ``repro.lint``."""
+        tree (where :meth:`scope` would have put it) if that was armed."""
         profile = HotspotProfile({}, 0.0, label or scope)
         was_enabled = self.enabled
         self.enabled = True

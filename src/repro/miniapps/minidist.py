@@ -5,8 +5,6 @@ triangle, SoA forward update, compute-on-the-fly) and both AB flavors
 over the same random walk, timing each.
 """
 
-# repro: hot
-
 from __future__ import annotations
 
 import time
@@ -62,7 +60,7 @@ def run_minidist(n: int = 128, steps: int = 5, seed: int = 7,
     return result
 
 
-def main(argv=None) -> int:  # repro: cold
+def main(argv=None) -> int:
     p = base_parser("distance-table miniapp (DistTable hot spot)")
     args = p.parse_args(argv)
     res = run_minidist(args.nelectrons, args.steps, args.seed)

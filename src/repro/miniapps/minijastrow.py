@@ -1,7 +1,5 @@
 """minijastrow — J1/J2 miniapp over real distance tables."""
 
-# repro: hot
-
 from __future__ import annotations
 
 import time
@@ -71,7 +69,7 @@ def run_minijastrow(n: int = 128, steps: int = 5,
     return result
 
 
-def main(argv=None) -> int:  # repro: cold
+def main(argv=None) -> int:
     p = base_parser("Jastrow miniapp (J1 + J2 hot spots)")
     args = p.parse_args(argv)
     res = run_minijastrow(args.nelectrons, args.steps, args.seed)

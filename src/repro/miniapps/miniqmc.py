@@ -6,8 +6,6 @@ by pseudopotential-style extra ratio evaluations — without Hamiltonian
 measurement or branching, exactly like the paper's miniQMC.
 """
 
-# repro: hot
-
 from __future__ import annotations
 
 import numpy as np
@@ -64,7 +62,7 @@ def run_miniqmc(workload: str = "NiO-32", scale: float = 0.125,
     return result
 
 
-def main(argv=None) -> int:  # repro: cold
+def main(argv=None) -> int:
     import argparse
     p = argparse.ArgumentParser(description="combined QMC miniapp")
     p.add_argument("-w", "--workload", default="NiO-32")

@@ -1,7 +1,5 @@
 """minispline — 3D B-spline SPO miniapp (Bspline-v / Bspline-vgh)."""
 
-# repro: hot
-
 from __future__ import annotations
 
 import time
@@ -59,7 +57,7 @@ def run_minispline(norb: int = 64, grid: int = 16, points: int = 200,
     return result
 
 
-def main(argv=None) -> int:  # repro: cold
+def main(argv=None) -> int:
     import argparse
     p = argparse.ArgumentParser(
         description="3D B-spline SPO miniapp (Bspline-v/vgh hot spots)")

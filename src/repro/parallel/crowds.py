@@ -9,7 +9,8 @@ weights, log Psi, E_L, age — lives in one
 ``WalkerBatch`` is built over *strided views* of that segment
 (``arr[c::K]``), so an accepted Metropolis move is committed straight
 into shared memory and **no walker state is ever pickled per step**
-(the contract ``repro.lint`` rule R005 enforces on hot scopes).
+(``tests/parallel/test_shmcomm.py`` measures the wire bytes per
+generation).
 
 Per generation the parent (rank 0 of a :class:`SharedMemComm`) runs the
 genuine Alg.-1 sync pattern: broadcast the step command with the trial
@@ -41,8 +42,6 @@ the crash-free one.  Incidents are counted in ``result.extra`` and the
 ``crowd_worker_respawns`` metrics counter.
 """
 
-# repro: hot
-
 from __future__ import annotations
 
 import multiprocessing as mp
@@ -60,9 +59,9 @@ from repro.batched.walkerbatch import WalkerBatch
 from repro.drivers.generation import DMCPolicy, Generation, GenerationLoop
 from repro.drivers.result import QMCResult
 from repro.estimators.scalar import EstimatorManager
-from repro.lint.sanitizers import (CollectiveOrderChecker,
-                                   RngStreamSanitizer, ShmRaceSanitizer,
-                                   sanitizers_enabled)
+from repro.sanitizers import (CollectiveOrderChecker,
+                              RngStreamSanitizer, ShmRaceSanitizer,
+                              sanitizers_enabled)
 from repro.metrics.registry import METRICS
 from repro.parallel.shm import (STATE_FIELDS, SharedTraceBlock,
                                 SharedWalkerState)
@@ -87,7 +86,7 @@ def _host_crowd(spec: JastrowSystemSpec, state: SharedWalkerState,
                 crowd: int, n_crowds: int, master_seed: int,
                 timestep: float, use_drift: bool,
                 precision: PrecisionPolicy, start_generation: int
-                ) -> BatchedCrowdDriver:  # repro: cold
+                ) -> BatchedCrowdDriver:
     """Crowd ``crowd`` of ``n_crowds``: a batched driver over its strided
     views of the walker block, ready to run ``start_generation``.
 
@@ -123,7 +122,7 @@ def _host_crowd(spec: JastrowSystemSpec, state: SharedWalkerState,
 def _record_row(trace: SharedTraceBlock, row: int, cols: slice,
                 crowd: BatchedCrowdDriver, el: np.ndarray,
                 weights: np.ndarray,
-                spline=None) -> None:  # repro: hot  # repro: commit
+                spline=None) -> None:
     """Write one crowd's generation into its columns of the trace block
     (strided shared-memory columns — never pickled).  ``spline`` (a
     slab-backed or in-process BSpline3D) appends the per-walker
@@ -145,7 +144,7 @@ def _record_row(trace: SharedTraceBlock, row: int, cols: slice,
 
 
 @dataclass
-class _WorkerConfig:  # repro: cold
+class _WorkerConfig:
     """Everything a worker process needs, shipped once at spawn."""
 
     spec: JastrowSystemSpec
@@ -184,7 +183,7 @@ class _WorkerConfig:  # repro: cold
     slab: Optional[SlabDescriptor] = None
 
 
-def _segment_open(cfg: _WorkerConfig):  # repro: cold
+def _segment_open(cfg: _WorkerConfig):
     """Open (or re-open) this crowd's streaming segment trace.
 
     Fresh spawns write a deterministic schema-versioned header; respawns
@@ -223,7 +222,7 @@ def _segment_append(writer, trace: SharedTraceBlock, cols: slice,
     writer.append_row(step, values)
 
 
-def _worker_main(cfg: _WorkerConfig) -> None:  # repro: hot
+def _worker_main(cfg: _WorkerConfig) -> None:
     """Worker-process entry: attach shared blocks, host this crowd,
     then serve generation commands until told to stop."""
     comm = cfg.comm
@@ -277,11 +276,11 @@ def _worker_main(cfg: _WorkerConfig) -> None:  # repro: hot
                     # checkpoint right after this generation.
                     _segment_append(segment, trace, cols, cfg, step)
                 if cfg.race_generation == step and step >= 2:
-                    # Injected fault: scribble on a frozen history row,
-                    # outside any commit scope — exactly the out-of-band
-                    # mutation the parent's quiescent-window checksums
-                    # exist to catch.
-                    trace.local_energy[0, cfg.crowd] += 1.0  # repro: noqa R008 — deliberate race fixture
+                    # Injected fault, a deliberate race: scribble on a
+                    # frozen history row outside its generation's commit —
+                    # exactly the out-of-band mutation the parent's
+                    # quiescent-window checksums exist to catch.
+                    trace.local_energy[0, cfg.crowd] += 1.0
                 comm.allgather(
                     ("done", int(np.sum(crowd.last_sweep_accepts))))
         collective_log = list(comm.order_log)
@@ -313,7 +312,7 @@ def _worker_main(cfg: _WorkerConfig) -> None:  # repro: hot
         os._exit(1)
 
 
-class ParallelCrowdDriver(GenerationLoop):  # repro: cold
+class ParallelCrowdDriver(GenerationLoop):
     """VMC/DMC over K crowd processes sharing one walker-state block.
 
     ``workers=0`` advances one crowd over a heap-backed block in-process

@@ -206,7 +206,7 @@ class SharedWalkerState(_SharedBlock):
             getattr(self, name)[...] = snapshot[name]
 
     def resample(self, picks: np.ndarray,
-                 clone: np.ndarray) -> None:  # repro: commit
+                 clone: np.ndarray) -> None:
         """Apply comb picks (:meth:`DMCPolicy.comb_picks
         <repro.drivers.generation.DMCPolicy.comb_picks>`) by rewriting
         slices: slot i takes walker ``picks[i]``, weights reset to 1,

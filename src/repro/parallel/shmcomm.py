@@ -13,8 +13,8 @@ Transport is a star of ``multiprocessing.Pipe`` duplex connections
 (rank 0 <-> every other rank).  Only *small control payloads* — scalars,
 seeds, command tuples — ride the pipes; bulk walker state crosses
 process boundaries exclusively through the shared-memory blocks of
-:mod:`repro.parallel.shm` (the contract ``repro.lint`` rule R005
-enforces on hot scopes).
+:mod:`repro.parallel.shm` (a tier-1 test sums the pickled bytes per
+generation and fails if they grow with the walker count).
 
 Crash semantics: every blocking receive takes a timeout; a dead peer
 surfaces as :class:`CommTimeout` or :class:`CommPeerLost`, which the
@@ -28,7 +28,7 @@ import multiprocessing as mp
 from multiprocessing import connection
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.lint.sanitizers import sanitizers_enabled
+from repro.sanitizers import sanitizers_enabled
 
 
 class CommTimeout(RuntimeError):

@@ -1,7 +1,7 @@
-"""Runtime sanitizers — the dynamic half of ``repro.lint``.
+"""Runtime sanitizers: the kernel and concurrency contracts, checked on
+live state.
 
-Six checkers enforce at run time what the static rules enforce at parse
-time, catching violations that only materialize on real data:
+Six checkers catch violations that only materialize on real data:
 
 * :class:`DtypeSanitizer` — raises on silent ``float64`` upcasts of
   value-precision arrays under a mixed policy (the 5N²→5N and SP-memory
@@ -13,17 +13,17 @@ time, catching violations that only materialize on real data:
   distance-table rows/columns against a from-scratch recompute: the
   paper's drift safeguard for the forward-update scheme (Fig. 6b) and
   single-precision accumulation error.
-* :class:`ShmRaceSanitizer` — the dynamic face of rule R008: checksums
-  shared-memory regions over the windows in which the zero-copy
-  contract says nobody writes, and raises on out-of-band mutation.
-* :class:`RngStreamSanitizer` — the dynamic face of rule R006: patches
-  the *global* NumPy RNG entry points to fail fast, so a stray
-  ``np.random.normal()`` inside a hot scope dies loudly instead of
-  silently desynchronizing the per-walker streams.
-* :class:`CollectiveOrderChecker` — the dynamic face of rule R009:
-  every ``SharedMemComm`` collective shares one wire protocol, so a
-  worker calling ``allgather`` where its peers call ``allreduce``
-  *succeeds on the wire* with garbage semantics; this checker compares
+* :class:`ShmRaceSanitizer` — checksums shared-memory regions over the
+  windows in which the zero-copy epoch protocol says nobody writes, and
+  raises on out-of-band mutation.
+* :class:`RngStreamSanitizer` — patches the *global* NumPy RNG entry
+  points to fail fast, so a stray ``np.random.normal()`` inside a
+  generation dies loudly instead of silently desynchronizing the
+  per-walker streams.
+* :class:`CollectiveOrderChecker` — every ``SharedMemComm`` collective
+  shares one wire protocol, so a worker calling ``allgather`` where its
+  peers call ``bcast`` *succeeds on the wire* with garbage semantics,
+  breaking the SPMD collective order; this checker compares
   the per-worker collective call logs at shutdown and raises on the
   first divergence.
 
@@ -50,7 +50,7 @@ _FORCED: Optional[bool] = None
 
 
 class SanitizerError(AssertionError):
-    """An invariant the lint subsystem enforces was violated at run time."""
+    """A kernel, layout or concurrency contract was violated at run time."""
 
 
 class ShmRaceError(SanitizerError):
@@ -60,7 +60,7 @@ class ShmRaceError(SanitizerError):
 
 class RngStreamError(SanitizerError):
     """Global NumPy RNG state was touched while per-walker SeedSequence
-    streams were mandated (hot scope, sanitizers armed)."""
+    streams were mandated (inside a generation, sanitizers armed)."""
 
 
 class CollectiveOrderError(SanitizerError):
@@ -319,7 +319,7 @@ class ShmRaceSanitizer:
                 f"shm race sanitizer: region '{label}' mutated during its "
                 f"quiescent window (crc {sealed[0]:#010x} -> "
                 f"{current[0]:#010x}) — an out-of-band write raced the "
-                f"commit/epoch protocol (static rule R008)")
+                f"zero-copy epoch protocol")
 
     def release(self, label: str) -> None:
         """Drop a seal without verifying (legitimate writer took over)."""
@@ -340,10 +340,10 @@ class RngStreamSanitizer:
 
     The determinism contract mandates per-walker ``SeedSequence``
     streams (walker ``w`` owns stream ``w``); a single global draw
-    inside a hot loop silently shifts every subsequent stream.  Rule
-    R006 catches the lexical cases — this sanitizer catches the rest
-    (third-party helpers, getattr indirection) by monkeypatching the
-    stateful ``np.random`` module functions with raisers.
+    inside a generation silently shifts every subsequent stream.  This
+    sanitizer catches every such draw (direct calls, third-party
+    helpers, getattr indirection) by monkeypatching the stateful
+    ``np.random`` module functions with raisers.
 
     Stream *construction* stays allowed: ``np.random.default_rng``,
     ``SeedSequence``, ``Generator`` and the bit generators are untouched.
@@ -369,9 +369,9 @@ class RngStreamSanitizer:
         def blocked(*args, **kwargs):
             raise RngStreamError(
                 f"rng stream sanitizer: np.random.{name}() called while "
-                f"armed — global RNG state is forbidden in hot scopes; "
-                f"draw from the walker's SeedSequence-derived Generator "
-                f"(repro.rng.walker_streams) instead (static rule R006)")
+                f"armed — global RNG state breaks the per-walker "
+                f"SeedSequence streams; draw from the walker's Generator "
+                f"(repro.rng.walker_streams) instead")
         blocked.__name__ = f"blocked_{name}"
         blocked.__qualname__ = f"RngStreamSanitizer.{name}"
         return blocked
@@ -451,15 +451,15 @@ class CollectiveOrderChecker:
                     f"collective order checker: collective #{seq} "
                     f"({kinds[present[0]]}) was entered by ranks "
                     f"{present} but never by ranks {absent} — the SPMD "
-                    f"call sequences diverged (static rule R009)")
+                    f"collective order diverged")
             if len(set(kinds.values())) > 1:
                 detail = ", ".join(f"rank {r}: {kinds[r]}"
                                    for r in sorted(kinds))
                 raise CollectiveOrderError(
                     f"collective order checker: collective #{seq} was "
-                    f"entered with mismatched kinds ({detail}) — all "
-                    f"ranks must issue the same collective in the same "
-                    f"order (static rule R009)")
+                    f"entered with mismatched kinds ({detail}) — the "
+                    f"SPMD collective order requires every rank to issue "
+                    f"the same collective in the same order")
 
     @property
     def ranks(self) -> List[int]:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.lint.hot import hot_kernel
 from repro.metrics.registry import METRICS
 from repro.perfmodel.opcount import OPS
 
@@ -146,7 +145,6 @@ class BSpline3D:
         return np.asarray(r, dtype=np.float64) @ self.cell_inverse
 
     # -- SoA (multi-orbital) evaluation -----------------------------------------------
-    @hot_kernel
     def multi_v(self, r: np.ndarray) -> np.ndarray:
         """Values of all orbitals at Cartesian point r — Bspline-v kernel."""
         i, u = self._locate(self._frac(r))
@@ -157,14 +155,13 @@ class BSpline3D:
         # Stencil contraction runs in accumulation precision even when
         # the coefficient table is single precision (Sec. 7.2).
         v = np.einsum("i,j,k,ijkm->m", ax, by, cz,
-                      block.astype(np.float64, copy=False))  # repro: noqa R002
+                      block.astype(np.float64, copy=False))
         OPS.record("Bspline-v", flops=2.0 * 64 * self.norb + 200,
                    rbytes=64.0 * self.norb * self.dtype.itemsize,
                    wbytes=8.0 * self.norb)
         METRICS.add_bytes(64 * self.norb * self.dtype.itemsize)
         return v
 
-    @hot_kernel
     def multi_vgh(self, r: np.ndarray):
         """Values, Cartesian gradients and Hessians of all orbitals at r —
         the Bspline-vgh kernel.  Returns (v[m], g[m,3], h[m,3,3])."""
@@ -175,7 +172,7 @@ class BSpline3D:
         nx, ny, nz = self.nx, self.ny, self.nz
         block = self.coefs[i[0]:i[0] + 4, i[1]:i[1] + 4, i[2]:i[2] + 4]
         # Stencil contraction in accumulation precision (Sec. 7.2).
-        block = block.astype(np.float64, copy=False)  # repro: noqa R002
+        block = block.astype(np.float64, copy=False)
         # Contract z, then y, then x, keeping value/derivative channels.
         # cz: (4, norb) after contracting k for each weight set.
         def contract(wa, wb, wc):
@@ -209,7 +206,6 @@ class BSpline3D:
         METRICS.add_bytes(64 * self.norb * self.dtype.itemsize)
         return v, g, h
 
-    @hot_kernel
     def multi_vgl(self, r: np.ndarray):
         """Values, gradients and Laplacians (trace of Hessian) — SPO-vgl."""
         v, g, h = self.multi_vgh(r)

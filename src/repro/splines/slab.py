@@ -18,9 +18,7 @@ lifecycle contract as the walker-state blocks — its segment is the same
 
 Every mapping is **read-only**: the numpy view's writeable flag is
 cleared after the one-time fill, so an accidental in-place update in any
-process raises instead of silently racing every other crowd (lint rule
-R008 additionally flags ``slab.coefs[...] = ...`` spellings in hot
-scopes at analysis time).
+process raises instead of silently racing every other crowd.
 
 :class:`MixedTableGuard` implements the opt-in mixed-precision table
 policy (:data:`repro.precision.policy.TABLE_MIXED`): fp32 coefficient
@@ -37,7 +35,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.lint.sanitizers import sanitizers_enabled
+from repro.sanitizers import sanitizers_enabled
 from repro.precision.policy import PrecisionPolicy
 from repro.splines.bspline3d import BSpline3D
 
@@ -120,7 +118,7 @@ class SharedCoefSlab:
         # Cell geometry is always double, like the descriptor's copy —
         # only coefficient storage follows the table policy.
         sp.cell_inverse = np.array(self.descriptor.cell_inverse,
-                                   dtype=np.float64)  # repro: noqa R002
+                                   dtype=np.float64)
         sp.coefs = self.coefs
         return sp
 

@@ -7,12 +7,10 @@ from typing import Sequence
 import numpy as np
 
 from repro.lattice.cell import CrystalLattice
-from repro.lint.hot import hot_kernel
 from repro.metrics.registry import METRICS
 from repro.splines.bspline3d import BSpline3D
 
 
-@hot_kernel
 class BsplineSPOSet:
     """Orbitals evaluated from a shared, read-only 3D B-spline table.
 

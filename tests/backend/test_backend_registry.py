@@ -20,7 +20,7 @@ from repro.batched import BatchedCrowdDriver, JastrowSystemSpec
 from repro.batched.reference import use_loop_sweep
 from repro.drivers.vmc import VMCDriver
 from repro.lattice.cell import CrystalLattice
-from repro.lint.sanitizers import sanitizers_enabled
+from repro.sanitizers import sanitizers_enabled
 
 
 class _Counter:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.lattice.cell import CrystalLattice
-from repro.lint.sanitizers import force_sanitizers
+from repro.sanitizers import force_sanitizers
 from repro.particles.particleset import ParticleSet
 from repro.particles.species import SpeciesSet
 

@@ -8,7 +8,9 @@ The load-bearing claims, from the module's determinism contract:
   *and* after an injected worker death;
 * a killed worker is detected and respawned, and the post-crash trace
   is bitwise equal to the crash-free one;
-* each worker's metrics tree is merged into the parent registry.
+* each worker's metrics tree is merged into the parent registry;
+* no walker state rides the pipes: the pickled bytes a generation puts
+  on the wire do not grow with the population.
 
 Workloads are deliberately tiny (n=8 electrons, 6 walkers, 3 steps):
 these are correctness tests, so oversubscribing a small host with more
@@ -17,15 +19,17 @@ are the end-to-end benchmark's (``j96-dmc-w2`` vs ``j96-dmc-serial``).
 """
 
 import glob
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.batched.system import JastrowSystemSpec
-from repro.lint.sanitizers import ShmRaceError
+from repro.sanitizers import ShmRaceError
 from repro.metrics.registry import METRICS
 from repro.parallel.crowds import ParallelCrowdDriver
 from repro.parallel.shm import SharedTraceBlock, SharedWalkerState
+from repro.parallel.shmcomm import SharedMemComm
 
 N = 8
 WALKERS = 6
@@ -179,6 +183,49 @@ class TestMetricsMerge:
         # one call per worker, inner sweep scopes intact below it
         assert flat["Crowd"]["calls"] == 2
         assert any(path.startswith("Crowd/") for path in flat), sorted(flat)
+
+
+class TestWireBytes:
+    """Walker arrays cross processes only through shared memory.  A
+    generation's wire traffic is one ``("gen", step, e_trial)`` bcast
+    plus one ``("done", accepts)`` allgather, so its pickled size is the
+    same at W = 8 and W = 64 up to the widths of pickled integers."""
+
+    def _wire_bytes(self, spec, monkeypatch, walkers, steps):
+        """Pickled bytes of every message the parent sends or receives
+        over one 2-worker DMC run (every message passes through rank 0)."""
+        sizes = []
+        send, recv = SharedMemComm._send_raw, SharedMemComm._recv_routed
+
+        def counted_send(comm, dst, msg):
+            sizes.append(len(pickle.dumps(msg)))
+            return send(comm, dst, msg)
+
+        def counted_recv(comm, src, timeout):
+            msg = recv(comm, src, timeout)
+            sizes.append(len(pickle.dumps(msg)))
+            return msg
+
+        with monkeypatch.context() as m:
+            m.setattr(SharedMemComm, "_send_raw", counted_send)
+            m.setattr(SharedMemComm, "_recv_routed", counted_recv)
+            drv = ParallelCrowdDriver(spec, walkers, SEED, workers=2,
+                                      timestep=0.3)
+            with drv:
+                drv.run(steps, mode="dmc")
+        return sum(sizes)
+
+    def test_generation_bytes_independent_of_walker_count(self, spec,
+                                                          monkeypatch):
+        G, extra = 2, 4
+        per_gen = {}
+        for walkers in (8, 64):
+            # The difference of two runs cancels spawn and shutdown.
+            per_gen[walkers] = (
+                self._wire_bytes(spec, monkeypatch, walkers, G + extra)
+                - self._wire_bytes(spec, monkeypatch, walkers, G)) / extra
+        assert all(b < 1024 for b in per_gen.values()), per_gen
+        assert per_gen[64] - per_gen[8] <= 16, per_gen
 
 
 class TestArgumentHandling:

@@ -13,7 +13,7 @@ import threading
 
 import pytest
 
-from repro.lint.sanitizers import (
+from repro.sanitizers import (
     CollectiveOrderChecker, CollectiveOrderError, force_sanitizers,
 )
 from repro.parallel.shmcomm import CommPeerLost, CommTimeout, SharedMemComm

@@ -5,7 +5,7 @@ import pytest
 
 from repro.containers.vsc import VectorSoaContainer
 from repro.distances.factory import create_aa_table
-from repro.lint.sanitizers import (
+from repro.sanitizers import (
     DtypeSanitizer, ForwardUpdateChecker, LayoutSanitizer, SanitizerError,
     force_sanitizers, sanitizers_enabled,
 )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.lint.sanitizers import (
+from repro.sanitizers import (
     CollectiveOrderChecker, CollectiveOrderError, RngStreamSanitizer,
     RngStreamError, ShmRaceSanitizer, ShmRaceError,
 )

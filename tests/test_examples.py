@@ -44,7 +44,7 @@ class TestPackage:
                     "repro.miniapps", "repro.parallel", "repro.perfmodel",
                     "repro.metrics", "repro.memory", "repro.stats",
                     "repro.estimators", "repro.optimize", "repro.input",
-                    "repro.output"):
+                    "repro.output", "repro.sanitizers"):
             importlib.import_module(mod)
 
     def test_all_exports_resolve(self):
