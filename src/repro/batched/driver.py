@@ -1,6 +1,7 @@
 """``BatchedCrowdDriver`` — one fused accept/reject step per electron.
 
-Where :class:`~repro.drivers.crowd.CrowdDriver` loops
+Where the per-walker drivers (:class:`~repro.drivers.vmc.VMCDriver`,
+:class:`~repro.drivers.dmc.DMCDriver`) loop
 ``load_walker/sweep/store_walker`` per walker, this driver moves electron
 ``k`` of *all* W walkers at once: one batched distance-row recompute, one
 batched Jastrow ratio, one masked commit.  The Python-interpreter

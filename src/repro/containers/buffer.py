@@ -102,7 +102,7 @@ class WalkerBuffer:
         return self._data.nbytes
 
     def as_array(self) -> np.ndarray:
-        """The raw pool (a view) — what send/recv of a Walker serializes."""
+        """The raw pool (a view) — what a Walker checkpoint stores."""
         return self._data
 
     def load_from(self, other: "WalkerBuffer") -> None:

@@ -14,7 +14,5 @@ Monte Carlo samples generated per second (Sec. 6.2).
 from repro.drivers.result import QMCResult
 from repro.drivers.vmc import VMCDriver
 from repro.drivers.dmc import DMCDriver
-from repro.drivers.crowd import CrowdDriver, clone_parts
 
-__all__ = ["QMCResult", "VMCDriver", "DMCDriver", "CrowdDriver",
-           "clone_parts"]
+__all__ = ["QMCResult", "VMCDriver", "DMCDriver"]

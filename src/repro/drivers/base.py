@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import math
-from typing import List
+from typing import Dict, List
 
 import numpy as np
 
-from repro.drivers.generation import GenerationLoop, advance_walkers
+from repro.drivers.generation import DMCPolicy, Generation, GenerationLoop
 from repro.estimators.scalar import EstimatorManager
 from repro.sanitizers import SanitizerSuite, sanitizers_enabled
 from repro.metrics.registry import METRICS
@@ -107,8 +107,36 @@ class QMCDriverBase(GenerationLoop):
         return start
 
     # -- GenerationLoop hooks over the Walker list --------------------------------------
-    def _advance(self, step: int, e_trial: float | None):
-        return advance_walkers(self.population, lambda i: self, step, e_trial)
+    def _advance(self, step: int, e_trial: float | None) -> Generation:
+        """One generation in the per-walker form of Fig. 4: each walker
+        is loaded onto the compute objects, swept and stored; then every
+        walker ages (VMC) or is reweighted against ``e_trial`` (DMC)."""
+        walkers = self.population
+        nw = len(walkers)
+        el_old = np.empty(nw)
+        energies = np.empty(nw)
+        accepted = np.empty(nw, dtype=np.int64)
+        comps: Dict[str, list] = {}
+        recompute = self.precision.should_recompute(step)
+        for i, w in enumerate(walkers):
+            el_old[i] = w.properties["local_energy"]
+            self.load_walker(w, recompute=recompute)
+            accepted[i] = self.sweep()
+            energies[i] = self.store_walker(w)
+            for name, v in sorted(self.ham.last_components.items()):
+                comps.setdefault(name, []).append(v)
+        weights = np.array([w.weight for w in walkers], dtype=np.float64)
+        ages = np.array([w.age for w in walkers], dtype=np.int64)
+        if e_trial is None:
+            ages += 1
+        else:
+            DMCPolicy.reweight(weights, ages, accepted, el_old, energies,
+                               e_trial, self.tau)
+        for w, weight, age in zip(walkers, weights, ages):
+            w.weight = float(weight)
+            w.age = int(age)
+        return Generation(energies, weights,
+                          {name: np.asarray(v) for name, v in comps.items()})
 
     def _checkpoint_state(self) -> dict:
         from repro.output.runstate import rng_state

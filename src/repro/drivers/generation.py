@@ -3,9 +3,9 @@
 Every driver runs the same loop — advance the population one generation,
 record it, (DMC) branch and update the trial energy, checkpoint — and
 differs only in *who advances the walkers* (per-walker load/sweep/store,
-clone dealing, a rank loop, one batched crowd, K crowd processes) and
-*what the population looks like* (Walker list or walker block); the
-table is in docs/parallel_crowds.md.
+one batched crowd, K crowd processes) and *what the population looks
+like* (Walker list or walker block); the table is in
+docs/parallel_crowds.md.
 
 :class:`GenerationLoop` is that loop.  :class:`DMCPolicy` is the
 population control of Alg. 1 L13-L14 over plain weight arrays, so the
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -129,39 +129,6 @@ class DMCPolicy:
         self.e_trial = float(scalars["e_trial"])
         self.e_best = float(scalars["e_best"])
         self.target = int(scalars.get("target", self.target))
-
-
-def advance_walkers(walkers: Sequence, driver_for: Callable, step: int,
-                    e_trial: Optional[float] = None) -> Generation:
-    """One generation in the per-walker form of Fig. 4: walker ``i`` is
-    loaded onto the compute objects of ``driver_for(i)``, swept and
-    stored; then every walker ages (VMC) or is reweighted against
-    ``e_trial`` (DMC)."""
-    nw = len(walkers)
-    el_old = np.empty(nw)
-    energies = np.empty(nw)
-    accepted = np.empty(nw, dtype=np.int64)
-    comps: Dict[str, list] = {}
-    for i, w in enumerate(walkers):
-        drv = driver_for(i)
-        el_old[i] = w.properties["local_energy"]
-        drv.load_walker(w, recompute=drv.precision.should_recompute(step))
-        accepted[i] = drv.sweep()
-        energies[i] = drv.store_walker(w)
-        for name, v in sorted(drv.ham.last_components.items()):
-            comps.setdefault(name, []).append(v)
-    weights = np.array([w.weight for w in walkers], dtype=np.float64)
-    ages = np.array([w.age for w in walkers], dtype=np.int64)
-    if e_trial is None:
-        ages += 1
-    else:
-        DMCPolicy.reweight(weights, ages, accepted, el_old, energies,
-                           e_trial, driver_for(0).tau)
-    for w, weight, age in zip(walkers, weights, ages):
-        w.weight = float(weight)
-        w.age = int(age)
-    return Generation(energies, weights,
-                      {name: np.asarray(v) for name, v in comps.items()})
 
 
 class GenerationLoop:

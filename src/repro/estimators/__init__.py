@@ -10,16 +10,5 @@ bars — the machinery behind every number a production QMC run prints.
 from repro.estimators.scalar import (
     EstimatorManager, ScalarEstimate, equilibration_index,
 )
-from repro.estimators.pair_correlation import (
-    PairCorrelationEstimator, SpinResolvedGofr, StructureFactorEstimator,
-)
-from repro.estimators.finite_size import (
-    corrected_potential, fit_plasmon_frequency, plasmon_frequency_rpa,
-    potential_correction,
-)
 
-__all__ = ["EstimatorManager", "ScalarEstimate", "equilibration_index",
-           "PairCorrelationEstimator", "StructureFactorEstimator",
-           "SpinResolvedGofr",
-           "plasmon_frequency_rpa", "fit_plasmon_frequency",
-           "potential_correction", "corrected_potential"]
+__all__ = ["EstimatorManager", "ScalarEstimate", "equilibration_index"]

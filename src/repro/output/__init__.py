@@ -1,17 +1,12 @@
-"""Run output: QMCPACK-style ``scalar.dat`` traces and JSON summaries.
+"""Run output: the streaming binary trace and the full-run checkpoint.
 
-Production QMC runs stream per-generation scalars to ``*.scalar.dat``
-(whitespace-separated columns, ``#`` header) for post-processing; this
-module writes and reads that format from a finished
-:class:`~repro.drivers.result.QMCResult` / EstimatorManager, plus a JSON
-summary with the corrected estimates.
+Every driver streams per-generation, walker-ordered rows to one
+CRC-sealed binary trace (:mod:`repro.output.stream`) with online
+reblocked error bars beside it, and checkpoints the whole run —
+RNG states, population, online-stat states, trace offset — as one
+:class:`RunCheckpoint` (:mod:`repro.output.runstate`).
 """
 
-from repro.output.writers import (
-    read_scalar_dat, result_summary_dict, write_json_summary,
-    write_scalar_dat,
-)
-from repro.output.checkpoint import load_population, save_population
 from repro.output.stream import (
     StreamSet, TraceCorruptionError, TraceError, TraceField, TracePosition,
     TraceReader, TraceSchemaError, TraceTruncationError, TraceWriter,
@@ -22,9 +17,6 @@ from repro.output.runstate import (
 )
 
 __all__ = [
-    "write_scalar_dat", "read_scalar_dat",
-    "result_summary_dict", "write_json_summary",
-    "save_population", "load_population",
     "TraceField", "TracePosition", "TraceWriter", "TraceReader",
     "TraceError", "TraceSchemaError", "TraceCorruptionError",
     "TraceTruncationError", "merge_crowd_segments", "StreamSet",

@@ -33,8 +33,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.output.checkpoint import population_arrays, population_from_arrays
 from repro.output.stream import TracePosition
+from repro.particles.walker import Walker
 
 __all__ = [
     "RUNSTATE_VERSION",
@@ -56,6 +56,51 @@ def rng_state(rng: np.random.Generator) -> dict:
 def restore_rng(rng: np.random.Generator, state: dict) -> None:
     """Restore a Generator to a snapshotted bit-stream position."""
     rng.bit_generator.state = state
+
+
+def population_arrays(walkers: List[Walker]) -> dict:
+    """Flatten a Walker list into checkpoint arrays (bit-exact)."""
+    if not walkers:
+        raise ValueError("refusing to checkpoint an empty population")
+    n = walkers[0].n
+    if any(w.n != n for w in walkers):
+        raise ValueError("walkers disagree on particle count")
+    buf_sizes = np.array([w.buffer.size for w in walkers], dtype=np.int64)
+    if len({int(s) for s in buf_sizes}) > 1:
+        raise ValueError("walkers disagree on buffer layout")
+    return {
+        "R": np.stack([w.R for w in walkers]),
+        "weights": np.array([w.weight for w in walkers]),
+        "multiplicities": np.array([w.multiplicity for w in walkers]),
+        "ages": np.array([w.age for w in walkers], dtype=np.int64),
+        "buffers": (np.stack([w.buffer.as_array() for w in walkers])
+                    if buf_sizes[0] > 0 else np.zeros((len(walkers), 0))),
+        "buffer_dtype": str(walkers[0].buffer.dtype),
+        "properties": json.dumps([w.properties for w in walkers]),
+    }
+
+
+def population_from_arrays(data) -> List[Walker]:
+    """Rebuild the Walker list from :func:`population_arrays` output."""
+    R = data["R"]
+    weights = data["weights"]
+    mults = data["multiplicities"]
+    ages = data["ages"]
+    buffers = data["buffers"]
+    buffer_dtype = np.dtype(str(data["buffer_dtype"]))
+    props = json.loads(str(data["properties"]))
+    walkers = []
+    for i in range(R.shape[0]):
+        w = Walker.from_positions(R[i], dtype=buffer_dtype)
+        w.weight = float(weights[i])
+        w.multiplicity = float(mults[i])
+        w.age = int(ages[i])
+        w.properties = dict(props[i])
+        if buffers.shape[1] > 0:
+            w.buffer.register(buffers[i].astype(buffer_dtype))
+            w.buffer.seal()
+        walkers.append(w)
+    return walkers
 
 
 @dataclass

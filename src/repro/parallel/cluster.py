@@ -12,21 +12,18 @@ excess of the maximum rank population over the mean for a multinomially
 fluctuating DMC population (~sqrt(2 (W/M) ln M / M ... we use the
 standard sqrt(2 w ln M) Gumbel estimate with w = W/M walkers/node).
 
-The simulation also runs a discrete per-generation population model with
-an actual :class:`SimComm` + :class:`WalkerLoadBalancer` pass, so the
-communicated-byte accounting uses real serialized-walker sizes.
+The simulation also runs a discrete per-generation population model
+through :func:`balance_plan`, the excess-to-deficit walker exchange, and
+counts the allreduce, messages and bytes that pattern costs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
+from typing import List, Sequence, Tuple
 
 import numpy as np
-
-from repro.parallel.balancer import WalkerLoadBalancer
-from repro.parallel.simcomm import SimComm
 
 
 @dataclass(frozen=True)
@@ -44,6 +41,48 @@ class Interconnect:
 #: Cray Aries dragonfly (Trinity) and Intel Omni-Path (Serrano).
 ARIES = Interconnect("Aries", latency_s=1.3e-6, bandwidth_gbs=10.0)
 OMNIPATH = Interconnect("Omni-Path", latency_s=1.0e-6, bandwidth_gbs=12.5)
+
+
+def balance_plan(counts: Sequence[int]) -> List[Tuple[int, int, int]]:
+    """Walker transfers ``[(src, dst, n), ...]`` equalizing ``counts``
+    (Alg. 1 L14's load balance): QMCPACK pairs surplus ranks with
+    deficit ranks after branching and streams walkers from the biggest
+    surplus to the biggest deficit.
+
+    Post-condition: every rank holds floor(total/size) or
+    ceil(total/size) walkers, and total transfers are minimal.
+    """
+    counts = list(counts)
+    size = len(counts)
+    base, extra = divmod(sum(counts), size)
+    # Targets: the `extra` ranks with the largest counts keep one more
+    # (minimizes movement).
+    order = sorted(range(size), key=lambda r: -counts[r])
+    target = [base] * size
+    for r in order[:extra]:
+        target[r] = base + 1
+    surplus = [(r, counts[r] - target[r]) for r in range(size)
+               if counts[r] > target[r]]
+    deficit = [(r, target[r] - counts[r]) for r in range(size)
+               if counts[r] < target[r]]
+    plan: List[Tuple[int, int, int]] = []
+    si = di = 0
+    while si < len(surplus) and di < len(deficit):
+        s_rank, s_n = surplus[si]
+        d_rank, d_n = deficit[di]
+        n = min(s_n, d_n)
+        plan.append((s_rank, d_rank, n))
+        s_n -= n
+        d_n -= n
+        if s_n == 0:
+            si += 1
+        else:
+            surplus[si] = (s_rank, s_n)
+        if d_n == 0:
+            di += 1
+        else:
+            deficit[di] = (d_rank, d_n)
+    return plan
 
 
 @dataclass
@@ -122,13 +161,15 @@ class SimCluster:
     # -- discrete population simulation -------------------------------------------------
     def simulate_generations(self, nodes: int, population: int,
                              generations: int = 10) -> dict:
-        """Run the branching/balance cycle with integer walker counts and
-        a real SimComm, returning communication statistics."""
-        comm = SimComm(nodes)
+        """Run the branching/balance cycle with integer walker counts,
+        returning communication statistics: one allreduce per generation,
+        one message of ``n * walker_nbytes`` bytes per plan entry."""
         counts = np.full(nodes, population // nodes, dtype=np.int64)
         counts[: population % nodes] += 1
         total_migrated = 0
         max_imbalance = 0
+        messages = 0
+        nbytes = 0.0
         for _ in range(generations):
             # Branching noise: per-node population fluctuates ~sqrt(count).
             deltas = self.rng.normal(0.0, np.sqrt(counts)).astype(np.int64)
@@ -140,23 +181,19 @@ class SimCluster:
                 total = nodes
             scale_ = population / total
             counts = np.maximum((counts * scale_).astype(np.int64), 0)
-            comm.allreduce(list(counts.astype(float)))
-            before = counts.copy()
-            plan = WalkerLoadBalancer.plan(list(counts))
-            moved = sum(n for _, _, n in plan)
-            total_migrated += moved
             max_imbalance = max(max_imbalance,
-                                int(np.max(before) - np.min(before)))
+                                int(np.max(counts) - np.min(counts)))
+            plan = balance_plan(counts)
+            total_migrated += sum(n for _, _, n in plan)
             for src, dst, n in plan:
                 counts[src] -= n
                 counts[dst] += n
-                comm.send(src, dst, ("walkers", n),
-                          nbytes=n * self.walker_nbytes)
-                comm.recv(dst)
+                messages += 1
+                nbytes += n * self.walker_nbytes
         return {
-            "allreduces": comm.allreduce_count,
-            "messages": comm.p2p_messages,
-            "bytes": comm.p2p_bytes,
+            "allreduces": generations,
+            "messages": messages,
+            "bytes": nbytes,
             "migrated_walkers": total_migrated,
             "max_imbalance": max_imbalance,
             "migrated_per_gen_per_node": total_migrated / generations / nodes,

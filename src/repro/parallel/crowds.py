@@ -403,7 +403,8 @@ class ParallelCrowdDriver(GenerationLoop):
         so the continued trace and error bars equal an uninterrupted
         run's.  ``segment_dir`` turns on per-crowd segment trace files
         (``crowd{c}of{K}.trace``) that merge into the canonical trace
-        via :func:`repro.output.stream.merge_crowd_segments`.
+        via :func:`repro.output.stream.merge_crowd_segments`; it needs
+        ``workers >= 1`` (ValueError otherwise).
         ``abort_after`` is the restart battery's kill hook: the parent
         ``os._exit(17)`` s right after that generation's checkpoint, like
         a SIGKILL landing between generations (shared segments are left
@@ -413,6 +414,9 @@ class ParallelCrowdDriver(GenerationLoop):
             raise ValueError(f"unknown mode {mode!r}")
         if steps < 1:
             raise ValueError(f"need at least one step, got {steps}")
+        if segment_dir is not None and self.workers == 0:
+            raise ValueError("segment_dir needs workers >= 1: the serial "
+                             "path writes no per-crowd segments")
         start_gen = self._resume_step(resume, "parallel", mode=mode,
                                       nwalkers=self.nw,
                                       seed=self.master_seed)
@@ -429,7 +433,7 @@ class ParallelCrowdDriver(GenerationLoop):
         self.segment_paths = None
         self._segment_meta = None
         self._segment_names = None
-        if shared and segment_dir is not None:
+        if segment_dir is not None:
             os.makedirs(segment_dir, exist_ok=True)
             K = self.workers
             self.segment_paths = [

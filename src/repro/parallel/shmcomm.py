@@ -1,13 +1,11 @@
-"""``SharedMemComm`` — the :class:`~repro.parallel.simcomm.SimComm`
-collective API across *real* processes.
+"""``SharedMemComm`` — an MPI-style collective API across *real*
+processes, the only communicator in the package.
 
-:class:`SimComm` simulates MPI inside one process (the caller hands in
-every rank's contribution at once).  ``SharedMemComm`` keeps the part of
-that vocabulary the crowd pool calls — ``bcast`` and ``allgather``,
-counted in ``allreduce_count`` like every SimComm collective — but each
-rank is a genuine OS process calling in SPMD style with *its own*
-contribution.  Rank 0 (the coordinator) gathers in rank order and
-broadcasts, so collective results are deterministic.
+It carries the two collectives the crowd pool calls — ``bcast`` and
+``allgather``, each counted in ``allreduce_count`` — with every rank a
+genuine OS process calling in SPMD style with *its own* contribution.
+Rank 0 (the coordinator) gathers in rank order and broadcasts, so
+collective results are deterministic.
 
 Transport is a star of ``multiprocessing.Pipe`` duplex connections
 (rank 0 <-> every other rank).  Only *small control payloads* — scalars,
@@ -62,7 +60,7 @@ class SharedMemComm:
         #: be retried with :meth:`resume` (contributions already received
         #: stay buffered, so a slow rank costs nothing extra)
         self._pending: Optional[Tuple[int, Callable[[List[Any]], Any]]] = None
-        #: collectives entered (SimComm-compatible accounting)
+        #: collectives entered
         self.allreduce_count = 0
         #: (seq, kind) per collective entered, recorded while sanitizers
         #: are armed; CollectiveOrderChecker cross-checks these at

@@ -50,34 +50,11 @@ class Walker:
         out.buffer = self.buffer.copy()
         return out
 
-    # -- serialization (what send/recv during load balancing moves) ------------
     def message_nbytes(self) -> int:
-        """Bytes on the wire: positions + metadata + anonymous buffer."""
+        """Bytes a load-balancing send would move: positions + metadata
+        + anonymous buffer."""
         meta = 8 * (3 + len(self.properties))  # weight, multiplicity, age + props
         return self.R.nbytes + meta + self.buffer.nbytes
-
-    def serialize(self) -> dict:
-        """Plain-dict form for the simulated communicator."""
-        return {
-            "R": self.R.copy(),
-            "weight": self.weight,
-            "multiplicity": self.multiplicity,
-            "age": self.age,
-            "properties": dict(self.properties),
-            "buffer": self.buffer.as_array().copy(),
-            "buffer_dtype": self.buffer.dtype.name,
-        }
-
-    @classmethod
-    def deserialize(cls, msg: dict) -> "Walker":
-        w = cls.from_positions(msg["R"], dtype=np.dtype(msg["buffer_dtype"]))
-        w.weight = msg["weight"]
-        w.multiplicity = msg["multiplicity"]
-        w.age = msg["age"]
-        w.properties = dict(msg["properties"])
-        w.buffer.register(msg["buffer"])
-        w.buffer.seal()
-        return w
 
     def __repr__(self) -> str:
         return (f"Walker(n={self.n}, weight={self.weight:.4f}, "

@@ -69,21 +69,36 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+def _usage_error(args: argparse.Namespace) -> Optional[str]:
+    """The first argument combination the run would reject, or None."""
+    for flag, value, low in (("--walkers", args.walkers, 1),
+                             ("--steps", args.steps, 1),
+                             ("--flush-every", args.flush_every, 1),
+                             ("--workers", args.workers, 0),
+                             ("--checkpoint-every", args.checkpoint_every, 0)):
+        if value < low:
+            return f"{flag} must be >= {low}, got {value}"
+    if args.resume and not args.checkpoint:
+        return "--resume requires --checkpoint"
+    if args.checkpoint_every > 0 and not args.checkpoint:
+        return "--checkpoint-every requires --checkpoint"
+    if args.segment_dir is not None and args.workers == 0:
+        return "--segment-dir requires --workers >= 1"
+    return None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
+    problem = _usage_error(args)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return 2
     # Imports deferred so --help stays fast and dependency-light.
     from repro.batched.system import JastrowSystemSpec
     from repro.output.runstate import load_run_checkpoint
     from repro.output.stream import StreamSet
     from repro.parallel.crowds import ParallelCrowdDriver
 
-    if args.resume and not args.checkpoint:
-        print("error: --resume requires --checkpoint", file=sys.stderr)
-        return 2
-    if args.checkpoint_every > 0 and not args.checkpoint:
-        print("error: --checkpoint-every requires --checkpoint",
-              file=sys.stderr)
-        return 2
     spec = JastrowSystemSpec(n=args.electrons, seed=args.system_seed,
                              with_nlpp=args.nlpp)
     resume = None

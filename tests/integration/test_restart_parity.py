@@ -252,5 +252,14 @@ class TestParallelKillRestart:
         assert position.rows == STEPS
         assert _read(merged) == _read(trace)
 
+    def test_segment_dir_needs_workers(self, tmp_path):
+        """The serial path has no crowds to segment: refuse, do not skip."""
+        seg_dir = tmp_path / "segments"
+        drv = ParallelCrowdDriver(JastrowSystemSpec(n=N_ELECTRONS, seed=7),
+                                  WALKERS, SEED, workers=0, timestep=0.3)
+        with drv, pytest.raises(ValueError, match="workers >= 1"):
+            drv.run(2, segment_dir=str(seg_dir))
+        assert not seg_dir.exists()
+
     def test_no_shm_leaks_after_battery(self):
         assert not glob.glob("/dev/shm/repro-*")

@@ -124,35 +124,6 @@ def test_threads_record_into_private_trees_and_merge(reg):
     assert sweep["children"][0]["counters"]["evals"] == n_threads * n_iter
 
 
-def test_crowd_driver_threads_merge_cleanly():
-    """Every crowd clone's sweep scope lands under the driver's."""
-    np = pytest.importorskip("numpy")
-    from repro.core.system import QmcSystem
-    from repro.core.version import CodeVersion
-    from repro.drivers.crowd import CrowdDriver
-
-    sys_ = QmcSystem.from_workload("Graphite", scale=0.0625, seed=9,
-                                   with_nlpp=False)
-    parts = sys_.build(CodeVersion.CURRENT)
-    was_enabled = METRICS.enabled
-    METRICS.reset()
-    METRICS.enable()
-    try:
-        CrowdDriver(parts, n_crowds=2,
-                    rng=np.random.default_rng(5)).run(walkers=4, steps=2)
-        flat = METRICS.flat()
-    finally:
-        if not was_enabled:
-            METRICS.disable()
-        METRICS.reset()
-    assert flat["CrowdVMC"]["calls"] == 1
-    # Every sweep is accounted for exactly once.
-    sweeps = sum(v["calls"] for k, v in flat.items()
-                 if k.split("/")[-1] == "sweep")
-    assert sweeps == 4 * 2  # walkers * steps
-    assert all(v["calls"] > 0 for v in flat.values())
-
-
 # -- disarmed cost ------------------------------------------------------------
 
 def test_disarmed_scope_is_the_shared_null_scope():

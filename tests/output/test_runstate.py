@@ -114,6 +114,43 @@ class TestRoundTrip:
             assert a.age == b.age
             assert a.properties == b.properties
 
+    def test_walker_buffers_bit_exact(self, rng, tmp_path):
+        pop = []
+        for i in range(5):
+            w = Walker.from_positions(rng.normal(size=(6, 3)))
+            w.multiplicity = 1.0 + 0.5 * i
+            w.buffer.register(rng.normal(size=10))
+            w.buffer.seal()
+            pop.append(w)
+        path = str(tmp_path / "buffers.npz")
+        save_run_checkpoint(path, RunCheckpoint(kind="dmc", step=2,
+                                                walkers=pop))
+        back = load_run_checkpoint(path).walkers
+        for a, b in zip(pop, back):
+            assert a.multiplicity == b.multiplicity
+            assert b.buffer.dtype == np.float64
+            assert np.array_equal(a.buffer.as_array(), b.buffer.as_array())
+
+    def test_float32_walker_buffers(self, rng, tmp_path):
+        w = Walker.from_positions(rng.normal(size=(3, 3)), dtype=np.float32)
+        w.buffer.register(np.ones(4, dtype=np.float32))
+        path = str(tmp_path / "c32.npz")
+        save_run_checkpoint(path, RunCheckpoint(kind="vmc", step=1,
+                                                walkers=[w]))
+        (back,) = load_run_checkpoint(path).walkers
+        assert back.buffer.dtype == np.float32
+        assert np.array_equal(back.buffer.as_array(), w.buffer.as_array())
+
+    @pytest.mark.parametrize("shapes", [[], [(3, 3), (4, 3)]],
+                             ids=["empty", "ragged"])
+    def test_population_validation(self, rng, tmp_path, shapes):
+        pop = [Walker.from_positions(rng.normal(size=s)) for s in shapes]
+        path = str(tmp_path / "x.npz")
+        with pytest.raises(ValueError):
+            save_run_checkpoint(path, RunCheckpoint(kind="vmc", step=1,
+                                                    walkers=pop))
+        assert not os.path.exists(path)
+
     def test_empty_optionals(self, tmp_path):
         ckpt = RunCheckpoint(kind="vmc", step=0)
         path = str(tmp_path / "empty.npz")

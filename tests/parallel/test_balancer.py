@@ -1,25 +1,21 @@
-"""Tests for the walker load balancer."""
+"""Tests for the walker load-balance plan."""
 
-import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.parallel.balancer import WalkerLoadBalancer
-from repro.parallel.simcomm import SimComm
-from repro.particles.walker import Walker
+from repro.parallel.cluster import balance_plan
 
 
 class TestPlan:
     def test_already_balanced_empty_plan(self):
-        assert WalkerLoadBalancer.plan([4, 4, 4]) == []
+        assert balance_plan([4, 4, 4]) == []
 
     def test_simple_transfer(self):
-        plan = WalkerLoadBalancer.plan([6, 2])
+        plan = balance_plan([6, 2])
         assert plan == [(0, 1, 2)]
 
     def test_remainder_distribution(self):
         counts = [5, 0, 2]
-        plan = WalkerLoadBalancer.plan(counts)
+        plan = balance_plan(counts)
         final = list(counts)
         for s, d, n in plan:
             final[s] -= n
@@ -29,7 +25,7 @@ class TestPlan:
     @settings(max_examples=60)
     @given(st.lists(st.integers(0, 40), min_size=1, max_size=12))
     def test_plan_equalizes(self, counts):
-        plan = WalkerLoadBalancer.plan(counts)
+        plan = balance_plan(counts)
         final = list(counts)
         for s, d, n in plan:
             assert n > 0
@@ -44,7 +40,7 @@ class TestPlan:
     @given(st.lists(st.integers(0, 40), min_size=1, max_size=10))
     def test_plan_minimal_movement(self, counts):
         """Total moved equals total surplus above targets (no shuffling)."""
-        plan = WalkerLoadBalancer.plan(counts)
+        plan = balance_plan(counts)
         moved = sum(n for _, _, n in plan)
         total = sum(counts)
         size = len(counts)
@@ -55,37 +51,3 @@ class TestPlan:
             target[r] = base + 1
         surplus = sum(max(0, counts[r] - target[r]) for r in range(size))
         assert moved == surplus
-
-
-class TestApply:
-    def test_walkers_move_with_state(self, rng):
-        comm = SimComm(2)
-        pops = [[], []]
-        for i in range(4):
-            w = Walker.from_positions(rng.normal(size=(3, 3)))
-            w.properties["local_energy"] = float(i)
-            w.buffer.register(np.full(5, float(i)))
-            w.buffer.seal()
-            pops[0].append(w)
-        out = WalkerLoadBalancer.apply(pops, comm)
-        assert len(out[0]) == 2 and len(out[1]) == 2
-        assert comm.p2p_messages == 2
-        assert comm.p2p_bytes > 0
-        # Transferred walkers carry their buffers.
-        moved = out[1][-1]
-        arr = moved.buffer.as_array()
-        assert arr.shape == (5,)
-        assert np.all(arr == arr[0])
-
-    def test_bytes_scale_with_buffer_size(self, rng):
-        def run(extra):
-            comm = SimComm(2)
-            pops = [[], []]
-            for _ in range(2):
-                w = Walker.from_positions(rng.normal(size=(3, 3)))
-                w.buffer.register(np.zeros(extra))
-                pops[0].append(w)
-            WalkerLoadBalancer.apply(pops, comm)
-            return comm.p2p_bytes
-
-        assert run(1000) - run(10) == pytest.approx(990 * 8)

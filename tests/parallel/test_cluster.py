@@ -68,6 +68,22 @@ class TestDiscreteSimulation:
             stats["migrated_walkers"] * 1.5e6)
         assert stats["migrated_walkers"] >= 0
 
+    @pytest.mark.parametrize("seed, args, expected", [
+        (5, (16, 1024, 8), (8, 106, 483_000_000, 322, 28, 2.515625)),
+        (3, (64, 131072, 10),
+         (10, 611, 16_540_500_000, 11_027, 277, 17.2296875)),
+    ])
+    def test_pinned_statistics(self, seed, args, expected):
+        """Exact counts and RNG draws: one allreduce per generation, one
+        message of ``n * walker_nbytes`` bytes per plan entry."""
+        c = SimCluster(40.0, ARIES, walker_nbytes=1.5e6, seed=seed)
+        nodes, population, generations = args
+        stats = c.simulate_generations(nodes, population,
+                                       generations=generations)
+        assert tuple(stats[k] for k in (
+            "allreduces", "messages", "bytes", "migrated_walkers",
+            "max_imbalance", "migrated_per_gen_per_node")) == expected
+
     def test_single_node_no_migration(self):
         c = SimCluster(40.0, ARIES, walker_nbytes=1e6)
         stats = c.simulate_generations(1, 128, generations=5)

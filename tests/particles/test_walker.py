@@ -1,8 +1,10 @@
-"""Tests for Walker state, serialization, and message sizes."""
+"""Tests for Walker state and message sizes."""
 
 import numpy as np
 import pytest
 
+from repro.core.system import QmcSystem
+from repro.core.version import VERSION_CONFIGS, CodeVersion
 from repro.particles.walker import Walker
 
 
@@ -29,20 +31,6 @@ class TestWalker:
         w.buffer.get(out)
         assert np.allclose(out, np.arange(5.0))
 
-    def test_serialize_roundtrip(self, rng):
-        w = Walker.from_positions(rng.normal(size=(4, 3)))
-        w.weight = 1.25
-        w.age = 3
-        w.properties["local_energy"] = -7.5
-        w.buffer.register(np.arange(6.0))
-        w.buffer.seal()
-        w2 = Walker.deserialize(w.serialize())
-        assert np.allclose(w2.R, w.R)
-        assert w2.weight == 1.25
-        assert w2.age == 3
-        assert w2.properties["local_energy"] == -7.5
-        assert np.allclose(w2.buffer.as_array(), w.buffer.as_array())
-
     def test_message_bytes_grow_with_buffer(self, rng):
         w = Walker.from_positions(rng.normal(size=(4, 3)))
         before = w.message_nbytes()
@@ -55,3 +43,20 @@ class TestWalker:
         w64.buffer.register(np.zeros(100))
         w32.buffer.register(np.zeros(100, dtype=np.float32))
         assert w64.message_nbytes() - w32.message_nbytes() == 400
+
+    def test_message_bytes_reflect_version(self):
+        """Ref walkers carry their 5N^2 Jastrow buffers in fp64; Current
+        walkers are lean and mixed precision — the Fig. 8/9 message-size
+        story on the wire."""
+        sys_ = QmcSystem.from_workload("NiO-32", scale=0.125, seed=6,
+                                       with_nlpp=False)
+        nbytes = {}
+        for version in (CodeVersion.REF, CodeVersion.CURRENT):
+            parts = sys_.build(version, value_dtype=np.float64)
+            w = Walker.from_positions(
+                parts.electrons.R,
+                dtype=VERSION_CONFIGS[version].precision.value_dtype)
+            parts.twf.evaluate_log(parts.electrons)
+            parts.twf.register_data(parts.electrons, w.buffer)
+            nbytes[version] = w.message_nbytes()
+        assert nbytes[CodeVersion.REF] > 5 * nbytes[CodeVersion.CURRENT]

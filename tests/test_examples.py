@@ -3,6 +3,7 @@
 import importlib
 import pathlib
 import py_compile
+import tomllib
 
 import pytest
 
@@ -43,9 +44,21 @@ class TestPackage:
                     "repro.drivers", "repro.precision", "repro.workloads",
                     "repro.miniapps", "repro.parallel", "repro.perfmodel",
                     "repro.metrics", "repro.memory", "repro.stats",
-                    "repro.estimators", "repro.optimize", "repro.input",
-                    "repro.output", "repro.sanitizers"):
+                    "repro.estimators", "repro.output",
+                    "repro.sanitizers"):
             importlib.import_module(mod)
+
+    def test_console_scripts_resolve(self):
+        """Every ``[project.scripts]`` entry names an importable callable
+        (the suite runs from a source tree, so nothing else would notice
+        a dangling entry point)."""
+        pyproject = pathlib.Path(__file__).parent.parent / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        assert scripts
+        for name, target in scripts.items():
+            module, _, func = target.partition(":")
+            assert callable(getattr(importlib.import_module(module), func)), \
+                name
 
     def test_all_exports_resolve(self):
         for mod_name in ("repro.core", "repro.distances", "repro.spo",
