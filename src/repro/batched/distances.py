@@ -9,6 +9,14 @@ Bitwise contract: the per-walker tables (`DistanceTableAASoA` /
 `DistanceTableAAOtf` / `DistanceTableABSoA`) call the same backend row
 and pair kernels at W = 1, so the differential suite can demand exact
 equality of the rows, not just closeness.
+
+Carried state: a table with fp64 storage (``carried``) holds, between
+generations, exactly the bits a from-scratch pair pass over ``R``
+would give, so a DMC generation re-derives nothing it already has.
+``settle`` (measure) restores that state after a sweep by the cheapest
+exact means, ``gather`` (after the DMC comb) copies each slot's table
+from the slot its walker came from.  Other storage keeps the pair
+passes: its sweep rows come from the downcast ``Rsoa``.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backend import active
+from repro.batched.walkerbatch import commit_rows
 from repro.containers.aligned import aligned_empty, padded_size
 from repro.distances.base import BIG_DISTANCE
 from repro.metrics.registry import METRICS
@@ -40,7 +49,43 @@ def _batched_row_from(soa: np.ndarray, n: int, rk: np.ndarray, lattice,
     out_r[:, :n] = np.asarray(r)
 
 
-class BatchedDistTableAA:
+class _PairTable:
+    """The from-scratch pass and the carried-state protocol the AA and
+    AB tables share; a subclass supplies ``_pairs`` (one pair kernel
+    call over a (w, nt, 3) position block) and ``settle``."""
+
+    def evaluate(self, batch) -> None:
+        """From-scratch recompute of all W tables from the canonical R."""
+        self._fill(batch.R, slice(None))
+
+    def _fill(self, R: np.ndarray, slots) -> None:
+        """One pair pass over the walkers ``R`` into table ``slots``."""
+        dist, disp = self._pairs(R)
+        self.distances[slots, :, : self.n] = np.asarray(dist)
+        self.displacements[slots, :, :, : self.n] = np.asarray(disp)
+
+    def gather(self, batch, src: np.ndarray) -> None:
+        """Resync after the DMC comb: slot ``w`` now holds the walker
+        that sat in slot ``src[w]`` of this crowd (``-1``: in another
+        crowd).  A carried table copies the source slots' slices — a
+        gather, no arithmetic — and runs one pair pass over the
+        ``-1`` slots only; other storage re-evaluates every slot."""
+        if not self.carried:
+            self.evaluate(batch)
+            return
+        moved = np.flatnonzero((src >= 0) & (src != np.arange(self.nw)))
+        if moved.size:
+            self.distances[moved] = self.distances[src[moved]]
+            self.displacements[moved] = self.displacements[src[moved]]
+            OPS.record(self.category,
+                       rbytes=float(self.storage_bytes) * moved.size / self.nw,
+                       wbytes=float(self.storage_bytes) * moved.size / self.nw)
+        foreign = np.flatnonzero(src < 0)
+        if foreign.size:
+            self._fill(batch.R[foreign], foreign)
+
+
+class BatchedDistTableAA(_PairTable):
     """Symmetric electron-electron table over a WalkerBatch, forward update.
 
     Storage is ``(W, N, Np)`` distances / ``(W, N, 3, Np)`` displacements
@@ -56,6 +101,9 @@ class BatchedDistTableAA:
         self.n = int(n)
         self.lattice = lattice
         self.dtype = resolve_value_dtype(dtype)
+        self.carried = self.dtype == np.float64
+        #: strict upper triangle, the part ``settle`` mirrors
+        self._upper = np.triu(np.ones((n, n), dtype=bool), 1)
         self.np_ = padded_size(n, self.dtype)
         self.distances = aligned_empty((self.nw, n, self.np_), self.dtype)
         self.distances[...] = BIG_DISTANCE
@@ -66,17 +114,36 @@ class BatchedDistTableAA:
                               dtype=self.dtype)
         self.temp_dr = np.zeros((self.nw, 3, self.np_), dtype=self.dtype)
 
-    # -- full evaluation ---------------------------------------------------------
-    def evaluate(self, batch) -> None:
-        """From-scratch recompute of all W tables from the canonical R."""
+    # -- from-scratch and carried state -------------------------------------------
+    def _pairs(self, R: np.ndarray):
+        dist, disp = active().aa_pairs(R, self.lattice)
+        nw, n = R.shape[0], self.n
+        OPS.record(self.category, flops=9.0 * nw * n * n,
+                   rbytes=24.0 * nw * n,
+                   wbytes=4.0 * self.dtype.itemsize * nw * n * n)
+        return dist, disp
+
+    def settle(self, batch) -> None:
+        """Bring every table to what :meth:`evaluate` gives, after a sweep.
+
+        The forward update leaves the strict lower triangle current:
+        entry (i, j), i > j, is rewritten by whichever of i's row and
+        j's column commit came last.  The upper triangle is its mirror —
+        distances copied, displacements negated, both exact — when the
+        lattice's minimum image is odd (``CrystalLattice.min_image_odd``)
+        and the table is carried; otherwise one pair pass.
+        """
+        if not (self.carried and self.lattice.min_image_odd):
+            self.evaluate(batch)
+            return
         n = self.n
-        dist, disp = active().aa_pairs(batch.R, self.lattice)
-        self.distances[:, :, :n] = np.asarray(dist)
-        self.displacements[:, :, :, :n] = np.asarray(disp)
-        itemsize = self.dtype.itemsize
-        OPS.record(self.category, flops=9.0 * self.nw * n * n,
-                   rbytes=24.0 * self.nw * n,
-                   wbytes=4.0 * itemsize * self.nw * n * n)
+        dist = self.distances[:, :, :n]
+        np.copyto(dist, dist.transpose(0, 2, 1).copy(), where=self._upper)
+        disp = self.displacements[:, :, :, :n]
+        np.copyto(disp, np.negative(disp.transpose(0, 3, 2, 1)),
+                  where=self._upper[:, None, :])
+        nbytes = 2.0 * self.dtype.itemsize * self.nw * n * (n - 1)
+        OPS.record(self.category, rbytes=nbytes, wbytes=nbytes)
 
     # -- PbyP protocol -----------------------------------------------------------
     def move(self, batch, rnew: np.ndarray, k: int) -> None:
@@ -92,13 +159,14 @@ class BatchedDistTableAA:
     def update(self, k: int, accepted: np.ndarray) -> None:
         """Commit row k (and the forward column) for the accepted subset."""
         n = self.n
-        self.distances[accepted, k, :] = self.temp_r[accepted]
-        self.displacements[accepted, k, :, :] = self.temp_dr[accepted]
+        commit_rows(self.distances[:, k], self.temp_r, accepted)
+        commit_rows(self.displacements[:, k], self.temp_dr, accepted)
         if k + 1 < n:
-            self.distances[accepted, k + 1:n, k] = \
-                self.temp_r[accepted, k + 1:n]
-            self.displacements[accepted, k + 1:n, :, k] = \
-                -self.temp_dr[accepted][:, :, k + 1:n].transpose(0, 2, 1)
+            commit_rows(self.distances[:, k + 1:n, k],
+                        self.temp_r[:, k + 1:n], accepted)
+            commit_rows(self.displacements[:, k + 1:n, :, k],
+                        self.temp_dr[:, :, k + 1:n].transpose(0, 2, 1),
+                        accepted, negate=True)
         itemsize = self.dtype.itemsize
         nacc = int(np.count_nonzero(accepted))
         OPS.record(self.category,
@@ -147,10 +215,15 @@ class BatchedDistTableAAOtf(BatchedDistTableAA):
         METRICS.add_bytes(4 * itemsize * self.nw * self.n)
         super().move(batch, rnew, k)
 
+    def settle(self, batch) -> None:
+        """No column maintenance, so no triangle to mirror: measure keeps
+        its pair pass — the compute-on-the-fly design."""
+        self.evaluate(batch)
+
     def update(self, k: int, accepted: np.ndarray) -> None:
         # Contiguous row writes only, restricted to the accepted subset.
-        self.distances[accepted, k, :] = self.temp_r[accepted]
-        self.displacements[accepted, k, :, :] = self.temp_dr[accepted]
+        commit_rows(self.distances[:, k], self.temp_r, accepted)
+        commit_rows(self.displacements[:, k], self.temp_dr, accepted)
         itemsize = self.dtype.itemsize
         nacc = int(np.count_nonzero(accepted))
         OPS.record(self.category,
@@ -158,7 +231,7 @@ class BatchedDistTableAAOtf(BatchedDistTableAA):
                    wbytes=4.0 * itemsize * nacc * self.np_)
 
 
-class BatchedDistTableAB:
+class BatchedDistTableAB(_PairTable):
     """Electron-ion table over a WalkerBatch.
 
     The ion positions are fixed and shared by every walker (one
@@ -178,6 +251,7 @@ class BatchedDistTableAB:
         self.n = self.ns
         self.lattice = lattice
         self.dtype = resolve_value_dtype(dtype)
+        self.carried = self.dtype == np.float64
         self.nsp = padded_size(self.ns, self.dtype)
         # Shared fixed sources in accumulation precision (read-only).
         src = np.empty((3, self.ns), dtype=np.float64)
@@ -192,14 +266,20 @@ class BatchedDistTableAB:
         self.temp_r = np.zeros((self.nw, self.nsp), dtype=self.dtype)
         self.temp_dr = np.zeros((self.nw, 3, self.nsp), dtype=self.dtype)
 
-    def evaluate(self, batch) -> None:
-        dist, disp = active().ab_pairs(self.source.R, batch.R, self.lattice)
-        self.distances[:, :, : self.ns] = np.asarray(dist)
-        self.displacements[:, :, :, : self.ns] = np.asarray(disp)
-        itemsize = self.dtype.itemsize
-        OPS.record(self.category, flops=9.0 * self.nw * self.nt * self.ns,
-                   rbytes=24.0 * self.nw * (self.nt + self.ns),
-                   wbytes=4.0 * itemsize * self.nw * self.nt * self.ns)
+    def _pairs(self, R: np.ndarray):
+        dist, disp = active().ab_pairs(self.source.R, R, self.lattice)
+        nw = R.shape[0]
+        OPS.record(self.category, flops=9.0 * nw * self.nt * self.ns,
+                   rbytes=24.0 * nw * (self.nt + self.ns),
+                   wbytes=4.0 * self.dtype.itemsize * nw * self.nt * self.ns)
+        return dist, disp
+
+    def settle(self, batch) -> None:
+        """Every accepted move writes its walker's whole row k and ``R``
+        moves only through accepted moves, so a carried table is already
+        what :meth:`evaluate` gives; other storage re-evaluates."""
+        if not self.carried:
+            self.evaluate(batch)
 
     def move(self, batch, rnew: np.ndarray, k: int) -> None:
         rk = np.asarray(rnew, dtype=np.float64)
@@ -212,8 +292,8 @@ class BatchedDistTableAB:
                    rbytes=24.0 * nw * ns, wbytes=4.0 * itemsize * nw * ns)
 
     def update(self, k: int, accepted: np.ndarray) -> None:
-        self.distances[accepted, k, :] = self.temp_r[accepted]
-        self.displacements[accepted, k, :, :] = self.temp_dr[accepted]
+        commit_rows(self.distances[:, k], self.temp_r, accepted)
+        commit_rows(self.displacements[:, k], self.temp_dr, accepted)
         itemsize = self.dtype.itemsize
         nacc = int(np.count_nonzero(accepted))
         OPS.record(self.category, rbytes=4.0 * itemsize * nacc * self.ns,

@@ -106,6 +106,12 @@ class BatchedCrowdDriver(GenerationLoop):
         #: an external writer (the DMC branch commit) rewrote the walker
         #: block after the last generation; resync before the next sweep
         self._stale = False
+        #: where that writer took each slot's walker from: this crowd's
+        #: view of ``SharedWalkerState.source``, plus the crowd's place
+        #: in the round-robin deal — ``(source, crowd, n_crowds)``, set by
+        #: the crowd host; on its own the driver is one crowd whose
+        #: walkers stay in their slots
+        self.comb = (np.arange(self.nw), 0, 1)
         # Fused-sweep state (docs/sweep_fusion.md): one workspace of
         # per-sweep/per-move scratch allocated here and reused for the
         # driver's whole lifetime, and one plan bundling everything a
@@ -160,35 +166,50 @@ class BatchedCrowdDriver(GenerationLoop):
     # -- external-commit resync -----------------------------------------------------
     def resync_tables(self) -> None:
         """Rebuild the position-derived structures (Rsoa, distance
-        tables) from the canonical ``batch.R`` — all a crowd owes the
-        DMC branch commit, which rewrites positions behind the driver's
-        back but carries ``logpsi``/``local_energy`` along with them."""
+        tables) from the canonical ``batch.R`` alone: set-up and resume."""
         self.batch.sync_soa()
         for t in self.tables:
             with METRICS.scope(t.category):
                 t.evaluate(self.batch)
 
+    def gather_tables(self) -> None:
+        """All a crowd owes the DMC branch commit, which rewrites
+        positions behind the driver's back but carries
+        ``logpsi``/``local_energy`` along with them: Rsoa from ``R``,
+        and each table gathered from the slots the comb's picks name
+        (a walker from another crowd costs a pair pass over its slot
+        alone).  The crowd's ``source`` entries are reset to its own
+        walker ids, so a generation with no comb gathers nothing."""
+        source, crowd, n_crowds = self.comb
+        ids = np.arange(crowd, crowd + n_crowds * self.nw, n_crowds)
+        src = np.where(source % n_crowds == crowd, source // n_crowds, -1)
+        source[...] = ids
+        self.batch.sync_soa()
+        for t in self.tables:
+            with METRICS.scope(t.category):
+                t.gather(self.batch, src)
+        if self.sanitizers is not None:
+            self.sanitizers.check_state(self.batch, self.tables)
+
     def refresh_from_positions(self, serial: int) -> None:
         """Recompute everything (Rsoa, tables, log Psi, E_L with its
         rotations keyed on ``serial``) from the canonical ``batch.R``
-        alone: the resume path, and the post-branch path of a slot-keyed
-        Hamiltonian (see :meth:`run_generation`).  Estimators are not
-        touched."""
+        alone: the resume path.  Estimators are not touched."""
         self.resync_tables()
         self._evaluate_log()
         self.evaluate_energies(serial)
 
     # -- measurement ----------------------------------------------------------------
     def measure(self) -> np.ndarray:
-        """Refresh tables from scratch and evaluate E_L per walker —
-        the batched ``store_walker``."""
+        """Settle the tables and evaluate E_L per walker — the batched
+        ``store_walker``."""
         with METRICS.scope("measure"):
             return self._measure()
 
     def _measure(self) -> np.ndarray:
         for t in self.tables:
             with METRICS.scope(t.category):
-                t.evaluate(self.batch)
+                t.settle(self.batch)
         if self.sanitizers is not None:
             self.sanitizers.check_state(self.batch, self.tables)
         self._evaluate_log()
@@ -243,15 +264,16 @@ class BatchedCrowdDriver(GenerationLoop):
         i.e. before the reweight."""
         batch = self.batch
         if e_trial is not None:
-            if self._stale and self._nlpp is not None:
-                # NLPP quadrature rotations are keyed on the walker
-                # *slot*, so a walker the comb moved has a different E_L
-                # there than the one it carried along: recompute.
-                self.refresh_from_positions(step - 1)
-            elif self._stale:
+            if self._stale:
                 # The comb carried logpsi/local_energy with the
                 # positions (bitwise what a recompute would give).
-                self.resync_tables()
+                self.gather_tables()
+                if self._nlpp is not None:
+                    # NLPP quadrature rotations are keyed on the walker
+                    # *slot*, so a walker the comb moved has a different
+                    # E_L there than the one it carried along: recompute.
+                    self._evaluate_log()
+                    self.evaluate_energies(step - 1)
             el_old = batch.local_energy.copy()
         self.sweep()
         self.key_rotations(step)

@@ -5,7 +5,9 @@ conventions) and adds the batched layout contract: the ``(W, 3, Np)``
 block must stay contiguous, aligned, value-dtype and zero-padded, and
 the incrementally-updated table row blocks must agree with a
 from-scratch recompute for every *accepted* walker after each fused
-accept/reject step.
+accept/reject step, and a carried table (fp64 storage, kept across
+generations instead of rebuilt) must equal a fresh pair pass bit for
+bit after ``settle`` and after a comb ``gather``.
 
 Armed by the same ``REPRO_SANITIZE=1`` toggle as the per-walker suite.
 """
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.backend import get_backend
 from repro.sanitizers import (DtypeSanitizer, ForwardUpdateChecker,
                               LayoutSanitizer, SanitizerError)
 from repro.precision.policy import PrecisionPolicy
@@ -51,7 +54,8 @@ class BatchedSanitizerSuite:
                 f"stay float64, got {batch.R.dtype.name}")
 
     def check_state(self, batch, tables) -> None:
-        """Measurement-time pass: batch layout + every table's storage."""
+        """Measurement-time and post-comb pass: batch layout, every
+        table's storage, and every carried table's contents."""
         self.check_batch(batch)
         for t in tables:
             self.layout.check_table(t)
@@ -59,6 +63,34 @@ class BatchedSanitizerSuite:
             if isinstance(distances, np.ndarray):
                 self.dtype.check_array(
                     f"{type(t).__name__}.distances", distances)
+            if getattr(t, "carried", False):
+                self.check_carried(batch, t)
+
+    @staticmethod
+    def check_carried(batch, table) -> None:
+        """A carried table must equal a from-scratch pair pass over
+        ``batch.R`` exactly.  The pass goes to the process's kernel
+        object directly, not through ``active()``, so a counting proxy
+        sees only the driver's own calls."""
+        backend = get_backend()
+        source = getattr(table, "source", None)
+        if source is not None:
+            fresh = backend.ab_pairs(source.R, batch.R, table.lattice)
+        else:
+            fresh = backend.aa_pairs(batch.R, table.lattice)
+        n = table.n
+        held = (table.distances[:, :, :n], table.displacements[:, :, :, :n])
+        for name, got, want in zip(("distance", "displacement"), held, fresh):
+            bad = got != want
+            if bad.any():
+                idx = tuple(int(i) for i in np.argwhere(bad)[0])
+                w, j, k = idx[0], idx[1], idx[-1]
+                axis = f" axis {idx[2]}" if len(idx) == 4 else ""
+                raise SanitizerError(
+                    f"carried-table checker: {type(table).__name__} "
+                    f"walker #{w} {name} entry ({j}, {k}){axis} is "
+                    f"{float(got[idx])!r}, a fresh pair pass gives "
+                    f"{float(want[idx])!r}")
 
     # -- incremental-update cross-check ------------------------------------------
     def after_accept(self, batch, tables, k: int,

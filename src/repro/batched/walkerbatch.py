@@ -30,6 +30,27 @@ from repro.particles.walker import Walker
 from repro.precision.policy import resolve_value_dtype
 
 
+def commit_rows(dst: np.ndarray, src: np.ndarray, accepted: np.ndarray,
+                negate: bool = False) -> None:
+    """``dst[w] = src[w]`` (``-src[w]`` with ``negate``) for every
+    accepted walker ``w`` — the one accept-commit of the crowd.
+
+    ``dst`` and ``src`` carry the walker axis first.  When every walker
+    accepted (most moves of a DMC crowd) this is one plain slice write;
+    otherwise the accepted walkers are indexed by ``np.flatnonzero``,
+    which gathers and scatters fewer rows than a boolean mask does.
+    Values are copied (or negated, exactly), never recomputed.
+    """
+    if accepted.all():
+        if negate:
+            np.negative(src, out=dst)
+        else:
+            dst[...] = src
+        return
+    idx = np.flatnonzero(accepted)
+    dst[idx] = -src[idx] if negate else src[idx]
+
+
 class WalkerBatch:
     """W walkers' positions as one padded, aligned SoA block.
 
@@ -157,8 +178,8 @@ class WalkerBatch:
         the (W,) boolean mask.  Per accepted walker this writes the same
         6 floats the paper's scalar ``acceptMove`` writes (R + Rsoa).
         """
-        self.R[accepted, k, :] = rnew[accepted]
-        self.Rsoa[accepted, :, k] = rnew[accepted]
+        commit_rows(self.R[:, k], rnew, accepted)
+        commit_rows(self.Rsoa[:, :, k], rnew, accepted)
 
     # -- bookkeeping ------------------------------------------------------------
     @property

@@ -86,6 +86,18 @@ class CrystalLattice:
         return min(
             0.5 * self.volume / np.linalg.norm(c) for c in cross)
 
+    @property
+    def min_image_odd(self) -> bool:
+        """Whether :meth:`min_image_soa` is an odd function bit for bit:
+        the image of ``-d`` is exactly minus the image of ``d``, so an
+        all-pairs table is exactly antisymmetric and its upper triangle
+        can be copied from the lower one.  Scale, ``rint`` and the
+        fractional transform are odd; the skewed cell's 27-image scan is
+        not — it keeps the *first* shortest candidate, and negating ``d``
+        reverses the scan order, so an exact tie resolves to the other
+        image (``tests/backend/test_pair_symmetry.py``)."""
+        return not self.periodic or self.orthogonal
+
     def to_frac(self, r: np.ndarray) -> np.ndarray:
         """Cartesian -> fractional coordinates (works on (..., 3) arrays)."""
         if not self.periodic:

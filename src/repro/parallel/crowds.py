@@ -107,6 +107,9 @@ def _host_crowd(spec: JastrowSystemSpec, state: SharedWalkerState,
         spec, len(ids), master_seed, timestep, use_drift, precision,
         batch=batch, rngs=[streams[w] for w in ids])
     drv.skip_generations(start_generation - 1)
+    # After a DMC comb the crowd gathers its tables from the slots the
+    # picks name instead of rebuilding them.
+    drv.comb = (state.source[crowd::n_crowds], crowd, n_crowds)
     nlpp = getattr(drv.ham, "nlpp", None)
     if nlpp is not None:
         # Quadrature-rotation contract: rotations are keyed on the

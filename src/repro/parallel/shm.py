@@ -3,7 +3,8 @@
 One :class:`SharedWalkerState` owns a single
 :mod:`multiprocessing.shared_memory` segment holding the canonical
 per-walker arrays of the whole population — ``R`` (W, n, 3) plus the
-per-walker scalars (weight, log Psi, E_L, age) — laid out back to back
+per-walker scalars (weight, log Psi, E_L, age) and the last comb's
+``source`` slot of each walker — laid out back to back
 at 64-byte-aligned offsets.  The parent process creates the segment;
 each worker process attaches by name and takes *strided numpy views* of
 its crowd's walkers (``arr[c::k]``), so an accepted Metropolis move is
@@ -155,7 +156,8 @@ class _SharedBlock:
         self.close()
 
 
-#: per-walker fields of the state block, in layout order
+#: per-walker fields of the state block, in layout order — what a
+#: checkpoint carries; the block also holds ``source``, which it does not
 STATE_FIELDS = ("R", "weight", "logpsi", "local_energy", "age")
 
 
@@ -171,9 +173,11 @@ class SharedWalkerState(_SharedBlock):
                           ("weight", (nw,), "float64"),
                           ("logpsi", (nw,), "float64"),
                           ("local_energy", (nw,), "float64"),
-                          ("age", (nw,), "int64")), name, create)
+                          ("age", (nw,), "int64"),
+                          ("source", (nw,), "int64")), name, create)
         if create or name is None:
             self.weight[...] = 1.0
+            self.source[...] = np.arange(nw)
 
     # -- construction -----------------------------------------------------------
     @classmethod
@@ -200,10 +204,12 @@ class SharedWalkerState(_SharedBlock):
         return {name: getattr(self, name).copy() for name in STATE_FIELDS}
 
     def restore_all(self, snapshot: Dict[str, np.ndarray]) -> None:
-        """Overwrite every field from a snapshot — used by within-run
-        crash recovery and by full-run restart."""
+        """Overwrite every checkpointed field from a snapshot — used by
+        within-run crash recovery and by full-run restart, both of which
+        rebuild every crowd from ``R``; ``source`` goes back to identity."""
         for name in STATE_FIELDS:
             getattr(self, name)[...] = snapshot[name]
+        self.source[...] = np.arange(self.nw)
 
     def resample(self, picks: np.ndarray,
                  clone: np.ndarray) -> None:
@@ -211,10 +217,12 @@ class SharedWalkerState(_SharedBlock):
         <repro.drivers.generation.DMCPolicy.comb_picks>`) by rewriting
         slices: slot i takes walker ``picks[i]``, weights reset to 1,
         clones restart the stuck-walker clock.  ``logpsi`` and
-        ``local_energy`` travel with the positions they describe, so a
-        crowd rebuilds only its distance tables afterwards.  On a shared
-        block this *is* the inter-crowd walker migration (a pick landing
-        in another crowd's slot)."""
+        ``local_energy`` travel with the positions they describe, and
+        ``source`` records the picks, so a crowd only gathers its
+        distance tables afterwards (``BatchedCrowdDriver.gather_tables``).
+        On a shared block this *is* the inter-crowd walker migration (a
+        pick landing in another crowd's slot)."""
+        self.source[...] = picks
         age = self.age[picks]
         age[clone] = 0
         self.R[...] = self.R[picks]

@@ -1,0 +1,175 @@
+"""Carried distance tables: ``settle`` and ``gather`` leave exactly what
+a from-scratch pair pass over ``R`` leaves.
+
+A batched table with fp64 storage is kept across generations: measure
+settles it (the AB table is already current, the forward-update AA
+table mirrors its current lower triangle) and the DMC comb's resync
+gathers each slot's table from the slot its walker came from.  Other
+storage and the compute-on-the-fly AA table keep their pair passes.
+Whole storage arrays are compared, padding included.
+"""
+
+import numpy as np
+import pytest
+
+from repro.batched import JastrowSystemSpec, WalkerBatch
+from repro.batched.driver import BatchedCrowdDriver
+from repro.batched.walkerbatch import commit_rows
+from repro.drivers.generation import DMCPolicy
+from repro.parallel.crowds import _host_crowd
+from repro.parallel.shm import SharedWalkerState
+from repro.precision.policy import FULL, MIXED
+from repro.sanitizers import SanitizerError
+
+W = 6
+N = 10
+SOA = JastrowSystemSpec(n=N, seed=7, aa_flavor="soa")
+
+
+def _tables(spec, batch):
+    tables, _, _ = spec.build_batched(W)
+    for t in tables:
+        t.evaluate(batch)
+    return tables
+
+
+def _sweep(tables, batch, rng, accept_p):
+    """One PbyP pass with random moves and random accept masks."""
+    for k in range(N):
+        rnew = batch.R[:, k] + rng.normal(scale=0.4, size=(W, 3))
+        for t in tables:
+            t.move(batch, rnew, k)
+        acc = rng.random(W) < accept_p
+        for t in tables:
+            t.update(k, acc)
+        batch.commit(k, rnew, acc)
+
+
+def _assert_from_scratch(spec, batch, tables):
+    for t, f in zip(tables, _tables(spec, batch)):
+        assert np.array_equal(t.distances, f.distances), type(t).__name__
+        assert np.array_equal(t.displacements, f.displacements), \
+            type(t).__name__
+
+
+@pytest.mark.parametrize("precision", [FULL, MIXED], ids=["fp64", "fp32"])
+@pytest.mark.parametrize("flavor", ["soa", "otf"])
+@pytest.mark.parametrize("accept_p", [1.0, 0.7, 0.0])
+def test_settle_after_sweeps_equals_a_pair_pass(flavor, precision, accept_p):
+    spec = JastrowSystemSpec(n=N, seed=5, aa_flavor=flavor,
+                             precision=precision)
+    batch = WalkerBatch.from_positions(spec.initial_positions(W),
+                                       dtype=precision)
+    tables = _tables(spec, batch)
+    rng = np.random.default_rng(1)
+    for _ in range(3):
+        _sweep(tables, batch, rng, accept_p)
+        for t in tables:
+            t.settle(batch)
+        _assert_from_scratch(spec, batch, tables)
+
+
+@pytest.mark.parametrize("precision", [FULL, MIXED], ids=["fp64", "fp32"])
+@pytest.mark.parametrize("flavor", ["soa", "otf"])
+def test_gather_equals_a_pair_pass(flavor, precision):
+    spec = JastrowSystemSpec(n=N, seed=6, aa_flavor=flavor,
+                             precision=precision)
+    batch = WalkerBatch.from_positions(spec.initial_positions(W),
+                                       dtype=precision)
+    tables = _tables(spec, batch)
+    rng = np.random.default_rng(2)
+    _sweep(tables, batch, rng, 0.8)
+    for t in tables:
+        t.settle(batch)
+    # slots 1 and 4 take walkers from outside the crowd (-1), the rest
+    # a comb-like gather with a clone and a slot that keeps its walker
+    src = np.array([0, -1, 0, 2, -1, 3])
+    outside = spec.initial_positions(2) + 0.25
+    R = batch.R[np.maximum(src, 0)]
+    R[src < 0] = outside
+    batch.R[...] = R
+    batch.sync_soa()
+    for t in tables:
+        t.gather(batch, src)
+    _assert_from_scratch(spec, batch, tables)
+
+
+class TestCommitRows:
+    @pytest.mark.parametrize("negate", [False, True])
+    @pytest.mark.parametrize("accepted", [[1, 1, 1, 1], [1, 0, 1, 1],
+                                          [0, 0, 0, 0]])
+    def test_slice_and_index_paths_write_the_accepted_rows(self, accepted,
+                                                           negate):
+        rng = np.random.default_rng(3)
+        acc = np.array(accepted, dtype=bool)
+        src = rng.normal(size=(3, 5, 4)).transpose(2, 1, 0)  # strided
+        dst = rng.normal(size=(4, 5, 3))
+        want = dst.copy()
+        want[acc] = -src[acc] if negate else src[acc]
+        commit_rows(dst, src, acc, negate=negate)
+        assert np.array_equal(dst, want)
+
+    def test_writes_through_a_view(self):
+        block = np.zeros((4, 6, 3))
+        rnew = np.arange(12.0).reshape(4, 3)
+        acc = np.array([True, False, True, True])
+        commit_rows(block[:, 2], rnew, acc)
+        assert np.array_equal(block[acc, 2], rnew[acc])
+        assert not block[~acc].any() and not block[:, [0, 1, 3, 4, 5]].any()
+
+
+def _crowd(spec):
+    state = SharedWalkerState(W, spec.n)
+    state.R[...] = spec.initial_positions(W)
+    return state, _host_crowd(spec, state, 0, 1, 11, 0.1, True, FULL, 1)
+
+
+def _comb(state, seed=3):
+    picks, clone = DMCPolicy.comb_picks(
+        state.weight, state.nw,
+        np.random.default_rng(seed).uniform(0.0, 1.0 / state.nw))
+    state.resample(picks, clone)
+
+
+class TestCarriedChecker:
+    """``BatchedSanitizerSuite.check_state`` compares every carried
+    table with a fresh pair pass; a stale entry raises."""
+
+    def test_armed_dmc_generations_pass(self, sanitize):
+        state, crowd = _crowd(SOA)
+        e_trial = float(np.mean(state.local_energy))
+        for step in (1, 2, 3):
+            crowd.run_generation(step, e_trial)
+            _comb(state, step)
+
+    def test_corrupt_upper_triangle_entry(self, sanitize):
+        drv = BatchedCrowdDriver(SOA, W, 11, timestep=0.1)
+        aa = drv.tables[0]
+        settle = aa.settle
+
+        def settle_then_corrupt(batch):
+            settle(batch)
+            aa.distances[2, 1, 4] = np.nextafter(aa.distances[2, 1, 4], 9.0)
+        aa.settle = settle_then_corrupt
+        drv.sweep()
+        with pytest.raises(SanitizerError,
+                           match=r"BatchedDistTableAA walker #2 distance "
+                                 r"entry \(1, 4\)"):
+            drv.measure()
+
+    def test_corrupt_gathered_slot(self, sanitize):
+        state, crowd = _crowd(SOA)
+        e_trial = float(np.mean(state.local_energy))
+        crowd.run_generation(1, e_trial)
+        _comb(state)
+        ab = crowd.tables[1]
+        gather = ab.gather
+
+        def gather_then_corrupt(batch, src):
+            gather(batch, src)
+            ab.displacements[3, 5, 1, 0] += 1e-9
+        ab.gather = gather_then_corrupt
+        with pytest.raises(SanitizerError,
+                           match=r"BatchedDistTableAB walker #3 displacement "
+                                 r"entry \(5, 0\) axis 1"):
+            crowd.run_generation(2, e_trial)

@@ -1,12 +1,17 @@
-"""A batched DMC generation pays for one from-scratch pass.
+"""A batched DMC generation pays for one from-scratch pass, and no
+from-scratch distance-table pass.
 
 What a generation computes, and when (docs/batched_walkers.md): the comb
-carries ``logpsi``/``local_energy`` with the positions, so after it a
-crowd rebuilds only position-derived structures; ``measure`` is the one
-from-scratch wavefunction pass (and writes ``logpsi`` beside the ``R``
-it describes); the sweep evaluates value + gradient channels only.  The
-exception — NLPP quadrature rotations are keyed on the walker slot —
-keeps the full post-branch refresh.
+carries ``logpsi``/``local_energy`` with the positions and records its
+picks, so after it a crowd gathers its distance tables from the slots
+the picks name; ``measure`` settles the carried tables (the AB table is
+current, the forward-update AA table mirrors its lower triangle) and is
+the one from-scratch wavefunction pass (writing ``logpsi`` beside the
+``R`` it describes); the sweep evaluates value + gradient channels only.
+The exceptions keep pair passes: the compute-on-the-fly AA table in
+measure, fp32 storage in both places, a walker from another crowd over
+its slot alone.  NLPP quadrature rotations are keyed on the walker slot,
+so that post-branch step keeps its wavefunction pass.
 """
 
 import collections
@@ -23,6 +28,7 @@ from repro.output.stream import StreamSet
 from repro.parallel.crowds import ParallelCrowdDriver, _host_crowd
 from repro.parallel.shm import SharedWalkerState
 from repro.particles.walker import Walker
+from repro.precision.policy import MIXED
 
 N = 8
 WALKERS = 6
@@ -32,10 +38,12 @@ TAU = 0.1
 
 class _PhaseCounter:
     """Kernel-seam proxy counting calls per (phase, kernel); the phase is
-    ``sweep`` while ``sweep_run`` is open, else whatever the test set."""
+    ``sweep`` while ``sweep_run`` is open, else whatever the test set.
+    ``walkers`` counts the walkers each pair kernel call covered."""
 
     def __init__(self, inner):
         self.calls = collections.Counter()
+        self.walkers = collections.Counter()
         self.phase = "other"
         for name in KERNEL_NAMES:
             setattr(self, name, self._wrap(name, getattr(inner, name)))
@@ -43,6 +51,8 @@ class _PhaseCounter:
     def _wrap(self, name, fn):
         def call(*args, **kwargs):
             self.calls[self.phase, name] += 1
+            if name in ("aa_pairs", "ab_pairs"):
+                self.walkers[self.phase, name] += len(args[-2])
             if name != "sweep_run":
                 return fn(*args, **kwargs)
             outer, self.phase = self.phase, "sweep"
@@ -54,18 +64,57 @@ class _PhaseCounter:
         return call
 
 
-def _serial_crowd(spec):
-    """The serial path of ParallelCrowdDriver, one step at a time."""
+def _crowds(spec, n_crowds=1):
+    """ParallelCrowdDriver's crowds, one step at a time: crowd c of
+    ``n_crowds`` over one heap block (``n_crowds == 1``: the serial
+    path), exactly as the worker processes host them over shm."""
     state = SharedWalkerState(WALKERS, spec.n)
     state.R[...] = spec.initial_positions(WALKERS)
-    crowd = _host_crowd(spec, state, 0, 1, SEED, TAU, True, spec.precision, 1)
-    return state, crowd
+    crowds = [_host_crowd(spec, state, c, n_crowds, SEED, TAU, True,
+                          spec.precision, 1) for c in range(n_crowds)]
+    return state, crowds
 
 
 def _branch(state, rng):
     picks, clone = DMCPolicy.comb_picks(
         state.weight, state.nw, rng.uniform(0.0, 1.0 / state.nw))
     state.resample(picks, clone)
+    return picks
+
+
+def _steady_state(spec, n_crowds=1):
+    """Per-phase kernel counts of generation 2 — after one generation
+    and one comb — summed over the crowds, and the comb's picks."""
+    state, crowds = _crowds(spec, n_crowds)
+    e_trial = float(np.mean(state.local_energy))
+    for crowd in crowds:
+        crowd.run_generation(1, e_trial)
+    picks = _branch(state, np.random.default_rng(3))
+    counter = _PhaseCounter(get_backend())
+    for crowd in crowds:
+        measure = crowd._measure
+
+        def measuring(measure=measure):
+            counter.phase = "measure"
+            try:
+                return measure()
+            finally:
+                counter.phase = "other"
+        crowd._measure = measuring
+    with use_backend(counter):
+        for crowd in crowds:
+            crowd.run_generation(2, e_trial)
+    return counter, crowds, state, picks
+
+
+def _per_pass(crowd):
+    j2, j1 = crowd.components
+    return N * (len(j2.group_slices) + len(j1.species_masks))
+
+
+def _pair_calls(counter):
+    return {key: count for key, count in counter.calls.items()
+            if key[1] in ("aa_pairs", "ab_pairs")}
 
 
 class TestKernelCounts:
@@ -73,46 +122,58 @@ class TestKernelCounts:
     def test_steady_state_dmc_generation(self, with_nlpp):
         spec = JastrowSystemSpec(n=N, seed=7, aa_flavor="soa",
                                  with_nlpp=with_nlpp)
-        state, crowd = _serial_crowd(spec)
-        rng = np.random.default_rng(3)
-        e_trial = float(np.mean(state.local_energy))
-        crowd.run_generation(1, e_trial)
-        _branch(state, rng)
-        counter = _PhaseCounter(get_backend())
-        measure = crowd._measure
-
-        def measuring():
-            counter.phase = "measure"
-            try:
-                return measure()
-            finally:
-                counter.phase = "other"
-        crowd._measure = measuring
-        with use_backend(counter):
-            crowd.run_generation(2, e_trial)
-        j2, j1 = crowd.components
-        per_pass = N * (len(j2.group_slices) + len(j1.species_masks))
+        counter, (crowd,), _, _ = _steady_state(spec)
+        per_pass = _per_pass(crowd)
         vgl = {phase: count for (phase, name), count in counter.calls.items()
                if name == "functor_vgl"}
         if with_nlpp:
-            # slot-keyed E_L: the post-branch pass stays (full refresh)
+            # slot-keyed E_L: the post-branch wavefunction pass stays,
+            # over the gathered tables
             assert vgl == {"other": per_pass, "measure": per_pass}
         else:
             # one from-scratch wavefunction pass, inside measure only
             assert vgl == {"measure": per_pass}
         # the sweep evaluates value and value+gradient channels only
         assert counter.calls["sweep", "functor_vg"] == 2 * per_pass
-        # post-branch resync + measure: two evaluates per table
-        assert counter.calls["other", "aa_pairs"] == 1
-        assert counter.calls["other", "ab_pairs"] == 1
-        assert counter.calls["measure", "aa_pairs"] == 1
-        assert counter.calls["measure", "ab_pairs"] == 1
+        # carried tables: a gather after the comb, a mirror in measure
+        assert _pair_calls(counter) == {}
+
+    def test_otf_measure_keeps_its_aa_pass(self):
+        spec = JastrowSystemSpec(n=N, seed=7, aa_flavor="otf")
+        counter, _, _, _ = _steady_state(spec)
+        assert _pair_calls(counter) == {("measure", "aa_pairs"): 1}
+
+    def test_fp32_keeps_both_passes(self):
+        spec = JastrowSystemSpec(n=N, seed=7, aa_flavor="soa",
+                                 precision=MIXED)
+        counter, _, _, _ = _steady_state(spec)
+        assert _pair_calls(counter) == {
+            (phase, name): 1 for phase in ("other", "measure")
+            for name in ("aa_pairs", "ab_pairs")}
+
+    @pytest.mark.parametrize("with_nlpp", [False, True])
+    def test_two_crowds_pass_only_the_migrated_slots(self, with_nlpp):
+        """Crowd c of 2 hosts walkers w % 2 == c: a slot whose comb
+        source is in the other crowd gets a pair pass, every other slot
+        a copy; after it the crowds' ``source`` entries are identity."""
+        spec = JastrowSystemSpec(n=N, seed=7, aa_flavor="soa",
+                                 with_nlpp=with_nlpp)
+        counter, crowds, state, picks = _steady_state(spec, n_crowds=2)
+        migrated = int(np.count_nonzero(picks % 2 != np.arange(WALKERS) % 2))
+        assert 0 < migrated < WALKERS
+        assert not any(phase == "measure" for phase, _ in counter.walkers)
+        assert counter.walkers["other", "aa_pairs"] == migrated
+        assert counter.walkers["other", "ab_pairs"] == migrated
+        assert np.array_equal(state.source, np.arange(WALKERS))
+        if with_nlpp:
+            assert counter.calls["other", "functor_vgl"] == \
+                2 * _per_pass(crowds[0])
 
     def test_setup_is_one_pass(self):
         spec = JastrowSystemSpec(n=N, seed=7, aa_flavor="soa")
         counter = _PhaseCounter(get_backend())
         with use_backend(counter):
-            _, crowd = _serial_crowd(spec)
+            _, (crowd,) = _crowds(spec)
         j2, j1 = crowd.components
         per_pass = N * (len(j2.group_slices) + len(j1.species_masks))
         assert counter.calls["other", "functor_vgl"] == per_pass
