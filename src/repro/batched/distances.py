@@ -58,6 +58,10 @@ class _PairTable:
         """From-scratch recompute of all W tables from the canonical R."""
         self._fill(batch.R, slice(None))
 
+    def set_active(self, batch, k: int) -> None:
+        """Row ``k`` is read next (drift, then ratio); the forward-update
+        AA and the AB tables keep it current, so nothing to do."""
+
     def _fill(self, R: np.ndarray, slots) -> None:
         """One pair pass over the walkers ``R`` into table ``slots``."""
         dist, disp = self._pairs(R)
@@ -196,15 +200,16 @@ class BatchedDistTableAA(_PairTable):
 
 
 class BatchedDistTableAAOtf(BatchedDistTableAA):
-    """Compute-on-the-fly flavor: row k refreshed on move, no column
-    maintenance — the batched twin of ``DistanceTableAAOtf``."""
+    """Compute-on-the-fly flavor: row k refreshed when the sweep reaches
+    particle k, no column maintenance — the batched twin of
+    ``DistanceTableAAOtf``."""
 
     forward_update = False
 
-    def move(self, batch, rnew: np.ndarray, k: int) -> None:
-        # Refresh row k from the current positions first, for every
-        # walker (move happens crowd-wide; the refresh replaces all the
-        # column maintenance the forward-update table performs).
+    def set_active(self, batch, k: int) -> None:
+        """Refresh row k from the current positions, for every walker,
+        before the drift reads it (the refresh replaces all the column
+        maintenance the forward-update table performs)."""
         _batched_row_from(batch.Rsoa, self.n, batch.R[:, k], self.lattice,
                           self.distances[:, k], self.displacements[:, k], k)
         itemsize = self.dtype.itemsize
@@ -213,7 +218,6 @@ class BatchedDistTableAAOtf(BatchedDistTableAA):
                    wbytes=4.0 * itemsize * self.nw * self.n)
         METRICS.count("otf_row_recomputes", self.nw)
         METRICS.add_bytes(4 * itemsize * self.nw * self.n)
-        super().move(batch, rnew, k)
 
     def settle(self, batch) -> None:
         """No column maintenance, so no triangle to mirror: measure keeps

@@ -125,15 +125,18 @@ class BatchedCrowdDriver(GenerationLoop):
         self._evaluate_log()
 
     # -- wavefunction over components ---------------------------------------------
-    def _evaluate_log(self) -> None:
-        """The from-scratch wavefunction pass: G, L and ``batch.logpsi``
-        from the current tables, so log Psi always sits beside the ``R``
-        it describes."""
+    def _evaluate_log(self, fresh: bool = True) -> None:
+        """The wavefunction pass: G, L and ``batch.logpsi`` from the
+        current tables, so log Psi always sits beside the ``R`` it
+        describes.  ``fresh`` (set-up, resume) rebuilds every
+        component's state from the tables; otherwise (measure, the NLPP
+        post-branch step) a component reads what it carries."""
         self.G[...] = 0.0
         self.L[...] = 0.0
         logpsi = np.zeros(self.nw)
         for c in self.components:
-            logpsi += c.evaluate_log(self.tables, self.G, self.L)
+            evaluate = c.evaluate_log if fresh else c.measure_log
+            logpsi += evaluate(self.tables, self.G, self.L)
         self.batch.logpsi[...] = logpsi
 
     # -- the fused sweep -----------------------------------------------------------
@@ -179,7 +182,9 @@ class BatchedCrowdDriver(GenerationLoop):
         and each table gathered from the slots the comb's picks name
         (a walker from another crowd costs a pair pass over its slot
         alone).  The crowd's ``source`` entries are reset to its own
-        walker ids, so a generation with no comb gathers nothing."""
+        walker ids, so a generation with no comb gathers nothing.
+        Components carrying per-electron state (J1) gather it the same
+        way."""
         source, crowd, n_crowds = self.comb
         ids = np.arange(crowd, crowd + n_crowds * self.nw, n_crowds)
         src = np.where(source % n_crowds == crowd, source // n_crowds, -1)
@@ -188,8 +193,11 @@ class BatchedCrowdDriver(GenerationLoop):
         for t in self.tables:
             with METRICS.scope(t.category):
                 t.gather(self.batch, src)
+        for c in self.components:
+            c.gather(self.tables, src)
         if self.sanitizers is not None:
-            self.sanitizers.check_state(self.batch, self.tables)
+            self.sanitizers.check_state(self.batch, self.tables,
+                                        self.components)
 
     def refresh_from_positions(self, serial: int) -> None:
         """Recompute everything (Rsoa, tables, log Psi, E_L with its
@@ -211,8 +219,9 @@ class BatchedCrowdDriver(GenerationLoop):
             with METRICS.scope(t.category):
                 t.settle(self.batch)
         if self.sanitizers is not None:
-            self.sanitizers.check_state(self.batch, self.tables)
-        self._evaluate_log()
+            self.sanitizers.check_state(self.batch, self.tables,
+                                        self.components)
+        self._evaluate_log(fresh=False)
         el = self.ham.evaluate(self.batch, self.tables, self.G, self.L)
         self.batch.local_energy[...] = el
         weights = self.batch.weight
@@ -272,7 +281,7 @@ class BatchedCrowdDriver(GenerationLoop):
                     # NLPP quadrature rotations are keyed on the walker
                     # *slot*, so a walker the comb moved has a different
                     # E_L there than the one it carried along: recompute.
-                    self._evaluate_log()
+                    self._evaluate_log(fresh=False)
                     self.evaluate_energies(step - 1)
             el_old = batch.local_energy.copy()
         self.sweep()

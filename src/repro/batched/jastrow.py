@@ -20,6 +20,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.backend import active
+from repro.batched.walkerbatch import commit_rows
 from repro.jastrow import rows, vp
 from repro.jastrow.functor import BsplineFunctor
 from repro.metrics.registry import METRICS
@@ -125,20 +126,15 @@ class BatchedTwoBodyJastrow:
     # sum (identical Horner, coefficient gather and per-slice pairwise
     # reduction), so ``sweep_grad`` hands its old-row value sum to
     # ``sweep_ratio_grad`` as ``u_old`` instead of evaluating the old
-    # row's functors a second time per electron.  Only valid when
-    # ``table.move`` leaves the stored row untouched (forward-update AA,
-    # AB): the compute-on-the-fly AA table *refreshes* row k inside
-    # ``move``, so there ``sweep_grad`` reads the stale pre-refresh row
-    # (as the eager ``grad`` does) and returns ``u_old=None`` to force
-    # the post-move re-evaluation the eager path performs.
+    # row's functors a second time per electron.  Valid on every table:
+    # the sweep calls ``table.set_active(k)`` before the gradient, so
+    # the row read here is the one the move's ratio needs, and ``move``
+    # writes only the temporaries.
 
     def sweep_grad(self, tables, k: int):
-        """Timer-free :meth:`grad`; returns ``(u_old_or_None, grad)``."""
+        """Timer-free :meth:`grad`; returns ``(u_old, grad)``."""
         table = tables[self.table_index]
-        u_old, g = self._rows_vg(table.dist_rows(k), table.disp_rows(k), k)
-        if not getattr(table, "forward_update", True):
-            u_old = None  # OTF: move() refreshes the row we just read
-        return u_old, g
+        return self._rows_vg(table.dist_rows(k), table.disp_rows(k), k)
 
     def sweep_ratio(self, tables, k: int) -> np.ndarray:
         """Timer-free :meth:`ratio` for the fused sweep pipeline."""
@@ -149,14 +145,22 @@ class BatchedTwoBodyJastrow:
 
     def sweep_ratio_grad(self, tables, k: int, u_old):
         """Timer-free :meth:`ratio_grad` reusing :meth:`sweep_grad`'s
-        ``u_old`` (bitwise the ``_rows_v`` sum the eager path computes)
-        when available; ``None`` re-evaluates the post-move row."""
+        ``u_old`` (bitwise the ``_rows_v`` sum the eager path computes)."""
         table = tables[self.table_index]
         u_new, grad_new = self._rows_vg(table.temp_rows(),
                                         table.temp_disp_rows(), k)
-        if u_old is None:
-            u_old = self._rows_v(table.dist_rows(k), k)
         return exp_rows(-(u_new - u_old)), grad_new
+
+    def accept_move(self, k: int, accepted: np.ndarray) -> None:
+        """No per-electron state: every row is read from the table."""
+
+    def measure_log(self, tables, G: np.ndarray, L: np.ndarray):
+        """Measurement-time log Psi, G and L: the rows are re-evaluated
+        (compute-on-the-fly keeps no pair state)."""
+        return self.evaluate_log(tables, G, L)
+
+    def gather(self, tables, src: np.ndarray) -> None:
+        """Nothing to move with the walkers after the comb."""
 
     def ratios_vp(self, batch, tables, owners_w, owners_k,
                   positions) -> np.ndarray:
@@ -173,12 +177,23 @@ class BatchedTwoBodyJastrow:
             return vp.ratios_vp(
                 "J2", table.lattice, table.dtype, owners_w, owners_k,
                 positions, source=lambda w: batch.R[w].T,
-                stored_rows=lambda ws, ks: table.distances[ws, ks, : self.n],
+                old_sums=lambda ws, ks: vp.j2_row_sums(
+                    self, table.distances[ws, ks, : self.n], ks),
                 row_sums=partial(vp.j2_row_sums, self), mask_self=True)
 
 
 class BatchedOneBodyJastrow:
-    """J1 over a batched AB table, one functor per ion species."""
+    """J1 over a batched AB table, one functor per ion species, carrying
+    the 5N per-electron scalars of each walker: ``U`` (W, N), ``dU``
+    (W, N, 3), ``d2U`` (W, N) — the batched twin of
+    :class:`repro.jastrow.j1.OneBodyJastrowOtf`.
+
+    A move evaluates the proposed row only (``rows_vgl``); the accept
+    hook commits it through ``commit_rows`` after the table updates.
+    While the AB table is ``carried`` (fp64) the arrays are bitwise a
+    fresh row pass over it, so measure and the NLPP ``u_old`` read them;
+    other storage refreshes them wherever the table is re-evaluated.
+    """
 
     name = "J1"
 
@@ -195,97 +210,130 @@ class BatchedOneBodyJastrow:
         self.species_masks = tuple(
             (g, np.where(self.ion_species_ids == g)[0])
             for g in sorted(self.functors))
+        self.U = np.zeros((self.nw, self.n))
+        self.dU = np.zeros((self.nw, self.n, 3))
+        self.d2U = np.zeros((self.nw, self.n))
+        #: ``(u, grad, lap)`` per walker of the proposed row in flight
+        self._new = None
 
     # -- row-block kernels: repro.jastrow.rows ------------------------------------
-    def _rows_v(self, rows_r: np.ndarray) -> np.ndarray:
-        OPS.record("J1", flops=10.0 * self.nw * self.nions,
-                   rbytes=8.0 * self.nw * self.nions, wbytes=8.0 * self.nw)
-        return rows.rows_v(rows.j1_groups(self), rows_r)
-
     def _rows_vgl(self, rows_r: np.ndarray, rows_dr: np.ndarray):
         OPS.record("J1", flops=20.0 * self.nw * self.nions,
                    rbytes=32.0 * self.nw * self.nions, wbytes=40.0 * self.nw)
         return rows.rows_vgl(rows.j1_groups(self), rows_r, rows_dr)
 
-    def _rows_vg(self, rows_r: np.ndarray, rows_dr: np.ndarray):
-        """:meth:`_rows_vgl` without the Laplacian channel (see J2)."""
-        OPS.record("J1", flops=16.0 * self.nw * self.nions,
-                   rbytes=32.0 * self.nw * self.nions, wbytes=32.0 * self.nw)
-        return rows.rows_vg(rows.j1_groups(self), rows_r, rows_dr)
+    def fresh_rows(self, table):
+        """``(U, dU, d2U)`` from one row pass over ``table`` — what the
+        carried arrays must equal.  Always over the whole crowd: the
+        row sums' bits depend on the row block's memory layout, which a
+        walker subset would change."""
+        u, g, lap = zip(*(self._rows_vgl(table.dist_rows(k),
+                                         table.disp_rows(k))
+                          for k in range(self.n)))
+        return np.stack(u, axis=1), np.stack(g, axis=1), np.stack(lap, axis=1)
+
+    def _refresh(self, table, slots=slice(None)) -> None:
+        """Refresh the walkers ``slots`` from the table's rows."""
+        for a, fresh in zip((self.U, self.dU, self.d2U),
+                            self.fresh_rows(table)):
+            a[slots] = fresh[slots]
+
+    def _log_gl(self, G: np.ndarray, L: np.ndarray) -> np.ndarray:
+        """log Psi_J1 per walker from ``U`` (electron order, as the row
+        pass accumulates it), plus ``dU``/``d2U`` into G and L."""
+        logpsi = np.zeros(self.nw)
+        for k in range(self.n):
+            logpsi -= self.U[:, k]
+        G += self.dU
+        L += self.d2U
+        return logpsi
 
     def evaluate_log(self, tables, G: np.ndarray, L: np.ndarray) -> np.ndarray:
+        """From scratch (set-up, resume, respawn): fill the arrays from
+        the table, then accumulate them."""
+        with METRICS.scope("J1"):
+            self._refresh(tables[self.table_index])
+            return self._log_gl(G, L)
+
+    def measure_log(self, tables, G: np.ndarray, L: np.ndarray):
+        """Measurement-time log Psi, G and L: read from the carried
+        arrays, refreshed first when the table is not carried."""
         with METRICS.scope("J1"):
             table = tables[self.table_index]
-            logpsi = np.zeros(self.nw)
-            for k in range(self.n):
-                u, g, l = self._rows_vgl(table.dist_rows(k),
-                                         table.disp_rows(k))
-                logpsi -= u
-                G[:, k] += g
-                L[:, k] += l
-            return logpsi
+            if not table.carried:
+                self._refresh(table)
+            return self._log_gl(G, L)
+
+    def gather(self, tables, src: np.ndarray) -> None:
+        """Follow the comb with the tables (:meth:`_PairTable.gather`):
+        slot ``w`` copies slot ``src[w]``'s arrays, a ``-1`` slot (a
+        walker from another crowd) is refreshed from its pair-passed
+        rows (one row pass over the crowd); a table that is not carried
+        refreshes every slot."""
+        table = tables[self.table_index]
+        if not table.carried:
+            self._refresh(table)
+            return
+        moved = np.flatnonzero((src >= 0) & (src != np.arange(self.nw)))
+        if moved.size:
+            for a in (self.U, self.dU, self.d2U):
+                a[moved] = a[src[moved]]
+        foreign = np.flatnonzero(src < 0)
+        if foreign.size:
+            self._refresh(table, foreign)
 
     def grad(self, tables, k: int) -> np.ndarray:
         with METRICS.scope("J1"):
-            table = tables[self.table_index]
-            _, g, _ = self._rows_vgl(table.dist_rows(k), table.disp_rows(k))
-            return g
+            return self.dU[:, k].copy()
 
     def ratio(self, tables, k: int) -> np.ndarray:
         with METRICS.scope("J1"):
-            table = tables[self.table_index]
-            u_new = self._rows_v(table.temp_rows())
-            u_old = self._rows_v(table.dist_rows(k))
-            return exp_rows(-(u_new - u_old))
+            return self.sweep_ratio(tables, k)
 
     def ratio_grad(self, tables, k: int):
         with METRICS.scope("J1"):
-            table = tables[self.table_index]
-            u_new, grad_new, _ = self._rows_vgl(table.temp_rows(),
-                                                table.temp_disp_rows())
-            u_old = self._rows_v(table.dist_rows(k))
-            return exp_rows(-(u_new - u_old)), grad_new
+            return self.sweep_ratio_grad(tables, k, self.U[:, k])
 
-    # -- fused-sweep API: timer-free + u_old-reusing twins, see the J2 note ------
-    # (The AB table's move never touches the stored rows — the ions are
-    # fixed — so the reuse gate is the same getattr, always-on here.)
+    # -- fused-sweep API: timer-free twins, see the J2 note --------------------
     def sweep_grad(self, tables, k: int):
-        """Timer-free :meth:`grad`; returns ``(u_old_or_None, grad)``."""
+        """Timer-free :meth:`grad`; returns ``(u_old, grad)`` — both
+        read from the carried arrays, no row evaluation."""
+        return self.U[:, k], self.dU[:, k]
+
+    def _ratio_new(self, tables, k: int, u_old) -> np.ndarray:
+        """Evaluate the proposed rows, keep them for :meth:`accept_move`,
+        return the ratios against ``u_old``."""
         table = tables[self.table_index]
-        u_old, g = self._rows_vg(table.dist_rows(k), table.disp_rows(k))
-        if not getattr(table, "forward_update", True):
-            u_old = None
-        return u_old, g
+        self._new = self._rows_vgl(table.temp_rows(), table.temp_disp_rows())
+        return exp_rows(-(self._new[0] - u_old))
 
     def sweep_ratio(self, tables, k: int) -> np.ndarray:
         """Timer-free :meth:`ratio` for the fused sweep pipeline."""
-        table = tables[self.table_index]
-        u_new = self._rows_v(table.temp_rows())
-        u_old = self._rows_v(table.dist_rows(k))
-        return exp_rows(-(u_new - u_old))
+        return self._ratio_new(tables, k, self.U[:, k])
 
     def sweep_ratio_grad(self, tables, k: int, u_old):
-        """Timer-free :meth:`ratio_grad` reusing :meth:`sweep_grad`'s
-        ``u_old`` (bitwise the ``_rows_v`` sum the eager path computes)
-        when available; ``None`` re-evaluates the post-move row."""
-        table = tables[self.table_index]
-        u_new, grad_new = self._rows_vg(table.temp_rows(),
-                                        table.temp_disp_rows())
-        if u_old is None:
-            u_old = self._rows_v(table.dist_rows(k))
-        return exp_rows(-(u_new - u_old)), grad_new
+        """Timer-free :meth:`ratio_grad`; ``u_old`` is
+        :meth:`sweep_grad`'s ``U[:, k]``."""
+        return self._ratio_new(tables, k, u_old), self._new[1]
+
+    def accept_move(self, k: int, accepted: np.ndarray) -> None:
+        """Commit the proposed rows of the accepted walkers — after the
+        table updates, the same ``commit_rows`` they use."""
+        u, g, lap = self._new
+        commit_rows(self.U[:, k], u, accepted)
+        commit_rows(self.dU[:, k], g, accepted)
+        commit_rows(self.d2U[:, k], lap, accepted)
+        self._new = None
 
     def ratios_vp(self, batch, tables, owners_w, owners_k,
                   positions) -> np.ndarray:
         """Ratio-only J1 over a crowd-wide virtual-particle slab: fresh
         rows against the shared fixed ions through
-        :func:`repro.jastrow.vp.ratios_vp`, ``u_old`` from the stored
-        rows."""
+        :func:`repro.jastrow.vp.ratios_vp`, ``u_old`` read from ``U``."""
         with METRICS.scope("J1"):
             table = tables[self.table_index]
-            nions = self.nions
             return vp.ratios_vp(
                 "J1", table.lattice, table.dtype, owners_w, owners_k,
                 positions, source=lambda w: table._src_soa,
-                stored_rows=lambda ws, ks: table.distances[ws, ks, :nions],
+                old_sums=lambda ws, ks: self.U[ws, ks],
                 row_sums=partial(vp.j1_row_sums, self), mask_self=False)

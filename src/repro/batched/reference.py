@@ -154,6 +154,9 @@ def loop_sweep(drv) -> int:
     accepts_per_walker = np.zeros(drv.nw, dtype=np.int64)
     for k in range(n):
         chi = chi_all[:, k]
+        for t in drv.tables:
+            with METRICS.scope(t.category):
+                t.set_active(batch, k)
         if drv.use_drift:
             drift_old = loop_limited_drift(drv, _grad(drv, k))
             rnew = batch.R[:, k] + drift_old + chi
@@ -182,6 +185,8 @@ def loop_sweep(drv) -> int:
         for t in drv.tables:
             with METRICS.scope(t.category):
                 t.update(k, acc)
+        for c in drv.components:
+            c.accept_move(k, acc)
         batch.commit(k, rnew, acc)
         if drv.sanitizers is not None:
             drv.sanitizers.after_accept(batch, drv.tables, k, acc)

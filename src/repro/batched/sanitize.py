@@ -7,7 +7,8 @@ the incrementally-updated table row blocks must agree with a
 from-scratch recompute for every *accepted* walker after each fused
 accept/reject step, and a carried table (fp64 storage, kept across
 generations instead of rebuilt) must equal a fresh pair pass bit for
-bit after ``settle`` and after a comb ``gather``.
+bit after ``settle`` and after a comb ``gather`` — and so must J1's
+carried per-electron arrays equal a fresh row pass over it.
 
 Armed by the same ``REPRO_SANITIZE=1`` toggle as the per-walker suite.
 """
@@ -18,7 +19,8 @@ import numpy as np
 
 from repro.backend import get_backend
 from repro.sanitizers import (DtypeSanitizer, ForwardUpdateChecker,
-                              LayoutSanitizer, SanitizerError)
+                              LayoutSanitizer, SanitizerError,
+                              check_carried_j1)
 from repro.precision.policy import PrecisionPolicy
 
 
@@ -53,9 +55,10 @@ class BatchedSanitizerSuite:
                 f"batched layout sanitizer: canonical WalkerBatch.R must "
                 f"stay float64, got {batch.R.dtype.name}")
 
-    def check_state(self, batch, tables) -> None:
+    def check_state(self, batch, tables, components=()) -> None:
         """Measurement-time and post-comb pass: batch layout, every
-        table's storage, and every carried table's contents."""
+        table's storage, every carried table's contents, and the carried
+        J1 arrays of ``components`` (:func:`check_carried_j1`)."""
         self.check_batch(batch)
         for t in tables:
             self.layout.check_table(t)
@@ -65,6 +68,7 @@ class BatchedSanitizerSuite:
                     f"{type(t).__name__}.distances", distances)
             if getattr(t, "carried", False):
                 self.check_carried(batch, t)
+        check_carried_j1(components, tables)
 
     @staticmethod
     def check_carried(batch, table) -> None:

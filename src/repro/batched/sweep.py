@@ -19,11 +19,12 @@ buffers instead of fresh allocations — identical values, elementwise
 ufunc semantics), the removal of per-electron ``METRICS.scope`` context
 managers (timers never touch numerics), and one eliminated redundancy:
 in the drift path the component's old-row value sum is taken from the
-``sweep_grad`` vgl evaluation instead of a second value-only pass —
-safe because the vgl value channel is bitwise the value-only result
-(identical Horner, gather and reduction; see the fused-sweep notes in
-:mod:`repro.batched.jastrow`).  The differential suite pins the fused
-path against the retained loop oracle
+``sweep_grad`` evaluation instead of a second value-only pass — safe
+because the value channel is bitwise the value-only result (identical
+Horner, gather and reduction; see the fused-sweep notes in
+:mod:`repro.batched.jastrow`) and because every table's row k is exact
+from ``set_active(k)``, the move's first step, on.  The differential
+suite pins the fused path against the retained loop oracle
 (``repro.batched.reference.loop_sweep``) with exact accept/reject-sequence
 and trace equality.
 
@@ -190,16 +191,19 @@ def _fused_ratio_grad(plan: SweepPlan, k: int):
 def fused_sweep_step(backend, plan: SweepPlan, k: int) -> np.ndarray:
     """One whole Metropolis move of electron k across the crowd.
 
-    The op-for-op extraction of the pre-fusion loop body: propose →
-    table move → ratio/ratio_grad product → drift limit → log T →
-    accept_mask → commit, mutating the plan's batch/tables and returning
-    the (W,) accept mask.  ``backend`` supplies ``accept_mask``; the
-    table and component kernels dispatch through ``active()``.
+    The op-for-op extraction of the pre-fusion loop body: activate row
+    k → propose → table move → ratio/ratio_grad product → drift limit →
+    log T → accept_mask → commit, mutating the plan's batch/tables and
+    returning the (W,) accept mask.  ``backend`` supplies
+    ``accept_mask``; the table and component kernels dispatch through
+    ``active()``.
     """
     batch = plan.batch
     ws = plan.workspace
     tau = plan.tau
     chi = ws.chi_all[:, k]
+    for t in plan.tables:
+        t.set_active(batch, k)
     if plan.use_drift:
         drift_old = limited_drift(tau, plan.drift_cap, _fused_grad(plan, k),
                                   out=ws.drift_old)
@@ -229,6 +233,8 @@ def fused_sweep_step(backend, plan: SweepPlan, k: int) -> np.ndarray:
         plan.move_log.append(acc.copy())
     for t in plan.tables:
         t.update(k, acc)
+    for c in plan.components:
+        c.accept_move(k, acc)
     batch.commit(k, rnew, acc)
     if plan.sanitizers is not None:
         plan.sanitizers.after_accept(batch, plan.tables, k, acc)

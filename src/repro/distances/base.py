@@ -18,8 +18,11 @@ class DistanceTable(ABC):
 
     * :meth:`evaluate` — full recompute from the target's positions
       (walker load, and again before measurements);
+    * :meth:`set_active` — make the current row of particle ``k`` exact
+      before anything reads it for the move (the compute-on-the-fly
+      flavor recomputes it; every other flavor keeps it exact already);
     * :meth:`move` — fill ``temp_r``/``temp_dr`` for a proposed position
-      of particle ``k`` (flavors may also refresh the current row);
+      of particle ``k``;
     * :meth:`update` — commit the temporaries after acceptance.
     """
 
@@ -29,6 +32,10 @@ class DistanceTable(ABC):
     @abstractmethod
     def evaluate(self, P) -> None:
         """Recompute the whole table from P's current positions."""
+
+    def set_active(self, P, k: int) -> None:
+        """Row ``k`` is read next (drift, then ratio); nothing to do for
+        a table whose rows stay current."""
 
     @abstractmethod
     def move(self, P, rnew: np.ndarray, k: int) -> None:

@@ -161,7 +161,9 @@ class QMCDriverBase(GenerationLoop):
     def _store_walker(self, w: Walker) -> float:
         self.P.update_tables()
         if self.sanitizers is not None:
-            self.sanitizers.check_state(self.P)
+            walker = next((i for i, x in enumerate(self.population)
+                           if x is w), None)
+            self.sanitizers.check_state(self.P, self.twf, walker)
         self.twf.evaluate_gl(self.P)
         el = self.ham.evaluate(self.P, self.twf)
         self.twf.update_buffer(self.P, w.buffer)
@@ -189,6 +191,7 @@ class QMCDriverBase(GenerationLoop):
         uniforms = self.rng.uniform(size=n)
         for k in range(n):
             chi = chi_all[k]
+            P.set_active(k)
             if self.use_drift:
                 g_old = twf.grad(P, k)
                 drift_old = self._limited_drift(g_old)

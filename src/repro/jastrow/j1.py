@@ -5,6 +5,10 @@ log Psi_J1 = -sum_k U1_k,  U1_k = sum_I u_{s(I)}(|r_I - r_k|)
 O curves).  Consumes the electron-ion (AB) distance table whose rows are
 per-electron distances to all ions.
 
+Both flavors keep the per-electron value, gradient and Laplacian
+(5N scalars): J1 has no cross-electron terms, so an accepted move
+changes one electron's entries and nothing else.
+
 Gradient convention: grad_k = sum_I u'(d_kI) * disp(k->I) / d_kI, where
 disp(k->I) = R_I - r_k.
 """
@@ -45,7 +49,25 @@ class _J1Base:
 
 
 class OneBodyJastrowOtf(_J1Base):
-    """Optimized J1: vectorized per-species row kernels, no stored state."""
+    """Optimized J1: vectorized per-species row kernels over the AB table,
+    carrying the paper's 5N per-electron scalars — ``U`` (N), ``dU``
+    (N, 3), ``d2U`` (N) — as the reference flavor does.
+
+    A move evaluates only the proposed row (``rows_vgl``: its value,
+    gradient and Laplacian are what an accept commits); the drift reads
+    ``dU[k]``, every ratio ``U[k]``.  The arrays stay bitwise a fresh
+    row pass over the SoA AB table, whose committed rows are bitwise its
+    pair pass for every storage dtype (``DistanceTableABSoA.carried``),
+    so measure reads them instead of re-evaluating.
+    """
+
+    def __init__(self, n, ion_species_ids, functors, table_index: int = 1):
+        super().__init__(n, ion_species_ids, functors, table_index)
+        self.U = np.zeros(n)
+        self.dU = np.zeros((n, 3))
+        self.d2U = np.zeros(n)
+        #: ``(u, grad, lap)`` of the proposed row in flight
+        self._new = None
 
     # -- row kernels: repro.jastrow.rows at W = 1 ---------------------------------
     def _row_v(self, row_r: np.ndarray) -> float:
@@ -60,46 +82,47 @@ class OneBodyJastrowOtf(_J1Base):
                                          row_dr[None])
         return float(u_sum[0]), grad[0], float(lap[0])
 
-    def _row_vg(self, row_r: np.ndarray, row_dr: np.ndarray):
-        """:meth:`_row_vgl` without the Laplacian channel the PbyP moves
-        never read, bitwise its first two results."""
-        OPS.record("J1", flops=16.0 * self.nions, rbytes=32.0 * self.nions,
-                   wbytes=32.0)
-        u_sum, grad = rows.rows_vg(rows.j1_groups(self), row_r[None],
-                                   row_dr[None])
-        return float(u_sum[0]), grad[0]
+    def fresh_rows(self, table):
+        """``(U, dU, d2U)`` from one row pass over ``table`` — what the
+        carried arrays must equal."""
+        U = np.empty(self.n)
+        dU = np.empty((self.n, 3))
+        d2U = np.empty(self.n)
+        for k in range(self.n):
+            U[k], dU[k], d2U[k] = self._row_vgl(table.dist_row(k),
+                                                table.disp_row(k))
+        return U, dU, d2U
 
     def evaluate_log(self, P) -> float:
         with METRICS.scope("J1"):
-            table = P.distance_tables[self.table_index]
+            self.U[...], self.dU[...], self.d2U[...] = self.fresh_rows(
+                P.distance_tables[self.table_index])
             logpsi = 0.0
             for k in range(self.n):
-                u, g, l = self._row_vgl(table.dist_row(k), table.disp_row(k))
-                logpsi -= u
-                P.G[k] += g
-                P.L[k] += l
+                logpsi -= self.U[k]
+            P.G[: self.n] += self.dU
+            P.L[: self.n] += self.d2U
             return logpsi
 
     def grad(self, P, k: int) -> np.ndarray:
-        with METRICS.scope("J1"):
-            table = P.distance_tables[self.table_index]
-            return self._row_vg(table.dist_row(k), table.disp_row(k))[1]
+        return self.dU[k].copy()
+
+    def _ratio_new(self, P, k: int) -> float:
+        """Evaluate the proposed row, keep it for :meth:`accept_move`,
+        return the ratio against ``U[k]``."""
+        table = P.distance_tables[self.table_index]
+        u_new, g_new, l_new = self._row_vgl(table.temp_r[: self.nions],
+                                            table.temp_dr[:, : self.nions])
+        self._new = (u_new, g_new, l_new)
+        return math.exp(-(u_new - self.U[k]))
 
     def ratio(self, P, k: int) -> float:
         with METRICS.scope("J1"):
-            table = P.distance_tables[self.table_index]
-            u_new = self._row_v(table.temp_r[: self.nions])
-            u_old = self._row_v(table.dist_row(k))
-            return math.exp(-(u_new - u_old))
+            return self._ratio_new(P, k)
 
     def ratio_grad(self, P, k: int):
         with METRICS.scope("J1"):
-            table = P.distance_tables[self.table_index]
-            u_new, grad_new = self._row_vg(
-                table.temp_r[: self.nions],
-                table.temp_dr[:, : self.nions])
-            u_old = self._row_v(table.dist_row(k))
-            return math.exp(-(u_new - u_old)), grad_new
+            return self._ratio_new(P, k), self._new[1]
 
     # -- ratio-only "virtual move" API (NLPP quadrature) -------------------------
     def ratio_at(self, P, k: int, r_new) -> float:
@@ -126,44 +149,49 @@ class OneBodyJastrowOtf(_J1Base):
     def ratios_vp(self, P, owners, positions) -> np.ndarray:
         """Vectorized :meth:`ratio_at` over a virtual-particle slab
         through :func:`repro.jastrow.vp.ratios_vp` (one walker: one
-        tile)."""
+        tile), ``u_old`` read from ``U``."""
         with METRICS.scope("J1"):
             table = P.distance_tables[self.table_index]
             return vp.ratios_vp(
                 "J1", table.lattice, getattr(table, "dtype", np.float64),
                 np.zeros(len(owners), dtype=np.intp), owners, positions,
                 source=lambda w: table.source.R.T,
-                stored_rows=lambda ws, ks: np.stack(
-                    [table.dist_row_array(int(k))[: self.nions] for k in ks]),
+                old_sums=lambda ws, ks: self.U[ks],
                 row_sums=partial(vp.j1_row_sums, self), mask_self=False)
 
     def accept_move(self, P, k: int) -> None:
-        pass  # stateless
+        self.U[k], self.dU[k], self.d2U[k] = self._new
+        self._new = None
 
     def reject_move(self, P, k: int) -> None:
-        pass
+        self._new = None
 
     def evaluate_gl(self, P) -> None:
-        """Measurement-time grad/lap recomputed from the AB table rows."""
-        with METRICS.scope("J1"):
-            table = P.distance_tables[self.table_index]
-            for k in range(self.n):
-                _, g, l = self._row_vgl(table.dist_row(k), table.disp_row(k))
-                P.G[k] += g
-                P.L[k] += l
+        """Measurement-time grad/lap from the carried arrays."""
+        P.G[: self.n] += self.dU
+        P.L[: self.n] += self.d2U
+
+    def _as_scalars(self, buf):
+        """The arrays as ``buf``'s scalars: their bytes travel, so a
+        buffer of value precision (fp32 under a mixed policy) carries the
+        fp64 arrays exactly."""
+        return [a.view(buf.dtype) for a in (self.U, self.dU, self.d2U)]
 
     def register_data(self, P, buf) -> None:
-        buf.register_scalar(0.0)
+        for a in self._as_scalars(buf):
+            buf.register(a)
 
     def update_buffer(self, P, buf) -> None:
-        buf.put_scalar(0.0)
+        for a in self._as_scalars(buf):
+            buf.put(a)
 
     def copy_from_buffer(self, P, buf) -> None:
-        buf.get_scalar()
+        for a in self._as_scalars(buf):
+            buf.get(a)
 
     @property
     def storage_bytes(self) -> int:
-        return 5 * self.nions * 8
+        return self.U.nbytes + self.dU.nbytes + self.d2U.nbytes
 
 
 class OneBodyJastrowRef(_J1Base):

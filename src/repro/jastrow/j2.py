@@ -51,11 +51,18 @@ class _J2Base:
 
 class TwoBodyJastrowOtf(_J2Base):
     """Optimized J2: vectorized rows, no persistent pair matrices (5N scalars
-    of transient work arrays instead of 5N^2 of stored state)."""
+    of transient work arrays instead of 5N^2 of stored state).
+
+    The old row is evaluated once per drift move: :meth:`grad` keeps its
+    value sum as ``(k, u_old)`` for :meth:`ratio_grad` — bitwise the
+    ``_row_v`` sum, since the value channel of ``rows_vg`` is the
+    value-only result op for op."""
 
     def __init__(self, n, group_slices, functors, table_index: int = 0):
         super().__init__(n, group_slices, functors)
         self.table_index = table_index
+        #: ``(k, old-row value sum)`` from the last :meth:`grad`
+        self._u_old = None
 
     # -- row kernels: repro.jastrow.rows at W = 1 ---------------------------------
     def _row_v(self, row_r: np.ndarray, k: int) -> float:
@@ -86,6 +93,7 @@ class TwoBodyJastrowOtf(_J2Base):
     # -- WaveFunctionComponent API ---------------------------------------------------
     def evaluate_log(self, P) -> float:
         """Full log Psi_J2; accumulates into P.G and P.L."""
+        self._u_old = None
         with METRICS.scope("J2"):
             table = P.distance_tables[self.table_index]
             logpsi = 0.0
@@ -101,7 +109,17 @@ class TwoBodyJastrowOtf(_J2Base):
         """grad_k log Psi_J2 at the current position (for the drift)."""
         with METRICS.scope("J2"):
             table = P.distance_tables[self.table_index]
-            return self._row_vg(table.dist_row(k), table.disp_row(k), k)[1]
+            u_old, g = self._row_vg(table.dist_row(k), table.disp_row(k), k)
+            self._u_old = (k, u_old)
+            return g
+
+    def _old_sum(self, table, k: int) -> float:
+        """The old-row value sum: handed on by :meth:`grad` for this
+        move, else evaluated (a ``ratio_grad`` with no ``grad`` before)."""
+        held, self._u_old = self._u_old, None
+        if held is not None and held[0] == k:
+            return held[1]
+        return self._row_v(table.dist_row(k), k)
 
     def ratio(self, P, k: int) -> float:
         """Psi(R')/Psi(R) for the proposed move of particle k."""
@@ -118,7 +136,7 @@ class TwoBodyJastrowOtf(_J2Base):
             u_new, grad_new = self._row_vg(
                 table.temp_r[: self.n],
                 table.temp_dr[:, : self.n], k)
-            u_old = self._row_v(table.dist_row(k), k)
+            u_old = self._old_sum(table, k)
             return math.exp(-(u_new - u_old)), grad_new
 
     # -- ratio-only "virtual move" API (NLPP quadrature) -------------------------
@@ -150,15 +168,16 @@ class TwoBodyJastrowOtf(_J2Base):
                 "J2", table.lattice, getattr(table, "dtype", np.float64),
                 np.zeros(len(owners), dtype=np.intp), owners, positions,
                 source=lambda w: P.R.T,
-                stored_rows=lambda ws, ks: np.stack(
+                old_sums=lambda ws, ks: vp.j2_row_sums(self, np.stack(
                     [table.dist_row_array(int(k))[: self.n] for k in ks]),
+                    ks),
                 row_sums=partial(vp.j2_row_sums, self), mask_self=True)
 
     def accept_move(self, P, k: int) -> None:
-        pass  # stateless: every row is recomputed from the table
+        self._u_old = None  # no pair state: rows are recomputed from the table
 
     def reject_move(self, P, k: int) -> None:
-        pass
+        self._u_old = None
 
     def evaluate_gl(self, P) -> None:
         """Measurement-time grad/lap: recomputed from the distance rows —

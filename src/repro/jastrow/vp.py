@@ -13,9 +13,10 @@ slab walker-sorted, which makes a tile one walker's whole quadrature
 cloud; an unsorted slab only shortens the runs.
 
 Bitwise contract (docs/batched_nlpp.md): on exactly diagonal cells the
-distance rows, the functor row sums and the stored-row ``u_old`` are
-the same floating-point operations per point as the per-point
-``ratio_at`` recompute, whatever the tiling.
+distance rows, the functor row sums and ``u_old`` (J2: the stored
+rows' sums; J1: its carried ``U``, bitwise those sums) are the same
+floating-point results per point as the per-point ``ratio_at``
+recompute, whatever the tiling.
 """
 
 from __future__ import annotations
@@ -75,23 +76,23 @@ def j1_row_sums(j1, rows: np.ndarray, ks: np.ndarray) -> np.ndarray:
 
 
 def ratios_vp(category: str, lattice, dtype, owners_w, owners_k, positions,
-              source, stored_rows, row_sums, mask_self: bool) -> np.ndarray:
+              source, old_sums, row_sums, mask_self: bool) -> np.ndarray:
     """``(Nvp,)`` Jastrow ratios for a virtual-particle slab, op-counted
     under ``category``.
 
     ``owners_w`` names each point's walker and ``owners_k`` its
     electron (the per-walker components pass a constant ``owners_w``:
     one tile).  ``source(w)`` is walker ``w``'s ``(3, n)`` float64
-    source block, ``stored_rows(ws, ks)`` the ``(len(ks), n)`` table
-    rows of the (walker, electron) pairs ``zip(ws, ks)``, and
+    source block, ``old_sums(ws, ks)`` the ``(len(ks),)`` current value
+    sums of the (walker, electron) pairs ``zip(ws, ks)`` (J2: a row sum
+    over the stored table rows; J1: its carried ``U``), and
     ``row_sums(rows, ks)`` the component's functor row sum.  Fresh rows
     get the table's ``dtype`` downcast exactly as ``table.move`` applies
     it; ``mask_self`` puts the BIG sentinel on each point's own column.
 
-    ``u_old`` is evaluated once per run of equal (walker, electron) —
+    ``u_old`` is asked for once per run of equal (walker, electron) —
     once per pair on the engines' pair-major slabs.  Scratch is a
-    handful of ``(tile, n)`` float64 blocks plus that one
-    ``(pairs, n)`` block of stored rows.
+    handful of ``(tile, n)`` float64 blocks.
     """
     owners_w = np.asarray(owners_w)
     owners_k = np.asarray(owners_k)
@@ -100,9 +101,8 @@ def ratios_vp(category: str, lattice, dtype, owners_w, owners_k, positions,
     if nvp == 0:
         return np.ones(0)
     starts, stops = equal_runs(owners_w, owners_k)
-    pair_k = owners_k[starts]
-    old = stored_rows(owners_w[starts], pair_k)
-    u_old = np.repeat(row_sums(old, pair_k), stops - starts)
+    u_old = np.repeat(old_sums(owners_w[starts], owners_k[starts]),
+                      stops - starts)
     u_new = np.empty(nvp)
     for lo, hi in zip(*equal_runs(owners_w)):
         ks = owners_k[lo:hi]
@@ -111,7 +111,7 @@ def ratios_vp(category: str, lattice, dtype, owners_w, owners_k, positions,
         if mask_self:
             d[np.arange(hi - lo), ks] = BIG_DISTANCE
         u_new[lo:hi] = row_sums(d.astype(dtype, copy=False), ks)
-    n = old.shape[1]
+    n = d.shape[1]
     OPS.record(category, flops=10.0 * n * nvp, rbytes=8.0 * n * nvp,
                wbytes=8.0 * nvp)
     return np.exp(-(u_new - u_old))

@@ -74,7 +74,8 @@ class MemoryModel:
             # J1 per-electron arrays.
             comps += 5.0 * n * item
         else:
-            comps += 5.0 * n * item  # transient J rows only
+            # J1 per-electron arrays (J2 keeps no pair state).
+            comps += 5.0 * n * item
         total += comps
         return total
 

@@ -19,6 +19,7 @@ def _sweep_aa(table, P, moves: np.ndarray, accept: np.ndarray) -> None:
     n = P.n
     for k in range(n):
         rnew = P.lattice.wrap(P.R[k] + moves[k])
+        table.set_active(P, k)
         table.move(P, rnew, k)
         if accept[k]:
             P.active_index, P.active_pos = k, rnew

@@ -50,6 +50,7 @@ def run_minijastrow(n: int = 128, steps: int = 5,
         t0 = time.perf_counter()
         for _ in range(steps):
             for k in range(n):
+                P.set_active(k)
                 P.make_move(k, lat.wrap(P.R[k] + moves[k]))
                 r1, g1 = j1.ratio_grad(P, k)
                 r2, g2 = j2.ratio_grad(P, k)

@@ -38,6 +38,7 @@ def run_miniqmc(workload: str = "NiO-32", scale: float = 0.125,
             for _ in range(steps):
                 for k in range(n):
                     chi = rng.normal(0, np.sqrt(tau), 3)
+                    P.set_active(k)
                     g_old = twf.grad(P, k)
                     P.make_move(k, P.R[k] + tau * g_old + chi)
                     rho, g_new = twf.ratio_grad(P, k)
@@ -49,6 +50,7 @@ def run_miniqmc(workload: str = "NiO-32", scale: float = 0.125,
                         P.reject_move(k)
                 # Pseudopotential-style extra ratios (no acceptance).
                 for k in range(0, n, max(1, n // 8)):
+                    P.set_active(k)
                     for _ in range(nlpp_ratios):
                         P.make_move(k, P.R[k] + rng.normal(0, 0.3, 3))
                         twf.ratio(P, k)

@@ -3,13 +3,16 @@
 The particle-by-particle (PbyP) move protocol (Alg. 1, L4-L9) drives all
 hot kernels:
 
-1. ``make_move(k, new_pos)`` — propose moving particle ``k``; every
+1. ``set_active(k)`` — the sweep reaches particle ``k``: every table
+   makes row ``k`` exact at the current positions before the drift
+   gradient reads it (a compute-on-the-fly table recomputes it; the
+   others keep it exact and do nothing);
+2. ``make_move(k, new_pos)`` — propose moving particle ``k``; every
    attached distance table computes its temporary row for the proposed
-   position (or, in compute-on-the-fly mode, also refreshes the current
-   row first).
-2. consumers (Jastrows, determinants) evaluate ratios from the tables'
+   position;
+3. consumers (Jastrows, determinants) evaluate ratios from the tables'
    ``temp_*`` and current-row data;
-3. ``accept_move(k)`` — commit: R (and Rsoa: 6 floats, as the paper
+4. ``accept_move(k)`` — commit: R (and Rsoa: 6 floats, as the paper
    notes) and the tables' internal state are updated; or
    ``reject_move(k)`` — drop the temporaries.
 """
@@ -137,6 +140,13 @@ class ParticleSet:
                 t.evaluate(self)
 
     # -- PbyP move protocol ---------------------------------------------------------
+    def set_active(self, k: int) -> None:
+        """Make every table's row ``k`` exact before the move of
+        particle ``k`` reads it."""
+        for t in self.distance_tables:
+            with METRICS.scope(t.category):
+                t.set_active(self, k)
+
     def make_move(self, k: int, new_pos: np.ndarray) -> None:
         """Propose moving particle k to new_pos; fill tables' temporaries."""
         if not 0 <= k < self.n:

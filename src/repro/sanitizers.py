@@ -266,8 +266,10 @@ class SanitizerSuite:
             self.forward.check_row(t, P, k)
             self.forward.check_column(t, P, k)
 
-    def check_state(self, P) -> None:
-        """Run at measurement time: layout + dtype of all hot buffers."""
+    def check_state(self, P, twf=None, walker: Optional[int] = None) -> None:
+        """Run at measurement time: layout + dtype of all hot buffers,
+        and ``twf``'s carried J1 arrays (:func:`check_carried_j1`);
+        ``walker`` names the loaded walker in the error."""
         if P.Rsoa is not None:
             self.layout.check_container(P.Rsoa)
             self.dtype.check_array(f"{P.name}.Rsoa", P.Rsoa.data)
@@ -277,6 +279,42 @@ class SanitizerSuite:
             if isinstance(distances, np.ndarray):
                 self.dtype.check_array(
                     f"{type(t).__name__}.distances", distances)
+        if twf is not None:
+            check_carried_j1(twf.components, P.distance_tables, walker)
+
+
+def check_carried_j1(components, tables, walker: Optional[int] = None) -> None:
+    """Every component carrying J1's per-electron ``U``/``dU``/``d2U``
+    (it has ``fresh_rows``) over a ``carried`` table must hold exactly
+    a fresh ``rows_vgl`` pass over that table.  Batched arrays lead with
+    the crowd's walker axis; a per-walker component's are one walker's,
+    named ``walker`` in the error.  The pass goes to the process's
+    kernel object directly, not through ``active()``, so a counting
+    proxy sees only the driver's own calls."""
+    from repro.backend import get_backend, use_backend
+
+    for c in components:
+        if not hasattr(c, "fresh_rows"):
+            continue
+        table = tables[c.table_index]
+        if not getattr(table, "carried", False):
+            continue
+        with use_backend(get_backend()):
+            fresh = c.fresh_rows(table)
+        for channel, got, want in zip(("U", "dU", "d2U"),
+                                      (c.U, c.dU, c.d2U), fresh):
+            bad = np.argwhere(got != want)
+            if not len(bad):
+                continue
+            idx = tuple(int(i) for i in bad[0])
+            w, k, *axis = ("?" if walker is None else walker,) + idx \
+                if c.U.ndim == 1 else idx
+            raise SanitizerError(
+                f"carried-J1 checker: {type(c).__name__} walker #{w} "
+                f"electron {k} channel {channel}"
+                f"{f' axis {axis[0]}' if axis else ''} is "
+                f"{float(got[idx])!r}, a fresh rows_vgl pass gives "
+                f"{float(want[idx])!r}")
 
 
 class ShmRaceSanitizer:

@@ -148,11 +148,13 @@ class TestCallTimeDispatch:
 
     def test_scalar_table_row_call_sites(self):
         """The per-walker SoA tables are W = 1 callers of the row
-        kernels: an OTF AA move is the refresh plus the proposed row."""
+        kernels: an OTF AA move is the ``set_active`` refresh plus the
+        proposed row."""
         P, _, _ = JastrowSystemSpec(n=8, seed=3).build_scalar()
         aa, ab = P.distance_tables
         rnew = P.R[2] + 0.2
         with patched_singleton() as counter:
+            P.set_active(2)
             aa.move(P, rnew, 2)
             ab.move(P, rnew, 2)
         assert counter.calls["aa_row"] == 2

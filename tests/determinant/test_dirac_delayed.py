@@ -119,6 +119,7 @@ class TestDelayedDeterminant:
         logpsi = lp0
         for _ in range(12):
             k = int(rng.integers(n))
+            P.set_active(k)
             P.make_move(k, P.lattice.wrap(P.R[k] + rng.normal(0, 0.2, 3)))
             rho, _ = parts.twf.ratio_grad(P, k)
             if abs(rho) > 0.05:

@@ -98,9 +98,9 @@ class TestOrderedSweepInvariant:
         P.update_tables()
         for k in range(n):  # ordered sweep, as in Alg. 1 L4
             # Row k must match brute force from *current* positions ...
-            if flavor == "otf":
-                # ... after the on-demand refresh that move() performs.
-                t.move(P, P.R[k], k)
+            # ... after the step that activates it (the compute-on-the-fly
+            # table refreshes the row there; the others keep it current).
+            P.set_active(k)
             row = np.asarray(t.dist_row(k), dtype=np.float64)
             brute = lat.min_image_dist(P.R - P.R[k])
             mask = np.arange(n) != k

@@ -84,8 +84,11 @@ def _scalar_slab(P, npts=72):
 
 
 def _scalar_case(P, twf):
-    """{"inputs": digest, "J1": rho, "J2": rho} for a per-walker system."""
+    """{"inputs": digest, "J1": rho, "J2": rho} for a per-walker system
+    (the wavefunction evaluated first, as a driver does before the
+    Hamiltonian: J1's ``u_old`` is its carried ``U``)."""
     j1, j2 = _by_name(twf.components, "J1"), _by_name(twf.components, "J2")
+    twf.evaluate_log(P)
     owners, positions = _scalar_slab(P)
     rows = [np.asarray(t.dist_row_array(k))
             for t in P.distance_tables[:2] for k in range(P.n)]
@@ -109,13 +112,23 @@ def spec_scalar_case(precision):
     return _scalar_case(P, twf)
 
 
+def _evaluate(batch, tables, components):
+    """Tables, then the wavefunction, from ``batch.R`` — the driver's
+    set-up order (J1's ``u_old`` is its carried ``U``)."""
+    for t in tables:
+        t.evaluate(batch)
+    G = np.zeros((batch.nw, batch.n, 3))
+    L = np.zeros((batch.nw, batch.n))
+    for c in components:
+        c.evaluate_log(tables, G, L)
+
+
 def _batched_system(precision, nw=4):
     spec = JastrowSystemSpec(n=16, seed=7, precision=precision)
     tables, components, _ = spec.build_batched(nw)
     batch = WalkerBatch.from_positions(spec.initial_positions(nw),
                                        dtype=precision)
-    for t in tables:
-        t.evaluate(batch)
+    _evaluate(batch, tables, components)
     rng = np.random.default_rng(6)
     npts = 30
     vw = np.repeat(np.arange(nw), npts)
@@ -275,6 +288,7 @@ class TestTriclinicCell:
     def test_scalar_parity_with_ratio_at(self, system):
         P, twf, _ = system.build_scalar()
         assert not P.lattice.orthogonal
+        twf.evaluate_log(P)
         owners, positions = _scalar_slab(P)
         rho = twf.ratios_vp(P, owners, positions)
         ref = np.array([twf.ratio_at(P, int(k), r)
@@ -286,8 +300,7 @@ class TestTriclinicCell:
         tables, components, _ = system.build_batched(nw)
         batch = WalkerBatch.from_positions(system.initial_positions(nw),
                                            dtype=FULL)
-        for t in tables:
-            t.evaluate(batch)
+        _evaluate(batch, tables, components)
         P, twf, _ = system.build_scalar()
         rng = np.random.default_rng(8)
         vw = np.repeat(np.arange(nw), npts)

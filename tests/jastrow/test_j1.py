@@ -131,4 +131,4 @@ class TestRatios:
 class TestStorage:
     def test_storage_linear(self, jsetup):
         assert jsetup.j1_ref.storage_bytes == 5 * jsetup.n * 8
-        assert jsetup.j1_otf.storage_bytes == 5 * jsetup.ions.n * 8
+        assert jsetup.j1_otf.storage_bytes == 5 * jsetup.n * 8

@@ -149,6 +149,7 @@ class TestRatios:
         for step in range(12):
             k = int(jsetup.rng.integers(jsetup.n))
             rnew = jsetup.lat.wrap(P.R[k] + jsetup.rng.normal(0, 0.4, 3))
+            P.set_active(k)
             P.make_move(k, rnew)
             r_otf, g_otf = jsetup.j2_otf.ratio_grad(P, k)
             r_ref, g_ref = jsetup.j2_ref.ratio_grad(P, k)

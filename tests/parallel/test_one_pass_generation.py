@@ -22,6 +22,7 @@ import pytest
 
 from repro.backend import KERNEL_NAMES, get_backend, use_backend
 from repro.batched.system import JastrowSystemSpec
+from repro.drivers.base import QMCDriverBase
 from repro.drivers.generation import DMCPolicy
 from repro.output.runstate import load_run_checkpoint
 from repro.output.stream import StreamSet
@@ -82,9 +83,21 @@ def _branch(state, rng):
     return picks
 
 
-def _steady_state(spec, n_crowds=1):
+def _in_phase(counter, phase, fn):
+    """``fn`` with the counter's phase set to ``phase`` while it runs."""
+    def call(*args, **kwargs):
+        outer, counter.phase = counter.phase, phase
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            counter.phase = outer
+    return call
+
+
+def _steady_state(spec, n_crowds=1, activating=False):
     """Per-phase kernel counts of generation 2 — after one generation
-    and one comb — summed over the crowds, and the comb's picks."""
+    and one comb — summed over the crowds, and the comb's picks.
+    ``activating`` gives the tables' ``set_active`` a phase of its own."""
     state, crowds = _crowds(spec, n_crowds)
     e_trial = float(np.mean(state.local_energy))
     for crowd in crowds:
@@ -92,15 +105,10 @@ def _steady_state(spec, n_crowds=1):
     picks = _branch(state, np.random.default_rng(3))
     counter = _PhaseCounter(get_backend())
     for crowd in crowds:
-        measure = crowd._measure
-
-        def measuring(measure=measure):
-            counter.phase = "measure"
-            try:
-                return measure()
-            finally:
-                counter.phase = "other"
-        crowd._measure = measuring
+        crowd._measure = _in_phase(counter, "measure", crowd._measure)
+        if activating:
+            for t in crowd.tables:
+                t.set_active = _in_phase(counter, "set_active", t.set_active)
     with use_backend(counter):
         for crowd in crowds:
             crowd.run_generation(2, e_trial)
@@ -110,6 +118,12 @@ def _steady_state(spec, n_crowds=1):
 def _per_pass(crowd):
     j2, j1 = crowd.components
     return N * (len(j2.group_slices) + len(j1.species_masks))
+
+
+def _rows(components):
+    """Functor calls per row of each component: (J2, J1)."""
+    j2, j1 = components
+    return len(j2.group_slices), len(j1.species_masks)
 
 
 def _pair_calls(counter):
@@ -123,25 +137,59 @@ class TestKernelCounts:
         spec = JastrowSystemSpec(n=N, seed=7, aa_flavor="soa",
                                  with_nlpp=with_nlpp)
         counter, (crowd,), _, _ = _steady_state(spec)
-        per_pass = _per_pass(crowd)
+        j2_row, j1_row = _rows(crowd.components)
         vgl = {phase: count for (phase, name), count in counter.calls.items()
                if name == "functor_vgl"}
+        # J1 carries its per-electron value/gradient/Laplacian: measure
+        # re-evaluates the J2 rows only; the sweep's one J1 row per move
+        # is the proposed one, whose vgl an accept commits
         if with_nlpp:
             # slot-keyed E_L: the post-branch wavefunction pass stays,
-            # over the gathered tables
-            assert vgl == {"other": per_pass, "measure": per_pass}
+            # over the gathered tables (J1 from its gathered arrays)
+            assert vgl == {"other": N * j2_row, "measure": N * j2_row,
+                           "sweep": N * j1_row}
         else:
-            # one from-scratch wavefunction pass, inside measure only
-            assert vgl == {"measure": per_pass}
-        # the sweep evaluates value and value+gradient channels only
-        assert counter.calls["sweep", "functor_vg"] == 2 * per_pass
+            assert vgl == {"measure": N * j2_row, "sweep": N * j1_row}
+        # per move: 2 J2 value+gradient rows (old and proposed), the
+        # old row's value sum handed on, so no value-only row at all
+        assert counter.calls["sweep", "functor_vg"] == 2 * N * j2_row
+        assert counter.calls["sweep", "functor_v"] == 0
         # carried tables: a gather after the comb, a mirror in measure
         assert _pair_calls(counter) == {}
 
     def test_otf_measure_keeps_its_aa_pass(self):
         spec = JastrowSystemSpec(n=N, seed=7, aa_flavor="otf")
-        counter, _, _, _ = _steady_state(spec)
+        counter, (crowd,), _, _ = _steady_state(spec, activating=True)
         assert _pair_calls(counter) == {("measure", "aa_pairs"): 1}
+        # one row refresh per move, in set_active before the drift,
+        # plus the proposed row; the refreshed row is evaluated once
+        assert counter.calls["set_active", "aa_row"] == N
+        assert counter.calls["sweep", "aa_row"] == N
+        j2_row, _ = _rows(crowd.components)
+        assert counter.calls["sweep", "functor_vg"] == 2 * N * j2_row
+        assert counter.calls["sweep", "functor_v"] == 0
+
+    @pytest.mark.parametrize("flavor", ["soa", "otf"])
+    def test_per_walker_sweep(self, flavor):
+        """The per-walker twin: one sweep evaluates 2N J2 rows (the
+        old row once, its value sum handed from ``grad`` to
+        ``ratio_grad``) and N J1 rows (the proposed one), where a
+        stateless J1 and a twice-evaluated old J2 row made 3N and 3N."""
+        spec = JastrowSystemSpec(n=N, seed=7, aa_flavor=flavor)
+        P, twf, ham = spec.build_scalar()
+        driver = QMCDriverBase(P, twf, ham, np.random.default_rng(5),
+                               timestep=TAU)
+        driver.population = driver.create_walkers(1)
+        driver.load_walker(driver.population[0])
+        counter = _PhaseCounter(get_backend())
+        with use_backend(counter):
+            assert driver.sweep() > 0
+        j2_row, j1_row = _rows(twf.components)
+        assert counter.calls["other", "functor_vg"] == 2 * N * j2_row
+        assert counter.calls["other", "functor_vgl"] == N * j1_row
+        assert counter.calls["other", "functor_v"] == 0
+        aa_rows = 2 * N if flavor == "otf" else N
+        assert counter.calls["other", "aa_row"] == aa_rows
 
     def test_fp32_keeps_both_passes(self):
         spec = JastrowSystemSpec(n=N, seed=7, aa_flavor="soa",
@@ -166,8 +214,12 @@ class TestKernelCounts:
         assert counter.walkers["other", "ab_pairs"] == migrated
         assert np.array_equal(state.source, np.arange(WALKERS))
         if with_nlpp:
+            # the post-branch pass over both crowds: J2 rows, J1 from
+            # its gathered arrays (one J1 row pass refreshes the slots
+            # whose walker came from the other crowd)
+            j2_row, j1_row = _rows(crowds[0].components)
             assert counter.calls["other", "functor_vgl"] == \
-                2 * _per_pass(crowds[0])
+                2 * N * (j2_row + j1_row)
 
     def test_setup_is_one_pass(self):
         spec = JastrowSystemSpec(n=N, seed=7, aa_flavor="soa")

@@ -132,6 +132,7 @@ class TestRatios:
         logpsi = twf.evaluate_log(P)
         for _ in range(20):
             k = int(rng.integers(P.n))
+            P.set_active(k)
             P.make_move(k, P.lattice.wrap(P.R[k] + rng.normal(0, 0.25, 3)))
             rho, _ = twf.ratio_grad(P, k)
             if rng.uniform() < 0.6 and abs(rho) > 1e-12:
