@@ -58,12 +58,13 @@ digests:
 
 # Kill-and-restart parity battery with the runtime sanitizers armed:
 # byte-identical traces + bit-identical online error bars after a
-# mid-run kill (CI's restart-determinism job).
+# mid-run kill, and the run CLI's --resume (CI's restart-determinism
+# job runs the same file list).
 restart-check:
 	PYTHONPATH=src REPRO_SANITIZE=1 $(PYTHON) -m pytest -x -q \
 		tests/integration/test_restart_parity.py \
 		tests/output/test_stream.py tests/output/test_runstate.py \
-		tests/stats/test_online.py
+		tests/stats/test_online.py tests/test_run_cli.py
 
 # Per-figure/table paper benchmarks (pytest-benchmark harness).
 bench-figures:

@@ -35,7 +35,6 @@ from repro.batched.system import JastrowSystemSpec, walker_streams
 from repro.batched.walkerbatch import WalkerBatch
 from repro.drivers.generation import DMCPolicy, Generation, GenerationLoop
 from repro.drivers.result import QMCResult
-from repro.estimators.scalar import EstimatorManager
 from repro.hamiltonian.nlpp import QuadratureRotations
 from repro.sanitizers import RngStreamSanitizer, sanitizers_enabled
 from repro.metrics.registry import METRICS
@@ -98,7 +97,6 @@ class BatchedCrowdDriver(GenerationLoop):
         #: (W,) accepted-move counts of the most recent sweep (DMC's
         #: age-based stuck-walker control reads this)
         self.last_sweep_accepts = np.zeros(self.nw, dtype=np.int64)
-        self.estimators = EstimatorManager()
         self.sanitizers = (BatchedSanitizerSuite(precision)
                            if sanitizers_enabled() else None)
         #: optional fused-step trace: list of (W,) bool masks, one per move
@@ -202,7 +200,7 @@ class BatchedCrowdDriver(GenerationLoop):
     def refresh_from_positions(self, serial: int) -> None:
         """Recompute everything (Rsoa, tables, log Psi, E_L with its
         rotations keyed on ``serial``) from the canonical ``batch.R``
-        alone: the resume path.  Estimators are not touched."""
+        alone: the resume path."""
         self.resync_tables()
         self._evaluate_log()
         self.evaluate_energies(serial)
@@ -224,11 +222,6 @@ class BatchedCrowdDriver(GenerationLoop):
         self._evaluate_log(fresh=False)
         el = self.ham.evaluate(self.batch, self.tables, self.G, self.L)
         self.batch.local_energy[...] = el
-        weights = self.batch.weight
-        self.estimators.accumulate_block("LocalEnergy", el, weights)
-        for name in self.ham.names:
-            self.estimators.accumulate_block(
-                name, self.ham.last_components[name], weights)
         return el
 
     # -- one generation ---------------------------------------------------------------
@@ -269,8 +262,8 @@ class BatchedCrowdDriver(GenerationLoop):
         """Advance the crowd one generation: sweep, measure, then age
         the walkers (VMC, ``e_trial is None``) or reweight them against
         ``e_trial`` (DMC, Alg. 1 L13).  Returns ``(E_L, weights)`` in
-        walker order — the weights are the ones the estimators saw,
-        i.e. before the reweight."""
+        walker order — the weights are the ones before the reweight,
+        which the trace records."""
         batch = self.batch
         if e_trial is not None:
             if self._stale:
@@ -310,8 +303,7 @@ class BatchedCrowdDriver(GenerationLoop):
         constructed driver) continues such a run bitwise: the walker
         block and move counters are restored, the walker streams
         fast-forwarded, and generation numbering carries on."""
-        start = self._resume_step(resume, "batched", nwalkers=self.nw,
-                                  seed=self.master_seed)
+        start = self._resume_step(resume, "batched")
         if resume is not None:
             self._restore(resume)
         armed = False
@@ -342,9 +334,12 @@ class BatchedCrowdDriver(GenerationLoop):
                 "scalars": {"n_accept": float(self.n_accept),
                             "n_moves": float(self.n_moves)},
                 "shared_state": {name: np.array(getattr(self.batch, name))
-                                 for name in _BATCH_FIELDS},
-                "meta": {"nwalkers": self.nw, "seed": self.master_seed,
-                         "n": self.n}}
+                                 for name in _BATCH_FIELDS}}
+
+    def _run_meta(self) -> dict:
+        return {"nwalkers": self.nw, "seed": self.master_seed,
+                "timestep": self.tau, "use_drift": bool(self.use_drift),
+                "spec": self.spec.checkpoint_key()}
 
     def _advance(self, step: int, e_trial: Optional[float]) -> Generation:
         el, weights = self.run_generation(step, e_trial)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import List
+from typing import Dict, List
 
 import numpy as np
 
@@ -36,14 +36,14 @@ class ReferenceTrace:
 
     #: energies[s, w] = E_L of walker w at the end of step s+1
     energies: np.ndarray = field(default_factory=lambda: np.empty(0))
+    #: components[name][s, w] = Hamiltonian term ``name`` of that E_L
+    components: Dict[str, np.ndarray] = field(default_factory=dict)
     #: move_log[w][m] = accept decision of walker w's m-th move
     move_log: List[List[bool]] = field(default_factory=list)
     #: final (W, n, 3) configurations
     positions: np.ndarray = field(default_factory=lambda: np.empty(0))
     n_moves: int = 0
     n_accept: int = 0
-    #: the per-walker driver's EstimatorManager after the run
-    estimators: object = None
 
 
 def run_reference(spec: JastrowSystemSpec, nwalkers: int, steps: int,
@@ -80,6 +80,7 @@ def run_reference(spec: JastrowSystemSpec, nwalkers: int, steps: int,
         walkers.append(walker)
     trace = ReferenceTrace(move_log=[[] for _ in range(nwalkers)])
     energies = np.empty((steps, nwalkers))
+    components = {t.name: np.empty((steps, nwalkers)) for t in ham.terms}
     for step in range(1, steps + 1):
         recompute = precision.should_recompute(step)
         for w, walker in enumerate(walkers):
@@ -90,12 +91,14 @@ def run_reference(spec: JastrowSystemSpec, nwalkers: int, steps: int,
             for t in nlpp_terms:
                 t.set_walker(w, step)
             energies[step - 1, w] = driver.store_walker(walker)
+            for name, value in ham.last_components.items():
+                components[name][step - 1, w] = value
             walker.age += 1
     trace.energies = energies
+    trace.components = components
     trace.positions = np.stack([w.R for w in walkers])
     trace.n_moves = driver.n_moves
     trace.n_accept = driver.n_accept
-    trace.estimators = driver.estimators
     return trace
 
 

@@ -84,6 +84,12 @@ class JastrowSystemSpec:
         self.nlpp_rcut = min(1.8, 0.9 * self.lattice.wigner_seitz_radius)
         self._jitter_rng = np.random.default_rng(seed + 1)
 
+    def checkpoint_key(self) -> list:
+        """What a run checkpoint records of this model, as JSON values;
+        a resume on a different model is refused."""
+        return [self.n, self.seed, self.aa_flavor, self.with_nlpp,
+                self.nlpp_npoints]
+
     # -- initial configurations ---------------------------------------------------
     def initial_positions(self, nwalkers: int,
                           jitter: float = 0.05) -> np.ndarray:

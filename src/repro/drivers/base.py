@@ -8,7 +8,6 @@ from typing import Dict, List
 import numpy as np
 
 from repro.drivers.generation import DMCPolicy, Generation, GenerationLoop
-from repro.estimators.scalar import EstimatorManager
 from repro.sanitizers import SanitizerSuite, sanitizers_enabled
 from repro.metrics.registry import METRICS
 from repro.particles.walker import Walker
@@ -57,8 +56,6 @@ class QMCDriverBase(GenerationLoop):
         #: list to record — the differential suite compares it against the
         #: batched path's fused-step decisions
         self.move_log: list | None = None
-        #: per-walker scalar accumulation (E_L, components, acceptance)
-        self.estimators = EstimatorManager()
         #: runtime invariant checks, armed by REPRO_SANITIZE=1 (repro.sanitizers)
         self.sanitizers = (SanitizerSuite(precision)
                            if sanitizers_enabled() else None)
@@ -138,12 +135,15 @@ class QMCDriverBase(GenerationLoop):
         return Generation(energies, weights,
                           {name: np.asarray(v) for name, v in comps.items()})
 
+    def _run_meta(self) -> dict:
+        return {"timestep": self.tau, "use_drift": bool(self.use_drift)}
+
     def _checkpoint_state(self) -> dict:
         from repro.output.runstate import rng_state
         return {"rng_states": {"driver": rng_state(self.rng)},
                 "scalars": {"n_accept": float(self.n_accept),
                             "n_moves": float(self.n_moves)},
-                "walkers": self.population, "meta": {}}
+                "walkers": self.population}
 
     def load_walker(self, w: Walker, recompute: bool = False) -> None:
         with METRICS.scope("load"):
@@ -169,9 +169,6 @@ class QMCDriverBase(GenerationLoop):
         self.twf.update_buffer(self.P, w.buffer)
         self.P.store_walker(w)
         w.properties["local_energy"] = el
-        self.estimators.accumulate("LocalEnergy", el, w.weight)
-        for name, v in self.ham.last_components.items():
-            self.estimators.accumulate(name, v, w.weight)
         return el
 
     # -- the drift-diffusion sweep (Alg. 1, L4-L10) ---------------------------------------

@@ -60,7 +60,7 @@ class DMCDriver(QMCDriverBase):
 
     def _checkpoint_state(self) -> dict:
         state = super()._checkpoint_state()
-        state["meta"]["branching"] = self.branching
+        state["meta"] = {"branching": self.branching}
         return state
 
     def _branch_population(self, policy: DMCPolicy) -> None:

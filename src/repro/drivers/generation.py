@@ -23,12 +23,13 @@ import numpy as np
 
 from repro.drivers.result import QMCResult
 from repro.metrics.registry import METRICS
+from repro.output.stream import StreamSet
 
 
 class Generation(NamedTuple):
     """One advanced generation as the trace records it, in walker order:
-    E_L after the sweep, the weights the estimators saw (None = unit) and
-    the Hamiltonian components by name."""
+    E_L after the sweep, the weights (None = unit) and the Hamiltonian
+    components by name."""
 
     energies: np.ndarray
     weights: Optional[np.ndarray] = None
@@ -140,14 +141,19 @@ class GenerationLoop:
     * ``_advance(step, e_trial) -> Generation`` — advance the whole
       population one generation, reweighting it against ``e_trial`` when
       that is not None (DMC);
-    * a ``population`` list and ``n_moves``/``n_accept``/``estimators``
-      attributes — or ``_population_size()``/``_move_counts()``/
-      ``_estimators()`` overrides;
+    * a ``population`` list and ``n_moves``/``n_accept`` attributes —
+      or ``_population_size()``/``_move_counts()`` overrides;
     * to run DMC, ``_branch_population(policy)`` — and ``_mixed_energy``
       when the branch weights are not the recorded ones;
-    * to be resumable, ``checkpoint_kind`` and ``_checkpoint_state()`` —
-      the ``RunCheckpoint`` fields only the driver knows: rng_states,
-      scalars, meta and the population (walkers or shared_state).
+    * to be resumable, ``checkpoint_kind``, ``_run_meta()`` — the run
+      parameters a checkpoint records and a resume must match — and
+      ``_checkpoint_state()`` — the ``RunCheckpoint`` fields only the
+      driver knows: rng_states, scalars, any further meta and the
+      population (walkers or shared_state).
+
+    Every generation's rows have one consumer, the run's
+    :class:`~repro.output.stream.StreamSet`: the trace and the online
+    statistics ``result.online`` reports.
     """
 
     #: ``RunCheckpoint.kind`` this driver writes and accepts; None for a
@@ -161,25 +167,27 @@ class GenerationLoop:
         """(proposed, accepted) moves over the whole run."""
         return self.n_moves, self.n_accept
 
-    def _estimators(self):
-        return self.estimators
-
     def _mixed_energy(self, policy: DMCPolicy, gen: Generation) -> float:
         return policy.mixed_energy(gen.weights, gen.energies)
 
     def _end_generation(self, step: int) -> None:
         """Called last in every generation, after any checkpoint."""
 
-    def _resume_step(self, resume, label: str, **meta) -> int:
+    def _run_meta(self) -> dict:
+        """The run parameters a checkpoint records and a resume must
+        match (JSON values)."""
+        return {}
+
+    def _resume_step(self, resume, label: str) -> int:
         """Generations a checkpoint already holds (0 without one), after
-        checking its kind and that its ``meta`` records the given run
-        parameters."""
+        checking its kind and that its ``meta`` records this run's
+        parameters (:meth:`_run_meta`)."""
         if resume is None:
             return 0
         if resume.kind != self.checkpoint_kind:
             raise ValueError(
                 f"checkpoint kind {resume.kind!r} is not a {label} run")
-        for key, value in meta.items():
+        for key, value in self._run_meta().items():
             if resume.meta.get(key) != value:
                 raise ValueError(
                     f"checkpoint {key} {resume.meta.get(key)!r} and this "
@@ -196,10 +204,13 @@ class GenerationLoop:
                          profile: Optional[str] = None) -> QMCResult:
         """Run generations ``start + 1 .. start + steps`` (Alg. 1).
 
-        ``streams`` (a :class:`repro.output.stream.StreamSet`) gets each
-        generation's walker-ordered rows and sets the checkpoint
-        cadence; ``policy`` turns the branch + E_T update on;
-        ``profile`` labels a hot-spot profile of the run."""
+        ``streams`` (a :class:`repro.output.stream.StreamSet`; an
+        in-memory one when None) gets each generation's walker-ordered
+        rows and sets the checkpoint cadence; ``policy`` turns the
+        branch + E_T update on; ``profile`` labels a hot-spot profile of
+        the run."""
+        if streams is None:
+            streams = StreamSet()
         t0 = time.perf_counter()
         result = QMCResult(method=method, steps=steps)
         with (METRICS.scope(scope) if profile is None
@@ -207,10 +218,8 @@ class GenerationLoop:
             for step in range(start + 1, start + steps + 1):
                 gen = self._advance(
                     step, None if policy is None else policy.e_trial)
-                if streams is not None:
-                    # Pre-branch values in walker order: the sample
-                    # stream the estimators saw.
-                    streams.record(step, *gen)
+                # Pre-branch values in walker order.
+                streams.record(step, *gen)
                 if policy is None:
                     result.energies.append(float(np.mean(gen.energies)))
                 else:
@@ -221,7 +230,7 @@ class GenerationLoop:
                     policy.feedback(e_mixed, self._population_size())
                     result.trial_energies.append(policy.e_trial)
                 result.populations.append(self._population_size())
-                if (streams is not None and self.checkpoint_kind is not None
+                if (self.checkpoint_kind is not None
                         and streams.want_checkpoint(step)):
                     # Post-branch population, post-draw RNG and updated
                     # feedback scalars: a resume continues at step + 1.
@@ -230,8 +239,7 @@ class GenerationLoop:
         result.elapsed = time.perf_counter() - t0
         moves, accepted = self._move_counts()
         result.acceptance = accepted / moves if moves else 0.0
-        result.estimators = self._estimators()
-        result.online = streams.online if streams is not None else None
+        result.online = streams.online
         result.extra["moves"] = float(moves)
         result.extra["accepted"] = float(accepted)
         if profile is not None:
@@ -245,9 +253,9 @@ class GenerationLoop:
         state = self._checkpoint_state()
         if policy is not None:
             state["scalars"].update(policy.scalars())
+        state["meta"] = {**self._run_meta(), **state.get("meta", {})}
         save_run_checkpoint(streams.checkpoint_path, RunCheckpoint(
             kind=self.checkpoint_kind, step=step,
-            online_state=(streams.online.state_dict()
-                          if streams.online is not None else None),
+            online_state=streams.online.state_dict(),
             trace_position=streams.trace_position.as_array(),
             **state))

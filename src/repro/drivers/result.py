@@ -20,8 +20,7 @@ class QMCResult:
     acceptance: float = 0.0
     elapsed: float = 0.0
     profile: Optional[object] = None  # HotspotProfile when profiling was on
-    estimators: Optional[object] = None  # EstimatorManager from the driver
-    online: Optional[object] = None  # OnlineScalarStats when streaming was on
+    online: Optional[object] = None  # the run's OnlineScalarStats
     extra: Dict[str, float] = field(default_factory=dict)
 
     @property

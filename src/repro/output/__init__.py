@@ -10,7 +10,6 @@ RNG states, population, online-stat states, trace offset — as one
 from repro.output.stream import (
     StreamSet, TraceCorruptionError, TraceError, TraceField, TracePosition,
     TraceReader, TraceSchemaError, TraceTruncationError, TraceWriter,
-    merge_crowd_segments,
 )
 from repro.output.runstate import (
     RunCheckpoint, load_run_checkpoint, save_run_checkpoint,
@@ -19,6 +18,6 @@ from repro.output.runstate import (
 __all__ = [
     "TraceField", "TracePosition", "TraceWriter", "TraceReader",
     "TraceError", "TraceSchemaError", "TraceCorruptionError",
-    "TraceTruncationError", "merge_crowd_segments", "StreamSet",
+    "TraceTruncationError", "StreamSet",
     "RunCheckpoint", "save_run_checkpoint", "load_run_checkpoint",
 ]

@@ -27,11 +27,6 @@ chunk (:class:`TraceCorruptionError`, :class:`TraceTruncationError`,
 :class:`TraceSchemaError`) instead of returning garbage, and resuming a
 writer re-validates the retained prefix so a restart refuses to
 continue from a damaged trace.
-
-Per-crowd segment files carry ``meta["segment"] = {crowd, n_crowds,
-total_walkers}``; :func:`merge_crowd_segments` interleaves them in
-walker order (walker ``w`` lives in crowd ``w % K`` at local slot
-``w // K``) reproducing the parent's canonical trace exactly.
 """
 
 from __future__ import annotations
@@ -47,6 +42,7 @@ from typing import (Dict, IO, Iterator, List, Mapping, NamedTuple, Optional,
 import numpy as np
 
 from repro.metrics import METRICS
+from repro.stats.online import OnlineScalarStats
 
 __all__ = [
     "TRACE_VERSION",
@@ -58,7 +54,6 @@ __all__ = [
     "TraceTruncationError",
     "TraceWriter",
     "TraceReader",
-    "merge_crowd_segments",
     "StreamSet",
 ]
 
@@ -116,7 +111,7 @@ class TraceCorruptionError(TraceError):
 
 
 class TraceTruncationError(TraceError):
-    """The file ends mid-chunk (or a segment is missing rows)."""
+    """The file ends mid-chunk or before a checkpointed position."""
 
     def __init__(self, message: str, path: str = "",
                  chunk_index: Optional[int] = None) -> None:
@@ -239,39 +234,6 @@ class TraceWriter:
         fh.truncate(position.bytes)
         fh.seek(position.bytes)
         self._fh = fh
-        return self
-
-    @classmethod
-    def reopen_below_step(cls, path: str, step: int,
-                          flush_every: int = 1) -> "TraceWriter":
-        """Reopen keeping only whole chunks whose rows all have step < ``step``.
-
-        Used by respawned crowd workers to roll their segment file back
-        to the replay generation; chunk boundaries must align with the
-        cut (they do: segments flush every generation).
-        """
-        reader = TraceReader(path)
-        try:
-            rows = 0
-            chunks = 0
-            offset = reader.header_bytes
-            for index, chunk_off, chunk_rows, nbytes in reader._scan_chunks():
-                steps = [s for s, _ in chunk_rows]
-                if steps and steps[0] >= step:
-                    break
-                if steps and steps[-1] >= step:
-                    raise TraceTruncationError(
-                        f"{path}: chunk {index} straddles step {step}; "
-                        f"cannot truncate mid-chunk", path=path,
-                        chunk_index=index)
-                rows += len(chunk_rows)
-                chunks = index + 1
-                offset = chunk_off + nbytes
-            fields, meta = reader.fields, reader.meta
-        finally:
-            reader.close()
-        position = TracePosition(rows=rows, chunks=chunks, bytes=offset)
-        self = cls.resume(path, position, flush_every=flush_every)
         return self
 
     # ------------------------------------------------------------------
@@ -459,6 +421,15 @@ class TraceReader:
             return np.empty((0,), dtype=dtype)
         return np.concatenate(parts, axis=0)
 
+    def series(self, name: str) -> np.ndarray:
+        """The samples of estimator ``name`` in (step, walker) order —
+        ``"LocalEnergy"`` or a name in ``meta["components"]``: exactly
+        the stream the run's online reblocker of that name consumed."""
+        if name == "LocalEnergy":
+            return self.read_concat("local_energy")
+        column = list(self.meta["components"]).index(name)
+        return self.read_concat("components")[:, column]
+
     def validate(self) -> TracePosition:
         """Full scan; returns the durable end position or raises typed."""
         rows = 0
@@ -482,77 +453,6 @@ class TraceReader:
         self.close()
 
 
-def merge_crowd_segments(segment_paths: Sequence[str], out_path: str,
-                         flush_every: int = 1) -> TracePosition:
-    """Interleave per-crowd segment traces into the walker-ordered trace.
-
-    Walker ``w`` is dealt to crowd ``w % K`` at local slot ``w // K``
-    (the shm layer's round-robin deal), so merged row ``out[c::K] =
-    segment_c_row`` reconstructs the parent's canonical walker order
-    exactly.  Raises :class:`TraceTruncationError` naming the lagging
-    segment if row counts or steps disagree (e.g. a deleted or
-    short-written segment).
-    """
-    readers = []
-    try:
-        for path in segment_paths:
-            readers.append(TraceReader(path))
-        metas = [r.meta.get("segment") for r in readers]
-        if any(m is None for m in metas):
-            bad = segment_paths[metas.index(None)]
-            raise TraceSchemaError(f"{bad}: not a crowd segment trace "
-                                   f"(no meta['segment'])")
-        k = len(readers)
-        if sorted(m["crowd"] for m in metas) != list(range(k)) \
-                or any(m["n_crowds"] != k for m in metas):
-            raise TraceSchemaError(
-                f"expected segments for crowds 0..{k - 1} of {k}, got "
-                f"{[(m['crowd'], m['n_crowds']) for m in metas]}")
-        order = sorted(range(k), key=lambda i: metas[i]["crowd"])
-        readers = [readers[i] for i in order]
-        fields = readers[0].fields
-        for r in readers[1:]:
-            if r.fields != fields:
-                raise TraceSchemaError(
-                    f"{r.path}: segment fields differ from {readers[0].path}")
-        meta = {key: value for key, value in readers[0].meta.items()
-                if key != "segment"}
-        all_rows = [r.read_all() for r in readers]
-        n_rows = len(all_rows[0][1])
-        for r, (steps, rows) in zip(readers, all_rows):
-            if len(rows) != n_rows:
-                raise TraceTruncationError(
-                    f"{r.path}: segment has {len(rows)} rows, "
-                    f"{readers[0].path} has {n_rows}", path=r.path,
-                    chunk_index=min(len(rows), n_rows))
-        with TraceWriter(out_path, fields, meta=meta,
-                         flush_every=flush_every) as writer:
-            for i in range(n_rows):
-                step0 = all_rows[0][0][i]
-                nw_total = 0
-                for r, (steps, rows) in zip(readers, all_rows):
-                    if steps[i] != step0:
-                        raise TraceCorruptionError(
-                            f"{r.path}: row {i} is step {steps[i]}, "
-                            f"{readers[0].path} has step {step0}",
-                            path=r.path, chunk_index=i)
-                    nw_total += rows[i][fields[0].name].shape[0]
-                merged: Dict[str, np.ndarray] = {}
-                for field in fields:
-                    dtype = np.dtype(field.dtype)
-                    out = np.empty((nw_total,) + field.shape, dtype=dtype)
-                    for c, (_steps, rows) in enumerate(all_rows):
-                        out[c::k] = rows[i][field.name]
-                    merged[field.name] = out
-                writer.append_row(int(step0), merged)
-            writer.flush()
-            position = writer.position
-        return position
-    finally:
-        for r in readers:
-            r.close()
-
-
 # ----------------------------------------------------------------------
 # Driver-facing bundle: trace + online statistics + checkpoint cadence
 # ----------------------------------------------------------------------
@@ -572,14 +472,12 @@ class StreamSet:
     """
 
     def __init__(self, trace_path: Optional[str] = None,
-                 online: Optional[object] = None,
                  meta: Optional[Mapping] = None,
                  flush_every: int = 1,
                  checkpoint_path: Optional[str] = None,
                  checkpoint_every: int = 0) -> None:
-        from repro.stats.online import OnlineScalarStats
         self.trace_path = str(trace_path) if trace_path else None
-        self.online = online if online is not None else OnlineScalarStats()
+        self.online = OnlineScalarStats()
         self.meta = dict(meta or {})
         self.flush_every = int(flush_every)
         self.checkpoint_path = (str(checkpoint_path)
@@ -601,12 +499,11 @@ class StreamSet:
         prefix — a corrupt or short trace raises the reader's typed
         error and the restart refuses to continue.
         """
-        from repro.stats.online import OnlineScalarStats
-        online = OnlineScalarStats.from_state(checkpoint.online_state or {})
-        self = cls(trace_path=None, online=online,
-                   checkpoint_path=(checkpoint_path
+        self = cls(checkpoint_path=(checkpoint_path
                                     or getattr(checkpoint, "path", None)),
                    checkpoint_every=checkpoint_every)
+        self.online = OnlineScalarStats.from_state(
+            checkpoint.online_state or {})
         if trace_path is not None:
             position = TracePosition.from_array(checkpoint.trace_position)
             self.trace_path = str(trace_path)
@@ -619,10 +516,8 @@ class StreamSet:
         return self
 
     # -------------------------------------------------------------------
-    def _open_writer(self, components: Optional[Mapping[str, np.ndarray]]
-                     ) -> None:
-        names = tuple(sorted(components)) if components else ()
-        self.component_names = names
+    def _open_writer(self) -> None:
+        names = self.component_names
         fields = [TraceField("weight", "<f8"),
                   TraceField("local_energy", "<f8")]
         if names:
@@ -637,9 +532,10 @@ class StreamSet:
                components: Optional[Mapping[str, np.ndarray]] = None) -> None:
         """Stream one generation: nw local energies/weights (+components).
 
-        Arrays must be in walker order — the same order the in-memory
-        EstimatorManager accumulates — so the online reblocker and the
+        Arrays must be in walker order, so the online reblocker and the
         offline recomputation on the trace see identical sample streams.
+        Components are kept in sorted name order, fixed by the first
+        row.
         """
         el = np.asarray(local_energy, dtype=np.float64)
         nw = el.shape[0]
@@ -647,8 +543,10 @@ class StreamSet:
             w = np.ones(nw, dtype=np.float64)
         else:
             w = np.asarray(weights, dtype=np.float64)
+        if not self.component_names and components:
+            self.component_names = tuple(sorted(components))
         if self.trace_path is not None and self.writer is None:
-            self._open_writer(components)
+            self._open_writer()
         if self.writer is not None:
             row = {"weight": w, "local_energy": el}
             if self.component_names:
@@ -659,16 +557,10 @@ class StreamSet:
                                             dtype=np.float64)
                 row["components"] = comp
             self.writer.append_row(step, row)
-        if self.online is not None:
-            self.online.add_array("LocalEnergy", el, w)
-            for name in self.component_names:
-                self.online.add_array(
-                    name, np.asarray(components[name], dtype=np.float64), w)
-            if not self.component_names and components:
-                for name in sorted(components):
-                    self.online.add_array(
-                        name, np.asarray(components[name], dtype=np.float64),
-                        w)
+        self.online.add_array("LocalEnergy", el, w)
+        for name in self.component_names:
+            self.online.add_array(
+                name, np.asarray(components[name], dtype=np.float64), w)
 
     def want_checkpoint(self, step: int) -> bool:
         return (self.checkpoint_every > 0

@@ -58,7 +58,6 @@ from repro.batched.system import BatchedHamiltonian, JastrowSystemSpec, \
 from repro.batched.walkerbatch import WalkerBatch
 from repro.drivers.generation import DMCPolicy, Generation, GenerationLoop
 from repro.drivers.result import QMCResult
-from repro.estimators.scalar import EstimatorManager
 from repro.sanitizers import (CollectiveOrderChecker,
                               RngStreamSanitizer, ShmRaceSanitizer,
                               sanitizers_enabled)
@@ -172,57 +171,12 @@ class _WorkerConfig:
     #: into a *frozen* trace row out of band — the race the
     #: ShmRaceSanitizer quiescent-window checksums must catch
     race_generation: Optional[int] = None
-    #: generations completed before this run segment (full-run resume);
+    #: generations completed before this run (full-run resume);
     #: trace-block row 0 holds generation ``trace_base + 1``
     trace_base: int = 0
-    #: per-crowd streaming segment trace (repro.output.stream): file
-    #: path, the parent's run meta, and the sorted component order the
-    #: merged canonical trace uses
-    segment_path: Optional[str] = None
-    segment_meta: Optional[dict] = None
-    segment_names: Optional[tuple] = None
     #: shared read-only SPO coefficient slab to attach (descriptor only
     #: crosses the process boundary — the table itself never pickles)
     slab: Optional[SlabDescriptor] = None
-
-
-def _segment_open(cfg: _WorkerConfig):
-    """Open (or re-open) this crowd's streaming segment trace.
-
-    Fresh spawns write a deterministic schema-versioned header; respawns
-    and full-run resumes roll the file back to the replay generation
-    (segments flush every generation, so chunk boundaries align with the
-    cut and the continued file stays byte-identical to an uninterrupted
-    run's)."""
-    from repro.output.stream import TraceField, TraceWriter
-    if cfg.start_generation > 1 and os.path.exists(cfg.segment_path):
-        return TraceWriter.reopen_below_step(
-            cfg.segment_path, cfg.start_generation, flush_every=1)
-    names = tuple(cfg.segment_names or ())
-    fields = [TraceField("weight", "<f8"), TraceField("local_energy", "<f8")]
-    if names:
-        fields.append(TraceField("components", "<f8", (len(names),)))
-    meta = dict(cfg.segment_meta or {})
-    meta["components"] = list(names)
-    meta["segment"] = {"crowd": cfg.crowd, "n_crowds": cfg.n_crowds,
-                       "total_walkers": cfg.total_walkers}
-    return TraceWriter(cfg.segment_path, fields, meta=meta, flush_every=1)
-
-
-def _segment_append(writer, trace: SharedTraceBlock, cols: slice,
-                    cfg: _WorkerConfig, step: int) -> None:
-    """Append this generation's strided trace-row slice to the crowd's
-    segment file, component columns permuted from Hamiltonian order to
-    the sorted order the merged canonical trace declares."""
-    row = step - 1 - cfg.trace_base
-    values = {"weight": np.array(trace.weight[row, cols]),
-              "local_energy": np.array(trace.local_energy[row, cols])}
-    names = tuple(cfg.segment_names or ())
-    if names:
-        perm = [cfg.component_names.index(nm) for nm in names]
-        values["components"] = np.ascontiguousarray(
-            trace.components[row, cols][:, perm])
-    writer.append_row(step, values)
 
 
 def _worker_main(cfg: _WorkerConfig) -> None:
@@ -231,7 +185,6 @@ def _worker_main(cfg: _WorkerConfig) -> None:
     comm = cfg.comm
     state = None
     trace = None
-    segment = None
     slab = None
     failed = False
     armed = False
@@ -259,8 +212,6 @@ def _worker_main(cfg: _WorkerConfig) -> None:
             cfg.start_generation)
         spline = slab.as_spline() if slab is not None else None
         cols = slice(cfg.crowd, None, cfg.n_crowds)
-        if cfg.segment_path is not None:
-            segment = _segment_open(cfg)
         comm.allgather(("ready", cfg.crowd, os.getpid()))
         with METRICS.scope("Crowd"):
             while True:
@@ -274,10 +225,6 @@ def _worker_main(cfg: _WorkerConfig) -> None:
                 el, weights = crowd.run_generation(step, e_trial)
                 _record_row(trace, step - 1 - cfg.trace_base, cols, crowd,
                             el, weights, spline)
-                if segment is not None:
-                    # Durable before the done token: the parent may
-                    # checkpoint right after this generation.
-                    _segment_append(segment, trace, cols, cfg, step)
                 if cfg.race_generation == step and step >= 2:
                     # Injected fault, a deliberate race: scribble on a
                     # frozen history row outside its generation's commit —
@@ -301,7 +248,7 @@ def _worker_main(cfg: _WorkerConfig) -> None:
     finally:
         if armed:
             RngStreamSanitizer.disarm()
-        for obj in (segment, slab, trace, state):
+        for obj in (slab, trace, state):
             if obj is not None:
                 try:
                     obj.close()
@@ -384,14 +331,11 @@ class ParallelCrowdDriver(GenerationLoop):
         self._race: Optional[ShmRaceSanitizer] = None
         #: generation-start copy of the shared block (crash recovery)
         self._snapshot: Optional[Dict[str, np.ndarray]] = None
-        #: per-crowd segment trace paths of the latest run (or None)
-        self.segment_paths: Optional[List[str]] = None
         self._comm_allreduces = 0
 
     # -- the run (one generation loop for serial and process paths) -------------
     def run(self, steps: int = 10, mode: str = "vmc", streams=None,
-            resume=None, segment_dir: Optional[str] = None,
-            abort_after: Optional[int] = None) -> QMCResult:
+            resume=None, abort_after: Optional[int] = None) -> QMCResult:
         """Run ``steps`` generations; one fresh worker pool per call.
 
         ``streams`` (a :class:`repro.output.stream.StreamSet`) streams
@@ -404,10 +348,8 @@ class ParallelCrowdDriver(GenerationLoop):
         respawns at ``start_generation = step + 1`` — the same
         fast-forward path that makes within-run crash recovery bitwise,
         so the continued trace and error bars equal an uninterrupted
-        run's.  ``segment_dir`` turns on per-crowd segment trace files
-        (``crowd{c}of{K}.trace``) that merge into the canonical trace
-        via :func:`repro.output.stream.merge_crowd_segments`; it needs
-        ``workers >= 1`` (ValueError otherwise).
+        run's; a checkpoint of another run (mode, population, seed,
+        time step, drift or model) is refused with a ValueError.
         ``abort_after`` is the restart battery's kill hook: the parent
         ``os._exit(17)`` s right after that generation's checkpoint, like
         a SIGKILL landing between generations (shared segments are left
@@ -417,13 +359,8 @@ class ParallelCrowdDriver(GenerationLoop):
             raise ValueError(f"unknown mode {mode!r}")
         if steps < 1:
             raise ValueError(f"need at least one step, got {steps}")
-        if segment_dir is not None and self.workers == 0:
-            raise ValueError("segment_dir needs workers >= 1: the serial "
-                             "path writes no per-crowd segments")
-        start_gen = self._resume_step(resume, "parallel", mode=mode,
-                                      nwalkers=self.nw,
-                                      seed=self.master_seed)
         self._mode = mode
+        start_gen = self._resume_step(resume, "parallel")
         self._steps = int(steps)
         self._trace_base = start_gen
         self._abort_after = abort_after
@@ -433,18 +370,6 @@ class ParallelCrowdDriver(GenerationLoop):
         W, n = self.nw, self.spec.n
         ncomp = len(self._ham_names)
         shared = self.workers > 0
-        self.segment_paths = None
-        self._segment_meta = None
-        self._segment_names = None
-        if segment_dir is not None:
-            os.makedirs(segment_dir, exist_ok=True)
-            K = self.workers
-            self.segment_paths = [
-                os.path.join(segment_dir, f"crowd{c}of{K}.trace")
-                for c in range(K)]
-            self._segment_meta = dict(streams.meta) if streams is not None \
-                else {}
-            self._segment_names = tuple(sorted(self._ham_names))
         if self.spo_slab is not None and self._slab is None:
             from repro.splines.slab import SharedCoefSlab
             if isinstance(self.spo_slab, SharedCoefSlab):
@@ -520,9 +445,9 @@ class ParallelCrowdDriver(GenerationLoop):
     # -- what K crowds over one block add to the shared generation loop ----------
     def _advance(self, step: int, e_trial: Optional[float]) -> Generation:
         """One generation across the pool (or the in-process crowd); the
-        rows come back through the trace block — the same pre-reweight
-        values ``_estimators`` replays at end of run, so online results
-        are bitwise independent of the worker count."""
+        pre-reweight rows come back through the trace block in walker
+        order, so the recorded trace and online results are bitwise
+        independent of the worker count."""
         trace = self._trace
         row = step - 1 - self._trace_base
         if self.workers > 0:
@@ -570,9 +495,13 @@ class ParallelCrowdDriver(GenerationLoop):
         from repro.output.runstate import rng_state
         return {"rng_states": {"branch": rng_state(self._branch_rng)},
                 "scalars": {"accepted_total": float(self._accepted)},
-                "shared_state": self._state.checkpoint(),
-                "meta": {"mode": self._mode, "nwalkers": self.nw,
-                         "seed": self.master_seed, "n": self.spec.n}}
+                "shared_state": self._state.checkpoint()}
+
+    def _run_meta(self) -> dict:
+        return {"mode": self._mode, "nwalkers": self.nw,
+                "seed": self.master_seed, "timestep": self.tau,
+                "use_drift": bool(self.use_drift),
+                "spec": self.spec.checkpoint_key()}
 
     def _end_generation(self, step: int) -> None:
         self._race_state("seal")
@@ -582,8 +511,7 @@ class ParallelCrowdDriver(GenerationLoop):
             # flush/close/unlink runs.  Workers are torn down first only
             # because they inherit every comm pipe fd at fork: orphans
             # would deadlock in recv() holding each other's write ends
-            # open (they carry no durable state — segment files flush
-            # every generation).
+            # open (they carry no durable state).
             self._terminate_pool()
             os._exit(17)
 
@@ -633,10 +561,6 @@ class ParallelCrowdDriver(GenerationLoop):
                 crash_generation=(crash_plan or {}).get(crowd),
                 race_generation=(race_plan or {}).get(crowd),
                 trace_base=self._trace_base,
-                segment_path=(self.segment_paths[crowd]
-                              if self.segment_paths else None),
-                segment_meta=self._segment_meta,
-                segment_names=self._segment_names,
                 slab=(self._slab.descriptor
                       if self._slab is not None else None))
             proc = self._ctx.Process(
@@ -764,21 +688,6 @@ class ParallelCrowdDriver(GenerationLoop):
             checker.verify()
         self._terminate_pool()
         return payloads
-
-    # -- estimators (rebuilt parent-side from the trace block) -------------------
-    def _estimators(self) -> EstimatorManager:
-        """Rebuild the scalar estimator series in (step, walker) order
-        from the trace block — the same order the serial batched driver
-        accumulates in, hence identical across worker counts."""
-        est = EstimatorManager()
-        le = self._trace.local_energy
-        wt = self._trace.weight
-        comps = self._trace.components
-        for s in range(le.shape[0]):
-            est.accumulate_block("LocalEnergy", le[s], wt[s])
-            for i, name in enumerate(self._ham_names):
-                est.accumulate_block(name, comps[s, :, i], wt[s])
-        return est
 
     # -- lifecycle ---------------------------------------------------------------
     def close(self) -> None:

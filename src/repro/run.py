@@ -54,9 +54,6 @@ def _parser() -> argparse.ArgumentParser:
                    help="binary trace file (repro.trace v1)")
     p.add_argument("--flush-every", type=int, default=1, metavar="N",
                    help="trace rows per CRC-sealed chunk (default 1)")
-    p.add_argument("--segment-dir", default=None, metavar="DIR",
-                   help="also write per-crowd segment traces here "
-                        "(workers >= 1 only)")
     p.add_argument("--checkpoint", default=None, metavar="PATH",
                    help="run-checkpoint file (npz)")
     p.add_argument("--checkpoint-every", type=int, default=0, metavar="N",
@@ -69,8 +66,11 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _usage_error(args: argparse.Namespace) -> Optional[str]:
+def _usage_error(args: argparse.Namespace,
+                 unknown: Sequence[str]) -> Optional[str]:
     """The first argument combination the run would reject, or None."""
+    if unknown:
+        return f"unrecognized arguments: {' '.join(unknown)}"
     for flag, value, low in (("--walkers", args.walkers, 1),
                              ("--steps", args.steps, 1),
                              ("--flush-every", args.flush_every, 1),
@@ -82,14 +82,12 @@ def _usage_error(args: argparse.Namespace) -> Optional[str]:
         return "--resume requires --checkpoint"
     if args.checkpoint_every > 0 and not args.checkpoint:
         return "--checkpoint-every requires --checkpoint"
-    if args.segment_dir is not None and args.workers == 0:
-        return "--segment-dir requires --workers >= 1"
     return None
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parser().parse_args(argv)
-    problem = _usage_error(args)
+    args, unknown = _parser().parse_known_args(argv)
+    problem = _usage_error(args, unknown)
     if problem is not None:
         print(f"error: {problem}", file=sys.stderr)
         return 2
@@ -123,9 +121,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         timestep=args.timestep)
     with driver, streams:
         result = driver.run(args.steps, mode=args.mode, streams=streams,
-                            resume=resume, segment_dir=args.segment_dir)
+                            resume=resume)
     print(result.summary())
-    if result.online is not None and result.online.names():
+    if result.online.names():
         print(result.online.report(min_blocks=args.min_blocks))
     if args.trace:
         print(f"trace: {args.trace}")

@@ -1,4 +1,4 @@
-"""Online (streaming) reblocking statistics with an exact-merge API.
+"""Online (streaming) reblocking statistics with an exact state round-trip.
 
 ``OnlineReblocker`` consumes scalar estimator samples one at a time and
 maintains, in O(log n) memory, everything the offline Flyvbjerg-Petersen
@@ -9,9 +9,9 @@ implied by it.
 
 Representation — dyadic pairwise-merge binning
 ----------------------------------------------
-The sample stream is indexed by its absolute position ``i`` (starting at
-``start_index``).  The state is the canonical *dyadic decomposition* of
-the interval consumed so far: an ordered list of "nodes", each covering
+The sample stream is indexed by its absolute position ``i`` (from 0).
+The state is the canonical *dyadic decomposition* of the interval
+consumed so far: an ordered list of "nodes", each covering
 a block ``[start, start + 2**level)`` that is maximal (its sibling has
 not fully arrived yet).  A node at level ``l`` stores
 
@@ -35,17 +35,15 @@ update::
 
 Every floating-point operation is tied to a fixed position in the
 dyadic tree, *not* to the order samples were delivered.  Consequence:
-feeding the stream serially, or splitting it at arbitrary points into
-contiguous chunks, building independent reblockers and merging them,
-produces bit-for-bit identical states.  That is the exact-merge
-contract the crowd/segment pipeline relies on; it is asserted (not
-assumed) by ``tests/stats/test_online.py`` and the hypothesis property
-suite.
+saving the state with :meth:`OnlineReblocker.state_dict` at any point of
+the stream, restoring it with :meth:`OnlineReblocker.from_state` and
+feeding the rest produces a bit-for-bit identical state.  That is the
+contract checkpoint/resume relies on; it is asserted (not assumed) by
+``tests/stats/test_online.py`` and the hypothesis property suite.
 
 Reading statistics folds the node list left-to-right with the general
-unequal-count Chan merge — again a fixed, partition-independent
-operation order, so checkpointed/restored and merged states report
-identical error bars.
+unequal-count Chan merge — again a fixed operation order, so
+checkpointed/restored states report identical error bars.
 """
 
 from __future__ import annotations
@@ -132,22 +130,12 @@ class OnlineEstimate:
 
 
 class OnlineReblocker:
-    """Streaming Flyvbjerg-Petersen reblocker with exact chunk merging.
+    """Streaming Flyvbjerg-Petersen reblocker with an exact state
+    round-trip (:meth:`state_dict` / :meth:`from_state`)."""
 
-    Parameters
-    ----------
-    start_index:
-        Absolute index of the first sample this instance will consume.
-        Chunks built for later portions of a stream must be created with
-        the correct offset so that dyadic alignment (and therefore every
-        combine operation) matches the serial construction.
-    """
-
-    def __init__(self, start_index: int = 0) -> None:
-        if start_index < 0:
-            raise ValueError("start_index must be >= 0")
-        self._start = int(start_index)
-        self._end = int(start_index)
+    def __init__(self) -> None:
+        self._start = 0
+        self._end = 0
         self._nodes: List[_Node] = []
 
     # ------------------------------------------------------------------
@@ -177,38 +165,9 @@ class OnlineReblocker:
             for v, w in zip(values, weights):
                 self.add(v, w)
 
-    def merge(self, other: "OnlineReblocker") -> None:
-        """Absorb a reblocker covering the samples directly after ours.
-
-        ``other`` must have been constructed with
-        ``start_index == self.end_index``.  The merged state is bitwise
-        identical to having streamed all samples through ``self``.
-        """
-        if other._start != self._end:
-            raise ValueError(
-                f"cannot merge non-contiguous chunks: self ends at "
-                f"{self._end}, other starts at {other._start}")
-        nodes = self._nodes
-        for node in other._nodes:
-            nodes.append(node)
-            while (len(nodes) >= 2
-                   and nodes[-1].level == nodes[-2].level
-                   and nodes[-2].start % (1 << (nodes[-2].level + 1)) == 0):
-                right = nodes.pop()
-                nodes[-1] = _combine(nodes[-1], right)
-        self._end = other._end
-
     # ------------------------------------------------------------------
     # Properties / reads
     # ------------------------------------------------------------------
-    @property
-    def start_index(self) -> int:
-        return self._start
-
-    @property
-    def end_index(self) -> int:
-        return self._end
-
     @property
     def count(self) -> int:
         return self._end - self._start
@@ -400,8 +359,8 @@ class OnlineReblocker:
                 f"unsupported OnlineReblocker state version "
                 f"{int(state['version'])} (expected {_STATE_VERSION})")
         span = np.asarray(state["span"], dtype=np.int64)
-        self = cls(start_index=int(span[0]))
-        self._end = int(span[1])
+        self = cls()
+        self._start, self._end = int(span[0]), int(span[1])
         levels = np.asarray(state["levels"], dtype=np.int64)
         starts = np.asarray(state["starts"], dtype=np.int64)
         means = np.asarray(state["means"], dtype=np.float64)
@@ -423,38 +382,45 @@ class OnlineReblocker:
 
 
 class OnlineScalarStats:
-    """A bundle of named :class:`OnlineReblocker` streams.
+    """A bundle of named :class:`OnlineReblocker` streams — the scalar
+    estimators of a run.
 
     Sample order per name is the caller's contract; the drivers feed
-    walker-ordered rows generation by generation, i.e. exactly the order
-    :class:`repro.estimators.scalar.EstimatorManager` accumulates in, so
-    online results are comparable sample-for-sample with the offline
-    recomputation on the trace.
+    walker-ordered rows generation by generation through
+    :class:`repro.output.stream.StreamSet`, i.e. exactly the order the
+    trace stores them in, so online results are comparable
+    sample-for-sample with the offline recomputation on the trace.
+    Weights must be non-negative (``ValueError``; a rejected row adds
+    nothing).
     """
 
     def __init__(self) -> None:
         self._blockers: Dict[str, OnlineReblocker] = {}
 
-    def add(self, name: str, value: float, weight: float = 1.0) -> None:
+    def _blocker(self, name: str) -> OnlineReblocker:
         blocker = self._blockers.get(name)
         if blocker is None:
-            blocker = OnlineReblocker()
-            self._blockers[name] = blocker
-        blocker.add(value, weight)
+            blocker = self._blockers[name] = OnlineReblocker()
+        return blocker
+
+    def add(self, name: str, value: float, weight: float = 1.0) -> None:
+        if weight < 0:
+            raise ValueError("weight must be non-negative")
+        self._blocker(name).add(value, weight)
 
     def add_array(self, name: str, values: Sequence[float],
                   weights: Optional[Sequence[float]] = None) -> None:
         """Feed one walker-ordered row of samples."""
-        blocker = self._blockers.get(name)
-        if blocker is None:
-            blocker = OnlineReblocker()
-            self._blockers[name] = blocker
         if weights is None:
+            blocker = self._blocker(name)
             for v in values:
                 blocker.add(float(v))
-        else:
-            for v, w in zip(values, weights):
-                blocker.add(float(v), float(w))
+            return
+        if np.any(np.asarray(weights) < 0):
+            raise ValueError("weight must be non-negative")
+        blocker = self._blocker(name)
+        for v, w in zip(values, weights):
+            blocker.add(float(v), float(w))
 
     def names(self) -> List[str]:
         return sorted(self._blockers)
@@ -468,16 +434,6 @@ class OnlineScalarStats:
 
     def estimate(self, name: str, min_blocks: int = 8) -> OnlineEstimate:
         return self._blockers[name].estimate(min_blocks)
-
-    def merge(self, other: "OnlineScalarStats") -> None:
-        """Merge per-name continuation chunks (exact; see OnlineReblocker)."""
-        for name in other.names():
-            theirs = other._blockers[name]
-            mine = self._blockers.get(name)
-            if mine is None:
-                self._blockers[name] = theirs
-            else:
-                mine.merge(theirs)
 
     def state_dict(self) -> Dict[str, Dict[str, np.ndarray]]:
         return {name: self._blockers[name].state_dict()

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.batched import BatchedCrowdDriver, JastrowSystemSpec, run_reference
+from repro.output.stream import StreamSet, TraceReader
 from repro.precision.policy import FULL, MIXED
 
 W = 6
@@ -26,7 +27,7 @@ def _tol(precision):
     return 1e4 * float(np.finfo(precision.value_dtype).eps)
 
 
-def _run_pair(flavor, use_drift, precision, n=16, steps=STEPS):
+def _run_pair(flavor, use_drift, precision, n=16, steps=STEPS, streams=None):
     spec = JastrowSystemSpec(n=n, seed=7, aa_flavor=flavor,
                              precision=precision)
     ref = run_reference(spec, W, steps, SEED, timestep=0.5,
@@ -34,7 +35,7 @@ def _run_pair(flavor, use_drift, precision, n=16, steps=STEPS):
     drv = BatchedCrowdDriver(spec, W, SEED, timestep=0.5,
                              use_drift=use_drift, precision=precision)
     drv.move_log = []
-    result = drv.run(steps)
+    result = drv.run(steps, streams=streams)
     return ref, drv, result
 
 
@@ -84,15 +85,21 @@ class TestFullPrecisionIsBitwise:
         ref, drv, result = _run_pair(flavor, use_drift, FULL)
         assert np.array_equal(drv.batch.local_energy, ref.energies[-1])
 
-    def test_estimator_series_match(self):
-        ref, drv, _ = _run_pair("soa", True, FULL)
-        # Row-sum terms are bitwise; Kinetic carries the BLAS G/L ulps.
-        for name in ("LocalEnergy", "ElecElec", "ElecIon"):
-            np.testing.assert_array_equal(
-                drv.estimators.series(name), ref.estimators.series(name))
-        np.testing.assert_allclose(drv.estimators.series("Kinetic"),
-                                   ref.estimators.series("Kinetic"),
-                                   rtol=1e-12, atol=1e-12)
+    def test_estimator_series_match(self, tmp_path):
+        """The batched run's trace holds the per-walker path's samples:
+        (step, walker)-ordered, term by term."""
+        path = str(tmp_path / "run.trace")
+        with StreamSet(trace_path=path) as streams:
+            ref, _, _ = _run_pair("soa", True, FULL, streams=streams)
+        expected = dict(ref.components, LocalEnergy=ref.energies)
+        with TraceReader(path) as trace:
+            # Row-sum terms are bitwise; Kinetic carries the BLAS G/L ulps.
+            for name in ("LocalEnergy", "ElecElec", "ElecIon"):
+                np.testing.assert_array_equal(trace.series(name),
+                                              expected[name].ravel())
+            np.testing.assert_allclose(trace.series("Kinetic"),
+                                       expected["Kinetic"].ravel(),
+                                       rtol=1e-12, atol=1e-12)
 
 
 class TestSanitized:
@@ -125,7 +132,7 @@ class TestBatchedDriverSurface:
         assert res.populations == [4, 4]
         assert 0 < res.acceptance <= 1
         assert res.extra["moves"] == 2 * 4 * 16
-        assert "LocalEnergy" in res.estimators.names()
+        assert "LocalEnergy" in res.online.names()
         assert res.throughput > 0
 
     def test_rng_streams_independent_of_batch(self):

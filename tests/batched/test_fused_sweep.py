@@ -31,6 +31,13 @@ SEED = 42
 W = 6
 
 
+def _assert_same_series(trace_a, trace_b, names):
+    """Every named per-sample series of two traces, bitwise."""
+    with TraceReader(trace_a) as a, TraceReader(trace_b) as b:
+        for name in names:
+            np.testing.assert_array_equal(a.series(name), b.series(name))
+
+
 def _pair(flavor="otf", use_drift=True, n=16, nwalkers=W):
     """(fused driver, loop-oracle driver) on identical specs/seeds."""
     spec = JastrowSystemSpec(n=n, seed=7, aa_flavor=flavor)
@@ -65,15 +72,16 @@ class TestFusedSweepBitwise:
         assert fused.n_accept == loop.n_accept
         assert fused.n_moves == loop.n_moves
 
-    def test_run_traces_bitwise(self, flavor, use_drift):
+    def test_run_traces_bitwise(self, flavor, use_drift, tmp_path):
         fused, loop = _pair(flavor, use_drift)
-        ra = fused.run(3)
-        rb = loop.run(3)
+        traces = [str(tmp_path / "fused.trace"), str(tmp_path / "loop.trace")]
+        with StreamSet(trace_path=traces[0]) as streams:
+            ra = fused.run(3, streams=streams)
+        with StreamSet(trace_path=traces[1]) as streams:
+            rb = loop.run(3, streams=streams)
         assert ra.energies == rb.energies
         assert ra.acceptance == rb.acceptance
-        for name in fused.estimators.names():
-            np.testing.assert_array_equal(fused.estimators.series(name),
-                                          loop.estimators.series(name))
+        _assert_same_series(*traces, ra.online.names())
 
     def test_streamed_run_traces_bitwise(self, flavor, use_drift, tmp_path):
         """Streaming observes, never perturbs: a run that writes the
@@ -89,15 +97,18 @@ class TestFusedSweepBitwise:
         assert ra.energies == rb.energies
         assert ra.acceptance == rb.acceptance
         assert np.array_equal(plain.batch.R, streamed.batch.R)
-        for name in plain.estimators.names():
-            np.testing.assert_array_equal(plain.estimators.series(name),
-                                          streamed.estimators.series(name))
+        # The in-memory run's online statistics saw the samples the
+        # file holds, bit for bit.
+        assert ra.online.names() == rb.online.names()
+        for name, state in ra.online.state_dict().items():
+            other = rb.online.state_dict()[name]
+            for key in state:
+                assert np.array_equal(state[key], other[key]), (name, key)
         with TraceReader(trace) as reader:
             steps, rows = reader.read_all()
         assert steps.tolist() == [1, 2, 3, 4]
         assert [float(np.mean(r["local_energy"])) for r in rows] \
             == rb.energies
-        assert rb.online is not None and ra.online is None
 
 
 class TestFusedSweepSurface:
@@ -178,17 +189,15 @@ class TestFusedCrowdSplit:
     traces (the fused path is the default path both run)."""
 
     @pytest.mark.parametrize("mode", ["vmc", "dmc"])
-    def test_workers_0_vs_2_bitwise(self, mode):
+    def test_workers_0_vs_2_bitwise(self, mode, tmp_path):
         spec = JastrowSystemSpec(n=8, seed=7)
-        traces = {}
+        results, traces = {}, {}
         for workers in (0, 2):
+            traces[workers] = str(tmp_path / f"w{workers}.trace")
             drv = ParallelCrowdDriver(spec, 6, 11, workers=workers,
                                       timestep=0.3)
-            with drv:
-                traces[workers] = drv.run(2, mode=mode)
-        assert traces[0].energies == traces[2].energies
-        assert traces[0].acceptance == traces[2].acceptance
-        for name in traces[0].estimators.names():
-            np.testing.assert_array_equal(
-                traces[0].estimators.series(name),
-                traces[2].estimators.series(name))
+            with drv, StreamSet(trace_path=traces[workers]) as streams:
+                results[workers] = drv.run(2, mode=mode, streams=streams)
+        assert results[0].energies == results[2].energies
+        assert results[0].acceptance == results[2].acceptance
+        _assert_same_series(traces[0], traces[2], results[0].online.names())

@@ -58,6 +58,16 @@ class TestVMCBasics:
         s = res.summary()
         assert "VMC" in s and "samples/s" in s
 
+    def test_online_estimators_without_streams(self, small_sys):
+        """No StreamSet passed: the run records into an in-memory one,
+        so ``result.online`` holds every per-walker sample."""
+        parts = small_sys.build(CodeVersion.CURRENT)
+        drv = VMCDriver(parts.electrons, parts.twf, parts.ham,
+                        np.random.default_rng(5), timestep=0.3)
+        res = drv.run(walkers=4, steps=3)
+        assert res.online.count("LocalEnergy") == 12
+        assert "Kinetic" in res.online.names()
+
 
 class TestZeroVariance:
     def test_planewave_det_energy_constant(self, rng):

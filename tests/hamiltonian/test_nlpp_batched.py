@@ -22,6 +22,7 @@ import pytest
 from repro.batched import (BatchedCrowdDriver, JastrowSystemSpec,
                            WalkerBatch, run_reference)
 from repro.hamiltonian.nlpp import NonLocalPP, QuadratureRotations
+from repro.output.stream import StreamSet, TraceReader
 from repro.precision.policy import FULL, MIXED
 from repro.workloads import get_workload
 from repro.workloads.builder import build_system
@@ -187,7 +188,8 @@ class TestDriverDifferentialWithNlpp:
     """The driver-level gate of docs/batched_walkers.md, with the NLPP
     term wired into both local-energy paths."""
 
-    def _run_pair(self, precision, npoints, nwalkers=4, steps=2):
+    def _run_pair(self, precision, npoints, nwalkers=4, steps=2,
+                  streams=None):
         spec = JastrowSystemSpec(n=16, seed=7, aa_flavor="otf",
                                  precision=precision, with_nlpp=True,
                                  nlpp_npoints=npoints)
@@ -196,7 +198,7 @@ class TestDriverDifferentialWithNlpp:
         drv = BatchedCrowdDriver(spec, nwalkers, SEED, timestep=0.5,
                                  use_drift=True, precision=precision)
         drv.move_log = []
-        drv.run(steps)
+        drv.run(steps, streams=streams)
         return ref, drv
 
     def test_moves_exact_energies_within_policy(self, precision, npoints,
@@ -209,14 +211,17 @@ class TestDriverDifferentialWithNlpp:
         np.testing.assert_allclose(drv.batch.local_energy, ref.energies[-1],
                                    rtol=tol, atol=tol)
 
-    def test_nlpp_component_tracked(self, precision, npoints):
-        ref, drv = self._run_pair(precision, npoints)
+    def test_nlpp_component_tracked(self, precision, npoints, tmp_path):
+        path = str(tmp_path / "run.trace")
+        with StreamSet(trace_path=path) as streams:
+            ref, drv = self._run_pair(precision, npoints, streams=streams)
         assert "NonLocalECP" in drv.ham.names
         nl = drv.ham.last_components["NonLocalECP"]
         assert nl.shape == (4,)
         assert np.all(np.isfinite(nl))
         assert np.any(nl != 0.0)
-        ref_series = ref.estimators.series("NonLocalECP")
-        drv_series = drv.estimators.series("NonLocalECP")
+        ref_series = ref.components["NonLocalECP"].ravel()
+        with TraceReader(path) as trace:
+            drv_series = trace.series("NonLocalECP")
         tol = _tol(precision.value_dtype)
         np.testing.assert_allclose(drv_series, ref_series, rtol=tol, atol=tol)

@@ -30,8 +30,7 @@ from repro.batched.system import JastrowSystemSpec
 from repro.core.system import QmcSystem
 from repro.core.version import CodeVersion
 from repro.output.runstate import load_run_checkpoint
-from repro.output.stream import (StreamSet, TraceCorruptionError, TraceReader,
-                                 merge_crowd_segments)
+from repro.output.stream import StreamSet, TraceCorruptionError, TraceReader
 from repro.parallel.crowds import ParallelCrowdDriver
 
 STEPS = 10
@@ -49,25 +48,30 @@ def _read(path):
 # In-process drivers: kill simulated by abandoning the run mid-stream
 # ----------------------------------------------------------------------
 
-def _scalar_driver(mode):
+def _scalar_driver(mode, timestep=None, use_drift=True, **spec):
+    """The driver of ``mode``; the keywords change the run parameters
+    (``spec`` those of the batched model) from the battery's."""
     if mode.startswith("batched"):
-        spec = JastrowSystemSpec(n=8, seed=7,
-                                 with_nlpp=mode == "batched-nlpp")
-        return BatchedCrowdDriver(spec, 6, 11, timestep=0.3)
+        spec = JastrowSystemSpec(
+            n=8, seed=7, **{"with_nlpp": mode == "batched-nlpp", **spec})
+        return BatchedCrowdDriver(spec, 6, 11, timestep=timestep or 0.3,
+                                  use_drift=use_drift)
     sys_ = QmcSystem.from_workload("Graphite", scale=0.125, seed=6,
                                    with_nlpp=False)
     parts = sys_.build(CodeVersion.CURRENT)
     if mode == "vmc":
         from repro.drivers.vmc import VMCDriver
         return VMCDriver(parts.electrons, parts.twf, parts.ham,
-                         np.random.default_rng(99), timestep=0.3)
+                         np.random.default_rng(99),
+                         timestep=timestep or 0.3, use_drift=use_drift)
     from repro.drivers.dmc import DMCDriver
     return DMCDriver(parts.electrons, parts.twf, parts.ham,
-                     np.random.default_rng(99), timestep=0.02)
+                     np.random.default_rng(99), timestep=timestep or 0.02,
+                     use_drift=use_drift)
 
 
-def _run(mode, steps, streams, resume=None):
-    drv = _scalar_driver(mode)
+def _run(mode, steps, streams, resume=None, drv=None):
+    drv = drv or _scalar_driver(mode)
     if mode.startswith("batched"):  # the population is the driver's own
         return drv.run(steps, streams=streams, resume=resume)
     if resume is not None:
@@ -155,7 +159,7 @@ SEED = 11
 
 
 def _parallel_run(root, workers, mode, steps=STEPS, abort_after=None,
-                  resume=None, segment_dir=None):
+                  resume=None):
     spec = JastrowSystemSpec(n=N_ELECTRONS, seed=7)
     trace = os.path.join(root, "trace.bin")
     ckpt_path = os.path.join(root, "run.ckpt")
@@ -173,7 +177,7 @@ def _parallel_run(root, workers, mode, steps=STEPS, abort_after=None,
                               timestep=0.3)
     with drv, streams:
         res = drv.run(steps, mode=mode, streams=streams, resume=resume,
-                      abort_after=abort_after, segment_dir=segment_dir)
+                      abort_after=abort_after)
     return res, trace, ckpt_path
 
 
@@ -196,6 +200,45 @@ class _ReapShm:
                 os.unlink(path)
             except OSError:
                 pass
+
+
+class TestResumeRefusesAnotherRun:
+    """A checkpoint records the run's time step, drift and model; resuming
+    it as a different run is refused, naming the key."""
+
+    @pytest.mark.parametrize("kind, change, key", [
+        ("parallel", {"timestep": 0.1}, "timestep"),
+        ("parallel", {"use_drift": False}, "use_drift"),
+        ("parallel", {"with_nlpp": True}, "spec"),
+        ("parallel", {"aa_flavor": "soa"}, "spec"),
+        ("batched", {"timestep": 0.1}, "timestep"),
+        ("batched", {"aa_flavor": "soa"}, "spec"),
+        ("vmc", {"timestep": 0.1}, "timestep"),
+        ("vmc", {"use_drift": False}, "use_drift"),
+    ], ids=lambda v: v if isinstance(v, str) else "-".join(v))
+    def test_resume_of_another_run_rejected(self, kind, change, key,
+                                            tmp_path):
+        root = str(tmp_path)
+        ckpt_path = os.path.join(root, "run.ckpt")
+        mismatch = pytest.raises(
+            ValueError, match=f"checkpoint {key} .* do not match")
+        if kind != "parallel":
+            _run(kind, CKPT_EVERY, StreamSet(checkpoint_path=ckpt_path,
+                                             checkpoint_every=CKPT_EVERY))
+            with mismatch:
+                _run(kind, 2, None, resume=load_run_checkpoint(ckpt_path),
+                     drv=_scalar_driver(kind, **change))
+            return
+        with _ReapShm():
+            _parallel_run(root, 0, "vmc", steps=CKPT_EVERY)
+        run = {"timestep": 0.3, "use_drift": True}
+        spec = {k: v for k, v in change.items() if k not in run}
+        run.update((k, v) for k, v in change.items() if k in run)
+        drv = ParallelCrowdDriver(
+            JastrowSystemSpec(n=N_ELECTRONS, seed=7, **spec),
+            WALKERS, SEED, workers=0, **run)
+        with drv, mismatch:
+            drv.run(2, mode="vmc", resume=load_run_checkpoint(ckpt_path))
 
 
 class TestParallelKillRestart:
@@ -237,29 +280,6 @@ class TestParallelKillRestart:
                                       timestep=0.3)
             with drv, pytest.raises(ValueError, match="do not match"):
                 drv.run(2, mode="vmc", resume=ckpt)
-
-    def test_segment_merge_equals_canonical_trace(self, tmp_path):
-        root = str(tmp_path)
-        seg_dir = os.path.join(root, "segments")
-        with _ReapShm():
-            _, trace, _ = _parallel_run(root, 2, "vmc",
-                                        segment_dir=seg_dir)
-        paths = sorted(glob.glob(os.path.join(seg_dir, "*.trace")))
-        assert len(paths) == 2
-        merged = os.path.join(root, "merged.bin")
-        position = merge_crowd_segments(paths, merged,
-                                        flush_every=FLUSH_EVERY)
-        assert position.rows == STEPS
-        assert _read(merged) == _read(trace)
-
-    def test_segment_dir_needs_workers(self, tmp_path):
-        """The serial path has no crowds to segment: refuse, do not skip."""
-        seg_dir = tmp_path / "segments"
-        drv = ParallelCrowdDriver(JastrowSystemSpec(n=N_ELECTRONS, seed=7),
-                                  WALKERS, SEED, workers=0, timestep=0.3)
-        with drv, pytest.raises(ValueError, match="workers >= 1"):
-            drv.run(2, segment_dir=str(seg_dir))
-        assert not seg_dir.exists()
 
     def test_no_shm_leaks_after_battery(self):
         assert not glob.glob("/dev/shm/repro-*")

@@ -4,9 +4,8 @@ Covers the format contract (roundtrip, CRC-per-chunk, schema-versioned
 header, deterministic bytes), the resume path (byte-identical
 continuation; refusal on damage), the corruption taxonomy (byte flip →
 :class:`TraceCorruptionError` naming the chunk, mid-chunk truncation →
-:class:`TraceTruncationError`, deleted segment → typed error), and the
-crowd-segment merge (walker-ordered interleave equals the canonical
-parent trace).
+:class:`TraceTruncationError`, missing file → typed error), and the
+:class:`StreamSet` bundle a driver records through.
 """
 
 import os
@@ -16,8 +15,7 @@ import pytest
 
 from repro.output.stream import (StreamSet, TraceCorruptionError, TraceField,
                                  TracePosition, TraceReader, TraceSchemaError,
-                                 TraceTruncationError, TraceWriter,
-                                 merge_crowd_segments)
+                                 TraceTruncationError, TraceWriter)
 
 FIELDS = [TraceField("weight", "<f8"), TraceField("local_energy", "<f8")]
 
@@ -124,9 +122,8 @@ class TestRoundtrip:
 class TestResume:
     SPEC = [(s, 3, 100 + s) for s in range(1, 11)]
 
-    def _partial(self, path, upto, flush_every=1):
-        writer = TraceWriter(path, FIELDS, meta={"run": "t"},
-                             flush_every=flush_every)
+    def _partial(self, path, upto):
+        writer = TraceWriter(path, FIELDS, meta={"run": "t"})
         for step, nw, seed in self.SPEC[:upto]:
             rng = np.random.default_rng(seed)
             writer.append_row(step, {
@@ -192,21 +189,6 @@ class TestResume:
             TraceWriter.resume(path, position)
         assert err.value.chunk_index == 0
         assert err.value.path == path
-
-    def test_reopen_below_step(self, tmp_path):
-        path = str(tmp_path / "roll.trace")
-        self._partial(path, 8)
-        with TraceWriter.reopen_below_step(path, 6) as writer:
-            assert writer.position.rows == 5
-        with TraceReader(path) as reader:
-            steps, _ = reader.read_all()
-        assert steps.tolist() == [1, 2, 3, 4, 5]
-
-    def test_reopen_below_step_refuses_straddling_chunk(self, tmp_path):
-        path = str(tmp_path / "straddle.trace")
-        self._partial(path, 8, flush_every=4)  # chunks hold steps 1-4, 5-8
-        with pytest.raises(TraceTruncationError, match="straddles"):
-            TraceWriter.reopen_below_step(path, 6)
 
 
 class TestCorruption:
@@ -295,98 +277,6 @@ class TestCorruption:
             TraceReader(path)
 
 
-class TestSegmentMerge:
-    K = 3
-    NW_PER = 2  # walkers per crowd
-    STEPS = 4
-
-    def _canonical(self):
-        """(step, field) → walker-ordered array for K*NW_PER walkers."""
-        rng = np.random.default_rng(42)
-        data = {}
-        for step in range(1, self.STEPS + 1):
-            nw = self.K * self.NW_PER
-            data[step] = {"weight": rng.uniform(0.5, 1.5, size=nw),
-                          "local_energy": rng.normal(size=nw)}
-        return data
-
-    def _write_segments(self, tmp_path, data, steps=None):
-        paths = []
-        for c in range(self.K):
-            path = str(tmp_path / f"crowd{c}of{self.K}.trace")
-            meta = {"run": "t",
-                    "segment": {"crowd": c, "n_crowds": self.K,
-                                "total_walkers": self.K * self.NW_PER}}
-            with TraceWriter(path, FIELDS, meta=meta) as writer:
-                for step in steps or range(1, self.STEPS + 1):
-                    writer.append_row(step, {
-                        name: data[step][name][c::self.K]
-                        for name in ("weight", "local_energy")})
-            paths.append(path)
-        return paths
-
-    def test_merge_restores_walker_order(self, tmp_path):
-        data = self._canonical()
-        paths = self._write_segments(tmp_path, data)
-        out = str(tmp_path / "merged.trace")
-        position = merge_crowd_segments(paths, out)
-        assert position.rows == self.STEPS
-        with TraceReader(out) as reader:
-            assert "segment" not in reader.meta
-            steps, rows = reader.read_all()
-        assert steps.tolist() == list(range(1, self.STEPS + 1))
-        for step, values in zip(steps, rows):
-            for name in ("weight", "local_energy"):
-                assert np.array_equal(values[name], data[int(step)][name])
-
-    def test_merge_byte_equal_to_canonical_writer(self, tmp_path):
-        data = self._canonical()
-        paths = self._write_segments(tmp_path, data)
-        out = str(tmp_path / "merged.trace")
-        merge_crowd_segments(paths, out)
-        canon = str(tmp_path / "canon.trace")
-        with TraceWriter(canon, FIELDS, meta={"run": "t"}) as writer:
-            for step in range(1, self.STEPS + 1):
-                writer.append_row(step, data[step])
-        assert open(out, "rb").read() == open(canon, "rb").read()
-
-    def test_deleted_segment_raises(self, tmp_path):
-        paths = self._write_segments(tmp_path, self._canonical())
-        os.unlink(paths[1])
-        with pytest.raises(TraceTruncationError, match="missing"):
-            merge_crowd_segments(paths, str(tmp_path / "m.trace"))
-
-    def test_short_segment_names_lagging_file(self, tmp_path):
-        data = self._canonical()
-        paths = self._write_segments(tmp_path, data)
-        # Rewrite segment 2 one generation short.
-        short = {s: data[s] for s in range(1, self.STEPS)}
-        path = paths[2]
-        meta = {"run": "t", "segment": {"crowd": 2, "n_crowds": self.K,
-                                        "total_walkers": 6}}
-        with TraceWriter(path, FIELDS, meta=meta) as writer:
-            for step in short:
-                writer.append_row(step, {
-                    name: short[step][name][2::self.K]
-                    for name in ("weight", "local_energy")})
-        with pytest.raises(TraceTruncationError) as err:
-            merge_crowd_segments(paths, str(tmp_path / "m.trace"))
-        assert err.value.path == path
-
-    def test_non_segment_trace_rejected(self, tmp_path):
-        paths = self._write_segments(tmp_path, self._canonical())
-        plain = _write_rows(str(tmp_path / "plain.trace"), [(1, 2, 0)])
-        with pytest.raises(TraceSchemaError, match="segment"):
-            merge_crowd_segments([paths[0], paths[1], plain],
-                                 str(tmp_path / "m.trace"))
-
-    def test_wrong_crowd_set_rejected(self, tmp_path):
-        paths = self._write_segments(tmp_path, self._canonical())
-        with pytest.raises(TraceSchemaError, match="crowds"):
-            merge_crowd_segments([paths[0], paths[1]],
-                                 str(tmp_path / "m.trace"))
-
-
 class TestStreamSet:
     def test_online_only_without_trace(self):
         streams = StreamSet()
@@ -401,16 +291,26 @@ class TestStreamSet:
         path = str(tmp_path / "s.trace")
         streams = StreamSet(trace_path=path, meta={"mode": "vmc"})
         rng = np.random.default_rng(2)
+        rows = []
         with streams:
             for step in range(1, 4):
-                streams.record(step, rng.normal(size=2), np.ones(2),
-                               {"Kinetic": rng.normal(size=2),
-                                "ElecElec": rng.normal(size=2)})
+                rows.append({"LocalEnergy": rng.normal(size=2),
+                             "Kinetic": rng.normal(size=2),
+                             "ElecElec": rng.normal(size=2)})
+                streams.record(step, rows[-1]["LocalEnergy"], np.ones(2),
+                               {"Kinetic": rows[-1]["Kinetic"],
+                                "ElecElec": rows[-1]["ElecElec"]})
         assert streams.component_names == ("ElecElec", "Kinetic")
         with TraceReader(path) as reader:
             assert reader.meta["components"] == ["ElecElec", "Kinetic"]
             assert reader.meta["mode"] == "vmc"
             comp = reader.read_concat("components")
+            # series(name): each estimator's samples in (step, walker)
+            # order, the stream its online reblocker consumed
+            for name in streams.online.names():
+                assert np.array_equal(
+                    reader.series(name),
+                    np.concatenate([row[name] for row in rows]))
         assert comp.shape == (6, 2)
         assert streams.online.count("Kinetic") == 6
 

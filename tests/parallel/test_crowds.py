@@ -2,8 +2,8 @@
 
 The load-bearing claims, from the module's determinism contract:
 
-* energy traces (and the full estimator series) are **bitwise
-  identical** for workers in {0, 1, N}, VMC and DMC alike;
+* energy traces (and every per-sample series of the streamed trace)
+  are **bitwise identical** for workers in {0, 1, N}, VMC and DMC alike;
 * shared-memory segments are gone from ``/dev/shm`` after a normal run
   *and* after an injected worker death;
 * a killed worker is detected and respawned, and the post-crash trace
@@ -19,7 +19,9 @@ are the end-to-end benchmark's (``j96-dmc-w2`` vs ``j96-dmc-serial``).
 """
 
 import glob
+import os
 import pickle
+import tempfile
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ import pytest
 from repro.batched.system import JastrowSystemSpec
 from repro.sanitizers import ShmRaceError
 from repro.metrics.registry import METRICS
+from repro.output.stream import StreamSet, TraceReader
 from repro.parallel.crowds import ParallelCrowdDriver
 from repro.parallel.shm import SharedTraceBlock, SharedWalkerState
 from repro.parallel.shmcomm import SharedMemComm
@@ -49,49 +52,57 @@ def spec():
 
 
 def _run(spec, workers, mode, **kwargs):
+    """(driver, result, series): the run streams its trace to a scratch
+    file, and ``series`` is every named per-sample series read back
+    from it."""
     drv = ParallelCrowdDriver(spec, WALKERS, SEED, workers=workers,
                               timestep=0.3, **kwargs)
-    with drv:
-        res = drv.run(STEPS, mode=mode)
-    return drv, res
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.trace")
+        with drv, StreamSet(trace_path=path) as streams:
+            res = drv.run(STEPS, mode=mode, streams=streams)
+        with TraceReader(path) as trace:
+            series = {name: trace.series(name) for name in res.online.names()}
+    return drv, res, series
 
 
 @pytest.fixture(scope="module")
 def serial_vmc(spec):
-    return _run(spec, 0, "vmc")[1]
+    return _run(spec, 0, "vmc")[1:]
 
 
 @pytest.fixture(scope="module")
 def serial_dmc(spec):
-    return _run(spec, 0, "dmc")[1]
+    return _run(spec, 0, "dmc")[1:]
 
 
-def _assert_same_trace(ref, res, mode):
+def _assert_same_trace(ref, got, mode):
+    (ref, ref_series), (res, series) = ref, got
     assert res.energies == ref.energies  # bitwise: no tolerance
     assert res.populations == ref.populations
     assert res.acceptance == ref.acceptance
     if mode == "dmc":
         assert res.trial_energies == ref.trial_energies
-    for name in ref.estimators.names():
-        np.testing.assert_array_equal(res.estimators.series(name),
-                                      ref.estimators.series(name))
+    assert sorted(series) == sorted(ref_series)
+    for name in ref_series:
+        np.testing.assert_array_equal(series[name], ref_series[name])
 
 
 class TestBitwiseDeterminism:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_vmc_trace_independent_of_worker_count(self, spec, serial_vmc,
                                                    workers):
-        _, res = _run(spec, workers, "vmc")
-        _assert_same_trace(serial_vmc, res, "vmc")
+        _, *run = _run(spec, workers, "vmc")
+        _assert_same_trace(serial_vmc, run, "vmc")
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_dmc_trace_independent_of_worker_count(self, spec, serial_dmc,
                                                    workers):
-        _, res = _run(spec, workers, "dmc")
-        _assert_same_trace(serial_dmc, res, "dmc")
+        _, *run = _run(spec, workers, "dmc")
+        _assert_same_trace(serial_dmc, run, "dmc")
 
     def test_result_metadata(self, spec):
-        drv, res = _run(spec, 2, "vmc")
+        drv, res, _ = _run(spec, 2, "vmc")
         assert res.extra["workers"] == 2.0
         assert res.extra["respawns"] == 0.0
         assert res.extra["comm_allreduces"] > 0
@@ -102,7 +113,7 @@ class TestBitwiseDeterminism:
 class TestShmLifecycle:
     def test_segments_released_after_normal_run(self, spec):
         before = _shm_segments()
-        drv, _ = _run(spec, 2, "vmc")
+        drv, _, _ = _run(spec, 2, "vmc")
         assert _shm_segments() == before
         assert drv._state is None and drv._trace is None
         drv.close()  # idempotent
@@ -146,17 +157,17 @@ class TestCrashRecovery:
     def test_respawned_run_is_bitwise_identical(self, spec, serial_vmc,
                                                 serial_dmc, mode):
         ref = serial_vmc if mode == "vmc" else serial_dmc
-        drv, res = _run(spec, 2, mode, crash_plan={1: 2},
-                        liveness_poll=0.05)
+        drv, *run = _run(spec, 2, mode, crash_plan={1: 2},
+                         liveness_poll=0.05)
         assert drv.respawns == 1
-        assert res.extra["respawns"] == 1.0
-        _assert_same_trace(ref, res, mode)
+        assert run[0].extra["respawns"] == 1.0
+        _assert_same_trace(ref, run, mode)
 
     def test_crash_in_first_generation(self, spec, serial_vmc):
-        drv, res = _run(spec, 3, "vmc", crash_plan={2: 1},
-                        liveness_poll=0.05)
+        drv, *run = _run(spec, 3, "vmc", crash_plan={2: 1},
+                         liveness_poll=0.05)
         assert drv.respawns == 1
-        _assert_same_trace(serial_vmc, res, "vmc")
+        _assert_same_trace(serial_vmc, run, "vmc")
 
     def test_gives_up_after_max_respawns(self, spec):
         # incarnation 0 crashes both workers; max_respawns=0 forbids retry
@@ -252,13 +263,13 @@ class TestRuntimeSanitizers:
 
     def test_armed_vmc_trace_unchanged(self, spec, serial_vmc, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
-        _, res = _run(spec, 2, "vmc")
-        _assert_same_trace(serial_vmc, res, "vmc")
+        _, *run = _run(spec, 2, "vmc")
+        _assert_same_trace(serial_vmc, run, "vmc")
 
     def test_armed_dmc_trace_unchanged(self, spec, serial_dmc, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
-        _, res = _run(spec, 2, "dmc")
-        _assert_same_trace(serial_dmc, res, "dmc")
+        _, *run = _run(spec, 2, "dmc")
+        _assert_same_trace(serial_dmc, run, "dmc")
 
     def test_injected_out_of_epoch_write_is_caught(self, spec, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
@@ -270,10 +281,25 @@ class TestRuntimeSanitizers:
                                                           serial_vmc,
                                                           monkeypatch):
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        # Sanitizer off: the injected write lands and the run completes —
-        # the estimator series rebuilt from the trace is now wrong.  This
-        # proves the armed detection above is not a tautology.
-        _, res = _run(spec, 2, "vmc", race_plan={0: 2})
-        assert not np.array_equal(res.estimators.series("LocalEnergy"),
-                                  serial_vmc.estimators.series("LocalEnergy"))
-        assert res.energies == serial_vmc.energies  # live state untouched
+        kept = {}
+        finalize = ParallelCrowdDriver._finalize
+
+        def keep_trace_block(drv):
+            payloads = finalize(drv)  # every worker is done writing
+            kept["local_energy"] = np.array(drv._trace.local_energy)
+            return payloads
+
+        monkeypatch.setattr(ParallelCrowdDriver, "_finalize",
+                            keep_trace_block)
+        # Sanitizer off: the injected write lands in the shared trace
+        # history and the run completes.  This proves the armed
+        # detection above is not a tautology.
+        _, res, series = _run(spec, 2, "vmc", race_plan={0: 2})
+        ref, ref_series = serial_vmc
+        assert not np.array_equal(kept["local_energy"].ravel(),
+                                  ref_series["LocalEnergy"])
+        # The streamed samples were taken row by row as each generation
+        # ended, before the scribble on an older row.
+        np.testing.assert_array_equal(series["LocalEnergy"],
+                                      ref_series["LocalEnergy"])
+        assert res.energies == ref.energies  # live state untouched

@@ -23,6 +23,7 @@ import pytest
 
 from repro.batched.spo import batched_multi_vgh
 from repro.batched.system import JastrowSystemSpec
+from repro.output.stream import StreamSet, TraceReader
 from repro.parallel.crowds import ParallelCrowdDriver
 from repro.precision.policy import TABLE_MIXED
 from repro.splines.bspline3d import BSpline3D
@@ -167,28 +168,28 @@ class TestCrowdIntegration:
     def spec(self):
         return JastrowSystemSpec(n=self.N, seed=7)
 
-    def _run(self, spec, spline, workers, **kwargs):
+    def _run(self, spec, spline, workers, trace=None, **kwargs):
         drv = ParallelCrowdDriver(spec, self.WALKERS, self.SEED,
                                   workers=workers, timestep=0.3,
                                   spo_slab=spline, **kwargs)
-        with drv:
-            res = drv.run(self.STEPS, mode="vmc")
+        with drv, StreamSet(trace_path=trace) as streams:
+            res = drv.run(self.STEPS, mode="vmc", streams=streams)
         return res
 
     def test_sponorm_component_present(self, spec, spline):
         res = self._run(spec, spline, 0)
-        assert "SpoNorm" in res.estimators.names()
+        assert "SpoNorm" in res.online.names()
 
     @pytest.mark.parametrize("workers", [2])
     def test_trace_bitwise_across_worker_counts(self, spec, spline,
-                                                workers):
-        serial = self._run(spec, spline, 0)
-        multi = self._run(spec, spline, workers)
+                                                workers, tmp_path):
+        paths = [str(tmp_path / "serial.trace"), str(tmp_path / "multi.trace")]
+        serial = self._run(spec, spline, 0, trace=paths[0])
+        multi = self._run(spec, spline, workers, trace=paths[1])
         assert multi.energies == serial.energies
-        for name in serial.estimators.names():
-            np.testing.assert_array_equal(
-                multi.estimators.series(name),
-                serial.estimators.series(name))
+        with TraceReader(paths[0]) as a, TraceReader(paths[1]) as b:
+            for name in serial.online.names():
+                np.testing.assert_array_equal(b.series(name), a.series(name))
 
     def test_no_segments_leak_after_run(self, spec, spline):
         before = _slab_segments()

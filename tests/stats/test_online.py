@@ -6,9 +6,10 @@ The load-bearing claims:
   (:func:`repro.stats.series.blocking_error`) to fp64 round-off — on
   synthetic correlated streams *and* on every tier-1 workload's actual
   VMC energy trace;
-* the exact-merge contract: splitting a stream into contiguous chunks at
-  arbitrary points, building independent reblockers and merging them is
-  **bitwise** identical to serial streaming, for any number of chunks;
+* the checkpoint contract: cutting a stream at arbitrary points, saving
+  the state there with ``state_dict``, restoring it with ``from_state``
+  and adding the rest is **bitwise** identical to serial streaming, for
+  any number of cuts;
 * ``state_dict``/``from_state`` round-trips bit-exactly;
 * block-level variances match a naive recomputation from the raw
   samples.
@@ -128,84 +129,46 @@ class TestOnlineVsOffline:
             float(np.sum(w * x) / np.sum(w)), rel=1e-13)
 
 
-class TestExactMerge:
-    def _serial(self, x):
-        rb = OnlineReblocker()
-        rb.add_many(x)
-        return rb
+def _resumed_at(x, cuts):
+    """A reblocker fed ``x`` with a ``state_dict -> from_state`` round
+    trip at every cut — a run checkpointed and resumed there."""
+    rb = OnlineReblocker()
+    prev = 0
+    for cut in list(cuts) + [len(x)]:
+        rb = OnlineReblocker.from_state(rb.state_dict())
+        rb.add_many(x[prev:cut])
+        prev = cut
+    return rb
 
-    def _states_equal(self, a, b):
-        sa, sb = a.state_dict(), b.state_dict()
-        assert sorted(sa) == sorted(sb)
-        for key in sa:
-            assert np.array_equal(sa[key], sb[key]), key
 
+def _states_equal(a, b):
+    sa, sb = a.state_dict(), b.state_dict()
+    assert sorted(sa) == sorted(sb)
+    for key in sa:
+        assert np.array_equal(sa[key], sb[key]), key
+
+
+class TestResumeAtAnySplit:
     @pytest.mark.parametrize("splits", [(1,), (7,), (64,), (100,),
                                         (3, 77), (32, 64, 96)])
-    def test_merge_bitwise_at_fixed_splits(self, splits):
+    def test_resume_bitwise_at_fixed_splits(self, splits):
         x = _ar1(130, seed=11)
-        serial = self._serial(x)
-        merged = OnlineReblocker()
-        prev = 0
-        for cut in list(splits) + [x.size]:
-            chunk = OnlineReblocker(start_index=prev)
-            chunk.add_many(x[prev:cut])
-            merged.merge(chunk)
-            prev = cut
-        self._states_equal(serial, merged)
-        assert merged.estimate() == serial.estimate()
+        serial = OnlineReblocker()
+        serial.add_many(x)
+        resumed = _resumed_at(x, splits)
+        _states_equal(serial, resumed)
+        assert resumed.estimate() == serial.estimate()
 
-    def test_merge_random_partitions_bitwise(self):
+    def test_resume_random_partitions_bitwise(self):
         x = _ar1(257, seed=12)
-        serial = self._serial(x)
+        serial = OnlineReblocker()
+        serial.add_many(x)
         rng = np.random.default_rng(13)
         for _ in range(20):
             k = int(rng.integers(1, 9))
             cuts = sorted(rng.choice(np.arange(1, x.size), size=k,
                                      replace=False).tolist())
-            merged = OnlineReblocker()
-            prev = 0
-            for cut in cuts + [x.size]:
-                chunk = OnlineReblocker(start_index=prev)
-                chunk.add_many(x[prev:cut])
-                merged.merge(chunk)
-                prev = cut
-            self._states_equal(serial, merged)
-
-    def test_merge_non_contiguous_raises(self):
-        a = OnlineReblocker()
-        a.add_many([1.0, 2.0])
-        b = OnlineReblocker(start_index=5)
-        b.add(3.0)
-        with pytest.raises(ValueError, match="non-contiguous"):
-            a.merge(b)
-
-    def test_merge_is_associative(self):
-        x = _ar1(96, seed=14)
-        chunks = []
-        for lo, hi in ((0, 31), (31, 50), (50, 96)):
-            c = OnlineReblocker(start_index=lo)
-            c.add_many(x[lo:hi])
-            chunks.append(c)
-        # (a+b)+c
-        left = OnlineReblocker()
-        for c in chunks:
-            left.merge(c)
-        # a+(b+c)
-        bc = chunks[1]
-        bc_state = None
-        b2 = OnlineReblocker(start_index=31)
-        b2.add_many(x[31:50])
-        c2 = OnlineReblocker(start_index=50)
-        c2.add_many(x[50:96])
-        b2.merge(c2)
-        right = OnlineReblocker()
-        a2 = OnlineReblocker()
-        a2.add_many(x[0:31])
-        right.merge(a2)
-        right.merge(b2)
-        assert bc_state is None  # silence linters; structure above is the point
-        self._states_equal(left, right)
+            _states_equal(serial, _resumed_at(x, cuts))
 
 
 class TestStateRoundTrip:
@@ -261,19 +224,6 @@ class TestOnlineScalarStats:
         clone = OnlineScalarStats.from_state(stats.state_dict())
         assert clone.names() == stats.names()
         assert clone.estimate("LocalEnergy") == stats.estimate("LocalEnergy")
-
-    def test_merge(self):
-        x = np.random.default_rng(18).normal(size=40)
-        serial = OnlineScalarStats()
-        serial.add_array("E", x)
-        a = OnlineScalarStats()
-        a.add_array("E", x[:25])
-        b = OnlineScalarStats()
-        blocker = OnlineReblocker(start_index=25)
-        blocker.add_many(x[25:])
-        b._blockers["E"] = blocker
-        a.merge(b)
-        assert a.estimate("E") == serial.estimate("E")
 
     def test_report_lists_every_name(self):
         stats = OnlineScalarStats()
@@ -358,21 +308,12 @@ def _stream_and_cuts(draw, max_n=260):
 class TestProperties:
     @given(_stream_and_cuts())
     @settings(max_examples=60, deadline=None)
-    def test_chunked_merge_bitwise_equals_serial(self, case):
+    def test_chunked_resume_bitwise_equals_serial(self, case):
         n, seed, cuts = case
         x = np.random.default_rng(seed).normal(size=n)
         serial = OnlineReblocker()
         serial.add_many(x)
-        merged = OnlineReblocker()
-        prev = 0
-        for cut in cuts + [n]:
-            chunk = OnlineReblocker(start_index=prev)
-            chunk.add_many(x[prev:cut])
-            merged.merge(chunk)
-            prev = cut
-        sa, sb = serial.state_dict(), merged.state_dict()
-        for key in sa:
-            assert np.array_equal(sa[key], sb[key]), key
+        _states_equal(serial, _resumed_at(x, cuts))
 
     @given(st.integers(min_value=16, max_value=300),
            st.integers(min_value=0, max_value=2 ** 31),

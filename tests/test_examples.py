@@ -44,8 +44,7 @@ class TestPackage:
                     "repro.drivers", "repro.precision", "repro.workloads",
                     "repro.miniapps", "repro.parallel", "repro.perfmodel",
                     "repro.metrics", "repro.memory", "repro.stats",
-                    "repro.estimators", "repro.output",
-                    "repro.sanitizers"):
+                    "repro.output", "repro.sanitizers"):
             importlib.import_module(mod)
 
     def test_console_scripts_resolve(self):
