@@ -100,6 +100,41 @@ def test_fused_sweep_over_loop():
                    best, "fused", "loop", floor) >= floor
 
 
+def test_spo_vgl_over_ref():
+    """Per-orbital Ref ``ref_vgh`` + Hessian trace vs the per-walker
+    ``multi_vgl`` GEMM, Laplacian folded into the stencil weights, on
+    the NiO-32 x0.25 fp32 orbital table at eight electron positions.
+    Both contract the same stencil in fp64, so they agree to rounding
+    (docs/spline_memory.md)."""
+    from repro.workloads import get_workload
+    from repro.workloads.builder import build_system
+
+    floor = 20.0
+    parts = build_system(get_workload("NiO-32"), scale=BENCH_SCALE["NiO-32"],
+                         seed=SEED, with_nlpp=False)
+    sp = parts.spo_up.spline
+    points = parts.electrons.R[:8].copy()
+
+    def ref():
+        out = []
+        for r in points:
+            v, g, h = sp.ref_vgh(r)
+            out.append((v, g, np.trace(h, axis1=1, axis2=2)))
+        return out
+
+    def check(warm):
+        for got, want in zip(warm["vgl"], warm["ref"]):
+            for a, b in zip(got, want):
+                np.testing.assert_allclose(
+                    a, b, rtol=1e-12, atol=1e-12 * np.max(np.abs(b)))
+
+    best = best_of({"ref": ref,
+                    "vgl": lambda: [sp.multi_vgl(r) for r in points]},
+                   reps=5, check=check)
+    assert _report(f"SPO vgl: GEMM vs per-orbital Ref (NiO-32 x0.25, "
+                   f"norb {sp.norb})", best, "vgl", "ref", floor) >= floor
+
+
 @pytest.fixture(scope="module")
 def slab():
     """One M=256, grid-16 fp64 orbital table in a shared slab (~14 MB)."""

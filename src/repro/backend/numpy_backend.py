@@ -26,7 +26,10 @@ are thin entries over one SoA body (:meth:`NumpyBackend._min_image`) —
 the pre-seam bits on exactly diagonal cells (every benchmark cell), and
 pair rows equal to the row kernels' rows bitwise on every cell.  The
 five 1D kernels (:meth:`NumpyBackend._poly1d`) are rebuilt too: within
-rounding of the scalar Ref, not bitwise.
+rounding of the scalar Ref, not bitwise.  So is ``spline3d_v``: one
+batched matmul over the per-walker kernel's stencil rows
+(``repro.splines.bspline3d.stencil_rows``), equal to
+``BSpline3D.multi_v`` point by point to rounding.
 
 Keep it boring.  Any "improvement" to an expression here that changes
 its floating-point op sequence is a determinism regression, not a
@@ -42,9 +45,11 @@ import numpy as np
 
 from repro.distances.base import BIG_DISTANCE
 
-# The 3D stencil basis, imported from its canonical home so the
-# numerical constants cannot drift.
-from repro.splines.bspline3d import _A as _A3, _dA as _dA3, _d2A as _d2A3
+# The 3D stencil basis and stencil-row helpers, imported from their
+# canonical home so the numerical constants cannot drift.
+from repro.splines.bspline3d import (
+    V_ROWS, _A as _A3, _dA as _dA3, _d2A as _d2A3, axis_weights,
+    stencil_rows)
 
 
 def _weight_rows3(u: np.ndarray):
@@ -233,13 +238,16 @@ class NumpyBackend:
     def spline3d_v(self, coefs, cell_inverse, dims, r):
         """All-orbital values at W points: ``coefs`` is the padded
         (nx+3, ny+3, nz+3, m) table, ``dims`` = (nx, ny, nz), ``r``
-        (W, 3) Cartesian; returns (W, m) in accumulation precision."""
+        (W, 3) Cartesian; returns (W, m) in accumulation precision.
+        One batched GEMM: each walker's (1, 64) stencil row against its
+        (64, m) block."""
+        nw = r.shape[0]
         i, u = self._locate3(cell_inverse, dims, r)
-        ax, _, _ = _weight_rows3(u[:, 0])
-        by, _, _ = _weight_rows3(u[:, 1])
-        cz, _, _ = _weight_rows3(u[:, 2])
-        blocks = self._gather3(coefs, i)
-        return np.einsum("wi,wj,wk,wijkm->wm", ax, by, cz, blocks)
+        blocks = self._gather3(coefs, i).reshape(nw, 64, -1)
+        # Rows after the gather: built before it, their temporaries
+        # raised the NiO-32 x0.25 run's peak RSS by ~1.8 MiB.
+        rows = stencil_rows(axis_weights(u), V_ROWS)  # (W, 1, 64)
+        return np.matmul(rows, blocks)[:, 0]
 
     def spline3d_vgl(self, coefs, cell_inverse, dims, r):
         """(v (W, m), g (W, m, 3), lap (W, m)) at W Cartesian points."""

@@ -2,17 +2,20 @@
 
 One call evaluates all orbitals at W walkers' active-electron positions:
 the 4x4x4 stencil blocks of all walkers are gathered into a
-``(W, 4, 4, 4, norb)`` slab and contracted with one batched einsum,
-instead of W separate ``multi_v`` calls.  The stencil arithmetic lives
-in the active backend's ``spline3d_v`` / ``spline3d_vgl`` kernels; this
+``(W, 4, 4, 4, norb)`` slab and contracted in one call instead of W
+separate ``multi_v`` calls.  Values are one batched matmul of each
+walker's (1, 64) stencil row against its (64, norb) block, built by the
+same ``stencil_rows`` helper as the per-walker kernels; the vgl/vgh
+kernels contract per derivative channel with einsum.  The stencil
+arithmetic lives in the active backend's ``spline3d_*`` kernels; this
 module owns the spline-object unpacking and the op accounting.
 
-Unlike the distance/Jastrow kernels, the batched contraction is *not*
-bitwise-identical to the per-walker one (einsum picks a different
-contraction order over the 64-point stencil); the differential suite
-bounds the difference at a few ulps of the accumulation precision.  The
-SPO kernels feed determinants, not the Jastrow-level Metropolis loop, so
-this does not perturb the accept/reject sequence.
+The batched vgl/vgh contractions are *not* bitwise-identical to the
+per-walker GEMMs (einsum picks a different contraction order over the
+64-point stencil); the differential suite bounds the difference at a
+few ulps of the accumulation precision.  The SPO kernels feed
+determinants, not the Jastrow-level Metropolis loop, so this does not
+perturb the accept/reject sequence.
 """
 
 from __future__ import annotations

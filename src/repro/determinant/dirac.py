@@ -78,6 +78,15 @@ class DiracDeterminant:
                        rbytes=8.0 * n * n, wbytes=8.0 * n * n * 5)
             return self.log_abs_det
 
+    # -- the inverse the ratios read ---------------------------------------------------
+    def _column(self, i: int) -> np.ndarray:
+        """Column i of the current A^-1, in float64."""
+        return self.psiM_inv[:, i].astype(np.float64, copy=False)
+
+    def _columns(self, cols: np.ndarray) -> np.ndarray:
+        """The A^-1 columns ``cols`` as one (nel, len(cols)) float64 block."""
+        return self.psiM_inv.astype(np.float64, copy=False)[:, cols]
+
     # -- WaveFunctionComponent API ----------------------------------------------------
     def evaluate_log(self, P) -> float:
         """Recompute and accumulate gradient/Laplacian of log|det| into P."""
@@ -109,7 +118,7 @@ class DiracDeterminant:
         i = k - self.first
         with METRICS.scope("DetUpdate"):
             g = self.dpsiM[i].astype(np.float64, copy=False).T @ \
-                self.psiM_inv[:, i].astype(np.float64, copy=False)
+                self._column(i)
             OPS.record("DetUpdate", flops=6.0 * self.nel,
                        rbytes=4.0 * 8 * self.nel, wbytes=24.0)
             return g
@@ -121,9 +130,8 @@ class DiracDeterminant:
         i = k - self.first
         v = self.spo.evaluate_v(P.active_pos)[: self.nel]
         with METRICS.scope("DetUpdate"):
-            rho = active().det_ratio(
-                np.asarray(v, dtype=np.float64),
-                self.psiM_inv[:, i].astype(np.float64, copy=False))
+            rho = active().det_ratio(np.asarray(v, dtype=np.float64),
+                                     self._column(i))
             self._cache[k] = (v, None, None, rho)
             OPS.record("DetUpdate", flops=2.0 * self.nel,
                        rbytes=self.dtype.itemsize * 2.0 * self.nel,
@@ -144,9 +152,8 @@ class DiracDeterminant:
         i = k - self.first
         v = self.spo.evaluate_v(np.asarray(r_new, dtype=np.float64))[: self.nel]
         with METRICS.scope("DetUpdate"):
-            rho = active().det_ratio(
-                np.asarray(v, dtype=np.float64),
-                self.psiM_inv[:, i].astype(np.float64, copy=False))
+            rho = active().det_ratio(np.asarray(v, dtype=np.float64),
+                                     self._column(i))
             OPS.record("DetUpdate", flops=2.0 * self.nel,
                        rbytes=self.dtype.itemsize * 2.0 * self.nel,
                        wbytes=8.0)
@@ -177,8 +184,7 @@ class DiracDeterminant:
                 phi[m] = np.asarray(self.spo.evaluate_v(pos[j])[: self.nel],
                                     dtype=np.float64)
         with METRICS.scope("DetUpdate"):
-            cols = self.psiM_inv.astype(np.float64, copy=False)[
-                :, owners[idx] - self.first]
+            cols = self._columns(owners[idx] - self.first)
             rho[idx] = np.asarray(active().det_ratios_vp(phi, cols))
             OPS.record("DetUpdate", flops=2.0 * self.nel * idx.size,
                        rbytes=self.dtype.itemsize * 2.0 * self.nel * idx.size,
@@ -193,7 +199,7 @@ class DiracDeterminant:
         v, g, l = self.spo.evaluate_vgl(P.active_pos)
         v, g, l = v[: self.nel], g[: self.nel], l[: self.nel]
         with METRICS.scope("DetUpdate"):
-            col = self.psiM_inv[:, i].astype(np.float64, copy=False)
+            col = self._column(i)
             rho = active().det_ratio(np.asarray(v, dtype=np.float64), col)
             grad = (np.asarray(g, dtype=np.float64).T @ col) / rho
             self._cache[k] = (v, g, l, rho)

@@ -15,7 +15,6 @@ import numpy as np
 from repro.determinant.delayed import DelayedUpdateEngine
 from repro.determinant.dirac import DiracDeterminant
 from repro.metrics.registry import METRICS
-from repro.perfmodel.opcount import OPS
 
 
 class DiracDeterminantDelayed(DiracDeterminant):
@@ -52,42 +51,13 @@ class DiracDeterminantDelayed(DiracDeterminant):
         self._engine = None
         super().evaluate_gl(P)
 
-    def grad(self, P, k: int) -> np.ndarray:
-        if not self.owns(k):
-            return np.zeros(3)
-        i = k - self.first
-        eng = self._ensure_engine()
-        with METRICS.scope("DetUpdate"):
-            col = eng.effective_column(i)
-            g = self.dpsiM[i].astype(np.float64, copy=False).T @ col
-            OPS.record("DetUpdate", flops=6.0 * self.nel,
-                       rbytes=32.0 * self.nel, wbytes=24.0)
-            return g
+    def _column(self, i: int) -> np.ndarray:
+        """Column i of the effective inverse, pending rows included: every
+        ratio, the virtual-move ones too, reads through the window."""
+        return self._ensure_engine().effective_column(i)
 
-    def ratio(self, P, k: int) -> float:
-        if not self.owns(k):
-            return 1.0
-        i = k - self.first
-        v = self.spo.evaluate_v(P.active_pos)[: self.nel]
-        eng = self._ensure_engine()
-        with METRICS.scope("DetUpdate"):
-            rho = eng.ratio(i, np.asarray(v, dtype=np.float64))
-            self._cache[k] = (v, None, None, rho)
-            return rho
-
-    def ratio_grad(self, P, k: int):
-        if not self.owns(k):
-            return 1.0, np.zeros(3)
-        i = k - self.first
-        v, g, l = self.spo.evaluate_vgl(P.active_pos)
-        v, g, l = v[: self.nel], g[: self.nel], l[: self.nel]
-        eng = self._ensure_engine()
-        with METRICS.scope("DetUpdate"):
-            col = eng.effective_column(i)
-            rho = float(np.asarray(v, dtype=np.float64) @ col)
-            grad = (np.asarray(g, dtype=np.float64).T @ col) / rho
-            self._cache[k] = (v, g, l, rho)
-            return rho, grad
+    def _columns(self, cols: np.ndarray) -> np.ndarray:
+        return self._ensure_engine().effective_inverse()[:, cols]
 
     def accept_move(self, P, k: int) -> None:
         if not self.owns(k):

@@ -12,8 +12,13 @@ a circular convolution with kernel (1/6, 4/6, 1/6), so coefficients are
 
 Two evaluation paths, matching the paper's kernels:
 
-* ``multi_*`` — all orbitals at once, orbital index contiguous (SoA);
-  one einsum over the 4x4x4 stencil.  This is Bspline-v / Bspline-vgh.
+* ``multi_*`` — all orbitals at once, orbital index contiguous (SoA):
+  the per-axis 1D weights become ``(k, 64)`` stencil rows
+  (:func:`stencil_rows`) and one GEMM against the ``(64, norb)``
+  stencil block updates every orbital from them.  ``multi_v`` is one
+  row (Bspline-v), ``multi_vgh`` ten (Bspline-vgh), and ``multi_vgl``
+  five: value, Cartesian gradient, and the Laplacian folded into the
+  weights (SPO-vgl), so no Hessian is formed.
 * ``single_*`` — per-orbital loop (the reference AoS-ish path, already
   partially vectorized in QMCPACK 3.0.0, hence its modest 1.3-1.7x
   speedups in the paper).
@@ -24,6 +29,8 @@ its bandwidth demand.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -50,6 +57,53 @@ _d2A = np.array([
     [6.0, -18.0, 0.0, 0.0],
     [0.0, 6.0, 0.0, 0.0],
 ]) / 6.0
+
+# (value, d, d2) segment matrices side by side: (1, u, u^2, u^3) @ _W1D
+# gives the three 4-point weight sets of one axis as a (3, 4) block.
+_W1D = np.concatenate([_A.T, _dA.T, _d2A.T], axis=1)
+_POWERS = np.arange(4.0)
+
+
+def axis_weights(u: np.ndarray) -> np.ndarray:
+    """Segment offsets u (..., 3) -> the (value, d, d2) 4-point weights
+    of each axis in grid units, ``w[..., axis, order, point]``."""
+    return (u[..., None] ** _POWERS @ _W1D).reshape(u.shape + (3, 4))
+
+
+def _channel_index(orders) -> np.ndarray:
+    """Gather index of :func:`stencil_rows` for channels given by their
+    per-axis derivative orders (k, 3): (3, k, 64) into the flattened
+    (3, 3, 4) weights, stencil point x slowest."""
+    p = np.arange(64)
+    points = np.stack([p // 16, p // 4 % 4, p % 4])
+    orders = np.asarray(orders).T
+    return (12 * np.arange(3)[:, None, None] + 4 * orders[:, :, None]
+            + points[:, None, :])
+
+
+#: The value channel alone (Bspline-v).
+V_ROWS = _channel_index([(0, 0, 0)])
+#: The ten vgh channels v, d_x, d_y, d_z, d_xx, d_yy, d_zz, d_xy, d_xz,
+#: d_yz (Bspline-vgh, and SPO-vgl before its fold).
+VGH_ROWS = _channel_index([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
+                           (2, 0, 0), (0, 2, 0), (0, 0, 2),
+                           (1, 1, 0), (1, 0, 1), (0, 1, 1)])
+# Channel of the grid-frame second derivative d_a d_b.
+_HESS = np.array([[4, 7, 8], [7, 5, 9], [8, 9, 6]])
+
+
+def stencil_rows(w: np.ndarray, channels: np.ndarray) -> np.ndarray:
+    """Per-axis weights ``w[..., axis, order, point]`` -> the 64-point
+    stencil rows (..., k, 64) of ``channels`` (:data:`V_ROWS` or
+    :data:`VGH_ROWS`): ``wx * wy * wz`` at every point of the 4x4x4
+    stencil, in the order of ``coefs[i:i+4, j:j+4, k:k+4].reshape(64,
+    norb)``.  Leading axes (walkers) pass through, so one body serves
+    the per-walker calls and the batched ones."""
+    flat = w.reshape(w.shape[:-3] + (36,))
+    rows = np.take(flat, channels[0], axis=-1)
+    rows *= np.take(flat, channels[1], axis=-1)
+    rows *= np.take(flat, channels[2], axis=-1)
+    return rows
 
 
 def fit_periodic_coefs_1d(data: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -127,35 +181,53 @@ class BSpline3D:
                        dtype=np.dtype(str(data["dtype"])))
 
     # -- stencil helpers -----------------------------------------------------------
-    def _locate(self, frac: np.ndarray):
-        """Fractional point -> (i, u, h) per dimension with periodic wrap."""
-        frac = frac - np.floor(frac)
+    @functools.cached_property
+    def _grid(self):
+        """(dims as float64, last knot index per dimension)."""
         dims = np.array([self.nx, self.ny, self.nz], dtype=np.float64)
-        t = frac * dims
-        i = np.minimum(t.astype(np.int64), (dims - 1).astype(np.int64))
-        u = t - i
-        return i, u
+        return dims, (dims - 1).astype(np.int64)
 
-    @staticmethod
-    def _weights(u: float):
-        pu = np.array([1.0, u, u * u, u * u * u])
-        return _A @ pu, _dA @ pu, _d2A @ pu
+    def _locate(self, frac: np.ndarray):
+        """Fractional point -> (i, u) per dimension with periodic wrap."""
+        dims, top = self._grid
+        t = (frac - np.floor(frac)) * dims
+        i = np.minimum(t.astype(np.int64), top)
+        return i, t - i
 
-    def _frac(self, r: np.ndarray) -> np.ndarray:
-        return np.asarray(r, dtype=np.float64) @ self.cell_inverse
+    def _stencil(self, r: np.ndarray):
+        """Cartesian r -> (knot i, weights w[axis, order, point])."""
+        i, u = self._locate(np.asarray(r, dtype=np.float64)
+                            @ self.cell_inverse)
+        return i, axis_weights(u)
+
+    def _block(self, i: np.ndarray) -> np.ndarray:
+        """The (64, norb) stencil block at knot i.  The contraction runs
+        in accumulation precision even when the coefficient table is
+        single precision (Sec. 7.2)."""
+        block = self.coefs[i[0]:i[0] + 4, i[1]:i[1] + 4, i[2]:i[2] + 4]
+        return block.astype(np.float64).reshape(64, self.norb)
+
+    @functools.cached_property
+    def _vgl_fold(self) -> np.ndarray:
+        """(5, 10) map from the grid-frame vgh channels to the value, the
+        Cartesian gradient ``inv @ (dims * d)`` and the Laplacian
+        ``sum_ab M_ab d_a d_b`` with ``M = (inv^T inv) * outer(dims,
+        dims)`` — the trace of ``inv H inv^T`` without forming H."""
+        dims, _ = self._grid
+        inv = self.cell_inverse
+        fold = np.zeros((5, 10))
+        fold[0, 0] = 1.0
+        fold[1:4, 1:4] = inv * dims
+        # M is symmetric: each mixed channel collects M_ab + M_ba.
+        np.add.at(fold[4], _HESS, (inv.T @ inv) * np.outer(dims, dims))
+        return fold
 
     # -- SoA (multi-orbital) evaluation -----------------------------------------------
     def multi_v(self, r: np.ndarray) -> np.ndarray:
-        """Values of all orbitals at Cartesian point r — Bspline-v kernel."""
-        i, u = self._locate(self._frac(r))
-        ax, _, _ = self._weights(u[0])
-        by, _, _ = self._weights(u[1])
-        cz, _, _ = self._weights(u[2])
-        block = self.coefs[i[0]:i[0] + 4, i[1]:i[1] + 4, i[2]:i[2] + 4]
-        # Stencil contraction runs in accumulation precision even when
-        # the coefficient table is single precision (Sec. 7.2).
-        v = np.einsum("i,j,k,ijkm->m", ax, by, cz,
-                      block.astype(np.float64, copy=False))
+        """Values of all orbitals at Cartesian point r — Bspline-v kernel:
+        one (64,) @ (64, norb) product."""
+        i, w = self._stencil(r)
+        v = stencil_rows(w, V_ROWS)[0] @ self._block(i)
         OPS.record("Bspline-v", flops=2.0 * 64 * self.norb + 200,
                    rbytes=64.0 * self.norb * self.dtype.itemsize,
                    wbytes=8.0 * self.norb)
@@ -164,39 +236,15 @@ class BSpline3D:
 
     def multi_vgh(self, r: np.ndarray):
         """Values, Cartesian gradients and Hessians of all orbitals at r —
-        the Bspline-vgh kernel.  Returns (v[m], g[m,3], h[m,3,3])."""
-        i, u = self._locate(self._frac(r))
-        wx = self._weights(u[0])
-        wy = self._weights(u[1])
-        wz = self._weights(u[2])
-        nx, ny, nz = self.nx, self.ny, self.nz
-        block = self.coefs[i[0]:i[0] + 4, i[1]:i[1] + 4, i[2]:i[2] + 4]
-        # Stencil contraction in accumulation precision (Sec. 7.2).
-        block = block.astype(np.float64, copy=False)
-        # Contract z, then y, then x, keeping value/derivative channels.
-        # cz: (4, norb) after contracting k for each weight set.
-        def contract(wa, wb, wc):
-            return np.einsum("i,j,k,ijkm->m", wa, wb, wc, block)
-
-        a, da, d2a = wx
-        b, db, d2b = wy
-        c, dc, d2c = wz
-        v = contract(a, b, c)
-        # Gradient in fractional units (per-dimension grid derivative).
-        gu = np.stack([
-            contract(da, b, c) * nx,
-            contract(a, db, c) * ny,
-            contract(a, b, dc) * nz,
-        ])  # (3, m)
-        # Hessian in fractional units.
-        hu = np.empty((3, 3, self.norb))
-        hu[0, 0] = contract(d2a, b, c) * nx * nx
-        hu[1, 1] = contract(a, d2b, c) * ny * ny
-        hu[2, 2] = contract(a, b, d2c) * nz * nz
-        hu[0, 1] = hu[1, 0] = contract(da, db, c) * nx * ny
-        hu[0, 2] = hu[2, 0] = contract(da, b, dc) * nx * nz
-        hu[1, 2] = hu[2, 1] = contract(a, db, dc) * ny * nz
-        # Chain rule to Cartesian: grad_r = inv @ grad_u, H_r = inv H_u inv^T.
+        the Bspline-vgh kernel: one (10, 64) @ (64, norb) product.
+        Returns (v[m], g[m,3], h[m,3,3])."""
+        i, w = self._stencil(r)
+        out = stencil_rows(w, VGH_ROWS) @ self._block(i)
+        # Grid scalings, then the chain rule to Cartesian:
+        # grad_r = inv @ grad_u, H_r = inv H_u inv^T.
+        dims, _ = self._grid
+        gu = out[1:4] * dims[:, None]
+        hu = out[_HESS] * np.outer(dims, dims)[:, :, None]
         inv = self.cell_inverse
         g = (inv @ gu).T  # (m, 3)
         h = np.einsum("ia,abm,jb->mij", inv, hu, inv)
@@ -204,22 +252,26 @@ class BSpline3D:
                    rbytes=64.0 * self.norb * self.dtype.itemsize,
                    wbytes=8.0 * self.norb * 13)
         METRICS.add_bytes(64 * self.norb * self.dtype.itemsize)
-        return v, g, h
+        return out[0], g, h
 
     def multi_vgl(self, r: np.ndarray):
-        """Values, gradients and Laplacians (trace of Hessian) — SPO-vgl."""
-        v, g, h = self.multi_vgh(r)
-        lap = np.trace(h, axis1=1, axis2=2)
+        """Values, gradients and Laplacians of all orbitals at r — SPO-vgl:
+        the Laplacian folded into the stencil weights, one (5, 64) @
+        (64, norb) product.  Returns (v[m], g[m,3], lap[m])."""
+        i, w = self._stencil(r)
+        out = (self._vgl_fold @ stencil_rows(w, VGH_ROWS)) @ self._block(i)
+        OPS.record("Bspline-vgh", flops=2.0 * 64 * self.norb * 10 + 500,
+                   rbytes=64.0 * self.norb * self.dtype.itemsize,
+                   wbytes=8.0 * self.norb * 13)
+        METRICS.add_bytes(64 * self.norb * self.dtype.itemsize)
         OPS.record("SPO-vgl", flops=3.0 * self.norb, rbytes=0, wbytes=0)
-        return v, g, lap
+        return out[0], out[1:4].T, out[4]
 
     # -- reference (per-orbital) evaluation ----------------------------------------------
     def single_v(self, r: np.ndarray, m: int) -> float:
         """Value of orbital m only — the per-orbital reference kernel."""
-        i, u = self._locate(self._frac(r))
-        ax, _, _ = self._weights(u[0])
-        by, _, _ = self._weights(u[1])
-        cz, _, _ = self._weights(u[2])
+        i, w = self._stencil(r)
+        ax, by, cz = w[:, 0]
         block = self.coefs[i[0]:i[0] + 4, i[1]:i[1] + 4, i[2]:i[2] + 4, m]
         v = float(np.einsum("i,j,k,ijk->", ax, by, cz,
                             block.astype(np.float64, copy=False)))
@@ -238,10 +290,7 @@ class BSpline3D:
         vs = np.empty(self.norb)
         gs = np.empty((self.norb, 3))
         hs = np.empty((self.norb, 3, 3))
-        i, u = self._locate(self._frac(r))
-        wx = self._weights(u[0])
-        wy = self._weights(u[1])
-        wz = self._weights(u[2])
+        i, (wx, wy, wz) = self._stencil(r)
         nx, ny, nz = self.nx, self.ny, self.nz
         inv = self.cell_inverse
         for m in range(self.norb):

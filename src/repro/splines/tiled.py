@@ -64,27 +64,24 @@ class TiledBSpline3D:
         return sum(t.coefs.nbytes for t in self.tiles)
 
     # -- evaluation ---------------------------------------------------------------
-    def multi_v(self, r: np.ndarray) -> np.ndarray:
+    def _parts(self, kernel: str, r: np.ndarray) -> list:
+        """Each tile's ``kernel`` result at r, in tile order."""
+        def call(t):
+            return getattr(t, kernel)(r)
         if self._pool is not None:
-            parts = list(self._pool.map(lambda t: t.multi_v(r), self.tiles))
-        else:
-            parts = [t.multi_v(r) for t in self.tiles]
-        return np.concatenate(parts)
+            return list(self._pool.map(call, self.tiles))
+        return [call(t) for t in self.tiles]
+
+    def multi_v(self, r: np.ndarray) -> np.ndarray:
+        return np.concatenate(self._parts("multi_v", r))
 
     def multi_vgh(self, r: np.ndarray):
-        if self._pool is not None:
-            parts = list(self._pool.map(lambda t: t.multi_vgh(r),
-                                        self.tiles))
-        else:
-            parts = [t.multi_vgh(r) for t in self.tiles]
-        v = np.concatenate([p[0] for p in parts])
-        g = np.concatenate([p[1] for p in parts])
-        h = np.concatenate([p[2] for p in parts])
-        return v, g, h
+        return tuple(np.concatenate(p)
+                     for p in zip(*self._parts("multi_vgh", r)))
 
     def multi_vgl(self, r: np.ndarray):
-        v, g, h = self.multi_vgh(r)
-        return v, g, np.trace(h, axis1=1, axis2=2)
+        return tuple(np.concatenate(p)
+                     for p in zip(*self._parts("multi_vgl", r)))
 
     def close(self) -> None:
         if self._pool is not None:

@@ -14,9 +14,10 @@ from repro.splines.bspline3d import BSpline3D
 class BsplineSPOSet:
     """Orbitals evaluated from a shared, read-only 3D B-spline table.
 
-    ``layout='soa'`` uses the multi-orbital kernels (one einsum over the
-    4x4x4 stencil, orbital index contiguous); ``layout='ref'`` loops over
-    orbitals — QMCPACK 3.0.0's partially-vectorized path.
+    ``layout='soa'`` uses the multi-orbital kernels (one GEMM of stencil
+    weight rows against the 4x4x4 block, orbital index contiguous);
+    ``layout='ref'`` loops over orbitals — QMCPACK 3.0.0's
+    partially-vectorized path.
     """
 
     def __init__(self, spline: BSpline3D, norb: int | None = None,
@@ -38,14 +39,17 @@ class BsplineSPOSet:
             return self.spline.ref_v(r)[: self.norb]
 
     def evaluate_vgl(self, r: np.ndarray):
-        """(values, gradients, laplacians) at r — Bspline-vgh + SPO-vgl."""
-        with METRICS.scope("Bspline-vgh"):
-            if self.layout == "soa":
-                v, g, h = self.spline.multi_vgh(r)
-            else:
+        """(values, gradients, laplacians) at r — Bspline-vgh + SPO-vgl.
+        The SoA kernel folds the Laplacian into its stencil weights; the
+        Ref loop forms every Hessian and takes its trace."""
+        if self.layout == "soa":
+            with METRICS.scope("Bspline-vgh"):
+                v, g, lap = self.spline.multi_vgl(r)
+        else:
+            with METRICS.scope("Bspline-vgh"):
                 v, g, h = self.spline.ref_vgh(r)
-        with METRICS.scope("SPO-vgl"):
-            lap = np.trace(h, axis1=1, axis2=2)
+            with METRICS.scope("SPO-vgl"):
+                lap = np.trace(h, axis1=1, axis2=2)
         return v[: self.norb], g[: self.norb], lap[: self.norb]
 
     @property

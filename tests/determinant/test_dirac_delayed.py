@@ -132,3 +132,46 @@ class TestDelayedDeterminant:
         P.update_tables()
         assert parts.twf.evaluate_log(P) == pytest.approx(logpsi,
                                                           rel=1e-7)
+
+
+class TestVirtualMovesReadTheWindow:
+    """``ratio_at``/``ratios_vp`` with accepted rows still pending in the
+    Woodbury window must read the effective inverse, not the stale
+    stored one (NiO-32 x0.25, delay=4, two accepted moves)."""
+
+    @pytest.fixture(scope="class")
+    def pending(self):
+        from repro.workloads.builder import build_system
+        from repro.workloads.catalog import NIO32
+        parts = build_system(NIO32, scale=0.25, seed=21, delay=4)
+        P, twf = parts.electrons, parts.twf
+        P.update_tables()
+        twf.evaluate_log(P)
+        det = twf.components[2]
+        rng = np.random.default_rng(0)
+        for k in (0, 1):
+            P.set_active(k)
+            P.make_move(k, P.R[k] + rng.normal(0, 0.1, 3))
+            det.ratio_grad(P, k)
+            det.accept_move(P, k)
+            P.accept_move(k)
+        assert det._engine.pending == 2
+        fresh = DiracDeterminant(det.spo, det.first, det.last)
+        fresh.recompute(P)
+        return P, det, fresh
+
+    def test_ratio_at(self, pending):
+        P, det, fresh = pending
+        r5 = P.R[5] + np.array([0.3, -0.2, 0.1])
+        assert det.ratio_at(P, 5, r5) == pytest.approx(
+            fresh.ratio_at(P, 5, r5), rel=1e-10)
+
+    def test_ratios_vp(self, pending):
+        P, det, fresh = pending
+        owners = np.array([5, 5, 0, 1])
+        pos = P.R[owners] + np.array([[0.3, -0.2, 0.1], [0.1, 0.2, 0.0],
+                                      [0.2, 0.0, -0.1], [0.0, 0.1, 0.2]])
+        np.testing.assert_allclose(det.ratios_vp(P, owners, pos),
+                                   fresh.ratios_vp(P, owners, pos),
+                                   rtol=1e-10)
+        assert det._engine.pending == 2  # a read, not a flush

@@ -172,3 +172,75 @@ class TestPersistence:
         path = str(tmp_path / "orb32.npz")
         sp32.save(path)
         assert BSpline3D.load(path).dtype == np.float32
+
+
+@pytest.fixture(scope="module")
+def skewed_fp32():
+    """A non-orthogonal cell and a single-precision table: the chain
+    rule mixes axes, and the fp64 contraction reads fp32 coefficients."""
+    cell = np.array([[4.0, 0.8, 0.0], [0.0, 5.0, 0.5], [0.3, 0.0, 6.0]])
+    ks = np.array([[0, 0, 0], [1, 0, 0], [0, 1, -1], [1, 1, 1], [2, 0, 1]])
+    vals = _plane_wave_table(cell, (14, 16, 18), ks, 0.4 * np.arange(5))
+    return cell, BSpline3D.fit(vals, np.linalg.inv(cell), dtype=np.float32)
+
+
+class TestStencilGemm:
+    """The GEMM kernels: ``multi_vgl`` folds the Laplacian into its
+    stencil weights instead of forming Hessians."""
+
+    POINTS = np.random.default_rng(11).uniform(-3.0, 9.0, (6, 3))
+
+    def test_vgl_is_trace_of_vgh(self, skewed_fp32):
+        _, sp = skewed_fp32
+        for r in self.POINTS:
+            v, g, lap = sp.multi_vgl(r)
+            v2, g2, h = sp.multi_vgh(r)
+            trace = np.trace(h, axis1=1, axis2=2)
+            scale = np.max(np.abs(trace))
+            np.testing.assert_allclose(lap, trace, rtol=1e-12,
+                                       atol=1e-12 * scale)
+            np.testing.assert_allclose(v, v2, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(g, g2, rtol=1e-12, atol=1e-13)
+
+    def test_vgl_laplacian_matches_fd(self, skewed_fp32):
+        _, sp = skewed_fp32
+        eps = 1e-3
+        for r in self.POINTS[:3]:
+            v0, _, lap = sp.multi_vgl(r)
+            fd = sum(sp.multi_v(r + eps * e) - 2 * v0 + sp.multi_v(r - eps * e)
+                     for e in np.eye(3)) / eps ** 2
+            np.testing.assert_allclose(lap, fd, atol=1e-4)
+
+    def test_vgl_gradient_matches_fd(self, skewed_fp32):
+        _, sp = skewed_fp32
+        eps = 1e-5
+        r = self.POINTS[0]
+        _, g, _ = sp.multi_vgl(r)
+        for d, e in enumerate(np.eye(3)):
+            fd = (sp.multi_v(r + eps * e) - sp.multi_v(r - eps * e)) / (2 * eps)
+            np.testing.assert_allclose(g[:, d], fd, atol=1e-6)
+
+    def test_multi_v_matches_ref_v(self, skewed_fp32):
+        _, sp = skewed_fp32
+        for r in self.POINTS:
+            np.testing.assert_allclose(sp.multi_v(r), sp.ref_v(r),
+                                       rtol=1e-12, atol=1e-14)
+
+    def test_vgh_matches_ref_vgh(self, skewed_fp32):
+        _, sp = skewed_fp32
+        r = self.POINTS[1]
+        for got, want in zip(sp.multi_vgh(r), sp.ref_vgh(r)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_batched_values_match_per_point(self, skewed_fp32):
+        """The NLPP slab's batched matmul against per-point ``multi_v``
+        on an fp32 table: the same stencil rows, the same fp64 GEMM."""
+        from repro.backend.numpy_backend import NumpyBackend
+        _, sp = skewed_fp32
+        r = np.random.default_rng(12).uniform(-3.0, 9.0, (40, 3))
+        v = NumpyBackend().spline3d_v(sp.coefs, sp.cell_inverse,
+                                      (sp.nx, sp.ny, sp.nz), r)
+        assert v.dtype == np.float64 and v.shape == (40, sp.norb)
+        for w in range(r.shape[0]):
+            np.testing.assert_allclose(v[w], sp.multi_v(r[w]), rtol=1e-12,
+                                       atol=1e-14)
