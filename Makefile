@@ -30,7 +30,10 @@ loc:
 		"$$(find benchmarks -name '*.py' -not -path 'benchmarks/e2e/*' \
 			| xargs cat | wc -l)"
 
-# Isolated ratio guards (docs/observability.md): each asserts its
+# Isolated ratio guards (docs/observability.md): batched NLPP vs the
+# scalar oracle, fused sweep vs the loop oracle, per-walker SPO vgl GEMM
+# vs the per-orbital Ref, batched SPO vgl/vgh vs a per-point loop, and
+# the shared slab's per-worker private RSS.  Each timed guard asserts its
 # exactness contract, then that the fast path still beats the retained
 # oracle by its floor.  ~10 s; run on a quiet machine.
 bench-check:

@@ -100,20 +100,25 @@ def test_fused_sweep_over_loop():
                    best, "fused", "loop", floor) >= floor
 
 
-def test_spo_vgl_over_ref():
+@pytest.fixture(scope="module")
+def nio32():
+    """The NiO-32 x0.25 system: its fp32 orbital table and electrons."""
+    from repro.workloads import get_workload
+    from repro.workloads.builder import build_system
+
+    return build_system(get_workload("NiO-32"), scale=BENCH_SCALE["NiO-32"],
+                        seed=SEED, with_nlpp=False)
+
+
+def test_spo_vgl_over_ref(nio32):
     """Per-orbital Ref ``ref_vgh`` + Hessian trace vs the per-walker
     ``multi_vgl`` GEMM, Laplacian folded into the stencil weights, on
     the NiO-32 x0.25 fp32 orbital table at eight electron positions.
     Both contract the same stencil in fp64, so they agree to rounding
     (docs/spline_memory.md)."""
-    from repro.workloads import get_workload
-    from repro.workloads.builder import build_system
-
     floor = 20.0
-    parts = build_system(get_workload("NiO-32"), scale=BENCH_SCALE["NiO-32"],
-                         seed=SEED, with_nlpp=False)
-    sp = parts.spo_up.spline
-    points = parts.electrons.R[:8].copy()
+    sp = nio32.spo_up.spline
+    points = nio32.electrons.R[:8].copy()
 
     def ref():
         out = []
@@ -135,6 +140,36 @@ def test_spo_vgl_over_ref():
                    f"norb {sp.norb})", best, "vgl", "ref", floor) >= floor
 
 
+def test_batched_spo_over_points(nio32):
+    """Per-point ``multi_vgl``/``multi_vgh`` loops vs one walker-batched
+    call each, at 32 electron positions of the NiO-32 x0.25 fp32 table.
+    The batched kernels are the per-point GEMMs with a walker axis, so
+    every walker's row must be bitwise the per-point result
+    (docs/spline_memory.md)."""
+    from repro.batched import spo
+
+    floor = 2.0
+    sp = nio32.spo_up.spline
+    points = nio32.electrons.R[:32].copy()
+
+    def check(warm):
+        for w, want in enumerate(warm["points"]):
+            for got, exp in zip(warm["batched"], want):
+                np.testing.assert_array_equal(got[w], exp)
+
+    ratios = {}
+    for kernel in ("vgl", "vgh"):
+        per_point = getattr(sp, f"multi_{kernel}")
+        batched = getattr(spo, f"batched_multi_{kernel}")
+        best = best_of({"points": lambda: [per_point(r) for r in points],
+                        "batched": lambda: batched(sp, points)},
+                       reps=15, check=check)
+        ratios[kernel] = _report(
+            f"SPO {kernel}: batched vs per-point (NiO-32 x0.25, "
+            f"norb {sp.norb}, W=32)", best, "batched", "points", floor)
+    assert min(ratios.values()) >= floor, ratios
+
+
 @pytest.fixture(scope="module")
 def slab():
     """One M=256, grid-16 fp64 orbital table in a shared slab (~14 MB)."""
@@ -146,26 +181,6 @@ def slab():
                            np.linalg.inv(np.eye(3) * 6.0), dtype=np.float64)
     with SharedCoefSlab.promote(source) as shared:
         yield shared
-
-
-def test_tiled_vgh_over_flat(slab):
-    """Flat per-channel 3D vgh vs the tile-blocked kernel (W=32, tile
-    64) on one table: bitwise equal (docs/spline_memory.md)."""
-    from repro.batched.spo import batched_multi_vgh, batched_multi_vgh_flat
-
-    floor = 1.2
-    sp = slab.as_spline()
-    r = np.random.default_rng(SEED + 1).uniform(0, 6.0, (32, 3))
-
-    def check(warm):
-        for flat, tiled in zip(warm["flat"], warm["tiled"]):
-            np.testing.assert_array_equal(tiled, flat)
-
-    best = best_of({"flat": lambda: batched_multi_vgh_flat(sp, r),
-                    "tiled": lambda: batched_multi_vgh(sp, r, tile=64)},
-                   reps=3, check=check)
-    assert _report("vgh: tiled vs flat (M=256, W=32, tile 64)",
-                   best, "tiled", "flat", floor) >= floor
 
 
 def _private_rss_bytes() -> int:

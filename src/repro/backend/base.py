@@ -32,21 +32,19 @@ KERNEL_NAMES = (
     # raw 1D cubic B-spline value / value-grad-lap (the same body, uncut)
     "bspline1d_v",
     "bspline1d_vgl",
-    # batched 3D B-spline SPO value / value-grad-lap (stencil contraction)
+    # batched 3D B-spline SPO value / value-grad-lap / value-grad-hessian
+    # (the per-walker stencil GEMM with a walker axis)
     "spline3d_v",
     "spline3d_vgl",
-    # tile-blocked batched value-grad-hessian (one neighborhood walk for
-    # all ten derivative channels, orbital axis processed in tiles)
-    "spline3d_vgh_tiled",
+    "spline3d_vgh",
     # DiracDeterminant ratio-only Sherman-Morrison row kernels
     "det_ratio",
     "det_ratios_vp",
     # fused Metropolis accept/reject step of BatchedCrowdDriver
     "exp_rows",
     "accept_mask",
-    # fused whole-move / whole-sweep pipeline kernels (the one sanctioned
-    # departure from the pure array-in/array-out contract; see the
-    # NumpyBackend docstrings)
-    "sweep_step",
+    # fused whole-sweep pipeline kernel (the one sanctioned departure
+    # from the pure array-in/array-out contract; see its NumpyBackend
+    # docstring)
     "sweep_run",
 )

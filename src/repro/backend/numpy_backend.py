@@ -9,9 +9,9 @@ through ``repro.backend.use_backend`` — must honor:
 * **Purity** — kernels never mutate their inputs and never touch global
   state; all bookkeeping (OPS/METRICS records, padded-storage writes,
   precision-policy downcasts) stays at the call site.  Sole sanctioned
-  exception: the ``sweep_step``/``sweep_run`` *pipeline kernels*, which
-  take a host-side :class:`repro.batched.sweep.SweepPlan` and commit
-  accepted moves into its batch/tables — see their docstrings.
+  exception: the ``sweep_run`` *pipeline kernel*, which takes a
+  host-side :class:`repro.batched.sweep.SweepPlan` and commits accepted
+  moves into its batch/tables — see its docstring.
 * **Boundary types** — inputs arrive as NumPy arrays; call sites coerce
   results with ``np.asarray`` / ``float``.
 
@@ -26,10 +26,9 @@ are thin entries over one SoA body (:meth:`NumpyBackend._min_image`) —
 the pre-seam bits on exactly diagonal cells (every benchmark cell), and
 pair rows equal to the row kernels' rows bitwise on every cell.  The
 five 1D kernels (:meth:`NumpyBackend._poly1d`) are rebuilt too: within
-rounding of the scalar Ref, not bitwise.  So is ``spline3d_v``: one
-batched matmul over the per-walker kernel's stencil rows
-(``repro.splines.bspline3d.stencil_rows``), equal to
-``BSpline3D.multi_v`` point by point to rounding.
+rounding of the scalar Ref, not bitwise.  So are the three
+``spline3d_*`` kernels: each is the per-walker ``BSpline3D.multi_*``
+GEMM with a walker axis, equal to it point by point bit for bit.
 
 Keep it boring.  Any "improvement" to an expression here that changes
 its floating-point op sequence is a determinism regression, not a
@@ -48,16 +47,8 @@ from repro.distances.base import BIG_DISTANCE
 # The 3D stencil basis and stencil-row helpers, imported from their
 # canonical home so the numerical constants cannot drift.
 from repro.splines.bspline3d import (
-    V_ROWS, _A as _A3, _dA as _dA3, _d2A as _d2A3, axis_weights,
-    stencil_rows)
-
-
-def _weight_rows3(u: np.ndarray):
-    """Batched 3D segment weights: (W,) offsets -> three (W, 4) sets."""
-    pu = np.stack([np.ones_like(u), u, u * u, u * u * u], axis=-1)
-    return (np.matmul(_A3, pu[:, :, None])[:, :, 0],
-            np.matmul(_dA3, pu[:, :, None])[:, :, 0],
-            np.matmul(_d2A3, pu[:, :, None])[:, :, 0])
+    V_ROWS, VGH_ROWS, axis_weights, grid_of, locate, stencil_rows, vgl_fold,
+    vgh_chain_rule)
 
 
 class NumpyBackend:
@@ -214,142 +205,53 @@ class NumpyBackend:
         return tuple(self._poly1d(poly, x0, h, r, 3))
 
     # -- 3D B-spline SPO kernels -----------------------------------------------------
-    def _locate3(self, cell_inverse, dims, r):
-        frac = np.asarray(r, dtype=np.float64) @ cell_inverse
-        frac = frac - np.floor(frac)
-        dimsf = np.array(dims, dtype=np.float64)
-        t = frac * dimsf
-        i = np.minimum(t.astype(np.int64), (dimsf - 1).astype(np.int64))
-        u = t - i
-        return i, u
-
-    def _gather3(self, coefs, i):
-        """Gather the W stencil blocks: (W, 4, 4, 4, norb), accumulation
+    # Each is the per-walker ``BSpline3D.multi_*`` GEMM with a walker
+    # axis: the same locate/weights/fold/chain-rule helpers
+    # (repro.splines.bspline3d), and one (W, k, 64) @ (W, 64, m) matmul
+    # over the gathered stencil blocks — per walker the per-point
+    # (k, 64) @ (64, m) product, so every row equals the one-point call
+    # bit for bit, whatever the batch width.
+    def _stencil3(self, coefs, cell_inverse, dims, r, channels):
+        """Locate the W points and gather their stencil blocks: returns
+        the :func:`grid_of` pair, the (W, k, 64) stencil rows of
+        ``channels`` and the (W, 64, m) blocks, in accumulation
         precision (Sec. 7.2: contraction is double even for fp32
         tables)."""
+        grid = grid_of(dims)
+        i, u = locate(r, cell_inverse, grid)
         o = np.arange(4)
         blocks = coefs[
             i[:, 0, None, None, None] + o[:, None, None],
             i[:, 1, None, None, None] + o[None, :, None],
             i[:, 2, None, None, None] + o[None, None, :],
-        ]
-        return blocks.astype(np.float64, copy=False)
+        ].astype(np.float64, copy=False).reshape(r.shape[0], 64, -1)
+        # Rows after the gather: built before it, their temporaries
+        # raised the NiO-32 x0.25 run's peak RSS by ~1.8 MiB.
+        rows = stencil_rows(axis_weights(u), channels)
+        return grid, rows, blocks
 
     def spline3d_v(self, coefs, cell_inverse, dims, r):
         """All-orbital values at W points: ``coefs`` is the padded
         (nx+3, ny+3, nz+3, m) table, ``dims`` = (nx, ny, nz), ``r``
-        (W, 3) Cartesian; returns (W, m) in accumulation precision.
-        One batched GEMM: each walker's (1, 64) stencil row against its
-        (64, m) block."""
-        nw = r.shape[0]
-        i, u = self._locate3(cell_inverse, dims, r)
-        blocks = self._gather3(coefs, i).reshape(nw, 64, -1)
-        # Rows after the gather: built before it, their temporaries
-        # raised the NiO-32 x0.25 run's peak RSS by ~1.8 MiB.
-        rows = stencil_rows(axis_weights(u), V_ROWS)  # (W, 1, 64)
+        (W, 3) Cartesian; returns (W, m) in accumulation precision."""
+        _, rows, blocks = self._stencil3(coefs, cell_inverse, dims, r,
+                                         V_ROWS)
         return np.matmul(rows, blocks)[:, 0]
 
     def spline3d_vgl(self, coefs, cell_inverse, dims, r):
-        """(v (W, m), g (W, m, 3), lap (W, m)) at W Cartesian points."""
-        nw = r.shape[0]
-        norb = coefs.shape[-1]
-        nx, ny, nz = dims
-        i, u = self._locate3(cell_inverse, dims, r)
-        wx = _weight_rows3(u[:, 0])
-        wy = _weight_rows3(u[:, 1])
-        wz = _weight_rows3(u[:, 2])
-        blocks = self._gather3(coefs, i)
+        """(v (W, m), g (W, m, 3), lap (W, m)) at W Cartesian points:
+        the Laplacian folded into the five stencil rows (SPO-vgl)."""
+        grid, rows, blocks = self._stencil3(coefs, cell_inverse, dims, r,
+                                            VGH_ROWS)
+        out = np.matmul(vgl_fold(cell_inverse, grid[0]) @ rows, blocks)
+        return out[:, 0], np.swapaxes(out[:, 1:4], 1, 2), out[:, 4]
 
-        def contract(wa, wb, wc):
-            return np.einsum("wi,wj,wk,wijkm->wm", wa, wb, wc, blocks)
-
-        a, da, d2a = wx
-        b, db, d2b = wy
-        c, dc, d2c = wz
-        v = contract(a, b, c)
-        # Gradient and Hessian in fractional units, then the chain rule.
-        gu = np.stack([
-            contract(da, b, c) * nx,
-            contract(a, db, c) * ny,
-            contract(a, b, dc) * nz,
-        ], axis=1)  # (W, 3, m)
-        hu = np.empty((nw, 3, 3, norb))
-        hu[:, 0, 0] = contract(d2a, b, c) * nx * nx
-        hu[:, 1, 1] = contract(a, d2b, c) * ny * ny
-        hu[:, 2, 2] = contract(a, b, d2c) * nz * nz
-        hu[:, 0, 1] = hu[:, 1, 0] = contract(da, db, c) * nx * ny
-        hu[:, 0, 2] = hu[:, 2, 0] = contract(da, b, dc) * nx * nz
-        hu[:, 1, 2] = hu[:, 2, 1] = contract(a, db, dc) * ny * nz
-        g = np.einsum("ab,wbm->wma", cell_inverse, gu)
-        lap = np.einsum("ia,wabm,ib->wm", cell_inverse, hu, cell_inverse)
-        return v, g, lap
-
-    def spline3d_vgh_tiled(self, coefs, cell_inverse, dims, r, tile):
-        """Tile-blocked value-grad-Hessian: (v (W, m), g (W, m, 3),
-        h (W, m, 3, 3)) at W Cartesian points, one neighborhood walk
-        per tile of ``tile`` orbitals.
-
-        The ten per-channel contractions of the flat path each stream
-        the gathered (W, 4, 4, 4, m) blocks once; here the ten channel
-        weight tensors are stacked into one (W, 10, 4, 4, 4) operand and
-        a single einsum per tile streams each orbital block exactly
-        once.  Per output element the i, j, k summation order and the
-        (a*b)*c weight products are identical to the flat path's, so the
-        result is bitwise equal to :func:`flat_spline3d_vgh` for every
-        tile size (tests/batched/test_tiled_vgh.py pins this).
-
-        The cheap 3x3 frame rotations run once over the full orbital
-        axis, not per tile: einsum's inner SIMD grouping depends on the
-        width of the last axis, so per-tile rotation would stray by an
-        ulp for odd tile widths.  Accumulating the grid-frame gu/hu at
-        full width hands the chain-rule einsums byte-identical operands
-        to the flat path's.
-        """
-        nw = r.shape[0]
-        norb = coefs.shape[-1]
-        nx, ny, nz = dims
-        tile = norb if tile is None or int(tile) <= 0 \
-            else min(int(tile), norb)
-        i, u = self._locate3(cell_inverse, dims, r)
-        a, da, d2a = _weight_rows3(u[:, 0])
-        b, db, d2b = _weight_rows3(u[:, 1])
-        c, dc, d2c = _weight_rows3(u[:, 2])
-        blocks = self._gather3(coefs, i)
-        # Channel order: v, du_x, du_y, du_z, then the Hessian's upper
-        # triangle xx, yy, zz, xy, xz, yz (fractional units; the grid
-        # scalings land after the contraction, as in spline3d_vgl).
-        wt = np.stack([
-            np.einsum("wi,wj,wk->wijk", a, b, c),
-            np.einsum("wi,wj,wk->wijk", da, b, c),
-            np.einsum("wi,wj,wk->wijk", a, db, c),
-            np.einsum("wi,wj,wk->wijk", a, b, dc),
-            np.einsum("wi,wj,wk->wijk", d2a, b, c),
-            np.einsum("wi,wj,wk->wijk", a, d2b, c),
-            np.einsum("wi,wj,wk->wijk", a, b, d2c),
-            np.einsum("wi,wj,wk->wijk", da, db, c),
-            np.einsum("wi,wj,wk->wijk", da, b, dc),
-            np.einsum("wi,wj,wk->wijk", a, db, dc),
-        ], axis=1)
-        v = np.empty((nw, norb))
-        gu = np.empty((nw, 3, norb))
-        hu = np.empty((nw, 3, 3, norb))
-        for start in range(0, norb, tile):
-            stop = min(start + tile, norb)
-            out = np.einsum("wcijk,wijkm->wcm", wt, blocks[..., start:stop])
-            v[:, start:stop] = out[:, 0]
-            gu[:, 0, start:stop] = out[:, 1] * nx
-            gu[:, 1, start:stop] = out[:, 2] * ny
-            gu[:, 2, start:stop] = out[:, 3] * nz
-            s = slice(start, stop)
-            hu[:, 0, 0, s] = out[:, 4] * nx * nx
-            hu[:, 1, 1, s] = out[:, 5] * ny * ny
-            hu[:, 2, 2, s] = out[:, 6] * nz * nz
-            hu[:, 0, 1, s] = hu[:, 1, 0, s] = out[:, 7] * nx * ny
-            hu[:, 0, 2, s] = hu[:, 2, 0, s] = out[:, 8] * nx * nz
-            hu[:, 1, 2, s] = hu[:, 2, 1, s] = out[:, 9] * ny * nz
-        g = np.einsum("ab,wbm->wma", cell_inverse, gu)
-        h = np.einsum("ia,wabm,jb->wmij", cell_inverse, hu, cell_inverse)
-        return v, g, h
+    def spline3d_vgh(self, coefs, cell_inverse, dims, r):
+        """(v (W, m), g (W, m, 3), h (W, m, 3, 3)) at W Cartesian
+        points: the ten grid-frame channels, then the chain rule."""
+        grid, rows, blocks = self._stencil3(coefs, cell_inverse, dims, r,
+                                            VGH_ROWS)
+        return vgh_chain_rule(np.matmul(rows, blocks), cell_inverse, grid[0])
 
     # -- determinant ratio kernels ---------------------------------------------------
     def det_ratio(self, phi, ainv_col):
@@ -386,11 +288,11 @@ class NumpyBackend:
         return (uniforms < A) & (rho != 0.0)
 
     # -- fused sweep pipeline --------------------------------------------------------
-    # ``sweep_step``/``sweep_run`` are *pipeline kernels* — the one
-    # sanctioned exception to the purity contract above.  They take a
-    # host-side :class:`repro.batched.sweep.SweepPlan` instead of plain
-    # arrays and COMMIT accepted moves into its batch and tables; that
-    # mutation is the pipeline's entire point (one seam crossing replaces
+    # ``sweep_run`` is a *pipeline kernel* — the one sanctioned
+    # exception to the purity contract above.  It takes a host-side
+    # :class:`repro.batched.sweep.SweepPlan` instead of plain arrays and
+    # COMMITS accepted moves into its batch and tables; that mutation is
+    # the pipeline's entire point (one seam crossing per sweep replaces
     # the ~14 per-electron kernel dispatches the driver used to issue).
     # Everything else still holds: no global state, all randoms are
     # drawn host-side into the plan's workspace before the call, and the
@@ -400,64 +302,14 @@ class NumpyBackend:
     # loop body); the import is deferred because that is driver-layer
     # code this module must not pull in at import time.
 
-    def sweep_step(self, plan, k):
-        """One whole Metropolis move of electron ``k`` across the crowd:
-        propose -> table move -> ratio/ratio_grad product -> drift limit
-        -> log T -> accept_mask -> commit.  Consumes ``plan.workspace``'s
-        pre-drawn ``chi_all[:, k]`` / ``uniforms[:, k]``, mutates the
-        plan's batch/tables, and returns the (W,) boolean accept mask.
-        """
-        from repro.batched.sweep import fused_sweep_step
-        return fused_sweep_step(self, plan, k)
-
     def sweep_run(self, plan):
         """One whole particle-by-particle sweep (all ``plan.n``
-        electrons) looping over the :meth:`sweep_step` body.  Returns
+        electrons) looping over ``repro.batched.sweep.fused_sweep_step``,
+        one whole Metropolis move of an electron across the crowd
+        (propose -> table move -> ratio/ratio_grad product -> drift limit
+        -> log T -> accept_mask -> commit).  Returns
         ``(accepts_per_walker, accepted_total)`` — a fresh (W,) int64
         array and a Python int.
         """
         from repro.batched.sweep import fused_sweep_run
         return fused_sweep_run(self, plan)
-
-
-def flat_spline3d_vgh(coefs, cell_inverse, dims, r):
-    """Flat batched value-grad-Hessian: one einsum per derivative channel.
-
-    The direct extension of :meth:`NumpyBackend.spline3d_vgl` to the full
-    Hessian — each of the ten channels streams the gathered blocks once.
-    This is the bitwise oracle the tiled kernel is pinned against and the
-    ``flat`` leg of the ``tiled_over_flat`` ratio guard.
-    """
-    be = _REFERENCE
-    nw = r.shape[0]
-    norb = coefs.shape[-1]
-    nx, ny, nz = dims
-    i, u = be._locate3(cell_inverse, dims, r)
-    a, da, d2a = _weight_rows3(u[:, 0])
-    b, db, d2b = _weight_rows3(u[:, 1])
-    c, dc, d2c = _weight_rows3(u[:, 2])
-    blocks = be._gather3(coefs, i)
-
-    def contract(wa, wb, wc):
-        return np.einsum("wi,wj,wk,wijkm->wm", wa, wb, wc, blocks)
-
-    v = contract(a, b, c)
-    gu = np.stack([
-        contract(da, b, c) * nx,
-        contract(a, db, c) * ny,
-        contract(a, b, dc) * nz,
-    ], axis=1)
-    hu = np.empty((nw, 3, 3, norb))
-    hu[:, 0, 0] = contract(d2a, b, c) * nx * nx
-    hu[:, 1, 1] = contract(a, d2b, c) * ny * ny
-    hu[:, 2, 2] = contract(a, b, d2c) * nz * nz
-    hu[:, 0, 1] = hu[:, 1, 0] = contract(da, db, c) * nx * ny
-    hu[:, 0, 2] = hu[:, 2, 0] = contract(da, b, dc) * nx * nz
-    hu[:, 1, 2] = hu[:, 2, 1] = contract(a, db, dc) * ny * nz
-    g = np.einsum("ab,wbm->wma", cell_inverse, gu)
-    h = np.einsum("ia,wabm,jb->wmij", cell_inverse, hu, cell_inverse)
-    return v, g, h
-
-
-#: stateless helper instance backing :func:`flat_spline3d_vgh`
-_REFERENCE = NumpyBackend()

@@ -19,7 +19,7 @@ from repro.batched.nlpp import BatchedNonLocalPP
 from repro.batched.reference import ReferenceTrace, run_reference
 from repro.batched.sanitize import BatchedSanitizerSuite
 from repro.batched.spo import (batched_multi_v, batched_multi_vgh,
-                               batched_multi_vgh_flat, batched_multi_vgl)
+                               batched_multi_vgl)
 from repro.batched.system import (BatchedHamiltonian, JastrowSystemSpec,
                                   walker_streams)
 from repro.batched.walkerbatch import WalkerBatch
@@ -42,5 +42,4 @@ __all__ = [
     "batched_multi_v",
     "batched_multi_vgl",
     "batched_multi_vgh",
-    "batched_multi_vgh_flat",
 ]

@@ -136,8 +136,8 @@ def _record_row(trace: SharedTraceBlock, row: int, cols: slice,
         trace.components[row, cols, i] = comps[name]
     if spline is not None:
         # Per-walker orbital norm at each walker's first particle,
-        # through the tile-blocked vgh kernel on the shared table.
-        # Every einsum is per-walker independent, so the column is
+        # through the batched vgh kernel on the shared table.  Each
+        # walker's row is its own per-point GEMM, so the column is
         # bitwise identical across crowd decompositions.
         from repro.batched.spo import batched_multi_vgh
         v, _, _ = batched_multi_vgh(spline, crowd.batch.R[:, 0])
@@ -297,8 +297,8 @@ class ParallelCrowdDriver(GenerationLoop):
         #: optional SPO orbital table: a BSpline3D (promoted to one
         #: shared read-only SharedCoefSlab when workers > 0) or an
         #: already-built SharedCoefSlab.  Adds a per-walker "SpoNorm"
-        #: trace component evaluated through the tile-blocked vgh kernel
-        #: — bitwise identical across worker counts like every other
+        #: trace component evaluated through the batched vgh kernel —
+        #: bitwise identical across worker counts like every other
         #: column.
         self.spo_slab = spo_slab
         self._slab: Optional[SharedCoefSlab] = None

@@ -18,7 +18,12 @@ Two evaluation paths, matching the paper's kernels:
   stencil block updates every orbital from them.  ``multi_v`` is one
   row (Bspline-v), ``multi_vgh`` ten (Bspline-vgh), and ``multi_vgl``
   five: value, Cartesian gradient, and the Laplacian folded into the
-  weights (SPO-vgl), so no Hessian is formed.
+  weights (SPO-vgl), so no Hessian is formed.  The steps around the
+  GEMM — :func:`locate`, :func:`axis_weights`, :func:`stencil_rows`,
+  :func:`vgl_fold` and :func:`vgh_chain_rule` — pass leading axes
+  through, so the walker-batched backend kernels (``spline3d_*``) are
+  these GEMMs with a walker axis and equal them point by point, bit for
+  bit.
 * ``single_*`` — per-orbital loop (the reference AoS-ish path, already
   partially vectorized in QMCPACK 3.0.0, hence its modest 1.3-1.7x
   speedups in the paper).
@@ -106,6 +111,52 @@ def stencil_rows(w: np.ndarray, channels: np.ndarray) -> np.ndarray:
     return rows
 
 
+def grid_of(dims) -> tuple:
+    """(nx, ny, nz) -> (dims as float64, last knot index per axis): the
+    grid constants :func:`locate` takes."""
+    dims = np.array(dims, dtype=np.float64)
+    return dims, (dims - 1).astype(np.int64)
+
+
+def locate(r: np.ndarray, cell_inverse: np.ndarray, grid) -> tuple:
+    """Cartesian points r (..., 3) -> knot i (..., 3) and segment
+    offsets u (..., 3) of their stencils, with periodic wrap in the
+    fractional frame.  ``grid`` is :func:`grid_of`'s pair; leading
+    axes pass through."""
+    dims, top = grid
+    frac = np.asarray(r, dtype=np.float64) @ cell_inverse
+    t = (frac - np.floor(frac)) * dims
+    i = np.minimum(t.astype(np.int64), top)
+    return i, t - i
+
+
+def vgl_fold(cell_inverse: np.ndarray, dims: np.ndarray) -> np.ndarray:
+    """(5, 10) map from the grid-frame vgh channels to the value, the
+    Cartesian gradient ``inv @ (dims * d)`` and the Laplacian
+    ``sum_ab M_ab d_a d_b`` with ``M = (inv^T inv) * outer(dims, dims)``
+    — the trace of ``inv H inv^T`` without forming H (SPO-vgl)."""
+    fold = np.zeros((5, 10))
+    fold[0, 0] = 1.0
+    fold[1:4, 1:4] = cell_inverse * dims
+    # M is symmetric: each mixed channel collects M_ab + M_ba.
+    np.add.at(fold[4], _HESS,
+              (cell_inverse.T @ cell_inverse) * np.outer(dims, dims))
+    return fold
+
+
+def vgh_chain_rule(out: np.ndarray, cell_inverse: np.ndarray,
+                   dims: np.ndarray) -> tuple:
+    """Grid-frame vgh channels ``out`` (..., 10, m) -> (v (..., m),
+    g (..., m, 3), h (..., m, 3, 3)): the grid scalings, then the chain
+    rule to Cartesian, grad_r = inv @ grad_u and H_r = inv H_u inv^T.
+    Leading axes (walkers) pass through."""
+    gu = out[..., 1:4, :] * dims[:, None]
+    hu = out[..., _HESS, :] * np.outer(dims, dims)[:, :, None]
+    g = np.swapaxes(np.matmul(cell_inverse, gu), -1, -2)
+    h = np.einsum("ia,...abm,jb->...mij", cell_inverse, hu, cell_inverse)
+    return out[..., 0, :], g, h
+
+
 def fit_periodic_coefs_1d(data: np.ndarray, axis: int = 0) -> np.ndarray:
     """Exact periodic cubic B-spline interpolation coefficients along ``axis``."""
     data = np.asarray(data, dtype=np.float64)
@@ -184,20 +235,11 @@ class BSpline3D:
     @functools.cached_property
     def _grid(self):
         """(dims as float64, last knot index per dimension)."""
-        dims = np.array([self.nx, self.ny, self.nz], dtype=np.float64)
-        return dims, (dims - 1).astype(np.int64)
-
-    def _locate(self, frac: np.ndarray):
-        """Fractional point -> (i, u) per dimension with periodic wrap."""
-        dims, top = self._grid
-        t = (frac - np.floor(frac)) * dims
-        i = np.minimum(t.astype(np.int64), top)
-        return i, t - i
+        return grid_of((self.nx, self.ny, self.nz))
 
     def _stencil(self, r: np.ndarray):
         """Cartesian r -> (knot i, weights w[axis, order, point])."""
-        i, u = self._locate(np.asarray(r, dtype=np.float64)
-                            @ self.cell_inverse)
+        i, u = locate(r, self.cell_inverse, self._grid)
         return i, axis_weights(u)
 
     def _block(self, i: np.ndarray) -> np.ndarray:
@@ -209,18 +251,23 @@ class BSpline3D:
 
     @functools.cached_property
     def _vgl_fold(self) -> np.ndarray:
-        """(5, 10) map from the grid-frame vgh channels to the value, the
-        Cartesian gradient ``inv @ (dims * d)`` and the Laplacian
-        ``sum_ab M_ab d_a d_b`` with ``M = (inv^T inv) * outer(dims,
-        dims)`` — the trace of ``inv H inv^T`` without forming H."""
-        dims, _ = self._grid
-        inv = self.cell_inverse
-        fold = np.zeros((5, 10))
-        fold[0, 0] = 1.0
-        fold[1:4, 1:4] = inv * dims
-        # M is symmetric: each mixed channel collects M_ab + M_ba.
-        np.add.at(fold[4], _HESS, (inv.T @ inv) * np.outer(dims, dims))
-        return fold
+        """This table's :func:`vgl_fold`."""
+        return vgl_fold(self.cell_inverse, self._grid[0])
+
+    def record_ops(self, kernel: str, n: int = 1) -> None:
+        """OPS record of ``n`` per-point ``multi_<kernel>`` calls
+        (``kernel`` is ``"v"``, ``"vgh"`` or ``"vgl"``), so a W-point
+        batched call counts what W per-point calls do."""
+        m = self.norb
+        rbytes = n * 64.0 * m * self.dtype.itemsize
+        if kernel == "v":
+            OPS.record("Bspline-v", flops=n * (2.0 * 64 * m + 200),
+                       rbytes=rbytes, wbytes=n * 8.0 * m)
+            return
+        OPS.record("Bspline-vgh", flops=n * (2.0 * 64 * m * 10 + 500),
+                   rbytes=rbytes, wbytes=n * 8.0 * m * 13)
+        if kernel == "vgl":
+            OPS.record("SPO-vgl", flops=n * 3.0 * m, rbytes=0, wbytes=0)
 
     # -- SoA (multi-orbital) evaluation -----------------------------------------------
     def multi_v(self, r: np.ndarray) -> np.ndarray:
@@ -228,9 +275,7 @@ class BSpline3D:
         one (64,) @ (64, norb) product."""
         i, w = self._stencil(r)
         v = stencil_rows(w, V_ROWS)[0] @ self._block(i)
-        OPS.record("Bspline-v", flops=2.0 * 64 * self.norb + 200,
-                   rbytes=64.0 * self.norb * self.dtype.itemsize,
-                   wbytes=8.0 * self.norb)
+        self.record_ops("v")
         METRICS.add_bytes(64 * self.norb * self.dtype.itemsize)
         return v
 
@@ -239,20 +284,11 @@ class BSpline3D:
         the Bspline-vgh kernel: one (10, 64) @ (64, norb) product.
         Returns (v[m], g[m,3], h[m,3,3])."""
         i, w = self._stencil(r)
-        out = stencil_rows(w, VGH_ROWS) @ self._block(i)
-        # Grid scalings, then the chain rule to Cartesian:
-        # grad_r = inv @ grad_u, H_r = inv H_u inv^T.
-        dims, _ = self._grid
-        gu = out[1:4] * dims[:, None]
-        hu = out[_HESS] * np.outer(dims, dims)[:, :, None]
-        inv = self.cell_inverse
-        g = (inv @ gu).T  # (m, 3)
-        h = np.einsum("ia,abm,jb->mij", inv, hu, inv)
-        OPS.record("Bspline-vgh", flops=2.0 * 64 * self.norb * 10 + 500,
-                   rbytes=64.0 * self.norb * self.dtype.itemsize,
-                   wbytes=8.0 * self.norb * 13)
+        v, g, h = vgh_chain_rule(stencil_rows(w, VGH_ROWS) @ self._block(i),
+                                 self.cell_inverse, self._grid[0])
+        self.record_ops("vgh")
         METRICS.add_bytes(64 * self.norb * self.dtype.itemsize)
-        return out[0], g, h
+        return v, g, h
 
     def multi_vgl(self, r: np.ndarray):
         """Values, gradients and Laplacians of all orbitals at r — SPO-vgl:
@@ -260,11 +296,8 @@ class BSpline3D:
         (64, norb) product.  Returns (v[m], g[m,3], lap[m])."""
         i, w = self._stencil(r)
         out = (self._vgl_fold @ stencil_rows(w, VGH_ROWS)) @ self._block(i)
-        OPS.record("Bspline-vgh", flops=2.0 * 64 * self.norb * 10 + 500,
-                   rbytes=64.0 * self.norb * self.dtype.itemsize,
-                   wbytes=8.0 * self.norb * 13)
+        self.record_ops("vgl")
         METRICS.add_bytes(64 * self.norb * self.dtype.itemsize)
-        OPS.record("SPO-vgl", flops=3.0 * self.norb, rbytes=0, wbytes=0)
         return out[0], out[1:4].T, out[4]
 
     # -- reference (per-orbital) evaluation ----------------------------------------------

@@ -35,7 +35,7 @@ def _functor(rng):
 
 def _sweep_plan(rng, W, n):
     """A filled SweepPlan on a small real driver (for the pipeline
-    kernels).  Imported lazily: the driver layer must not load at
+    kernel).  Imported lazily: the driver layer must not load at
     kernel_cases import time."""
     from repro.batched.driver import BatchedCrowdDriver
     from repro.batched.system import JastrowSystemSpec
@@ -99,20 +99,13 @@ def build_case(name, rng, value_dtype, lattice, W=3, n=6, ns=4):
         r = rng.uniform(-2, 8, (W, 3))
         return ((sp.coefs, sp.cell_inverse, (sp.nx, sp.ny, sp.nz), r),
                 [((W, sp.norb), F64)])
-    if name == "spline3d_vgl":
+    if name in ("spline3d_vgl", "spline3d_vgh"):
         sp = _spline3d(rng, vd)
         r = rng.uniform(-2, 8, (W, 3))
         m = sp.norb
+        last = (W, m) if name == "spline3d_vgl" else (W, m, 3, 3)
         return ((sp.coefs, sp.cell_inverse, (sp.nx, sp.ny, sp.nz), r),
-                [((W, m), F64), ((W, m, 3), F64), ((W, m), F64)])
-    if name == "spline3d_vgh_tiled":
-        sp = _spline3d(rng, vd)
-        r = rng.uniform(-2, 8, (W, 3))
-        m = sp.norb
-        # tile=2 < norb exercises the multi-tile loop, not just the
-        # degenerate single-tile case
-        return ((sp.coefs, sp.cell_inverse, (sp.nx, sp.ny, sp.nz), r, 2),
-                [((W, m), F64), ((W, m, 3), F64), ((W, m, 3, 3), F64)])
+                [((W, m), F64), ((W, m, 3), F64), (last, F64)])
     if name == "det_ratio":
         phi = rng.normal(size=n)
         col = rng.normal(size=n)
@@ -130,16 +123,13 @@ def build_case(name, rng, value_dtype, lattice, W=3, n=6, ns=4):
         log_t = rng.normal(scale=0.2, size=W)
         uniforms = rng.uniform(size=W)
         return (rho, log_t, uniforms), [((W,), BOOL)]
-    if name in ("sweep_step", "sweep_run"):
-        # Pipeline kernels take a host-side SweepPlan, not plain arrays.
-        # value_dtype is deliberately ignored: the plan carries the
-        # driver's own full-precision state, so both dtype legs of the
-        # property suite see identical plans and the non-bool outputs
-        # (the (W,) int64 accept counts) must agree exactly.
-        plan = _sweep_plan(rng, W, n)
-        if name == "sweep_step":
-            return (plan, 0), [((W,), BOOL)]
-        return (plan,), [((W,), None), ((), None)]
+    if name == "sweep_run":
+        # The pipeline kernel takes a host-side SweepPlan, not plain
+        # arrays.  value_dtype is deliberately ignored: the plan carries
+        # the driver's own full-precision state, so both dtype legs of
+        # the property suite see identical plans and the (W,) int64
+        # accept counts must agree exactly.
+        return (_sweep_plan(rng, W, n),), [((W,), None), ((), None)]
     raise KeyError(f"no input factory for kernel {name!r}")
 
 

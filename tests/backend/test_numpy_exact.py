@@ -327,13 +327,14 @@ class TestSplineKernels:
         r = rng.uniform(-2, 8, (5, 3))
         dims = (sp.nx, sp.ny, sp.nz)
         v = B.spline3d_v(sp.coefs, sp.cell_inverse, dims, r)
-        vv, g, lap = B.spline3d_vgl(sp.coefs, sp.cell_inverse, dims, r)
+        vgl = B.spline3d_vgl(sp.coefs, sp.cell_inverse, dims, r)
+        vgh = B.spline3d_vgh(sp.coefs, sp.cell_inverse, dims, r)
         for w in range(r.shape[0]):
-            np.testing.assert_allclose(v[w], sp.multi_v(r[w]), rtol=1e-12)
-            rv, rg, rl = sp.multi_vgl(r[w])
-            np.testing.assert_allclose(vv[w], rv, rtol=1e-12)
-            np.testing.assert_allclose(g[w], rg, rtol=1e-9, atol=1e-11)
-            np.testing.assert_allclose(lap[w], rl, rtol=1e-9, atol=1e-11)
+            np.testing.assert_array_equal(v[w], sp.multi_v(r[w]))
+            for got, want in zip(vgl, sp.multi_vgl(r[w])):
+                np.testing.assert_array_equal(got[w], want)
+            for got, want in zip(vgh, sp.multi_vgh(r[w])):
+                np.testing.assert_array_equal(got[w], want)
 
 
 class TestDetKernels:

@@ -1,6 +1,6 @@
-"""Parity gate for the fused sweep pipeline kernels (sweep_step /
-sweep_run) at the kernel seam: the fused pipeline must be BITWISE the
-retained loop oracle (``repro.batched.reference.loop_sweep``).
+"""Parity gate for the fused sweep pipeline kernel (``sweep_run``) at
+the kernel seam: the fused pipeline must be BITWISE the retained loop
+oracle (``repro.batched.reference.loop_sweep``).
 """
 
 import numpy as np
@@ -9,6 +9,7 @@ import pytest
 from repro.backend import get_backend
 from repro.batched import BatchedCrowdDriver, JastrowSystemSpec
 from repro.batched.reference import use_loop_sweep
+from repro.batched.sweep import fused_sweep_step
 
 SEED = 17
 
@@ -19,7 +20,7 @@ def _driver(n=10, W=4, use_drift=True):
 
 
 class TestNumpySweepExact:
-    """sweep_run/sweep_step vs the loop oracle."""
+    """sweep_run and its per-electron body vs the loop oracle."""
 
     @pytest.mark.parametrize("use_drift", [False, True],
                              ids=["diffusion", "drift"])
@@ -38,14 +39,14 @@ class TestNumpySweepExact:
                               loop.last_sweep_accepts)
 
     def test_sweep_step_is_the_run_body(self):
-        """n sweep_step calls == one sweep_run, state for state."""
+        """n fused_sweep_step calls == one sweep_run, state for state."""
         a = _driver()
         b = _driver()
         backend = get_backend()
         for drv in (a, b):
             drv._plan.workspace.fill(drv.rngs, drv._plan.sqrt_tau)
         accepts, total = backend.sweep_run(a._plan)
-        masks = [np.asarray(backend.sweep_step(b._plan, k))
+        masks = [np.asarray(fused_sweep_step(backend, b._plan, k))
                  for k in range(b.n)]
         assert total == int(sum(m.sum() for m in masks))
         assert np.array_equal(accepts,
@@ -54,5 +55,4 @@ class TestNumpySweepExact:
 
     def test_sweep_kernels_are_registered(self):
         from repro.backend.base import KERNEL_NAMES
-        assert "sweep_step" in KERNEL_NAMES
         assert "sweep_run" in KERNEL_NAMES

@@ -1,6 +1,6 @@
 """Kernel-level differential tests: each batched kernel, sliced at one
 walker, must reproduce the per-walker kernel — bitwise for the Metropolis
-path (distances, Jastrow), to tight tolerance for the SPO contraction."""
+path (distances, Jastrow) and for the SPO contraction."""
 
 import numpy as np
 import pytest
@@ -169,9 +169,10 @@ class TestHamiltonian:
 
 
 class TestBatchedSPO:
-    """The walker-axis B-spline contraction reorders the reduction, so
-    agreement is to a few ulps, not bitwise — the SPO feeds determinant
-    construction, not the Metropolis accept/reject arithmetic."""
+    """The walker-axis B-spline contraction is the per-walker stencil
+    GEMM with a walker axis, so each walker's row is bitwise the
+    per-walker kernel's (tests/batched/test_batched_spo.py covers the
+    fp32, skewed-cell and batch-width cases)."""
 
     @pytest.fixture
     def spline(self):
@@ -186,8 +187,7 @@ class TestBatchedSPO:
         r = rng.uniform(-2, 8, (16, 3))
         batched = batched_multi_v(spline, r)
         for w in range(16):
-            ref = spline.multi_v(r[w])
-            assert np.allclose(batched[w], ref, rtol=1e-12, atol=1e-12)
+            np.testing.assert_array_equal(batched[w], spline.multi_v(r[w]))
 
     def test_multi_vgl_matches_per_walker(self, spline):
         rng = np.random.default_rng(23)
@@ -195,6 +195,6 @@ class TestBatchedSPO:
         v, g, lap = batched_multi_vgl(spline, r)
         for w in range(16):
             v_s, g_s, l_s = spline.multi_vgl(r[w])
-            assert np.allclose(v[w], v_s, rtol=1e-12, atol=1e-12)
-            assert np.allclose(g[w], g_s, rtol=1e-10, atol=1e-10)
-            assert np.allclose(lap[w], l_s, rtol=1e-9, atol=1e-9)
+            np.testing.assert_array_equal(v[w], v_s)
+            np.testing.assert_array_equal(g[w], g_s)
+            np.testing.assert_array_equal(lap[w], l_s)

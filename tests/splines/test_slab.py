@@ -109,8 +109,8 @@ class TestSlabBackedEvaluation:
     def test_values_bitwise_equal_in_process_table(self, spline, points):
         with SharedCoefSlab.promote(spline) as slab:
             sp = slab.as_spline()
-            for a, b in zip(batched_multi_vgh(spline, points, tile=3),
-                            batched_multi_vgh(sp, points, tile=3)):
+            for a, b in zip(batched_multi_vgh(spline, points),
+                            batched_multi_vgh(sp, points)):
                 np.testing.assert_array_equal(a, b)
 
     def test_mixed_policy_halves_the_slab(self, spline):
