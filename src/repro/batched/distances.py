@@ -10,13 +10,12 @@ Bitwise contract: the per-walker tables (`DistanceTableAASoA` /
 and pair kernels at W = 1, so the differential suite can demand exact
 equality of the rows, not just closeness.
 
-Carried state: a table with fp64 storage (``carried``) holds, between
-generations, exactly the bits a from-scratch pair pass over ``R``
-would give, so a DMC generation re-derives nothing it already has.
-``settle`` (measure) restores that state after a sweep by the cheapest
-exact means, ``gather`` (after the DMC comb) copies each slot's table
-from the slot its walker came from.  Other storage keeps the pair
-passes: its sweep rows come from the downcast ``Rsoa``.
+Carried state: storage is float64, as on the whole batched stack, and
+every table holds, between generations, exactly the bits a from-scratch
+pair pass over ``R`` would give, so a DMC generation re-derives nothing
+it already has.  ``settle`` (measure) restores that state after a sweep
+by the cheapest exact means, ``gather`` (after the DMC comb) copies
+each slot's table from the slot its walker came from.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from repro.containers.aligned import aligned_empty, padded_size
 from repro.distances.base import BIG_DISTANCE
 from repro.metrics.registry import METRICS
 from repro.perfmodel.opcount import OPS
-from repro.precision.policy import resolve_value_dtype
 
 
 def _batched_row_from(soa: np.ndarray, n: int, rk: np.ndarray, lattice,
@@ -40,9 +38,8 @@ def _batched_row_from(soa: np.ndarray, n: int, rk: np.ndarray, lattice,
 
     ``soa`` is the (W, 3, Np) position block, ``rk`` a (W, 3) block of
     centers; outputs are (W, Np) and (W, 3, Np) views.  The arithmetic
-    lives in the active backend's ``aa_row`` kernel (accumulation
-    precision); the assignments into the out views perform the policy
-    downcast, exactly like the per-walker kernel.
+    lives in the active backend's ``aa_row`` kernel, the one the
+    per-walker tables call.
     """
     r, dr = active().aa_row(soa[:, :, :n], rk, lattice, self_index)
     out_dr[:, :, :n] = np.asarray(dr)
@@ -53,6 +50,9 @@ class _PairTable:
     """The from-scratch pass and the carried-state protocol the AA and
     AB tables share; a subclass supplies ``_pairs`` (one pair kernel
     call over a (w, nt, 3) position block) and ``settle``."""
+
+    #: storage element type of every batched table
+    dtype = np.dtype(np.float64)
 
     def evaluate(self, batch) -> None:
         """From-scratch recompute of all W tables from the canonical R."""
@@ -71,12 +71,9 @@ class _PairTable:
     def gather(self, batch, src: np.ndarray) -> None:
         """Resync after the DMC comb: slot ``w`` now holds the walker
         that sat in slot ``src[w]`` of this crowd (``-1``: in another
-        crowd).  A carried table copies the source slots' slices — a
-        gather, no arithmetic — and runs one pair pass over the
-        ``-1`` slots only; other storage re-evaluates every slot."""
-        if not self.carried:
-            self.evaluate(batch)
-            return
+        crowd).  The table copies the source slots' slices — a gather,
+        no arithmetic — and runs one pair pass over the ``-1`` slots
+        only."""
         moved = np.flatnonzero((src >= 0) & (src != np.arange(self.nw)))
         if moved.size:
             self.distances[moved] = self.distances[src[moved]]
@@ -100,12 +97,10 @@ class BatchedDistTableAA(_PairTable):
     category = "DistTable-AA"
     forward_update = True
 
-    def __init__(self, nwalkers: int, n: int, lattice, dtype=None):
+    def __init__(self, nwalkers: int, n: int, lattice):
         self.nw = int(nwalkers)
         self.n = int(n)
         self.lattice = lattice
-        self.dtype = resolve_value_dtype(dtype)
-        self.carried = self.dtype == np.float64
         #: strict upper triangle, the part ``settle`` mirrors
         self._upper = np.triu(np.ones((n, n), dtype=bool), 1)
         self.np_ = padded_size(n, self.dtype)
@@ -134,10 +129,10 @@ class BatchedDistTableAA(_PairTable):
         entry (i, j), i > j, is rewritten by whichever of i's row and
         j's column commit came last.  The upper triangle is its mirror —
         distances copied, displacements negated, both exact — when the
-        lattice's minimum image is odd (``CrystalLattice.min_image_odd``)
-        and the table is carried; otherwise one pair pass.
+        lattice's minimum image is odd (``CrystalLattice.min_image_odd``);
+        otherwise one pair pass.
         """
-        if not (self.carried and self.lattice.min_image_odd):
+        if not self.lattice.min_image_odd:
             self.evaluate(batch)
             return
         n = self.n
@@ -246,18 +241,15 @@ class BatchedDistTableAB(_PairTable):
 
     category = "DistTable-AB"
 
-    def __init__(self, source, nwalkers: int, n_target: int, lattice,
-                 dtype=None):
+    def __init__(self, source, nwalkers: int, n_target: int, lattice):
         self.source = source
         self.nw = int(nwalkers)
         self.ns = source.n
         self.nt = int(n_target)
         self.n = self.ns
         self.lattice = lattice
-        self.dtype = resolve_value_dtype(dtype)
-        self.carried = self.dtype == np.float64
         self.nsp = padded_size(self.ns, self.dtype)
-        # Shared fixed sources in accumulation precision (read-only).
+        # Shared fixed sources (read-only).
         src = np.empty((3, self.ns), dtype=np.float64)
         src[...] = source.R.T
         self._src_soa = src
@@ -279,11 +271,9 @@ class BatchedDistTableAB(_PairTable):
         return dist, disp
 
     def settle(self, batch) -> None:
-        """Every accepted move writes its walker's whole row k and ``R``
-        moves only through accepted moves, so a carried table is already
-        what :meth:`evaluate` gives; other storage re-evaluates."""
-        if not self.carried:
-            self.evaluate(batch)
+        """Nothing to do: every accepted move writes its walker's whole
+        row k and ``R`` moves only through accepted moves, so the table
+        is already what :meth:`evaluate` gives."""
 
     def move(self, batch, rnew: np.ndarray, k: int) -> None:
         rk = np.asarray(rnew, dtype=np.float64)

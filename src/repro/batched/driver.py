@@ -38,7 +38,6 @@ from repro.drivers.result import QMCResult
 from repro.hamiltonian.nlpp import QuadratureRotations
 from repro.sanitizers import RngStreamSanitizer, sanitizers_enabled
 from repro.metrics.registry import METRICS
-from repro.precision.policy import FULL, PrecisionPolicy
 
 
 #: per-walker fields of a WalkerBatch that a checkpoint carries
@@ -56,7 +55,6 @@ class BatchedCrowdDriver(GenerationLoop):
     def __init__(self, spec: JastrowSystemSpec, nwalkers: int,
                  master_seed: int, timestep: float = 0.5,
                  use_drift: bool = True,
-                 precision: PrecisionPolicy = FULL,
                  batch: Optional[WalkerBatch] = None,
                  rngs: Optional[List[np.random.Generator]] = None):
         self.spec = spec
@@ -65,7 +63,6 @@ class BatchedCrowdDriver(GenerationLoop):
         self.n = spec.n
         self.tau = float(timestep)
         self.use_drift = use_drift
-        self.precision = precision
         # A crowd hosting a subset of a larger population injects its
         # walkers' streams and a batch viewing shared storage; the
         # default standalone driver owns both (stream w of master_seed,
@@ -77,7 +74,7 @@ class BatchedCrowdDriver(GenerationLoop):
                              f"got {len(self.rngs)}")
         self.batch = (batch if batch is not None
                       else WalkerBatch.from_positions(
-                          spec.initial_positions(nwalkers), dtype=precision))
+                          spec.initial_positions(nwalkers)))
         if self.batch.nw != self.nw:
             raise ValueError(f"batch holds {self.batch.nw} walkers, "
                              f"expected {self.nw}")
@@ -97,7 +94,7 @@ class BatchedCrowdDriver(GenerationLoop):
         #: (W,) accepted-move counts of the most recent sweep (DMC's
         #: age-based stuck-walker control reads this)
         self.last_sweep_accepts = np.zeros(self.nw, dtype=np.int64)
-        self.sanitizers = (BatchedSanitizerSuite(precision)
+        self.sanitizers = (BatchedSanitizerSuite()
                            if sanitizers_enabled() else None)
         #: optional fused-step trace: list of (W,) bool masks, one per move
         self.move_log: Optional[List[np.ndarray]] = None
@@ -344,12 +341,8 @@ class BatchedCrowdDriver(GenerationLoop):
     def _advance(self, step: int, e_trial: Optional[float]) -> Generation:
         el, weights = self.run_generation(step, e_trial)
         comps = self.ham.last_components
-        # Trace rows are schema-fixed <f8 regardless of the run's
-        # PrecisionPolicy.
-        return Generation(
-            np.asarray(el, dtype=np.float64), weights,
-            {name: np.asarray(comps[name], dtype=np.float64)
-             for name in self.ham.names})
+        return Generation(el, weights,
+                          {name: comps[name] for name in self.ham.names})
 
     def _population_size(self) -> int:
         return self.nw

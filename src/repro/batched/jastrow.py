@@ -190,9 +190,8 @@ class BatchedOneBodyJastrow:
 
     A move evaluates the proposed row only (``rows_vgl``); the accept
     hook commits it through ``commit_rows`` after the table updates.
-    While the AB table is ``carried`` (fp64) the arrays are bitwise a
-    fresh row pass over it, so measure and the NLPP ``u_old`` read them;
-    other storage refreshes them wherever the table is re-evaluated.
+    The arrays are bitwise a fresh row pass over the carried AB table,
+    so measure and the NLPP ``u_old`` read them.
     """
 
     name = "J1"
@@ -257,30 +256,22 @@ class BatchedOneBodyJastrow:
 
     def measure_log(self, tables, G: np.ndarray, L: np.ndarray):
         """Measurement-time log Psi, G and L: read from the carried
-        arrays, refreshed first when the table is not carried."""
+        arrays."""
         with METRICS.scope("J1"):
-            table = tables[self.table_index]
-            if not table.carried:
-                self._refresh(table)
             return self._log_gl(G, L)
 
     def gather(self, tables, src: np.ndarray) -> None:
         """Follow the comb with the tables (:meth:`_PairTable.gather`):
         slot ``w`` copies slot ``src[w]``'s arrays, a ``-1`` slot (a
         walker from another crowd) is refreshed from its pair-passed
-        rows (one row pass over the crowd); a table that is not carried
-        refreshes every slot."""
-        table = tables[self.table_index]
-        if not table.carried:
-            self._refresh(table)
-            return
+        rows (one row pass over the crowd)."""
         moved = np.flatnonzero((src >= 0) & (src != np.arange(self.nw)))
         if moved.size:
             for a in (self.U, self.dU, self.d2U):
                 a[moved] = a[src[moved]]
         foreign = np.flatnonzero(src < 0)
         if foreign.size:
-            self._refresh(table, foreign)
+            self._refresh(tables[self.table_index], foreign)
 
     def grad(self, tables, k: int) -> np.ndarray:
         with METRICS.scope("J1"):

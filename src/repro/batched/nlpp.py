@@ -82,9 +82,8 @@ class BatchedNonLocalPP:
         n = batch.n
         out = np.zeros(self.nw)
         # One crowd-wide gather of all in-range (walker, electron, ion)
-        # pairs off the stored (table-precision) distance block.
-        dsel = np.asarray(ab.distances[:, :n, :][:, :, self.ion_indices],
-                          dtype=np.float64)
+        # pairs off the stored distance block.
+        dsel = ab.distances[:, :n, :][:, :, self.ion_indices]
         pairs = np.argwhere(dsel < self.rcut)
         npairs = len(pairs)
         nq = len(self.dirs)
@@ -98,8 +97,7 @@ class BatchedNonLocalPP:
         pk = pairs[:, 1]
         ion_cols = self.ion_indices[pairs[:, 2]]
         pd = dsel[pw, pk, pairs[:, 2]]
-        dv = np.asarray(ab.displacements[pw, pk, :, ion_cols],
-                        dtype=np.float64)
+        dv = ab.displacements[pw, pk, :, ion_cols]
         pair_units = -(dv / pd[:, None])        # unit vectors ion -> electron
         # Per-walker rotated quadrature frames, only for active walkers.
         dirs_rot = np.empty((self.nw, nq, 3))

@@ -27,7 +27,6 @@ from repro.drivers.base import QMCDriverBase
 from repro.hamiltonian.nlpp import NonLocalPP, QuadratureRotations
 from repro.metrics.registry import METRICS
 from repro.particles.walker import Walker
-from repro.precision.policy import FULL, PrecisionPolicy
 
 
 @dataclass
@@ -48,13 +47,11 @@ class ReferenceTrace:
 
 def run_reference(spec: JastrowSystemSpec, nwalkers: int, steps: int,
                   master_seed: int, timestep: float = 0.5,
-                  use_drift: bool = True,
-                  precision: PrecisionPolicy = FULL) -> ReferenceTrace:
+                  use_drift: bool = True) -> ReferenceTrace:
     """Run the per-walker path over ``nwalkers`` independent RNG streams."""
     P, twf, ham = spec.build_scalar()
     driver = QMCDriverBase(P, twf, ham, np.random.default_rng(0),
-                           timestep=timestep, use_drift=use_drift,
-                           precision=precision)
+                           timestep=timestep, use_drift=use_drift)
     rngs = walker_streams(master_seed, nwalkers)
     # NLPP rotation contract: stateless streams keyed on the same master
     # seed, walker w / serial s — serial 0 is the setup evaluation, step
@@ -67,8 +64,7 @@ def run_reference(spec: JastrowSystemSpec, nwalkers: int, steps: int,
     positions = spec.initial_positions(nwalkers)
     walkers = []
     for w in range(nwalkers):
-        walker = Walker.from_positions(positions[w],
-                                       dtype=precision.value_dtype)
+        walker = Walker.from_positions(positions[w])
         P.load_walker(walker)
         logpsi = twf.evaluate_log(P)
         twf.register_data(P, walker.buffer)
@@ -82,11 +78,10 @@ def run_reference(spec: JastrowSystemSpec, nwalkers: int, steps: int,
     energies = np.empty((steps, nwalkers))
     components = {t.name: np.empty((steps, nwalkers)) for t in ham.terms}
     for step in range(1, steps + 1):
-        recompute = precision.should_recompute(step)
         for w, walker in enumerate(walkers):
             driver.rng = rngs[w]  # walker w always consumes stream w
             driver.move_log = trace.move_log[w]
-            driver.load_walker(walker, recompute=recompute)
+            driver.load_walker(walker)
             driver.sweep()
             for t in nlpp_terms:
                 t.set_walker(w, step)

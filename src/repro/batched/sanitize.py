@@ -2,10 +2,10 @@
 
 Reuses the :mod:`repro.sanitizers` pieces (dtype / layout / tolerance
 conventions) and adds the batched layout contract: the ``(W, 3, Np)``
-block must stay contiguous, aligned, value-dtype and zero-padded, and
+block must stay contiguous, aligned, float64 and zero-padded, and
 the incrementally-updated table row blocks must agree with a
 from-scratch recompute for every *accepted* walker after each fused
-accept/reject step, and a carried table (fp64 storage, kept across
+accept/reject step, and every table (float64 storage, carried across
 generations instead of rebuilt) must equal a fresh pair pass bit for
 bit after ``settle`` and after a comb ``gather`` — and so must J1's
 carried per-electron arrays equal a fresh row pass over it.
@@ -21,15 +21,15 @@ from repro.backend import get_backend
 from repro.sanitizers import (DtypeSanitizer, ForwardUpdateChecker,
                               LayoutSanitizer, SanitizerError,
                               check_carried_j1)
-from repro.precision.policy import PrecisionPolicy
+from repro.precision.policy import FULL
 
 
 class BatchedSanitizerSuite:
-    """Driver-facing bundle for :class:`BatchedCrowdDriver`."""
+    """Driver-facing bundle for :class:`BatchedCrowdDriver`; the batched
+    stack runs one precision, so its dtype checks assert float64."""
 
-    def __init__(self, policy: PrecisionPolicy):
-        self.policy = policy
-        self.dtype = DtypeSanitizer(policy)
+    def __init__(self):
+        self.dtype = DtypeSanitizer(FULL)
         self.layout = LayoutSanitizer()
         self.forward = ForwardUpdateChecker()
 
@@ -57,8 +57,8 @@ class BatchedSanitizerSuite:
 
     def check_state(self, batch, tables, components=()) -> None:
         """Measurement-time and post-comb pass: batch layout, every
-        table's storage, every carried table's contents, and the carried
-        J1 arrays of ``components`` (:func:`check_carried_j1`)."""
+        table's storage and contents, and the carried J1 arrays of
+        ``components`` (:func:`check_carried_j1`)."""
         self.check_batch(batch)
         for t in tables:
             self.layout.check_table(t)
@@ -66,13 +66,12 @@ class BatchedSanitizerSuite:
             if isinstance(distances, np.ndarray):
                 self.dtype.check_array(
                     f"{type(t).__name__}.distances", distances)
-            if getattr(t, "carried", False):
-                self.check_carried(batch, t)
+            self.check_carried(batch, t)
         check_carried_j1(components, tables)
 
     @staticmethod
     def check_carried(batch, table) -> None:
-        """A carried table must equal a from-scratch pair pass over
+        """A table must equal a from-scratch pair pass over
         ``batch.R`` exactly.  The pass goes to the process's kernel
         object directly, not through ``active()``, so a counting proxy
         sees only the driver's own calls."""

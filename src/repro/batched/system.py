@@ -32,7 +32,6 @@ from repro.jastrow.j2 import TwoBodyJastrowOtf
 from repro.lattice.cell import CrystalLattice
 from repro.particles.particleset import ParticleSet
 from repro.particles.species import SpeciesSet
-from repro.precision.policy import FULL, PrecisionPolicy
 from repro.wavefunction.trialwf import TrialWaveFunction
 
 
@@ -48,7 +47,6 @@ class JastrowSystemSpec:
     """One Jastrow-level model, buildable as scalar or batched objects."""
 
     def __init__(self, n: int = 16, seed: int = 7, aa_flavor: str = "otf",
-                 precision: PrecisionPolicy = FULL,
                  with_nlpp: bool = False, nlpp_npoints: int = 12):
         if aa_flavor not in ("soa", "otf"):
             raise ValueError(f"aa_flavor must be 'soa' or 'otf', "
@@ -56,7 +54,6 @@ class JastrowSystemSpec:
         self.n = int(n)
         self.seed = int(seed)
         self.aa_flavor = aa_flavor
-        self.precision = precision
         self.with_nlpp = bool(with_nlpp)
         self.nlpp_npoints = int(nlpp_npoints)
         a = (n * 8.0) ** (1.0 / 3.0)  # ~8 bohr^3 per electron
@@ -104,12 +101,9 @@ class JastrowSystemSpec:
         """(ParticleSet, TrialWaveFunction, Hamiltonian) for the
         per-walker path, sharing this spec's functors and ions."""
         P = ParticleSet("e", self.base_positions, self.lattice,
-                        self.e_species, self.e_ids, layout="both",
-                        dtype=self.precision)
-        aa = create_aa_table(self.n, self.lattice, self.aa_flavor,
-                             dtype=self.precision)
-        ab = create_ab_table(self.ions, self.n, self.lattice, "soa",
-                             dtype=self.precision)
+                        self.e_species, self.e_ids, layout="both")
+        aa = create_aa_table(self.n, self.lattice, self.aa_flavor)
+        ab = create_ab_table(self.ions, self.n, self.lattice, "soa")
         P.add_table(aa)
         P.add_table(ab)
         P.update_tables()
@@ -135,9 +129,8 @@ class JastrowSystemSpec:
         paths walk identical evaluation sequences."""
         aa_cls = (BatchedDistTableAA if self.aa_flavor == "soa"
                   else BatchedDistTableAAOtf)
-        aa = aa_cls(nwalkers, self.n, self.lattice, dtype=self.precision)
-        ab = BatchedDistTableAB(self.ions, nwalkers, self.n, self.lattice,
-                                dtype=self.precision)
+        aa = aa_cls(nwalkers, self.n, self.lattice)
+        ab = BatchedDistTableAB(self.ions, nwalkers, self.n, self.lattice)
         tables = [aa, ab]
         groups = self._group_slices()
         j2 = BatchedTwoBodyJastrow(nwalkers, self.n, groups,
@@ -183,9 +176,7 @@ class BatchedHamiltonian:
     def __init__(self, nwalkers: int, ion_charges: np.ndarray,
                  nlpp=None, wf_components=None):
         self.nw = int(nwalkers)
-        # Fixed ion charges stay accumulation-precision (shared constant).
-        self.charges = np.asarray(ion_charges,
-                                  dtype=np.float64)
+        self.charges = np.asarray(ion_charges, dtype=np.float64)
         #: optional BatchedNonLocalPP term plus the wavefunction
         #: components its ratio-only slab evaluation consumes.
         self.nlpp = nlpp
@@ -204,16 +195,12 @@ class BatchedHamiltonian:
         aa = tables[0]
         ee = np.zeros(self.nw)
         for i in range(n):
-            rows = np.asarray(aa.dist_rows(i),
-                              dtype=np.float64)
-            ee += np.sum(1.0 / rows[:, :i], axis=-1)
+            ee += np.sum(1.0 / aa.dist_rows(i)[:, :i], axis=-1)
         # Electron-ion: -sum_{k,I} Z_I / r_kI from the AB row blocks.
         ab = tables[1]
         ei = np.zeros(self.nw)
         for k in range(n):
-            rows = np.asarray(ab.dist_rows(k),
-                              dtype=np.float64)
-            ei -= np.sum(self.charges / rows, axis=-1)
+            ei -= np.sum(self.charges / ab.dist_rows(k), axis=-1)
         self.last_components = {"Kinetic": kin, "ElecElec": ee,
                                 "ElecIon": ei}
         total = kin + ee + ei

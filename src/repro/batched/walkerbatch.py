@@ -9,25 +9,21 @@ particle axis.
 
 Layout contract (checked by the batched sanitizers):
 
-* ``Rsoa`` is C-contiguous, cache-aligned, ``value_dtype`` (the
-  mixed-precision hot copy); padding columns ``[n:Np]`` are zero so row
+* ``Rsoa`` is C-contiguous, cache-aligned, float64 (the batched stack
+  runs one precision); padding columns ``[n:Np]`` are zero so row
   reductions over padded rows stay safe;
 * ``R`` is the canonical ``(W, n, 3)`` double-precision configuration
   (the AoS-side the high-level physics and the min-image math read),
   exactly mirroring ``ParticleSet.R`` vs ``ParticleSet.Rsoa``;
-* per-walker scalars (weight, log Psi, E_L) are accumulation-precision.
+* per-walker scalars (weight, log Psi, E_L) are double precision.
 """
 
 from __future__ import annotations
-
-from typing import List, Sequence
 
 import numpy as np
 
 from repro.containers.aligned import CACHE_LINE_BYTES, aligned_empty, \
     padded_size
-from repro.particles.walker import Walker
-from repro.precision.policy import resolve_value_dtype
 
 
 def commit_rows(dst: np.ndarray, src: np.ndarray, accepted: np.ndarray,
@@ -58,14 +54,12 @@ class WalkerBatch:
     ----------
     nwalkers, n:
         Walker count W and particles per walker N.
-    dtype:
-        Element type of the hot ``Rsoa`` block — a dtype-like, a
-        :class:`~repro.precision.policy.PrecisionPolicy`, or ``None``.
-        The canonical ``R`` stays double regardless (mixed-precision
-        contract: only kernels downcast).
     """
 
-    def __init__(self, nwalkers: int, n: int, dtype=None,
+    #: element type of ``R`` and ``Rsoa`` alike
+    dtype = np.dtype(np.float64)
+
+    def __init__(self, nwalkers: int, n: int,
                  alignment: int = CACHE_LINE_BYTES):
         if nwalkers < 1:
             raise ValueError(f"need at least one walker, got {nwalkers}")
@@ -73,17 +67,15 @@ class WalkerBatch:
             raise ValueError(f"need at least one particle, got {n}")
         self.nw = int(nwalkers)
         self.n = int(n)
-        self.dtype = resolve_value_dtype(dtype)
         self.alignment = int(alignment)
         self.np = padded_size(self.n, self.dtype, alignment)
-        # Canonical configuration: accumulation precision, like
-        # ParticleSet.R (np.zeros defaults to double — by design).
+        # Canonical configuration, like ParticleSet.R.
         self.R = np.zeros((self.nw, self.n, 3))
-        # The hot block: one aligned (W, 3, Np) slab in value precision.
+        # The hot block: one aligned (W, 3, Np) slab.
         self.Rsoa = aligned_empty((self.nw, 3, self.np), self.dtype,
                                   alignment)
         self.Rsoa[...] = 0  # zeroed padding: reductions over rows are safe
-        # Per-walker accumulators (always double; np default dtype).
+        # Per-walker accumulators.
         self.weight = np.ones(self.nw)
         self.logpsi = np.zeros(self.nw)
         self.local_energy = np.zeros(self.nw)
@@ -91,40 +83,22 @@ class WalkerBatch:
 
     # -- construction -----------------------------------------------------------
     @classmethod
-    def from_positions(cls, positions: np.ndarray, dtype=None,
+    def from_positions(cls, positions: np.ndarray,
                        alignment: int = CACHE_LINE_BYTES) -> "WalkerBatch":
         """Build from a (W, N, 3) position array."""
         positions = np.asarray(positions)
         if positions.ndim != 3 or positions.shape[2] != 3:
             raise ValueError(
                 f"positions must be (W, N, 3), got {positions.shape}")
-        batch = cls(positions.shape[0], positions.shape[1], dtype=dtype,
+        batch = cls(positions.shape[0], positions.shape[1],
                     alignment=alignment)
         batch.R[...] = positions
         batch.sync_soa()
         return batch
 
     @classmethod
-    def from_walkers(cls, walkers: Sequence[Walker], dtype=None,
-                     alignment: int = CACHE_LINE_BYTES) -> "WalkerBatch":
-        """Gather a list of per-walker objects into one SoA block."""
-        if not walkers:
-            raise ValueError("need at least one walker")
-        batch = cls(len(walkers), walkers[0].n, dtype=dtype,
-                    alignment=alignment)
-        for w, walker in enumerate(walkers):
-            batch.R[w] = walker.R
-            batch.weight[w] = walker.weight
-            batch.age[w] = walker.age
-            batch.logpsi[w] = walker.properties.get("logpsi", 0.0)
-            batch.local_energy[w] = walker.properties.get(
-                "local_energy", 0.0)
-        batch.sync_soa()
-        return batch
-
-    @classmethod
     def attach(cls, R: np.ndarray, weight: np.ndarray, logpsi: np.ndarray,
-               local_energy: np.ndarray, age: np.ndarray, dtype=None,
+               local_energy: np.ndarray, age: np.ndarray,
                alignment: int = CACHE_LINE_BYTES) -> "WalkerBatch":
         """Wrap externally owned canonical storage (e.g. a crowd's strided
         views of a shared-memory block) instead of allocating it.
@@ -133,7 +107,7 @@ class WalkerBatch:
         arrays, so every ``commit`` lands directly in the caller's
         storage — the zero-copy contract of the process-parallel crowds.
         Only the hot ``Rsoa`` scratch block stays private (it must be
-        cache-aligned and value-precision, which arbitrary views are not).
+        cache-aligned, which arbitrary views are not).
         """
         R = np.asarray(R)
         if R.ndim != 3 or R.shape[2] != 3:
@@ -144,7 +118,7 @@ class WalkerBatch:
             if np.asarray(arr).shape != (nw,):
                 raise ValueError(f"{name} must be ({nw},), "
                                  f"got {np.asarray(arr).shape}")
-        batch = cls(nw, n, dtype=dtype, alignment=alignment)
+        batch = cls(nw, n, alignment=alignment)
         batch.R = R
         batch.weight = weight
         batch.logpsi = logpsi
@@ -153,22 +127,10 @@ class WalkerBatch:
         batch.sync_soa()
         return batch
 
-    def to_walkers(self) -> List[Walker]:
-        """Scatter back into per-walker objects (AoS interop)."""
-        out = []
-        for w in range(self.nw):
-            walker = Walker.from_positions(self.R[w], dtype=self.dtype)
-            walker.weight = float(self.weight[w])
-            walker.age = int(self.age[w])
-            walker.properties["logpsi"] = float(self.logpsi[w])
-            walker.properties["local_energy"] = float(self.local_energy[w])
-            out.append(walker)
-        return out
-
     # -- layout maintenance -----------------------------------------------------
     def sync_soa(self) -> None:
         """Rebuild the hot (W, 3, Np) block from the canonical R — the
-        batched ``loadWalker`` assignment (AoS-to-SoA, downcasting)."""
+        batched ``loadWalker`` assignment (AoS-to-SoA)."""
         self.Rsoa[:, :, : self.n] = np.transpose(self.R, (0, 2, 1))
 
     def commit(self, k: int, rnew: np.ndarray, accepted: np.ndarray) -> None:

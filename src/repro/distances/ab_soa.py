@@ -21,12 +21,6 @@ class DistanceTableABSoA(DistanceTable):
     """Asymmetric table over SoA source positions, vectorized kernels."""
 
     category = "DistTable-AB"
-    #: A committed row is bitwise the row :meth:`evaluate` gives, for
-    #: every storage dtype: both are the one fp64 ``ab_row``/``ab_pairs``
-    #: body over the fp64 positions, downcast once on assignment.  So
-    #: state derived from the rows (J1's per-electron value, gradient and
-    #: Laplacian) is carried instead of refreshed.
-    carried = True
 
     def __init__(self, source, n_target: int, lattice, dtype=None):
         self.source = source

@@ -136,7 +136,8 @@ class QMCDriverBase(GenerationLoop):
                           {name: np.asarray(v) for name, v in comps.items()})
 
     def _run_meta(self) -> dict:
-        return {"timestep": self.tau, "use_drift": bool(self.use_drift)}
+        return {"timestep": self.tau, "use_drift": bool(self.use_drift),
+                "precision": self.precision.name}
 
     def _checkpoint_state(self) -> dict:
         from repro.output.runstate import rng_state

@@ -13,15 +13,16 @@ pressure shows up in the DistTable/Jastrow/Bspline-v profiles.
 
 Two engines share the physics:
 
-* the **virtual-particle** engine (default, ``mode="vp"``): gather all
-  in-range pairs, materialize every quadrature position into one flat
-  ``(Nvp, 3)`` :class:`VirtualParticleSet` slab, and evaluate all ratios
-  through the ratio-only ``twf.ratios_vp`` API — no ``make_move`` /
-  ``reject_move`` round-trips, no per-point walker-state mutation
-  (QMCPACK's ``VirtualParticleSet`` + ``mw_evaluateRatios`` design);
-* the **scalar loop** engine (``mode="loop"`` /
-  :meth:`NonLocalPP.evaluate_reference`): one temp-move ratio per
-  quadrature point, kept as the differential oracle.
+* the **virtual-particle** engine (:meth:`NonLocalPP.evaluate`): gather
+  all in-range pairs, materialize every quadrature position into one
+  flat ``(Nvp, 3)`` :class:`VirtualParticleSet` slab, and evaluate all
+  ratios through the ratio-only ``twf.ratios_vp`` API — no
+  ``make_move`` / ``reject_move`` round-trips, no per-point walker-state
+  mutation (QMCPACK's ``VirtualParticleSet`` + ``mw_evaluateRatios``
+  design);
+* the **scalar loop** engine (:meth:`NonLocalPP.evaluate_reference`):
+  one temp-move ratio per quadrature point, kept as the differential
+  oracle.
 
 The per-evaluation random rotation of the quadrature frame removes grid
 bias.  When a :class:`QuadratureRotations` stream is attached the
@@ -169,10 +170,7 @@ class NonLocalPP:
     def __init__(self, ions, ion_indices: Sequence[int], l: int = 1,
                  v0: float = 1.0, width: float = 0.8, rcut: float = 1.2,
                  npoints: int = 12, table_index: int = 1,
-                 rng: np.random.Generator | None = None,
-                 mode: str = "vp"):
-        if mode not in ("vp", "loop"):
-            raise ValueError(f"unknown NLPP mode {mode!r}")
+                 rng: np.random.Generator | None = None):
         self.ions = ions
         self.ion_indices = np.asarray(ion_indices, dtype=np.int64)
         self.l = l
@@ -182,7 +180,6 @@ class NonLocalPP:
         self.table_index = table_index
         self.dirs, self.weights = sphere_quadrature(npoints)
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.mode = mode
         # Optional stateless rotation streams (QuadratureRotations) and
         # the (walker, serial) pair the next evaluation is keyed on.
         self.rotations: QuadratureRotations | None = None
@@ -219,10 +216,7 @@ class NonLocalPP:
         per call regardless of how many pairs are in range.
         """
         with METRICS.scope("NLPP"):
-            rot = self._draw_rotation()
-            if self.mode == "vp":
-                return self._evaluate_vp(P, twf, rot)
-            return self._evaluate_loop(P, twf, rot)
+            return self._evaluate_vp(P, twf, self._draw_rotation())
 
     def evaluate_reference(self, P, twf) -> float:
         """The scalar per-point oracle under the same rotation contract —
@@ -328,7 +322,3 @@ class NonLocalPP:
                     acc += self.weights[q] * pl[q] * rho
                 total += float(self.radial(d)) * prefac * acc
         return total
-
-    def _random_rotation(self) -> np.ndarray:
-        """Uniform random rotation from the legacy per-instance rng."""
-        return random_rotation(self.rng)

@@ -57,8 +57,9 @@ class OneBodyJastrowOtf(_J1Base):
     gradient and Laplacian are what an accept commits); the drift reads
     ``dU[k]``, every ratio ``U[k]``.  The arrays stay bitwise a fresh
     row pass over the SoA AB table, whose committed rows are bitwise its
-    pair pass for every storage dtype (``DistanceTableABSoA.carried``),
-    so measure reads them instead of re-evaluating.
+    pair pass for every storage dtype (both are the one fp64
+    ``ab_row``/``ab_pairs`` body over the fp64 positions, downcast once
+    on assignment), so measure reads them instead of re-evaluating.
     """
 
     def __init__(self, n, ion_species_ids, functors, table_index: int = 1):

@@ -65,7 +65,6 @@ from repro.metrics.registry import METRICS
 from repro.parallel.shm import (STATE_FIELDS, SharedTraceBlock,
                                 SharedWalkerState)
 from repro.parallel.shmcomm import CommPeerLost, CommTimeout, SharedMemComm
-from repro.precision.policy import FULL, PrecisionPolicy
 
 if TYPE_CHECKING:  # import cycle: repro.splines.slab maps shm via us
     from repro.splines.slab import SharedCoefSlab, SlabDescriptor
@@ -83,8 +82,7 @@ class _WorkerDown(RuntimeError):
 
 def _host_crowd(spec: JastrowSystemSpec, state: SharedWalkerState,
                 crowd: int, n_crowds: int, master_seed: int,
-                timestep: float, use_drift: bool,
-                precision: PrecisionPolicy, start_generation: int
+                timestep: float, use_drift: bool, start_generation: int
                 ) -> BatchedCrowdDriver:
     """Crowd ``crowd`` of ``n_crowds``: a batched driver over its strided
     views of the walker block, ready to run ``start_generation``.
@@ -97,14 +95,14 @@ def _host_crowd(spec: JastrowSystemSpec, state: SharedWalkerState,
     views = state.crowd_views(crowd, n_crowds)
     batch = WalkerBatch.attach(
         views["R"], views["weight"], views["logpsi"],
-        views["local_energy"], views["age"], dtype=precision)
+        views["local_energy"], views["age"])
     # RNG-stream contract: walker w owns stream w of the master seed no
     # matter which crowd hosts it; a respawned crowd fast-forwards by
     # replaying the per-generation draw pattern of the sweep.
     streams = walker_streams(master_seed, state.nw)
     drv = BatchedCrowdDriver(
-        spec, len(ids), master_seed, timestep, use_drift, precision,
-        batch=batch, rngs=[streams[w] for w in ids])
+        spec, len(ids), master_seed, timestep, use_drift, batch=batch,
+        rngs=[streams[w] for w in ids])
     drv.skip_generations(start_generation - 1)
     # After a DMC comb the crowd gathers its tables from the slots the
     # picks name instead of rebuilding them.
@@ -156,7 +154,6 @@ class _WorkerConfig:
     n_crowds: int
     timestep: float
     use_drift: bool
-    precision: PrecisionPolicy
     steps: int
     start_generation: int
     state_name: str
@@ -208,8 +205,7 @@ def _worker_main(cfg: _WorkerConfig) -> None:
             slab = SharedCoefSlab.attach(cfg.slab)
         crowd = _host_crowd(
             cfg.spec, state, cfg.crowd, cfg.n_crowds, cfg.master_seed,
-            cfg.timestep, cfg.use_drift, cfg.precision,
-            cfg.start_generation)
+            cfg.timestep, cfg.use_drift, cfg.start_generation)
         spline = slab.as_spline() if slab is not None else None
         cols = slice(cfg.crowd, None, cfg.n_crowds)
         comm.allgather(("ready", cfg.crowd, os.getpid()))
@@ -276,8 +272,8 @@ class ParallelCrowdDriver(GenerationLoop):
 
     def __init__(self, spec: JastrowSystemSpec, nwalkers: int,
                  master_seed: int, workers: int = 0, timestep: float = 0.5,
-                 use_drift: bool = True, precision: PrecisionPolicy = FULL,
-                 liveness_poll: float = 0.25, max_respawns: int = 3,
+                 use_drift: bool = True, liveness_poll: float = 0.25,
+                 max_respawns: int = 3,
                  crash_plan: Optional[Dict[int, int]] = None,
                  race_plan: Optional[Dict[int, int]] = None,
                  spo_slab=None):
@@ -291,7 +287,6 @@ class ParallelCrowdDriver(GenerationLoop):
         self.workers = min(int(workers), self.nw)
         self.tau = float(timestep)
         self.use_drift = use_drift
-        self.precision = precision
         self.liveness_poll = float(liveness_poll)
         self.max_respawns = int(max_respawns)
         #: optional SPO orbital table: a BSpline3D (promoted to one
@@ -413,7 +408,7 @@ class ParallelCrowdDriver(GenerationLoop):
                                 if self._slab is not None else self.spo_slab)
                 self._crowd = _host_crowd(
                     self.spec, state, 0, 1, self.master_seed, self.tau,
-                    self.use_drift, self.precision, start_gen + 1)
+                    self.use_drift, start_gen + 1)
             setup_s = time.perf_counter() - t_setup
             policy = None
             if mode == "dmc":
@@ -553,7 +548,7 @@ class ParallelCrowdDriver(GenerationLoop):
                 spec=self.spec, master_seed=self.master_seed,
                 total_walkers=self.nw, crowd=crowd,
                 n_crowds=K, timestep=self.tau, use_drift=self.use_drift,
-                precision=self.precision, steps=self._steps,
+                steps=self._steps,
                 start_generation=start_generation,
                 state_name=self._state.name, trace_name=self._trace.name,
                 component_names=self._ham_names, comm=endpoints[r],

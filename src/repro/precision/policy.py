@@ -90,11 +90,3 @@ FULL = PrecisionPolicy("full", np.float64, np.float64, recompute_period=0)
 #: Expanded single precision with periodic double-precision recompute —
 #: the paper's ``QMC_MIXED_PRECISION=1`` plus Sec. 7.2 extensions.
 MIXED = PrecisionPolicy("mixed", np.float32, np.float64, recompute_period=16)
-
-#: Mixed-precision *coefficient tables* only: fp32 B-spline storage
-#: (halving the shared slab), fp64 stencil accumulation (the gather
-#: widens blocks before contraction), and a coarser recompute cadence —
-#: the table is read-only, so drift can only come from the downcast
-#: itself, checked by :class:`repro.splines.slab.MixedTableGuard`.
-TABLE_MIXED = PrecisionPolicy("table-mixed", np.float32, np.float64,
-                              recompute_period=64)

@@ -285,22 +285,19 @@ class SanitizerSuite:
 
 def check_carried_j1(components, tables, walker: Optional[int] = None) -> None:
     """Every component carrying J1's per-electron ``U``/``dU``/``d2U``
-    (it has ``fresh_rows``) over a ``carried`` table must hold exactly
-    a fresh ``rows_vgl`` pass over that table.  Batched arrays lead with
-    the crowd's walker axis; a per-walker component's are one walker's,
-    named ``walker`` in the error.  The pass goes to the process's
-    kernel object directly, not through ``active()``, so a counting
-    proxy sees only the driver's own calls."""
+    (it has ``fresh_rows``) must hold exactly a fresh ``rows_vgl`` pass
+    over its table.  Batched arrays lead with the crowd's walker axis; a
+    per-walker component's are one walker's, named ``walker`` in the
+    error.  The pass goes to the process's kernel object directly, not
+    through ``active()``, so a counting proxy sees only the driver's own
+    calls."""
     from repro.backend import get_backend, use_backend
 
     for c in components:
         if not hasattr(c, "fresh_rows"):
             continue
-        table = tables[c.table_index]
-        if not getattr(table, "carried", False):
-            continue
         with use_backend(get_backend()):
-            fresh = c.fresh_rows(table)
+            fresh = c.fresh_rows(tables[c.table_index])
         for channel, got, want in zip(("U", "dU", "d2U"),
                                       (c.U, c.dU, c.d2U), fresh):
             bad = np.argwhere(got != want)

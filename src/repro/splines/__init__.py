@@ -15,9 +15,8 @@ Two spline families underpin the whole wavefunction, as in QMCPACK:
 
 from repro.splines.cubic1d import CubicBSpline1D
 from repro.splines.bspline3d import BSpline3D
-from repro.splines.slab import (MixedTableGuard, SharedCoefSlab,
-                                SlabDescriptor)
+from repro.splines.slab import SharedCoefSlab, SlabDescriptor
 from repro.splines.tiled import TiledBSpline3D
 
 __all__ = ["CubicBSpline1D", "BSpline3D", "TiledBSpline3D",
-           "SharedCoefSlab", "SlabDescriptor", "MixedTableGuard"]
+           "SharedCoefSlab", "SlabDescriptor"]

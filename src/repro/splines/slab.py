@@ -19,24 +19,15 @@ lifecycle contract as the walker-state blocks — its segment is the same
 Every mapping is **read-only**: the numpy view's writeable flag is
 cleared after the one-time fill, so an accidental in-place update in any
 process raises instead of silently racing every other crowd.
-
-:class:`MixedTableGuard` implements the opt-in mixed-precision table
-policy (:data:`repro.precision.policy.TABLE_MIXED`): fp32 coefficient
-storage with fp64 stencil accumulation — the contraction kernels widen
-the gathered blocks, so only the table itself loses precision — plus a
-periodic fp64 reference recompute whose drift check is armed by the
-runtime sanitizers (``REPRO_SANITIZE=1``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.sanitizers import sanitizers_enabled
-from repro.precision.policy import PrecisionPolicy
 from repro.splines.bspline3d import BSpline3D
 
 
@@ -72,16 +63,10 @@ class SharedCoefSlab:
 
     # -- construction -----------------------------------------------------------
     @classmethod
-    def promote(cls, spline: BSpline3D,
-                policy: Optional[PrecisionPolicy] = None) -> "SharedCoefSlab":
-        """Copy ``spline``'s padded table into a fresh shared segment.
-
-        ``policy`` selects the storage dtype (``TABLE_MIXED`` stores
-        fp32); the kernels widen gathered blocks to the accumulation
-        dtype regardless, so only table storage changes.
-        """
-        dtype = (np.dtype(policy.value_dtype) if policy is not None
-                 else spline.coefs.dtype)
+    def promote(cls, spline: BSpline3D) -> "SharedCoefSlab":
+        """Copy ``spline``'s padded table, in its storage dtype, into a
+        fresh shared segment."""
+        dtype = spline.coefs.dtype
         from repro.parallel.shm import fresh_name
         shape = tuple(spline.coefs.shape)
         return cls(SlabDescriptor(
@@ -116,7 +101,7 @@ class SharedCoefSlab:
         sp.norb = self.norb
         sp.dtype = np.dtype(self.descriptor.dtype)
         # Cell geometry is always double, like the descriptor's copy —
-        # only coefficient storage follows the table policy.
+        # only coefficient storage follows the source table's dtype.
         sp.cell_inverse = np.array(self.descriptor.cell_inverse,
                                    dtype=np.float64)
         sp.coefs = self.coefs
@@ -142,49 +127,3 @@ class SharedCoefSlab:
                 f"shape={self.descriptor.shape}, "
                 f"dtype={self.descriptor.dtype}, owner={self._block.owner})")
 
-
-class MixedTableGuard:
-    """Drift guard for fp32 coefficient tables (the TABLE_MIXED policy).
-
-    Holds the fp64 source spline alongside the downcast slab view and,
-    on the policy's recompute cadence, re-evaluates a probe batch through
-    both tables.  Under ``REPRO_SANITIZE=1`` a drift beyond ``tol``
-    raises; otherwise the guard only records the running maximum (the
-    report-don't-fail production mode).
-    """
-
-    #: fp32 storage + fp64 accumulation keeps orbital values to ~1e-6
-    #: relative; an excursion past this means the table itself is stale.
-    DEFAULT_TOL = 5e-5
-
-    def __init__(self, slab: SharedCoefSlab, reference: BSpline3D,
-                 policy: PrecisionPolicy, tol: float = DEFAULT_TOL):
-        self.slab = slab
-        self.reference = reference
-        self.policy = policy
-        self.tol = float(tol)
-        self.max_drift = 0.0
-        self.recomputes = 0
-        self._spline = slab.as_spline()
-
-    def check(self, generation: int, r: np.ndarray) -> Optional[float]:
-        """Run the periodic fp64 recompute if ``generation`` is due.
-
-        Returns the measured relative drift (and bumps the counters), or
-        None when the cadence says this generation is not a checkpoint.
-        """
-        if not self.policy.should_recompute(generation):
-            return None
-        from repro.batched.spo import batched_multi_v
-        lo = np.asarray(batched_multi_v(self._spline, r), dtype=np.float64)
-        hi = np.asarray(batched_multi_v(self.reference, r), dtype=np.float64)
-        scale = max(1.0, float(np.max(np.abs(hi))))
-        drift = float(np.max(np.abs(lo - hi)) / scale)
-        self.recomputes += 1
-        self.max_drift = max(self.max_drift, drift)
-        if sanitizers_enabled() and drift > self.tol:
-            raise RuntimeError(
-                f"mixed-precision table drift {drift:.3e} exceeds "
-                f"tolerance {self.tol:.3e} at generation {generation} — "
-                f"refresh the fp32 slab from the fp64 source")
-        return drift

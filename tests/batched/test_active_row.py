@@ -4,9 +4,10 @@ before the gradient, on both execution stacks.
 At every move of a sweep the drift gradient each Jastrow component
 hands the sweep, and the old-row value sum its ratio divides by, must
 equal what a fresh row at the current positions gives — bitwise in
-fp64 (the same row kernel and row sums), within a band in fp32.  A
-table that refreshes row k only when the proposed move is made leaves
-the gradient reading a row whose partners moved earlier in the sweep.
+fp64 (the same row kernel and row sums), within a band in fp32 (the
+per-walker CURRENT build; the batched stack is fp64 only).  A table
+that refreshes row k only when the proposed move is made leaves the
+gradient reading a row whose partners moved earlier in the sweep.
 """
 
 import math
@@ -17,14 +18,19 @@ import pytest
 from repro.backend import get_backend
 from repro.batched import JastrowSystemSpec
 from repro.batched.driver import BatchedCrowdDriver
+from repro.core.system import QmcSystem
+from repro.core.version import VERSION_CONFIGS, CodeVersion
 from repro.drivers.base import QMCDriverBase
 from repro.jastrow import rows
 from repro.particles.walker import Walker
-from repro.precision.policy import FULL, MIXED
+from repro.precision.policy import FULL
+from repro.wavefunction.trialwf import TrialWaveFunction
 
 N = 32
 W = 4
 TAU = 0.3
+#: storage dtype of each cell; the batched stack stores fp64 only
+DTYPES = {"fp64": np.float64, "fp32": np.float32}
 
 
 def _in_table(table, k, m, r, dr):
@@ -68,14 +74,13 @@ def _check(got, want, exact, what):
                                    err_msg=what)
 
 
-@pytest.mark.parametrize("precision", [FULL, MIXED], ids=["fp64", "fp32"])
-def test_batched_drift_reads_a_fresh_row(precision):
-    spec = JastrowSystemSpec(n=N, seed=3, aa_flavor="otf",
-                             precision=precision)
+@pytest.mark.parametrize("dtype", ["fp64"])
+def test_batched_drift_reads_a_fresh_row(dtype):
+    spec = JastrowSystemSpec(n=N, seed=3, aa_flavor="otf")
     drv = BatchedCrowdDriver(spec, W, master_seed=5, timestep=TAU)
     j2, j1 = drv.components
     aa, ab = drv.tables
-    exact = precision is FULL
+    assert aa.distances.dtype == DTYPES[dtype]
     checked = []
 
     def watch(c, index):
@@ -88,8 +93,8 @@ def test_batched_drift_reads_a_fresh_row(precision):
                 _fresh_aa(aa, batch.Rsoa, batch.R[:, k], k, N),
                 _fresh_ab(ab, batch.R[:, k], k), k)[index]
             u_old, g = sweep_grad(tables, k)
-            _check(g, want[1], exact, f"{c.name} drift gradient, k={k}")
-            _check(u_old, want[0], exact, f"{c.name} old-row sum, k={k}")
+            _check(g, want[1], True, f"{c.name} drift gradient, k={k}")
+            _check(u_old, want[0], True, f"{c.name} old-row sum, k={k}")
             checked.append(k)
             return u_old, g
         c.sweep_grad = checked_grad
@@ -103,18 +108,34 @@ def test_batched_drift_reads_a_fresh_row(precision):
     assert drv.n_accept > 0
 
 
-@pytest.mark.parametrize("precision", [FULL, MIXED], ids=["fp64", "fp32"])
-def test_per_walker_drift_reads_a_fresh_row(precision):
-    spec = JastrowSystemSpec(n=N, seed=3, aa_flavor="otf",
-                             precision=precision)
-    P, twf, ham = spec.build_scalar()
+def _per_walker_system(dtype):
+    """``(P, J2 + J1 wavefunction, ham, policy, positions)`` of an OTF
+    per-walker system with ``N`` electrons: the spec's in fp64, the
+    CURRENT build of Graphite x0.125 (fp32 storage, ``MIXED``) in fp32."""
+    if dtype == "fp64":
+        spec = JastrowSystemSpec(n=N, seed=3, aa_flavor="otf")
+        P, twf, ham = spec.build_scalar()
+        return P, twf, ham, FULL, spec.initial_positions(1)[0]
+    parts = QmcSystem.from_workload("Graphite", scale=0.125, seed=3,
+                                    with_nlpp=False).build(CodeVersion.CURRENT)
+    P = parts.electrons
+    assert P.n == N
+    by_name = {c.name: c for c in parts.twf.components}
+    twf = TrialWaveFunction([by_name["J2"], by_name["J1"]])
+    return (P, twf, parts.ham, VERSION_CONFIGS[CodeVersion.CURRENT].precision,
+            P.R.copy())
+
+
+@pytest.mark.parametrize("dtype", ["fp64", "fp32"])
+def test_per_walker_drift_reads_a_fresh_row(dtype):
+    P, twf, ham, precision, positions = _per_walker_system(dtype)
     j2, j1 = twf.components
     aa, ab = P.distance_tables
+    assert aa.distances.dtype == DTYPES[dtype]
     exact = precision is FULL
     driver = QMCDriverBase(P, twf, ham, np.random.default_rng(5),
                            timestep=TAU, precision=precision)
-    walker = Walker.from_positions(spec.initial_positions(1)[0],
-                                   dtype=precision.value_dtype)
+    walker = Walker.from_positions(positions, dtype=precision.value_dtype)
     P.load_walker(walker)
     twf.evaluate_log(P)
     twf.register_data(P, walker.buffer)

@@ -2,10 +2,10 @@
 
 ``U`` (N), ``dU`` (N, 3) and ``d2U`` (N) per walker are filled by the
 from-scratch pass, committed by each accepted move and gathered with
-the tables after the DMC comb.  While the AB table is carried (fp64)
-they must equal a fresh row pass over it bit for bit — the sanitizers
-check exactly that — and storage that is not carried refreshes them in
-measure.  The per-walker buffer carries them instead of a placeholder.
+the tables after the DMC comb.  They must equal a fresh row pass over
+the carried AB table bit for bit — the sanitizers check exactly that.
+The per-walker buffer carries them instead of a placeholder, in fp64
+and in the fp32 CURRENT build.
 """
 
 import numpy as np
@@ -13,12 +13,15 @@ import pytest
 
 from repro.batched import JastrowSystemSpec
 from repro.batched.driver import BatchedCrowdDriver
+from repro.core.system import QmcSystem
+from repro.core.version import VERSION_CONFIGS, CodeVersion
 from repro.drivers.base import QMCDriverBase
 from repro.drivers.generation import DMCPolicy
 from repro.parallel.crowds import _host_crowd
 from repro.parallel.shm import SharedWalkerState
-from repro.precision.policy import FULL, MIXED
+from repro.precision.policy import FULL
 from repro.sanitizers import SanitizerError
+from repro.wavefunction.trialwf import TrialWaveFunction
 
 W = 6
 N = 12
@@ -44,21 +47,11 @@ def test_batched_arrays_equal_a_row_pass(flavor, timestep):
     assert 0 < drv.n_accept < drv.n_moves
 
 
-def test_fp32_refreshes_in_measure():
-    spec = JastrowSystemSpec(n=N, seed=4, aa_flavor="soa", precision=MIXED)
-    drv = BatchedCrowdDriver(spec, W, 13, timestep=0.3, precision=MIXED)
-    j1, ab = drv.components[1], drv.tables[1]
-    assert not ab.carried
-    drv.sweep()
-    drv.measure()
-    _assert_fresh(j1, ab)
-
-
 def _crowds(spec, n_crowds):
     state = SharedWalkerState(W, spec.n)
     state.R[...] = spec.initial_positions(W)
-    return state, [_host_crowd(spec, state, c, n_crowds, 11, 0.1, True,
-                               spec.precision, 1) for c in range(n_crowds)]
+    return state, [_host_crowd(spec, state, c, n_crowds, 11, 0.1, True, 1)
+                   for c in range(n_crowds)]
 
 
 def _comb(state, seed):
@@ -127,18 +120,32 @@ class TestCarriedJ1Checker:
             driver.store_walker(walker)
 
 
-@pytest.mark.parametrize("precision", [FULL, MIXED], ids=["fp64", "fp32"])
-def test_per_walker_buffer_carries_the_arrays(precision):
-    spec = JastrowSystemSpec(n=N, seed=4, precision=precision)
-    P, twf, ham = spec.build_scalar()
+def _per_walker_system(dtype):
+    """``(P, J2 + J1 wavefunction, ham, policy)``: the spec's in fp64,
+    the CURRENT build of Graphite x0.125 (fp32 storage) in fp32."""
+    if dtype == "fp64":
+        return (*JastrowSystemSpec(n=N, seed=4).build_scalar(), FULL)
+    parts = QmcSystem.from_workload("Graphite", scale=0.125, seed=4,
+                                    with_nlpp=False).build(CodeVersion.CURRENT)
+    assert parts.electrons.Rsoa.data.dtype == np.float32
+    by_name = {c.name: c for c in parts.twf.components}
+    return (parts.electrons, TrialWaveFunction([by_name["J2"], by_name["J1"]]),
+            parts.ham, VERSION_CONFIGS[CodeVersion.CURRENT].precision)
+
+
+@pytest.mark.parametrize("dtype", ["fp64", "fp32"])
+def test_per_walker_buffer_carries_the_arrays(dtype):
+    P, twf, ham, precision = _per_walker_system(dtype)
     driver = QMCDriverBase(P, twf, ham, np.random.default_rng(5),
                            timestep=0.3, precision=precision)
     a, b = driver.create_walkers(2)
+    assert a.buffer.dtype == precision.value_dtype
+    n = P.n
     j1 = twf.components[1]
-    assert j1.storage_bytes == 5 * N * 8
+    assert j1.storage_bytes == 5 * n * 8
     # J1's 5N fp64 scalars (their bytes, whatever the buffer's value
     # precision) plus J2's placeholder scalar
-    assert a.buffer.nbytes == 5 * N * 8 + a.buffer.dtype.itemsize
+    assert a.buffer.nbytes == 5 * n * 8 + a.buffer.dtype.itemsize
     for _ in range(2):
         driver.load_walker(a)
         driver.sweep()

@@ -1,12 +1,12 @@
 """Carried distance tables: ``settle`` and ``gather`` leave exactly what
 a from-scratch pair pass over ``R`` leaves.
 
-A batched table with fp64 storage is kept across generations: measure
+Every batched table (fp64 storage) is kept across generations: measure
 settles it (the AB table is already current, the forward-update AA
 table mirrors its current lower triangle) and the DMC comb's resync
-gathers each slot's table from the slot its walker came from.  Other
-storage and the compute-on-the-fly AA table keep their pair passes.
-Whole storage arrays are compared, padding included.
+gathers each slot's table from the slot its walker came from.  The
+compute-on-the-fly AA table keeps its pair pass in measure.  Whole
+storage arrays are compared, padding included.
 """
 
 import numpy as np
@@ -18,17 +18,19 @@ from repro.batched.walkerbatch import commit_rows
 from repro.drivers.generation import DMCPolicy
 from repro.parallel.crowds import _host_crowd
 from repro.parallel.shm import SharedWalkerState
-from repro.precision.policy import FULL, MIXED
 from repro.sanitizers import SanitizerError
 
 W = 6
 N = 10
 SOA = JastrowSystemSpec(n=N, seed=7, aa_flavor="soa")
+#: one value, the batched tables' one storage dtype; the id names it
+FP64 = pytest.mark.parametrize("dtype", [pytest.param(np.float64, id="fp64")])
 
 
-def _tables(spec, batch):
+def _tables(spec, batch, dtype=np.float64):
     tables, _, _ = spec.build_batched(W)
     for t in tables:
+        assert t.distances.dtype == dtype
         t.evaluate(batch)
     return tables
 
@@ -52,15 +54,13 @@ def _assert_from_scratch(spec, batch, tables):
             type(t).__name__
 
 
-@pytest.mark.parametrize("precision", [FULL, MIXED], ids=["fp64", "fp32"])
+@FP64
 @pytest.mark.parametrize("flavor", ["soa", "otf"])
 @pytest.mark.parametrize("accept_p", [1.0, 0.7, 0.0])
-def test_settle_after_sweeps_equals_a_pair_pass(flavor, precision, accept_p):
-    spec = JastrowSystemSpec(n=N, seed=5, aa_flavor=flavor,
-                             precision=precision)
-    batch = WalkerBatch.from_positions(spec.initial_positions(W),
-                                       dtype=precision)
-    tables = _tables(spec, batch)
+def test_settle_after_sweeps_equals_a_pair_pass(flavor, dtype, accept_p):
+    spec = JastrowSystemSpec(n=N, seed=5, aa_flavor=flavor)
+    batch = WalkerBatch.from_positions(spec.initial_positions(W))
+    tables = _tables(spec, batch, dtype)
     rng = np.random.default_rng(1)
     for _ in range(3):
         _sweep(tables, batch, rng, accept_p)
@@ -69,14 +69,12 @@ def test_settle_after_sweeps_equals_a_pair_pass(flavor, precision, accept_p):
         _assert_from_scratch(spec, batch, tables)
 
 
-@pytest.mark.parametrize("precision", [FULL, MIXED], ids=["fp64", "fp32"])
+@FP64
 @pytest.mark.parametrize("flavor", ["soa", "otf"])
-def test_gather_equals_a_pair_pass(flavor, precision):
-    spec = JastrowSystemSpec(n=N, seed=6, aa_flavor=flavor,
-                             precision=precision)
-    batch = WalkerBatch.from_positions(spec.initial_positions(W),
-                                       dtype=precision)
-    tables = _tables(spec, batch)
+def test_gather_equals_a_pair_pass(flavor, dtype):
+    spec = JastrowSystemSpec(n=N, seed=6, aa_flavor=flavor)
+    batch = WalkerBatch.from_positions(spec.initial_positions(W))
+    tables = _tables(spec, batch, dtype)
     rng = np.random.default_rng(2)
     _sweep(tables, batch, rng, 0.8)
     for t in tables:
@@ -121,7 +119,7 @@ class TestCommitRows:
 def _crowd(spec):
     state = SharedWalkerState(W, spec.n)
     state.R[...] = spec.initial_positions(W)
-    return state, _host_crowd(spec, state, 0, 1, 11, 0.1, True, FULL, 1)
+    return state, _host_crowd(spec, state, 0, 1, 11, 0.1, True, 1)
 
 
 def _comb(state, seed=3):
@@ -132,8 +130,8 @@ def _comb(state, seed=3):
 
 
 class TestCarriedChecker:
-    """``BatchedSanitizerSuite.check_state`` compares every carried
-    table with a fresh pair pass; a stale entry raises."""
+    """``BatchedSanitizerSuite.check_state`` compares every table with
+    a fresh pair pass; a stale entry raises."""
 
     def test_armed_dmc_generations_pass(self, sanitize):
         state, crowd = _crowd(SOA)

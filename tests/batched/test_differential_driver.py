@@ -5,8 +5,8 @@ Contract (docs/batched_walkers.md):
 
 * accept/reject sequences are EXACTLY equal — the Metropolis arithmetic
   (row sums, math.exp ratios, RNG draw order) is bitwise-shared;
-* per-step energies agree within the precision policy's tolerance
-  (1e4 * eps of the value dtype, the sanitizer convention);
+* per-step energies agree within 1e4 * eps of float64 (the sanitizer
+  convention);
 * final configurations agree to 1e-12 — drift gradients go through
   BLAS, where batched-gemm vs per-walker-gemv costs the odd ulp.
 """
@@ -16,24 +16,23 @@ import pytest
 
 from repro.batched import BatchedCrowdDriver, JastrowSystemSpec, run_reference
 from repro.output.stream import StreamSet, TraceReader
-from repro.precision.policy import FULL, MIXED
 
 W = 6
 STEPS = 3
 SEED = 42
+TOL = 1e4 * float(np.finfo(np.float64).eps)
+#: one value, the batched stack's one storage dtype; the id names it
+FP64 = pytest.mark.parametrize("dtype", [pytest.param(np.float64, id="fp64")])
 
 
-def _tol(precision):
-    return 1e4 * float(np.finfo(precision.value_dtype).eps)
-
-
-def _run_pair(flavor, use_drift, precision, n=16, steps=STEPS, streams=None):
-    spec = JastrowSystemSpec(n=n, seed=7, aa_flavor=flavor,
-                             precision=precision)
+def _run_pair(flavor, use_drift, n=16, steps=STEPS, streams=None,
+              dtype=np.float64):
+    spec = JastrowSystemSpec(n=n, seed=7, aa_flavor=flavor)
     ref = run_reference(spec, W, steps, SEED, timestep=0.5,
-                        use_drift=use_drift, precision=precision)
+                        use_drift=use_drift)
     drv = BatchedCrowdDriver(spec, W, SEED, timestep=0.5,
-                             use_drift=use_drift, precision=precision)
+                             use_drift=use_drift)
+    assert drv.batch.Rsoa.dtype == dtype
     drv.move_log = []
     result = drv.run(steps, streams=streams)
     return ref, drv, result
@@ -42,32 +41,30 @@ def _run_pair(flavor, use_drift, precision, n=16, steps=STEPS, streams=None):
 @pytest.mark.parametrize("flavor", ["soa", "otf"])
 @pytest.mark.parametrize("use_drift", [False, True],
                          ids=["diffusion", "drift"])
-@pytest.mark.parametrize("precision", [FULL, MIXED], ids=["fp64", "fp32"])
+@FP64
 class TestDifferentialDriver:
-    def test_accept_reject_sequences_exact(self, flavor, use_drift,
-                                           precision):
-        ref, drv, _ = _run_pair(flavor, use_drift, precision)
+    def test_accept_reject_sequences_exact(self, flavor, use_drift, dtype):
+        ref, drv, _ = _run_pair(flavor, use_drift, dtype=dtype)
         batched = np.array(drv.move_log)  # (steps*n, W)
         for w in range(W):
             assert ref.move_log[w] == list(batched[:, w])
 
     def test_energies_within_policy_tolerance(self, flavor, use_drift,
-                                              precision):
-        ref, drv, result = _run_pair(flavor, use_drift, precision)
-        tol = _tol(precision)
+                                              dtype):
+        ref, drv, result = _run_pair(flavor, use_drift, dtype=dtype)
         np.testing.assert_allclose(drv.batch.local_energy,
-                                   ref.energies[-1], rtol=tol, atol=tol)
+                                   ref.energies[-1], rtol=TOL, atol=TOL)
         np.testing.assert_allclose(result.energies,
                                    np.mean(ref.energies, axis=1),
-                                   rtol=tol, atol=tol)
+                                   rtol=TOL, atol=TOL)
 
-    def test_final_positions_agree(self, flavor, use_drift, precision):
-        ref, drv, _ = _run_pair(flavor, use_drift, precision)
+    def test_final_positions_agree(self, flavor, use_drift, dtype):
+        ref, drv, _ = _run_pair(flavor, use_drift, dtype=dtype)
         np.testing.assert_allclose(drv.batch.R, ref.positions,
                                    rtol=0, atol=1e-12)
 
-    def test_move_counters_match(self, flavor, use_drift, precision):
-        ref, drv, result = _run_pair(flavor, use_drift, precision)
+    def test_move_counters_match(self, flavor, use_drift, dtype):
+        ref, drv, result = _run_pair(flavor, use_drift, dtype=dtype)
         assert drv.n_moves == ref.n_moves
         assert drv.n_accept == ref.n_accept
         assert result.extra["moves"] == float(ref.n_moves)
@@ -82,7 +79,7 @@ class TestFullPrecisionIsBitwise:
     @pytest.mark.parametrize("use_drift", [False, True],
                              ids=["diffusion", "drift"])
     def test_per_step_energies_bitwise(self, flavor, use_drift):
-        ref, drv, result = _run_pair(flavor, use_drift, FULL)
+        ref, drv, result = _run_pair(flavor, use_drift)
         assert np.array_equal(drv.batch.local_energy, ref.energies[-1])
 
     def test_estimator_series_match(self, tmp_path):
@@ -90,7 +87,7 @@ class TestFullPrecisionIsBitwise:
         (step, walker)-ordered, term by term."""
         path = str(tmp_path / "run.trace")
         with StreamSet(trace_path=path) as streams:
-            ref, _, _ = _run_pair("soa", True, FULL, streams=streams)
+            ref, _, _ = _run_pair("soa", True, streams=streams)
         expected = dict(ref.components, LocalEnergy=ref.energies)
         with TraceReader(path) as trace:
             # Row-sum terms are bitwise; Kinetic carries the BLAS G/L ulps.
@@ -109,17 +106,12 @@ class TestSanitized:
 
     @pytest.mark.parametrize("flavor", ["soa", "otf"])
     def test_sanitized_differential(self, sanitize, flavor):
-        ref, drv, _ = _run_pair(flavor, True, FULL, steps=2)
+        ref, drv, _ = _run_pair(flavor, True, steps=2)
         assert drv.sanitizers is not None  # actually armed
         batched = np.array(drv.move_log)
         for w in range(W):
             assert ref.move_log[w] == list(batched[:, w])
         assert np.array_equal(drv.batch.local_energy, ref.energies[-1])
-
-    def test_sanitized_mixed(self, sanitize):
-        _, drv, result = _run_pair("soa", True, MIXED, steps=2)
-        assert drv.sanitizers is not None
-        assert np.all(np.isfinite(result.energies))
 
 
 class TestBatchedDriverSurface:

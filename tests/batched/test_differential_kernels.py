@@ -8,29 +8,27 @@ import pytest
 from repro.batched import (JastrowSystemSpec, WalkerBatch, batched_multi_v,
                            batched_multi_vgl)
 from repro.particles.walker import Walker
-from repro.precision.policy import FULL, MIXED
 from repro.splines.bspline3d import BSpline3D
 
 W = 4
 N = 12
 
 
-def _pair(flavor, precision=FULL, seed=5):
+def _pair(flavor, seed=5, dtype=np.float64):
     """(spec, positions, batch, batched tables/components, scalar parts)."""
-    spec = JastrowSystemSpec(n=N, seed=seed, aa_flavor=flavor,
-                             precision=precision)
+    spec = JastrowSystemSpec(n=N, seed=seed, aa_flavor=flavor)
     positions = spec.initial_positions(W)
-    batch = WalkerBatch.from_positions(positions, dtype=precision)
+    batch = WalkerBatch.from_positions(positions)
     tables, comps, ham = spec.build_batched(W)
     for t in tables:
+        assert t.distances.dtype == dtype
         t.evaluate(batch)
     P, twf, ham_s = spec.build_scalar()
     return spec, positions, batch, tables, comps, ham, P, twf, ham_s
 
 
-def _load(P, positions, w, precision=FULL):
-    P.load_walker(Walker.from_positions(positions[w],
-                                        dtype=precision.value_dtype))
+def _load(P, positions, w):
+    P.load_walker(Walker.from_positions(positions[w]))
     P.update_tables()
 
 
@@ -85,26 +83,25 @@ class TestDistanceRows:
         assert np.array_equal(tables[0].distances[~acc], before[~acc])
 
 
-def _assert_close(a, b, precision, exact=False):
-    """``exact=True`` demands bitwise equality in full precision — the
-    contract for the np.sum/math.exp ratio path that gates acceptance.
-    Gradient/Laplacian reductions go through BLAS, where batched-gemm vs
-    per-walker-gemv kernel selection costs a few ulps, so they get a
-    value-dtype-scaled tolerance instead."""
-    tol = 1e4 * np.finfo(precision.value_dtype).eps
-    if exact and precision is FULL:
+def _assert_close(a, b, exact=False):
+    """``exact=True`` demands bitwise equality — the contract for the
+    np.sum/math.exp ratio path that gates acceptance.  Gradient/Laplacian
+    reductions go through BLAS, where batched-gemm vs per-walker-gemv
+    kernel selection costs a few ulps, so they get a tolerance instead."""
+    if exact:
         assert np.array_equal(a, b)
     else:
+        tol = 1e4 * np.finfo(np.float64).eps
         np.testing.assert_allclose(a, b, rtol=tol, atol=tol)
 
 
 @pytest.mark.parametrize("flavor", ["soa", "otf"])
-@pytest.mark.parametrize("precision", [FULL, MIXED],
-                         ids=["fp64", "fp32"])
+# one value, the batched tables' one storage dtype; the id names it
+@pytest.mark.parametrize("dtype", [pytest.param(np.float64, id="fp64")])
 class TestJastrowKernels:
-    def test_ratio_and_grad(self, flavor, precision):
+    def test_ratio_and_grad(self, flavor, dtype):
         (_, positions, batch, tables, comps, _,
-         P, twf, _) = _pair(flavor, precision=precision)
+         P, twf, _) = _pair(flavor, dtype=dtype)
         rng = np.random.default_rng(19)
         k = 5
         rnew = positions[:, k] + rng.normal(scale=0.3, size=(W, 3))
@@ -118,29 +115,29 @@ class TestJastrowKernels:
             g_b += g
         grad_old = np.stack([c.grad(tables, k) for c in comps]).sum(axis=0)
         for w in range(W):
-            _load(P, positions, w, precision=precision)
+            _load(P, positions, w)
             g_old_s = twf.grad(P, k)
             P.make_move(k, rnew[w])
             rho_s, g_s = twf.ratio_grad(P, k)
-            _assert_close(rho_b[w], rho_s, precision, exact=True)
-            _assert_close(g_b[w], g_s, precision)
-            _assert_close(grad_old[w], g_old_s, precision)
+            _assert_close(rho_b[w], rho_s, exact=True)
+            _assert_close(g_b[w], g_s)
+            _assert_close(grad_old[w], g_old_s)
             P.reject_move(k)
 
-    def test_evaluate_log(self, flavor, precision):
+    def test_evaluate_log(self, flavor, dtype):
         (_, positions, batch, tables, comps, _,
-         P, twf, _) = _pair(flavor, precision=precision)
+         P, twf, _) = _pair(flavor, dtype=dtype)
         G = np.zeros((W, N, 3))
         L = np.zeros((W, N))
         logpsi = np.zeros(W)
         for c in comps:
             logpsi += c.evaluate_log(tables, G, L)
         for w in range(W):
-            _load(P, positions, w, precision=precision)
+            _load(P, positions, w)
             lp = twf.evaluate_log(P)
-            _assert_close(logpsi[w], lp, precision, exact=True)
-            _assert_close(G[w], np.asarray(P.G), precision)
-            _assert_close(L[w], np.asarray(P.L), precision)
+            _assert_close(logpsi[w], lp, exact=True)
+            _assert_close(G[w], np.asarray(P.G))
+            _assert_close(L[w], np.asarray(P.L))
 
 
 class TestHamiltonian:

@@ -1,12 +1,10 @@
-"""WalkerBatch container invariants: layout, padding, interop."""
+"""WalkerBatch container invariants: layout, padding, commit."""
 
 import numpy as np
 import pytest
 
 from repro.batched import WalkerBatch
 from repro.containers.aligned import CACHE_LINE_BYTES, padded_size
-from repro.particles.walker import Walker
-from repro.precision.policy import FULL, MIXED
 
 
 @pytest.fixture
@@ -30,20 +28,14 @@ class TestLayout:
             assert np.all(b.Rsoa[:, :, b.n:] == 0)
 
     def test_canonical_r_stays_double(self, positions):
-        b = WalkerBatch.from_positions(positions, dtype=MIXED)
+        b = WalkerBatch.from_positions(positions)
         assert b.R.dtype == np.float64
-        assert b.Rsoa.dtype == MIXED.value_dtype
+        assert b.Rsoa.dtype == np.float64
 
     def test_soa_mirrors_r(self, positions):
         b = WalkerBatch.from_positions(positions)
         for w in range(6):
             assert np.array_equal(b.Rsoa[w, :, :16], positions[w].T)
-
-    def test_value_dtype_downcast(self, positions):
-        b = WalkerBatch.from_positions(positions, dtype=np.float32)
-        assert b.Rsoa.dtype == np.float32
-        assert np.allclose(b.Rsoa[:, :, :16],
-                           positions.transpose(0, 2, 1).astype(np.float32))
 
 
 class TestCommit:
@@ -72,22 +64,6 @@ class TestCommit:
 
 
 class TestInterop:
-    def test_walker_roundtrip(self, positions):
-        walkers = [Walker.from_positions(positions[w]) for w in range(6)]
-        for i, w in enumerate(walkers):
-            w.weight = 1.0 + 0.1 * i
-            w.age = i
-            w.properties["logpsi"] = -float(i)
-            w.properties["local_energy"] = -10.0 - i
-        b = WalkerBatch.from_walkers(walkers)
-        out = b.to_walkers()
-        for i in range(6):
-            assert np.array_equal(out[i].R, positions[i])
-            assert out[i].weight == walkers[i].weight
-            assert out[i].age == i
-            assert out[i].properties["logpsi"] == -float(i)
-            assert out[i].properties["local_energy"] == -10.0 - i
-
     def test_validation(self):
         with pytest.raises(ValueError):
             WalkerBatch(0, 4)
@@ -97,7 +73,7 @@ class TestInterop:
             WalkerBatch.from_positions(np.zeros((4, 3)))
 
     def test_repr_and_len(self, positions):
-        b = WalkerBatch.from_positions(positions, dtype=FULL)
+        b = WalkerBatch.from_positions(positions)
         assert len(b) == 6
         assert "nw=6" in repr(b)
         assert b.nbytes == b.Rsoa.nbytes

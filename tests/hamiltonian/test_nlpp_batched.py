@@ -13,7 +13,7 @@ Gates (docs/batched_nlpp.md):
   ``(walker, serial)``, so splitting a population across crowds keeps
   the NLPP trace bitwise identical;
 * the batched crowd driver with NLPP enabled reproduces the per-walker
-  reference move for move.
+  reference move for move (fp64: the batched stack runs one precision).
 """
 
 import numpy as np
@@ -23,7 +23,6 @@ from repro.batched import (BatchedCrowdDriver, JastrowSystemSpec,
                            WalkerBatch, run_reference)
 from repro.hamiltonian.nlpp import NonLocalPP, QuadratureRotations
 from repro.output.stream import StreamSet, TraceReader
-from repro.precision.policy import FULL, MIXED
 from repro.workloads import get_workload
 from repro.workloads.builder import build_system
 
@@ -167,7 +166,7 @@ class TestQuadratureRotations:
         def run_crowd(pos, walker_ids):
             nw = pos.shape[0]
             tables, components, ham = spec.build_batched(nw)
-            batch = WalkerBatch.from_positions(pos, dtype=FULL)
+            batch = WalkerBatch.from_positions(pos)
             for t in tables:
                 t.evaluate(batch)
             ham.nlpp.set_rotations(QuadratureRotations(99),
@@ -182,39 +181,39 @@ class TestQuadratureRotations:
         assert np.all(full != 0.0)
 
 
-@pytest.mark.parametrize("precision", [FULL, MIXED], ids=["fp64", "fp32"])
+# one value, the batched stack's one storage dtype; the id names it
+@pytest.mark.parametrize("dtype", [pytest.param(np.float64, id="fp64")])
 @pytest.mark.parametrize("npoints", [6, 12])
 class TestDriverDifferentialWithNlpp:
     """The driver-level gate of docs/batched_walkers.md, with the NLPP
     term wired into both local-energy paths."""
 
-    def _run_pair(self, precision, npoints, nwalkers=4, steps=2,
-                  streams=None):
+    def _run_pair(self, npoints, dtype, nwalkers=4, steps=2, streams=None):
         spec = JastrowSystemSpec(n=16, seed=7, aa_flavor="otf",
-                                 precision=precision, with_nlpp=True,
-                                 nlpp_npoints=npoints)
+                                 with_nlpp=True, nlpp_npoints=npoints)
         ref = run_reference(spec, nwalkers, steps, SEED, timestep=0.5,
-                            use_drift=True, precision=precision)
+                            use_drift=True)
         drv = BatchedCrowdDriver(spec, nwalkers, SEED, timestep=0.5,
-                                 use_drift=True, precision=precision)
+                                 use_drift=True)
+        assert drv.batch.Rsoa.dtype == dtype
         drv.move_log = []
         drv.run(steps, streams=streams)
         return ref, drv
 
-    def test_moves_exact_energies_within_policy(self, precision, npoints,
+    def test_moves_exact_energies_within_policy(self, npoints, dtype,
                                                 sanitize):
-        ref, drv = self._run_pair(precision, npoints)
+        ref, drv = self._run_pair(npoints, dtype)
         batched = np.array(drv.move_log)
         for w in range(4):
             assert ref.move_log[w] == list(batched[:, w])
-        tol = _tol(precision.value_dtype)
+        tol = _tol(dtype)
         np.testing.assert_allclose(drv.batch.local_energy, ref.energies[-1],
                                    rtol=tol, atol=tol)
 
-    def test_nlpp_component_tracked(self, precision, npoints, tmp_path):
+    def test_nlpp_component_tracked(self, npoints, dtype, tmp_path):
         path = str(tmp_path / "run.trace")
         with StreamSet(trace_path=path) as streams:
-            ref, drv = self._run_pair(precision, npoints, streams=streams)
+            ref, drv = self._run_pair(npoints, dtype, streams=streams)
         assert "NonLocalECP" in drv.ham.names
         nl = drv.ham.last_components["NonLocalECP"]
         assert nl.shape == (4,)
@@ -223,5 +222,5 @@ class TestDriverDifferentialWithNlpp:
         ref_series = ref.components["NonLocalECP"].ravel()
         with TraceReader(path) as trace:
             drv_series = trace.series("NonLocalECP")
-        tol = _tol(precision.value_dtype)
+        tol = _tol(dtype)
         np.testing.assert_allclose(drv_series, ref_series, rtol=tol, atol=tol)

@@ -38,8 +38,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.batched import JastrowSystemSpec, WalkerBatch
+from repro.core.system import QmcSystem
+from repro.core.version import CodeVersion
 from repro.lattice.cell import CrystalLattice
-from repro.precision.policy import FULL, MIXED
 from repro.workloads import WORKLOADS, get_workload
 from repro.workloads.builder import (build_system, make_j1_functors,
                                      make_j2_functors)
@@ -106,9 +107,8 @@ def workload_case(wl_name, dtype):
     return _scalar_case(parts.electrons, parts.twf)
 
 
-def spec_scalar_case(precision):
-    spec = JastrowSystemSpec(n=16, seed=7, precision=precision)
-    P, twf, _ = spec.build_scalar()
+def spec_scalar_case():
+    P, twf, _ = JastrowSystemSpec(n=16, seed=7).build_scalar()
     return _scalar_case(P, twf)
 
 
@@ -123,11 +123,10 @@ def _evaluate(batch, tables, components):
         c.evaluate_log(tables, G, L)
 
 
-def _batched_system(precision, nw=4):
-    spec = JastrowSystemSpec(n=16, seed=7, precision=precision)
+def _batched_system(nw=4):
+    spec = JastrowSystemSpec(n=16, seed=7)
     tables, components, _ = spec.build_batched(nw)
-    batch = WalkerBatch.from_positions(spec.initial_positions(nw),
-                                       dtype=precision)
+    batch = WalkerBatch.from_positions(spec.initial_positions(nw))
     _evaluate(batch, tables, components)
     rng = np.random.default_rng(6)
     npts = 30
@@ -139,8 +138,8 @@ def _batched_system(precision, nw=4):
     return batch, tables, components, vw, vk, slab
 
 
-def spec_batched_case(precision):
-    batch, tables, components, vw, vk, slab = _batched_system(precision)
+def spec_batched_case():
+    batch, tables, components, vw, vk, slab = _batched_system()
     j1, j2 = _by_name(components, "J1"), _by_name(components, "J2")
     return {"inputs": _digest(slab, batch.R,
                               *(t.distances for t in tables),
@@ -153,9 +152,8 @@ CASES = {}
 for _wl in ("NiO-32", "Be-64"):
     for _tag, _dt in (("fp64", np.float64), ("fp32", np.float32)):
         CASES[f"{_wl}-scalar-{_tag}"] = (workload_case, _wl, _dt)
-for _tag, _pol in (("fp64", FULL), ("fp32", MIXED)):
-    CASES[f"spec-scalar-{_tag}"] = (spec_scalar_case, _pol)
-    CASES[f"spec-batched-{_tag}"] = (spec_batched_case, _pol)
+CASES["spec-scalar-fp64"] = (spec_scalar_case,)
+CASES["spec-batched-fp64"] = (spec_batched_case,)
 
 
 def capture() -> dict:
@@ -182,17 +180,29 @@ def test_ratios_vp_bitwise_equal_to_parent_commit(case_id, sanitize):
     assert _digest(case["J2"]) == golden["J2"]
 
 
-@pytest.mark.parametrize("precision", [FULL, MIXED], ids=["fp64", "fp32"])
-def test_unsorted_owners_give_the_same_per_point_values(precision):
-    batch, tables, components, vw, vk, slab = _batched_system(precision)
+def test_unsorted_owners_in_a_crowd_slab():
+    batch, tables, components, vw, vk, slab = _batched_system()
     perm = np.random.default_rng(11).permutation(len(vw))
     assert np.any(np.diff(vw[perm]) < 0)  # genuinely unsorted
     for c in components:
         sorted_rho = c.ratios_vp(batch, tables, vw, vk, slab)
         shuffled = c.ratios_vp(batch, tables, vw[perm], vk[perm], slab[perm])
         np.testing.assert_array_equal(shuffled, sorted_rho[perm])
-    spec = JastrowSystemSpec(n=16, seed=7, precision=precision)
-    P, twf, _ = spec.build_scalar()
+
+
+@pytest.mark.parametrize("dtype", ["fp64", "fp32"])
+def test_unsorted_owners_give_the_same_per_point_values(dtype):
+    """Per walker: the spec's fp64 system, and in fp32 the CURRENT build
+    of NiO-32 x0.125 (fp32 storage; determinants and Jastrows)."""
+    if dtype == "fp64":
+        P, twf, _ = JastrowSystemSpec(n=16, seed=7).build_scalar()
+    else:
+        parts = QmcSystem.from_workload(
+            "NiO-32", scale=0.125, seed=9,
+            with_nlpp=False).build(CodeVersion.CURRENT)
+        P, twf = parts.electrons, parts.twf
+        assert P.distance_tables[0].distances.dtype == np.float32
+    twf.evaluate_log(P)
     owners, positions = _scalar_slab(P)
     perm = np.random.default_rng(12).permutation(len(owners))
     for c in twf.components:
@@ -202,7 +212,7 @@ def test_unsorted_owners_give_the_same_per_point_values(precision):
 
 
 def test_empty_slab():
-    batch, tables, components, *_ = _batched_system(FULL)
+    batch, tables, components, *_ = _batched_system()
     none = np.empty(0, dtype=np.int64)
     for c in components:
         assert c.ratios_vp(batch, tables, none, none,
@@ -298,8 +308,7 @@ class TestTriclinicCell:
     def test_batched_parity_and_scratch_bound(self, system):
         nw, npts = 4, 120
         tables, components, _ = system.build_batched(nw)
-        batch = WalkerBatch.from_positions(system.initial_positions(nw),
-                                           dtype=FULL)
+        batch = WalkerBatch.from_positions(system.initial_positions(nw))
         _evaluate(batch, tables, components)
         P, twf, _ = system.build_scalar()
         rng = np.random.default_rng(8)

@@ -32,6 +32,7 @@ from repro.core.version import CodeVersion
 from repro.output.runstate import load_run_checkpoint
 from repro.output.stream import StreamSet, TraceCorruptionError, TraceReader
 from repro.parallel.crowds import ParallelCrowdDriver
+from repro.precision.policy import FULL, MIXED
 
 STEPS = 10
 CKPT_EVERY = 4
@@ -48,9 +49,11 @@ def _read(path):
 # In-process drivers: kill simulated by abandoning the run mid-stream
 # ----------------------------------------------------------------------
 
-def _scalar_driver(mode, timestep=None, use_drift=True, **spec):
+def _scalar_driver(mode, timestep=None, use_drift=True, precision=FULL,
+                   **spec):
     """The driver of ``mode``; the keywords change the run parameters
-    (``spec`` those of the batched model) from the battery's."""
+    (``spec`` those of the batched model; ``precision`` only a
+    per-walker driver's) from the battery's."""
     if mode.startswith("batched"):
         spec = JastrowSystemSpec(
             n=8, seed=7, **{"with_nlpp": mode == "batched-nlpp", **spec})
@@ -63,11 +66,12 @@ def _scalar_driver(mode, timestep=None, use_drift=True, **spec):
         from repro.drivers.vmc import VMCDriver
         return VMCDriver(parts.electrons, parts.twf, parts.ham,
                          np.random.default_rng(99),
-                         timestep=timestep or 0.3, use_drift=use_drift)
+                         timestep=timestep or 0.3, use_drift=use_drift,
+                         precision=precision)
     from repro.drivers.dmc import DMCDriver
     return DMCDriver(parts.electrons, parts.twf, parts.ham,
                      np.random.default_rng(99), timestep=timestep or 0.02,
-                     use_drift=use_drift)
+                     use_drift=use_drift, precision=precision)
 
 
 def _run(mode, steps, streams, resume=None, drv=None):
@@ -203,8 +207,9 @@ class _ReapShm:
 
 
 class TestResumeRefusesAnotherRun:
-    """A checkpoint records the run's time step, drift and model; resuming
-    it as a different run is refused, naming the key."""
+    """A checkpoint records the run's time step, drift and model (and a
+    per-walker run its precision policy); resuming it as a different run
+    is refused, naming the key."""
 
     @pytest.mark.parametrize("kind, change, key", [
         ("parallel", {"timestep": 0.1}, "timestep"),
@@ -215,6 +220,8 @@ class TestResumeRefusesAnotherRun:
         ("batched", {"aa_flavor": "soa"}, "spec"),
         ("vmc", {"timestep": 0.1}, "timestep"),
         ("vmc", {"use_drift": False}, "use_drift"),
+        ("vmc", {"precision": MIXED}, "precision"),
+        ("dmc", {"precision": MIXED}, "precision"),
     ], ids=lambda v: v if isinstance(v, str) else "-".join(v))
     def test_resume_of_another_run_rejected(self, kind, change, key,
                                             tmp_path):

@@ -9,8 +9,7 @@ current, the forward-update AA table mirrors its lower triangle) and is
 the one from-scratch wavefunction pass (writing ``logpsi`` beside the
 ``R`` it describes); the sweep evaluates value + gradient channels only.
 The exceptions keep pair passes: the compute-on-the-fly AA table in
-measure, fp32 storage in both places, a walker from another crowd over
-its slot alone.  NLPP quadrature rotations are keyed on the walker slot,
+measure, a walker from another crowd over its slot alone.  NLPP quadrature rotations are keyed on the walker slot,
 so that post-branch step keeps its wavefunction pass.
 """
 
@@ -29,7 +28,6 @@ from repro.output.stream import StreamSet
 from repro.parallel.crowds import ParallelCrowdDriver, _host_crowd
 from repro.parallel.shm import SharedWalkerState
 from repro.particles.walker import Walker
-from repro.precision.policy import MIXED
 
 N = 8
 WALKERS = 6
@@ -71,8 +69,8 @@ def _crowds(spec, n_crowds=1):
     path), exactly as the worker processes host them over shm."""
     state = SharedWalkerState(WALKERS, spec.n)
     state.R[...] = spec.initial_positions(WALKERS)
-    crowds = [_host_crowd(spec, state, c, n_crowds, SEED, TAU, True,
-                          spec.precision, 1) for c in range(n_crowds)]
+    crowds = [_host_crowd(spec, state, c, n_crowds, SEED, TAU, True, 1)
+              for c in range(n_crowds)]
     return state, crowds
 
 
@@ -190,14 +188,6 @@ class TestKernelCounts:
         assert counter.calls["other", "functor_v"] == 0
         aa_rows = 2 * N if flavor == "otf" else N
         assert counter.calls["other", "aa_row"] == aa_rows
-
-    def test_fp32_keeps_both_passes(self):
-        spec = JastrowSystemSpec(n=N, seed=7, aa_flavor="soa",
-                                 precision=MIXED)
-        counter, _, _, _ = _steady_state(spec)
-        assert _pair_calls(counter) == {
-            (phase, name): 1 for phase in ("other", "measure")
-            for name in ("aa_pairs", "ab_pairs")}
 
     @pytest.mark.parametrize("with_nlpp", [False, True])
     def test_two_crowds_pass_only_the_migrated_slots(self, with_nlpp):

@@ -11,8 +11,8 @@ The load-bearing claims from docs/spline_memory.md:
   in-process table, end to end: the SpoNorm trace component of
   :class:`~repro.parallel.crowds.ParallelCrowdDriver` comes out
   bitwise identical for workers in {0, 2};
-* the TABLE_MIXED policy stores fp32 coefficients (half the slab) and
-  :class:`~repro.splines.slab.MixedTableGuard` bounds the drift.
+* a slab keeps its source table's storage dtype: an fp32 table (every
+  ``VersionConfig``'s spline dtype) shares half the bytes.
 """
 
 import gc
@@ -25,21 +25,24 @@ from repro.batched.spo import batched_multi_vgh
 from repro.batched.system import JastrowSystemSpec
 from repro.output.stream import StreamSet, TraceReader
 from repro.parallel.crowds import ParallelCrowdDriver
-from repro.precision.policy import TABLE_MIXED
 from repro.splines.bspline3d import BSpline3D
-from repro.splines.slab import MixedTableGuard, SharedCoefSlab
+from repro.splines.slab import SharedCoefSlab
 
 
 def _slab_segments():
     return sorted(glob.glob("/dev/shm/repro-slab-*"))
 
 
-@pytest.fixture(scope="module")
-def spline():
+def _fit(dtype):
     rng = np.random.default_rng(3)
     vals = rng.normal(size=(6, 6, 6, 8))
     return BSpline3D.fit(vals, np.linalg.inv(np.diag([4.0, 5.0, 6.0])),
-                         dtype=np.float64)
+                         dtype=dtype)
+
+
+@pytest.fixture(scope="module")
+def spline():
+    return _fit(np.float64)
 
 
 @pytest.fixture(scope="module")
@@ -113,49 +116,15 @@ class TestSlabBackedEvaluation:
                             batched_multi_vgh(sp, points)):
                 np.testing.assert_array_equal(a, b)
 
-    def test_mixed_policy_halves_the_slab(self, spline):
+    def test_fp32_table_halves_the_slab(self, spline, points):
+        single = _fit(np.float32)
         with SharedCoefSlab.promote(spline) as full, \
-                SharedCoefSlab.promote(spline, policy=TABLE_MIXED) as half:
+                SharedCoefSlab.promote(single) as half:
             assert half.coefs.dtype == np.float32
             assert half.nbytes * 2 == full.nbytes
-
-
-class TestMixedTableGuard:
-    def test_not_due_returns_none(self, spline, points):
-        with SharedCoefSlab.promote(spline, policy=TABLE_MIXED) as slab:
-            guard = MixedTableGuard(slab, spline, TABLE_MIXED)
-            assert guard.check(1, points) is None
-            assert guard.recomputes == 0
-
-    def test_due_generation_measures_drift(self, spline, points):
-        with SharedCoefSlab.promote(spline, policy=TABLE_MIXED) as slab:
-            guard = MixedTableGuard(slab, spline, TABLE_MIXED)
-            drift = guard.check(TABLE_MIXED.recompute_period, points)
-            assert drift is not None
-            assert 0.0 <= drift < MixedTableGuard.DEFAULT_TOL
-            assert guard.recomputes == 1
-            assert guard.max_drift == drift
-
-    def test_sanitizer_raises_past_tolerance(self, spline, points,
-                                             monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        with SharedCoefSlab.promote(spline, policy=TABLE_MIXED) as slab:
-            guard = MixedTableGuard(slab, spline, TABLE_MIXED, tol=0.0)
-            with pytest.raises(RuntimeError, match="drift"):
-                guard.check(TABLE_MIXED.recompute_period, points)
-
-    def test_without_sanitizers_only_records(self, spline, points,
-                                             monkeypatch):
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        with SharedCoefSlab.promote(spline, policy=TABLE_MIXED) as slab:
-            guard = MixedTableGuard(slab, spline, TABLE_MIXED, tol=0.0)
-            drift = guard.check(TABLE_MIXED.recompute_period, points)
-            assert drift is not None and drift >= 0.0
-
-    def test_full_precision_slab_has_zero_drift(self, spline, points):
-        with SharedCoefSlab.promote(spline) as slab:
-            guard = MixedTableGuard(slab, spline, TABLE_MIXED)
-            assert guard.check(TABLE_MIXED.recompute_period, points) == 0.0
+            for a, b in zip(batched_multi_vgh(single, points),
+                            batched_multi_vgh(half.as_spline(), points)):
+                np.testing.assert_array_equal(a, b)
 
 
 class TestCrowdIntegration:
