@@ -15,14 +15,13 @@ EXPERIMENTS.md records the mapping and the paper-vs-ours comparison.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Callable, Dict
 
 import numpy as np
 
-from repro.core.system import QmcSystem, run_vmc
+from repro.core.system import QmcSystem
 from repro.core.version import VERSION_CONFIGS, CodeVersion
-from repro.perfmodel.opcount import OPS, KernelOps
+from repro.perfmodel.projection import WorkloadMeasurement, measure_workload
 
 #: Scales keeping pure-Python Ref runs to seconds while preserving the
 #: workload's species mix, density and code paths.
@@ -34,7 +33,7 @@ BENCH_SCALE: Dict[str, float] = {
 }
 
 _system_cache: Dict[tuple, QmcSystem] = {}
-_measure_cache: Dict[tuple, "Measurement"] = {}
+_measure_cache: Dict[tuple, WorkloadMeasurement] = {}
 
 
 def clear_caches() -> None:
@@ -46,26 +45,6 @@ def clear_caches() -> None:
     """
     _system_cache.clear()
     _measure_cache.clear()
-
-
-@dataclass
-class Measurement:
-    """One (workload, version) measurement bundle."""
-
-    workload: str
-    version: CodeVersion
-    n_electrons: int
-    seconds_per_sweep: float
-    throughput: float              # walker-steps / sec
-    profile_seconds: Dict[str, float]
-    total_seconds: float
-    opcounts: Dict[str, KernelOps]
-
-    @property
-    def profile_normalized(self) -> Dict[str, float]:
-        tot = self.total_seconds
-        return {k: v / tot for k, v in self.profile_seconds.items()} \
-            if tot > 0 else {}
 
 
 def get_system(workload: str, with_nlpp: bool = False,
@@ -80,34 +59,19 @@ def get_system(workload: str, with_nlpp: bool = False,
 
 def measure(workload: str, version: CodeVersion, steps: int = 2,
             walkers: int = 1, with_nlpp: bool = False,
-            scale: float | None = None, seed: int = 21) -> Measurement:
-    """Run a short profiled VMC and collect timings + op counts (cached
-    per configuration so multiple figures reuse one run)."""
+            scale: float | None = None,
+            seed: int = 21) -> WorkloadMeasurement:
+    """:func:`repro.perfmodel.projection.measure_workload` on the cached
+    system, itself cached per configuration so several figures reuse one
+    run."""
     cfg = VERSION_CONFIGS[version]
     key = (workload, version, steps, walkers, with_nlpp, scale, seed,
            cfg.precision.name, np.dtype(cfg.value_dtype).str)
-    if key in _measure_cache:
-        return _measure_cache[key]
-    sys_ = get_system(workload, with_nlpp, scale, seed)
-    parts = sys_.build(version)
-    OPS.reset()
-    with OPS.enabled_scope():
-        res = run_vmc(sys_, version, walkers=walkers, steps=steps,
-                      parts=parts, profile=True, seed=seed + 1)
-    counts = OPS.totals()
-    OPS.reset()
-    m = Measurement(
-        workload=workload,
-        version=version,
-        n_electrons=parts.n_electrons,
-        seconds_per_sweep=res.elapsed / (steps * walkers),
-        throughput=res.throughput,
-        profile_seconds=dict(res.profile.seconds),
-        total_seconds=res.profile.total,
-        opcounts=counts,
-    )
-    _measure_cache[key] = m
-    return m
+    if key not in _measure_cache:
+        _measure_cache[key] = measure_workload(
+            workload, version, steps=steps, walkers=walkers, seed=seed,
+            system=get_system(workload, with_nlpp, scale, seed))
+    return _measure_cache[key]
 
 
 def best_of(legs: Dict[str, Callable[[], object]], reps: int,
@@ -128,16 +92,6 @@ def best_of(legs: Dict[str, Callable[[], object]], reps: int,
             leg()
             best[label] = min(best[label], time.perf_counter() - t0)
     return best
-
-
-def projected_node_time(m: Measurement, machine, version: CodeVersion,
-                        memory_mode: str = "flat") -> float:
-    """Roofline-projected time of the measured op mix on a machine."""
-    from repro.perfmodel.roofline import RooflineModel
-    cfg = VERSION_CONFIGS[version]
-    itemsize = np.dtype(cfg.value_dtype).itemsize
-    model = RooflineModel(machine, memory_mode)
-    return model.project_total(m.opcounts, cfg.simd_profile, itemsize)
 
 
 def heading(title: str) -> None:

@@ -11,7 +11,7 @@ efficiency, and the 2-4.5x Current-over-Ref gap at every node count.
 
 import pytest
 
-from harness import heading, measure, projected_node_time, row
+from harness import heading, measure, row
 from repro.core.version import CodeVersion
 from repro.memory.model import MemoryModel
 from repro.parallel.cluster import ARIES, OMNIPATH, SimCluster

@@ -15,7 +15,7 @@ Bottom panel (memory GB): the analytic model at the paper's populations
 import numpy as np
 import pytest
 
-from harness import heading, measure, projected_node_time, row
+from harness import heading, measure, row
 from repro.core.version import CodeVersion
 from repro.memory.model import MemoryModel
 from repro.perfmodel.hardware import BDW, KNL
@@ -39,8 +39,7 @@ def test_fig8_speedup(workload, benchmark):
     for machine, mode, label in ((BDW, "flat", "BDW"),
                                  (KNL, "cache", "KNL-cache"),
                                  (KNL, "flat", "KNL-flat")):
-        t = {v: projected_node_time(ms[v], machine, v, mode)
-             for v in VERSIONS}
+        t = {v: ms[v].project_time(machine, mode) for v in VERSIONS}
         rel = {v: t[CodeVersion.REF] / t[v] for v in VERSIONS}
         proj[label] = rel
         row(f"modeled {label}", *[f"{rel[v]:.2f}" for v in VERSIONS])
@@ -54,8 +53,7 @@ def test_fig8_speedup(workload, benchmark):
     assert meas[CodeVersion.CURRENT] > 1.5
 
     benchmark.pedantic(
-        lambda: projected_node_time(ms[CodeVersion.CURRENT], KNL,
-                                    CodeVersion.CURRENT),
+        lambda: ms[CodeVersion.CURRENT].project_time(KNL),
         rounds=3, iterations=1)
 
 
@@ -66,16 +64,15 @@ def test_fig8_mp_gains_more_for_bigger_problem(benchmark):
     for wl in ("NiO-32", "NiO-64"):
         m_ref = measure(wl, CodeVersion.REF)
         m_mp = measure(wl, CodeVersion.REF_MP)
-        t_ref = projected_node_time(m_ref, KNL, CodeVersion.REF, "cache")
-        t_mp = projected_node_time(m_mp, KNL, CodeVersion.REF_MP, "cache")
+        t_ref = m_ref.project_time(KNL, "cache")
+        t_mp = m_mp.project_time(KNL, "cache")
         gains[wl] = t_ref / t_mp
     print(f"\n  Ref+MP gain over Ref on KNL: NiO-32 {gains['NiO-32']:.2f}x, "
           f"NiO-64 {gains['NiO-64']:.2f}x (paper: 1.16x, 1.3x)")
     assert gains["NiO-64"] >= gains["NiO-32"] * 0.98
     assert 1.0 < gains["NiO-32"] < 2.5
     m = measure("NiO-32", CodeVersion.REF_MP)
-    benchmark(lambda: projected_node_time(m, KNL, CodeVersion.REF_MP,
-                                          "cache"))
+    benchmark(lambda: m.project_time(KNL, "cache"))
 
 
 def test_fig8_memory_bottom_panel(benchmark):

@@ -9,7 +9,7 @@ cache-mode penalty vs flat is small (~3%).
 
 import pytest
 
-from harness import heading, measure, projected_node_time, row
+from harness import heading, measure, row
 from repro.core.version import CodeVersion
 from repro.perfmodel.hardware import KNL
 
@@ -21,7 +21,7 @@ def test_sec82_ddr_slowdown(benchmark):
     slow = {}
     for wl in ("NiO-32", "NiO-64"):
         m = measure(wl, CodeVersion.CURRENT)
-        t = {mode: projected_node_time(m, KNL, CodeVersion.CURRENT, mode)
+        t = {mode: m.project_time(KNL, mode)
              for mode in ("flat", "cache", "ddr")}
         slow[wl] = {mode: t[mode] / t["flat"] for mode in t}
         row(wl, *[f"{slow[wl][mode]:.2f}x" for mode in
@@ -39,5 +39,4 @@ def test_sec82_ddr_slowdown(benchmark):
         assert 1.0 <= slow[wl]["cache"] < 1.15
 
     m = measure("NiO-64", CodeVersion.CURRENT)
-    benchmark(lambda: projected_node_time(m, KNL, CodeVersion.CURRENT,
-                                          "ddr"))
+    benchmark(lambda: m.project_time(KNL, "ddr"))

@@ -10,7 +10,7 @@ asserts the saturation behaviour.
 
 import pytest
 
-from harness import heading, measure, projected_node_time, row
+from harness import heading, measure, row
 from repro.core.version import CodeVersion
 from repro.perfmodel.hardware import BDW, KNL
 
@@ -32,7 +32,7 @@ def test_sec82_hyperthreading(benchmark):
     row("threads/core", 1, 2, 3, 4)
     results = {}
     for machine in (BDW, KNL):
-        t = projected_node_time(cur, machine, CodeVersion.CURRENT)
+        t = cur.project_time(machine)
         rel = [smt_throughput(machine, k, t) for k in (1, 2, 3, 4)]
         rel = [r / rel[0] for r in rel]
         results[machine.name] = rel

@@ -16,7 +16,7 @@ Python speedups grow with N for the NiO pair.
 
 import pytest
 
-from harness import heading, measure, projected_node_time, row
+from harness import heading, measure, row
 from repro.core.version import CodeVersion
 from repro.perfmodel.hardware import BDW, BGQ, KNL
 
@@ -36,8 +36,8 @@ def _speedups():
         cur = measure(wl, CodeVersion.CURRENT)
         measured[wl] = ref.seconds_per_sweep / cur.seconds_per_sweep
         for machine in (BGQ, BDW, KNL):
-            t_ref = projected_node_time(ref, machine, CodeVersion.REF)
-            t_cur = projected_node_time(cur, machine, CodeVersion.CURRENT)
+            t_ref = ref.project_time(machine)
+            t_cur = cur.project_time(machine)
             table[machine.name][wl] = t_ref / t_cur
     return table, measured
 

@@ -16,7 +16,7 @@ import os
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..",
                                 "benchmarks"))
 
-from harness import measure, projected_node_time  # noqa: E402
+from harness import measure  # noqa: E402
 from repro.core.version import CodeVersion  # noqa: E402
 from repro.memory.model import MemoryModel  # noqa: E402
 from repro.parallel.cluster import ARIES, OMNIPATH, SimCluster  # noqa: E402
@@ -29,7 +29,7 @@ NODES = [64, 128, 256, 512, 1024]
 
 def node_throughput(machine, version, mode):
     m = measure("NiO-64", version)
-    t_sweep = projected_node_time(m, machine, version, mode) / 2
+    t_sweep = m.project_time(machine, mode) / 2
     t_full = t_sweep * (768.0 / m.n_electrons) ** 2
     return (1.0 + machine.smt2_gain) / t_full
 

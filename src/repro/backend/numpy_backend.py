@@ -7,7 +7,7 @@ through.  Two contracts the class — and any proxy substituted for it
 through ``repro.backend.use_backend`` — must honor:
 
 * **Purity** — kernels never mutate their inputs and never touch global
-  state; all bookkeeping (OPS/METRICS records, padded-storage writes,
+  state; all bookkeeping (METRICS records, padded-storage writes,
   precision-policy downcasts) stays at the call site.  Sole sanctioned
   exception: the ``sweep_run`` *pipeline kernel*, which takes a
   host-side :class:`repro.batched.sweep.SweepPlan` and commits accepted

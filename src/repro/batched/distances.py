@@ -27,7 +27,6 @@ from repro.batched.walkerbatch import commit_rows
 from repro.containers.aligned import aligned_empty, padded_size
 from repro.distances.base import BIG_DISTANCE
 from repro.metrics.registry import METRICS
-from repro.perfmodel.opcount import OPS
 
 
 def _batched_row_from(soa: np.ndarray, n: int, rk: np.ndarray, lattice,
@@ -78,9 +77,8 @@ class _PairTable:
         if moved.size:
             self.distances[moved] = self.distances[src[moved]]
             self.displacements[moved] = self.displacements[src[moved]]
-            OPS.record(self.category,
-                       rbytes=float(self.storage_bytes) * moved.size / self.nw,
-                       wbytes=float(self.storage_bytes) * moved.size / self.nw)
+            nbytes = float(self.storage_bytes) * moved.size / self.nw
+            METRICS.record(rbytes=nbytes, wbytes=nbytes)
         foreign = np.flatnonzero(src < 0)
         if foreign.size:
             self._fill(batch.R[foreign], foreign)
@@ -117,9 +115,9 @@ class BatchedDistTableAA(_PairTable):
     def _pairs(self, R: np.ndarray):
         dist, disp = active().aa_pairs(R, self.lattice)
         nw, n = R.shape[0], self.n
-        OPS.record(self.category, flops=9.0 * nw * n * n,
-                   rbytes=24.0 * nw * n,
-                   wbytes=4.0 * self.dtype.itemsize * nw * n * n)
+        METRICS.record(flops=9.0 * nw * n * n,
+                       rbytes=24.0 * nw * n,
+                       wbytes=4.0 * self.dtype.itemsize * nw * n * n)
         return dist, disp
 
     def settle(self, batch) -> None:
@@ -142,7 +140,7 @@ class BatchedDistTableAA(_PairTable):
         np.copyto(disp, np.negative(disp.transpose(0, 3, 2, 1)),
                   where=self._upper[:, None, :])
         nbytes = 2.0 * self.dtype.itemsize * self.nw * n * (n - 1)
-        OPS.record(self.category, rbytes=nbytes, wbytes=nbytes)
+        METRICS.record(rbytes=nbytes, wbytes=nbytes)
 
     # -- PbyP protocol -----------------------------------------------------------
     def move(self, batch, rnew: np.ndarray, k: int) -> None:
@@ -151,9 +149,9 @@ class BatchedDistTableAA(_PairTable):
         _batched_row_from(batch.Rsoa, self.n, rk, self.lattice,
                           self.temp_r, self.temp_dr, k)
         itemsize = self.dtype.itemsize
-        OPS.record(self.category, flops=9.0 * self.nw * self.n,
-                   rbytes=24.0 * self.nw * self.n,
-                   wbytes=4.0 * itemsize * self.nw * self.n)
+        METRICS.record(flops=9.0 * self.nw * self.n,
+                       rbytes=24.0 * self.nw * self.n,
+                       wbytes=4.0 * itemsize * self.nw * self.n)
 
     def update(self, k: int, accepted: np.ndarray) -> None:
         """Commit row k (and the forward column) for the accepted subset."""
@@ -168,11 +166,9 @@ class BatchedDistTableAA(_PairTable):
                         accepted, negate=True)
         itemsize = self.dtype.itemsize
         nacc = int(np.count_nonzero(accepted))
-        OPS.record(self.category,
-                   rbytes=4.0 * itemsize * nacc * n,
-                   wbytes=4.0 * itemsize * nacc * (self.np_ + (n - k)))
+        METRICS.record(rbytes=4.0 * itemsize * nacc * n,
+                       wbytes=4.0 * itemsize * nacc * (self.np_ + (n - k)))
         METRICS.count("forward_update_rows", nacc)
-        METRICS.add_bytes(4 * itemsize * nacc * (self.np_ + (n - k)))
 
     # -- consumer access ---------------------------------------------------------
     def dist_rows(self, k: int) -> np.ndarray:
@@ -208,11 +204,10 @@ class BatchedDistTableAAOtf(BatchedDistTableAA):
         _batched_row_from(batch.Rsoa, self.n, batch.R[:, k], self.lattice,
                           self.distances[:, k], self.displacements[:, k], k)
         itemsize = self.dtype.itemsize
-        OPS.record(self.category, flops=9.0 * self.nw * self.n,
-                   rbytes=24.0 * self.nw * self.n,
-                   wbytes=4.0 * itemsize * self.nw * self.n)
+        METRICS.record(flops=9.0 * self.nw * self.n,
+                       rbytes=24.0 * self.nw * self.n,
+                       wbytes=4.0 * itemsize * self.nw * self.n)
         METRICS.count("otf_row_recomputes", self.nw)
-        METRICS.add_bytes(4 * itemsize * self.nw * self.n)
 
     def settle(self, batch) -> None:
         """No column maintenance, so no triangle to mirror: measure keeps
@@ -225,9 +220,8 @@ class BatchedDistTableAAOtf(BatchedDistTableAA):
         commit_rows(self.displacements[:, k], self.temp_dr, accepted)
         itemsize = self.dtype.itemsize
         nacc = int(np.count_nonzero(accepted))
-        OPS.record(self.category,
-                   rbytes=4.0 * itemsize * nacc * self.n,
-                   wbytes=4.0 * itemsize * nacc * self.np_)
+        METRICS.record(rbytes=4.0 * itemsize * nacc * self.n,
+                       wbytes=4.0 * itemsize * nacc * self.np_)
 
 
 class BatchedDistTableAB(_PairTable):
@@ -265,9 +259,10 @@ class BatchedDistTableAB(_PairTable):
     def _pairs(self, R: np.ndarray):
         dist, disp = active().ab_pairs(self.source.R, R, self.lattice)
         nw = R.shape[0]
-        OPS.record(self.category, flops=9.0 * nw * self.nt * self.ns,
-                   rbytes=24.0 * nw * (self.nt + self.ns),
-                   wbytes=4.0 * self.dtype.itemsize * nw * self.nt * self.ns)
+        npair = nw * self.nt * self.ns
+        METRICS.record(flops=9.0 * npair,
+                       rbytes=24.0 * nw * (self.nt + self.ns),
+                       wbytes=4.0 * self.dtype.itemsize * npair)
         return dist, disp
 
     def settle(self, batch) -> None:
@@ -282,16 +277,16 @@ class BatchedDistTableAB(_PairTable):
         self.temp_dr[:, :, :ns] = np.asarray(dr)
         self.temp_r[:, :ns] = np.asarray(r)
         itemsize = self.dtype.itemsize
-        OPS.record(self.category, flops=9.0 * nw * ns,
-                   rbytes=24.0 * nw * ns, wbytes=4.0 * itemsize * nw * ns)
+        METRICS.record(flops=9.0 * nw * ns,
+                       rbytes=24.0 * nw * ns, wbytes=4.0 * itemsize * nw * ns)
 
     def update(self, k: int, accepted: np.ndarray) -> None:
         commit_rows(self.distances[:, k], self.temp_r, accepted)
         commit_rows(self.displacements[:, k], self.temp_dr, accepted)
         itemsize = self.dtype.itemsize
         nacc = int(np.count_nonzero(accepted))
-        OPS.record(self.category, rbytes=4.0 * itemsize * nacc * self.ns,
-                   wbytes=4.0 * itemsize * nacc * self.nsp)
+        METRICS.record(rbytes=4.0 * itemsize * nacc * self.ns,
+                       wbytes=4.0 * itemsize * nacc * self.nsp)
 
     def dist_rows(self, k: int) -> np.ndarray:
         return self.distances[:, k, : self.ns]

@@ -24,7 +24,6 @@ from repro.batched.walkerbatch import commit_rows
 from repro.jastrow import rows, vp
 from repro.jastrow.functor import BsplineFunctor
 from repro.metrics.registry import METRICS
-from repro.perfmodel.opcount import OPS
 
 
 def exp_rows(x: np.ndarray) -> np.ndarray:
@@ -59,14 +58,15 @@ class BatchedTwoBodyJastrow:
     # -- row-block kernels: repro.jastrow.rows ------------------------------------
     def _rows_v(self, rows_r: np.ndarray, k: int) -> np.ndarray:
         """sum_j u(r_kj) for each walker's row; rows_r is (W, n)."""
-        OPS.record("J2", flops=10.0 * self.nw * self.n,
-                   rbytes=8.0 * self.nw * self.n, wbytes=8.0 * self.nw)
+        METRICS.record(flops=10.0 * self.nw * self.n,
+                       rbytes=8.0 * self.nw * self.n, wbytes=8.0 * self.nw)
         return rows.rows_v(rows.j2_groups(self, self.group_of[k]), rows_r)
 
     def _rows_vgl(self, rows_r: np.ndarray, rows_dr: np.ndarray, k: int):
         """(sum u, grad_k, lap_k) per walker; rows_dr is (W, 3, n)."""
-        OPS.record("J2", flops=20.0 * self.nw * self.n,
-                   rbytes=32.0 * self.nw * self.n, wbytes=40.0 * self.nw)
+        METRICS.record(flops=20.0 * self.nw * self.n,
+                       rbytes=32.0 * self.nw * self.n,
+                       wbytes=40.0 * self.nw)
         return rows.rows_vgl(rows.j2_groups(self, self.group_of[k]),
                              rows_r, rows_dr)
 
@@ -74,8 +74,8 @@ class BatchedTwoBodyJastrow:
         """(sum u, grad_k) per walker: :meth:`_rows_vgl` without the
         Laplacian channel the sweep never reads, bitwise its first two
         results."""
-        OPS.record("J2", flops=16.0 * self.nw * self.n,
-                   rbytes=32.0 * self.nw * self.n, wbytes=32.0 * self.nw)
+        METRICS.record(flops=16.0 * self.nw * self.n,
+                       rbytes=32.0 * self.nw * self.n, wbytes=32.0 * self.nw)
         return rows.rows_vg(rows.j2_groups(self, self.group_of[k]),
                             rows_r, rows_dr)
 
@@ -175,7 +175,7 @@ class BatchedTwoBodyJastrow:
         with METRICS.scope("J2"):
             table = tables[self.table_index]
             return vp.ratios_vp(
-                "J2", table.lattice, table.dtype, owners_w, owners_k,
+                table.lattice, table.dtype, owners_w, owners_k,
                 positions, source=lambda w: batch.R[w].T,
                 old_sums=lambda ws, ks: vp.j2_row_sums(
                     self, table.distances[ws, ks, : self.n], ks),
@@ -217,8 +217,9 @@ class BatchedOneBodyJastrow:
 
     # -- row-block kernels: repro.jastrow.rows ------------------------------------
     def _rows_vgl(self, rows_r: np.ndarray, rows_dr: np.ndarray):
-        OPS.record("J1", flops=20.0 * self.nw * self.nions,
-                   rbytes=32.0 * self.nw * self.nions, wbytes=40.0 * self.nw)
+        METRICS.record(flops=20.0 * self.nw * self.nions,
+                       rbytes=32.0 * self.nw * self.nions,
+                       wbytes=40.0 * self.nw)
         return rows.rows_vgl(rows.j1_groups(self), rows_r, rows_dr)
 
     def fresh_rows(self, table):
@@ -324,7 +325,7 @@ class BatchedOneBodyJastrow:
         with METRICS.scope("J1"):
             table = tables[self.table_index]
             return vp.ratios_vp(
-                "J1", table.lattice, table.dtype, owners_w, owners_k,
+                table.lattice, table.dtype, owners_w, owners_k,
                 positions, source=lambda w: table._src_soa,
                 old_sums=lambda ws, ks: self.U[ws, ks],
                 row_sums=partial(vp.j1_row_sums, self), mask_self=False)

@@ -25,7 +25,6 @@ import numpy as np
 from repro.hamiltonian.nlpp import (QuadratureRotations, legendre,
                                     sphere_quadrature)
 from repro.metrics.registry import METRICS
-from repro.perfmodel.opcount import OPS
 
 
 class BatchedNonLocalPP:
@@ -90,8 +89,8 @@ class BatchedNonLocalPP:
         METRICS.count("nlpp_pairs", npairs)
         METRICS.count("nlpp_ratio_points", npairs * nq)
         if npairs == 0:
-            OPS.record("NLPP", flops=2.0 * self.nw * n, rbytes=8.0 * self.nw * n,
-                       wbytes=8.0 * self.nw)
+            METRICS.record(flops=2.0 * self.nw * n, rbytes=8.0 * self.nw * n,
+                           wbytes=8.0 * self.nw)
             return out
         pw = pairs[:, 0]
         pk = pairs[:, 1]
@@ -123,7 +122,6 @@ class BatchedNonLocalPP:
                * rho.reshape(npairs, nq)).sum(axis=1)
         contrib = self.radial(pd) * (2 * self.l + 1) * acc
         np.add.at(out, pw, contrib)
-        METRICS.add_bytes(32 * npairs * nq)
-        OPS.record("NLPP", flops=30.0 * npairs * nq,
-                   rbytes=24.0 * npairs * nq, wbytes=8.0 * npairs)
+        METRICS.record(flops=30.0 * npairs * nq,
+                       rbytes=24.0 * npairs * nq, wbytes=8.0 * npairs)
         return out

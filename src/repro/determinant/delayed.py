@@ -19,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.metrics.registry import METRICS
-from repro.perfmodel.opcount import OPS
 
 
 class DelayedUpdateEngine:
@@ -74,8 +73,8 @@ class DelayedUpdateEngine:
             y = np.linalg.solve(M, wt_col)
             for a in range(k):
                 col -= self._ainv_e[a] * y[a]
-            OPS.record("DetUpdate", flops=2.0 * self.n * k + 2.0 * k ** 3,
-                       rbytes=8.0 * self.n * (k + 1), wbytes=8.0 * self.n)
+            METRICS.record(flops=2.0 * self.n * k + 2.0 * k ** 3,
+                           rbytes=8.0 * self.n * (k + 1), wbytes=8.0 * self.n)
         return col
 
     def effective_inverse(self) -> np.ndarray:
@@ -120,10 +119,9 @@ class DelayedUpdateEngine:
             WA = np.stack(self._wt_ainv, axis=0)
             M = self._m_matrix()
             self.a_inv -= AE @ np.linalg.solve(M, WA)
-            OPS.record("DetUpdate",
-                       flops=2.0 * self.n * self.n * k + 2.0 * k ** 3,
-                       rbytes=8.0 * (self.n * self.n + 2 * self.n * k),
-                       wbytes=8.0 * self.n * self.n)
+            METRICS.record(flops=2.0 * self.n * self.n * k + 2.0 * k ** 3,
+                           rbytes=8.0 * (self.n * self.n + 2 * self.n * k),
+                           wbytes=8.0 * self.n * self.n)
         self._rows.clear()
         self._ainv_e.clear()
         self._wt_ainv.clear()

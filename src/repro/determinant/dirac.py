@@ -6,7 +6,6 @@ import numpy as np
 
 from repro.backend import active
 from repro.metrics.registry import METRICS
-from repro.perfmodel.opcount import OPS
 
 
 class DiracDeterminant:
@@ -74,8 +73,8 @@ class DiracDeterminant:
             self.d2psiM[...] = d2A
             self.log_abs_det = float(logdet)
             self.sign_det = float(sign)
-            OPS.record("DetUpdate", flops=2.0 * n ** 3,
-                       rbytes=8.0 * n * n, wbytes=8.0 * n * n * 5)
+            METRICS.record(flops=2.0 * n ** 3,
+                           rbytes=8.0 * n * n, wbytes=8.0 * n * n * 5)
             return self.log_abs_det
 
     # -- the inverse the ratios read ---------------------------------------------------
@@ -108,8 +107,8 @@ class DiracDeterminant:
             L = lap_term - np.sum(G * G, axis=1)
             P.G[self.first:self.last] += G
             P.L[self.first:self.last] += L
-            OPS.record("SPO-vgl", flops=8.0 * n * n, rbytes=40.0 * n * n,
-                       wbytes=32.0 * n)
+            METRICS.record(flops=8.0 * n * n, rbytes=40.0 * n * n,
+                           wbytes=32.0 * n)
 
     def grad(self, P, k: int) -> np.ndarray:
         """grad_k log|det| at the current position, from stored matrices."""
@@ -119,8 +118,8 @@ class DiracDeterminant:
         with METRICS.scope("DetUpdate"):
             g = self.dpsiM[i].astype(np.float64, copy=False).T @ \
                 self._column(i)
-            OPS.record("DetUpdate", flops=6.0 * self.nel,
-                       rbytes=4.0 * 8 * self.nel, wbytes=24.0)
+            METRICS.record(flops=6.0 * self.nel,
+                           rbytes=4.0 * 8 * self.nel, wbytes=24.0)
             return g
 
     def ratio(self, P, k: int) -> float:
@@ -133,9 +132,9 @@ class DiracDeterminant:
             rho = active().det_ratio(np.asarray(v, dtype=np.float64),
                                      self._column(i))
             self._cache[k] = (v, None, None, rho)
-            OPS.record("DetUpdate", flops=2.0 * self.nel,
-                       rbytes=self.dtype.itemsize * 2.0 * self.nel,
-                       wbytes=8.0)
+            METRICS.record(flops=2.0 * self.nel,
+                           rbytes=self.dtype.itemsize * 2.0 * self.nel,
+                           wbytes=8.0)
             return rho
 
     # -- ratio-only "virtual move" API (NLPP quadrature; Sec. 3 Eq. 4/7) ----------
@@ -154,9 +153,9 @@ class DiracDeterminant:
         with METRICS.scope("DetUpdate"):
             rho = active().det_ratio(np.asarray(v, dtype=np.float64),
                                      self._column(i))
-            OPS.record("DetUpdate", flops=2.0 * self.nel,
-                       rbytes=self.dtype.itemsize * 2.0 * self.nel,
-                       wbytes=8.0)
+            METRICS.record(flops=2.0 * self.nel,
+                           rbytes=self.dtype.itemsize * 2.0 * self.nel,
+                           wbytes=8.0)
             return rho
 
     def ratios_vp(self, P, owners: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -176,8 +175,9 @@ class DiracDeterminant:
         spline = getattr(self.spo, "spline", None)
         if spline is not None and getattr(self.spo, "layout", "") == "soa":
             from repro.batched.spo import batched_multi_v
-            phi = np.asarray(batched_multi_v(spline, pos[idx]),
-                             dtype=np.float64)[:, : self.nel]
+            with METRICS.scope("Bspline-v"):
+                phi = np.asarray(batched_multi_v(spline, pos[idx]),
+                                 dtype=np.float64)[:, : self.nel]
         else:
             phi = np.empty((idx.size, self.nel), dtype=np.float64)
             for m, j in enumerate(idx):
@@ -186,9 +186,10 @@ class DiracDeterminant:
         with METRICS.scope("DetUpdate"):
             cols = self._columns(owners[idx] - self.first)
             rho[idx] = np.asarray(active().det_ratios_vp(phi, cols))
-            OPS.record("DetUpdate", flops=2.0 * self.nel * idx.size,
-                       rbytes=self.dtype.itemsize * 2.0 * self.nel * idx.size,
-                       wbytes=8.0 * idx.size)
+            npts = idx.size
+            METRICS.record(flops=2.0 * self.nel * npts,
+                           rbytes=self.dtype.itemsize * 2.0 * self.nel * npts,
+                           wbytes=8.0 * npts)
         return rho
 
     def ratio_grad(self, P, k: int):
@@ -203,9 +204,9 @@ class DiracDeterminant:
             rho = active().det_ratio(np.asarray(v, dtype=np.float64), col)
             grad = (np.asarray(g, dtype=np.float64).T @ col) / rho
             self._cache[k] = (v, g, l, rho)
-            OPS.record("DetUpdate", flops=8.0 * self.nel,
-                       rbytes=self.dtype.itemsize * 5.0 * self.nel,
-                       wbytes=32.0)
+            METRICS.record(flops=8.0 * self.nel,
+                           rbytes=self.dtype.itemsize * 5.0 * self.nel,
+                           wbytes=32.0)
             return rho, grad
 
     def accept_move(self, P, k: int) -> None:
@@ -235,9 +236,9 @@ class DiracDeterminant:
             self.log_abs_det += float(np.log(abs(rho)))
             if rho < 0:
                 self.sign_det = -self.sign_det
-            OPS.record("DetUpdate", flops=4.0 * n * n,
-                       rbytes=self.dtype.itemsize * 2.0 * n * n,
-                       wbytes=self.dtype.itemsize * n * n)
+            METRICS.record(flops=4.0 * n * n,
+                           rbytes=self.dtype.itemsize * 2.0 * n * n,
+                           wbytes=self.dtype.itemsize * n * n)
 
     def reject_move(self, P, k: int) -> None:
         self._cache.pop(k, None)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from repro.distances.aa_soa import DistanceTableAASoA
 from repro.metrics.registry import METRICS
-from repro.perfmodel.opcount import OPS
 
 
 class DistanceTableAAOtf(DistanceTableAASoA):
@@ -29,10 +28,9 @@ class DistanceTableAAOtf(DistanceTableAASoA):
         self._row_from(P, P.R[k], self.distances[k], self.displacements[k],
                        k)
         itemsize = self.dtype.itemsize
-        OPS.record(self.category, flops=9.0 * self.n,
-                   rbytes=24.0 * self.n, wbytes=4.0 * itemsize * self.n)
+        METRICS.record(flops=9.0 * self.n,
+                       rbytes=24.0 * self.n, wbytes=4.0 * itemsize * self.n)
         METRICS.count("otf_row_recomputes")
-        METRICS.add_bytes(4 * itemsize * self.n)
 
     def update(self, k: int) -> None:
         # Contiguous row write only — no strided column traffic.
@@ -40,6 +38,5 @@ class DistanceTableAAOtf(DistanceTableAASoA):
         self.displacements[k, :, :] = self.temp_dr
         self._active = -1
         itemsize = self.dtype.itemsize
-        OPS.record(self.category,
-                   rbytes=4.0 * itemsize * self.n,
-                   wbytes=4.0 * itemsize * self.np_)
+        METRICS.record(rbytes=4.0 * itemsize * self.n,
+                       wbytes=4.0 * itemsize * self.np_)

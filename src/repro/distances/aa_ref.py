@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.containers.tinyvector import TinyVector
 from repro.distances.base import BIG_DISTANCE, DistanceTable
-from repro.perfmodel.opcount import OPS
+from repro.metrics.registry import METRICS
 
 
 class DistanceTableAARef(DistanceTable):
@@ -59,10 +59,9 @@ class DistanceTableAARef(DistanceTable):
                 self.dU[idx] = d
                 self.U[idx] = d.norm()
                 idx += 1
-        OPS.record(self.category,
-                   flops=9.0 * n * (n - 1) / 2,
-                   rbytes=24.0 * n * (n - 1) / 2,
-                   wbytes=32.0 * n * (n - 1) / 2)
+        METRICS.record(flops=9.0 * n * (n - 1) / 2,
+                       rbytes=24.0 * n * (n - 1) / 2,
+                       wbytes=32.0 * n * (n - 1) / 2)
 
     # -- PbyP protocol -----------------------------------------------------------
     def move(self, P, rnew: np.ndarray, k: int) -> None:
@@ -78,8 +77,8 @@ class DistanceTableAARef(DistanceTable):
             self.temp_dr_list[i] = d
             self.temp_r_list[i] = d.norm()
         self._active = k
-        OPS.record(self.category, flops=9.0 * self.n,
-                   rbytes=24.0 * self.n, wbytes=32.0 * self.n)
+        METRICS.record(flops=9.0 * self.n,
+                       rbytes=24.0 * self.n, wbytes=32.0 * self.n)
 
     def update(self, k: int) -> None:
         # Scatter the temp row back into the packed triangle: N-1 copies at
@@ -101,7 +100,7 @@ class DistanceTableAARef(DistanceTable):
         # whole cache line each (one for the distance, one for the
         # displacement), so the DRAM traffic is line-granular — the
         # unfavorable pattern Fig. 6(a) calls out.
-        OPS.record(self.category, rbytes=64.0 * n, wbytes=128.0 * n)
+        METRICS.record(rbytes=64.0 * n, wbytes=128.0 * n)
 
     # -- consumer access -----------------------------------------------------------
     @property

@@ -23,7 +23,6 @@ from repro.backend import active
 from repro.containers.aligned import aligned_empty, padded_size
 from repro.distances.base import BIG_DISTANCE, DistanceTable
 from repro.metrics.registry import METRICS
-from repro.perfmodel.opcount import OPS
 from repro.precision.policy import resolve_value_dtype
 
 
@@ -73,8 +72,8 @@ class DistanceTableAASoA(DistanceTable):
         self.distances[:, :n] = np.asarray(dist)[0]
         self.displacements[:, :, :n] = np.asarray(disp)[0]
         itemsize = self.dtype.itemsize
-        OPS.record(self.category, flops=9.0 * n * n,
-                   rbytes=24.0 * n, wbytes=4.0 * itemsize * n * n)
+        METRICS.record(flops=9.0 * n * n,
+                       rbytes=24.0 * n, wbytes=4.0 * itemsize * n * n)
 
     # -- PbyP protocol -----------------------------------------------------------
     def move(self, P, rnew: np.ndarray, k: int) -> None:
@@ -84,9 +83,9 @@ class DistanceTableAASoA(DistanceTable):
         self._row_from(P, rk, self.temp_r, self.temp_dr, k)
         self._active = k
         itemsize = self.dtype.itemsize
-        OPS.record(self.category, flops=9.0 * self.n,
-                   rbytes=(24.0 + 0.0) * self.n,
-                   wbytes=4.0 * itemsize * self.n)
+        METRICS.record(flops=9.0 * self.n,
+                       rbytes=(24.0 + 0.0) * self.n,
+                       wbytes=4.0 * itemsize * self.n)
 
     def update(self, k: int) -> None:
         n = self.n
@@ -100,11 +99,9 @@ class DistanceTableAASoA(DistanceTable):
             self.displacements[k + 1:n, :, k] = -self.temp_dr[:, k + 1:n].T
         self._active = -1
         itemsize = self.dtype.itemsize
-        OPS.record(self.category,
-                   rbytes=4.0 * itemsize * n,
-                   wbytes=4.0 * itemsize * (self.np_ + (n - k)))
+        METRICS.record(rbytes=4.0 * itemsize * n,
+                       wbytes=4.0 * itemsize * (self.np_ + (n - k)))
         METRICS.count("forward_update_rows")
-        METRICS.add_bytes(4 * itemsize * (self.np_ + (n - k)))
 
     # -- consumer access -----------------------------------------------------------
     def dist_row(self, k: int) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.containers.tinyvector import TinyVector
 from repro.distances.base import DistanceTable
-from repro.perfmodel.opcount import OPS
+from repro.metrics.registry import METRICS
 
 
 class DistanceTableABRef(DistanceTable):
@@ -50,9 +50,9 @@ class DistanceTableABRef(DistanceTable):
                 d = lat.min_image_disp_scalar(S[I] - rk)  # ion - electron
                 row_dr[I] = d
                 row_r[I] = d.norm()
-        OPS.record(self.category, flops=9.0 * self.nt * self.ns,
-                   rbytes=24.0 * (self.nt + self.ns),
-                   wbytes=32.0 * self.nt * self.ns)
+        METRICS.record(flops=9.0 * self.nt * self.ns,
+                       rbytes=24.0 * (self.nt + self.ns),
+                       wbytes=32.0 * self.nt * self.ns)
 
     def move(self, P, rnew: np.ndarray, k: int) -> None:
         rn = TinyVector(rnew)
@@ -65,14 +65,14 @@ class DistanceTableABRef(DistanceTable):
             self.temp_dr_list[I] = d
             self.temp_r_list[I] = d.norm()
         self._active = k
-        OPS.record(self.category, flops=9.0 * self.ns,
-                   rbytes=24.0 * self.ns, wbytes=32.0 * self.ns)
+        METRICS.record(flops=9.0 * self.ns,
+                       rbytes=24.0 * self.ns, wbytes=32.0 * self.ns)
 
     def update(self, k: int) -> None:
         self.r[k] = list(self.temp_r_list)
         self.dr[k] = [tv.copy() for tv in self.temp_dr_list]
         self._active = -1
-        OPS.record(self.category, rbytes=32.0 * self.ns, wbytes=32.0 * self.ns)
+        METRICS.record(rbytes=32.0 * self.ns, wbytes=32.0 * self.ns)
 
     @property
     def temp_r(self) -> List[float]:

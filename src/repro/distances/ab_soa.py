@@ -13,7 +13,7 @@ from repro.backend import active
 from repro.containers.aligned import aligned_empty, padded_size
 from repro.containers.vsc import VectorSoaContainer
 from repro.distances.base import DistanceTable
-from repro.perfmodel.opcount import OPS
+from repro.metrics.registry import METRICS
 from repro.precision.policy import resolve_value_dtype
 
 
@@ -63,9 +63,9 @@ class DistanceTableABSoA(DistanceTable):
         self.distances[:, : self.ns] = np.asarray(dist)[0]
         self.displacements[:, :, : self.ns] = np.asarray(disp)[0]
         itemsize = self.dtype.itemsize
-        OPS.record(self.category, flops=9.0 * self.nt * self.ns,
-                   rbytes=24.0 * (self.nt + self.ns),
-                   wbytes=4.0 * itemsize * self.nt * self.ns)
+        METRICS.record(flops=9.0 * self.nt * self.ns,
+                       rbytes=24.0 * (self.nt + self.ns),
+                       wbytes=4.0 * itemsize * self.nt * self.ns)
 
     def move(self, P, rnew: np.ndarray, k: int) -> None:
         # Proposed position promoted to accumulation precision for the
@@ -74,16 +74,16 @@ class DistanceTableABSoA(DistanceTable):
         self._row_from(rk, self.temp_r, self.temp_dr)
         self._active = k
         itemsize = self.dtype.itemsize
-        OPS.record(self.category, flops=9.0 * self.ns,
-                   rbytes=24.0 * self.ns, wbytes=4.0 * itemsize * self.ns)
+        METRICS.record(flops=9.0 * self.ns,
+                       rbytes=24.0 * self.ns, wbytes=4.0 * itemsize * self.ns)
 
     def update(self, k: int) -> None:
         self.distances[k, :] = self.temp_r
         self.displacements[k, :, :] = self.temp_dr
         self._active = -1
         itemsize = self.dtype.itemsize
-        OPS.record(self.category, rbytes=4.0 * itemsize * self.ns,
-                   wbytes=4.0 * itemsize * self.nsp)
+        METRICS.record(rbytes=4.0 * itemsize * self.ns,
+                       wbytes=4.0 * itemsize * self.nsp)
 
     def dist_row(self, k: int) -> np.ndarray:
         return self.distances[k, : self.ns]

@@ -194,10 +194,6 @@ class GenerationLoop:
                     f"run's {value!r} do not match")
         return int(resume.step)
 
-    @property
-    def acceptance_ratio(self) -> float:
-        return self.n_accept / self.n_moves if self.n_moves else 0.0
-
     def _run_generations(self, steps: int, method: str,
                          scope: str, streams=None, start: int = 0,
                          policy: Optional[DMCPolicy] = None,

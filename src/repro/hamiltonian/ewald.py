@@ -31,7 +31,6 @@ from scipy.special import erfc
 
 from repro.lattice.cell import CrystalLattice
 from repro.metrics.registry import METRICS
-from repro.perfmodel.opcount import OPS
 
 
 class EwaldHandler:
@@ -93,8 +92,8 @@ class EwaldHandler:
             d = np.sqrt(np.sum(dr * dr, axis=1))
             total += float(np.sum(q[i] * q[i + 1:] * erfc(self.alpha * d)
                                   / d))
-        OPS.record("Other", flops=12.0 * n * n / 2, rbytes=8.0 * n * n / 2,
-                   wbytes=8.0)
+        METRICS.record(flops=12.0 * n * n / 2, rbytes=8.0 * n * n / 2,
+                       wbytes=8.0)
         return total
 
     def reciprocal_space(self, R: np.ndarray, q: np.ndarray) -> float:
@@ -103,8 +102,8 @@ class EwaldHandler:
         re = q @ np.cos(phases)
         im = q @ np.sin(phases)
         s2 = re * re + im * im
-        OPS.record("Other", flops=6.0 * R.shape[0] * self.gvecs.shape[0],
-                   rbytes=8.0 * self.gvecs.shape[0], wbytes=8.0)
+        METRICS.record(flops=6.0 * R.shape[0] * self.gvecs.shape[0],
+                       rbytes=8.0 * self.gvecs.shape[0], wbytes=8.0)
         return 0.5 * float(np.sum(self.gfactors * s2))
 
     def self_energy(self, q: np.ndarray) -> float:

@@ -40,7 +40,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.metrics.registry import METRICS
-from repro.perfmodel.opcount import OPS
 
 
 def sphere_quadrature(npoints: int = 12) -> tuple[np.ndarray, np.ndarray]:
@@ -282,9 +281,8 @@ class NonLocalPP:
         contrib = self.radial(vps.pair_dist) * (2 * self.l + 1) * acc
         METRICS.count("nlpp_pairs", vps.npairs)
         METRICS.count("nlpp_ratio_points", vps.nvp)
-        METRICS.add_bytes(32 * vps.nvp)
-        OPS.record("NLPP", flops=30.0 * vps.nvp, rbytes=24.0 * vps.nvp,
-                   wbytes=8.0 * vps.npairs)
+        METRICS.record(flops=30.0 * vps.nvp, rbytes=24.0 * vps.nvp,
+                       wbytes=8.0 * vps.npairs)
         return float(np.sum(contrib))
 
     def _evaluate_loop(self, P, twf, rot: np.ndarray) -> float:
@@ -308,9 +306,8 @@ class NonLocalPP:
                 pl = legendre(self.l, cosines)
                 METRICS.count("nlpp_pairs", 1)
                 METRICS.count("nlpp_ratio_points", len(dirs))
-                METRICS.add_bytes(32 * len(dirs))
-                OPS.record("NLPP", flops=30.0 * len(dirs),
-                           rbytes=24.0 * len(dirs), wbytes=8.0)
+                METRICS.record(flops=30.0 * len(dirs),
+                               rbytes=24.0 * len(dirs), wbytes=8.0)
                 acc = 0.0
                 for q in range(len(dirs)):
                     r_q = ion_pos + d * dirs[q]

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.metrics.registry import METRICS
-from repro.perfmodel.opcount import OPS
 
 
 class KineticEnergy:
@@ -18,8 +17,8 @@ class KineticEnergy:
         with METRICS.scope("Other"):
             g2 = np.sum(P.G * P.G, axis=1)
             val = -0.5 * float(np.sum(P.L + g2))
-            OPS.record("Other", flops=5.0 * P.n, rbytes=32.0 * P.n,
-                       wbytes=8.0)
+            METRICS.record(flops=5.0 * P.n, rbytes=32.0 * P.n,
+                           wbytes=8.0)
             return val
 
 
@@ -43,8 +42,8 @@ class CoulombEE:
             for i in range(P.n):
                 row = np.asarray(table.dist_row(i), dtype=np.float64)
                 total += float(np.sum(1.0 / row[:i]))
-            OPS.record("Other", flops=2.0 * P.n * P.n / 2,
-                       rbytes=8.0 * P.n * P.n / 2, wbytes=8.0)
+            METRICS.record(flops=2.0 * P.n * P.n / 2,
+                           rbytes=8.0 * P.n * P.n / 2, wbytes=8.0)
             return total
 
 
@@ -64,8 +63,8 @@ class CoulombEI:
             for k in range(P.n):
                 row = np.asarray(table.dist_row(k), dtype=np.float64)
                 total -= float(np.sum(self.charges / row))
-            OPS.record("Other", flops=2.0 * P.n * self.charges.size,
-                       rbytes=8.0 * P.n * self.charges.size, wbytes=8.0)
+            METRICS.record(flops=2.0 * P.n * self.charges.size,
+                           rbytes=8.0 * P.n * self.charges.size, wbytes=8.0)
             return total
 
 

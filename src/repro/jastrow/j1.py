@@ -24,7 +24,6 @@ import numpy as np
 from repro.jastrow import rows, vp
 from repro.jastrow.functor import BsplineFunctor
 from repro.metrics.registry import METRICS
-from repro.perfmodel.opcount import OPS
 
 
 class _J1Base:
@@ -72,13 +71,13 @@ class OneBodyJastrowOtf(_J1Base):
 
     # -- row kernels: repro.jastrow.rows at W = 1 ---------------------------------
     def _row_v(self, row_r: np.ndarray) -> float:
-        OPS.record("J1", flops=10.0 * self.nions, rbytes=8.0 * self.nions,
-                   wbytes=8.0)
+        METRICS.record(flops=10.0 * self.nions, rbytes=8.0 * self.nions,
+                       wbytes=8.0)
         return float(rows.rows_v(rows.j1_groups(self), row_r[None])[0])
 
     def _row_vgl(self, row_r: np.ndarray, row_dr: np.ndarray):
-        OPS.record("J1", flops=20.0 * self.nions, rbytes=32.0 * self.nions,
-                   wbytes=40.0)
+        METRICS.record(flops=20.0 * self.nions, rbytes=32.0 * self.nions,
+                       wbytes=40.0)
         u_sum, grad, lap = rows.rows_vgl(rows.j1_groups(self), row_r[None],
                                          row_dr[None])
         return float(u_sum[0]), grad[0], float(lap[0])
@@ -154,7 +153,7 @@ class OneBodyJastrowOtf(_J1Base):
         with METRICS.scope("J1"):
             table = P.distance_tables[self.table_index]
             return vp.ratios_vp(
-                "J1", table.lattice, getattr(table, "dtype", np.float64),
+                table.lattice, getattr(table, "dtype", np.float64),
                 np.zeros(len(owners), dtype=np.intp), owners, positions,
                 source=lambda w: table.source.R.T,
                 old_sums=lambda ws, ks: self.U[ks],
@@ -223,8 +222,8 @@ class OneBodyJastrowRef(_J1Base):
                 gy += w * dv[1]
                 gz += w * dv[2]
                 lap -= d2u + 2.0 * w
-        OPS.record("J1", flops=30.0 * self.nions, rbytes=32.0 * self.nions,
-                   wbytes=40.0)
+        METRICS.record(flops=30.0 * self.nions, rbytes=32.0 * self.nions,
+                       wbytes=40.0)
         return u_sum, np.array([gx, gy, gz]), lap
 
     def evaluate_log(self, P) -> float:
@@ -271,6 +270,9 @@ class OneBodyJastrowRef(_J1Base):
             for I in range(self.nions):
                 u_new += self._ion_functors[I].evaluate_v_scalar(
                     float(dists[I]))
+            # the value-only share of a _scalar_row: one u written
+            METRICS.record(flops=12.0 * self.nions,
+                           rbytes=32.0 * self.nions, wbytes=8.0)
             return math.exp(-(u_new - self.U[k]))
 
     def accept_move(self, P, k: int) -> None:

@@ -23,7 +23,6 @@ from repro.distances.base import BIG_DISTANCE
 from repro.jastrow import rows, vp
 from repro.jastrow.functor import BsplineFunctor
 from repro.metrics.registry import METRICS
-from repro.perfmodel.opcount import OPS
 
 
 class _J2Base:
@@ -67,15 +66,15 @@ class TwoBodyJastrowOtf(_J2Base):
     # -- row kernels: repro.jastrow.rows at W = 1 ---------------------------------
     def _row_v(self, row_r: np.ndarray, k: int) -> float:
         """sum_j u(r_kj) over a distance row (vectorized per group)."""
-        OPS.record("J2", flops=10.0 * self.n, rbytes=8.0 * self.n,
-                   wbytes=8.0)
+        METRICS.record(flops=10.0 * self.n, rbytes=8.0 * self.n,
+                       wbytes=8.0)
         return float(rows.rows_v(
             rows.j2_groups(self, self.group_of[k]), row_r[None])[0])
 
     def _row_vgl(self, row_r: np.ndarray, row_dr: np.ndarray, k: int):
         """(sum u, grad_k, lap_k) over a row; row_dr is (3, N)."""
-        OPS.record("J2", flops=20.0 * self.n, rbytes=32.0 * self.n,
-                   wbytes=8.0 * 5)
+        METRICS.record(flops=20.0 * self.n, rbytes=32.0 * self.n,
+                       wbytes=8.0 * 5)
         u_sum, grad, lap = rows.rows_vgl(
             rows.j2_groups(self, self.group_of[k]), row_r[None], row_dr[None])
         return float(u_sum[0]), grad[0], float(lap[0])
@@ -84,8 +83,8 @@ class TwoBodyJastrowOtf(_J2Base):
         """(sum u, grad_k): :meth:`_row_vgl` without the Laplacian
         channel the PbyP moves never read, bitwise its first two
         results."""
-        OPS.record("J2", flops=16.0 * self.n, rbytes=32.0 * self.n,
-                   wbytes=8.0 * 4)
+        METRICS.record(flops=16.0 * self.n, rbytes=32.0 * self.n,
+                       wbytes=8.0 * 4)
         u_sum, grad = rows.rows_vg(
             rows.j2_groups(self, self.group_of[k]), row_r[None], row_dr[None])
         return float(u_sum[0]), grad[0]
@@ -165,7 +164,7 @@ class TwoBodyJastrowOtf(_J2Base):
         with METRICS.scope("J2"):
             table = P.distance_tables[self.table_index]
             return vp.ratios_vp(
-                "J2", table.lattice, getattr(table, "dtype", np.float64),
+                table.lattice, getattr(table, "dtype", np.float64),
                 np.zeros(len(owners), dtype=np.intp), owners, positions,
                 source=lambda w: P.R.T,
                 old_sums=lambda ws, ks: vp.j2_row_sums(self, np.stack(
@@ -257,14 +256,14 @@ class TwoBodyJastrowRef(_J2Base):
                 logpsi -= 0.5 * float(np.sum(self.Umat[i]))
                 P.G[i] += np.sum(self.dUmat[i], axis=0)
                 P.L[i] += -float(np.sum(self.d2Umat[i]))
-            OPS.record("J2", flops=30.0 * n * n, rbytes=16.0 * n * n,
-                       wbytes=40.0 * n * n)
+            METRICS.record(flops=30.0 * n * n, rbytes=16.0 * n * n,
+                           wbytes=40.0 * n * n)
             return logpsi
 
     def grad(self, P, k: int) -> np.ndarray:
         """From the stored matrices — the retrieve side of store-over-compute."""
         with METRICS.scope("J2"):
-            OPS.record("J2", rbytes=24.0 * self.n, wbytes=24.0)
+            METRICS.record(rbytes=24.0 * self.n, wbytes=24.0)
             return np.sum(self.dUmat[k], axis=0)
 
     # -- PbyP -------------------------------------------------------------------------
@@ -298,8 +297,8 @@ class TwoBodyJastrowRef(_J2Base):
                     grad[2] += t[2]
             else:
                 u_new[j] = f.evaluate_v_scalar(d)
-        OPS.record("J2", flops=(30.0 if with_grad else 12.0) * n,
-                   rbytes=32.0 * n, wbytes=40.0 * n)
+        METRICS.record(flops=(30.0 if with_grad else 12.0) * n,
+                       rbytes=32.0 * n, wbytes=40.0 * n)
         return u_new, du_new, d2u_new, np.array(grad)
 
     def ratio(self, P, k: int) -> float:
@@ -333,6 +332,9 @@ class TwoBodyJastrowRef(_J2Base):
                     continue
                 f = self.functor_for(gk, self.group_of[j])
                 u_new += f.evaluate_v_scalar(float(dists[j]))
+            # what _scalar_row(with_grad=False) records for the same row
+            METRICS.record(flops=12.0 * self.n, rbytes=32.0 * self.n,
+                           wbytes=40.0 * self.n)
             u_old = float(np.sum(self.Umat[k]))
             return math.exp(-(u_new - u_old))
 
@@ -361,7 +363,7 @@ class TwoBodyJastrowRef(_J2Base):
                 self.dUmat[j, k, 2] = -t[2]
                 self.d2Umat[k, j] = d2u_new[j]
                 self.d2Umat[j, k] = d2u_new[j]
-            OPS.record("J2", rbytes=40.0 * n, wbytes=80.0 * n)
+            METRICS.record(rbytes=40.0 * n, wbytes=80.0 * n)
 
     def reject_move(self, P, k: int) -> None:
         self._cache.pop(k, None)
@@ -373,7 +375,7 @@ class TwoBodyJastrowRef(_J2Base):
             n = self.n
             P.G[:n] += np.sum(self.dUmat, axis=1)
             P.L[:n] += -np.sum(self.d2Umat, axis=1)
-            OPS.record("J2", rbytes=40.0 * n * n, wbytes=32.0 * n)
+            METRICS.record(rbytes=40.0 * n * n, wbytes=32.0 * n)
 
     # -- walker buffer (Ref: the full 5N^2 matrices travel) ----------------------------
     def register_data(self, P, buf) -> None:

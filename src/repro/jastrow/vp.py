@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.distances.base import BIG_DISTANCE
 from repro.jastrow.rows import j1_groups, j2_groups, rows_v
-from repro.perfmodel.opcount import OPS
+from repro.metrics.registry import METRICS
 
 
 def equal_runs(*keys: np.ndarray):
@@ -75,10 +75,10 @@ def j1_row_sums(j1, rows: np.ndarray, ks: np.ndarray) -> np.ndarray:
     return rows_v(j1_groups(j1), rows)
 
 
-def ratios_vp(category: str, lattice, dtype, owners_w, owners_k, positions,
-              source, old_sums, row_sums, mask_self: bool) -> np.ndarray:
+def ratios_vp(lattice, dtype, owners_w, owners_k, positions, source,
+              old_sums, row_sums, mask_self: bool) -> np.ndarray:
     """``(Nvp,)`` Jastrow ratios for a virtual-particle slab, op-counted
-    under ``category``.
+    on the caller's open (J2 or J1) scope.
 
     ``owners_w`` names each point's walker and ``owners_k`` its
     electron (the per-walker components pass a constant ``owners_w``:
@@ -112,6 +112,6 @@ def ratios_vp(category: str, lattice, dtype, owners_w, owners_k, positions,
             d[np.arange(hi - lo), ks] = BIG_DISTANCE
         u_new[lo:hi] = row_sums(d.astype(dtype, copy=False), ks)
     n = d.shape[1]
-    OPS.record(category, flops=10.0 * n * nvp, rbytes=8.0 * n * nvp,
-               wbytes=8.0 * nvp)
+    METRICS.record(flops=10.0 * n * nvp, rbytes=8.0 * n * nvp,
+                   wbytes=8.0 * nvp)
     return np.exp(-(u_new - u_old))

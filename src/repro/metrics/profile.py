@@ -1,20 +1,21 @@
 """The paper view of a scope tree: flat hot-spot profiles (Figs. 2 and 7).
 
 Kernels open a scope named after their paper category (``J2``,
-``DetUpdate``, ...); drivers open structural scopes (``VMC``, ``sweep``,
-``measure``, ...) around them.  :func:`category_seconds` reduces one
-run's subtree to exclusive seconds per category and folds every
-structural scope into ``Other``, so the seconds sum to the run's wall
-time; ``METRICS.profile_run`` records such a subtree.
+``DetUpdate``, ...) and record their modelled flops and bytes inside
+it; drivers open structural scopes (``VMC``, ``sweep``, ``measure``,
+...) around them.  :func:`category_view` reduces one run's subtree to
+exclusive seconds and op counts per category and folds every structural
+scope into ``Other``, so the seconds sum to the run's wall time;
+``METRICS.profile_run`` records such a subtree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Tuple
 
-__all__ = ["PAPER_CATEGORIES", "PROFILE_CATEGORIES", "HotspotProfile",
-           "category_seconds"]
+__all__ = ["PAPER_CATEGORIES", "PROFILE_CATEGORIES", "KernelOps",
+           "HotspotProfile", "category_view"]
 
 #: Profile rows in the paper's display order (Figs. 2 and 7).
 PAPER_CATEGORIES = ["DistTable-AA", "DistTable-AB", "J1", "J2", "Bspline-v",
@@ -27,12 +28,34 @@ PROFILE_CATEGORIES = frozenset(PAPER_CATEGORIES) | {"Sweep"}
 
 
 @dataclass
+class KernelOps:
+    """Modelled operation counts of one category — a roofline point's
+    input."""
+
+    flops: float = 0.0
+    rbytes: float = 0.0
+    wbytes: float = 0.0
+
+    @property
+    def bytes_moved(self) -> float:
+        return self.rbytes + self.wbytes
+
+    @property
+    def arithmetic_intensity(self) -> float:
+        """Flops per byte of DRAM traffic (the roofline x-axis)."""
+        b = self.bytes_moved
+        return self.flops / b if b > 0 else 0.0
+
+
+@dataclass
 class HotspotProfile:
-    """A finished profile: seconds per category plus total wall time."""
+    """A finished profile: seconds and op counts per category plus total
+    wall time."""
 
     seconds: Dict[str, float]
     total: float
     label: str = ""
+    ops: Dict[str, KernelOps] = field(default_factory=dict)
 
     def fraction(self, category: str) -> float:
         """Fraction of total time spent in ``category``."""
@@ -65,19 +88,26 @@ class HotspotProfile:
         return "\n".join(lines)
 
 
-def category_seconds(node, categories: Iterable[str] = PROFILE_CATEGORIES
-                     ) -> Dict[str, float]:
-    """Exclusive seconds of the subtree under ``node`` (a
-    :class:`~repro.metrics.registry.ScopeNode`, itself included) summed
-    by scope name; names outside ``categories`` count as ``Other``.  The
-    values sum to ``node.seconds``."""
-    out: Dict[str, float] = {}
+def category_view(node, categories: Iterable[str] = PROFILE_CATEGORIES
+                  ) -> Tuple[Dict[str, float], Dict[str, KernelOps]]:
+    """Exclusive seconds and recorded op counts of the subtree under
+    ``node`` (a :class:`~repro.metrics.registry.ScopeNode`, itself
+    included) summed by scope name; names outside ``categories`` count
+    as ``Other``.  The seconds sum to ``node.seconds``; a category gets
+    an ops entry only where something recorded work."""
+    seconds: Dict[str, float] = {}
+    ops: Dict[str, KernelOps] = {}
 
     def walk(n) -> None:
         name = n.name if n.name in categories else "Other"
-        out[name] = out.get(name, 0.0) + n.exclusive
+        seconds[name] = seconds.get(name, 0.0) + n.exclusive
+        if n.flops or n.rbytes or n.wbytes:
+            k = ops.setdefault(name, KernelOps())
+            k.flops += n.flops
+            k.rbytes += n.rbytes
+            k.wbytes += n.wbytes
         for child in n.children.values():
             walk(child)
 
     walk(node)
-    return out
+    return seconds, ops

@@ -7,16 +7,20 @@ Every node tracks
 
 * ``calls`` — how many times the scope was entered,
 * ``seconds`` — **inclusive** wall time (children included),
-* ``bytes_moved`` — explicitly attributed data traffic, and
+* ``flops``/``rbytes``/``wbytes`` — the modelled work the kernels
+  recorded while it was the innermost open scope (the roofline input),
 * named ``counters`` (row updates, OTF recomputes, ...).
 
 Exclusive time (inclusive minus the children's inclusive) is derived at
 snapshot time, so hot-path bookkeeping is one ``perf_counter`` pair per
 scope entry and nothing else.
 
-Threading: each thread records into its own tree (crowd workers never
-contend on a lock); :meth:`MetricsRegistry.snapshot` merges the
-per-thread trees path-by-path under the registry lock.
+Threading: each thread records into its own tree, so a thread never
+takes the registry lock on the hot path; :meth:`MetricsRegistry.snapshot`
+merges the per-thread trees path-by-path under the lock.  Crowd workers
+are processes and come home through :meth:`merge_snapshot`; the only
+threads left are ``TiledBSpline3D``'s tile pool, whose records land in
+the pool threads' trees, not under the caller's open scope.
 
 Cost discipline: the registry is armed by ``REPRO_METRICS=1``,
 :meth:`enable` or, for one run, :meth:`MetricsRegistry.profile_run`.
@@ -34,7 +38,7 @@ from contextlib import contextmanager
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.metrics.profile import (PROFILE_CATEGORIES, HotspotProfile,
-                                   category_seconds)
+                                   category_view)
 
 __all__ = ["MetricsRegistry", "ScopeNode", "METRICS", "metrics_enabled"]
 
@@ -62,14 +66,19 @@ _NULL_SCOPE = _NullScope()
 class ScopeNode:
     """One named node of a thread's scope tree."""
 
-    __slots__ = ("name", "calls", "seconds", "bytes_moved", "counters",
-                 "children")
+    __slots__ = ("name", "calls", "seconds", "flops", "rbytes", "wbytes",
+                 "counters", "children")
+
+    #: the modelled-work fields, recorded exclusively (never inclusive)
+    OPS_FIELDS = ("flops", "rbytes", "wbytes")
 
     def __init__(self, name: str):
         self.name = name
         self.calls = 0
         self.seconds = 0.0          # inclusive
-        self.bytes_moved = 0
+        self.flops = 0.0
+        self.rbytes = 0.0
+        self.wbytes = 0.0
         self.counters: Dict[str, float] = {}
         self.children: Dict[str, "ScopeNode"] = {}
 
@@ -92,7 +101,8 @@ class ScopeNode:
         node = cls(str(data.get("name", "?")))
         node.calls = int(data.get("calls", 0))
         node.seconds = float(data.get("inclusive_s", 0.0))
-        node.bytes_moved = int(data.get("bytes_moved", 0))
+        for key in cls.OPS_FIELDS:
+            setattr(node, key, float(data.get(key, 0.0)))
         node.counters = dict(data.get("counters", {}))
         for child in data.get("children", ()):
             rebuilt = cls.from_dict(child)
@@ -103,22 +113,26 @@ class ScopeNode:
         """Fold ``other`` (same name) into this node, recursively."""
         self.calls += other.calls
         self.seconds += other.seconds
-        self.bytes_moved += other.bytes_moved
+        self.flops += other.flops
+        self.rbytes += other.rbytes
+        self.wbytes += other.wbytes
         for key, val in other.counters.items():
             self.counters[key] = self.counters.get(key, 0) + val
         for name, theirs in other.children.items():
             self.child(name).merge(theirs)
 
     def as_dict(self) -> dict:
-        """JSON-ready view: inclusive/exclusive seconds, counts, children."""
+        """JSON-ready view: inclusive/exclusive seconds, modelled work,
+        counts, children."""
         out = {
             "name": self.name,
             "calls": self.calls,
             "inclusive_s": self.seconds,
             "exclusive_s": self.exclusive,
         }
-        if self.bytes_moved:
-            out["bytes_moved"] = int(self.bytes_moved)
+        for key in self.OPS_FIELDS:
+            if getattr(self, key):
+                out[key] = getattr(self, key)
         if self.counters:
             out["counters"] = dict(self.counters)
         if self.children:
@@ -228,16 +242,21 @@ class MetricsRegistry:
             node.calls = 1
             node.seconds = time.perf_counter() - t0
             self.enabled = was_enabled
-            profile.seconds = category_seconds(node, categories)
+            profile.seconds, profile.ops = category_view(node, categories)
             profile.total = node.seconds
             if was_enabled:
                 state.current.child(scope).merge(node)
 
-    def add_bytes(self, nbytes: int) -> None:
-        """Attribute data traffic to the innermost open scope."""
+    def record(self, flops: float = 0.0, rbytes: float = 0.0,
+               wbytes: float = 0.0) -> None:
+        """Add a kernel call's modelled flops and bytes read/written to
+        the innermost open scope — the category the kernel runs under."""
         if not self.enabled:
             return
-        self._state().current.bytes_moved += int(nbytes)
+        node = self._state().current
+        node.flops += flops
+        node.rbytes += rbytes
+        node.wbytes += wbytes
 
     def count(self, name: str, n: float = 1) -> None:
         """Bump a named counter on the innermost open scope."""
@@ -293,19 +312,21 @@ class MetricsRegistry:
         return {"scopes": [c.as_dict() for c in root.children.values()]}
 
     def flat(self) -> Dict[str, dict]:
-        """``{"A/B/C": {calls, inclusive_s, exclusive_s, bytes_moved}}``."""
+        """``{"A/B/C": {calls, inclusive_s, exclusive_s, flops, rbytes,
+        wbytes}}``."""
         out: Dict[str, dict] = {}
 
         def walk(node: ScopeNode, prefix: str) -> None:
             for child in node.children.values():
                 path = f"{prefix}/{child.name}" if prefix else child.name
-                entry = out.setdefault(path, {
-                    "calls": 0, "inclusive_s": 0.0, "exclusive_s": 0.0,
-                    "bytes_moved": 0})
+                entry = out.setdefault(path, dict.fromkeys(
+                    ("calls", "inclusive_s", "exclusive_s")
+                    + ScopeNode.OPS_FIELDS, 0))
                 entry["calls"] += child.calls
                 entry["inclusive_s"] += child.seconds
                 entry["exclusive_s"] += child.exclusive
-                entry["bytes_moved"] += child.bytes_moved
+                for key in ScopeNode.OPS_FIELDS:
+                    entry[key] += getattr(child, key)
                 walk(child, path)
 
         walk(self._merged_root(), "")
@@ -315,7 +336,7 @@ class MetricsRegistry:
         """Exclusive seconds summed over every node with a given *leaf*
         name, anywhere in any thread's tree — the whole-registry form
         of the innermost-category attribution a run's paper view
-        (:func:`repro.metrics.profile.category_seconds`) is built from."""
+        (:func:`repro.metrics.profile.category_view`) is built from."""
         out: Dict[str, float] = {}
 
         def walk(node: ScopeNode) -> None:

@@ -284,7 +284,6 @@ class TraceWriter:
         self._buffer_rows = 0
         METRICS.count("trace_chunks")
         METRICS.count("trace_bytes", nbytes)
-        METRICS.add_bytes(nbytes)
 
     def close(self) -> None:
         if self._fh is not None:

@@ -241,10 +241,10 @@ class SharedTraceBlock(_SharedBlock):
 
     Workers write each generation's per-walker E_L, pre-branch weight and
     Hamiltonian components straight into their crowd's columns
-    (``arr[step - 1, c::k]``), so the parent can rebuild the *full*
-    estimator series in deterministic (step, walker) order at the end of
-    the run — identical across worker counts, and intact across a worker
-    crash (a re-run generation simply rewrites its row).
+    (``arr[step - 1, c::k]``), so the parent reads each generation's
+    whole row in deterministic walker order as soon as the generation
+    is done — identical across worker counts, and intact across a
+    worker crash (a re-run generation simply rewrites its row).
     """
 
     def __init__(self, steps: int, nwalkers: int, ncomp: int,

@@ -4,8 +4,9 @@ The paper's cross-platform results (Table 2, Figs 1, 7, 8, 10) were taken
 on BDW/KNL/BG/Q hardware with VTune/Advisor/turbostat.  Here the same
 quantities are produced from first principles:
 
-* every kernel reports its flops and bytes moved to the global
-  :data:`~repro.perfmodel.opcount.OPS` counter;
+* every kernel records its flops and bytes moved on the ``METRICS``
+  scope it runs under (:meth:`repro.metrics.MetricsRegistry.record`), so
+  a profiled run's ``HotspotProfile.ops`` is its per-category op mix;
 * :class:`~repro.perfmodel.hardware.HardwareModel` describes a machine
   (SIMD width, cores, frequencies, cache/memory bandwidths, power);
 * :class:`~repro.perfmodel.roofline.RooflineModel` combines the two into
@@ -14,7 +15,6 @@ quantities are produced from first principles:
   over modeled runtime (Fig. 10).
 """
 
-from repro.perfmodel.opcount import OPS, OpCounter
 from repro.perfmodel.hardware import (
     HardwareModel, BDW, KNL, KNL_DDR, BGQ, MACHINES,
 )
@@ -22,7 +22,6 @@ from repro.perfmodel.roofline import RooflineModel, RooflinePoint
 from repro.perfmodel.energy import EnergyModel, PowerTrace
 
 __all__ = [
-    "OPS", "OpCounter",
     "HardwareModel", "BDW", "KNL", "KNL_DDR", "BGQ", "MACHINES",
     "RooflineModel", "RooflinePoint",
     "EnergyModel", "PowerTrace",

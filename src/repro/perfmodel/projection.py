@@ -1,9 +1,9 @@
 """Measure-and-project workflow: op mixes -> machine-model predictions.
 
 This is the programmatic form of the benchmark harness's core loop:
-run a short instrumented calculation, collect per-kernel flop/byte
-counts, and project them onto any :class:`HardwareModel` — the engine
-behind Table 2, Figs. 1, 7 and 8.
+run a short profiled calculation, read its per-category seconds and
+flop/byte counts off the one profile, and project the counts onto any
+:class:`HardwareModel` — the engine behind Table 2, Figs. 1, 7 and 8.
 """
 
 from __future__ import annotations
@@ -15,14 +15,14 @@ import numpy as np
 
 from repro.core.system import QmcSystem, run_vmc
 from repro.core.version import VERSION_CONFIGS, CodeVersion
+from repro.metrics.profile import KernelOps
 from repro.perfmodel.hardware import HardwareModel
-from repro.perfmodel.opcount import OPS, KernelOps
 from repro.perfmodel.roofline import RooflineModel
 
 
 @dataclass
 class WorkloadMeasurement:
-    """Timings + op mix from one instrumented run."""
+    """Timings + op mix from one profiled run."""
 
     workload: str
     version: CodeVersion
@@ -54,16 +54,14 @@ def measure_workload(workload: str, version: CodeVersion,
                      with_nlpp: bool = False, seed: int = 21,
                      system: Optional[QmcSystem] = None
                      ) -> WorkloadMeasurement:
-    """Run a short instrumented VMC and bundle the measurement."""
+    """Run a short profiled VMC and bundle its seconds and op counts per
+    category, both read off the run's own profile (walker creation comes
+    before it and counts in neither)."""
     sys_ = system if system is not None else QmcSystem.from_workload(
         workload, scale=scale, seed=seed, with_nlpp=with_nlpp)
     parts = sys_.build(version)
-    OPS.reset()
-    with OPS.enabled_scope():
-        res = run_vmc(sys_, version, walkers=walkers, steps=steps,
-                      parts=parts, profile=True, seed=seed + 1)
-    counts = OPS.totals()
-    OPS.reset()
+    res = run_vmc(sys_, version, walkers=walkers, steps=steps,
+                  parts=parts, profile=True, seed=seed + 1)
     return WorkloadMeasurement(
         workload=sys_.workload.name,
         version=version,
@@ -72,7 +70,7 @@ def measure_workload(workload: str, version: CodeVersion,
         throughput=res.throughput,
         profile_seconds=dict(res.profile.seconds),
         total_seconds=res.profile.total,
-        opcounts=counts,
+        opcounts=res.profile.ops,
     )
 
 

@@ -1,10 +1,10 @@
 """Roofline model (Fig. 7) and cross-platform time projection (Table 2).
 
-Inputs are the measured per-kernel flop/byte counts from
-:mod:`repro.perfmodel.opcount` (which reflect the *algorithmic* changes:
-single precision halves bytes, compute-on-the-fly removes stores, SoA
-turns strided traffic into streams).  A kernel's projected time on a
-machine is the classical roofline bound
+Inputs are the per-category flop/byte counts a profiled run records on
+its ``METRICS`` scopes (``HotspotProfile.ops``), which reflect the
+*algorithmic* changes: single precision halves bytes, compute-on-the-fly
+removes stores, SoA turns strided traffic into streams.  A kernel's
+projected time on a machine is the classical roofline bound
 
     t = max( flops / (peak x simd_efficiency), bytes / bandwidth )
 
@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Mapping
 
+from repro.metrics.profile import KernelOps
 from repro.perfmodel.hardware import HardwareModel
-from repro.perfmodel.opcount import KernelOps
 
 
 #: Fraction of vector peak each kernel category sustains, per code version.

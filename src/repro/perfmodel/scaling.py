@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.perfmodel.opcount import KernelOps
+from repro.metrics.profile import KernelOps
 
 #: Per-sweep scaling exponent of each kernel category with electron count.
 #: (flops and bytes share the exponent at leading order.)
@@ -47,7 +47,7 @@ def scale_ops(ops: KernelOps, category: str, n_ratio: float,
         expo += 1.0
     f = n_ratio ** expo
     return KernelOps(flops=ops.flops * f, rbytes=ops.rbytes * f,
-                     wbytes=ops.wbytes * f, calls=ops.calls)
+                     wbytes=ops.wbytes * f)
 
 
 def scale_opcounts(counts: Dict[str, KernelOps], n_ratio: float,

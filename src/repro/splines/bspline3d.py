@@ -40,7 +40,6 @@ import functools
 import numpy as np
 
 from repro.metrics.registry import METRICS
-from repro.perfmodel.opcount import OPS
 
 # Segment matrix and derivatives (see cubic1d.py), as (4, 4) acting on
 # (1, u, u^2, u^3).
@@ -255,19 +254,20 @@ class BSpline3D:
         return vgl_fold(self.cell_inverse, self._grid[0])
 
     def record_ops(self, kernel: str, n: int = 1) -> None:
-        """OPS record of ``n`` per-point ``multi_<kernel>`` calls
-        (``kernel`` is ``"v"``, ``"vgh"`` or ``"vgl"``), so a W-point
-        batched call counts what W per-point calls do."""
+        """Record the ops of ``n`` per-point ``multi_<kernel>`` calls
+        (``kernel`` is ``"v"``, ``"vgh"`` or ``"vgl"``) on the open
+        scope, so a W-point batched call counts what W per-point calls
+        do.  The vgl fold adds the Laplacian's 3 flops per orbital."""
         m = self.norb
         rbytes = n * 64.0 * m * self.dtype.itemsize
         if kernel == "v":
-            OPS.record("Bspline-v", flops=n * (2.0 * 64 * m + 200),
-                       rbytes=rbytes, wbytes=n * 8.0 * m)
+            METRICS.record(flops=n * (2.0 * 64 * m + 200), rbytes=rbytes,
+                           wbytes=n * 8.0 * m)
             return
-        OPS.record("Bspline-vgh", flops=n * (2.0 * 64 * m * 10 + 500),
-                   rbytes=rbytes, wbytes=n * 8.0 * m * 13)
+        flops = n * (2.0 * 64 * m * 10 + 500)
         if kernel == "vgl":
-            OPS.record("SPO-vgl", flops=n * 3.0 * m, rbytes=0, wbytes=0)
+            flops += n * 3.0 * m
+        METRICS.record(flops=flops, rbytes=rbytes, wbytes=n * 8.0 * m * 13)
 
     # -- SoA (multi-orbital) evaluation -----------------------------------------------
     def multi_v(self, r: np.ndarray) -> np.ndarray:
@@ -276,7 +276,6 @@ class BSpline3D:
         i, w = self._stencil(r)
         v = stencil_rows(w, V_ROWS)[0] @ self._block(i)
         self.record_ops("v")
-        METRICS.add_bytes(64 * self.norb * self.dtype.itemsize)
         return v
 
     def multi_vgh(self, r: np.ndarray):
@@ -287,7 +286,6 @@ class BSpline3D:
         v, g, h = vgh_chain_rule(stencil_rows(w, VGH_ROWS) @ self._block(i),
                                  self.cell_inverse, self._grid[0])
         self.record_ops("vgh")
-        METRICS.add_bytes(64 * self.norb * self.dtype.itemsize)
         return v, g, h
 
     def multi_vgl(self, r: np.ndarray):
@@ -297,7 +295,6 @@ class BSpline3D:
         i, w = self._stencil(r)
         out = (self._vgl_fold @ stencil_rows(w, VGH_ROWS)) @ self._block(i)
         self.record_ops("vgl")
-        METRICS.add_bytes(64 * self.norb * self.dtype.itemsize)
         return out[0], out[1:4].T, out[4]
 
     # -- reference (per-orbital) evaluation ----------------------------------------------
@@ -310,8 +307,8 @@ class BSpline3D:
                             block.astype(np.float64, copy=False)))
         # Per-orbital call: the stencil-weight setup (~200 flops) is shared
         # across orbitals and must not be charged once per orbital.
-        OPS.record("Bspline-v", flops=2.0 * 64 + 3,
-                   rbytes=64.0 * self.dtype.itemsize, wbytes=8.0)
+        METRICS.record(flops=2.0 * 64 + 3, rbytes=64.0 * self.dtype.itemsize,
+                       wbytes=8.0)
         return v
 
     def ref_v(self, r: np.ndarray) -> np.ndarray:
@@ -349,6 +346,6 @@ class BSpline3D:
             hu[1, 2] = hu[2, 1] = contract(a, db, dc) * ny * nz
             gs[m] = inv @ gu
             hs[m] = inv @ hu @ inv.T
-            OPS.record("Bspline-vgh", flops=2.0 * 64 * 10 + 50,
-                       rbytes=64.0 * self.dtype.itemsize, wbytes=8.0 * 13)
+            METRICS.record(flops=2.0 * 64 * 10 + 50,
+                           rbytes=64.0 * self.dtype.itemsize, wbytes=8.0 * 13)
         return vs, gs, hs

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.system import QmcSystem, run_dmc, run_vmc
 from repro.core.version import CodeVersion
-from repro.perfmodel.opcount import OPS
+from repro.metrics.registry import METRICS
 
 
 class TestFullPipeline:
@@ -45,11 +45,8 @@ class TestFullPipeline:
     def test_opcounts_collected_during_run(self):
         sys_ = QmcSystem.from_workload("NiO-32", scale=0.125, seed=8,
                                        with_nlpp=False)
-        OPS.reset()
-        with OPS.enabled_scope():
-            run_vmc(sys_, CodeVersion.CURRENT, walkers=1, steps=1, seed=5)
-        totals = OPS.totals()
-        OPS.reset()
+        totals = run_vmc(sys_, CodeVersion.CURRENT, walkers=1, steps=1,
+                         seed=5, profile=True).profile.ops
         # Drift VMC exercises the vgh path; Bspline-v appears on the
         # ratio-only paths (no-drift moves, NLPP probes).
         for cat in ("DistTable-AA", "DistTable-AB", "J1", "J2",
@@ -60,13 +57,10 @@ class TestFullPipeline:
     def test_bspline_v_counted_on_ratio_path(self):
         sys_ = QmcSystem.from_workload("NiO-32", scale=0.125, seed=8,
                                        with_nlpp=False)
-        OPS.reset()
-        with OPS.enabled_scope():
-            run_vmc(sys_, CodeVersion.CURRENT, walkers=1, steps=1,
-                    use_drift=False, seed=5)
-        totals = OPS.totals()
-        OPS.reset()
-        assert totals["Bspline-v"].flops > 0
+        prof = run_vmc(sys_, CodeVersion.CURRENT, walkers=1, steps=1,
+                       use_drift=False, seed=5, profile=True).profile
+        assert prof.ops["Bspline-v"].flops > 0
+        assert prof.seconds["Bspline-v"] > 0
 
     def test_throughput_scales_with_walkers(self):
         """Per-step work is deterministic: every generation sweeps each
@@ -87,6 +81,57 @@ class TestFullPipeline:
         assert r4.extra["moves"] == 2 * r2.extra["moves"]
         assert 0 < r2.extra["accepted"] <= r2.extra["moves"]
         assert 0 < r4.extra["accepted"] <= r4.extra["moves"]
+
+
+def _counter(scope: dict, name: str) -> float:
+    """``name`` summed over a snapshot scope and everything below it."""
+    return (scope.get("counters", {}).get(name, 0)
+            + sum(_counter(c, name) for c in scope.get("children", ())))
+
+
+class TestNlppOpCounts:
+    """The NLPP quadrature's work is timed and counted in the category
+    whose kernel does it."""
+
+    def _run(self, version, with_nlpp):
+        """(profile, NLPP ratio points of that run, parts).  The points
+        are read off the run's own ``VMC`` subtree: walker creation
+        before it evaluates the NLPP too."""
+        sys_ = QmcSystem.from_workload("NiO-32", scale=0.125, seed=8,
+                                       with_nlpp=with_nlpp)
+        parts = sys_.build(version)
+        was = METRICS.enabled
+        METRICS.enable()
+        METRICS.reset()
+        try:
+            prof = run_vmc(sys_, version, walkers=1, steps=1, seed=5,
+                           parts=parts, profile=True).profile
+            (run,) = [s for s in METRICS.snapshot()["scopes"]
+                      if s["name"] == "VMC"]
+            points = _counter(run, "nlpp_ratio_points")
+        finally:
+            METRICS.enabled = was
+            METRICS.reset()
+        return prof, points, parts
+
+    def test_ref_virtual_moves_count_their_jastrow_rows(self):
+        """Each Ref ``ratio_at`` records at least its value-only row:
+        12 flops per electron (J2) and per ion (J1)."""
+        plain, none, _ = self._run(CodeVersion.REF, False)
+        nlpp, points, parts = self._run(CodeVersion.REF, True)
+        assert none == 0 and points > 0
+        for cat, per_point in (("J2", 12.0 * parts.n_electrons),
+                               ("J1", 12.0 * parts.n_ions)):
+            extra = nlpp.ops[cat].flops - plain.ops[cat].flops
+            assert extra >= per_point * points, cat
+
+    def test_current_nlpp_spo_values_are_a_bspline_v_row(self):
+        """A drift run evaluates SPO values only on the NLPP slab; that
+        slab's seconds and flops both land in Bspline-v."""
+        prof, points, _ = self._run(CodeVersion.CURRENT, True)
+        assert points > 0
+        assert prof.seconds.get("Bspline-v", 0.0) > 0
+        assert prof.ops["Bspline-v"].flops > 0
 
 
 class TestDmcPipeline:

@@ -1,4 +1,4 @@
-"""Tests for the paper view: HotspotProfile, category_seconds, profile_run."""
+"""Tests for the paper view: HotspotProfile, category_view, profile_run."""
 
 import time
 
@@ -9,7 +9,7 @@ from repro.core.system import QmcSystem
 from repro.core.version import CodeVersion
 from repro.drivers.vmc import VMCDriver
 from repro.metrics.profile import (PAPER_CATEGORIES, HotspotProfile,
-                                   category_seconds)
+                                   KernelOps, category_view)
 from repro.metrics.registry import METRICS, MetricsRegistry
 
 
@@ -110,9 +110,27 @@ class TestProfileRun:
                 reg.add_seconds("J2", 1.0)
                 reg.add_seconds("Ewald", 0.5)
         vmc = reg._merged_root().children["VMC"]
-        secs = category_seconds(vmc)
+        secs, ops = category_view(vmc)
         assert secs["J2"] == pytest.approx(3.0)
         assert set(secs) == {"J2", "Other"}
+        assert ops == {}  # nothing recorded work
+
+    def test_ops_fold_by_innermost_category_like_seconds(self):
+        reg = MetricsRegistry()
+        with reg.profile_run("VMC") as prof:
+            with reg.scope("sweep"):
+                reg.record(flops=1.0, rbytes=2.0)
+                with reg.scope("J2"):
+                    reg.record(flops=10.0, rbytes=20.0, wbytes=5.0)
+                with reg.scope("NLPP"):
+                    reg.record(flops=3.0)
+                    with reg.scope("J2"):
+                        reg.record(flops=10.0, wbytes=1.0)
+            reg.record(wbytes=4.0)
+        assert prof.ops == {"J2": KernelOps(20.0, 20.0, 6.0),
+                            "NLPP": KernelOps(3.0, 0.0, 0.0),
+                            "Other": KernelOps(1.0, 2.0, 4.0)}
+        assert prof.ops["J2"].arithmetic_intensity == pytest.approx(20 / 26)
 
 
 @pytest.fixture(scope="module")

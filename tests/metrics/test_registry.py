@@ -67,13 +67,17 @@ def test_counters_and_bytes_attach_to_innermost_scope(reg):
     with reg.scope("sweep"):
         with reg.scope("DistTable-AA"):
             reg.count("forward_update_rows", 3)
-            reg.add_bytes(4096)
+            reg.record(flops=90.0, rbytes=4096.0)
+            reg.record(flops=10.0, wbytes=512.0)
     scopes = reg.snapshot()["scopes"]
     node = scopes[0]["children"][0]
     assert node["name"] == "DistTable-AA"
     assert node["counters"] == {"forward_update_rows": 3}
-    assert node["bytes_moved"] == 4096
-    assert "bytes_moved" not in scopes[0]  # outer scope untouched
+    assert (node["flops"], node["rbytes"], node["wbytes"]) == \
+        (100.0, 4096.0, 512.0)
+    # the outer scope is untouched, and records nothing it did not see
+    assert not {"flops", "rbytes", "wbytes"} & set(scopes[0])
+    assert reg.flat()["sweep"]["flops"] == 0
 
 
 def test_reset_drops_data_but_keeps_arming(reg):
@@ -130,7 +134,7 @@ def test_disarmed_scope_is_the_shared_null_scope():
     reg = MetricsRegistry(enabled=False)
     assert reg.scope("anything") is _NULL_SCOPE
     assert reg.scope("other") is reg.scope("else")  # no per-call allocation
-    reg.add_bytes(10)
+    reg.record(flops=10.0, rbytes=10.0)
     reg.count("x")
     assert reg.flat() == {}  # counters were dropped, not recorded
 
@@ -150,29 +154,20 @@ def test_disarmed_overhead_is_bounded():
 
 # -- JSON round-trip ----------------------------------------------------------
 
-def _rebuild(d: dict) -> ScopeNode:
-    node = ScopeNode(d["name"])
-    node.calls = d["calls"]
-    node.seconds = d["inclusive_s"]
-    node.bytes_moved = d.get("bytes_moved", 0)
-    node.counters = dict(d.get("counters", {}))
-    for child in d.get("children", []):
-        node.children[child["name"]] = _rebuild(child)
-    return node
-
-
 def test_snapshot_json_round_trip(reg):
     with reg.scope("VMC"):
         with reg.scope("sweep"):
-            reg.add_bytes(128)
+            reg.record(flops=64.0, rbytes=128.0, wbytes=32.0)
             reg.count("rows", 2)
         reg.add_seconds("J1", 0.25)
     snap = reg.snapshot()
     clone = json.loads(json.dumps(snap))
     assert clone == snap
-    vmc = _rebuild(clone["scopes"][0])
+    vmc = ScopeNode.from_dict(clone["scopes"][0])
     assert vmc.name == "VMC"
     assert vmc.exclusive == pytest.approx(
         snap["scopes"][0]["exclusive_s"])
-    assert vmc.children["sweep"].bytes_moved == 128
+    sweep = vmc.children["sweep"]
+    assert (sweep.flops, sweep.rbytes, sweep.wbytes) == (64.0, 128.0, 32.0)
+    assert sweep.counters == {"rows": 2}
     assert vmc.children["J1"].seconds == pytest.approx(0.25)

@@ -28,6 +28,7 @@ import pytest
 
 from repro.batched.system import JastrowSystemSpec
 from repro.sanitizers import ShmRaceError
+from repro.metrics.profile import category_view
 from repro.metrics.registry import METRICS
 from repro.output.stream import StreamSet, TraceReader
 from repro.parallel.crowds import ParallelCrowdDriver
@@ -194,6 +195,27 @@ class TestMetricsMerge:
         # one call per worker, inner sweep scopes intact below it
         assert flat["Crowd"]["calls"] == 2
         assert any(path.startswith("Crowd/") for path in flat), sorted(flat)
+
+    def test_worker_op_counts_come_home(self, spec):
+        """The merged per-category flops and bytes of a 2-worker run are
+        the in-process run's: op counts ride on the shipped trees."""
+        ops = {}
+        for workers in (0, 2):
+            METRICS.enable()
+            METRICS.reset()
+            try:
+                _run(spec, workers, "vmc")
+                _, ops[workers] = category_view(METRICS._merged_root())
+            finally:
+                METRICS.disable()
+                METRICS.reset()
+        assert {"DistTable-AA", "J2"} <= set(ops[0])
+        assert set(ops[2]) == set(ops[0])
+        for cat, want in ops[0].items():
+            got = ops[2][cat]
+            for field in ("flops", "rbytes", "wbytes"):
+                assert getattr(got, field) == pytest.approx(
+                    getattr(want, field), rel=1e-12), (cat, field)
 
 
 class TestWireBytes:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.perfmodel.hardware import BDW, BGQ, KNL
-from repro.perfmodel.opcount import KernelOps
+from repro.metrics.profile import KernelOps
 from repro.perfmodel.roofline import RooflineModel, SIMD_EFFICIENCY
 
 

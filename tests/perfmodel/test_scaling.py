@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.version import CodeVersion
-from repro.perfmodel.opcount import KernelOps
+from repro.metrics.profile import KernelOps
 from repro.perfmodel.projection import measure_workload
 from repro.perfmodel.scaling import (
     detupdate_crossover_n, scale_opcounts, scale_ops,
@@ -13,11 +13,10 @@ from repro.perfmodel.scaling import (
 
 class TestScaleOps:
     def test_quadratic_category(self):
-        ops = KernelOps(flops=100.0, rbytes=50.0, wbytes=25.0, calls=7)
+        ops = KernelOps(flops=100.0, rbytes=50.0, wbytes=25.0)
         out = scale_ops(ops, "J2", 2.0)
         assert out.flops == 400.0
         assert out.rbytes == 200.0
-        assert out.calls == 7
 
     def test_ion_coupled_category(self):
         ops = KernelOps(flops=100.0)
