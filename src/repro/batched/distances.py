@@ -15,7 +15,9 @@ every table holds, between generations, exactly the bits a from-scratch
 pair pass over ``R`` would give, so a DMC generation re-derives nothing
 it already has.  ``settle`` (measure) restores that state after a sweep
 by the cheapest exact means, ``gather`` (after the DMC comb) copies
-each slot's table from the slot its walker came from.
+each slot's table from the slot its walker came from.  The
+compute-on-the-fly AA table carries nothing: it holds one active row
+and computes every other row from ``R`` when it is read.
 """
 
 from __future__ import annotations
@@ -84,7 +86,45 @@ class _PairTable:
             self._fill(batch.R[foreign], foreign)
 
 
-class BatchedDistTableAA(_PairTable):
+class _AARows:
+    """What both AA tables share: the row kernel, run for the proposed
+    position of a move into the temporaries ``temp_r``/``temp_dr``."""
+
+    category = "DistTable-AA"
+    dtype = np.dtype(np.float64)
+
+    def __init__(self, nwalkers: int, n: int, lattice):
+        self.nw = int(nwalkers)
+        self.n = int(n)
+        self.lattice = lattice
+        self.np_ = padded_size(n, self.dtype)
+        self.temp_r = np.full((self.nw, self.np_), BIG_DISTANCE,
+                              dtype=self.dtype)
+        self.temp_dr = np.zeros((self.nw, 3, self.np_), dtype=self.dtype)
+
+    def _row_into(self, batch, rk: np.ndarray, k: int, out_r: np.ndarray,
+                  out_dr: np.ndarray) -> None:
+        """Row from the (W, 3) centers ``rk`` to every walker's particles
+        (particle ``k``'s own column masked) into ``out_r``/``out_dr``."""
+        _batched_row_from(batch.Rsoa, self.n, rk, self.lattice,
+                          out_r, out_dr, k)
+        METRICS.record(flops=9.0 * self.nw * self.n,
+                       rbytes=24.0 * self.nw * self.n,
+                       wbytes=4.0 * self.dtype.itemsize * self.nw * self.n)
+
+    def move(self, batch, rnew: np.ndarray, k: int) -> None:
+        """Fill the temporaries for all W proposed moves of particle k."""
+        self._row_into(batch, np.asarray(rnew, dtype=np.float64), k,
+                       self.temp_r, self.temp_dr)
+
+    def temp_rows(self) -> np.ndarray:
+        return self.temp_r[:, : self.n]
+
+    def temp_disp_rows(self) -> np.ndarray:
+        return self.temp_dr[:, :, : self.n]
+
+
+class BatchedDistTableAA(_AARows, _PairTable):
     """Symmetric electron-electron table over a WalkerBatch, forward update.
 
     Storage is ``(W, N, Np)`` distances / ``(W, N, 3, Np)`` displacements
@@ -92,24 +132,17 @@ class BatchedDistTableAA(_PairTable):
     writes whole rows across the accepted subset of the crowd.
     """
 
-    category = "DistTable-AA"
     forward_update = True
 
     def __init__(self, nwalkers: int, n: int, lattice):
-        self.nw = int(nwalkers)
-        self.n = int(n)
-        self.lattice = lattice
+        super().__init__(nwalkers, n, lattice)
         #: strict upper triangle, the part ``settle`` mirrors
         self._upper = np.triu(np.ones((n, n), dtype=bool), 1)
-        self.np_ = padded_size(n, self.dtype)
         self.distances = aligned_empty((self.nw, n, self.np_), self.dtype)
         self.distances[...] = BIG_DISTANCE
         self.displacements = aligned_empty((self.nw, n, 3, self.np_),
                                            self.dtype)
         self.displacements[...] = 0
-        self.temp_r = np.full((self.nw, self.np_), BIG_DISTANCE,
-                              dtype=self.dtype)
-        self.temp_dr = np.zeros((self.nw, 3, self.np_), dtype=self.dtype)
 
     # -- from-scratch and carried state -------------------------------------------
     def _pairs(self, R: np.ndarray):
@@ -143,16 +176,6 @@ class BatchedDistTableAA(_PairTable):
         METRICS.record(rbytes=nbytes, wbytes=nbytes)
 
     # -- PbyP protocol -----------------------------------------------------------
-    def move(self, batch, rnew: np.ndarray, k: int) -> None:
-        """Fill the temporaries for all W proposed moves of particle k."""
-        rk = np.asarray(rnew, dtype=np.float64)
-        _batched_row_from(batch.Rsoa, self.n, rk, self.lattice,
-                          self.temp_r, self.temp_dr, k)
-        itemsize = self.dtype.itemsize
-        METRICS.record(flops=9.0 * self.nw * self.n,
-                       rbytes=24.0 * self.nw * self.n,
-                       wbytes=4.0 * itemsize * self.nw * self.n)
-
     def update(self, k: int, accepted: np.ndarray) -> None:
         """Commit row k (and the forward column) for the accepted subset."""
         n = self.n
@@ -179,49 +202,106 @@ class BatchedDistTableAA(_PairTable):
         """(W, 3, N) displacement rows for particle k across the crowd."""
         return self.displacements[:, k, :, : self.n]
 
-    def temp_rows(self) -> np.ndarray:
-        return self.temp_r[:, : self.n]
-
-    def temp_disp_rows(self) -> np.ndarray:
-        return self.temp_dr[:, :, : self.n]
+    def rows(self, batch):
+        """Every particle's ``(dist_rows(i), disp_rows(i))`` in particle
+        order: the stored rows, as views."""
+        for i in range(self.n):
+            yield self.dist_rows(i), self.disp_rows(i)
 
     @property
     def storage_bytes(self) -> int:
         return self.distances.nbytes + self.displacements.nbytes
 
 
-class BatchedDistTableAAOtf(BatchedDistTableAA):
-    """Compute-on-the-fly flavor: row k refreshed when the sweep reaches
-    particle k, no column maintenance — the batched twin of
-    ``DistanceTableAAOtf``."""
+class BatchedDistTableAAOtf(_AARows):
+    """Compute-on-the-fly flavor, O(N) per walker — the batched twin of
+    ``DistanceTableAAOtf`` with the paper's 5N-per-walker state.
+
+    The table holds one active row, ``(W, Np)`` distances and
+    ``(W, 3, Np)`` displacements, plus the move temporaries, and nothing
+    else: :meth:`set_active` computes row k from the current positions
+    before the drift reads it (this refresh replaces all the column
+    maintenance of the forward-update table), an accepted move commits
+    its proposed row into it, and :meth:`rows` streams every row through
+    the same row kernel, each computed once, for the measure.  No pair
+    pass runs and nothing is carried, so ``evaluate``, ``settle`` and
+    ``gather`` have nothing to compute.
+    """
 
     forward_update = False
 
-    def set_active(self, batch, k: int) -> None:
-        """Refresh row k from the current positions, for every walker,
-        before the drift reads it (the refresh replaces all the column
-        maintenance the forward-update table performs)."""
-        _batched_row_from(batch.Rsoa, self.n, batch.R[:, k], self.lattice,
-                          self.distances[:, k], self.displacements[:, k], k)
-        itemsize = self.dtype.itemsize
-        METRICS.record(flops=9.0 * self.nw * self.n,
-                       rbytes=24.0 * self.nw * self.n,
-                       wbytes=4.0 * itemsize * self.nw * self.n)
-        METRICS.count("otf_row_recomputes", self.nw)
+    def __init__(self, nwalkers: int, n: int, lattice):
+        super().__init__(nwalkers, n, lattice)
+        self.row_r = np.full((self.nw, self.np_), BIG_DISTANCE,
+                             dtype=self.dtype)
+        self.row_dr = np.zeros((self.nw, 3, self.np_), dtype=self.dtype)
+        #: the particle whose row the active row holds; -1: none (the
+        #: positions changed behind the table)
+        self.active_k = -1
+
+    def evaluate(self, batch) -> None:
+        """Nothing stored to rebuild: rows are computed when read."""
+        self.active_k = -1
 
     def settle(self, batch) -> None:
-        """No column maintenance, so no triangle to mirror: measure keeps
-        its pair pass — the compute-on-the-fly design."""
-        self.evaluate(batch)
+        """The active row is current after the sweep; nothing else is
+        held."""
+
+    def gather(self, batch, src: np.ndarray) -> None:
+        """The comb moved walkers between slots: drop the active row."""
+        self.active_k = -1
+
+    def _refresh(self, batch, k: int) -> None:
+        self._row_into(batch, batch.R[:, k], k, self.row_r, self.row_dr)
+        self.active_k = k
+
+    def set_active(self, batch, k: int) -> None:
+        """Compute row k from the current positions, for every walker."""
+        self._refresh(batch, k)
+        METRICS.count("otf_row_recomputes", self.nw)
 
     def update(self, k: int, accepted: np.ndarray) -> None:
-        # Contiguous row writes only, restricted to the accepted subset.
-        commit_rows(self.distances[:, k], self.temp_r, accepted)
-        commit_rows(self.displacements[:, k], self.temp_dr, accepted)
+        """Commit the proposed row into the active row (which must be
+        row k) for the accepted subset."""
+        self._check_active(k)
+        commit_rows(self.row_r, self.temp_r, accepted)
+        commit_rows(self.row_dr, self.temp_dr, accepted)
         itemsize = self.dtype.itemsize
         nacc = int(np.count_nonzero(accepted))
         METRICS.record(rbytes=4.0 * itemsize * nacc * self.n,
                        wbytes=4.0 * itemsize * nacc * self.np_)
+
+    # -- consumer access ---------------------------------------------------------
+    def _check_active(self, k: int) -> None:
+        if k != self.active_k:
+            raise ValueError(
+                f"{type(self).__name__} holds row {self.active_k}, not "
+                f"row {k}: call set_active(batch, {k}) first")
+
+    def dist_rows(self, k: int) -> np.ndarray:
+        """(W, N) distance rows of the active particle k."""
+        self._check_active(k)
+        return self.row_r[:, : self.n]
+
+    def disp_rows(self, k: int) -> np.ndarray:
+        """(W, 3, N) displacement rows of the active particle k."""
+        self._check_active(k)
+        return self.row_dr[:, :, : self.n]
+
+    def rows(self, batch):
+        """Every particle's ``(dist_rows(i), disp_rows(i))`` in particle
+        order, each row computed once into the active row; a yielded
+        pair is valid until the next one is drawn."""
+        for i in range(self.n):
+            with METRICS.scope(self.category):
+                self._refresh(batch, i)
+            yield self.row_r[:, : self.n], self.row_dr[:, :, : self.n]
+
+    @property
+    def storage_bytes(self) -> int:
+        """The active row and the move temporaries: O(N) per walker."""
+        return (self.row_r.nbytes + self.row_dr.nbytes
+                + self.temp_r.nbytes + self.temp_dr.nbytes)
 
 
 class BatchedDistTableAB(_PairTable):

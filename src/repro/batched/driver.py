@@ -123,16 +123,26 @@ class BatchedCrowdDriver(GenerationLoop):
     def _evaluate_log(self, fresh: bool = True) -> None:
         """The wavefunction pass: G, L and ``batch.logpsi`` from the
         current tables, so log Psi always sits beside the ``R`` it
-        describes.  ``fresh`` (set-up, resume) rebuilds every
-        component's state from the tables; otherwise (measure, the NLPP
-        post-branch step) a component reads what it carries."""
+        describes, and the e-e Coulomb sum ``ham.evaluate`` reads next.
+
+        J2 streams the AA rows (each computed once on the
+        compute-on-the-fly table) and hands each to that sum.  ``fresh``
+        (set-up, resume) rebuilds J1's carried arrays from its table;
+        otherwise (measure, the NLPP post-branch step) J1 reads what it
+        carries."""
         self.G[...] = 0.0
         self.L[...] = 0.0
+        j2, *rest = self.components
         logpsi = np.zeros(self.nw)
-        for c in self.components:
+        logpsi += j2.evaluate_log(self.batch, self.tables, self.G, self.L,
+                                  on_row=self.ham.ee_row)
+        for c in rest:
             evaluate = c.evaluate_log if fresh else c.measure_log
-            logpsi += evaluate(self.tables, self.G, self.L)
+            logpsi += evaluate(self.batch, self.tables, self.G, self.L)
         self.batch.logpsi[...] = logpsi
+        if self.sanitizers is not None:
+            self.sanitizers.check_carried_j2(self.batch, self.tables,
+                                             self.components)
 
     # -- the fused sweep -----------------------------------------------------------
     def sweep(self) -> int:

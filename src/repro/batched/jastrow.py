@@ -51,6 +51,9 @@ class BatchedTwoBodyJastrow:
         for g, s in group_slices:
             self.group_of[s] = g
         self.table_index = table_index
+        #: (W, n) value sum ``sum_j u(r_ij)`` of every electron's row, as
+        #: the last log pass left it — the NLPP ``u_old``
+        self.U = np.zeros((self.nw, self.n))
 
     def functor_for(self, gi: int, gj: int) -> BsplineFunctor:
         return self.functors[(min(gi, gj), max(gi, gj))]
@@ -80,18 +83,34 @@ class BatchedTwoBodyJastrow:
                             rows_r, rows_dr)
 
     # -- batched component API ---------------------------------------------------
-    def evaluate_log(self, tables, G: np.ndarray, L: np.ndarray) -> np.ndarray:
-        """Full log Psi_J2 per walker; accumulates into G (W,n,3), L (W,n)."""
+    def evaluate_log(self, batch, tables, G: np.ndarray, L: np.ndarray,
+                     on_row=None) -> np.ndarray:
+        """Full log Psi_J2 per walker from one stream over the AA
+        table's rows (``table.rows``: on the compute-on-the-fly table
+        each row is computed once, here); accumulates into G (W,n,3),
+        L (W,n), keeps each row's value sum in ``U`` and hands every
+        distance row to ``on_row(i, rows_r)`` as it passes — how the
+        e-e Coulomb sum shares the stream."""
         with METRICS.scope("J2"):
             table = tables[self.table_index]
             logpsi = np.zeros(self.nw)
-            for i in range(self.n):
-                u_sum, grad, lap = self._rows_vgl(table.dist_rows(i),
-                                                  table.disp_rows(i), i)
+            for i, (rows_r, rows_dr) in enumerate(table.rows(batch)):
+                u_sum, grad, lap = self._rows_vgl(rows_r, rows_dr, i)
+                self.U[:, i] = u_sum
                 logpsi -= 0.5 * u_sum
                 G[:, i] += grad
                 L[:, i] += lap
+                if on_row is not None:
+                    on_row(i, rows_r)
             return logpsi
+
+    def fresh_sums(self, batch, tables) -> np.ndarray:
+        """The (W, n) value sums ``U`` must equal: ``rows_v`` over the
+        rows of one from-scratch pair pass over ``batch.R``."""
+        table = tables[self.table_index]
+        dist, _ = active().aa_pairs(batch.R, table.lattice)
+        return np.stack([self._rows_v(dist[:, i], i) for i in range(self.n)],
+                        axis=1)
 
     def grad(self, tables, k: int) -> np.ndarray:
         """(W, 3) gradient at the current positions (for the drift)."""
@@ -154,13 +173,9 @@ class BatchedTwoBodyJastrow:
     def accept_move(self, k: int, accepted: np.ndarray) -> None:
         """No per-electron state: every row is read from the table."""
 
-    def measure_log(self, tables, G: np.ndarray, L: np.ndarray):
-        """Measurement-time log Psi, G and L: the rows are re-evaluated
-        (compute-on-the-fly keeps no pair state)."""
-        return self.evaluate_log(tables, G, L)
-
     def gather(self, tables, src: np.ndarray) -> None:
-        """Nothing to move with the walkers after the comb."""
+        """Nothing to move with the walkers after the comb: ``U`` is
+        read only after a log pass has rebuilt it."""
 
     def ratios_vp(self, batch, tables, owners_w, owners_k,
                   positions) -> np.ndarray:
@@ -169,16 +184,16 @@ class BatchedTwoBodyJastrow:
         ``owners_w[m]`` / ``owners_k[m]`` name the walker and electron
         owning virtual position ``positions[m]``.  Fresh rows against
         each owner walker's canonical (accumulation-precision) positions
-        through :func:`repro.jastrow.vp.ratios_vp`, ``u_old`` from the
-        stored row blocks; nothing is written.
+        through :func:`repro.jastrow.vp.ratios_vp`, ``u_old`` read from
+        the carried row sums ``U`` of the log pass that precedes every
+        Hamiltonian evaluation; nothing is written.
         """
         with METRICS.scope("J2"):
             table = tables[self.table_index]
             return vp.ratios_vp(
                 table.lattice, table.dtype, owners_w, owners_k,
                 positions, source=lambda w: batch.R[w].T,
-                old_sums=lambda ws, ks: vp.j2_row_sums(
-                    self, table.distances[ws, ks, : self.n], ks),
+                old_sums=lambda ws, ks: self.U[ws, ks],
                 row_sums=partial(vp.j2_row_sums, self), mask_self=True)
 
 
@@ -248,14 +263,15 @@ class BatchedOneBodyJastrow:
         L += self.d2U
         return logpsi
 
-    def evaluate_log(self, tables, G: np.ndarray, L: np.ndarray) -> np.ndarray:
+    def evaluate_log(self, batch, tables, G: np.ndarray,
+                     L: np.ndarray) -> np.ndarray:
         """From scratch (set-up, resume, respawn): fill the arrays from
         the table, then accumulate them."""
         with METRICS.scope("J1"):
             self._refresh(tables[self.table_index])
             return self._log_gl(G, L)
 
-    def measure_log(self, tables, G: np.ndarray, L: np.ndarray):
+    def measure_log(self, batch, tables, G: np.ndarray, L: np.ndarray):
         """Measurement-time log Psi, G and L: read from the carried
         arrays."""
         with METRICS.scope("J1"):

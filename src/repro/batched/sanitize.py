@@ -8,7 +8,10 @@ from-scratch recompute for every *accepted* walker after each fused
 accept/reject step, and every table (float64 storage, carried across
 generations instead of rebuilt) must equal a fresh pair pass bit for
 bit after ``settle`` and after a comb ``gather`` — and so must J1's
-carried per-electron arrays equal a fresh row pass over it.
+carried per-electron arrays equal a fresh row pass over it, and J2's
+carried row value sums a fresh pass after each log pass.  The
+compute-on-the-fly AA table stores no pair block: every row it serves
+(the active row) must equal the matching pair-pass row bit for bit.
 
 Armed by the same ``REPRO_SANITIZE=1`` toggle as the per-walker suite.
 """
@@ -20,7 +23,7 @@ import numpy as np
 from repro.backend import get_backend
 from repro.sanitizers import (DtypeSanitizer, ForwardUpdateChecker,
                               LayoutSanitizer, SanitizerError,
-                              check_carried_j1)
+                              check_carried_j1, check_carried_j2)
 from repro.precision.policy import FULL
 
 
@@ -69,12 +72,20 @@ class BatchedSanitizerSuite:
             self.check_carried(batch, t)
         check_carried_j1(components, tables)
 
+    #: after each log pass: J2's ``U`` against a fresh pass
+    check_carried_j2 = staticmethod(check_carried_j2)
+
     @staticmethod
     def check_carried(batch, table) -> None:
         """A table must equal a from-scratch pair pass over
-        ``batch.R`` exactly.  The pass goes to the process's kernel
-        object directly, not through ``active()``, so a counting proxy
-        sees only the driver's own calls."""
+        ``batch.R`` exactly — the whole stored block, or on the
+        compute-on-the-fly table the active row, if it holds one.  The
+        pass goes to the process's kernel object directly, not through
+        ``active()``, so a counting proxy sees only the driver's own
+        calls."""
+        k = getattr(table, "active_k", None)
+        if k == -1:
+            return  # the compute-on-the-fly table holds no row
         backend = get_backend()
         source = getattr(table, "source", None)
         if source is not None:
@@ -82,16 +93,22 @@ class BatchedSanitizerSuite:
         else:
             fresh = backend.aa_pairs(batch.R, table.lattice)
         n = table.n
-        held = (table.distances[:, :, :n], table.displacements[:, :, :, :n])
+        if k is None:
+            k = 0
+            held = (table.distances[:, :, :n],
+                    table.displacements[:, :, :, :n])
+        else:  # only the active row k is stored
+            held = (table.dist_rows(k)[:, None], table.disp_rows(k)[:, None])
+            fresh = tuple(f[:, k:k + 1] for f in fresh)
         for name, got, want in zip(("distance", "displacement"), held, fresh):
             bad = got != want
             if bad.any():
                 idx = tuple(int(i) for i in np.argwhere(bad)[0])
-                w, j, k = idx[0], idx[1], idx[-1]
+                w, i, j = idx[0], k + idx[1], idx[-1]
                 axis = f" axis {idx[2]}" if len(idx) == 4 else ""
                 raise SanitizerError(
                     f"carried-table checker: {type(table).__name__} "
-                    f"walker #{w} {name} entry ({j}, {k}){axis} is "
+                    f"walker #{w} {name} entry ({i}, {j}){axis} is "
                     f"{float(got[idx])!r}, a fresh pair pass gives "
                     f"{float(want[idx])!r}")
 
@@ -99,7 +116,13 @@ class BatchedSanitizerSuite:
     def after_accept(self, batch, tables, k: int,
                      accepted: np.ndarray) -> None:
         """Row/column blocks of every accepted walker must match a
-        double-precision from-scratch recompute after the commit."""
+        double-precision from-scratch recompute after the commit, and
+        the compute-on-the-fly table's row k, for every walker, the
+        pair-pass row bit for bit."""
+        for t in tables:
+            if hasattr(t, "active_k"):
+                # the row the compute-on-the-fly table serves, every walker
+                self.check_carried(batch, t)
         if not np.any(accepted):
             return
         R = batch.R[accepted]  # (Wa, n, 3) — post-commit positions

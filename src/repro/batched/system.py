@@ -184,6 +184,16 @@ class BatchedHamiltonian:
         self.names = self.BASE_NAMES + \
             (("NonLocalECP",) if nlpp is not None else ())
         self.last_components = {}
+        #: e-e Coulomb sum per walker, accumulated by :meth:`ee_row` over
+        #: the AA row stream of the wavefunction pass before ``evaluate``
+        self.ee = np.zeros(self.nw)
+
+    def ee_row(self, i: int, rows_r: np.ndarray) -> None:
+        """Add row ``i``'s ``sum_{j<i} 1/r_ij``; the stream feeds the
+        rows in electron order, row 0 first, which restarts the sum."""
+        if i == 0:
+            self.ee[...] = 0.0
+        self.ee += np.sum(1.0 / rows_r[:, :i], axis=-1)
 
     def evaluate(self, batch, tables, G: np.ndarray,
                  L: np.ndarray) -> np.ndarray:
@@ -191,11 +201,9 @@ class BatchedHamiltonian:
         # Kinetic: -(1/2) sum_i (L_i + |G_i|^2) per walker.
         g2 = np.sum(G * G, axis=2)
         kin = -0.5 * np.sum(L + g2, axis=-1)
-        # Electron-electron: sum_{i<j} 1/r_ij from the AA row blocks.
-        aa = tables[0]
-        ee = np.zeros(self.nw)
-        for i in range(n):
-            ee += np.sum(1.0 / aa.dist_rows(i)[:, :i], axis=-1)
+        # Electron-electron: sum_{i<j} 1/r_ij, summed over the AA rows
+        # as the wavefunction pass streamed them.
+        ee = self.ee.copy()
         # Electron-ion: -sum_{k,I} Z_I / r_kI from the AB row blocks.
         ab = tables[1]
         ei = np.zeros(self.nw)

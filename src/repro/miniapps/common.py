@@ -1,11 +1,11 @@
-"""Shared miniapp scaffolding: synthetic systems and timing helpers."""
+"""Shared miniapp scaffolding: synthetic systems, results and the CLI
+parser."""
 
 from __future__ import annotations
 
 import argparse
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict
+from typing import Dict
 
 import numpy as np
 
@@ -53,13 +53,6 @@ def make_electron_system(n: int, a: float | None = None, seed: int = 7,
                        ion_species, np.zeros(nion, dtype=np.int64),
                        layout="both")
     return lat, electrons, ions, rng
-
-
-def time_call(fn: Callable, *args, repeats: int = 1, **kwargs) -> float:
-    t0 = time.perf_counter()
-    for _ in range(repeats):
-        fn(*args, **kwargs)
-    return time.perf_counter() - t0
 
 
 def base_parser(description: str) -> argparse.ArgumentParser:

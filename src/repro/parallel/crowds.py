@@ -134,11 +134,11 @@ def _record_row(trace: SharedTraceBlock, row: int, cols: slice,
         trace.components[row, cols, i] = comps[name]
     if spline is not None:
         # Per-walker orbital norm at each walker's first particle,
-        # through the batched vgh kernel on the shared table.  Each
+        # through the batched value kernel on the shared table.  Each
         # walker's row is its own per-point GEMM, so the column is
         # bitwise identical across crowd decompositions.
-        from repro.batched.spo import batched_multi_vgh
-        v, _, _ = batched_multi_vgh(spline, crowd.batch.R[:, 0])
+        from repro.batched.spo import batched_multi_v
+        v = batched_multi_v(spline, crowd.batch.R[:, 0])
         trace.components[row, cols, len(crowd.ham.names)] = \
             np.einsum("wm,wm->w", v, v)
 

@@ -144,9 +144,10 @@ class TestTableEvaluate:
         assert np.all(table.displacements[:, :, :, n:] == 0)
 
     def test_otf_row_refresh_reproduces_evaluate_on_skewed_cell(self, rng):
-        """The compute-on-the-fly refresh of row k from unchanged
-        positions is the from-scratch row, bit for bit, on a cell where
-        the AoS and SoA minimum images round differently."""
+        """Every row the compute-on-the-fly table serves from unchanged
+        positions — the ``set_active`` refresh, a move's temporaries,
+        the measure stream — is the from-scratch row, bit for bit, on a
+        cell where the AoS and SoA minimum images round differently."""
         from repro.batched.distances import BatchedDistTableAAOtf
         from repro.batched.walkerbatch import WalkerBatch
         from repro.distances.aa_otf import DistanceTableAAOtf
@@ -156,11 +157,20 @@ class TestTableEvaluate:
         batch = WalkerBatch.from_positions(rng.uniform(0, 6, (W, n, 3)))
         table = BatchedDistTableAAOtf(W, n, lattice)
         table.evaluate(batch)
-        dist, disp = table.distances.copy(), table.displacements.copy()
+        # the from-scratch rows, padded as a stored (W, n, Np) table
+        dist = np.full((W, n, table.np_), BIG_DISTANCE)
+        disp = np.zeros((W, n, 3, table.np_))
+        dist[:, :, :n], disp[:, :, :, :n] = B.aa_pairs(batch.R, lattice)
         for k in range(n):
+            table.set_active(batch, k)
+            assert np.array_equal(table.dist_rows(k), dist[:, k, :n])
+            assert np.array_equal(table.disp_rows(k), disp[:, k, :, :n])
             table.move(batch, batch.R[:, k], k)
-        assert np.array_equal(table.distances, dist)
-        assert np.array_equal(table.displacements, disp)
+            assert np.array_equal(table.temp_rows(), dist[:, k, :n])
+            assert np.array_equal(table.temp_disp_rows(), disp[:, k, :, :n])
+        for k, (r, dr) in enumerate(table.rows(batch)):
+            assert np.array_equal(r, dist[:, k, :n])
+            assert np.array_equal(dr, disp[:, k, :, :n])
 
         P = ParticleSet("e", batch.R[0], lattice, layout="both")
         scalar = DistanceTableAAOtf(n, lattice)

@@ -38,6 +38,10 @@ def _in_table(table, k, m, r, dr):
     copy of ``table``'s storage and read back as the table's row views:
     the row sums' bits depend on the operand layout, so the fresh row
     is given the layout the component reads."""
+    if hasattr(table, "row_r"):  # the batched OTF table: its active row
+        dist, disp = table.row_r.copy(), table.row_dr.copy()
+        dist[:, :m], disp[:, :, :m] = r, dr
+        return dist[:, :m], disp[:, :, :m]
     dist, disp = table.distances.copy(), table.displacements.copy()
     if dist.ndim == 2:  # a per-walker table: one walker
         dist[k, :m], disp[k, :, :m] = r[0], dr[0]
@@ -80,7 +84,7 @@ def test_batched_drift_reads_a_fresh_row(dtype):
     drv = BatchedCrowdDriver(spec, W, master_seed=5, timestep=TAU)
     j2, j1 = drv.components
     aa, ab = drv.tables
-    assert aa.distances.dtype == DTYPES[dtype]
+    assert aa.row_r.dtype == DTYPES[dtype]
     checked = []
 
     def watch(c, index):

@@ -4,14 +4,16 @@ a from-scratch pair pass over ``R`` leaves.
 Every batched table (fp64 storage) is kept across generations: measure
 settles it (the AB table is already current, the forward-update AA
 table mirrors its current lower triangle) and the DMC comb's resync
-gathers each slot's table from the slot its walker came from.  The
-compute-on-the-fly AA table keeps its pair pass in measure.  Whole
-storage arrays are compared, padding included.
+gathers each slot's table from the slot its walker came from.  Whole
+storage arrays are compared, padding included.  The compute-on-the-fly
+AA table stores no block: every row it serves — its active row and each
+row of its measure stream — must be the pair-pass row, bit for bit.
 """
 
 import numpy as np
 import pytest
 
+from repro.backend import get_backend
 from repro.batched import JastrowSystemSpec, WalkerBatch
 from repro.batched.driver import BatchedCrowdDriver
 from repro.batched.walkerbatch import commit_rows
@@ -30,7 +32,8 @@ FP64 = pytest.mark.parametrize("dtype", [pytest.param(np.float64, id="fp64")])
 def _tables(spec, batch, dtype=np.float64):
     tables, _, _ = spec.build_batched(W)
     for t in tables:
-        assert t.distances.dtype == dtype
+        assert getattr(t, "distances", getattr(t, "row_r", None)).dtype \
+            == dtype
         t.evaluate(batch)
     return tables
 
@@ -40,6 +43,7 @@ def _sweep(tables, batch, rng, accept_p):
     for k in range(N):
         rnew = batch.R[:, k] + rng.normal(scale=0.4, size=(W, 3))
         for t in tables:
+            t.set_active(batch, k)
             t.move(batch, rnew, k)
         acc = rng.random(W) < accept_p
         for t in tables:
@@ -47,8 +51,24 @@ def _sweep(tables, batch, rng, accept_p):
         batch.commit(k, rnew, acc)
 
 
+def _assert_serves_pair_rows(batch, table):
+    """The compute-on-the-fly table's active row, if it holds one, and
+    every row it streams equal the rows of a pair pass."""
+    dist, disp = get_backend().aa_pairs(batch.R, table.lattice)
+    k = table.active_k
+    if k >= 0:
+        assert np.array_equal(table.dist_rows(k), dist[:, k]), k
+        assert np.array_equal(table.disp_rows(k), disp[:, k]), k
+    for i, (r, dr) in enumerate(table.rows(batch)):
+        assert np.array_equal(r, dist[:, i]), i
+        assert np.array_equal(dr, disp[:, i]), i
+
+
 def _assert_from_scratch(spec, batch, tables):
     for t, f in zip(tables, _tables(spec, batch)):
+        if not hasattr(t, "distances"):
+            _assert_serves_pair_rows(batch, t)
+            continue
         assert np.array_equal(t.distances, f.distances), type(t).__name__
         assert np.array_equal(t.displacements, f.displacements), \
             type(t).__name__
@@ -171,3 +191,65 @@ class TestCarriedChecker:
                            match=r"BatchedDistTableAB walker #3 displacement "
                                  r"entry \(5, 0\) axis 1"):
             crowd.run_generation(2, e_trial)
+
+
+OTF = JastrowSystemSpec(n=N, seed=7, aa_flavor="otf", with_nlpp=True)
+
+
+class TestOtfRowChecker:
+    """The compute-on-the-fly table is held to the pair pass row by row
+    (``check_state`` and ``after_accept``), and J2's carried row value
+    sums to a fresh pass after every log pass (``check_carried_j2``)."""
+
+    def test_armed_dmc_generations_pass(self, sanitize):
+        state, crowd = _crowd(OTF)
+        e_trial = float(np.mean(state.local_energy))
+        for step in (1, 2, 3):
+            crowd.run_generation(step, e_trial)
+            _comb(state, step)
+
+    def test_corrupt_active_row_at_measure(self, sanitize):
+        drv = BatchedCrowdDriver(OTF, W, 11, timestep=0.1)
+        aa = drv.tables[0]
+        settle = aa.settle
+
+        def settle_then_corrupt(batch):
+            settle(batch)
+            aa.row_r[2, 4] = np.nextafter(aa.row_r[2, 4], 9.0)
+        aa.settle = settle_then_corrupt
+        drv.sweep()
+        with pytest.raises(SanitizerError,
+                           match=rf"BatchedDistTableAAOtf walker #2 distance "
+                                 rf"entry \({N - 1}, 4\)"):
+            drv.measure()
+
+    def test_corrupt_served_row_after_accept(self, sanitize):
+        drv = BatchedCrowdDriver(OTF, W, 11, timestep=0.1)
+        aa = drv.tables[0]
+        update = aa.update
+
+        def update_then_corrupt(k, accepted):
+            update(k, accepted)
+            if k == 3:
+                aa.row_dr[1, 2, 5] += 1e-12
+        aa.update = update_then_corrupt
+        with pytest.raises(SanitizerError,
+                           match=r"BatchedDistTableAAOtf walker #1 "
+                                 r"displacement entry \(3, 5\) axis 2"):
+            drv.sweep()
+
+    def test_corrupt_carried_j2_sum(self, sanitize):
+        drv = BatchedCrowdDriver(OTF, W, 11, timestep=0.1)
+        j2 = drv.components[0]
+        evaluate_log = j2.evaluate_log
+
+        def evaluate_then_corrupt(*args, **kwargs):
+            logpsi = evaluate_log(*args, **kwargs)
+            j2.U[4, 6] = np.nextafter(j2.U[4, 6], 9.0)
+            return logpsi
+        j2.evaluate_log = evaluate_then_corrupt
+        drv.sweep()
+        with pytest.raises(SanitizerError,
+                           match=r"carried-J2 checker: BatchedTwoBodyJastrow "
+                                 r"walker #4 electron 6"):
+            drv.measure()

@@ -37,9 +37,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.backend import get_backend
 from repro.batched import JastrowSystemSpec, WalkerBatch
 from repro.core.system import QmcSystem
 from repro.core.version import CodeVersion
+from repro.distances.base import BIG_DISTANCE
 from repro.lattice.cell import CrystalLattice
 from repro.workloads import WORKLOADS, get_workload
 from repro.workloads.builder import (build_system, make_j1_functors,
@@ -120,7 +122,7 @@ def _evaluate(batch, tables, components):
     G = np.zeros((batch.nw, batch.n, 3))
     L = np.zeros((batch.nw, batch.n))
     for c in components:
-        c.evaluate_log(tables, G, L)
+        c.evaluate_log(batch, tables, G, L)
 
 
 def _batched_system(nw=4):
@@ -138,11 +140,22 @@ def _batched_system(nw=4):
     return batch, tables, components, vw, vk, slab
 
 
+def _distance_block(batch, table):
+    """The padded (W, n, Np) distance block a table's rows come from:
+    the stored one, or for the compute-on-the-fly table, which stores
+    none, the pair pass its rows equal bit for bit."""
+    if hasattr(table, "distances"):
+        return table.distances
+    block = np.full((batch.nw, table.n, table.np_), BIG_DISTANCE)
+    block[:, :, : table.n] = get_backend().aa_pairs(batch.R, table.lattice)[0]
+    return block
+
+
 def spec_batched_case():
     batch, tables, components, vw, vk, slab = _batched_system()
     j1, j2 = _by_name(components, "J1"), _by_name(components, "J2")
     return {"inputs": _digest(slab, batch.R,
-                              *(t.distances for t in tables),
+                              *(_distance_block(batch, t) for t in tables),
                               *_functor_coefs(j1, j2), np.exp(slab[:, 0])),
             "J1": j1.ratios_vp(batch, tables, vw, vk, slab),
             "J2": j2.ratios_vp(batch, tables, vw, vk, slab)}

@@ -8,9 +8,11 @@ the picks name; ``measure`` settles the carried tables (the AB table is
 current, the forward-update AA table mirrors its lower triangle) and is
 the one from-scratch wavefunction pass (writing ``logpsi`` beside the
 ``R`` it describes); the sweep evaluates value + gradient channels only.
-The exceptions keep pair passes: the compute-on-the-fly AA table in
-measure, a walker from another crowd over its slot alone.  NLPP quadrature rotations are keyed on the walker slot,
-so that post-branch step keeps its wavefunction pass.
+The compute-on-the-fly AA table stores no pair block: measure streams
+its rows through the row kernel, each once.  The one exception keeps a
+pair pass: a walker from another crowd, over its slot alone.  NLPP
+quadrature rotations are keyed on the walker slot, so that post-branch
+step keeps its wavefunction pass.
 """
 
 import collections
@@ -155,15 +157,18 @@ class TestKernelCounts:
         # carried tables: a gather after the comb, a mirror in measure
         assert _pair_calls(counter) == {}
 
-    def test_otf_measure_keeps_its_aa_pass(self):
+    def test_otf_measure_streams_its_rows(self):
         spec = JastrowSystemSpec(n=N, seed=7, aa_flavor="otf")
         counter, (crowd,), _, _ = _steady_state(spec, activating=True)
-        assert _pair_calls(counter) == {("measure", "aa_pairs"): 1}
+        # no pair pass anywhere: measure computes each row once
+        assert _pair_calls(counter) == {}
+        assert counter.calls["measure", "aa_row"] == N
         # one row refresh per move, in set_active before the drift,
         # plus the proposed row; the refreshed row is evaluated once
         assert counter.calls["set_active", "aa_row"] == N
         assert counter.calls["sweep", "aa_row"] == N
         j2_row, _ = _rows(crowd.components)
+        assert counter.calls["measure", "functor_vgl"] == N * j2_row
         assert counter.calls["sweep", "functor_vg"] == 2 * N * j2_row
         assert counter.calls["sweep", "functor_v"] == 0
 
