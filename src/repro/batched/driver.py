@@ -36,6 +36,7 @@ from repro.batched.walkerbatch import WalkerBatch
 from repro.drivers.generation import DMCPolicy, Generation, GenerationLoop
 from repro.drivers.result import QMCResult
 from repro.hamiltonian.nlpp import QuadratureRotations
+from repro.memory.heap import keep_freed_heap
 from repro.sanitizers import RngStreamSanitizer, sanitizers_enabled
 from repro.metrics.registry import METRICS
 
@@ -57,6 +58,8 @@ class BatchedCrowdDriver(GenerationLoop):
                  use_drift: bool = True,
                  batch: Optional[WalkerBatch] = None,
                  rngs: Optional[List[np.random.Generator]] = None):
+        # per-call kernel temporaries: reuse freed heap, do not re-fault
+        keep_freed_heap()
         self.spec = spec
         self.master_seed = int(master_seed)
         self.nw = int(nwalkers)

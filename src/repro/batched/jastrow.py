@@ -171,7 +171,8 @@ class BatchedTwoBodyJastrow:
         return exp_rows(-(u_new - u_old)), grad_new
 
     def accept_move(self, k: int, accepted: np.ndarray) -> None:
-        """No per-electron state: every row is read from the table."""
+        """Nothing to commit: every row is read from the table, and
+        ``U`` belongs to the log pass."""
 
     def gather(self, tables, src: np.ndarray) -> None:
         """Nothing to move with the walkers after the comb: ``U`` is
