@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import get_backend
+from repro.backend import get_backend, use_backend
 from repro.sanitizers import (DtypeSanitizer, ForwardUpdateChecker,
                               LayoutSanitizer, SanitizerError,
-                              check_carried_j1, check_carried_j2)
+                              check_carried_j1)
 from repro.precision.policy import FULL
 
 
@@ -72,8 +72,25 @@ class BatchedSanitizerSuite:
             self.check_carried(batch, t)
         check_carried_j1(components, tables)
 
-    #: after each log pass: J2's ``U`` against a fresh pass
-    check_carried_j2 = staticmethod(check_carried_j2)
+    @staticmethod
+    def check_carried_j2(batch, tables, components) -> None:
+        """After a log pass: every component carrying J2's row value
+        sums ``U`` (it has ``fresh_sums``) must hold exactly ``rows_v``
+        over the rows of a fresh pair pass over ``batch.R`` (through
+        the process's kernel object, as :func:`check_carried_j1`)."""
+        for c in components:
+            if not hasattr(c, "fresh_sums"):
+                continue
+            with use_backend(get_backend()):
+                fresh = c.fresh_sums(batch, tables)
+            bad = np.argwhere(c.U != fresh)
+            if len(bad):
+                w, k = (int(i) for i in bad[0])
+                raise SanitizerError(
+                    f"carried-J2 checker: {type(c).__name__} walker #{w} "
+                    f"electron {k} row value sum is {float(c.U[w, k])!r}, "
+                    f"rows_v over a fresh pair pass gives "
+                    f"{float(fresh[w, k])!r}")
 
     @staticmethod
     def check_carried(batch, table) -> None:

@@ -1,24 +1,17 @@
 """Keep freed heap memory in the process for reuse.
 
-The crowd kernels allocate their temporaries per call and free them
-again: one NLPP evaluation of the 96-electron, 32-walker workload walks
-its virtual-particle slab in per-walker tiles of a few MiB of
-``(tile, n)`` blocks.  glibc returns the top of the heap to the system
-whenever more than ``M_TRIM_THRESHOLD`` of it is free.  That threshold
-is 128 KiB until glibc's dynamic rule raises it (to twice the mmap
-threshold, each time a large mmapped block is freed), and it stays at
-128 KiB for good once the mmap threshold is fixed (``mallopt`` or
-``MALLOC_MMAP_THRESHOLD_``).  Every tile then faults its pages back in:
-measured 23 000 minor faults and about a third of the NLPP time per
-generation, unless an earlier, larger temporary happened to leave a
-free hole below the heap top for the tiles to reuse.
-
-:func:`keep_freed_heap` fixes both thresholds at the values the dynamic
-rule converges to — mmap 32 MiB (``DEFAULT_MMAP_THRESHOLD_MAX`` on
-64-bit), trim twice that — so the heap is reused whatever ran before.
-The peak resident size does not grow: pages the heap keeps were
-resident at that peak already.  Where the C library has no
-``mallopt`` nothing is done.
+The crowd kernels allocate per-call temporaries and free them again:
+an NLPP evaluation walks its virtual-particle slab in per-walker tiles
+of a few MiB of ``(tile, n)`` blocks.  glibc returns the heap top to
+the system whenever more than its trim threshold is free, and that
+threshold stays at 128 KiB for good once the mmap threshold is fixed
+(``MALLOC_MMAP_THRESHOLD_`` or ``mallopt``), so every tile faults its
+pages back in — 23 000 minor faults per generation on the 96-electron
+NLPP workload — unless an earlier, larger temporary happened to leave
+a free hole below the top.  :func:`keep_freed_heap` fixes both
+thresholds at the values glibc's dynamic rule converges to (mmap
+32 MiB, the 64-bit maximum; trim twice that).  Kept pages were resident
+at the peak already, so the peak resident size does not grow.
 """
 
 from __future__ import annotations
@@ -30,15 +23,9 @@ M_TRIM_THRESHOLD = -1
 M_MMAP_THRESHOLD = -3
 MMAP_THRESHOLD = 32 * 2**20
 
-_done = False
-
 
 def keep_freed_heap() -> None:
-    """Fix glibc's trim and mmap thresholds once per process."""
-    global _done
-    if _done:
-        return
-    _done = True
+    """Fix glibc's mmap and trim thresholds (idempotent)."""
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is None:
         return

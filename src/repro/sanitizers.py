@@ -314,29 +314,6 @@ def check_carried_j1(components, tables, walker: Optional[int] = None) -> None:
                 f"{float(want[idx])!r}")
 
 
-def check_carried_j2(batch, tables, components) -> None:
-    """Every component carrying J2's per-electron row value sums ``U``
-    (it has ``fresh_sums``) must hold exactly ``rows_v`` over the rows
-    of a fresh pair pass over ``batch.R``.  Valid right after a log
-    pass, which rebuilds ``U``; the pass goes to the process's kernel
-    object directly, as in :func:`check_carried_j1`."""
-    from repro.backend import get_backend, use_backend
-
-    for c in components:
-        if not hasattr(c, "fresh_sums"):
-            continue
-        with use_backend(get_backend()):
-            fresh = c.fresh_sums(batch, tables)
-        bad = np.argwhere(c.U != fresh)
-        if len(bad):
-            w, k = (int(i) for i in bad[0])
-            raise SanitizerError(
-                f"carried-J2 checker: {type(c).__name__} walker #{w} "
-                f"electron {k} row value sum is {float(c.U[w, k])!r}, "
-                f"rows_v over a fresh pair pass gives "
-                f"{float(fresh[w, k])!r}")
-
-
 class ShmRaceSanitizer:
     """Checksum shared-memory regions across their quiescent windows.
 
