@@ -16,15 +16,16 @@ makes, so with equal seeds both paths see equal random numbers and the
 accept/reject sequences match bitwise.
 
 One crowd advances one generation in :meth:`BatchedCrowdDriver.run_generation`
-— the same call whether the crowd owns its walkers (``run``) or hosts a
-strided slice of a :class:`~repro.parallel.shm.SharedWalkerState` for
+— the same call whether the crowd owns its walkers (``run``, VMC or DMC
+in process) or hosts a strided slice of a
+:class:`~repro.parallel.shm.SharedWalkerState` in a worker process of
 :class:`~repro.parallel.crowds.ParallelCrowdDriver`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -32,23 +33,24 @@ from repro.backend import active
 from repro.batched.sanitize import BatchedSanitizerSuite
 from repro.batched.sweep import SweepPlan, SweepWorkspace
 from repro.batched.system import JastrowSystemSpec, walker_streams
+from repro.batched.spo import batched_multi_v
 from repro.batched.walkerbatch import WalkerBatch
-from repro.drivers.generation import DMCPolicy, Generation, GenerationLoop
+from repro.drivers.generation import CrowdLoop, DMCPolicy, Generation
 from repro.drivers.result import QMCResult
 from repro.hamiltonian.nlpp import QuadratureRotations
 from repro.memory.heap import keep_freed_heap
-from repro.sanitizers import RngStreamSanitizer, sanitizers_enabled
+from repro.sanitizers import sanitizers_enabled
 from repro.metrics.registry import METRICS
+from repro.splines.slab import SharedCoefSlab
 
 
-#: per-walker fields of a WalkerBatch that a checkpoint carries
-_BATCH_FIELDS = ("R", "weight", "logpsi", "local_energy", "age")
+class BatchedCrowdDriver(CrowdLoop):
+    """One crowd: a WalkerBatch advanced with per-walker RNG streams.
 
-
-class BatchedCrowdDriver(GenerationLoop):
-    """One crowd: a WalkerBatch advanced with per-walker RNG streams."""
-
-    checkpoint_kind = "batched"
+    ``spo_slab`` (a BSpline3D, or a SharedCoefSlab read through its
+    table) adds a per-walker ``"SpoNorm"`` trace component after the
+    Hamiltonian terms: the orbital norm at each walker's first particle.
+    """
 
     #: cap on the drift displacement per move, in units of sqrt(tau)
     DRIFT_CAP = 2.0
@@ -57,7 +59,8 @@ class BatchedCrowdDriver(GenerationLoop):
                  master_seed: int, timestep: float = 0.5,
                  use_drift: bool = True,
                  batch: Optional[WalkerBatch] = None,
-                 rngs: Optional[List[np.random.Generator]] = None):
+                 rngs: Optional[List[np.random.Generator]] = None,
+                 spo_slab=None):
         # per-call kernel temporaries: reuse freed heap, do not re-fault
         keep_freed_heap()
         self.spec = spec
@@ -66,6 +69,8 @@ class BatchedCrowdDriver(GenerationLoop):
         self.n = spec.n
         self.tau = float(timestep)
         self.use_drift = use_drift
+        self.spline = (spo_slab.as_spline()
+                       if isinstance(spo_slab, SharedCoefSlab) else spo_slab)
         # A crowd hosting a subset of a larger population injects its
         # walkers' streams and a batch viewing shared storage; the
         # default standalone driver owns both (stream w of master_seed,
@@ -268,12 +273,12 @@ class BatchedCrowdDriver(GenerationLoop):
             self.batch, self.tables, self.G, self.L)
 
     def run_generation(self, step: int, e_trial: Optional[float] = None
-                       ) -> Tuple[np.ndarray, np.ndarray]:
+                       ) -> Generation:
         """Advance the crowd one generation: sweep, measure, then age
         the walkers (VMC, ``e_trial is None``) or reweight them against
-        ``e_trial`` (DMC, Alg. 1 L13).  Returns ``(E_L, weights)`` in
-        walker order — the weights are the ones before the reweight,
-        which the trace records."""
+        ``e_trial`` (DMC, Alg. 1 L13).  Returns the generation in walker
+        order — the weights are the ones before the reweight, which the
+        trace records."""
         batch = self.batch
         if e_trial is not None:
             if self._stale:
@@ -298,65 +303,46 @@ class BatchedCrowdDriver(GenerationLoop):
                                self.last_sweep_accepts, el_old, el,
                                e_trial, self.tau)
             self._stale = True  # the branch commit follows
-        return el, weights
+        comps = self.ham.last_components
+        components = {name: comps[name] for name in self.ham.names}
+        if self.spline is not None:
+            # Each walker's row is its own per-point GEMM, so the column
+            # is bitwise identical across crowd decompositions.
+            v = batched_multi_v(self.spline, batch.R[:, 0])
+            components["SpoNorm"] = np.einsum("wm,wm->w", v, v)
+        return Generation(el, weights, components)
+
+    _advance = run_generation  # the GenerationLoop hook
 
     # -- the driver loop --------------------------------------------------------------
-    def run(self, steps: int = 10, streams=None, resume=None) -> QMCResult:
-        """Run ``steps`` fused VMC generations over the whole crowd.
+    def _walkers(self):
+        return self.batch, self.comb[0]
+
+    def run(self, steps: int = 10, mode: str = "vmc", streams=None,
+            resume=None) -> QMCResult:
+        """Run ``steps`` fused VMC or DMC (``mode``) generations over the
+        whole crowd.
 
         ``streams`` (a :class:`repro.output.stream.StreamSet`) streams
         each generation's per-walker energies, weights and Hamiltonian
         components to the binary trace + online reblocker and
         checkpoints the run every ``checkpoint_every`` generations.
-        ``resume`` (a ``kind == "batched"``
-        :class:`~repro.output.runstate.RunCheckpoint`, on a freshly
-        constructed driver) continues such a run bitwise: the walker
-        block and move counters are restored, the walker streams
-        fast-forwarded, and generation numbering carries on."""
-        start = self._resume_step(resume, "batched")
+        ``resume`` (a ``kind == "crowd"``
+        :class:`~repro.output.runstate.RunCheckpoint` of either crowd
+        host, on a freshly constructed driver) continues such a run
+        bitwise: the walker block, move counters, branch stream and DMC
+        feedback are restored, the walker streams fast-forwarded, and
+        generation numbering carries on; a checkpoint of another run
+        (mode, population, seed, time step, drift or model) is refused
+        with a ValueError."""
+        start = self._start(steps, mode, resume)
         if resume is not None:
-            self._restore(resume)
-        armed = False
-        if self.sanitizers is not None:
-            # Fail fast on global-RNG draws for the whole loop: every
-            # legitimate draw comes from a per-walker stream generator.
-            RngStreamSanitizer.arm()
-            armed = True
-        try:
-            return self._run_generations(steps, "VMC(batched)", "BatchedVMC",
-                                         streams=streams, start=start)
-        finally:
-            if armed:
-                RngStreamSanitizer.disarm()
-
-    def _restore(self, resume) -> None:
-        for name in _BATCH_FIELDS:
-            getattr(self.batch, name)[...] = resume.shared_state[name]
-        self.n_accept = int(resume.scalars["n_accept"])
-        self.n_moves = int(resume.scalars["n_moves"])
-        self.skip_generations(resume.step)
-        self.refresh_from_positions(resume.step)
-
-    def _checkpoint_state(self) -> dict:
-        """Walker RNG streams are not stored: a resume fast-forwards
-        fresh ones (:meth:`skip_generations`), like a respawned crowd."""
-        return {"rng_states": {},
-                "scalars": {"n_accept": float(self.n_accept),
-                            "n_moves": float(self.n_moves)},
-                "shared_state": {name: np.array(getattr(self.batch, name))
-                                 for name in _BATCH_FIELDS}}
-
-    def _run_meta(self) -> dict:
-        return {"nwalkers": self.nw, "seed": self.master_seed,
-                "timestep": self.tau, "use_drift": bool(self.use_drift),
-                "spec": self.spec.checkpoint_key()}
-
-    def _advance(self, step: int, e_trial: Optional[float]) -> Generation:
-        el, weights = self.run_generation(step, e_trial)
-        comps = self.ham.last_components
-        return Generation(el, weights,
-                          {name: comps[name] for name in self.ham.names})
-
-    def _population_size(self) -> int:
-        return self.nw
-
+            self._restore_walkers(resume)
+            self.skip_generations(start)
+            self.refresh_from_positions(start)
+        elif mode == "dmc":
+            # The first reweight reads the walkers' set-up E_L; the
+            # constructor left the G/L it needs.
+            self.evaluate_energies(start)
+        return self._run_crowd(steps, streams, start, resume,
+                               "batched", "Batched")

@@ -41,6 +41,11 @@ class QMCDriverBase(GenerationLoop):
     def __init__(self, P, twf, ham, rng: np.random.Generator,
                  timestep: float = 0.5, use_drift: bool = True,
                  precision: PrecisionPolicy = FULL):
+        # per-call kernel temporaries: reuse freed heap, do not re-fault
+        # (imported here: repro.memory's package import reaches back into
+        # the drivers through repro.core)
+        from repro.memory.heap import keep_freed_heap
+        keep_freed_heap()
         self.P = P
         self.twf = twf
         self.ham = ham

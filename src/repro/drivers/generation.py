@@ -10,10 +10,14 @@ docs/parallel_crowds.md.
 :class:`GenerationLoop` is that loop.  :class:`DMCPolicy` is the
 population control of Alg. 1 L13-L14 over plain weight arrays, so the
 Walker-list and walker-block forms share one definition.
+:class:`CrowdLoop` is what the two hosts of a walker block (the
+in-process crowd and the process pool) add to it: one comb, one branch
+stream and one ``"crowd"`` checkpoint.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import time
 from dataclasses import dataclass
@@ -24,6 +28,7 @@ import numpy as np
 from repro.drivers.result import QMCResult
 from repro.metrics.registry import METRICS
 from repro.output.stream import StreamSet
+from repro.sanitizers import RngStreamSanitizer, sanitizers_enabled
 
 
 class Generation(NamedTuple):
@@ -132,6 +137,31 @@ class DMCPolicy:
         self.target = int(scalars.get("target", self.target))
 
 
+#: per-walker fields of a walker block (a ``WalkerBatch`` or a
+#: ``SharedWalkerState``), in layout order — what a crowd checkpoint carries
+STATE_FIELDS = ("R", "weight", "logpsi", "local_energy", "age")
+
+
+def resample(block, source: np.ndarray, picks: np.ndarray,
+             clone: np.ndarray) -> None:
+    """Apply comb picks (:meth:`DMCPolicy.comb_picks`) to a walker block
+    by rewriting slots: slot i takes walker ``picks[i]``, weights reset
+    to 1, clones restart the stuck-walker clock.  ``logpsi`` and
+    ``local_energy`` travel with the positions they describe, and
+    ``source`` records the picks, so a crowd only gathers its distance
+    tables afterwards (``BatchedCrowdDriver.gather_tables``).  On a
+    shared block this *is* the inter-crowd walker migration (a pick
+    landing in another crowd's slot)."""
+    source[...] = picks
+    age = block.age[picks]
+    age[clone] = 0
+    block.R[...] = block.R[picks]
+    block.logpsi[...] = block.logpsi[picks]
+    block.local_energy[...] = block.local_energy[picks]
+    block.age[...] = age
+    block.weight[...] = 1.0
+
+
 class GenerationLoop:
     """The generation skeleton every driver's ``run`` goes through.
 
@@ -141,8 +171,8 @@ class GenerationLoop:
     * ``_advance(step, e_trial) -> Generation`` — advance the whole
       population one generation, reweighting it against ``e_trial`` when
       that is not None (DMC);
-    * a ``population`` list and ``n_moves``/``n_accept`` attributes —
-      or ``_population_size()``/``_move_counts()`` overrides;
+    * ``n_moves``/``n_accept`` attributes and a ``population`` list —
+      or a ``_population_size()`` override;
     * to run DMC, ``_branch_population(policy)`` — and ``_mixed_energy``
       when the branch weights are not the recorded ones;
     * to be resumable, ``checkpoint_kind``, ``_run_meta()`` — the run
@@ -162,10 +192,6 @@ class GenerationLoop:
 
     def _population_size(self) -> int:
         return len(self.population)
-
-    def _move_counts(self) -> Tuple[int, int]:
-        """(proposed, accepted) moves over the whole run."""
-        return self.n_moves, self.n_accept
 
     def _mixed_energy(self, policy: DMCPolicy, gen: Generation) -> float:
         return policy.mixed_energy(gen.weights, gen.energies)
@@ -233,7 +259,7 @@ class GenerationLoop:
                     self._save_checkpoint(streams, step, policy)
                 self._end_generation(step)
         result.elapsed = time.perf_counter() - t0
-        moves, accepted = self._move_counts()
+        moves, accepted = self.n_moves, self.n_accept
         result.acceptance = accepted / moves if moves else 0.0
         result.online = streams.online
         result.extra["moves"] = float(moves)
@@ -255,3 +281,114 @@ class GenerationLoop:
             online_state=streams.online.state_dict(),
             trace_position=streams.trace_position.as_array(),
             **state))
+
+
+class CrowdLoop(GenerationLoop):
+    """The generation loop over one walker block of ``nw`` walkers.
+
+    Both hosts — :class:`~repro.batched.driver.BatchedCrowdDriver` (the
+    block is its own ``WalkerBatch``) and
+    :class:`~repro.parallel.crowds.ParallelCrowdDriver` (a shared
+    ``SharedWalkerState``) — set ``spec``, ``nw``, ``master_seed``,
+    ``tau`` and ``use_drift``, keep ``n_moves``/``n_accept`` and provide
+    ``_walkers() -> (block, source)``: the walker block
+    (:data:`STATE_FIELDS`) and where the last comb took each slot's
+    walker from.  Everything else a crowd run owes the loop is here
+    once: the mode check, the branch stream, the comb on the block, and
+    the ``"crowd"`` checkpoint, which either host writes and resumes.
+    """
+
+    checkpoint_kind = "crowd"
+
+    def _start(self, steps: int, mode: str, resume) -> int:
+        """Check the run's arguments and ``resume`` (see
+        :meth:`_resume_step`) and start the branch stream: the stream
+        after the W walker streams of the master seed, at its
+        checkpointed position on a resume.  Returns the generations the
+        checkpoint already holds."""
+        if mode not in ("vmc", "dmc"):
+            raise ValueError(f"unknown mode {mode!r}")
+        if steps < 1:
+            raise ValueError(f"need at least one step, got {steps}")
+        self._mode = mode
+        start = self._resume_step(resume, "crowd")
+        streams = np.random.SeedSequence(self.master_seed).spawn(self.nw + 1)
+        self._branch_rng = np.random.default_rng(streams[self.nw])
+        if resume is not None:
+            self._branch_rng.bit_generator.state = resume.rng_states["branch"]
+        return start
+
+    def _block_state(self) -> Dict[str, np.ndarray]:
+        """A private copy of the walker block: a checkpoint's payload,
+        and the pool's generation-start crash snapshot."""
+        block, _ = self._walkers()
+        return {name: np.array(getattr(block, name))
+                for name in STATE_FIELDS}
+
+    def _restore_block(self, state: Dict[str, np.ndarray]) -> None:
+        """Overwrite the walker block from :meth:`_block_state` output;
+        every crowd then rebuilds from ``R``, so ``source`` goes back to
+        identity."""
+        block, source = self._walkers()
+        for name in STATE_FIELDS:
+            getattr(block, name)[...] = state[name]
+        source[...] = np.arange(self.nw)
+
+    def _restore_walkers(self, resume) -> None:
+        """The walker block and move counters of a checkpoint."""
+        self._restore_block(resume.shared_state)
+        self.n_accept = int(resume.scalars["n_accept"])
+        self.n_moves = int(resume.scalars["n_moves"])
+
+    def _run_crowd(self, steps: int, streams, start: int, resume,
+                   host: str, scope: str) -> QMCResult:
+        """The generation loop of this run: method ``"MODE(host)"``,
+        metrics scope ``scope + "MODE"``.  DMC starts its policy from
+        the block's E_L (restored from ``resume`` if given); the comb
+        holds the population at W, so the feedback term vanishes and E_T
+        tracks E_best.  Armed sanitizers make every global-RNG draw fail
+        fast for the whole loop: a legitimate draw comes from a walker
+        or branch stream."""
+        policy = None
+        if self._mode == "dmc":
+            block, _ = self._walkers()
+            policy = DMCPolicy(self.tau, self.nw,
+                               float(np.mean(block.local_energy)))
+            if resume is not None:
+                policy.restore(resume.scalars)
+        mode = self._mode.upper()
+        with (RngStreamSanitizer() if sanitizers_enabled()
+              else contextlib.nullcontext()):
+            return self._run_generations(
+                steps, f"{mode}({host})", scope + mode,
+                streams=streams, start=start, policy=policy)
+
+    def _mixed_energy(self, policy: DMCPolicy, gen: Generation) -> float:
+        """E_T sync (Alg. 1, L14): the reweighted block in walker order."""
+        return policy.mixed_energy(self._walkers()[0].weight, gen.energies)
+
+    def _branch_population(self, policy: DMCPolicy) -> None:
+        """The comb over the block: exactly W survivors."""
+        block, source = self._walkers()
+        picks, clone = policy.comb_picks(
+            block.weight, self.nw,
+            self._branch_rng.uniform(0.0, 1.0 / self.nw))
+        resample(block, source, picks, clone)
+
+    def _population_size(self) -> int:
+        return self.nw
+
+    def _checkpoint_state(self) -> dict:
+        """The walker block (post-branch), the branch stream and the move
+        counters.  Walker streams are *not* stored: every crowd of a
+        resumed run fast-forwards fresh ones, like a respawned one."""
+        return {"rng_states": {"branch": self._branch_rng.bit_generator.state},
+                "scalars": {"n_accept": float(self.n_accept),
+                            "n_moves": float(self.n_moves)},
+                "shared_state": self._block_state()}
+
+    def _run_meta(self) -> dict:
+        return {"mode": self._mode, "nwalkers": self.nw,
+                "seed": self.master_seed, "timestep": self.tau,
+                "use_drift": bool(self.use_drift),
+                "spec": self.spec.checkpoint_key()}

@@ -9,8 +9,8 @@ captures everything the continuation depends on:
   — for spawned per-walker streams the spawn keys are implied by the
   master seed recorded in ``meta``, and the *states* stored here already
   include any fast-forward),
-* the walker population (scalar drivers) or the shared-memory state
-  field arrays (parallel driver),
+* the walker population (scalar drivers) or the walker-block field
+  arrays (crowd drivers),
 * the exact :class:`~repro.stats.online.OnlineScalarStats` states,
 * the durable trace position (rows/chunks/bytes) to truncate/append at,
 * driver scalars (trial energy, acceptance counters, ...).
@@ -107,12 +107,12 @@ def population_from_arrays(data) -> List[Walker]:
 class RunCheckpoint:
     """Everything needed to continue a run bitwise from generation ``step``."""
 
-    kind: str                       # "vmc" | "dmc" | "parallel"
+    kind: str                       # "vmc" | "dmc" | "crowd"
     step: int                       # completed generations
     rng_states: Dict[str, dict] = field(default_factory=dict)
     scalars: Dict[str, float] = field(default_factory=dict)
     walkers: Optional[List] = None                     # scalar drivers
-    shared_state: Optional[Dict[str, np.ndarray]] = None   # parallel driver
+    shared_state: Optional[Dict[str, np.ndarray]] = None   # crowd drivers
     online_state: Optional[dict] = None
     trace_position: np.ndarray = field(
         default_factory=lambda: TracePosition().as_array())

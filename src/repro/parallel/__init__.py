@@ -13,7 +13,8 @@ The *real-cores* tier (docs/parallel_crowds.md):
 :class:`ParallelCrowdDriver` runs one batched crowd per worker process
 over :class:`SharedWalkerState` shared-memory blocks, with
 :class:`SharedMemComm` carrying the per-generation collectives across
-genuine OS processes.
+genuine OS processes; with no worker processes it runs the one
+in-process crowd driver, :class:`~repro.batched.driver.BatchedCrowdDriver`.
 """
 
 from repro.parallel.cluster import (Interconnect, ScalingPoint, SimCluster,

@@ -26,10 +26,13 @@ than the parent rewriting that slot's slices.
 Determinism contract (tested in ``tests/parallel/test_crowds.py``):
 walker ``w`` owns RNG stream ``w`` of the master seed regardless of
 which crowd or process hosts it, per-walker batched arithmetic is
-independent of batch width (the PR-2 differential gate), and all
+independent of batch width (the differential gate), and all
 numerically sensitive reductions happen parent-side over walker-ordered
 arrays — so energy traces are **bitwise identical** for
-``workers`` in {0, 1, N}.
+``workers`` in {1, N} and for ``workers=0``, which is the in-process
+:class:`~repro.batched.driver.BatchedCrowdDriver` itself.  Both write
+and resume the one ``"crowd"`` checkpoint
+(:class:`~repro.drivers.generation.CrowdLoop`).
 
 Crash semantics: every generation starts with a parent-side checkpoint
 of the shared block.  A dead or wedged worker is detected by liveness
@@ -48,7 +51,7 @@ import multiprocessing as mp
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -56,18 +59,15 @@ from repro.batched.driver import BatchedCrowdDriver
 from repro.batched.system import BatchedHamiltonian, JastrowSystemSpec, \
     walker_streams
 from repro.batched.walkerbatch import WalkerBatch
-from repro.drivers.generation import DMCPolicy, Generation, GenerationLoop
+from repro.drivers.generation import STATE_FIELDS, CrowdLoop, Generation
 from repro.drivers.result import QMCResult
 from repro.sanitizers import (CollectiveOrderChecker,
                               RngStreamSanitizer, ShmRaceSanitizer,
                               sanitizers_enabled)
 from repro.metrics.registry import METRICS
-from repro.parallel.shm import (STATE_FIELDS, SharedTraceBlock,
-                                SharedWalkerState)
+from repro.parallel.shm import SharedTraceBlock, SharedWalkerState
 from repro.parallel.shmcomm import CommPeerLost, CommTimeout, SharedMemComm
-
-if TYPE_CHECKING:  # import cycle: repro.splines.slab maps shm via us
-    from repro.splines.slab import SharedCoefSlab, SlabDescriptor
+from repro.splines.slab import SharedCoefSlab, SlabDescriptor
 
 __all__ = ["ParallelCrowdDriver"]
 
@@ -82,27 +82,26 @@ class _WorkerDown(RuntimeError):
 
 def _host_crowd(spec: JastrowSystemSpec, state: SharedWalkerState,
                 crowd: int, n_crowds: int, master_seed: int,
-                timestep: float, use_drift: bool, start_generation: int
-                ) -> BatchedCrowdDriver:
+                timestep: float, use_drift: bool, start_generation: int,
+                spo_slab=None) -> BatchedCrowdDriver:
     """Crowd ``crowd`` of ``n_crowds``: a batched driver over its strided
-    views of the walker block, ready to run ``start_generation``.
-
-    Used identically by the serial path (crowd 0 of 1, heap block) and
-    by every worker process (crowd c of K, shared-memory views), which is
-    what makes ``workers=0`` a bitwise reference for ``workers=N``.
+    views of the walker block, ready to run ``start_generation``; what
+    every worker process hosts.  Set up exactly as the in-process
+    ``BatchedCrowdDriver.run`` sets up crowd 0 of 1, which is what makes
+    ``workers=0`` a bitwise reference for ``workers=N``.
     """
+    # Round-robin deal: crowd c hosts global walkers w with
+    # w % n_crowds == c, as strided views of the block.
     ids = np.arange(crowd, state.nw, n_crowds)
-    views = state.crowd_views(crowd, n_crowds)
-    batch = WalkerBatch.attach(
-        views["R"], views["weight"], views["logpsi"],
-        views["local_energy"], views["age"])
+    batch = WalkerBatch.attach(*(getattr(state, name)[crowd::n_crowds]
+                                 for name in STATE_FIELDS))
     # RNG-stream contract: walker w owns stream w of the master seed no
     # matter which crowd hosts it; a respawned crowd fast-forwards by
     # replaying the per-generation draw pattern of the sweep.
     streams = walker_streams(master_seed, state.nw)
     drv = BatchedCrowdDriver(
         spec, len(ids), master_seed, timestep, use_drift, batch=batch,
-        rngs=[streams[w] for w in ids])
+        rngs=[streams[w] for w in ids], spo_slab=spo_slab)
     drv.skip_generations(start_generation - 1)
     # After a DMC comb the crowd gathers its tables from the slots the
     # picks name instead of rebuilding them.
@@ -120,27 +119,14 @@ def _host_crowd(spec: JastrowSystemSpec, state: SharedWalkerState,
 
 
 def _record_row(trace: SharedTraceBlock, row: int, cols: slice,
-                crowd: BatchedCrowdDriver, el: np.ndarray,
-                weights: np.ndarray,
-                spline=None) -> None:
+                gen: Generation, names: tuple) -> None:
     """Write one crowd's generation into its columns of the trace block
-    (strided shared-memory columns — never pickled).  ``spline`` (a
-    slab-backed or in-process BSpline3D) appends the per-walker
-    orbital-norm column after the Hamiltonian terms."""
-    trace.local_energy[row, cols] = el
-    trace.weight[row, cols] = weights
-    comps = crowd.ham.last_components
-    for i, name in enumerate(crowd.ham.names):
-        trace.components[row, cols, i] = comps[name]
-    if spline is not None:
-        # Per-walker orbital norm at each walker's first particle,
-        # through the batched value kernel on the shared table.  Each
-        # walker's row is its own per-point GEMM, so the column is
-        # bitwise identical across crowd decompositions.
-        from repro.batched.spo import batched_multi_v
-        v = batched_multi_v(spline, crowd.batch.R[:, 0])
-        trace.components[row, cols, len(crowd.ham.names)] = \
-            np.einsum("wm,wm->w", v, v)
+    (strided shared-memory columns — never pickled), components in
+    ``names`` order."""
+    trace.local_energy[row, cols] = gen.energies
+    trace.weight[row, cols] = gen.weights
+    for i, name in enumerate(names):
+        trace.components[row, cols, i] = gen.components[name]
 
 
 @dataclass
@@ -201,12 +187,10 @@ def _worker_main(cfg: _WorkerConfig) -> None:
         if cfg.slab is not None:
             # Map the one shared coefficient table (read-only) instead
             # of rebuilding or copying it per worker.
-            from repro.splines.slab import SharedCoefSlab
             slab = SharedCoefSlab.attach(cfg.slab)
         crowd = _host_crowd(
             cfg.spec, state, cfg.crowd, cfg.n_crowds, cfg.master_seed,
-            cfg.timestep, cfg.use_drift, cfg.start_generation)
-        spline = slab.as_spline() if slab is not None else None
+            cfg.timestep, cfg.use_drift, cfg.start_generation, slab)
         cols = slice(cfg.crowd, None, cfg.n_crowds)
         comm.allgather(("ready", cfg.crowd, os.getpid()))
         with METRICS.scope("Crowd"):
@@ -218,9 +202,9 @@ def _worker_main(cfg: _WorkerConfig) -> None:
                 if (cfg.crash_generation is not None
                         and step >= cfg.crash_generation):
                     os._exit(23)  # injected fault: die without cleanup
-                el, weights = crowd.run_generation(step, e_trial)
-                _record_row(trace, step - 1 - cfg.trace_base, cols, crowd,
-                            el, weights, spline)
+                _record_row(trace, step - 1 - cfg.trace_base, cols,
+                            crowd.run_generation(step, e_trial),
+                            cfg.component_names)
                 if cfg.race_generation == step and step >= 2:
                     # Injected fault, a deliberate race: scribble on a
                     # frozen history row outside its generation's commit —
@@ -258,17 +242,16 @@ def _worker_main(cfg: _WorkerConfig) -> None:
         os._exit(1)
 
 
-class ParallelCrowdDriver(GenerationLoop):
+class ParallelCrowdDriver(CrowdLoop):
     """VMC/DMC over K crowd processes sharing one walker-state block.
 
-    ``workers=0`` advances one crowd over a heap-backed block in-process
-    (the bitwise reference); ``workers=K >= 1`` spawns K crowd
-    processes over a shared-memory one.  Either way the generation loop
-    is :class:`~repro.drivers.generation.GenerationLoop`.  See the module
+    ``workers=K >= 1`` spawns K crowd processes over a shared-memory
+    block; ``workers=0`` is the in-process crowd driver,
+    :class:`~repro.batched.driver.BatchedCrowdDriver`, run as it stands.
+    Either way the generation loop is
+    :class:`~repro.drivers.generation.CrowdLoop`.  See the module
     docstring for the determinism and crash contracts.
     """
-
-    checkpoint_kind = "parallel"
 
     def __init__(self, spec: JastrowSystemSpec, nwalkers: int,
                  master_seed: int, workers: int = 0, timestep: float = 0.5,
@@ -289,12 +272,10 @@ class ParallelCrowdDriver(GenerationLoop):
         self.use_drift = use_drift
         self.liveness_poll = float(liveness_poll)
         self.max_respawns = int(max_respawns)
-        #: optional SPO orbital table: a BSpline3D (promoted to one
-        #: shared read-only SharedCoefSlab when workers > 0) or an
-        #: already-built SharedCoefSlab.  Adds a per-walker "SpoNorm"
-        #: trace component evaluated through the batched vgh kernel —
-        #: bitwise identical across worker counts like every other
-        #: column.
+        #: optional SPO orbital table for the crowds' "SpoNorm" trace
+        #: component (see BatchedCrowdDriver): a BSpline3D (promoted to
+        #: one shared read-only SharedCoefSlab for the pool) or an
+        #: already-built SharedCoefSlab.
         self.spo_slab = spo_slab
         self._slab: Optional[SharedCoefSlab] = None
         self._slab_owned = False
@@ -320,15 +301,12 @@ class ParallelCrowdDriver(GenerationLoop):
         self._comm: Optional[SharedMemComm] = None
         self._state = None
         self._trace = None
-        #: the in-process crowd of the serial path and its SPO table
-        self._crowd: Optional[BatchedCrowdDriver] = None
-        self._spline = None
         self._race: Optional[ShmRaceSanitizer] = None
         #: generation-start copy of the shared block (crash recovery)
         self._snapshot: Optional[Dict[str, np.ndarray]] = None
         self._comm_allreduces = 0
 
-    # -- the run (one generation loop for serial and process paths) -------------
+    # -- the run -----------------------------------------------------------------
     def run(self, steps: int = 10, mode: str = "vmc", streams=None,
             resume=None, abort_after: Optional[int] = None) -> QMCResult:
         """Run ``steps`` generations; one fresh worker pool per call.
@@ -337,166 +315,93 @@ class ParallelCrowdDriver(GenerationLoop):
         each generation's walker-ordered trace row to the binary trace +
         online reblocker and checkpoints the full run every
         ``checkpoint_every`` generations.  ``resume`` (a ``kind ==
-        "parallel"`` :class:`~repro.output.runstate.RunCheckpoint`)
-        continues a checkpointed run bitwise: the shared walker block,
-        branch RNG and feedback scalars are restored and every crowd
-        respawns at ``start_generation = step + 1`` — the same
-        fast-forward path that makes within-run crash recovery bitwise,
-        so the continued trace and error bars equal an uninterrupted
-        run's; a checkpoint of another run (mode, population, seed,
-        time step, drift or model) is refused with a ValueError.
-        ``abort_after`` is the restart battery's kill hook: the parent
-        ``os._exit(17)`` s right after that generation's checkpoint, like
-        a SIGKILL landing between generations (shared segments are left
-        for the harness to reap).
+        "crowd"`` :class:`~repro.output.runstate.RunCheckpoint`, written
+        by either crowd host) continues a checkpointed run bitwise: the
+        shared walker block, branch RNG and feedback scalars are
+        restored and every crowd respawns at ``start_generation = step +
+        1`` — the same fast-forward path that makes within-run crash
+        recovery bitwise, so the continued trace and error bars equal an
+        uninterrupted run's; a checkpoint of another run (mode,
+        population, seed, time step, drift or model) is refused with a
+        ValueError.  ``abort_after`` is the pool's kill hook for the
+        restart battery: the parent ``os._exit(17)`` s right after that
+        generation's checkpoint, like a SIGKILL landing between
+        generations (shared segments are left for the harness to reap).
         """
-        if mode not in ("vmc", "dmc"):
-            raise ValueError(f"unknown mode {mode!r}")
-        if steps < 1:
-            raise ValueError(f"need at least one step, got {steps}")
-        self._mode = mode
-        start_gen = self._resume_step(resume, "parallel")
+        if self.workers == 0:
+            if abort_after is not None:
+                raise ValueError("abort_after needs workers >= 1")
+            t_setup = time.perf_counter()
+            crowd = BatchedCrowdDriver(self.spec, self.nw, self.master_seed,
+                                       self.tau, self.use_drift,
+                                       spo_slab=self.spo_slab)
+            setup_s = time.perf_counter() - t_setup
+            result = crowd.run(steps, mode, streams, resume)
+            result.extra.update(workers=0.0, respawns=0.0,
+                                setup_seconds=float(setup_s))
+            return result
+        start_gen = self._start(steps, mode, resume)
         self._steps = int(steps)
         self._trace_base = start_gen
         self._abort_after = abort_after
         self._incarnation = 0
         self.respawns = 0
+        self.n_moves = self.n_accept = 0
         self._comm_allreduces = 0
-        W, n = self.nw, self.spec.n
-        ncomp = len(self._ham_names)
-        shared = self.workers > 0
         if self.spo_slab is not None and self._slab is None:
-            from repro.splines.slab import SharedCoefSlab
-            if isinstance(self.spo_slab, SharedCoefSlab):
-                self._slab = self.spo_slab
-                self._slab_owned = False
-            elif shared:
-                # One physical table for the whole pool: promote once,
-                # ship only the picklable descriptor to each crowd.
-                self._slab = SharedCoefSlab.promote(self.spo_slab)
-                self._slab_owned = True
+            # One physical table for the whole pool: promote once, ship
+            # only the picklable descriptor to each crowd.
+            self._slab_owned = not isinstance(self.spo_slab, SharedCoefSlab)
+            self._slab = (SharedCoefSlab.promote(self.spo_slab)
+                          if self._slab_owned else self.spo_slab)
         t_setup = time.perf_counter()
-        if shared:
-            self._state = SharedWalkerState.create(W, n)
-            self._trace = SharedTraceBlock.create(steps, W, ncomp)
-        else:  # the same blocks over heap memory
-            self._state = SharedWalkerState(W, n)
-            self._trace = SharedTraceBlock(steps, W, ncomp)
-        state = self._state
-        self._branch_rng = np.random.default_rng(
-            np.random.SeedSequence(self.master_seed).spawn(W + 1)[W])
-        self._accepted = 0
+        self._state = SharedWalkerState.create(self.nw, self.spec.n)
+        self._trace = SharedTraceBlock.create(steps, self.nw,
+                                              len(self._ham_names))
         if resume is not None:
-            state.restore_all(resume.shared_state)
-            self._branch_rng.bit_generator.state = resume.rng_states["branch"]
-            self._accepted = int(resume.scalars["accepted_total"])
+            self._restore_walkers(resume)
         else:
-            state.R[...] = self.spec.initial_positions(W)
-        armed = False
+            self._state.R[...] = self.spec.initial_positions(self.nw)
         if sanitizers_enabled():
-            # Same fail-fast global-RNG guard the workers arm; stream
-            # construction (default_rng/SeedSequence) stays allowed.
-            RngStreamSanitizer.arm()
-            armed = True
-            if shared:
-                self._race = ShmRaceSanitizer()
+            self._race = ShmRaceSanitizer()
         try:
-            if shared:
-                self._ensure_pool(start_gen + 1)
-            else:
-                self._spline = (self._slab.as_spline()
-                                if self._slab is not None else self.spo_slab)
-                self._crowd = _host_crowd(
-                    self.spec, state, 0, 1, self.master_seed, self.tau,
-                    self.use_drift, start_gen + 1)
+            self._ensure_pool(start_gen + 1)
             setup_s = time.perf_counter() - t_setup
-            policy = None
-            if mode == "dmc":
-                # The comb holds the population at W, so the feedback
-                # term vanishes and E_T tracks E_best.
-                policy = DMCPolicy(self.tau, W,
-                                   float(np.mean(state.local_energy)))
-                if resume is not None:
-                    policy.restore(resume.scalars)
-            result = self._run_generations(
-                steps, f"{mode.upper()}(crowds x{max(self.workers, 1)})",
-                "ParallelDMC" if mode == "dmc" else "ParallelVMC",
-                streams=streams, start=start_gen, policy=policy)
-            worker_stats = self._finalize() if shared else None
+            result = self._run_crowd(steps, streams, start_gen, resume,
+                                     f"crowds x{self.workers}", "Parallel")
+            worker_stats = self._finalize()
         finally:
-            if armed:
-                RngStreamSanitizer.disarm()
             self.close()
         result.extra["workers"] = float(self.workers)
         result.extra["respawns"] = float(self.respawns)
         result.extra["setup_seconds"] = float(setup_s)
-        if shared:
-            result.extra["comm_allreduces"] = float(self._comm_allreduces)
-            if worker_stats:
-                result.extra["worker_moves"] = float(
-                    sum(p["n_moves"] for p in worker_stats))
+        result.extra["comm_allreduces"] = float(self._comm_allreduces)
+        if worker_stats:
+            result.extra["worker_moves"] = float(
+                sum(p["n_moves"] for p in worker_stats))
         return result
 
-    # -- what K crowds over one block add to the shared generation loop ----------
+    # -- what K crowds over one block add to the generation loop -----------------
+    def _walkers(self):
+        return self._state, self._state.source
+
     def _advance(self, step: int, e_trial: Optional[float]) -> Generation:
-        """One generation across the pool (or the in-process crowd); the
-        pre-reweight rows come back through the trace block in walker
-        order, so the recorded trace and online results are bitwise
-        independent of the worker count."""
+        """One generation across the pool; the pre-reweight rows come
+        back through the trace block in walker order, so the recorded
+        trace and online results are bitwise independent of the worker
+        count."""
+        self._snapshot = self._block_state()
+        self._race_state("verify")
+        self._race_history("seal", step)
+        self.n_accept += self._parallel_generation(step, e_trial)
+        self.n_moves += self.nw * self.spec.n
+        self._race_history("verify", step)
         trace = self._trace
         row = step - 1 - self._trace_base
-        if self.workers > 0:
-            self._snapshot = self._state.checkpoint()
-            self._race_state("verify")
-            self._race_history("seal", step)
-            self._accepted += self._parallel_generation(step, e_trial)
-            self._race_history("verify", step)
-        else:
-            el, weights = self._crowd.run_generation(step, e_trial)
-            _record_row(trace, row, slice(None), self._crowd, el, weights,
-                        self._spline)
-            self._accepted += int(np.sum(self._crowd.last_sweep_accepts))
         return Generation(
             np.array(trace.local_energy[row]), np.array(trace.weight[row]),
             {name: np.array(trace.components[row, :, i])
              for i, name in enumerate(self._ham_names)})
-
-    def _mixed_energy(self, policy: DMCPolicy, gen: Generation) -> float:
-        """E_T sync (Alg. 1, L14), the shared-memory form of the
-        allreduce: reduce the reweighted block in walker order; every
-        crowd sees the result in the next generation's broadcast."""
-        return policy.mixed_energy(self._state.weight, gen.energies)
-
-    def _branch_population(self, policy: DMCPolicy) -> None:
-        """The comb over the shared block: exactly W survivors, applied
-        parent-side by rewriting slices in shared memory."""
-        picks, clone = policy.comb_picks(
-            self._state.weight, self.nw,
-            self._branch_rng.uniform(0.0, 1.0 / self.nw))
-        self._state.resample(picks, clone)
-
-    def _population_size(self) -> int:
-        return self.nw
-
-    def _move_counts(self):
-        generations = self._trace_base + self._steps
-        return generations * self.nw * self.spec.n, self._accepted
-
-    def _checkpoint_state(self) -> dict:
-        """The shared walker block (post-branch) and the branch RNG.
-        Worker RNG streams are *not* stored — a resume respawns every
-        crowd at ``step + 1`` and the crowds fast-forward
-        deterministically, exactly like within-run crash recovery."""
-        from repro.output.runstate import rng_state
-        return {"rng_states": {"branch": rng_state(self._branch_rng)},
-                "scalars": {"accepted_total": float(self._accepted)},
-                "shared_state": self._state.checkpoint()}
-
-    def _run_meta(self) -> dict:
-        return {"mode": self._mode, "nwalkers": self.nw,
-                "seed": self.master_seed, "timestep": self.tau,
-                "use_drift": bool(self.use_drift),
-                "spec": self.spec.checkpoint_key()}
 
     def _end_generation(self, step: int) -> None:
         self._race_state("seal")
@@ -631,7 +536,7 @@ class ParallelCrowdDriver(GenerationLoop):
             raise RuntimeError(
                 f"gave up after {self.respawns - 1} respawns: {exc}")
         if self._snapshot is not None:
-            self._state.restore_all(self._snapshot)
+            self._restore_block(self._snapshot)
 
     def _terminate_pool(self) -> None:
         for proc in self._procs.values():
@@ -697,8 +602,6 @@ class ParallelCrowdDriver(GenerationLoop):
         self._slab_owned = False
         self._trace = None
         self._state = None
-        self._crowd = None
-        self._spline = None
         self._race = None
         self._snapshot = None
 

@@ -22,9 +22,10 @@ B-spline coefficient slab (:mod:`repro.splines.slab`):
   excluded from the ``resource_tracker`` so a worker's exit (normal or
   violent) neither unlinks the segment under the parent nor spams
   tracker warnings;
-* a block built with ``heap`` has the same fields over plain process
-  memory — what the in-process serial path (``workers=0``) runs on, so
-  its generation loop is the parallel one.
+* a block built without a segment name has the same fields over plain
+  process memory; only tests use it, to host crowds in process exactly
+  as the workers host them (the in-process crowd driver owns a
+  ``WalkerBatch`` instead).
 """
 
 from __future__ import annotations
@@ -156,14 +157,12 @@ class _SharedBlock:
         self.close()
 
 
-#: per-walker fields of the state block, in layout order — what a
-#: checkpoint carries; the block also holds ``source``, which it does not
-STATE_FIELDS = ("R", "weight", "logpsi", "local_energy", "age")
-
-
 class SharedWalkerState(_SharedBlock):
-    """The population's canonical walker state in one block (over heap
-    memory when constructed without a segment name)."""
+    """The population's canonical walker state in one block: the
+    :data:`~repro.drivers.generation.STATE_FIELDS`, then ``source``, the
+    slot the last comb took each walker from (a checkpoint does not
+    carry it).  Over heap memory when constructed without a segment
+    name."""
 
     def __init__(self, nwalkers: int, n: int, name: Optional[str] = None,
                  create: bool = False):
@@ -189,47 +188,6 @@ class SharedWalkerState(_SharedBlock):
     def attach(cls, name: str, nwalkers: int, n: int) -> "SharedWalkerState":
         """Map an existing segment (worker side), untracked."""
         return cls(nwalkers, n, name)
-
-    # -- the population as a block ------------------------------------------------
-    def crowd_views(self, crowd: int, n_crowds: int) -> Dict[str, np.ndarray]:
-        """Strided views of crowd ``crowd``'s walkers (round-robin deal:
-        crowd c hosts global walkers w with ``w % n_crowds == c``)."""
-        return {name: getattr(self, name)[crowd::n_crowds]
-                for name in STATE_FIELDS}
-
-    def checkpoint(self) -> Dict[str, np.ndarray]:
-        """Private (process-local) copy of every field — the parent's
-        generation-start crash snapshot and the on-disk
-        :class:`~repro.output.runstate.RunCheckpoint` payload."""
-        return {name: getattr(self, name).copy() for name in STATE_FIELDS}
-
-    def restore_all(self, snapshot: Dict[str, np.ndarray]) -> None:
-        """Overwrite every checkpointed field from a snapshot — used by
-        within-run crash recovery and by full-run restart, both of which
-        rebuild every crowd from ``R``; ``source`` goes back to identity."""
-        for name in STATE_FIELDS:
-            getattr(self, name)[...] = snapshot[name]
-        self.source[...] = np.arange(self.nw)
-
-    def resample(self, picks: np.ndarray,
-                 clone: np.ndarray) -> None:
-        """Apply comb picks (:meth:`DMCPolicy.comb_picks
-        <repro.drivers.generation.DMCPolicy.comb_picks>`) by rewriting
-        slices: slot i takes walker ``picks[i]``, weights reset to 1,
-        clones restart the stuck-walker clock.  ``logpsi`` and
-        ``local_energy`` travel with the positions they describe, and
-        ``source`` records the picks, so a crowd only gathers its
-        distance tables afterwards (``BatchedCrowdDriver.gather_tables``).
-        On a shared block this *is* the inter-crowd walker migration (a
-        pick landing in another crowd's slot)."""
-        self.source[...] = picks
-        age = self.age[picks]
-        age[clone] = 0
-        self.R[...] = self.R[picks]
-        self.logpsi[...] = self.logpsi[picks]
-        self.local_energy[...] = self.local_energy[picks]
-        self.age[...] = age
-        self.weight[...] = 1.0
 
     def __repr__(self) -> str:
         return (f"SharedWalkerState(nw={self.nw}, n={self.n}, "

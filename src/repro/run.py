@@ -1,9 +1,11 @@
 """Command-line runner: streaming QMC runs with checkpoint/restart.
 
 ``python -m repro.run`` drives :class:`repro.parallel.crowds.
-ParallelCrowdDriver` (workers=0 is the bitwise serial reference) with
-the full streaming pipeline: per-generation binary trace rows, online
-reblocked error bars, and — with ``--checkpoint-every N`` — a durable
+ParallelCrowdDriver` (workers=0 runs the in-process crowd driver,
+:class:`repro.batched.driver.BatchedCrowdDriver`, the bitwise serial
+reference) with the full streaming pipeline: per-generation binary
+trace rows, online reblocked error bars, and — with
+``--checkpoint-every N`` — a durable
 :class:`~repro.output.runstate.RunCheckpoint` every N generations
 holding the RNG states, the walker block, the online-stat states and
 the trace offset.  ``--resume`` continues a killed run from its last

@@ -16,7 +16,7 @@ from repro.batched.driver import BatchedCrowdDriver
 from repro.core.system import QmcSystem
 from repro.core.version import VERSION_CONFIGS, CodeVersion
 from repro.drivers.base import QMCDriverBase
-from repro.drivers.generation import DMCPolicy
+from repro.drivers.generation import DMCPolicy, resample
 from repro.parallel.crowds import _host_crowd
 from repro.parallel.shm import SharedWalkerState
 from repro.precision.policy import FULL
@@ -58,7 +58,7 @@ def _comb(state, seed):
     picks, clone = DMCPolicy.comb_picks(
         state.weight, state.nw,
         np.random.default_rng(seed).uniform(0.0, 1.0 / state.nw))
-    state.resample(picks, clone)
+    resample(state, state.source, picks, clone)
 
 
 @pytest.mark.parametrize("n_crowds", [1, 2])

@@ -17,7 +17,7 @@ from repro.backend import get_backend
 from repro.batched import JastrowSystemSpec, WalkerBatch
 from repro.batched.driver import BatchedCrowdDriver
 from repro.batched.walkerbatch import commit_rows
-from repro.drivers.generation import DMCPolicy
+from repro.drivers.generation import DMCPolicy, resample
 from repro.parallel.crowds import _host_crowd
 from repro.parallel.shm import SharedWalkerState
 from repro.sanitizers import SanitizerError
@@ -146,7 +146,7 @@ def _comb(state, seed=3):
     picks, clone = DMCPolicy.comb_picks(
         state.weight, state.nw,
         np.random.default_rng(seed).uniform(0.0, 1.0 / state.nw))
-    state.resample(picks, clone)
+    resample(state, state.source, picks, clone)
 
 
 class TestCarriedChecker:

@@ -127,6 +127,16 @@ class TestBatchedDriverSurface:
         assert "LocalEnergy" in res.online.names()
         assert res.throughput > 0
 
+    @pytest.mark.parametrize("steps, mode, message", [
+        (2, "gfmc", "unknown mode 'gfmc'"),
+        (0, "vmc", "need at least one step, got 0"),
+    ])
+    def test_run_rejects_bad_arguments(self, steps, mode, message):
+        """The one argument check of both crowd hosts (CrowdLoop)."""
+        drv = BatchedCrowdDriver(JastrowSystemSpec(n=8, seed=7), 2, 1)
+        with pytest.raises(ValueError, match=message):
+            drv.run(steps, mode=mode)
+
     def test_rng_streams_independent_of_batch(self):
         """Stream w depends only on (master_seed, w): prefixes of a
         bigger crowd reproduce a smaller crowd exactly."""

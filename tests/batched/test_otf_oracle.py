@@ -5,8 +5,8 @@ energies as one built with ``aa_flavor="soa"``, bit for bit.
 Both tables serve rows of the same row/pair kernels (one minimum-image
 body), and every reduction over them keeps its order, so whatever the
 OTF table stores, the per-walker local energies, weights and
-Hamiltonian components of every generation must be identical — VMC on
-the crowd driver, DMC on the crowd host, with and without NLPP.
+Hamiltonian components of every generation must be identical — VMC and
+DMC on the crowd driver, with and without NLPP.
 """
 
 import numpy as np
@@ -14,7 +14,6 @@ import pytest
 
 from repro.batched import BatchedCrowdDriver, JastrowSystemSpec
 from repro.output.stream import StreamSet
-from repro.parallel.crowds import ParallelCrowdDriver
 
 N = 32
 W = 8
@@ -41,13 +40,8 @@ def _rows(flavor, mode, with_nlpp):
     spec = JastrowSystemSpec(n=N, seed=SPEC_SEED, aa_flavor=flavor,
                              with_nlpp=with_nlpp)
     streams = _Recorder()
-    if mode == "vmc":
-        BatchedCrowdDriver(spec, W, MASTER_SEED, timestep=0.3).run(
-            GENERATIONS, streams=streams)
-    else:
-        with ParallelCrowdDriver(spec, W, MASTER_SEED, workers=0,
-                                 timestep=0.3) as drv:
-            drv.run(GENERATIONS, mode="dmc", streams=streams)
+    BatchedCrowdDriver(spec, W, MASTER_SEED, timestep=0.3).run(
+        GENERATIONS, mode=mode, streams=streams)
     return streams.rows
 
 

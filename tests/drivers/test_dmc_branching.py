@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.system import QmcSystem
 from repro.core.version import CodeVersion
 from repro.drivers.dmc import DMCDriver
-from repro.drivers.generation import DMCPolicy
+from repro.drivers.generation import DMCPolicy, resample
 from repro.parallel.shm import SharedWalkerState
 from repro.particles.walker import Walker
 
@@ -81,7 +81,8 @@ class TestCombBranching:
         driver.rng = np.random.default_rng(seed)
         u0 = np.random.default_rng(seed).uniform(0.0, 1.0 / nw)
         out = driver._branch_comb(pop, target=nw)
-        block.resample(*DMCPolicy.comb_picks(weights, nw, u0))
+        resample(block, block.source,
+                 *DMCPolicy.comb_picks(weights, nw, u0))
         assert [w.R[0, 0] for w in out] == list(block.R[:, 0, 0])
         assert [w.age for w in out] == list(block.age)
         assert all(w.weight == 1.0 for w in out)

@@ -7,17 +7,20 @@ generation G and resumed from its last checkpoint produces
 * **bit-identical** online error bars,
 
 versus the same run left uninterrupted.  Asserted for the scalar VMC and
-DMC drivers, for :class:`~repro.batched.driver.BatchedCrowdDriver` (with
-and without NLPP) and for
+DMC drivers, for :class:`~repro.batched.driver.BatchedCrowdDriver` (VMC
+with and without NLPP, and DMC) and for
 :class:`~repro.parallel.crowds.ParallelCrowdDriver`
 at workers in {0, 2} — the parallel kill is a real ``SIGKILL``-style
 death (``os._exit`` mid-run in a forked child), so the resume path is
-exercised against a genuinely torn-down process tree.
+exercised against a genuinely torn-down process tree.  The two crowd
+hosts write one checkpoint kind, ``"crowd"``: a checkpoint of either
+resumes on the other.
 
 Checkpoint cadence is a multiple of the trace flush cadence throughout,
 so chunk boundaries align and byte comparison is meaningful.
 """
 
+import contextlib
 import glob
 import multiprocessing as mp
 import os
@@ -77,15 +80,16 @@ def _scalar_driver(mode, timestep=None, use_drift=True, precision=FULL,
 def _run(mode, steps, streams, resume=None, drv=None):
     drv = drv or _scalar_driver(mode)
     if mode.startswith("batched"):  # the population is the driver's own
-        return drv.run(steps, streams=streams, resume=resume)
+        return drv.run(steps, mode="dmc" if mode == "batched-dmc" else "vmc",
+                       streams=streams, resume=resume)
     if resume is not None:
         return drv.run(steps=steps, streams=streams, resume=resume)
     return drv.run(walkers=3, steps=steps, streams=streams)
 
 
 class TestScalarKillRestart:
-    @pytest.mark.parametrize("mode",
-                             ["vmc", "dmc", "batched", "batched-nlpp"])
+    @pytest.mark.parametrize(
+        "mode", ["vmc", "dmc", "batched", "batched-nlpp", "batched-dmc"])
     def test_restart_trace_bitwise_and_error_bars_exact(self, mode,
                                                         tmp_path):
         # Reference: uninterrupted run.
@@ -106,7 +110,8 @@ class TestScalarKillRestart:
         assert _read(trace) != _read(full_trace)  # 7 vs 10 generations
         # Restart: fresh driver + resumed streams continue to the end.
         ckpt = load_run_checkpoint(ckpt_path)
-        assert ckpt.kind == mode.partition("-")[0]
+        assert ckpt.kind == ("crowd" if mode.startswith("batched")
+                             else mode)
         assert ckpt.step == CKPT_EVERY
         resumed = StreamSet.resume(ckpt, trace_path=trace,
                                    flush_every=FLUSH_EVERY,
@@ -162,33 +167,48 @@ WALKERS = 6
 SEED = 11
 
 
+def _crowd_driver(workers, **spec):
+    """The crowd host: ``workers=None`` is the in-process
+    BatchedCrowdDriver, otherwise a ParallelCrowdDriver."""
+    spec = JastrowSystemSpec(n=N_ELECTRONS, seed=7, **spec)
+    if workers is None:
+        return BatchedCrowdDriver(spec, WALKERS, SEED, timestep=0.3)
+    return ParallelCrowdDriver(spec, WALKERS, SEED, workers=workers,
+                               timestep=0.3)
+
+
+def _streams(root, resume=None):
+    """The battery's streams under ``root``: fresh, or resuming."""
+    paths = {"trace_path": os.path.join(root, "trace.bin"),
+             "flush_every": FLUSH_EVERY,
+             "checkpoint_path": os.path.join(root, "run.ckpt"),
+             "checkpoint_every": CKPT_EVERY}
+    if resume is not None:
+        return StreamSet.resume(resume, **paths)
+    return StreamSet(meta={"battery": "restart"}, **paths)
+
+
 def _parallel_run(root, workers, mode, steps=STEPS, abort_after=None,
                   resume=None):
-    spec = JastrowSystemSpec(n=N_ELECTRONS, seed=7)
-    trace = os.path.join(root, "trace.bin")
-    ckpt_path = os.path.join(root, "run.ckpt")
-    if resume is not None:
-        streams = StreamSet.resume(resume, trace_path=trace,
-                                   flush_every=FLUSH_EVERY,
-                                   checkpoint_path=ckpt_path,
-                                   checkpoint_every=CKPT_EVERY)
-    else:
-        streams = StreamSet(trace_path=trace, meta={"battery": "restart"},
-                            flush_every=FLUSH_EVERY,
-                            checkpoint_path=ckpt_path,
-                            checkpoint_every=CKPT_EVERY)
-    drv = ParallelCrowdDriver(spec, WALKERS, SEED, workers=workers,
-                              timestep=0.3)
-    with drv, streams:
+    streams = _streams(root, resume)
+    drv = _crowd_driver(workers)
+    pool = {} if workers is None else {"abort_after": abort_after}
+    with (contextlib.nullcontext() if workers is None else drv), streams:
         res = drv.run(steps, mode=mode, streams=streams, resume=resume,
-                      abort_after=abort_after)
-    return res, trace, ckpt_path
+                      **pool)
+    return res, streams.trace_path, os.path.join(root, "run.ckpt")
 
 
 def _abort_child(root, workers, mode):
     # Dies via os._exit(17) right after generation KILL_AFTER's branch:
-    # no stream close, no driver close, no atexit — a hard kill.
-    _parallel_run(root, workers, mode, abort_after=KILL_AFTER)
+    # no stream close, no driver close, no atexit — a hard kill.  The
+    # pool's parent dies through its abort_after hook; an in-process
+    # crowd runs KILL_AFTER generations and dies without closing its
+    # streams, which leaves the same durable state.
+    if workers:
+        _parallel_run(root, workers, mode, abort_after=KILL_AFTER)
+    _crowd_driver(workers).run(KILL_AFTER, mode=mode, streams=_streams(root))
+    os._exit(17)
 
 
 class _ReapShm:
@@ -212,12 +232,10 @@ class TestResumeRefusesAnotherRun:
     is refused, naming the key."""
 
     @pytest.mark.parametrize("kind, change, key", [
-        ("parallel", {"timestep": 0.1}, "timestep"),
-        ("parallel", {"use_drift": False}, "use_drift"),
-        ("parallel", {"with_nlpp": True}, "spec"),
-        ("parallel", {"aa_flavor": "soa"}, "spec"),
-        ("batched", {"timestep": 0.1}, "timestep"),
-        ("batched", {"aa_flavor": "soa"}, "spec"),
+        ("crowd", {"timestep": 0.1}, "timestep"),
+        ("crowd", {"use_drift": False}, "use_drift"),
+        ("crowd", {"with_nlpp": True}, "spec"),
+        ("crowd", {"aa_flavor": "soa"}, "spec"),
         ("vmc", {"timestep": 0.1}, "timestep"),
         ("vmc", {"use_drift": False}, "use_drift"),
         ("vmc", {"precision": MIXED}, "precision"),
@@ -229,7 +247,7 @@ class TestResumeRefusesAnotherRun:
         ckpt_path = os.path.join(root, "run.ckpt")
         mismatch = pytest.raises(
             ValueError, match=f"checkpoint {key} .* do not match")
-        if kind != "parallel":
+        if kind != "crowd":
             _run(kind, CKPT_EVERY, StreamSet(checkpoint_path=ckpt_path,
                                              checkpoint_every=CKPT_EVERY))
             with mismatch:
@@ -266,7 +284,7 @@ class TestParallelKillRestart:
             proc.join(timeout=300)
             assert proc.exitcode == 17
             ckpt = load_run_checkpoint(os.path.join(b_root, "run.ckpt"))
-            assert ckpt.kind == "parallel"
+            assert ckpt.kind == "crowd"
             assert ckpt.step == CKPT_EVERY
             res_b, trace_b, _ = _parallel_run(
                 b_root, workers, mode, steps=STEPS - ckpt.step, resume=ckpt)
@@ -290,3 +308,55 @@ class TestParallelKillRestart:
 
     def test_no_shm_leaks_after_battery(self):
         assert not glob.glob("/dev/shm/repro-*")
+
+
+class TestOneCrowdKind:
+    """Both crowd hosts write and resume one ``"crowd"`` checkpoint, so
+    a run checkpointed by one continues bitwise on the other; the kinds
+    the two hosts wrote before there was one are refused."""
+
+    @pytest.mark.parametrize("mode", ["vmc", "dmc"])
+    @pytest.mark.parametrize("first, then", [(None, 2), (2, None)],
+                             ids=["batched-to-pool", "pool-to-batched"])
+    def test_checkpoint_resumes_on_the_other_host(self, first, then, mode,
+                                                  tmp_path):
+        a_root = str(tmp_path / "a")
+        b_root = str(tmp_path / "b")
+        os.makedirs(a_root)
+        os.makedirs(b_root)
+        with _ReapShm():
+            res_a, trace_a, _ = _parallel_run(a_root, first, mode)
+            _parallel_run(b_root, first, mode, steps=KILL_AFTER)
+            ckpt = load_run_checkpoint(os.path.join(b_root, "run.ckpt"))
+            assert (ckpt.kind, ckpt.step) == ("crowd", CKPT_EVERY)
+            res_b, trace_b, _ = _parallel_run(
+                b_root, then, mode, steps=STEPS - ckpt.step, resume=ckpt)
+        assert _read(trace_a) == _read(trace_b)
+        assert (res_b.online.estimate("LocalEnergy")
+                == res_a.online.estimate("LocalEnergy"))
+        assert np.array_equal(np.asarray(res_b.energies),
+                              np.asarray(res_a.energies[ckpt.step:]))
+
+    def _checkpoint(self, root, mode="vmc"):
+        ckpt_path = os.path.join(root, "run.ckpt")
+        _crowd_driver(None).run(CKPT_EVERY, mode=mode, streams=StreamSet(
+            checkpoint_path=ckpt_path, checkpoint_every=CKPT_EVERY))
+        return load_run_checkpoint(ckpt_path)
+
+    @pytest.mark.parametrize("host", [None, 2], ids=["batched", "pool"])
+    def test_vmc_checkpoint_refused_as_dmc(self, host, tmp_path):
+        ckpt = self._checkpoint(str(tmp_path))
+        drv = _crowd_driver(host)
+        with pytest.raises(ValueError, match="checkpoint mode 'vmc' and "
+                                             "this run's 'dmc' do not match"):
+            drv.run(2, mode="dmc", resume=ckpt)
+
+    @pytest.mark.parametrize("kind", ["batched", "parallel"])
+    @pytest.mark.parametrize("host", [None, 2], ids=["batched", "pool"])
+    def test_old_kinds_refused(self, host, kind, tmp_path):
+        ckpt = self._checkpoint(str(tmp_path), "dmc")
+        ckpt.kind = kind
+        drv = _crowd_driver(host)
+        with pytest.raises(ValueError, match=f"checkpoint kind '{kind}' "
+                                             "is not a crowd run"):
+            drv.run(2, mode="dmc", resume=ckpt)

@@ -48,7 +48,7 @@ class TestRoundTrip:
         gen = np.random.default_rng(5)
         gen.normal(size=37)
         return RunCheckpoint(
-            kind="parallel", step=12,
+            kind="crowd", step=12,
             rng_states={"branch": rng_state(gen)},
             scalars={"accepted_total": 1234.0, "e_trial": -3.25},
             shared_state={"R": rng.normal(size=(6, 8, 3)),
@@ -64,7 +64,7 @@ class TestRoundTrip:
         path = str(tmp_path / "run.npz")
         save_run_checkpoint(path, ckpt)
         back = load_run_checkpoint(path)
-        assert back.kind == "parallel"
+        assert back.kind == "crowd"
         assert back.step == 12
         assert back.path == path
         assert back.scalars == ckpt.scalars

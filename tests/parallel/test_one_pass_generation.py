@@ -24,7 +24,7 @@ import pytest
 from repro.backend import KERNEL_NAMES, get_backend, use_backend
 from repro.batched.system import JastrowSystemSpec
 from repro.drivers.base import QMCDriverBase
-from repro.drivers.generation import DMCPolicy
+from repro.drivers.generation import DMCPolicy, resample
 from repro.output.runstate import load_run_checkpoint
 from repro.output.stream import StreamSet
 from repro.parallel.crowds import ParallelCrowdDriver, _host_crowd
@@ -79,7 +79,7 @@ def _crowds(spec, n_crowds=1):
 def _branch(state, rng):
     picks, clone = DMCPolicy.comb_picks(
         state.weight, state.nw, rng.uniform(0.0, 1.0 / state.nw))
-    state.resample(picks, clone)
+    resample(state, state.source, picks, clone)
     return picks
 
 
