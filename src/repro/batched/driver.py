@@ -41,15 +41,14 @@ from repro.hamiltonian.nlpp import QuadratureRotations
 from repro.memory.heap import keep_freed_heap
 from repro.sanitizers import sanitizers_enabled
 from repro.metrics.registry import METRICS
-from repro.splines.slab import SharedCoefSlab
 
 
 class BatchedCrowdDriver(CrowdLoop):
     """One crowd: a WalkerBatch advanced with per-walker RNG streams.
 
-    ``spo_slab`` (a BSpline3D, or a SharedCoefSlab read through its
-    table) adds a per-walker ``"SpoNorm"`` trace component after the
-    Hamiltonian terms: the orbital norm at each walker's first particle.
+    ``spo_slab`` (a BSpline3D) adds a per-walker ``"SpoNorm"`` trace
+    component after the Hamiltonian terms: the orbital norm at each
+    walker's first particle.
     """
 
     #: cap on the drift displacement per move, in units of sqrt(tau)
@@ -69,8 +68,7 @@ class BatchedCrowdDriver(CrowdLoop):
         self.n = spec.n
         self.tau = float(timestep)
         self.use_drift = use_drift
-        self.spline = (spo_slab.as_spline()
-                       if isinstance(spo_slab, SharedCoefSlab) else spo_slab)
+        self.spline = spo_slab
         # A crowd hosting a subset of a larger population injects its
         # walkers' streams and a batch viewing shared storage; the
         # default standalone driver owns both (stream w of master_seed,
@@ -280,17 +278,18 @@ class BatchedCrowdDriver(CrowdLoop):
         order — the weights are the ones before the reweight, which the
         trace records."""
         batch = self.batch
+        if self._stale:
+            # The comb carried logpsi/local_energy with the
+            # positions (bitwise what a recompute would give).
+            self.gather_tables()
+            self._stale = False
+            if self._nlpp is not None:
+                # NLPP quadrature rotations are keyed on the walker
+                # *slot*, so a walker the comb moved has a different
+                # E_L there than the one it carried along: recompute.
+                self._evaluate_log(fresh=False)
+                self.evaluate_energies(step - 1)
         if e_trial is not None:
-            if self._stale:
-                # The comb carried logpsi/local_energy with the
-                # positions (bitwise what a recompute would give).
-                self.gather_tables()
-                if self._nlpp is not None:
-                    # NLPP quadrature rotations are keyed on the walker
-                    # *slot*, so a walker the comb moved has a different
-                    # E_L there than the one it carried along: recompute.
-                    self._evaluate_log(fresh=False)
-                    self.evaluate_energies(step - 1)
             el_old = batch.local_energy.copy()
         self.sweep()
         self.key_rotations(step)
@@ -334,14 +333,17 @@ class BatchedCrowdDriver(CrowdLoop):
         feedback are restored, the walker streams fast-forwarded, and
         generation numbering carries on; a checkpoint of another run
         (mode, population, seed, time step, drift or model) is refused
-        with a ValueError."""
+        with a ValueError.  A further ``run`` on the same driver goes on
+        from its walkers, walker streams and branch stream; generation
+        numbering restarts at 1."""
         start = self._start(steps, mode, resume)
         if resume is not None:
             self._restore_walkers(resume)
             self.skip_generations(start)
             self.refresh_from_positions(start)
-        elif mode == "dmc":
-            # The first reweight reads the walkers' set-up E_L; the
+        elif mode == "dmc" and not self._stale:
+            # The first reweight reads the walkers' set-up E_L (after a
+            # previous DMC run, the E_L its comb carried); the
             # constructor left the G/L it needs.
             self.evaluate_energies(start)
         return self._run_crowd(steps, streams, start, resume,

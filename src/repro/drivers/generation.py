@@ -299,21 +299,24 @@ class CrowdLoop(GenerationLoop):
     """
 
     checkpoint_kind = "crowd"
+    _branch_rng: Optional[np.random.Generator] = None
 
     def _start(self, steps: int, mode: str, resume) -> int:
         """Check the run's arguments and ``resume`` (see
         :meth:`_resume_step`) and start the branch stream: the stream
         after the W walker streams of the master seed, at its
-        checkpointed position on a resume.  Returns the generations the
-        checkpoint already holds."""
+        checkpointed position on a resume.  A host that ran before keeps
+        its stream where the last run left it.  Returns the generations
+        the checkpoint already holds."""
         if mode not in ("vmc", "dmc"):
             raise ValueError(f"unknown mode {mode!r}")
         if steps < 1:
             raise ValueError(f"need at least one step, got {steps}")
         self._mode = mode
         start = self._resume_step(resume, "crowd")
-        streams = np.random.SeedSequence(self.master_seed).spawn(self.nw + 1)
-        self._branch_rng = np.random.default_rng(streams[self.nw])
+        if self._branch_rng is None:
+            seq = np.random.SeedSequence(self.master_seed).spawn(self.nw + 1)
+            self._branch_rng = np.random.default_rng(seq[self.nw])
         if resume is not None:
             self._branch_rng.bit_generator.state = resume.rng_states["branch"]
         return start

@@ -190,7 +190,8 @@ def _worker_main(cfg: _WorkerConfig) -> None:
             slab = SharedCoefSlab.attach(cfg.slab)
         crowd = _host_crowd(
             cfg.spec, state, cfg.crowd, cfg.n_crowds, cfg.master_seed,
-            cfg.timestep, cfg.use_drift, cfg.start_generation, slab)
+            cfg.timestep, cfg.use_drift, cfg.start_generation,
+            slab.as_spline() if slab is not None else None)
         cols = slice(cfg.crowd, None, cfg.n_crowds)
         comm.allgather(("ready", cfg.crowd, os.getpid()))
         with METRICS.scope("Crowd"):
@@ -331,15 +332,19 @@ class ParallelCrowdDriver(CrowdLoop):
         if self.workers == 0:
             if abort_after is not None:
                 raise ValueError("abort_after needs workers >= 1")
+            spline = (self.spo_slab.as_spline()
+                      if isinstance(self.spo_slab, SharedCoefSlab)
+                      else self.spo_slab)
             t_setup = time.perf_counter()
             crowd = BatchedCrowdDriver(self.spec, self.nw, self.master_seed,
                                        self.tau, self.use_drift,
-                                       spo_slab=self.spo_slab)
+                                       spo_slab=spline)
             setup_s = time.perf_counter() - t_setup
             result = crowd.run(steps, mode, streams, resume)
             result.extra.update(workers=0.0, respawns=0.0,
                                 setup_seconds=float(setup_s))
             return result
+        self._branch_rng = None  # each pool run starts a fresh population
         start_gen = self._start(steps, mode, resume)
         self._steps = int(steps)
         self._trace_base = start_gen
@@ -372,10 +377,10 @@ class ParallelCrowdDriver(CrowdLoop):
             worker_stats = self._finalize()
         finally:
             self.close()
-        result.extra["workers"] = float(self.workers)
-        result.extra["respawns"] = float(self.respawns)
-        result.extra["setup_seconds"] = float(setup_s)
-        result.extra["comm_allreduces"] = float(self._comm_allreduces)
+        result.extra.update(workers=float(self.workers),
+                            respawns=float(self.respawns),
+                            setup_seconds=float(setup_s),
+                            comm_allreduces=float(self._comm_allreduces))
         if worker_stats:
             result.extra["worker_moves"] = float(
                 sum(p["n_moves"] for p in worker_stats))
@@ -598,12 +603,9 @@ class ParallelCrowdDriver(CrowdLoop):
                 obj.close()
         if self._slab is not None and self._slab_owned:
             self._slab.close()
-        self._slab = None
         self._slab_owned = False
-        self._trace = None
-        self._state = None
-        self._race = None
-        self._snapshot = None
+        self._slab = self._trace = self._state = None
+        self._race = self._snapshot = None
 
     def __enter__(self) -> "ParallelCrowdDriver":
         return self

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.batched import BatchedCrowdDriver, JastrowSystemSpec, run_reference
+from repro.batched.walkerbatch import WalkerBatch
 from repro.output.stream import StreamSet, TraceReader
 
 W = 6
@@ -148,3 +149,54 @@ class TestBatchedDriverSurface:
         assert np.array_equal(big.batch.R[:3], small.batch.R)
         assert np.array_equal(big.batch.local_energy[:3],
                               small.batch.local_energy)
+
+
+class TestRunAfterDMC:
+    """A DMC run ends on a comb that rewrote the walker block; a further
+    run on the same driver starts from the combed walkers."""
+
+    @pytest.mark.parametrize("nlpp", [False, True], ids=["plain", "nlpp"])
+    @pytest.mark.parametrize("flavor", ["soa", "otf"])
+    def test_vmc_after_dmc_sanitized(self, sanitize, flavor, nlpp):
+        """Armed state checks compare every table with a fresh pair pass:
+        they fail if the VMC sweep reads tables of the pre-comb walkers."""
+        spec = JastrowSystemSpec(n=8, seed=7, aa_flavor=flavor,
+                                 with_nlpp=nlpp)
+        drv = BatchedCrowdDriver(spec, W, SEED, timestep=0.3)
+        assert drv.sanitizers is not None
+        drv.run(3, mode="dmc")
+        res = drv.run(2, mode="vmc")
+        assert len(res.energies) == 2
+
+    @pytest.mark.parametrize("nlpp", [False, True], ids=["plain", "nlpp"])
+    def test_second_dmc_run_starts_from_the_comb(self, monkeypatch, nlpp):
+        """The second run starts from the E_L the first run's comb
+        carried (for a local Hamiltonian, a fresh evaluation at the
+        combed positions), and its comb draws go on from the first
+        run's branch stream."""
+        spec = JastrowSystemSpec(n=8, seed=7, aa_flavor="otf",
+                                 with_nlpp=nlpp)
+        drv = BatchedCrowdDriver(spec, W, SEED, timestep=0.3)
+        drv.run(3, mode="dmc")
+        carried = drv.batch.local_energy.copy()
+        branch = drv._branch_rng.bit_generator.state
+        seen = {}
+        run_crowd = drv._run_crowd
+
+        def spy(*args):
+            seen["R"] = drv.batch.R.copy()
+            seen["el"] = drv.batch.local_energy.copy()
+            seen["branch"] = drv._branch_rng.bit_generator.state
+            return run_crowd(*args)
+
+        monkeypatch.setattr(drv, "_run_crowd", spy)
+        drv.run(2, mode="dmc")
+        np.testing.assert_array_equal(seen["el"], carried)
+        assert seen["branch"] == branch
+        if not nlpp:  # NLPP rotations are keyed on the slot
+            fresh = BatchedCrowdDriver(
+                spec, W, SEED, timestep=0.3,
+                batch=WalkerBatch.from_positions(seen["R"]))
+            fresh.evaluate_energies(0)
+            np.testing.assert_allclose(seen["el"], fresh.batch.local_energy,
+                                       rtol=TOL, atol=TOL)
