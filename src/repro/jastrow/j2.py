@@ -55,7 +55,11 @@ class TwoBodyJastrowOtf(_J2Base):
     The old row is evaluated once per drift move: :meth:`grad` keeps its
     value sum as ``(k, u_old)`` for :meth:`ratio_grad` — bitwise the
     ``_row_v`` sum, since the value channel of ``rows_vg`` is the
-    value-only result op for op."""
+    value-only result op for op.  The measure (:meth:`evaluate_log`,
+    :meth:`evaluate_gl`) recomputes every electron's gradient and
+    Laplacian in one ``rows_vgl`` block per spin group, read from the
+    table's stored rows of that group — bitwise the per-electron rows,
+    since the groups are slices (see :mod:`repro.jastrow.rows`)."""
 
     def __init__(self, n, group_slices, functors, table_index: int = 0):
         super().__init__(n, group_slices, functors)
@@ -71,37 +75,40 @@ class TwoBodyJastrowOtf(_J2Base):
         return float(rows.rows_v(
             rows.j2_groups(self, self.group_of[k]), row_r[None])[0])
 
-    def _row_vgl(self, row_r: np.ndarray, row_dr: np.ndarray, k: int):
-        """(sum u, grad_k, lap_k) over a row; row_dr is (3, N)."""
-        METRICS.record(flops=20.0 * self.n, rbytes=32.0 * self.n,
-                       wbytes=8.0 * 5)
-        u_sum, grad, lap = rows.rows_vgl(
-            rows.j2_groups(self, self.group_of[k]), row_r[None], row_dr[None])
-        return float(u_sum[0]), grad[0], float(lap[0])
-
     def _row_vg(self, row_r: np.ndarray, row_dr: np.ndarray, k: int):
-        """(sum u, grad_k): :meth:`_row_vgl` without the Laplacian
-        channel the PbyP moves never read, bitwise its first two
-        results."""
+        """(sum u, grad_k) over a row; row_dr is (3, N)."""
         METRICS.record(flops=16.0 * self.n, rbytes=32.0 * self.n,
                        wbytes=8.0 * 4)
         u_sum, grad = rows.rows_vg(
             rows.j2_groups(self, self.group_of[k]), row_r[None], row_dr[None])
         return float(u_sum[0]), grad[0]
 
+    def _blocks_vgl(self, P):
+        """Yield ``(slice, u_sums, grads, laps)`` per spin group: one
+        ``rows_vgl`` over the group's stored table rows (shapes (n_g,),
+        (n_g, 3), (n_g,)), each the group's electrons' own rows bit for
+        bit.  Records what ``n_g`` single-row evaluations would."""
+        table = P.distance_tables[self.table_index]
+        n = self.n
+        for g, s in self.group_slices:
+            n_g = s.stop - s.start
+            METRICS.record(flops=20.0 * n * n_g, rbytes=32.0 * n * n_g,
+                           wbytes=40.0 * n_g)
+            yield (s,) + rows.rows_vgl(rows.j2_groups(self, g),
+                                       table.distances[s, :n],
+                                       table.displacements[s, :, :n])
+
     # -- WaveFunctionComponent API ---------------------------------------------------
     def evaluate_log(self, P) -> float:
         """Full log Psi_J2; accumulates into P.G and P.L."""
         self._u_old = None
         with METRICS.scope("J2"):
-            table = P.distance_tables[self.table_index]
             logpsi = 0.0
-            for i in range(self.n):
-                u_sum, grad, lap = self._row_vgl(table.dist_row(i),
-                                                 table.disp_row(i), i)
-                logpsi -= 0.5 * u_sum
-                P.G[i] += grad
-                P.L[i] += lap
+            for s, u_sums, grad, lap in self._blocks_vgl(P):
+                for u_sum in u_sums.tolist():  # electron order, as a row loop
+                    logpsi -= 0.5 * u_sum
+                P.G[s] += grad
+                P.L[s] += lap
             return logpsi
 
     def grad(self, P, k: int) -> np.ndarray:
@@ -167,9 +174,8 @@ class TwoBodyJastrowOtf(_J2Base):
                 table.lattice, getattr(table, "dtype", np.float64),
                 np.zeros(len(owners), dtype=np.intp), owners, positions,
                 source=lambda w: P.R.T,
-                old_sums=lambda ws, ks: vp.j2_row_sums(self, np.stack(
-                    [table.dist_row_array(int(k))[: self.n] for k in ks]),
-                    ks),
+                old_sums=lambda ws, ks: vp.j2_row_sums(
+                    self, table.distances[ks, : self.n], ks),
                 row_sums=partial(vp.j2_row_sums, self), mask_self=True)
 
     def accept_move(self, P, k: int) -> None:
@@ -180,14 +186,12 @@ class TwoBodyJastrowOtf(_J2Base):
 
     def evaluate_gl(self, P) -> None:
         """Measurement-time grad/lap: recomputed from the distance rows —
-        that is the compute-on-the-fly policy (nothing was stored)."""
+        that is the compute-on-the-fly policy (nothing was stored) — in
+        one row block per spin group."""
         with METRICS.scope("J2"):
-            table = P.distance_tables[self.table_index]
-            for i in range(self.n):
-                _, grad, lap = self._row_vgl(table.dist_row(i),
-                                             table.disp_row(i), i)
-                P.G[i] += grad
-                P.L[i] += lap
+            for s, _, grad, lap in self._blocks_vgl(P):
+                P.G[s] += grad
+                P.L[s] += lap
 
     # -- walker buffer (Current: only the scalar log value travels) --------------------
     def register_data(self, P, buf) -> None:

@@ -11,11 +11,16 @@ spin-group slices resolved against the moved electron's group
 ``row[None]`` and unwrap ``[0]``.  Op counting stays with the caller.
 
 Bitwise contract (the differential suites rely on it): functor
-evaluation is elementwise; ``np.sum(..., axis=-1)`` reduces each row
-with the pairwise order of a 1-D ``np.sum``; the batched
-``(W, 3, n) @ (W, n, 1)`` matmul and the per-walker ``(3, n) @ (n,)``
-lower to the same BLAS reduction — so row ``w`` of a block result does
-not depend on W.
+evaluation is elementwise and ``np.sum(..., axis=-1)`` reduces each row
+with the pairwise order of a 1-D ``np.sum``, so the value and Laplacian
+of row ``w`` of a block result do not depend on W, whatever the group
+columns.  The gradient's ``(W, 3, m) @ (W, m, 1)`` matmul keeps that
+only where the columns are a slice (J2's spin groups): the block's
+``(3, m)`` items are then views with the strides of a single row and
+lower to the per-walker BLAS reduction.  An index-array group (J1's
+species) gathers a fresh ``(W, 3, m)`` array whose layout differs at
+W > 1 from W = 1, and its gradient rows may differ from one-row calls
+in the last bit (for m >= 8 on most rows).
 
 Gradient/Laplacian conventions (contributions to log Psi):
 

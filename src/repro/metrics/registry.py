@@ -282,8 +282,10 @@ class MetricsRegistry:
         per run, never per step), and the parent grafts it here.  The
         merged tree is indistinguishable from one recorded by an extra
         thread, so ``snapshot``/``flat``/``exclusive_by_name`` all see
-        the workers' scopes."""
+        the workers' scopes, and the ops recorded outside any scope."""
         root = ScopeNode("<root>")
+        for key in ScopeNode.OPS_FIELDS:
+            setattr(root, key, float(snapshot.get(key, 0.0)))
         for child in snapshot.get("scopes", ()):
             rebuilt = ScopeNode.from_dict(child)
             root.children[rebuilt.name] = rebuilt
@@ -303,13 +305,17 @@ class MetricsRegistry:
         return root
 
     def snapshot(self) -> dict:
-        """Merged tree of every thread's scopes, JSON-ready.
+        """Merged tree of every thread's scopes, JSON-ready, with the
+        flops and bytes recorded outside any scope at the top level.
 
         Call with all worker threads quiescent: open scopes contribute
         their calls-so-far but not their in-flight interval.
         """
         root = self._merged_root()
-        return {"scopes": [c.as_dict() for c in root.children.values()]}
+        out = {key: getattr(root, key) for key in ScopeNode.OPS_FIELDS
+               if getattr(root, key)}
+        out["scopes"] = [c.as_dict() for c in root.children.values()]
+        return out
 
     def flat(self) -> Dict[str, dict]:
         """``{"A/B/C": {calls, inclusive_s, exclusive_s, flops, rbytes,

@@ -5,6 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from repro.distances.factory import create_aa_table
+from repro.jastrow import rows
+from repro.jastrow.j2 import TwoBodyJastrowOtf
+from repro.metrics.registry import METRICS
+from repro.particles.particleset import ParticleSet
+from repro.particles.species import SpeciesSet
+from repro.precision.policy import FULL, MIXED
+
 
 def _brute_logpsi_j2(setup):
     """Direct O(N^2) evaluation from positions."""
@@ -18,6 +26,79 @@ def _brute_logpsi_j2(setup):
             f = setup.j2f[(min(gi, gj), max(gi, gj))]
             total -= f.evaluate_v_scalar(float(d))
     return total
+
+
+def _row_loop(j2, P):
+    """The per-electron measure the spin-group blocks replace: one
+    ``rows_vgl`` per stored table row, accumulated in electron order.
+    Returns (logpsi, G, L) and the op count each row recorded."""
+    table = P.distance_tables[j2.table_index]
+    logpsi, G, L = 0.0, np.zeros((j2.n, 3)), np.zeros(j2.n)
+    for i in range(j2.n):
+        u, g, lap = rows.rows_vgl(rows.j2_groups(j2, j2.group_of[i]),
+                                  table.dist_row(i)[None],
+                                  table.disp_row(i)[None])
+        logpsi -= 0.5 * float(u[0])
+        G[i] += g[0]
+        L[i] += float(lap[0])
+    row_ops = (20.0 * j2.n, 32.0 * j2.n, 40.0)
+    return logpsi, G, L, row_ops
+
+
+def _j2_ops(run):
+    """(flops, rbytes, wbytes) recorded on the J2 scope by ``run()``."""
+    METRICS.enable()
+    METRICS.reset()
+    try:
+        run()
+        j2 = METRICS.flat()["J2"]
+    finally:
+        METRICS.disable()
+        METRICS.reset()
+    return j2["flops"], j2["rbytes"], j2["wbytes"]
+
+
+@pytest.mark.parametrize("n", [10, 33])
+@pytest.mark.parametrize("flavor", ["soa", "otf"])
+@pytest.mark.parametrize("policy", [FULL, MIXED], ids=["full", "mixed"])
+class TestSpinGroupBlocks:
+    """The measure's one ``rows_vgl`` per spin group is the row loop bit
+    for bit — logpsi, G and L — in every table precision and flavor,
+    and records N times the per-row op count."""
+
+    def _setup(self, jsetup, n, flavor, policy):
+        rng = np.random.default_rng(5)
+        ids = np.array([0] * (n // 2) + [1] * (n - n // 2))
+        P = ParticleSet("e", rng.uniform(0, 6, (n, 3)), jsetup.lat,
+                        SpeciesSet.electrons(), ids, layout="both")
+        P.add_table(create_aa_table(n, jsetup.lat, flavor,
+                                    dtype=policy.value_dtype))
+        P.update_tables()
+        for k in rng.permutation(n)[: n // 2]:  # lived-in rows
+            P.set_active(k)
+            P.make_move(k, P.R[k] + rng.normal(scale=0.3, size=3))
+            P.accept_move(k)
+        j2 = TwoBodyJastrowOtf(n, list(P.group_ranges()), jsetup.j2f)
+        return P, j2
+
+    def test_evaluate_log(self, jsetup, n, flavor, policy):
+        P, j2 = self._setup(jsetup, n, flavor, policy)
+        want_lp, want_g, want_l, row_ops = _row_loop(j2, P)
+        lp = j2.evaluate_log(P)
+        assert lp == want_lp
+        assert np.array_equal(P.G, want_g) and np.array_equal(P.L, want_l)
+        P.G[...] = 0
+        P.L[...] = 0
+        assert _j2_ops(lambda: j2.evaluate_log(P)) == \
+            tuple(n * x for x in row_ops)
+
+    def test_evaluate_gl(self, jsetup, n, flavor, policy):
+        P, j2 = self._setup(jsetup, n, flavor, policy)
+        _, want_g, want_l, row_ops = _row_loop(j2, P)
+        j2.evaluate_gl(P)
+        assert np.array_equal(P.G, want_g) and np.array_equal(P.L, want_l)
+        assert _j2_ops(lambda: j2.evaluate_gl(P)) == \
+            tuple(n * x for x in row_ops)
 
 
 class TestEvaluateLog:

@@ -1,6 +1,7 @@
 """repro.jastrow.rows: the one row-sum body under all four Jastrow
-classes equals, bit for bit at any W, the per-walker expressions the
-scalar classes used to spell out themselves."""
+classes equals, bit for bit, the per-walker expressions the scalar
+classes used to spell out themselves, and keeps the W-independence its
+docstring states."""
 
 import numpy as np
 import pytest
@@ -78,10 +79,36 @@ def test_scalar_and_batched_classes_are_callers(jsetup):
     groups, rows_r, rows_dr = _case(jsetup, "j2", np.float64, 1)
     j2 = jsetup.j2_otf
     assert j2._row_v(rows_r[0], K) == rows_v(groups, rows_r)[0]
-    u, g, lap = j2._row_vgl(rows_r[0], rows_dr[0], K)
-    bu, bg, bl = rows_vgl(groups, rows_r, rows_dr)
-    assert (u, lap) == (bu[0], bl[0]) and np.array_equal(g, bg[0])
+    u, g = j2._row_vg(rows_r[0], rows_dr[0], K)
+    bu, bg = rows_vg(groups, rows_r, rows_dr)
+    assert u == bu[0] and np.array_equal(g, bg[0])
     assert isinstance(u, float) and g.shape == (3,)
+
+
+@pytest.mark.parametrize("W", [1, 5, 48])
+@pytest.mark.parametrize("columns", ["slice", "index"])
+def test_block_rows_against_one_row_calls(jsetup, columns, W):
+    """Row ``w`` of a W-row block against ``rows_vgl`` on that row
+    alone, over 16 columns in two groups: slice groups (J2's spin
+    groups) are bitwise in every channel; index-array groups (J1's
+    species, here interleaved) in the value and Laplacian, their
+    gradient only to rounding."""
+    rng = np.random.default_rng(13)
+    f0, f1 = jsetup.j1f[0], jsetup.j1f[1]
+    if columns == "slice":
+        groups = [(f0, slice(0, 8)), (f1, slice(8, 16))]
+    else:
+        groups = [(f0, np.arange(0, 16, 2)), (f1, np.arange(1, 16, 2))]
+    rows_r = rng.uniform(0.2, 4.0, (W, 16))
+    rows_dr = rng.normal(size=(W, 3, 16))
+    u, g, lap = rows_vgl(groups, rows_r, rows_dr)
+    for w in range(W):
+        u1, g1, lap1 = rows_vgl(groups, rows_r[w:w + 1], rows_dr[w:w + 1])
+        assert u[w] == u1[0] and lap[w] == lap1[0]
+        if columns == "slice":
+            assert np.array_equal(g[w], g1[0])
+        else:
+            assert np.allclose(g[w], g1[0], rtol=1e-14, atol=1e-15)
 
 
 def test_unsorted_owner_slab_through_vp_row_sums(jsetup):

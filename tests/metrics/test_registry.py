@@ -171,3 +171,17 @@ def test_snapshot_json_round_trip(reg):
     assert (sweep.flops, sweep.rbytes, sweep.wbytes) == (64.0, 128.0, 32.0)
     assert sweep.counters == {"rows": 2}
     assert vmc.children["J1"].seconds == pytest.approx(0.25)
+
+
+def test_root_ops_survive_snapshot_merge(reg):
+    """Ops recorded outside any scope travel with the snapshot and land
+    on the merging registry's root, as a worker's must."""
+    reg.record(flops=3840.0, rbytes=16.0)
+    with reg.scope("VMC"):
+        reg.record(flops=1.0)
+    snap = json.loads(json.dumps(reg.snapshot()))
+    home = MetricsRegistry(enabled=True)
+    home.merge_snapshot(snap)
+    root = home._merged_root()
+    assert (root.flops, root.rbytes, root.wbytes) == (3840.0, 16.0, 0.0)
+    assert root.children["VMC"].flops == 1.0
