@@ -105,14 +105,6 @@ class WalkerBuffer:
         """The raw pool (a view) — what a Walker checkpoint stores."""
         return self._data
 
-    def load_from(self, other: "WalkerBuffer") -> None:
-        """Adopt another buffer's contents (walker receive)."""
-        if other._data.size != self._data.size:
-            self._data = other._data.copy()
-        else:
-            self._data[:] = other._data
-        self._cursor = 0
-
     def copy(self) -> "WalkerBuffer":
         out = WalkerBuffer(self.dtype)
         out._data = self._data.copy()

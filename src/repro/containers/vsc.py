@@ -68,10 +68,6 @@ class VectorSoaContainer:
         """The contiguous row of one Cartesian component, *excluding* padding."""
         return self.data[dim, : self.n]
 
-    def padded_row(self, dim: int) -> np.ndarray:
-        """The contiguous row of one Cartesian component, *including* padding."""
-        return self.data[dim]
-
     # -- AoS interop -----------------------------------------------------------
     def copy_in(self, aos: AosLike) -> "VectorSoaContainer":
         """AoS-to-SoA assignment (``Rsoa = awalker.R`` in Fig. 5)."""
@@ -86,14 +82,6 @@ class VectorSoaContainer:
             for i, tv in enumerate(aos):
                 self.data[:, i] = tv.x
         return self
-
-    def copy_out(self) -> np.ndarray:
-        """Return an (N, D) AoS-ordered ndarray copy."""
-        return self.data[:, : self.n].T.copy()
-
-    def to_tinyvectors(self) -> list:
-        """Return the AoS list-of-TinyVector representation."""
-        return [TinyVector(self.data[:, i]) for i in range(self.n)]
 
     # -- bookkeeping -----------------------------------------------------------
     @property

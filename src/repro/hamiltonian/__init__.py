@@ -8,10 +8,10 @@ a quadrature on a spherical shell around each ion (Fahy et al.),
 requiring wavefunction *ratio* evaluations for every electron inside an
 ion's cutoff — the ratio-heavy code path the paper's miniapps exercise.
 
-Periodic Coulomb sums use the minimum-image convention (not a full
-Ewald); DESIGN.md documents this substitution — the kernels' compute
-and data-access patterns, which are what the paper measures, are
-identical.
+Periodic Coulomb sums use the minimum-image convention, DESIGN.md's
+substitution for QMCPACK's Ewald ``CoulombPBC``: the pair sums read the
+same distance tables, so the kernels the paper measures do the same
+work.
 """
 
 from repro.hamiltonian.terms import (

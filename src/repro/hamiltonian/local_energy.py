@@ -28,9 +28,3 @@ class Hamiltonian:
             total += v
         self.last_components = comps
         return total
-
-    def term_by_name(self, name: str):
-        for t in self.terms:
-            if t.name == name:
-                return t
-        raise KeyError(name)

@@ -66,17 +66,6 @@ class BsplineFunctor:
             deriv0=-C / F, deriv1=0.0)
         return cls(spline, rc, cusp=-C / F, name=name)
 
-    @classmethod
-    def from_parameters(cls, rcut: float, knot_values: np.ndarray,
-                        cusp: float = 0.0, name: str = "u") -> "BsplineFunctor":
-        """Build from explicit knot values (the optimizable parameters of a
-        real QMCPACK Jastrow); value at rcut is forced to 0."""
-        vals = np.asarray(knot_values, dtype=np.float64).copy()
-        vals[-1] = 0.0
-        spline = CubicBSpline1D.interpolate(0.0, rcut, vals, deriv0=cusp,
-                                            deriv1=0.0)
-        return cls(spline, rcut, cusp=cusp, name=name)
-
     # -- vectorized evaluation (Current kernels) --------------------------------------
     def evaluate_v(self, r: np.ndarray) -> np.ndarray:
         """u(r), exactly zero at and beyond the cutoff, vectorized."""

@@ -224,10 +224,6 @@ class CrystalLattice:
             return TinyVector(best)
         return TinyVector(out)
 
-    def min_image_dist_scalar(self, dr: TinyVector) -> float:
-        d = self.min_image_disp_scalar(dr)
-        return d.norm()
-
     def __repr__(self) -> str:
         if not self.periodic:
             return "CrystalLattice(open)"

@@ -124,25 +124,6 @@ class MemoryModel:
             },
         )
 
-    @staticmethod
-    def shared_table_report(table_bytes: float, n_processes: int) -> dict:
-        """Predicted per-worker coefficient-table bytes: K private
-        copies vs one shared slab (whose single mapping amortizes to
-        ``table_bytes / K`` per worker).  The slab guard in
-        ``benchmarks/test_ratio_guards.py`` measures both per-worker
-        costs with forked children.
-        """
-        k = max(1, int(n_processes))
-        per_copy = float(table_bytes)
-        per_shared = per_copy / k
-        return {
-            "n_processes": k,
-            "per_worker_copy_bytes": per_copy,
-            "per_worker_shared_bytes": per_shared,
-            "total_saved_bytes": (per_copy - per_shared) * k,
-            "predicted_ratio": per_shared / per_copy if per_copy else 0.0,
-        }
-
     def gamma_bytes(self, version: CodeVersion) -> float:
         """The paper's gamma: per-(thread+walker) bytes divided by N^2."""
         n2 = float(self.wl.n_electrons) ** 2

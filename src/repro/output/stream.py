@@ -243,10 +243,6 @@ class TraceWriter:
         return TracePosition(rows=self._rows, chunks=self._chunks,
                              bytes=self._bytes)
 
-    @property
-    def rows_written(self) -> int:
-        return self._rows + self._buffer_rows
-
     def append_row(self, step: int, values: Mapping[str, np.ndarray]) -> None:
         """Buffer one generation row; flushes every ``flush_every`` rows."""
         first = self.fields[0]
@@ -397,15 +393,6 @@ class TraceReader:
         for _index, _offset, rows, _nbytes in self._scan_chunks():
             for row in rows:
                 yield row
-
-    def read_all(self) -> Tuple[np.ndarray, List[Dict[str, np.ndarray]]]:
-        """(steps, rows) — row dicts keep per-row walker counts intact."""
-        steps: List[int] = []
-        rows: List[Dict[str, np.ndarray]] = []
-        for step, values in self.iter_rows():
-            steps.append(step)
-            rows.append(values)
-        return np.asarray(steps, dtype=np.int64), rows
 
     def read_concat(self, name: str) -> np.ndarray:
         """Field ``name`` concatenated across rows in (step, walker) order.

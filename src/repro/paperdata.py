@@ -93,7 +93,3 @@ MACHINES = {
                     "interconnect": "Omni-Path"},
     "BG/Q": {"cores": 16, "compiler": "bgclang r284961"},
 }
-
-
-def workload_names():
-    return list(TABLE1)

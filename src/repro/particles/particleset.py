@@ -111,14 +111,6 @@ class ParticleSet:
         self.active_pos: Optional[np.ndarray] = None
 
     # -- layout bookkeeping -----------------------------------------------------
-    @property
-    def uses_aos(self) -> bool:
-        return self.R_aos is not None
-
-    @property
-    def uses_soa(self) -> bool:
-        return self.Rsoa is not None
-
     def sync_layouts(self) -> None:
         """Rebuild AoS/SoA views from the canonical R (loadWalker path)."""
         if self.R_aos is not None:

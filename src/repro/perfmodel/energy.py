@@ -68,11 +68,6 @@ class EnergyModel:
                 watts[i] = p_full * (1.0 + jitter)
         return PowerTrace(times, watts, label)
 
-    def dmc_energy(self, dmc_seconds: float) -> float:
-        """Energy of the DMC phase alone (what the paper's ratio excludes
-        init/warmup from)."""
-        return self.machine.power_watts * dmc_seconds
-
     @staticmethod
     def energy_ratio(trace_ref: PowerTrace, trace_cur: PowerTrace,
                      init_ref: float = 0.0, init_cur: float = 0.0) -> float:

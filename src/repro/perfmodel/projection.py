@@ -41,13 +41,6 @@ class WorkloadMeasurement:
         return RooflineModel(machine, memory_mode).project_total(
             self.opcounts, cfg.simd_profile, itemsize)
 
-    def project_kernel_times(self, machine: HardwareModel,
-                             memory_mode: str = "flat") -> Dict[str, float]:
-        cfg = VERSION_CONFIGS[self.version]
-        itemsize = np.dtype(cfg.value_dtype).itemsize
-        return RooflineModel(machine, memory_mode).project_run(
-            self.opcounts, cfg.simd_profile, itemsize)
-
 
 def measure_workload(workload: str, version: CodeVersion,
                      scale: float = 0.25, steps: int = 2, walkers: int = 1,
@@ -72,15 +65,3 @@ def measure_workload(workload: str, version: CodeVersion,
         total_seconds=res.profile.total,
         opcounts=res.profile.ops,
     )
-
-
-def projected_speedup(workload: str, machine: HardwareModel,
-                      scale: float = 0.25, seed: int = 21,
-                      memory_mode: str = "flat") -> float:
-    """Current-over-Ref speedup of a workload on a machine (Table 2)."""
-    ref = measure_workload(workload, CodeVersion.REF, scale=scale,
-                           seed=seed)
-    cur = measure_workload(workload, CodeVersion.CURRENT, scale=scale,
-                           seed=seed)
-    return (ref.project_time(machine, memory_mode)
-            / cur.project_time(machine, memory_mode))

@@ -55,19 +55,3 @@ def scale_opcounts(counts: Dict[str, KernelOps], n_ratio: float,
     """Scale a whole measurement's per-kernel counts to a new N."""
     return {c: scale_ops(k, c, n_ratio, ions_scale)
             for c, k in counts.items()}
-
-
-def detupdate_crossover_n(counts: Dict[str, KernelOps], n_now: int,
-                          recompute_share: float = 1.0) -> float:
-    """Estimate the N where DetUpdate's O(N^3) recompute overtakes the
-    O(N^2) kernels — the paper's Sec. 8.4 argument quantified.
-
-    Solves  det3 * (N/n_now)^3 = rest2 * (N/n_now)^2  with det3 the
-    DetUpdate flops attributed to recomputes (``recompute_share``) and
-    rest2 everything else.
-    """
-    det = counts.get("DetUpdate", KernelOps()).flops * recompute_share
-    rest = sum(k.flops for c, k in counts.items() if c != "DetUpdate")
-    if det <= 0:
-        return float("inf")
-    return n_now * rest / det

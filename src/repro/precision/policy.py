@@ -44,23 +44,11 @@ class PrecisionPolicy:
     def is_mixed(self) -> bool:
         return self.value_dtype != self.accum_dtype
 
-    @property
-    def value_bytes(self) -> int:
-        return self.value_dtype.itemsize
-
     def should_recompute(self, generation: int) -> bool:
         """True when generation index triggers a from-scratch recompute."""
         if self.recompute_period <= 0:
             return False
         return generation > 0 and generation % self.recompute_period == 0
-
-    def cast_value(self, x):
-        """Cast hot-path data to the kernel precision."""
-        return np.asarray(x, dtype=self.value_dtype)
-
-    def cast_accum(self, x):
-        """Cast accumulator data to the ensemble precision."""
-        return np.asarray(x, dtype=self.accum_dtype)
 
 
 #: Default element type of SoA containers and tables when no policy is

@@ -214,22 +214,6 @@ class BSpline3D:
         """Bytes of the (shared, read-only) coefficient table."""
         return self.coefs.nbytes
 
-    # -- persistence (the einspline-h5 analogue) ----------------------------------
-    def save(self, path: str) -> None:
-        """Persist the fitted table (unpadded coefficients + cell)."""
-        np.savez_compressed(
-            path,
-            coefs=self.coefs[: self.nx, : self.ny, : self.nz],
-            cell_inverse=self.cell_inverse,
-            dtype=str(self.dtype))
-
-    @classmethod
-    def load(cls, path: str) -> "BSpline3D":
-        """Reload a table written by :meth:`save` (repads the wrap layers)."""
-        with np.load(path) as data:
-            return cls(data["coefs"], data["cell_inverse"],
-                       dtype=np.dtype(str(data["dtype"])))
-
     # -- stencil helpers -----------------------------------------------------------
     @functools.cached_property
     def _grid(self):

@@ -1,5 +1,11 @@
 """Monte Carlo statistics: autocorrelation, blocking, DMC efficiency.
 
+A run's error bars come from the online reblocker (``repro.stats.online``)
+as its samples stream in.  The offline series estimators
+(``repro.stats.series``) give ``QMCResult.autocorrelation_time()`` and
+``QMCResult.efficiency()`` (kappa below), and serve as the tests'
+oracles for the reblocker.
+
 Sec. 3 of the paper defines the DMC efficiency as
 
     kappa = 1 / (sigma^2 * tau_corr * T_MC)
@@ -13,7 +19,7 @@ speedups translate one-to-one into scientific productivity.
 
 from repro.stats.series import (
     autocorrelation_function, autocorrelation_time, blocking_error,
-    dmc_efficiency, effective_samples, timestep_extrapolation,
+    dmc_efficiency,
 )
 from repro.stats.online import (
     BlockLevel, OnlineEstimate, OnlineReblocker, OnlineScalarStats,
@@ -23,9 +29,7 @@ __all__ = [
     "autocorrelation_function",
     "autocorrelation_time",
     "blocking_error",
-    "effective_samples",
     "dmc_efficiency",
-    "timestep_extrapolation",
     "OnlineReblocker",
     "OnlineScalarStats",
     "OnlineEstimate",

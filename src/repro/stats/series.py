@@ -70,12 +70,6 @@ def autocorrelation_time(x: np.ndarray, window: int | None = None) -> float:
     return tau
 
 
-def effective_samples(x: np.ndarray) -> float:
-    """Number of statistically independent samples in the series."""
-    x = np.asarray(x, dtype=np.float64)
-    return x.size / autocorrelation_time(x)
-
-
 def blocking_error(x: np.ndarray, min_blocks: int = 8) -> float:
     """Flyvbjerg-Petersen blocking estimate of the standard error.
 
@@ -92,34 +86,6 @@ def blocking_error(x: np.ndarray, min_blocks: int = 8) -> float:
         err = float(np.std(x, ddof=1) / np.sqrt(x.size))
         best = max(best, err)
     return best
-
-
-def timestep_extrapolation(taus: np.ndarray, energies: np.ndarray,
-                           errors: np.ndarray | None = None):
-    """Extrapolate DMC energies to zero time step.
-
-    DMC carries an O(tau) bias; fitting E(tau) = E_0 + b*tau (weighted by
-    1/errors^2 when given) recovers the unbiased estimate.  Returns
-    (E_0, slope).
-    """
-    taus = np.asarray(taus, dtype=np.float64)
-    energies = np.asarray(energies, dtype=np.float64)
-    if taus.size != energies.size or taus.size < 2:
-        raise ValueError("need >= 2 matching (tau, energy) points")
-    if errors is not None:
-        wts = 1.0 / np.square(np.asarray(errors, dtype=np.float64))
-    else:
-        wts = np.ones_like(taus)
-    # Weighted least squares for a line.
-    W = np.sum(wts)
-    mx = np.sum(wts * taus) / W
-    my = np.sum(wts * energies) / W
-    sxx = np.sum(wts * (taus - mx) ** 2)
-    if sxx == 0:
-        raise ValueError("time steps must differ")
-    slope = float(np.sum(wts * (taus - mx) * (energies - my)) / sxx)
-    e0 = float(my - slope * mx)
-    return e0, slope
 
 
 def dmc_efficiency(energies: np.ndarray, total_seconds: float) -> float:

@@ -137,9 +137,3 @@ class TrialWaveFunction:
     def storage_bytes(self) -> int:
         """Per-walker wavefunction state (what Fig. 8/9's memory tracks)."""
         return sum(c.storage_bytes for c in self.components)
-
-    def component_by_name(self, name: str):
-        for c in self.components:
-            if getattr(c, "name", "") == name:
-                return c
-        raise KeyError(name)

@@ -103,7 +103,6 @@ def build_system(
     spline_dtype=np.float32,
     spo_grid: Optional[Tuple[int, int, int]] = None,
     with_nlpp: bool = True,
-    coulomb: str = "mic",
     delay: int = 1,
 ) -> SystemParts:
     """Synthesize a runnable system from a workload at the given scale.
@@ -185,16 +184,9 @@ def build_system(
 
     twf = TrialWaveFunction([j1, j2, det_up, det_dn])
 
-    # Hamiltonian.  coulomb="mic" uses the fast minimum-image sums;
-    # "ewald" the full periodic Ewald handler (production accuracy).
-    if coulomb == "ewald":
-        from repro.hamiltonian.ewald import EwaldCoulomb
-        terms = [KineticEnergy(), EwaldCoulomb(ions, lattice)]
-    elif coulomb == "mic":
-        terms = [KineticEnergy(), CoulombEE(0), CoulombEI(charges, 1),
-                 IonIonEnergy(ions, lattice)]
-    else:
-        raise ValueError(f"unknown coulomb treatment {coulomb!r}")
+    # Hamiltonian: minimum-image Coulomb sums (DESIGN.md's substitution).
+    terms = [KineticEnergy(), CoulombEE(0), CoulombEI(charges, 1),
+             IonIonEnergy(ions, lattice)]
     if with_nlpp:
         nlpp_ions = [i for i in range(ions.n)
                      if wl.species_by_name(

@@ -105,9 +105,9 @@ class TestFusedSweepBitwise:
             for key in state:
                 assert np.array_equal(state[key], other[key]), (name, key)
         with TraceReader(trace) as reader:
-            steps, rows = reader.read_all()
-        assert steps.tolist() == [1, 2, 3, 4]
-        assert [float(np.mean(r["local_energy"])) for r in rows] \
+            rows = list(reader.iter_rows())
+        assert [step for step, _ in rows] == [1, 2, 3, 4]
+        assert [float(np.mean(r["local_energy"])) for _, r in rows] \
             == rb.energies
 
 

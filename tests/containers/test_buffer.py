@@ -84,17 +84,6 @@ class TestInterchange:
         b32.register(np.zeros(10, dtype=np.float32))
         assert b32.nbytes == 40
 
-    def test_load_from(self):
-        a = WalkerBuffer()
-        a.register(np.arange(5.0))
-        c = WalkerBuffer()
-        c.register(np.zeros(5))
-        c.load_from(a)
-        out = np.zeros(5)
-        c.rewind()
-        c.get(out)
-        assert np.allclose(out, np.arange(5.0))
-
     def test_copy_independent(self):
         a = WalkerBuffer()
         a.register(np.ones(3))

@@ -1,64 +1,9 @@
-"""Symmetry/invariance property tests for the Hamiltonian pieces."""
+"""Symmetry/invariance property tests for the NLPP quadrature."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.hamiltonian.ewald import EwaldHandler
 from repro.hamiltonian.nlpp import sphere_quadrature
-from repro.lattice.cell import CrystalLattice
-
-
-class TestEwaldInvariances:
-    def _handler(self):
-        return EwaldHandler(CrystalLattice.cubic(6.0))
-
-    @settings(max_examples=15, deadline=None)
-    @given(st.lists(st.floats(-3, 3), min_size=3, max_size=3))
-    def test_translation_invariance(self, shift):
-        h = self._handler()
-        rng = np.random.default_rng(0)
-        R = rng.uniform(0, 6, (4, 3))
-        q = np.array([1.0, -1.0, 2.0, -2.0])
-        e0 = h.energy(R, q)
-        e1 = h.energy(R + np.array(shift), q)
-        assert e1 == pytest.approx(e0, rel=1e-8, abs=1e-8)
-
-    def test_lattice_translation_invariance(self):
-        h = self._handler()
-        rng = np.random.default_rng(1)
-        R = rng.uniform(0, 6, (4, 3))
-        q = np.array([1.0, -1.0, 1.0, -1.0])
-        e0 = h.energy(R, q)
-        R2 = R.copy()
-        R2[2] += np.array([6.0, -12.0, 6.0])  # whole lattice vectors
-        assert h.energy(R2, q) == pytest.approx(e0, rel=1e-9)
-
-    def test_permutation_invariance(self):
-        h = self._handler()
-        rng = np.random.default_rng(2)
-        R = rng.uniform(0, 6, (5, 3))
-        q = np.array([1.0, -2.0, 1.0, -1.0, 1.0])
-        perm = np.array([3, 1, 4, 0, 2])
-        assert h.energy(R[perm], q[perm]) == pytest.approx(
-            h.energy(R, q), rel=1e-12)
-
-    def test_charge_scaling_quadratic(self):
-        h = self._handler()
-        rng = np.random.default_rng(3)
-        R = rng.uniform(0, 6, (4, 3))
-        q = np.array([1.0, -1.0, 0.5, -0.5])
-        assert h.energy(R, 2 * q) == pytest.approx(4 * h.energy(R, q),
-                                                   rel=1e-12)
-
-    def test_like_charges_repel_at_short_range(self):
-        h = self._handler()
-        q = np.array([1.0, 1.0])
-        close = h.energy(np.array([[3.0, 3.0, 3.0],
-                                   [3.3, 3.0, 3.0]]), q)
-        far = h.energy(np.array([[3.0, 3.0, 3.0],
-                                 [5.5, 3.0, 3.0]]), q)
-        assert close > far
 
 
 class TestQuadratureInvariances:

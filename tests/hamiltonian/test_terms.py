@@ -104,9 +104,6 @@ class TestHamiltonian:
         h = Hamiltonian([Const("a", 1.0), Const("b", -3.0)])
         assert h.evaluate(None, None) == pytest.approx(-2.0)
         assert h.last_components == {"a": 1.0, "b": -3.0}
-        assert h.term_by_name("a").v == 1.0
-        with pytest.raises(KeyError):
-            h.term_by_name("zz")
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -87,8 +87,3 @@ class TestEvaluation:
         assert r[0] == 0.0 and r[-1] == functor.rcut
         assert u[-1] == pytest.approx(0.0, abs=1e-6)
 
-    def test_from_parameters(self):
-        knots = np.array([0.5, 0.4, 0.3, 0.2, 0.1, 0.05, 0.0])
-        f = BsplineFunctor.from_parameters(3.0, knots, cusp=-0.25)
-        xs = np.linspace(0, 3.0, 7)
-        assert np.allclose(f.evaluate_v(xs)[:-1], knots[:-1], atol=1e-10)

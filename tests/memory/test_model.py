@@ -110,16 +110,3 @@ class TestSharedTables:
             for k in (1, 2, 4, 8)]
         assert totals[0] == 0.0
         assert totals == sorted(totals)
-
-    def test_shared_table_report_numbers(self):
-        rep = MemoryModel.shared_table_report(1000.0, 4)
-        assert rep["n_processes"] == 4
-        assert rep["per_worker_copy_bytes"] == 1000.0
-        assert rep["per_worker_shared_bytes"] == 250.0
-        assert rep["total_saved_bytes"] == 3000.0
-        assert rep["predicted_ratio"] == 0.25
-
-    def test_shared_table_report_degenerate(self):
-        rep = MemoryModel.shared_table_report(0.0, 0)
-        assert rep["n_processes"] == 1
-        assert rep["predicted_ratio"] == 0.0

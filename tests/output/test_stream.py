@@ -41,9 +41,9 @@ class TestRoundtrip:
             assert reader.meta == {"run": "t"}
             assert [f.name for f in reader.fields] == ["weight",
                                                        "local_energy"]
-            steps, rows = reader.read_all()
-        assert steps.tolist() == [1, 2, 3]
-        for (step, nw, seed), values in zip(spec, rows):
+            rows = list(reader.iter_rows())
+        assert [step for step, _ in rows] == [1, 2, 3]
+        for (step, nw, seed), (_, values) in zip(spec, rows):
             rng = np.random.default_rng(seed)
             assert np.array_equal(values["weight"],
                                   rng.uniform(0.5, 1.5, size=nw))
@@ -55,7 +55,7 @@ class TestRoundtrip:
         path = str(tmp_path / "v.trace")
         _write_rows(path, [(1, 3, 0), (2, 7, 1), (3, 2, 2)])
         with TraceReader(path) as reader:
-            _, rows = reader.read_all()
+            rows = [values for _, values in reader.iter_rows()]
             concat = reader.read_concat("local_energy")
         assert [r["weight"].shape[0] for r in rows] == [3, 7, 2]
         assert concat.size == 12
@@ -72,8 +72,8 @@ class TestRoundtrip:
                                   "local_energy": rng.normal(size=5),
                                   "components": comp})
         with TraceReader(path) as reader:
-            _, rows = reader.read_all()
-        assert np.array_equal(rows[0]["components"], comp)
+            (_, values), = reader.iter_rows()
+        assert np.array_equal(values["components"], comp)
 
     def test_wrong_shape_rejected(self, tmp_path):
         with TraceWriter(str(tmp_path / "s.trace"), FIELDS) as writer:
@@ -113,7 +113,6 @@ class TestRoundtrip:
         writer.append_row(1, {"weight": np.ones(2),
                               "local_energy": np.zeros(2)})
         assert writer.position.rows == 0
-        assert writer.rows_written == 1
         writer.flush()
         assert writer.position.rows == 1
         writer.close()

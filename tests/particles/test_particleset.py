@@ -12,7 +12,7 @@ from repro.particles.walker import Walker
 
 class TestLayouts:
     def test_both_layouts_consistent(self, electrons):
-        assert electrons.uses_aos and electrons.uses_soa
+        assert electrons.R_aos is not None and electrons.Rsoa is not None
         for i in range(electrons.n):
             assert np.allclose(electrons.R[i], electrons.R_aos[i].x)
             assert np.allclose(electrons.R[i], electrons.Rsoa[i])
@@ -20,12 +20,12 @@ class TestLayouts:
     def test_aos_only(self, rng, cubic_lattice):
         p = ParticleSet("e", rng.uniform(0, 6, (4, 3)), cubic_lattice,
                         layout="aos")
-        assert p.uses_aos and not p.uses_soa
+        assert p.R_aos is not None and p.Rsoa is None
 
     def test_soa_only(self, rng, cubic_lattice):
         p = ParticleSet("e", rng.uniform(0, 6, (4, 3)), cubic_lattice,
                         layout="soa")
-        assert p.uses_soa and not p.uses_aos
+        assert p.Rsoa is not None and p.R_aos is None
 
     def test_invalid_layout_raises(self, rng, cubic_lattice):
         with pytest.raises(ValueError):

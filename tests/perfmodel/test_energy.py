@@ -45,8 +45,3 @@ class TestEnergyModel:
         ratio = EnergyModel.energy_ratio(tr_ref, tr_cur, init_ref=50.0,
                                          init_cur=50.0)
         assert ratio == pytest.approx(t_ref / t_cur, rel=0.06)
-
-    def test_dmc_energy_linear_in_time(self):
-        em = EnergyModel(KNL)
-        assert em.dmc_energy(100.0) == pytest.approx(
-            2 * em.dmc_energy(50.0))

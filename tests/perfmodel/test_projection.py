@@ -1,13 +1,10 @@
 """Tests for the measure-and-project workflow."""
 
-import numpy as np
 import pytest
 
 from repro.core.version import CodeVersion
 from repro.perfmodel.hardware import BDW, BGQ, KNL
-from repro.perfmodel.projection import (
-    WorkloadMeasurement, measure_workload, projected_speedup,
-)
+from repro.perfmodel.projection import measure_workload
 
 
 @pytest.fixture(scope="module")
@@ -35,24 +32,7 @@ class TestMeasureWorkload:
         assert t["BG/Q"] > t["KNL"]
         assert t["BG/Q"] > t["BDW"]
 
-    def test_kernel_times_sum_to_total(self, measurement):
-        per = measurement.project_kernel_times(KNL)
-        assert sum(per.values()) == pytest.approx(
-            measurement.project_time(KNL))
-
     def test_memory_mode_matters(self, measurement):
         flat = measurement.project_time(KNL, "flat")
         ddr = measurement.project_time(KNL, "ddr")
         assert ddr > flat
-
-
-class TestProjectedSpeedup:
-    def test_current_wins_on_every_machine(self):
-        for mach in (BDW, KNL, BGQ):
-            sp = projected_speedup("NiO-32", mach, scale=0.125, seed=5)
-            assert sp > 1.0, mach.name
-
-    def test_x86_gains_exceed_bgq(self):
-        sp = {m.name: projected_speedup("NiO-32", m, scale=0.125, seed=5)
-              for m in (BDW, BGQ)}
-        assert sp["BDW"] > sp["BG/Q"]

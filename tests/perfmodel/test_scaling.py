@@ -1,14 +1,11 @@
 """Tests for the op-count scaling laws — validated against real runs."""
 
-import numpy as np
 import pytest
 
 from repro.core.version import CodeVersion
 from repro.metrics.profile import KernelOps
 from repro.perfmodel.projection import measure_workload
-from repro.perfmodel.scaling import (
-    detupdate_crossover_n, scale_opcounts, scale_ops,
-)
+from repro.perfmodel.scaling import scale_opcounts, scale_ops
 
 
 class TestScaleOps:
@@ -54,25 +51,3 @@ class TestLawsAgainstMeasurements:
             got = m64.opcounts[cat].flops
             pred = predicted[cat].flops
             assert got == pytest.approx(pred, rel=0.4), cat
-
-
-class TestCrossover:
-    def test_crossover_formula(self):
-        counts = {"DetUpdate": KernelOps(flops=10.0),
-                  "J2": KernelOps(flops=990.0)}
-        # det3*(r)^3 = rest2*(r)^2 -> r = 99 -> N = 99 * n_now
-        assert detupdate_crossover_n(counts, 100) == pytest.approx(9900.0)
-
-    def test_no_detupdate_infinite(self):
-        assert detupdate_crossover_n({"J2": KernelOps(flops=1.0)}, 10) \
-            == float("inf")
-
-    def test_paper_shape_crossover_beyond_current_sizes(self):
-        """Sec. 8.4: at today's sizes DetUpdate is ~10%; the O(N^3) term
-        becomes the bottleneck only for much larger supercells (the
-        512-atom discussion)."""
-        m = measure_workload("NiO-32", CodeVersion.CURRENT, scale=0.25,
-                             steps=1, seed=3)
-        n_cross = detupdate_crossover_n(m.opcounts, m.n_electrons,
-                                        recompute_share=0.2)
-        assert n_cross > 2 * m.n_electrons

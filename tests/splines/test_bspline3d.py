@@ -149,31 +149,6 @@ class TestLayoutEquivalence:
         assert np.allclose(sp.multi_v(r), sp.multi_v(shifted), atol=1e-9)
 
 
-class TestPersistence:
-    def test_save_load_roundtrip(self, spline_setup, tmp_path):
-        cell, grid, ks, phases, vals, sp = spline_setup
-        path = str(tmp_path / "orbitals.npz")
-        sp.save(path)
-        sp2 = BSpline3D.load(path)
-        assert sp2.dtype == sp.dtype
-        assert (sp2.nx, sp2.ny, sp2.nz, sp2.norb) == \
-            (sp.nx, sp.ny, sp.nz, sp.norb)
-        rng = np.random.default_rng(7)
-        for _ in range(4):
-            r = rng.uniform(0, 4, 3)
-            assert np.allclose(sp2.multi_v(r), sp.multi_v(r), atol=1e-13)
-        v1, g1, h1 = sp2.multi_vgh(np.array([1.0, 2.0, 3.0]))
-        v2, g2, h2 = sp.multi_vgh(np.array([1.0, 2.0, 3.0]))
-        assert np.allclose(h1, h2, atol=1e-13)
-
-    def test_load_preserves_float32(self, spline_setup, tmp_path):
-        cell, grid, ks, phases, vals, _ = spline_setup
-        sp32 = BSpline3D.fit(vals, np.linalg.inv(cell), dtype=np.float32)
-        path = str(tmp_path / "orb32.npz")
-        sp32.save(path)
-        assert BSpline3D.load(path).dtype == np.float32
-
-
 @pytest.fixture(scope="module")
 def skewed_fp32():
     """A non-orthogonal cell and a single-precision table: the chain

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.stats.series import (
     autocorrelation_function, autocorrelation_time, blocking_error,
-    dmc_efficiency, effective_samples,
+    dmc_efficiency,
 )
 
 
@@ -46,14 +46,6 @@ class TestAutocorrelation:
     def test_too_short_raises(self):
         with pytest.raises(ValueError):
             autocorrelation_function(np.array([1.0]))
-
-    def test_effective_samples_white(self):
-        x = np.random.default_rng(5).normal(size=5000)
-        assert effective_samples(x) == pytest.approx(5000, rel=0.2)
-
-    def test_effective_samples_correlated_fewer(self):
-        x = _ar1(5000, 0.9, seed=6)
-        assert effective_samples(x) < 1500
 
 
 class TestAutocorrelationFFT:
@@ -139,44 +131,3 @@ class TestDmcEfficiency:
     def test_kappa_positive(self, n, t):
         x = np.random.default_rng(n).normal(size=n)
         assert dmc_efficiency(x, t) > 0
-
-
-class TestTimestepExtrapolation:
-    def test_recovers_linear_bias(self):
-        from repro.stats.series import timestep_extrapolation
-        taus = np.array([0.01, 0.02, 0.04, 0.08])
-        e = -0.5 + 1.7 * taus
-        e0, slope = timestep_extrapolation(taus, e)
-        assert e0 == pytest.approx(-0.5, abs=1e-12)
-        assert slope == pytest.approx(1.7, abs=1e-12)
-
-    def test_weighted_fit_prefers_precise_points(self):
-        from repro.stats.series import timestep_extrapolation
-        taus = np.array([0.01, 0.02, 0.04])
-        e = np.array([-0.499, -0.498, -0.3])  # last point is junk
-        errors = np.array([0.001, 0.001, 10.0])
-        e0, _ = timestep_extrapolation(taus, e, errors)
-        assert e0 == pytest.approx(-0.5, abs=0.01)
-
-    def test_validation(self):
-        from repro.stats.series import timestep_extrapolation
-        with pytest.raises(ValueError):
-            timestep_extrapolation([0.01], [-0.5])
-        with pytest.raises(ValueError):
-            timestep_extrapolation([0.01, 0.01], [-0.5, -0.4])
-
-    def test_noise_robust_with_weights(self):
-        """With honest error weights, noisy synthetic DMC-like data still
-        extrapolates near the true zero-tau limit."""
-        from repro.stats.series import timestep_extrapolation
-        rng = np.random.default_rng(5)
-        taus = np.array([0.01, 0.02, 0.04, 0.08, 0.16])
-        errors = 0.002 * np.sqrt(taus / taus[0])
-        trials = []
-        for _ in range(20):
-            e = -0.5 + 0.9 * taus + rng.normal(0, errors)
-            e0, _ = timestep_extrapolation(taus, e, errors)
-            trials.append(e0)
-        # Unbiased on average, spread consistent with the inputs.
-        assert np.mean(trials) == pytest.approx(-0.5, abs=0.002)
-        assert np.std(trials) < 0.01

@@ -1,14 +1,30 @@
 """Sanity checks for the example scripts and package metadata."""
 
 import importlib
+import os
 import pathlib
 import py_compile
+import subprocess
+import sys
 import tomllib
 
 import pytest
 
-EXAMPLES = sorted(
-    pathlib.Path(__file__).parent.parent.joinpath("examples").glob("*.py"))
+ROOT = pathlib.Path(__file__).parent.parent
+EXAMPLES = sorted(ROOT.joinpath("examples").glob("*.py"))
+
+#: imports every module of the package with scipy made unimportable and
+#: prints the ones that fail
+IMPORT_ALL_WITHOUT_SCIPY = """
+import importlib, pkgutil, sys
+sys.modules["scipy"] = None
+import repro
+for info in pkgutil.walk_packages(repro.__path__, "repro."):
+    try:
+        importlib.import_module(info.name)
+    except ImportError as exc:
+        print(info.name, exc)
+"""
 
 
 class TestExamples:
@@ -51,13 +67,26 @@ class TestPackage:
         """Every ``[project.scripts]`` entry names an importable callable
         (the suite runs from a source tree, so nothing else would notice
         a dangling entry point)."""
-        pyproject = pathlib.Path(__file__).parent.parent / "pyproject.toml"
+        pyproject = ROOT / "pyproject.toml"
         scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
         assert scripts
         for name, target in scripts.items():
             module, _, func = target.partition(":")
             assert callable(getattr(importlib.import_module(module), func)), \
                 name
+
+    def test_runtime_needs_only_numpy(self):
+        """The declared runtime dependency is numpy alone, and every
+        module of the package imports without scipy."""
+        project = tomllib.loads((ROOT / "pyproject.toml").read_text())
+        assert [dep.split(">")[0] for dep in
+                project["project"]["dependencies"]] == ["numpy"]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", IMPORT_ALL_WITHOUT_SCIPY],
+                             env=env, capture_output=True, text=True,
+                             check=True)
+        assert out.stdout == ""
 
     def test_all_exports_resolve(self):
         for mod_name in ("repro.core", "repro.distances", "repro.spo",

@@ -76,7 +76,7 @@ class TestTranslationInvariance:
         """J2 depends only on relative coordinates: rigid translations
         (by any vector, with wrapping) leave it invariant."""
         P, twf = parts.electrons, parts.twf
-        j2 = twf.component_by_name("J2")
+        j2, = (c for c in twf.components if c.name == "J2")
         P.update_tables()
         P.G[...] = 0
         P.L[...] = 0

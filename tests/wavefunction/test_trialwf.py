@@ -183,12 +183,6 @@ class TestBuffers:
         P.reject_move(k)
         assert r1 == pytest.approx(r2, rel=1e-12)
 
-    def test_component_lookup(self, small_parts):
-        twf = small_parts.twf
-        assert twf.component_by_name("J2") is not None
-        with pytest.raises(KeyError):
-            twf.component_by_name("nope")
-
     def test_storage_bytes_positive(self, small_parts):
         assert small_parts.twf.storage_bytes > 0
 

@@ -93,39 +93,3 @@ class TestBuildSystem:
         # (covered indirectly: builder asserts n % 2 == 0)
         parts = build_system(NIO64, scale=1 / 16, seed=0)
         assert parts.n_electrons % 2 == 0
-
-
-class TestCoulombOptions:
-    def test_ewald_build_runs(self):
-        import numpy as np
-        from repro.core.system import QmcSystem, run_vmc
-        from repro.core.version import CodeVersion
-        sys_ = QmcSystem.from_workload("NiO-32", scale=0.125, seed=8,
-                                       with_nlpp=False)
-        parts = sys_.build(CodeVersion.CURRENT, coulomb="ewald")
-        names = [t.name for t in parts.ham.terms]
-        assert "EwaldCoulomb" in names
-        res = run_vmc(sys_, CodeVersion.CURRENT, walkers=1, steps=1,
-                      parts=parts, seed=1)
-        assert np.all(np.isfinite(res.energies))
-
-    def test_unknown_coulomb_rejected(self):
-        with pytest.raises(ValueError):
-            build_system(NIO32, scale=0.125, seed=1, coulomb="bare")
-
-    def test_mic_and_ewald_energies_comparable(self):
-        """Total energies from minimum-image and Ewald differ by the
-        image corrections but sit on the same scale (within ~10%)."""
-        import numpy as np
-        from repro.core.system import QmcSystem
-        from repro.core.version import CodeVersion
-        sys_ = QmcSystem.from_workload("NiO-32", scale=0.125, seed=8,
-                                       with_nlpp=False)
-        energies = {}
-        for c in ("mic", "ewald"):
-            parts = sys_.build(CodeVersion.CURRENT, coulomb=c,
-                               value_dtype=np.float64)
-            parts.twf.evaluate_log(parts.electrons)
-            energies[c] = parts.ham.evaluate(parts.electrons, parts.twf)
-        assert energies["ewald"] == pytest.approx(energies["mic"],
-                                                  rel=0.25)
