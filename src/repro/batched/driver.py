@@ -33,7 +33,6 @@ from repro.backend import active
 from repro.batched.sanitize import BatchedSanitizerSuite
 from repro.batched.sweep import SweepPlan, SweepWorkspace
 from repro.batched.system import JastrowSystemSpec, walker_streams
-from repro.batched.spo import batched_multi_v
 from repro.batched.walkerbatch import WalkerBatch
 from repro.drivers.generation import CrowdLoop, DMCPolicy, Generation
 from repro.drivers.result import QMCResult
@@ -44,12 +43,7 @@ from repro.metrics.registry import METRICS
 
 
 class BatchedCrowdDriver(CrowdLoop):
-    """One crowd: a WalkerBatch advanced with per-walker RNG streams.
-
-    ``spo_slab`` (a BSpline3D) adds a per-walker ``"SpoNorm"`` trace
-    component after the Hamiltonian terms: the orbital norm at each
-    walker's first particle.
-    """
+    """One crowd: a WalkerBatch advanced with per-walker RNG streams."""
 
     #: cap on the drift displacement per move, in units of sqrt(tau)
     DRIFT_CAP = 2.0
@@ -58,8 +52,7 @@ class BatchedCrowdDriver(CrowdLoop):
                  master_seed: int, timestep: float = 0.5,
                  use_drift: bool = True,
                  batch: Optional[WalkerBatch] = None,
-                 rngs: Optional[List[np.random.Generator]] = None,
-                 spo_slab=None):
+                 rngs: Optional[List[np.random.Generator]] = None):
         # per-call kernel temporaries: reuse freed heap, do not re-fault
         keep_freed_heap()
         self.spec = spec
@@ -68,7 +61,6 @@ class BatchedCrowdDriver(CrowdLoop):
         self.n = spec.n
         self.tau = float(timestep)
         self.use_drift = use_drift
-        self.spline = spo_slab
         # A crowd hosting a subset of a larger population injects its
         # walkers' streams and a batch viewing shared storage; the
         # default standalone driver owns both (stream w of master_seed,
@@ -304,11 +296,6 @@ class BatchedCrowdDriver(CrowdLoop):
             self._stale = True  # the branch commit follows
         comps = self.ham.last_components
         components = {name: comps[name] for name in self.ham.names}
-        if self.spline is not None:
-            # Each walker's row is its own per-point GEMM, so the column
-            # is bitwise identical across crowd decompositions.
-            v = batched_multi_v(self.spline, batch.R[:, 0])
-            components["SpoNorm"] = np.einsum("wm,wm->w", v, v)
         return Generation(el, weights, components)
 
     _advance = run_generation  # the GenerationLoop hook

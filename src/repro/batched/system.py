@@ -67,7 +67,7 @@ class JastrowSystemSpec:
         ion_species.add("X", charge=float(n) / nion)
         self.ions = ParticleSet(
             "ion0", rng.uniform(0, a, (nion, 3)), self.lattice, ion_species,
-            np.zeros(nion, dtype=np.int64), layout="both")
+            np.zeros(nion, dtype=np.int64))
         rcut = 0.99 * self.lattice.wigner_seitz_radius
         uu = BsplineFunctor.from_shape(rcut, cusp=-0.25, decay=1.2, name="uu")
         ud = BsplineFunctor.from_shape(rcut, cusp=-0.5, decay=0.9, name="ud")
@@ -101,7 +101,7 @@ class JastrowSystemSpec:
         """(ParticleSet, TrialWaveFunction, Hamiltonian) for the
         per-walker path, sharing this spec's functors and ions."""
         P = ParticleSet("e", self.base_positions, self.lattice,
-                        self.e_species, self.e_ids, layout="both")
+                        self.e_species, self.e_ids)
         aa = create_aa_table(self.n, self.lattice, self.aa_flavor)
         ab = create_ab_table(self.ions, self.n, self.lattice, "soa")
         P.add_table(aa)

@@ -35,8 +35,7 @@ class MiniappResult:
         return "\n".join(lines)
 
 
-def make_electron_system(n: int, a: float | None = None, seed: int = 7,
-                         layout: str = "both"):
+def make_electron_system(n: int, a: float | None = None, seed: int = 7):
     """A cubic cell of n electrons at metallic density plus n/8 ions."""
     if a is None:
         a = (n * 8.0) ** (1.0 / 3.0)  # ~8 bohr^3 per electron
@@ -45,13 +44,12 @@ def make_electron_system(n: int, a: float | None = None, seed: int = 7,
     e_species = SpeciesSet.electrons()
     e_ids = np.array([0] * (n // 2) + [1] * (n - n // 2))
     electrons = ParticleSet("e", rng.uniform(0, a, (n, 3)), lat,
-                            e_species, e_ids, layout=layout)
+                            e_species, e_ids)
     nion = max(2, n // 8)
     ion_species = SpeciesSet()
     ion_species.add("X", charge=float(n) / nion)
     ions = ParticleSet("ion0", rng.uniform(0, a, (nion, 3)), lat,
-                       ion_species, np.zeros(nion, dtype=np.int64),
-                       layout="both")
+                       ion_species, np.zeros(nion, dtype=np.int64))
     return lat, electrons, ions, rng
 
 

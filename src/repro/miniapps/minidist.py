@@ -10,6 +10,7 @@ from __future__ import annotations
 import time
 import numpy as np
 
+from repro.containers.tinyvector import TinyVector
 from repro.distances.factory import create_aa_table, create_ab_table
 from repro.miniapps.common import MiniappResult, base_parser, \
     make_electron_system
@@ -24,11 +25,8 @@ def _sweep_aa(table, P, moves: np.ndarray, accept: np.ndarray) -> None:
         if accept[k]:
             P.active_index, P.active_pos = k, rnew
             P.R[k] = rnew
-            if P.R_aos is not None:
-                from repro.containers.tinyvector import TinyVector
-                P.R_aos[k] = TinyVector(rnew)
-            if P.Rsoa is not None:
-                P.Rsoa[k] = rnew
+            P.R_aos[k] = TinyVector(rnew)
+            P.Rsoa[k] = rnew
             table.update(k)
             P.active_index, P.active_pos = -1, None
 

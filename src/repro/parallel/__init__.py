@@ -11,21 +11,19 @@ curves of Fig. 1.
 
 The *real-cores* tier (docs/parallel_crowds.md):
 :class:`ParallelCrowdDriver` runs one batched crowd per worker process
-over :class:`SharedWalkerState` shared-memory blocks, with
-:class:`SharedMemComm` carrying the per-generation collectives across
-genuine OS processes; with no worker processes it runs the one
-in-process crowd driver, :class:`~repro.batched.driver.BatchedCrowdDriver`.
+over :class:`SharedWalkerState` shared-memory blocks, with one pipe per
+crowd carrying one command out and one reply back per generation; with
+no worker processes it runs the one in-process crowd driver,
+:class:`~repro.batched.driver.BatchedCrowdDriver`.
 """
 
 from repro.parallel.cluster import (Interconnect, ScalingPoint, SimCluster,
                                     balance_plan)
 from repro.parallel.shm import SharedTraceBlock, SharedWalkerState
-from repro.parallel.shmcomm import CommPeerLost, CommTimeout, SharedMemComm
 from repro.parallel.crowds import ParallelCrowdDriver
 
 __all__ = [
     "SimCluster", "Interconnect", "ScalingPoint", "balance_plan",
     "SharedWalkerState", "SharedTraceBlock",
-    "SharedMemComm", "CommTimeout", "CommPeerLost",
     "ParallelCrowdDriver",
 ]

@@ -9,15 +9,18 @@ weights, log Psi, E_L, age — lives in one
 ``WalkerBatch`` is built over *strided views* of that segment
 (``arr[c::K]``), so an accepted Metropolis move is committed straight
 into shared memory and **no walker state is ever pickled per step**
-(``tests/parallel/test_shmcomm.py`` measures the wire bytes per
+(``tests/parallel/test_crowds.py`` measures the wire bytes per
 generation).
 
-Per generation the parent (rank 0 of a :class:`SharedMemComm`) runs the
-genuine Alg.-1 sync pattern: broadcast the step command with the trial
-energy, gather each crowd's population/acceptance token, then reduce
-E_mixed **in walker order over the full shared arrays** — the
-shared-memory form of the E_T allreduce, and the reason collective
-results are bitwise independent of the worker count.  DMC branching
+The control plane is a star of pipes, one per crowd, and every exchange
+on it is one command out and one reply back.  Per generation the parent
+sends ``("gen", step, e_trial)`` and each crowd answers ``("done", step,
+accepts)``; the parent checks every reply's kind and step against the
+command it sent and raises :class:`~repro.sanitizers.CollectiveOrderError`
+on a mismatch.  It then reduces E_mixed **in walker order over the full
+shared arrays** — the shared-memory form of the paper's one E_T
+allreduce per generation (Alg. 1, L14), and the reason the results are
+bitwise independent of the worker count.  DMC branching
 (stochastic-reconfiguration comb, fixed population) is applied by the
 parent directly to the shared block, which *is* the walker migration
 between crowds: a clone landing in another crowd's slot is nothing more
@@ -35,14 +38,16 @@ and resume the one ``"crowd"`` checkpoint
 (:class:`~repro.drivers.generation.CrowdLoop`).
 
 Crash semantics: every generation starts with a parent-side checkpoint
-of the shared block.  A dead or wedged worker is detected by liveness
-polling inside the collectives; the parent then terminates the pool,
-restores the checkpoint, respawns all crowds with
-``start_generation = g`` (workers fast-forward their walkers' RNG
-streams by replaying the per-generation draw pattern) and re-issues
-generation ``g`` — so the post-crash energy trace is bitwise equal to
-the crash-free one.  Incidents are counted in ``result.extra`` and the
-``crowd_worker_respawns`` metrics counter.
+of the shared block.  The parent waits on the pipes still owed a reply
+and on the worker processes' sentinels, so a dead worker wakes it at
+once and a live but silent one is caught after ``SYNC_TIMEOUT``; the
+parent then terminates the pool, restores the checkpoint, respawns all
+crowds with ``start_generation = g`` (workers fast-forward their
+walkers' RNG streams by replaying the per-generation draw pattern) and
+re-issues generation ``g`` — so the post-crash energy trace is bitwise
+equal to the crash-free one.  Incidents are counted in ``result.extra``
+and the ``crowd_worker_respawns`` metrics counter; after
+``MAX_RESPAWNS`` of them the run gives up.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ import multiprocessing as mp
 import os
 import time
 from dataclasses import dataclass
+from multiprocessing.connection import Connection, wait
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -61,19 +67,23 @@ from repro.batched.system import BatchedHamiltonian, JastrowSystemSpec, \
 from repro.batched.walkerbatch import WalkerBatch
 from repro.drivers.generation import STATE_FIELDS, CrowdLoop, Generation
 from repro.drivers.result import QMCResult
-from repro.sanitizers import (CollectiveOrderChecker,
-                              RngStreamSanitizer, ShmRaceSanitizer,
-                              sanitizers_enabled)
+from repro.sanitizers import (CollectiveOrderError, RngStreamSanitizer,
+                              ShmRaceSanitizer, sanitizers_enabled)
 from repro.metrics.registry import METRICS
 from repro.parallel.shm import SharedTraceBlock, SharedWalkerState
-from repro.parallel.shmcomm import CommPeerLost, CommTimeout, SharedMemComm
-from repro.splines.slab import SharedCoefSlab, SlabDescriptor
 
 __all__ = ["ParallelCrowdDriver"]
 
-#: Seconds a root-side collective waits on live but silent workers
-#: before the pool counts as wedged and is respawned.
+#: Seconds the parent waits on live but silent workers for their
+#: replies before the pool counts as wedged and is respawned.
 SYNC_TIMEOUT = 120.0
+
+#: Pool incidents (a dead or wedged worker) a run survives; the next one
+#: makes it give up.
+MAX_RESPAWNS = 3
+
+#: The reply kind each command (and the spawn, "ready") is owed.
+_REPLY = {"ready": "ready", "gen": "done", "stop": "final"}
 
 
 class _WorkerDown(RuntimeError):
@@ -82,8 +92,8 @@ class _WorkerDown(RuntimeError):
 
 def _host_crowd(spec: JastrowSystemSpec, state: SharedWalkerState,
                 crowd: int, n_crowds: int, master_seed: int,
-                timestep: float, use_drift: bool, start_generation: int,
-                spo_slab=None) -> BatchedCrowdDriver:
+                timestep: float, use_drift: bool,
+                start_generation: int) -> BatchedCrowdDriver:
     """Crowd ``crowd`` of ``n_crowds``: a batched driver over its strided
     views of the walker block, ready to run ``start_generation``; what
     every worker process hosts.  Set up exactly as the in-process
@@ -101,7 +111,7 @@ def _host_crowd(spec: JastrowSystemSpec, state: SharedWalkerState,
     streams = walker_streams(master_seed, state.nw)
     drv = BatchedCrowdDriver(
         spec, len(ids), master_seed, timestep, use_drift, batch=batch,
-        rngs=[streams[w] for w in ids], spo_slab=spo_slab)
+        rngs=[streams[w] for w in ids])
     drv.skip_generations(start_generation - 1)
     # After a DMC comb the crowd gathers its tables from the slots the
     # picks name instead of rebuilding them.
@@ -144,10 +154,10 @@ class _WorkerConfig:
     start_generation: int
     state_name: str
     trace_name: str
-    #: trace-block component columns: Hamiltonian terms, then the
-    #: optional SPO diagnostic column
+    #: trace-block component columns: the Hamiltonian terms
     component_names: tuple
-    comm: SharedMemComm
+    #: this crowd's end of its pipe to the parent
+    conn: Connection
     metrics_enabled: bool
     crash_generation: Optional[int] = None  # injected-fault hook (tests)
     #: injected-fault hook (tests): after running this generation, write
@@ -157,18 +167,14 @@ class _WorkerConfig:
     #: generations completed before this run (full-run resume);
     #: trace-block row 0 holds generation ``trace_base + 1``
     trace_base: int = 0
-    #: shared read-only SPO coefficient slab to attach (descriptor only
-    #: crosses the process boundary — the table itself never pickles)
-    slab: Optional[SlabDescriptor] = None
 
 
 def _worker_main(cfg: _WorkerConfig) -> None:
-    """Worker-process entry: attach shared blocks, host this crowd,
-    then serve generation commands until told to stop."""
-    comm = cfg.comm
+    """Worker-process entry: attach shared blocks, host this crowd, then
+    answer each command from the parent with one reply until "stop"."""
+    conn = cfg.conn
     state = None
     trace = None
-    slab = None
     failed = False
     armed = False
     try:
@@ -184,22 +190,16 @@ def _worker_main(cfg: _WorkerConfig) -> None:
         trace = SharedTraceBlock.attach(
             cfg.trace_name, cfg.steps, cfg.total_walkers,
             len(cfg.component_names))
-        if cfg.slab is not None:
-            # Map the one shared coefficient table (read-only) instead
-            # of rebuilding or copying it per worker.
-            slab = SharedCoefSlab.attach(cfg.slab)
         crowd = _host_crowd(
             cfg.spec, state, cfg.crowd, cfg.n_crowds, cfg.master_seed,
-            cfg.timestep, cfg.use_drift, cfg.start_generation,
-            slab.as_spline() if slab is not None else None)
+            cfg.timestep, cfg.use_drift, cfg.start_generation)
         cols = slice(cfg.crowd, None, cfg.n_crowds)
-        comm.allgather(("ready", cfg.crowd, os.getpid()))
+        conn.send(("ready", cfg.start_generation, None))
         with METRICS.scope("Crowd"):
             while True:
-                cmd = comm.bcast()
-                if cmd[0] == "stop":
+                kind, step, e_trial = conn.recv()
+                if kind == "stop":
                     break
-                _, step, e_trial = cmd
                 if (cfg.crash_generation is not None
                         and step >= cfg.crash_generation):
                     os._exit(23)  # injected fault: die without cleanup
@@ -212,33 +212,26 @@ def _worker_main(cfg: _WorkerConfig) -> None:
                     # exactly the out-of-band mutation the parent's
                     # quiescent-window checksums exist to catch.
                     trace.local_energy[0, cfg.crowd] += 1.0
-                comm.allgather(
-                    ("done", int(np.sum(crowd.last_sweep_accepts))))
-        collective_log = list(comm.order_log)
-        payload = {
+                conn.send(("done", step,
+                           int(np.sum(crowd.last_sweep_accepts))))
+        conn.send(("final", step, {
             "crowd": cfg.crowd,
             "n_moves": crowd.n_moves,
             "n_accept": crowd.n_accept,
             "metrics": METRICS.snapshot() if METRICS.enabled else None,
-            "allreduce_count": comm.allreduce_count,
-            "collective_log": collective_log,
-        }
-        comm.allgather(payload)
-    except (CommTimeout, CommPeerLost, EOFError, OSError):
+        }))
+    except (EOFError, OSError):
         failed = True  # the parent vanished or replaced this incarnation
     finally:
         if armed:
             RngStreamSanitizer.disarm()
-        for obj in (slab, trace, state):
+        for obj in (trace, state):
             if obj is not None:
                 try:
                     obj.close()
                 except Exception:  # pragma: no cover
                     pass
-        try:
-            comm.close()
-        except Exception:  # pragma: no cover
-            pass
+        conn.close()
     if failed:
         os._exit(1)
 
@@ -256,11 +249,9 @@ class ParallelCrowdDriver(CrowdLoop):
 
     def __init__(self, spec: JastrowSystemSpec, nwalkers: int,
                  master_seed: int, workers: int = 0, timestep: float = 0.5,
-                 use_drift: bool = True, liveness_poll: float = 0.25,
-                 max_respawns: int = 3,
+                 use_drift: bool = True,
                  crash_plan: Optional[Dict[int, int]] = None,
-                 race_plan: Optional[Dict[int, int]] = None,
-                 spo_slab=None):
+                 race_plan: Optional[Dict[int, int]] = None):
         if nwalkers < 1:
             raise ValueError(f"need at least one walker, got {nwalkers}")
         if workers < 0:
@@ -271,15 +262,6 @@ class ParallelCrowdDriver(CrowdLoop):
         self.workers = min(int(workers), self.nw)
         self.tau = float(timestep)
         self.use_drift = use_drift
-        self.liveness_poll = float(liveness_poll)
-        self.max_respawns = int(max_respawns)
-        #: optional SPO orbital table for the crowds' "SpoNorm" trace
-        #: component (see BatchedCrowdDriver): a BSpline3D (promoted to
-        #: one shared read-only SharedCoefSlab for the pool) or an
-        #: already-built SharedCoefSlab.
-        self.spo_slab = spo_slab
-        self._slab: Optional[SharedCoefSlab] = None
-        self._slab_owned = False
         #: {crowd: generation} — worker ``crowd`` (incarnation 0 only)
         #: calls ``os._exit`` on reaching that generation; test hook for
         #: the detect-and-respawn path.  Ignored when ``workers == 0``.
@@ -295,17 +277,17 @@ class ParallelCrowdDriver(CrowdLoop):
         self._ham_names = tuple(BatchedHamiltonian.BASE_NAMES)
         if getattr(spec, "with_nlpp", False):
             self._ham_names += ("NonLocalECP",)
-        if spo_slab is not None:
-            self._ham_names += ("SpoNorm",)
         self.respawns = 0
+        #: crowd -> worker process, and crowd -> the parent's pipe end
         self._procs: Dict[int, mp.process.BaseProcess] = {}
-        self._comm: Optional[SharedMemComm] = None
+        self._conns: Dict[int, Connection] = {}
         self._state = None
         self._trace = None
         self._race: Optional[ShmRaceSanitizer] = None
         #: generation-start copy of the shared block (crash recovery)
         self._snapshot: Optional[Dict[str, np.ndarray]] = None
-        self._comm_allreduces = 0
+        #: command rounds the parent ran (ready, each generation, stop)
+        self._rounds = 0
 
     # -- the run -----------------------------------------------------------------
     def run(self, steps: int = 10, mode: str = "vmc", streams=None,
@@ -332,13 +314,9 @@ class ParallelCrowdDriver(CrowdLoop):
         if self.workers == 0:
             if abort_after is not None:
                 raise ValueError("abort_after needs workers >= 1")
-            spline = (self.spo_slab.as_spline()
-                      if isinstance(self.spo_slab, SharedCoefSlab)
-                      else self.spo_slab)
             t_setup = time.perf_counter()
             crowd = BatchedCrowdDriver(self.spec, self.nw, self.master_seed,
-                                       self.tau, self.use_drift,
-                                       spo_slab=spline)
+                                       self.tau, self.use_drift)
             setup_s = time.perf_counter() - t_setup
             result = crowd.run(steps, mode, streams, resume)
             result.extra.update(workers=0.0, respawns=0.0,
@@ -352,13 +330,7 @@ class ParallelCrowdDriver(CrowdLoop):
         self._incarnation = 0
         self.respawns = 0
         self.n_moves = self.n_accept = 0
-        self._comm_allreduces = 0
-        if self.spo_slab is not None and self._slab is None:
-            # One physical table for the whole pool: promote once, ship
-            # only the picklable descriptor to each crowd.
-            self._slab_owned = not isinstance(self.spo_slab, SharedCoefSlab)
-            self._slab = (SharedCoefSlab.promote(self.spo_slab)
-                          if self._slab_owned else self.spo_slab)
+        self._rounds = 0
         t_setup = time.perf_counter()
         self._state = SharedWalkerState.create(self.nw, self.spec.n)
         self._trace = SharedTraceBlock.create(steps, self.nw,
@@ -380,7 +352,7 @@ class ParallelCrowdDriver(CrowdLoop):
         result.extra.update(workers=float(self.workers),
                             respawns=float(self.respawns),
                             setup_seconds=float(setup_s),
-                            comm_allreduces=float(self._comm_allreduces))
+                            comm_allreduces=float(self._rounds))
         if worker_stats:
             result.extra["worker_moves"] = float(
                 sum(p["n_moves"] for p in worker_stats))
@@ -414,9 +386,9 @@ class ParallelCrowdDriver(CrowdLoop):
             # Restart-battery kill hook: die like a SIGKILL between
             # generations — checkpoint and trace are already durable; no
             # flush/close/unlink runs.  Workers are torn down first only
-            # because they inherit every comm pipe fd at fork: orphans
-            # would deadlock in recv() holding each other's write ends
-            # open (they carry no durable state).
+            # because each inherits the parent's ends of the pipes made
+            # before it at fork: orphans would block in recv() holding
+            # each other's pipes open (they carry no durable state).
             self._terminate_pool()
             os._exit(17)
 
@@ -433,7 +405,7 @@ class ParallelCrowdDriver(CrowdLoop):
 
     def _race_history(self, op: str, step: int) -> None:
         """``seal`` the frozen trace history before workers write row
-        ``step - 1``; ``verify`` it once every worker's done token has
+        ``step - 1``; ``verify`` it once every worker's "done" reply has
         happened-before — so an out-of-band write to the history is
         detected deterministically, not probabilistically."""
         hist = step - 1 - self._trace_base
@@ -444,86 +416,97 @@ class ParallelCrowdDriver(CrowdLoop):
 
     # -- process-pool management -------------------------------------------------
     def _spawn_pool(self, start_generation: int) -> None:
-        """Build a fresh communicator and spawn all K crowd processes;
-        completes the ready barrier (engines built, E_L initialized)."""
-        K = self.workers
-        endpoints = SharedMemComm.world(K + 1, ctx=self._ctx)
-        self._comm = endpoints[0]
+        """Spawn all K crowd processes, one pipe each, and take every
+        crowd's "ready" reply (engines built, E_L initialized)."""
         crash_plan = self.crash_plan if self._incarnation == 0 else None
         race_plan = self.race_plan if self._incarnation == 0 else None
         self._incarnation += 1
-        for r in range(1, K + 1):
-            crowd = r - 1
+        for crowd in range(self.workers):
+            parent_end, child_end = self._ctx.Pipe()
             cfg = _WorkerConfig(
                 spec=self.spec, master_seed=self.master_seed,
                 total_walkers=self.nw, crowd=crowd,
-                n_crowds=K, timestep=self.tau, use_drift=self.use_drift,
-                steps=self._steps,
+                n_crowds=self.workers, timestep=self.tau,
+                use_drift=self.use_drift, steps=self._steps,
                 start_generation=start_generation,
                 state_name=self._state.name, trace_name=self._trace.name,
-                component_names=self._ham_names, comm=endpoints[r],
+                component_names=self._ham_names, conn=child_end,
                 metrics_enabled=METRICS.enabled,
                 crash_generation=(crash_plan or {}).get(crowd),
                 race_generation=(race_plan or {}).get(crowd),
-                trace_base=self._trace_base,
-                slab=(self._slab.descriptor
-                      if self._slab is not None else None))
+                trace_base=self._trace_base)
             proc = self._ctx.Process(
                 target=_worker_main, args=(cfg,),
                 name=f"repro-crowd-{crowd}", daemon=True)
             proc.start()
-            endpoints[r].close()  # parent drops its copy of the child end
-            self._procs[r] = proc
-        self._sync(lambda t: self._comm.allgather(None, timeout=t))
+            child_end.close()  # parent drops its copy of the child end
+            self._procs[crowd] = proc
+            self._conns[crowd] = parent_end
+        self._round("ready", start_generation)
 
     def _ensure_pool(self, step: int) -> None:
-        while self._comm is None:
+        while not self._procs:
             try:
                 self._spawn_pool(step)
             except _WorkerDown as exc:
                 self._handle_crash(exc)
 
+    def _round(self, kind: str, step: int, arg=None) -> List:
+        """One command round: send ``(kind, step, arg)`` to every crowd
+        (nothing for "ready", which the spawn itself commands) and take
+        one reply from each.  Returns the replies' payloads in crowd
+        order.  A reply of the wrong kind or step raises
+        :class:`CollectiveOrderError`; a dead worker, or one silent for
+        ``SYNC_TIMEOUT`` seconds, raises ``_WorkerDown``."""
+        self._rounds += 1
+        if kind != "ready":
+            for crowd, conn in self._conns.items():
+                try:
+                    conn.send((kind, step, arg))
+                except OSError as exc:
+                    raise _WorkerDown(
+                        f"crowd {crowd}: pipe closed ({exc})") from exc
+        want = (_REPLY[kind], step)
+        owed = dict(self._conns)
+        replies = {}
+        deadline = time.monotonic() + SYNC_TIMEOUT
+        while owed:
+            sentinels = {self._procs[c].sentinel: c for c in owed}
+            ready = wait(list(owed.values()) + list(sentinels),
+                         max(0.0, deadline - time.monotonic()))
+            if not ready:
+                raise _WorkerDown(f"crowds {sorted(owed)} unresponsive "
+                                  f"for {SYNC_TIMEOUT:g}s")
+            woken = {c for c, conn in owed.items() if conn in ready}
+            woken |= {sentinels[obj] for obj in ready if obj in sentinels}
+            for crowd in sorted(woken):
+                conn = owed.pop(crowd)
+                try:
+                    # a worker that replied and then exited still has
+                    # its reply in the pipe
+                    if not conn.poll():
+                        raise EOFError
+                    msg = conn.recv()
+                except (EOFError, OSError) as exc:
+                    raise _WorkerDown(f"crowd {crowd} died") from exc
+                if msg[:2] != want:
+                    raise CollectiveOrderError(
+                        f"crowd {crowd} replied {msg[:2]!r} to the "
+                        f"{kind!r} command of step {step}; expected "
+                        f"{want!r}")
+                replies[crowd] = msg[2]
+        return [replies[c] for c in sorted(replies)]
+
     def _parallel_generation(self, step: int,
                              e_trial: Optional[float]) -> int:
-        """One generation across the pool, surviving worker crashes:
-        command broadcast, crowd execution, done-token allgather."""
+        """One generation across the pool, surviving worker crashes: the
+        "gen" command out, each crowd's accepted-move count back."""
         while True:
             try:
                 self._ensure_pool(step)
-                self._sync(lambda t: self._comm.bcast(
-                    ("gen", step, e_trial), timeout=t))
-                stats = self._sync(lambda t: self._comm.allgather(
-                    None, timeout=t))
-                return sum(s[1] for s in stats if s is not None)
+                return sum(self._round("gen", step, e_trial))
             except _WorkerDown as exc:
                 self._handle_crash(exc)
-
-    def _sync(self, op):
-        """Run a root-side collective with liveness-aware polling: wait
-        in short slices, checking worker processes between slices, so a
-        dead worker surfaces in ~``liveness_poll`` seconds rather than
-        after the full ``SYNC_TIMEOUT``."""
-        deadline = time.monotonic() + SYNC_TIMEOUT
-        call = op
-        while True:
-            try:
-                return call(self.liveness_poll)
-            except CommPeerLost as exc:
-                raise _WorkerDown(str(exc)) from exc
-            except CommTimeout as exc:
-                dead = [r for r, p in self._procs.items()
-                        if not p.is_alive()]
-                if dead:
-                    raise _WorkerDown(
-                        f"worker ranks {dead} died "
-                        f"(exitcodes {[self._procs[r].exitcode for r in dead]})"
-                    ) from exc
-                if time.monotonic() > deadline:
-                    raise _WorkerDown(
-                        f"ranks {exc.missing} unresponsive for "
-                        f"{SYNC_TIMEOUT:.0f}s") from exc
-                if self._comm is not None and self._comm.pending:
-                    call = lambda t: self._comm.resume(timeout=t)
 
     def _handle_crash(self, exc: _WorkerDown) -> None:
         """Detect-and-respawn: count the incident, tear the pool down,
@@ -537,7 +520,7 @@ class ParallelCrowdDriver(CrowdLoop):
         if self._race is not None:
             # the restored checkpoint legitimately rewrites shared state
             self._race.clear()
-        if self.respawns > self.max_respawns:
+        if self.respawns > MAX_RESPAWNS:
             raise RuntimeError(
                 f"gave up after {self.respawns - 1} respawns: {exc}")
         if self._snapshot is not None:
@@ -553,44 +536,30 @@ class ParallelCrowdDriver(CrowdLoop):
             if proc.is_alive():  # pragma: no cover - stuck in kernel
                 proc.kill()
                 proc.join(timeout=5.0)
+        for conn in self._conns.values():
+            conn.close()
         self._procs = {}
-        if self._comm is not None:
-            self._comm_allreduces += self._comm.allreduce_count
-            self._comm.close()
-            self._comm = None
+        self._conns = {}
 
     def _finalize(self) -> List[dict]:
         """Stop the pool and collect the one-shot final payloads (crowd
         counters + metrics snapshots), merging each worker's metrics tree
         into the parent registry in crowd order."""
+        step = self._trace_base + self._steps + 1
         payloads = None
         while payloads is None:
             try:
-                self._ensure_pool(self._trace_base + self._steps + 1)
-                self._sync(lambda t: self._comm.bcast(("stop",), timeout=t))
-                gathered = self._sync(lambda t: self._comm.allgather(
-                    None, timeout=t))
-                payloads = [p for p in gathered if p is not None]
+                self._ensure_pool(step)
+                payloads = self._round("stop", step)
             except _WorkerDown as exc:
                 self._handle_crash(exc)
-        for p in sorted(payloads, key=lambda d: d["crowd"]):
+        for p in payloads:
             if p.get("metrics") and METRICS.enabled:
                 METRICS.merge_snapshot(p["metrics"],
                                        label=f"crowd-{p['crowd']}")
-            self._comm_allreduces += p["allreduce_count"]
         # every worker's final payload happened-before this point: the
         # state sealed after the last generation must be intact
         self._race_state("verify")
-        if sanitizers_enabled() and self.respawns == 0 \
-                and len(payloads) == self.workers:
-            # Cross-check the SPMD collective call sequences.  Skipped
-            # after a respawn: a replacement incarnation's log starts
-            # mid-run, so per-rank logs legitimately differ in length.
-            checker = CollectiveOrderChecker()
-            for p in payloads:
-                if p.get("collective_log") is not None:
-                    checker.add_sequence(p["crowd"], p["collective_log"])
-            checker.verify()
         self._terminate_pool()
         return payloads
 
@@ -601,10 +570,7 @@ class ParallelCrowdDriver(CrowdLoop):
         for obj in (self._trace, self._state):
             if obj is not None:
                 obj.close()
-        if self._slab is not None and self._slab_owned:
-            self._slab.close()
-        self._slab_owned = False
-        self._slab = self._trace = self._state = None
+        self._trace = self._state = None
         self._race = self._snapshot = None
 
     def __enter__(self) -> "ParallelCrowdDriver":

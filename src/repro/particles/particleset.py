@@ -1,5 +1,10 @@
 """ParticleSet — positions in AoS and SoA layouts plus the move protocol.
 
+Both layouts are always kept, as production QMCPACK keeps them after the
+transformation: the list-of-TinyVector ``R_aos`` for the reference scalar
+kernels and the high-level physics, the padded ``Rsoa`` container for the
+vectorized kernels.
+
 The particle-by-particle (PbyP) move protocol (Alg. 1, L4-L9) drives all
 hot kernels:
 
@@ -44,14 +49,6 @@ class ParticleSet:
         The simulation cell (open or periodic).
     species:
         Species registry; ``species_ids[i]`` indexes into it.
-    layout:
-        "aos"  — maintain the list-of-TinyVector representation used by
-                  the reference scalar kernels;
-        "soa"  — maintain the padded ``Rsoa`` SoA container used by the
-                  vectorized kernels;
-        "both" — maintain both (what production QMCPACK does after the
-                  transformation: AoS objects are kept for the high-level
-                  physics, Rsoa is added for the kernels).
     dtype:
         Element type of the SoA container (the AoS side and the canonical
         ``R`` stay float64; only kernels downcast, per the mixed-precision
@@ -67,18 +64,14 @@ class ParticleSet:
         lattice: Optional[CrystalLattice] = None,
         species: Optional[SpeciesSet] = None,
         species_ids: Optional[Sequence[int]] = None,
-        layout: str = "both",
         dtype=None,
     ):
         dtype = resolve_value_dtype(dtype)
         positions = np.array(positions, dtype=np.float64)
         if positions.ndim != 2 or positions.shape[1] != 3:
             raise ValueError(f"positions must be (N, 3), got {positions.shape}")
-        if layout not in ("aos", "soa", "both"):
-            raise ValueError(f"unknown layout {layout!r}")
         self.name = name
         self.lattice = lattice if lattice is not None else CrystalLattice.open_bc()
-        self.layout = layout
         self.n = positions.shape[0]
         self.R = positions  # canonical (N, 3) storage
         self.species = species if species is not None else SpeciesSet()
@@ -93,15 +86,11 @@ class ParticleSet:
         self.L = np.zeros(self.n, dtype=np.float64)
 
         # AoS working representation (reference kernels).
-        self.R_aos: Optional[List[TinyVector]] = None
-        if layout in ("aos", "both"):
-            self.R_aos = [TinyVector(row) for row in self.R]
+        self.R_aos: List[TinyVector] = [TinyVector(row) for row in self.R]
 
         # SoA working representation (optimized kernels).
-        self.Rsoa: Optional[VectorSoaContainer] = None
-        if layout in ("soa", "both"):
-            self.Rsoa = VectorSoaContainer(self.n, 3, dtype=dtype)
-            self.Rsoa.copy_in(self.R)
+        self.Rsoa = VectorSoaContainer(self.n, 3, dtype=dtype)
+        self.Rsoa.copy_in(self.R)
 
         # Attached distance tables (DistanceTableAA/AB instances).
         self.distance_tables: list = []
@@ -113,11 +102,9 @@ class ParticleSet:
     # -- layout bookkeeping -----------------------------------------------------
     def sync_layouts(self) -> None:
         """Rebuild AoS/SoA views from the canonical R (loadWalker path)."""
-        if self.R_aos is not None:
-            for i, row in enumerate(self.R):
-                self.R_aos[i] = TinyVector(row)
-        if self.Rsoa is not None:
-            self.Rsoa.copy_in(self.R)
+        for i, row in enumerate(self.R):
+            self.R_aos[i] = TinyVector(row)
+        self.Rsoa.copy_in(self.R)
 
     # -- distance tables ----------------------------------------------------------
     def add_table(self, table) -> int:
@@ -156,10 +143,8 @@ class ParticleSet:
                 f"accept_move({k}) without matching make_move "
                 f"(active={self.active_index})")
         self.R[k] = self.active_pos
-        if self.R_aos is not None:
-            self.R_aos[k] = TinyVector(self.active_pos)
-        if self.Rsoa is not None:
-            self.Rsoa[k] = self.active_pos  # the paper's "6 floats" update
+        self.R_aos[k] = TinyVector(self.active_pos)
+        self.Rsoa[k] = self.active_pos  # the paper's "6 floats" update
         for t in self.distance_tables:
             with METRICS.scope(t.category):
                 t.update(k)
@@ -213,5 +198,5 @@ class ParticleSet:
         yield int(cur), slice(start, self.n)
 
     def __repr__(self) -> str:
-        return (f"ParticleSet({self.name!r}, n={self.n}, layout={self.layout!r}, "
+        return (f"ParticleSet({self.name!r}, n={self.n}, "
                 f"periodic={self.lattice.periodic})")

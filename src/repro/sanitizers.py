@@ -1,7 +1,7 @@
 """Runtime sanitizers: the kernel and concurrency contracts, checked on
 live state.
 
-Six checkers catch violations that only materialize on real data:
+Five checkers catch violations that only materialize on real data:
 
 * :class:`DtypeSanitizer` — raises on silent ``float64`` upcasts of
   value-precision arrays under a mixed policy (the 5N²→5N and SP-memory
@@ -20,17 +20,13 @@ Six checkers catch violations that only materialize on real data:
   points to fail fast, so a stray ``np.random.normal()`` inside a
   generation dies loudly instead of silently desynchronizing the
   per-walker streams.
-* :class:`CollectiveOrderChecker` — every ``SharedMemComm`` collective
-  shares one wire protocol, so a worker calling ``allgather`` where its
-  peers call ``bcast`` *succeeds on the wire* with garbage semantics,
-  breaking the SPMD collective order; this checker compares
-  the per-worker collective call logs at shutdown and raises on the
-  first divergence.
 
 All are toggled by ``REPRO_SANITIZE=1`` (see :func:`sanitizers_enabled`);
 the QMC drivers consult that flag and run a :class:`SanitizerSuite`
 after accepted moves and at measurement time, and the parallel crowd
-driver arms the three concurrency sanitizers around each generation.
+driver arms the two concurrency sanitizers around each generation.
+:class:`CollectiveOrderError` is raised armed or not: the crowd pool's
+parent checks every worker reply against the command it sent.
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ from __future__ import annotations
 import functools
 import os
 import zlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -64,8 +60,9 @@ class RngStreamError(SanitizerError):
 
 
 class CollectiveOrderError(SanitizerError):
-    """Workers disagreed on the sequence of collective calls — the SPMD
-    contract every SharedMemComm collective relies on."""
+    """A crowd worker's reply did not match the command the parent sent
+    it (wrong kind or wrong step) — the pool's one-command-one-reply
+    order broke."""
 
 
 def sanitizers_enabled() -> bool:
@@ -444,58 +441,3 @@ class RngStreamSanitizer:
 
     def __exit__(self, *exc) -> None:
         self.disarm()
-
-
-class CollectiveOrderChecker:
-    """Verify cross-worker agreement on the collective call sequence.
-
-    ``SharedMemComm`` ships every collective through one ``_collective``
-    wire exchange, so a worker that calls ``allgather`` while its peers
-    call ``allreduce`` does *not* deadlock — the payloads pair up by
-    sequence number and the run completes with silently wrong results.
-    Each endpoint therefore records ``(seq, kind)`` labels while
-    sanitizers are armed; the driver collects the logs at shutdown and
-    this checker raises on the first cross-worker divergence.
-    """
-
-    def __init__(self):
-        #: rank -> [(seq, kind), ...]
-        self._logs: Dict[int, List[Tuple[int, str]]] = {}
-
-    def add_sequence(self, rank: int,
-                     log: Sequence[Tuple[int, str]]) -> None:
-        self._logs[int(rank)] = [(int(s), str(k)) for s, k in log]
-
-    def verify(self) -> None:
-        """Raise :class:`CollectiveOrderError` on the first collective
-        where any two workers disagree on the kind, or where one worker
-        participated in a collective another never reached."""
-        if len(self._logs) < 2:
-            return
-        by_seq: Dict[int, Dict[int, str]] = {}
-        for rank, log in self._logs.items():
-            for seq, kind in log:
-                by_seq.setdefault(seq, {})[rank] = kind
-        ranks = set(self._logs)
-        for seq in sorted(by_seq):
-            kinds = by_seq[seq]
-            if set(kinds) != ranks:
-                absent = sorted(ranks - set(kinds))
-                present = sorted(kinds)
-                raise CollectiveOrderError(
-                    f"collective order checker: collective #{seq} "
-                    f"({kinds[present[0]]}) was entered by ranks "
-                    f"{present} but never by ranks {absent} — the SPMD "
-                    f"collective order diverged")
-            if len(set(kinds.values())) > 1:
-                detail = ", ".join(f"rank {r}: {kinds[r]}"
-                                   for r in sorted(kinds))
-                raise CollectiveOrderError(
-                    f"collective order checker: collective #{seq} was "
-                    f"entered with mismatched kinds ({detail}) — the "
-                    f"SPMD collective order requires every rank to issue "
-                    f"the same collective in the same order")
-
-    @property
-    def ranks(self) -> List[int]:
-        return sorted(self._logs)

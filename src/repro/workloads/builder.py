@@ -130,8 +130,7 @@ def build_system(
     ion_pos = ion_pos[order]
     ion_ids = ion_ids[order]
 
-    ions = ParticleSet("ion0", ion_pos, lattice, ion_species, ion_ids,
-                       layout="both")
+    ions = ParticleSet("ion0", ion_pos, lattice, ion_species, ion_ids)
 
     charges = ions.charges()
     e_pos = _initial_electrons(ion_pos, charges, lattice, rng)
@@ -140,9 +139,8 @@ def build_system(
         raise ValueError(f"odd electron count {n}")
     e_species = SpeciesSet.electrons()
     e_ids = np.array([0] * (n // 2) + [1] * (n // 2))
-    e_layout = "both"
     electrons = ParticleSet("e", e_pos, lattice, e_species, e_ids,
-                            layout=e_layout, dtype=value_dtype)
+                            dtype=value_dtype)
 
     # Distance tables: AA (index 0) then AB (index 1), as consumers assume.
     aa = create_aa_table(n, lattice, table_flavor_aa, dtype=value_dtype)

@@ -172,7 +172,7 @@ class TestTableEvaluate:
             assert np.array_equal(r, dist[:, k, :n])
             assert np.array_equal(dr, disp[:, k, :, :n])
 
-        P = ParticleSet("e", batch.R[0], lattice, layout="both")
+        P = ParticleSet("e", batch.R[0], lattice)
         scalar = DistanceTableAAOtf(n, lattice)
         P.add_table(scalar)
         P.update_tables()

@@ -36,7 +36,7 @@ def electrons(rng, cubic_lattice):
     species = SpeciesSet.electrons()
     ids = np.array([0] * 8 + [1] * 8)
     return ParticleSet("e", rng.uniform(0, 6, (n, 3)), cubic_lattice,
-                       species, ids, layout="both")
+                       species, ids)
 
 
 @pytest.fixture
@@ -45,4 +45,4 @@ def ions(rng, cubic_lattice):
     species = SpeciesSet()
     species.add("X", charge=4.0)
     return ParticleSet("ion0", rng.uniform(0, 6, (4, 3)), cubic_lattice,
-                       species, np.zeros(4, dtype=np.int64), layout="both")
+                       species, np.zeros(4, dtype=np.int64))

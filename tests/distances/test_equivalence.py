@@ -63,7 +63,7 @@ def test_ab_flavors_agree_through_random_walk(n, nion, seed):
     sp = SpeciesSet()
     sp.add("X", 2.0)
     ions = ParticleSet("ion0", rng.uniform(0, 5, (nion, 3)), lat, sp,
-                       np.zeros(nion, dtype=np.int64), layout="both")
+                       np.zeros(nion, dtype=np.int64))
     tables = {f: create_ab_table(ions, n, lat, f) for f in ("ref", "soa")}
     P.distance_tables = list(tables.values())
     P.update_tables()

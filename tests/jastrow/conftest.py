@@ -24,13 +24,13 @@ class JSetup:
         e_sp = SpeciesSet.electrons()
         ids = np.array([0] * (n // 2) + [1] * (n - n // 2))
         self.P = ParticleSet("e", rng.uniform(0, 6, (n, 3)), self.lat,
-                             e_sp, ids, layout="both")
+                             e_sp, ids)
         isp = SpeciesSet()
         isp.add("A", 3.0)
         isp.add("B", 5.0)
         ion_ids = np.array([0, 0, 1, 1][:nion])
         self.ions = ParticleSet("ion0", rng.uniform(0, 6, (nion, 3)),
-                                self.lat, isp, ion_ids, layout="both")
+                                self.lat, isp, ion_ids)
         self.aa = create_aa_table(n, self.lat, "otf")
         self.aa_ref = create_aa_table(n, self.lat, "ref")
         self.ab = create_ab_table(self.ions, n, self.lat, "soa")

@@ -70,7 +70,7 @@ class TestSpinGroupBlocks:
         rng = np.random.default_rng(5)
         ids = np.array([0] * (n // 2) + [1] * (n - n // 2))
         P = ParticleSet("e", rng.uniform(0, 6, (n, 3)), jsetup.lat,
-                        SpeciesSet.electrons(), ids, layout="both")
+                        SpeciesSet.electrons(), ids)
         P.add_table(create_aa_table(n, jsetup.lat, flavor,
                                     dtype=policy.value_dtype))
         P.update_tables()

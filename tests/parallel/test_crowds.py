@@ -6,11 +6,15 @@ The load-bearing claims, from the module's determinism contract:
   are **bitwise identical** for workers in {0, 1, N}, VMC and DMC alike;
 * shared-memory segments are gone from ``/dev/shm`` after a normal run
   *and* after an injected worker death;
-* a killed worker is detected and respawned, and the post-crash trace
-  is bitwise equal to the crash-free one;
+* a killed worker, or a live one that stops answering, is detected and
+  respawned, and the post-crash trace is bitwise equal to the crash-free
+  one;
+* a reply that does not match its command (wrong kind or step) raises
+  ``CollectiveOrderError``, sanitizers armed or not;
 * each worker's metrics tree is merged into the parent registry;
-* no walker state rides the pipes: the pickled bytes a generation puts
-  on the wire do not grow with the population.
+* no walker state rides the pipes: a generation is one command and one
+  reply per worker, and their pickled bytes do not grow with the
+  population.
 
 Workloads are deliberately tiny (n=8 electrons, 6 walkers, 3 steps):
 these are correctness tests, so oversubscribing a small host with more
@@ -19,21 +23,25 @@ are the end-to-end benchmark's (``j96-dmc-w2`` vs ``j96-dmc-serial``).
 """
 
 import glob
+import multiprocessing as mp
 import os
 import pickle
 import tempfile
+import time
+from multiprocessing.connection import Connection
 
 import numpy as np
 import pytest
 
+from repro.batched.driver import BatchedCrowdDriver
 from repro.batched.system import JastrowSystemSpec
-from repro.sanitizers import ShmRaceError
+from repro.sanitizers import CollectiveOrderError, ShmRaceError
 from repro.metrics.profile import category_view
 from repro.metrics.registry import METRICS
 from repro.output.stream import StreamSet, TraceReader
+from repro.parallel import crowds
 from repro.parallel.crowds import ParallelCrowdDriver
 from repro.parallel.shm import SharedTraceBlock, SharedWalkerState
-from repro.parallel.shmcomm import SharedMemComm
 
 N = 8
 WALKERS = 6
@@ -106,7 +114,8 @@ class TestBitwiseDeterminism:
         drv, res, _ = _run(spec, 2, "vmc")
         assert res.extra["workers"] == 2.0
         assert res.extra["respawns"] == 0.0
-        assert res.extra["comm_allreduces"] > 0
+        # command rounds: ready, one per generation, stop
+        assert res.extra["comm_allreduces"] == STEPS + 2
         assert res.extra["worker_moves"] == STEPS * WALKERS * N
         assert 0.0 < res.acceptance <= 1.0
 
@@ -124,11 +133,11 @@ class TestShmLifecycle:
         _run(spec, 2, "dmc", crash_plan={0: 2})
         assert _shm_segments() == before
 
-    def test_segments_released_when_run_raises(self, spec):
+    def test_segments_released_when_run_raises(self, spec, monkeypatch):
+        monkeypatch.setattr(crowds, "MAX_RESPAWNS", 0)
         before = _shm_segments()
         drv = ParallelCrowdDriver(spec, WALKERS, SEED, workers=2,
-                                  timestep=0.3, crash_plan={0: 1, 1: 1},
-                                  max_respawns=0, liveness_poll=0.05)
+                                  timestep=0.3, crash_plan={0: 1, 1: 1})
         with pytest.raises(RuntimeError, match="gave up"):
             drv.run(STEPS, mode="vmc")
         assert _shm_segments() == before
@@ -158,25 +167,76 @@ class TestCrashRecovery:
     def test_respawned_run_is_bitwise_identical(self, spec, serial_vmc,
                                                 serial_dmc, mode):
         ref = serial_vmc if mode == "vmc" else serial_dmc
-        drv, *run = _run(spec, 2, mode, crash_plan={1: 2},
-                         liveness_poll=0.05)
+        drv, *run = _run(spec, 2, mode, crash_plan={1: 2})
         assert drv.respawns == 1
         assert run[0].extra["respawns"] == 1.0
         _assert_same_trace(ref, run, mode)
 
     def test_crash_in_first_generation(self, spec, serial_vmc):
-        drv, *run = _run(spec, 3, "vmc", crash_plan={2: 1},
-                         liveness_poll=0.05)
+        drv, *run = _run(spec, 3, "vmc", crash_plan={2: 1})
         assert drv.respawns == 1
         _assert_same_trace(serial_vmc, run, "vmc")
 
-    def test_gives_up_after_max_respawns(self, spec):
-        # incarnation 0 crashes both workers; max_respawns=0 forbids retry
+    def test_gives_up_after_max_respawns(self, spec, monkeypatch):
+        # incarnation 0 crashes worker 0; MAX_RESPAWNS = 0 forbids retry
+        monkeypatch.setattr(crowds, "MAX_RESPAWNS", 0)
         drv = ParallelCrowdDriver(spec, WALKERS, SEED, workers=2,
-                                  timestep=0.3, crash_plan={0: 1},
-                                  max_respawns=0, liveness_poll=0.05)
+                                  timestep=0.3, crash_plan={0: 1})
         with pytest.raises(RuntimeError, match="gave up after 0 respawns"):
             drv.run(STEPS, mode="vmc")
+
+    def test_silent_worker_is_respawned_bitwise(self, spec, serial_dmc,
+                                                monkeypatch, tmp_path):
+        """A worker that is alive but stops answering (the sentinel
+        never fires) is caught by SYNC_TIMEOUT, and the rerun is the
+        crash-free trace."""
+        marker = str(tmp_path / "wedged")
+        run_generation = BatchedCrowdDriver.run_generation
+
+        def wedge_once(crowd, step, e_trial):
+            if step == 2:
+                try:  # the first crowd process to get here wedges, once
+                    os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+                except FileExistsError:
+                    pass
+                else:
+                    time.sleep(60.0)  # until the parent terminates it
+            return run_generation(crowd, step, e_trial)
+
+        # set before the fork, so the pool's children inherit both
+        monkeypatch.setattr(BatchedCrowdDriver, "run_generation",
+                            wedge_once)
+        monkeypatch.setattr(crowds, "SYNC_TIMEOUT", 1.0)
+        t0 = time.monotonic()
+        drv, *run = _run(spec, 2, "dmc")
+        assert os.path.exists(marker)
+        assert drv.respawns == 1
+        assert time.monotonic() - t0 < 30.0
+        _assert_same_trace(serial_dmc, run, "dmc")
+
+
+class TestReplyCheck:
+    """Every reply must answer the command the parent sent: the parent
+    checks its kind and step on receipt, with the sanitizers off too."""
+
+    @pytest.mark.parametrize("wrong", ["step", "kind"])
+    def test_mismatched_reply_raises(self, spec, monkeypatch, wrong):
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        send = Connection.send
+
+        def skewed(conn, msg):
+            if (mp.current_process().name == "repro-crowd-1"
+                    and msg[:2] == ("done", 2)):
+                msg = (("done", 3) if wrong == "step"
+                       else ("final", 2)) + msg[2:]
+            return send(conn, msg)
+
+        # set before the fork, so the pool's children inherit it
+        monkeypatch.setattr(Connection, "send", skewed)
+        before = _shm_segments()
+        with pytest.raises(CollectiveOrderError, match="crowd 1 replied"):
+            _run(spec, 2, "vmc")
+        assert _shm_segments() == before
 
 
 class TestMetricsMerge:
@@ -220,33 +280,38 @@ class TestMetricsMerge:
 
 class TestWireBytes:
     """Walker arrays cross processes only through shared memory.  A
-    generation's wire traffic is one ``("gen", step, e_trial)`` bcast
-    plus one ``("done", accepts)`` allgather, so its pickled size is the
-    same at W = 8 and W = 64 up to the widths of pickled integers."""
+    generation's wire traffic is one ``("gen", step, e_trial)`` command
+    and one ``("done", step, accepts)`` reply per worker, so its pickled
+    size is the same at W = 8 and W = 64 up to the widths of pickled
+    integers."""
 
-    def _wire_bytes(self, spec, monkeypatch, walkers, steps):
-        """Pickled bytes of every message the parent sends or receives
-        over one 2-worker DMC run (every message passes through rank 0)."""
+    def _wire(self, spec, monkeypatch, walkers, steps):
+        """(messages, pickled bytes) the parent sends and receives over
+        one 2-worker DMC run (every message passes through the
+        parent)."""
+        parent = os.getpid()
         sizes = []
-        send, recv = SharedMemComm._send_raw, SharedMemComm._recv_routed
+        send, recv = Connection.send, Connection.recv
 
-        def counted_send(comm, dst, msg):
-            sizes.append(len(pickle.dumps(msg)))
-            return send(comm, dst, msg)
+        def counted_send(conn, msg):
+            if os.getpid() == parent:
+                sizes.append(len(pickle.dumps(msg)))
+            return send(conn, msg)
 
-        def counted_recv(comm, src, timeout):
-            msg = recv(comm, src, timeout)
-            sizes.append(len(pickle.dumps(msg)))
+        def counted_recv(conn):
+            msg = recv(conn)
+            if os.getpid() == parent:
+                sizes.append(len(pickle.dumps(msg)))
             return msg
 
         with monkeypatch.context() as m:
-            m.setattr(SharedMemComm, "_send_raw", counted_send)
-            m.setattr(SharedMemComm, "_recv_routed", counted_recv)
+            m.setattr(Connection, "send", counted_send)
+            m.setattr(Connection, "recv", counted_recv)
             drv = ParallelCrowdDriver(spec, walkers, SEED, workers=2,
                                       timestep=0.3)
             with drv:
                 drv.run(steps, mode="dmc")
-        return sum(sizes)
+        return len(sizes), sum(sizes)
 
     def test_generation_bytes_independent_of_walker_count(self, spec,
                                                           monkeypatch):
@@ -254,11 +319,14 @@ class TestWireBytes:
         per_gen = {}
         for walkers in (8, 64):
             # The difference of two runs cancels spawn and shutdown.
-            per_gen[walkers] = (
-                self._wire_bytes(spec, monkeypatch, walkers, G + extra)
-                - self._wire_bytes(spec, monkeypatch, walkers, G)) / extra
-        assert all(b < 1024 for b in per_gen.values()), per_gen
-        assert per_gen[64] - per_gen[8] <= 16, per_gen
+            (m0, b0), (m1, b1) = (
+                self._wire(spec, monkeypatch, walkers, steps)
+                for steps in (G, G + extra))
+            per_gen[walkers] = ((m1 - m0) / extra, (b1 - b0) / extra)
+        # one command out and one reply back per worker (2 workers)
+        assert all(msgs == 2 * 2 for msgs, _ in per_gen.values()), per_gen
+        assert all(b < 1024 for _, b in per_gen.values()), per_gen
+        assert per_gen[64][1] - per_gen[8][1] <= 16, per_gen
 
 
 class TestArgumentHandling:
@@ -279,8 +347,8 @@ class TestArgumentHandling:
 
 
 class TestRuntimeSanitizers:
-    """REPRO_SANITIZE=1 arms the ShmRace/RngStream/CollectiveOrder
-    sanitizers inside the driver.  The env var (not force_sanitizers)
+    """REPRO_SANITIZE=1 arms the ShmRace/RngStream sanitizers inside the
+    driver.  The env var (not force_sanitizers)
     is what the tests set so spawned pool workers inherit it."""
 
     def test_armed_vmc_trace_unchanged(self, spec, serial_vmc, monkeypatch):

@@ -17,21 +17,6 @@ class TestLayouts:
             assert np.allclose(electrons.R[i], electrons.R_aos[i].x)
             assert np.allclose(electrons.R[i], electrons.Rsoa[i])
 
-    def test_aos_only(self, rng, cubic_lattice):
-        p = ParticleSet("e", rng.uniform(0, 6, (4, 3)), cubic_lattice,
-                        layout="aos")
-        assert p.R_aos is not None and p.Rsoa is None
-
-    def test_soa_only(self, rng, cubic_lattice):
-        p = ParticleSet("e", rng.uniform(0, 6, (4, 3)), cubic_lattice,
-                        layout="soa")
-        assert p.Rsoa is not None and p.R_aos is None
-
-    def test_invalid_layout_raises(self, rng, cubic_lattice):
-        with pytest.raises(ValueError):
-            ParticleSet("e", rng.uniform(0, 6, (4, 3)), cubic_lattice,
-                        layout="wat")
-
     def test_bad_positions_raise(self, cubic_lattice):
         with pytest.raises(ValueError):
             ParticleSet("e", np.zeros((4, 2)), cubic_lattice)

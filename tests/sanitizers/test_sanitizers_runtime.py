@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sanitizers import (
-    CollectiveOrderChecker, CollectiveOrderError, RngStreamSanitizer,
-    RngStreamError, ShmRaceSanitizer, ShmRaceError,
+    RngStreamSanitizer, RngStreamError, ShmRaceSanitizer, ShmRaceError,
 )
 
 
@@ -86,27 +85,3 @@ class TestRngStreamSanitizer:
         assert np.random.rand is before
 
 
-class TestCollectiveOrderChecker:
-    def test_agreeing_logs_verify(self):
-        checker = CollectiveOrderChecker()
-        log = [(0, "bcast"), (1, "allreduce"), (2, "allgather")]
-        checker.add_sequence(0, log)
-        checker.add_sequence(1, list(log))
-        checker.verify()
-
-    def test_kind_divergence_detected(self):
-        checker = CollectiveOrderChecker()
-        checker.add_sequence(0, [(0, "allreduce")])
-        checker.add_sequence(1, [(0, "allgather")])
-        with pytest.raises(CollectiveOrderError, match="allgather"):
-            checker.verify()
-
-    def test_missing_participation_detected(self):
-        checker = CollectiveOrderChecker()
-        checker.add_sequence(0, [(0, "bcast"), (1, "barrier")])
-        checker.add_sequence(1, [(0, "bcast")])
-        with pytest.raises(CollectiveOrderError):
-            checker.verify()
-
-    def test_empty_checker_verifies(self):
-        CollectiveOrderChecker().verify()

@@ -1,4 +1,4 @@
-"""SharedCoefSlab lifecycle, read-only enforcement, and crowd parity.
+"""SharedCoefSlab lifecycle, read-only enforcement, and evaluation parity.
 
 The load-bearing claims from docs/spline_memory.md:
 
@@ -7,30 +7,31 @@ The load-bearing claims from docs/spline_memory.md:
   reap the parent's segment;
 * every mapping is read-only after the one-time fill: an in-place
   write raises in any process;
-* a slab-backed spline is bitwise-indistinguishable from the
-  in-process table, end to end: the SpoNorm trace component of
-  :class:`~repro.parallel.crowds.ParallelCrowdDriver` comes out
-  bitwise identical for workers in {0, 2};
+* a slab-backed spline evaluates bitwise like the in-process table;
 * a slab keeps its source table's storage dtype: an fp32 table (every
   ``VersionConfig``'s spline dtype) shares half the bytes.
 """
 
 import gc
 import glob
+import multiprocessing as mp
+import os
 
 import numpy as np
 import pytest
 
 from repro.batched.spo import batched_multi_vgh
-from repro.batched.system import JastrowSystemSpec
-from repro.output.stream import StreamSet, TraceReader
-from repro.parallel.crowds import ParallelCrowdDriver
 from repro.splines.bspline3d import BSpline3D
 from repro.splines.slab import SharedCoefSlab
 
 
 def _slab_segments():
     return sorted(glob.glob("/dev/shm/repro-slab-*"))
+
+
+def _attach_and_die(descriptor):
+    SharedCoefSlab.attach(descriptor)
+    os._exit(9)  # no close(), no interpreter shutdown
 
 
 def _fit(dtype):
@@ -71,6 +72,21 @@ class TestLifecycle:
         slab.close()
         slab.close()
         slab.unlink()
+
+    def test_violent_attacher_death_leaves_the_segment(self, spline):
+        # A worker that maps the slab and dies without cleanup must not
+        # reap the parent's segment; the owner still unlinks it once.
+        before = _slab_segments()
+        ctx = mp.get_context("fork")
+        with SharedCoefSlab.promote(spline) as slab:
+            proc = ctx.Process(target=_attach_and_die,
+                               args=(slab.descriptor,))
+            proc.start()
+            proc.join(timeout=30.0)
+            assert proc.exitcode == 9
+            assert glob.glob(f"/dev/shm/{slab.name}")
+            np.testing.assert_array_equal(slab.coefs, spline.coefs)
+        assert _slab_segments() == before
 
     def test_forgotten_owner_is_finalized(self, spline):
         before = _slab_segments()
@@ -125,60 +141,3 @@ class TestSlabBackedEvaluation:
             for a, b in zip(batched_multi_vgh(single, points),
                             batched_multi_vgh(half.as_spline(), points)):
                 np.testing.assert_array_equal(a, b)
-
-
-class TestCrowdIntegration:
-    N = 8
-    WALKERS = 6
-    STEPS = 3
-    SEED = 11
-
-    @pytest.fixture(scope="class")
-    def spec(self):
-        return JastrowSystemSpec(n=self.N, seed=7)
-
-    def _run(self, spec, spline, workers, trace=None, **kwargs):
-        drv = ParallelCrowdDriver(spec, self.WALKERS, self.SEED,
-                                  workers=workers, timestep=0.3,
-                                  spo_slab=spline, **kwargs)
-        with drv, StreamSet(trace_path=trace) as streams:
-            res = drv.run(self.STEPS, mode="vmc", streams=streams)
-        return res
-
-    def test_sponorm_component_present(self, spec, spline):
-        res = self._run(spec, spline, 0)
-        assert "SpoNorm" in res.online.names()
-
-    @pytest.mark.parametrize("workers", [2])
-    def test_trace_bitwise_across_worker_counts(self, spec, spline,
-                                                workers, tmp_path):
-        paths = [str(tmp_path / "serial.trace"), str(tmp_path / "multi.trace")]
-        serial = self._run(spec, spline, 0, trace=paths[0])
-        multi = self._run(spec, spline, workers, trace=paths[1])
-        assert multi.energies == serial.energies
-        with TraceReader(paths[0]) as a, TraceReader(paths[1]) as b:
-            for name in serial.online.names():
-                np.testing.assert_array_equal(b.series(name), a.series(name))
-
-    def test_no_segments_leak_after_run(self, spec, spline):
-        before = _slab_segments()
-        self._run(spec, spline, 2)
-        assert _slab_segments() == before
-
-    def test_no_segments_leak_after_worker_death(self, spec, spline):
-        # Injected death: crowd 0 calls os._exit mid-generation 2; the
-        # parent respawns it and the owner still unlinks exactly once.
-        before = _slab_segments()
-        res = self._run(spec, spline, 2, crash_plan={0: 2})
-        assert _slab_segments() == before
-        serial = self._run(spec, spline, 0)
-        assert res.energies == serial.energies  # post-crash trace bitwise
-
-    def test_preattached_slab_is_not_unlinked_by_driver(self, spec,
-                                                        spline):
-        slab = SharedCoefSlab.promote(spline)
-        try:
-            self._run(spec, slab, 2)
-            assert glob.glob(f"/dev/shm/{slab.name}")  # caller still owns
-        finally:
-            slab.close()
