@@ -19,11 +19,11 @@ no worker processes it runs the one in-process crowd driver,
 
 from repro.parallel.cluster import (Interconnect, ScalingPoint, SimCluster,
                                     balance_plan)
-from repro.parallel.shm import SharedTraceBlock, SharedWalkerState
+from repro.parallel.shm import SharedWalkerState
 from repro.parallel.crowds import ParallelCrowdDriver
 
 __all__ = [
     "SimCluster", "Interconnect", "ScalingPoint", "balance_plan",
-    "SharedWalkerState", "SharedTraceBlock",
+    "SharedWalkerState",
     "ParallelCrowdDriver",
 ]

@@ -8,19 +8,21 @@ weights, log Psi, E_L, age — lives in one
 :class:`~repro.parallel.shm.SharedWalkerState` segment; every worker's
 ``WalkerBatch`` is built over *strided views* of that segment
 (``arr[c::K]``), so an accepted Metropolis move is committed straight
-into shared memory and **no walker state is ever pickled per step**
+into shared memory and **no walker position is ever pickled**
 (``tests/parallel/test_crowds.py`` measures the wire bytes per
-generation).
+generation).  That segment is the only one the pool maps.
 
 The control plane is a star of pipes, one per crowd, and every exchange
 on it is one command out and one reply back.  Per generation the parent
 sends ``("gen", step, e_trial)`` and each crowd answers ``("done", step,
-accepts)``; the parent checks every reply's kind and step against the
-command it sent and raises :class:`~repro.sanitizers.CollectiveOrderError`
-on a mismatch.  It then reduces E_mixed **in walker order over the full
-shared arrays** — the shared-memory form of the paper's one E_T
-allreduce per generation (Alg. 1, L14), and the reason the results are
-bitwise independent of the worker count.  DMC branching
+(accepts, rows))``, where ``rows`` is one float64 block of its walkers'
+E_L, pre-branch weights and Hamiltonian components; the parent checks
+every reply's kind and step against the command it sent and raises
+:class:`~repro.sanitizers.CollectiveOrderError` on a mismatch.  It then
+interleaves the rows into walker order and reduces E_mixed **in walker
+order over the full population** — the single-node form of the paper's
+one E_T allreduce per generation (Alg. 1, L14), and the reason the
+results are bitwise independent of the worker count.  DMC branching
 (stochastic-reconfiguration comb, fixed population) is applied by the
 parent directly to the shared block, which *is* the walker migration
 between crowds: a clone landing in another crowd's slot is nothing more
@@ -41,7 +43,8 @@ Crash semantics: every generation starts with a parent-side checkpoint
 of the shared block.  The parent waits on the pipes still owed a reply
 and on the worker processes' sentinels, so a dead worker wakes it at
 once and a live but silent one is caught after ``SYNC_TIMEOUT``; the
-parent then terminates the pool, restores the checkpoint, respawns all
+parent then terminates the pool at once (only after "stop" does it wait
+for workers to exit), restores the checkpoint, respawns all
 crowds with ``start_generation = g`` (workers fast-forward their
 walkers' RNG streams by replaying the per-generation draw pattern) and
 re-issues generation ``g`` — so the post-crash energy trace is bitwise
@@ -70,7 +73,7 @@ from repro.drivers.result import QMCResult
 from repro.sanitizers import (CollectiveOrderError, RngStreamSanitizer,
                               ShmRaceSanitizer, sanitizers_enabled)
 from repro.metrics.registry import METRICS
-from repro.parallel.shm import SharedTraceBlock, SharedWalkerState
+from repro.parallel.shm import SharedWalkerState
 
 __all__ = ["ParallelCrowdDriver"]
 
@@ -128,15 +131,12 @@ def _host_crowd(spec: JastrowSystemSpec, state: SharedWalkerState,
     return drv
 
 
-def _record_row(trace: SharedTraceBlock, row: int, cols: slice,
-                gen: Generation, names: tuple) -> None:
-    """Write one crowd's generation into its columns of the trace block
-    (strided shared-memory columns — never pickled), components in
-    ``names`` order."""
-    trace.local_energy[row, cols] = gen.energies
-    trace.weight[row, cols] = gen.weights
-    for i, name in enumerate(names):
-        trace.components[row, cols, i] = gen.components[name]
+def _rows(gen: Generation, names: tuple) -> np.ndarray:
+    """One crowd's generation as the one block its "done" reply carries:
+    E_L, the pre-branch weight, then the Hamiltonian components in
+    ``names`` order, one row each and one column per walker."""
+    return np.stack((gen.energies, gen.weights,
+                     *(gen.components[name] for name in names)))
 
 
 @dataclass
@@ -150,31 +150,19 @@ class _WorkerConfig:
     n_crowds: int
     timestep: float
     use_drift: bool
-    steps: int
     start_generation: int
     state_name: str
-    trace_name: str
-    #: trace-block component columns: the Hamiltonian terms
-    component_names: tuple
     #: this crowd's end of its pipe to the parent
     conn: Connection
     metrics_enabled: bool
-    crash_generation: Optional[int] = None  # injected-fault hook (tests)
-    #: injected-fault hook (tests): after running this generation, write
-    #: into a *frozen* trace row out of band — the race the
-    #: ShmRaceSanitizer quiescent-window checksums must catch
-    race_generation: Optional[int] = None
-    #: generations completed before this run (full-run resume);
-    #: trace-block row 0 holds generation ``trace_base + 1``
-    trace_base: int = 0
 
 
 def _worker_main(cfg: _WorkerConfig) -> None:
-    """Worker-process entry: attach shared blocks, host this crowd, then
-    answer each command from the parent with one reply until "stop"."""
+    """Worker-process entry: attach the walker block, host this crowd,
+    then answer each command from the parent with one reply until
+    "stop"."""
     conn = cfg.conn
     state = None
-    trace = None
     failed = False
     armed = False
     try:
@@ -187,33 +175,19 @@ def _worker_main(cfg: _WorkerConfig) -> None:
             armed = True
         state = SharedWalkerState.attach(
             cfg.state_name, cfg.total_walkers, cfg.spec.n)
-        trace = SharedTraceBlock.attach(
-            cfg.trace_name, cfg.steps, cfg.total_walkers,
-            len(cfg.component_names))
         crowd = _host_crowd(
             cfg.spec, state, cfg.crowd, cfg.n_crowds, cfg.master_seed,
             cfg.timestep, cfg.use_drift, cfg.start_generation)
-        cols = slice(cfg.crowd, None, cfg.n_crowds)
         conn.send(("ready", cfg.start_generation, None))
         with METRICS.scope("Crowd"):
             while True:
                 kind, step, e_trial = conn.recv()
                 if kind == "stop":
                     break
-                if (cfg.crash_generation is not None
-                        and step >= cfg.crash_generation):
-                    os._exit(23)  # injected fault: die without cleanup
-                _record_row(trace, step - 1 - cfg.trace_base, cols,
-                            crowd.run_generation(step, e_trial),
-                            cfg.component_names)
-                if cfg.race_generation == step and step >= 2:
-                    # Injected fault, a deliberate race: scribble on a
-                    # frozen history row outside its generation's commit —
-                    # exactly the out-of-band mutation the parent's
-                    # quiescent-window checksums exist to catch.
-                    trace.local_energy[0, cfg.crowd] += 1.0
+                gen = crowd.run_generation(step, e_trial)
                 conn.send(("done", step,
-                           int(np.sum(crowd.last_sweep_accepts))))
+                           (int(np.sum(crowd.last_sweep_accepts)),
+                            _rows(gen, crowd.ham.names))))
         conn.send(("final", step, {
             "crowd": cfg.crowd,
             "n_moves": crowd.n_moves,
@@ -225,12 +199,11 @@ def _worker_main(cfg: _WorkerConfig) -> None:
     finally:
         if armed:
             RngStreamSanitizer.disarm()
-        for obj in (trace, state):
-            if obj is not None:
-                try:
-                    obj.close()
-                except Exception:  # pragma: no cover
-                    pass
+        if state is not None:
+            try:
+                state.close()
+            except Exception:  # pragma: no cover
+                pass
         conn.close()
     if failed:
         os._exit(1)
@@ -249,9 +222,7 @@ class ParallelCrowdDriver(CrowdLoop):
 
     def __init__(self, spec: JastrowSystemSpec, nwalkers: int,
                  master_seed: int, workers: int = 0, timestep: float = 0.5,
-                 use_drift: bool = True,
-                 crash_plan: Optional[Dict[int, int]] = None,
-                 race_plan: Optional[Dict[int, int]] = None):
+                 use_drift: bool = True):
         if nwalkers < 1:
             raise ValueError(f"need at least one walker, got {nwalkers}")
         if workers < 0:
@@ -262,15 +233,6 @@ class ParallelCrowdDriver(CrowdLoop):
         self.workers = min(int(workers), self.nw)
         self.tau = float(timestep)
         self.use_drift = use_drift
-        #: {crowd: generation} — worker ``crowd`` (incarnation 0 only)
-        #: calls ``os._exit`` on reaching that generation; test hook for
-        #: the detect-and-respawn path.  Ignored when ``workers == 0``.
-        self.crash_plan = dict(crash_plan) if crash_plan else None
-        #: {crowd: generation} — worker ``crowd`` (incarnation 0 only)
-        #: writes a frozen trace row out of band after that generation;
-        #: test hook proving the ShmRaceSanitizer fires.  Only active
-        #: when sanitizers are armed (the write itself always happens).
-        self.race_plan = dict(race_plan) if race_plan else None
         # fork where the platform has it: cheapest respawn; spawn also works
         self._ctx = mp.get_context(
             "fork" if "fork" in mp.get_all_start_methods() else None)
@@ -282,7 +244,6 @@ class ParallelCrowdDriver(CrowdLoop):
         self._procs: Dict[int, mp.process.BaseProcess] = {}
         self._conns: Dict[int, Connection] = {}
         self._state = None
-        self._trace = None
         self._race: Optional[ShmRaceSanitizer] = None
         #: generation-start copy of the shared block (crash recovery)
         self._snapshot: Optional[Dict[str, np.ndarray]] = None
@@ -291,11 +252,11 @@ class ParallelCrowdDriver(CrowdLoop):
 
     # -- the run -----------------------------------------------------------------
     def run(self, steps: int = 10, mode: str = "vmc", streams=None,
-            resume=None, abort_after: Optional[int] = None) -> QMCResult:
+            resume=None) -> QMCResult:
         """Run ``steps`` generations; one fresh worker pool per call.
 
         ``streams`` (a :class:`repro.output.stream.StreamSet`) streams
-        each generation's walker-ordered trace row to the binary trace +
+        each generation's walker-ordered rows to the binary trace +
         online reblocker and checkpoints the full run every
         ``checkpoint_every`` generations.  ``resume`` (a ``kind ==
         "crowd"`` :class:`~repro.output.runstate.RunCheckpoint`, written
@@ -306,14 +267,9 @@ class ParallelCrowdDriver(CrowdLoop):
         recovery bitwise, so the continued trace and error bars equal an
         uninterrupted run's; a checkpoint of another run (mode,
         population, seed, time step, drift or model) is refused with a
-        ValueError.  ``abort_after`` is the pool's kill hook for the
-        restart battery: the parent ``os._exit(17)`` s right after that
-        generation's checkpoint, like a SIGKILL landing between
-        generations (shared segments are left for the harness to reap).
+        ValueError.
         """
         if self.workers == 0:
-            if abort_after is not None:
-                raise ValueError("abort_after needs workers >= 1")
             t_setup = time.perf_counter()
             crowd = BatchedCrowdDriver(self.spec, self.nw, self.master_seed,
                                        self.tau, self.use_drift)
@@ -324,17 +280,11 @@ class ParallelCrowdDriver(CrowdLoop):
             return result
         self._branch_rng = None  # each pool run starts a fresh population
         start_gen = self._start(steps, mode, resume)
-        self._steps = int(steps)
-        self._trace_base = start_gen
-        self._abort_after = abort_after
-        self._incarnation = 0
         self.respawns = 0
         self.n_moves = self.n_accept = 0
         self._rounds = 0
         t_setup = time.perf_counter()
         self._state = SharedWalkerState.create(self.nw, self.spec.n)
-        self._trace = SharedTraceBlock.create(steps, self.nw,
-                                              len(self._ham_names))
         if resume is not None:
             self._restore_walkers(resume)
         else:
@@ -346,7 +296,7 @@ class ParallelCrowdDriver(CrowdLoop):
             setup_s = time.perf_counter() - t_setup
             result = self._run_crowd(steps, streams, start_gen, resume,
                                      f"crowds x{self.workers}", "Parallel")
-            worker_stats = self._finalize()
+            worker_stats = self._finalize(start_gen + steps + 1)
         finally:
             self.close()
         result.extra.update(workers=float(self.workers),
@@ -363,34 +313,24 @@ class ParallelCrowdDriver(CrowdLoop):
         return self._state, self._state.source
 
     def _advance(self, step: int, e_trial: Optional[float]) -> Generation:
-        """One generation across the pool; the pre-reweight rows come
-        back through the trace block in walker order, so the recorded
-        trace and online results are bitwise independent of the worker
-        count."""
+        """One generation across the pool.  Each crowd's "done" reply
+        carries its walkers' pre-reweight rows, interleaved here into
+        walker order, so the recorded trace and online results are
+        bitwise independent of the worker count."""
         self._snapshot = self._block_state()
         self._race_state("verify")
-        self._race_history("seal", step)
-        self.n_accept += self._parallel_generation(step, e_trial)
+        rows = np.empty((2 + len(self._ham_names), self.nw))
+        for crowd, (accepts, block) in enumerate(
+                self._parallel_generation(step, e_trial)):
+            self.n_accept += accepts
+            rows[:, crowd::self.workers] = block
         self.n_moves += self.nw * self.spec.n
-        self._race_history("verify", step)
-        trace = self._trace
-        row = step - 1 - self._trace_base
-        return Generation(
-            np.array(trace.local_energy[row]), np.array(trace.weight[row]),
-            {name: np.array(trace.components[row, :, i])
-             for i, name in enumerate(self._ham_names)})
+        energies, weights, *components = rows
+        return Generation(energies, weights,
+                          dict(zip(self._ham_names, components)))
 
     def _end_generation(self, step: int) -> None:
         self._race_state("seal")
-        if self._abort_after is not None and step >= self._abort_after:
-            # Restart-battery kill hook: die like a SIGKILL between
-            # generations — checkpoint and trace are already durable; no
-            # flush/close/unlink runs.  Workers are torn down first only
-            # because each inherits the parent's ends of the pipes made
-            # before it at fork: orphans would block in recv() holding
-            # each other's pipes open (they carry no durable state).
-            self._terminate_pool()
-            os._exit(17)
 
     # -- shm race quiescent windows (ShmRaceSanitizer, armed runs only) ----------
     def _race_state(self, op: str) -> None:
@@ -403,38 +343,20 @@ class ParallelCrowdDriver(CrowdLoop):
                 getattr(self._race, op)(f"state/{name}",
                                         getattr(self._state, name))
 
-    def _race_history(self, op: str, step: int) -> None:
-        """``seal`` the frozen trace history before workers write row
-        ``step - 1``; ``verify`` it once every worker's "done" reply has
-        happened-before — so an out-of-band write to the history is
-        detected deterministically, not probabilistically."""
-        hist = step - 1 - self._trace_base
-        if self._race is not None and hist > 0:
-            for name in ("local_energy", "weight", "components"):
-                getattr(self._race, op)(f"trace/{name}",
-                                        getattr(self._trace, name)[:hist])
-
     # -- process-pool management -------------------------------------------------
     def _spawn_pool(self, start_generation: int) -> None:
         """Spawn all K crowd processes, one pipe each, and take every
         crowd's "ready" reply (engines built, E_L initialized)."""
-        crash_plan = self.crash_plan if self._incarnation == 0 else None
-        race_plan = self.race_plan if self._incarnation == 0 else None
-        self._incarnation += 1
         for crowd in range(self.workers):
             parent_end, child_end = self._ctx.Pipe()
             cfg = _WorkerConfig(
                 spec=self.spec, master_seed=self.master_seed,
                 total_walkers=self.nw, crowd=crowd,
                 n_crowds=self.workers, timestep=self.tau,
-                use_drift=self.use_drift, steps=self._steps,
+                use_drift=self.use_drift,
                 start_generation=start_generation,
-                state_name=self._state.name, trace_name=self._trace.name,
-                component_names=self._ham_names, conn=child_end,
-                metrics_enabled=METRICS.enabled,
-                crash_generation=(crash_plan or {}).get(crowd),
-                race_generation=(race_plan or {}).get(crowd),
-                trace_base=self._trace_base)
+                state_name=self._state.name, conn=child_end,
+                metrics_enabled=METRICS.enabled)
             proc = self._ctx.Process(
                 target=_worker_main, args=(cfg,),
                 name=f"repro-crowd-{crowd}", daemon=True)
@@ -498,13 +420,14 @@ class ParallelCrowdDriver(CrowdLoop):
         return [replies[c] for c in sorted(replies)]
 
     def _parallel_generation(self, step: int,
-                             e_trial: Optional[float]) -> int:
+                             e_trial: Optional[float]) -> List:
         """One generation across the pool, surviving worker crashes: the
-        "gen" command out, each crowd's accepted-move count back."""
+        "gen" command out, each crowd's ``(accepts, rows)`` back in crowd
+        order."""
         while True:
             try:
                 self._ensure_pool(step)
-                return sum(self._round("gen", step, e_trial))
+                return self._round("gen", step, e_trial)
             except _WorkerDown as exc:
                 self._handle_crash(exc)
 
@@ -526,9 +449,14 @@ class ParallelCrowdDriver(CrowdLoop):
         if self._snapshot is not None:
             self._restore_block(self._snapshot)
 
-    def _terminate_pool(self) -> None:
-        for proc in self._procs.values():
-            proc.join(timeout=0.5)  # grace for workers already exiting
+    def _terminate_pool(self, grace: float = 0.0) -> None:
+        """Tear the pool down.  Only workers told to "stop" exit on their
+        own, so only that path passes a ``grace`` to wait for them; after
+        a crash or an error the survivors sit in ``recv`` and are
+        terminated at once."""
+        if grace:
+            for proc in self._procs.values():
+                proc.join(timeout=grace)
         for proc in self._procs.values():
             if proc.is_alive():
                 proc.terminate()
@@ -541,11 +469,11 @@ class ParallelCrowdDriver(CrowdLoop):
         self._procs = {}
         self._conns = {}
 
-    def _finalize(self) -> List[dict]:
-        """Stop the pool and collect the one-shot final payloads (crowd
-        counters + metrics snapshots), merging each worker's metrics tree
-        into the parent registry in crowd order."""
-        step = self._trace_base + self._steps + 1
+    def _finalize(self, step: int) -> List[dict]:
+        """Stop the pool with command ``("stop", step)`` and collect the
+        one-shot final payloads (crowd counters + metrics snapshots),
+        merging each worker's metrics tree into the parent registry in
+        crowd order."""
         payloads = None
         while payloads is None:
             try:
@@ -560,17 +488,16 @@ class ParallelCrowdDriver(CrowdLoop):
         # every worker's final payload happened-before this point: the
         # state sealed after the last generation must be intact
         self._race_state("verify")
-        self._terminate_pool()
+        self._terminate_pool(grace=0.5)
         return payloads
 
     # -- lifecycle ---------------------------------------------------------------
     def close(self) -> None:
-        """Idempotent cleanup of the pool and the shared segments."""
+        """Idempotent cleanup of the pool and the walker segment."""
         self._terminate_pool()
-        for obj in (self._trace, self._state):
-            if obj is not None:
-                obj.close()
-        self._trace = self._state = None
+        if self._state is not None:
+            self._state.close()
+        self._state = None
         self._race = self._snapshot = None
 
     def __enter__(self) -> "ParallelCrowdDriver":

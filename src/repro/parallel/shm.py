@@ -9,11 +9,13 @@ at 64-byte-aligned offsets.  The parent process creates the segment;
 each worker process attaches by name and takes *strided numpy views* of
 its crowd's walkers (``arr[c::k]``), so an accepted Metropolis move is
 committed straight into shared memory by the batched driver's normal
-``WalkerBatch.commit`` write — no pickling of walker state, ever.
+``WalkerBatch.commit`` write — no pickling of walker positions, ever.
+It is the only segment the crowd pool maps: each generation's
+per-walker estimator rows ride the crowds' replies instead.
 
 Lifecycle contract (see docs/parallel_crowds.md), written once in
-:class:`_SharedBlock` for the walker state, the trace block and the
-B-spline coefficient slab (:mod:`repro.splines.slab`):
+:class:`_SharedBlock` for the walker state and the B-spline coefficient
+slab (:mod:`repro.splines.slab`):
 
 * the creating process calls :meth:`unlink` exactly once (idempotent);
   a ``weakref.finalize`` guard unlinks on interpreter exit if the owner
@@ -192,41 +194,3 @@ class SharedWalkerState(_SharedBlock):
     def __repr__(self) -> str:
         return (f"SharedWalkerState(nw={self.nw}, n={self.n}, "
                 f"name={self.name!r}, owner={self.owner})")
-
-
-class SharedTraceBlock(_SharedBlock):
-    """Per-(step, walker) estimator inputs in one block.
-
-    Workers write each generation's per-walker E_L, pre-branch weight and
-    Hamiltonian components straight into their crowd's columns
-    (``arr[step - 1, c::k]``), so the parent reads each generation's
-    whole row in deterministic walker order as soon as the generation
-    is done — identical across worker counts, and intact across a
-    worker crash (a re-run generation simply rewrites its row).
-    """
-
-    def __init__(self, steps: int, nwalkers: int, ncomp: int,
-                 name: Optional[str] = None, create: bool = False):
-        self.steps = int(steps)
-        self.nw = int(nwalkers)
-        self.ncomp = int(ncomp)
-        rows = (self.steps, self.nw)
-        super().__init__((("weight", rows, "float64"),
-                          ("local_energy", rows, "float64"),
-                          ("components", rows + (self.ncomp,), "float64")),
-                         name, create)
-
-    @classmethod
-    def create(cls, steps: int, nwalkers: int,
-               ncomp: int) -> "SharedTraceBlock":
-        return cls(steps, nwalkers, ncomp, fresh_name("repro-trace"),
-                   create=True)
-
-    @classmethod
-    def attach(cls, name: str, steps: int, nwalkers: int,
-               ncomp: int) -> "SharedTraceBlock":
-        return cls(steps, nwalkers, ncomp, name)
-
-    def as_arrays(self) -> Dict[str, np.ndarray]:
-        """Private copies of every field (safe to keep past close())."""
-        return {name: getattr(self, name).copy() for name in self._fields}

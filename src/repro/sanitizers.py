@@ -316,12 +316,12 @@ class ShmRaceSanitizer:
 
     The zero-copy contract (docs/parallel_crowds.md) divides time into
     epochs: between the parent's post-generation commit and the next
-    generation command, *nobody* writes the walker-state block; and a
-    trace row, once written by its generation, is frozen forever.  This
-    sanitizer seals a CRC32 over each such region when its quiescent
-    window opens and verifies it when the window closes — any mutation
-    in between is a race that the bitwise-determinism suite might only
-    catch probabilistically, surfaced here deterministically.
+    generation command (or the final "stop" reply), *nobody* writes the
+    walker-state block.  This sanitizer seals a CRC32 over each such
+    region when its quiescent window opens and verifies it when the
+    window closes — any mutation in between is a race that the
+    bitwise-determinism suite might only catch probabilistically,
+    surfaced here deterministically.
     """
 
     def __init__(self):

@@ -188,26 +188,39 @@ def _streams(root, resume=None):
     return StreamSet(meta={"battery": "restart"}, **paths)
 
 
-def _parallel_run(root, workers, mode, steps=STEPS, abort_after=None,
-                  resume=None):
+def _parallel_run(root, workers, mode, steps=STEPS, resume=None):
     streams = _streams(root, resume)
     drv = _crowd_driver(workers)
-    pool = {} if workers is None else {"abort_after": abort_after}
     with (contextlib.nullcontext() if workers is None else drv), streams:
-        res = drv.run(steps, mode=mode, streams=streams, resume=resume,
-                      **pool)
+        res = drv.run(steps, mode=mode, streams=streams, resume=resume)
     return res, streams.trace_path, os.path.join(root, "run.ckpt")
 
 
 def _abort_child(root, workers, mode):
     # Dies via os._exit(17) right after generation KILL_AFTER's branch:
     # no stream close, no driver close, no atexit — a hard kill.  The
-    # pool's parent dies through its abort_after hook; an in-process
-    # crowd runs KILL_AFTER generations and dies without closing its
-    # streams, which leaves the same durable state.
+    # pool's parent dies at the end of that generation, like a SIGKILL
+    # landing between generations (shared segments are left for
+    # _ReapShm); an in-process crowd runs KILL_AFTER generations and
+    # dies without closing its streams, which leaves the same durable
+    # state.
     if workers:
-        _parallel_run(root, workers, mode, abort_after=KILL_AFTER)
-        os._exit(0)  # abort_after did not fire: the test sees exit code 0
+        end_generation = ParallelCrowdDriver._end_generation
+
+        def kill_after(drv, step):
+            end_generation(drv, step)
+            if step >= KILL_AFTER:
+                # Workers go first only because each inherits the
+                # parent's ends of the pipes made before it at fork:
+                # orphans would block in recv() holding each other's
+                # pipes open (they carry no durable state).
+                drv._terminate_pool()
+                os._exit(17)
+
+        # this forked child is the pool's parent: the patch is its own
+        ParallelCrowdDriver._end_generation = kill_after
+        _parallel_run(root, workers, mode)
+        os._exit(0)  # the kill did not fire: the test sees exit code 0
     _crowd_driver(workers).run(KILL_AFTER, mode=mode, streams=_streams(root))
     os._exit(17)
 

@@ -4,17 +4,23 @@ The load-bearing claims, from the module's determinism contract:
 
 * energy traces (and every per-sample series of the streamed trace)
   are **bitwise identical** for workers in {0, 1, N}, VMC and DMC alike;
-* shared-memory segments are gone from ``/dev/shm`` after a normal run
-  *and* after an injected worker death;
+* a pool run maps one shared-memory segment, the walker block, whose
+  size does not depend on the number of steps, and it is gone from
+  ``/dev/shm`` after a normal run *and* after an injected worker death;
 * a killed worker, or a live one that stops answering, is detected and
   respawned, and the post-crash trace is bitwise equal to the crash-free
   one;
 * a reply that does not match its command (wrong kind or step) raises
   ``CollectiveOrderError``, sanitizers armed or not;
+* a pool torn down after a crash or an error terminates its workers
+  without waiting on them;
 * each worker's metrics tree is merged into the parent registry;
-* no walker state rides the pipes: a generation is one command and one
-  reply per worker, and their pickled bytes do not grow with the
-  population.
+* no walker position rides the pipes: a generation is one command and
+  one reply per worker, and the reply carries only the crowd's
+  per-walker estimator rows.
+
+Faults are injected by monkeypatching before the fork, which the pool's
+children inherit; an ``O_EXCL`` marker file makes a fault fire once.
 
 Workloads are deliberately tiny (n=8 electrons, 6 walkers, 3 steps):
 these are correctness tests, so oversubscribing a small host with more
@@ -29,19 +35,20 @@ import pickle
 import tempfile
 import time
 from multiprocessing.connection import Connection
+from multiprocessing.process import BaseProcess
 
 import numpy as np
 import pytest
 
 from repro.batched.driver import BatchedCrowdDriver
-from repro.batched.system import JastrowSystemSpec
+from repro.batched.system import BatchedHamiltonian, JastrowSystemSpec
 from repro.sanitizers import CollectiveOrderError, ShmRaceError
 from repro.metrics.profile import category_view
 from repro.metrics.registry import METRICS
 from repro.output.stream import StreamSet, TraceReader
 from repro.parallel import crowds
 from repro.parallel.crowds import ParallelCrowdDriver
-from repro.parallel.shm import SharedTraceBlock, SharedWalkerState
+from repro.parallel.shm import SharedWalkerState
 
 N = 8
 WALKERS = 6
@@ -50,9 +57,33 @@ SEED = 11
 
 
 def _shm_segments():
-    """Names of this package's live shared-memory segments."""
-    return sorted(glob.glob("/dev/shm/repro-crowds-*")
-                  + glob.glob("/dev/shm/repro-trace-*"))
+    """Names of the crowd pool's live shared-memory segments."""
+    return sorted(glob.glob("/dev/shm/repro-crowds-*"))
+
+
+def _first_time(marker):
+    """True for the first process (of any) to claim ``marker``."""
+    try:
+        os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return False
+    return True
+
+
+def _crash_once(monkeypatch, marker, crowd, generation):
+    """Patch before the fork: the first time worker ``crowd`` is sent a
+    generation >= ``generation`` it dies without cleanup; the respawned
+    pool runs clean."""
+    run_generation = BatchedCrowdDriver.run_generation
+
+    def crash(drv, step, *args):
+        if (step >= generation
+                and mp.current_process().name == f"repro-crowd-{crowd}"
+                and _first_time(marker)):
+            os._exit(23)
+        return run_generation(drv, step, *args)
+
+    monkeypatch.setattr(BatchedCrowdDriver, "run_generation", crash)
 
 
 @pytest.fixture(scope="module")
@@ -125,19 +156,50 @@ class TestShmLifecycle:
         before = _shm_segments()
         drv, _, _ = _run(spec, 2, "vmc")
         assert _shm_segments() == before
-        assert drv._state is None and drv._trace is None
+        assert drv._state is None
         drv.close()  # idempotent
 
-    def test_segments_released_after_worker_death(self, spec):
+    def test_pool_maps_one_segment_sized_by_population(self, spec,
+                                                       monkeypatch):
+        """While a run is live the pool maps the walker block and
+        nothing else, at the same size for 3 and 30 steps."""
+        before = set(glob.glob("/dev/shm/repro-*"))
+        live = []
+        end_generation = ParallelCrowdDriver._end_generation
+
+        def look(drv, step):
+            live.append({path: os.path.getsize(path) for path in
+                         set(glob.glob("/dev/shm/repro-*")) - before})
+            end_generation(drv, step)
+
+        monkeypatch.setattr(ParallelCrowdDriver, "_end_generation", look)
+        sizes = {}
+        for steps in (3, 30):
+            live.clear()
+            with ParallelCrowdDriver(spec, WALKERS, SEED, workers=2,
+                                     timestep=0.3) as drv:
+                drv.run(steps, mode="dmc")
+            assert len(live) == steps
+            assert all(len(segments) == 1 for segments in live), live[0]
+            sizes[steps] = {size for segments in live
+                            for size in segments.values()}
+        assert sizes[3] == sizes[30] == {SharedWalkerState(WALKERS,
+                                                           N).nbytes}
+
+    def test_segments_released_after_worker_death(self, spec, monkeypatch,
+                                                  tmp_path):
+        _crash_once(monkeypatch, str(tmp_path / "crashed"), 0, 2)
         before = _shm_segments()
-        _run(spec, 2, "dmc", crash_plan={0: 2})
+        _run(spec, 2, "dmc")
         assert _shm_segments() == before
 
-    def test_segments_released_when_run_raises(self, spec, monkeypatch):
+    def test_segments_released_when_run_raises(self, spec, monkeypatch,
+                                               tmp_path):
         monkeypatch.setattr(crowds, "MAX_RESPAWNS", 0)
+        _crash_once(monkeypatch, str(tmp_path / "crashed"), 0, 1)
         before = _shm_segments()
         drv = ParallelCrowdDriver(spec, WALKERS, SEED, workers=2,
-                                  timestep=0.3, crash_plan={0: 1, 1: 1})
+                                  timestep=0.3)
         with pytest.raises(RuntimeError, match="gave up"):
             drv.run(STEPS, mode="vmc")
         assert _shm_segments() == before
@@ -152,36 +214,32 @@ class TestShmLifecycle:
         state.close()
         assert not glob.glob(f"/dev/shm/{state.name}")
 
-    def test_trace_block_roundtrip(self):
-        with SharedTraceBlock.create(2, 3, 2) as trace:
-            peer = SharedTraceBlock.attach(trace.name, 2, 3, 2)
-            peer.local_energy[1, 0::2] = [-1.0, -2.0]
-            arrays = trace.as_arrays()
-            peer.close()
-        np.testing.assert_array_equal(arrays["local_energy"][1],
-                                      [-1.0, 0.0, -2.0])
-
 
 class TestCrashRecovery:
     @pytest.mark.parametrize("mode", ["vmc", "dmc"])
     def test_respawned_run_is_bitwise_identical(self, spec, serial_vmc,
-                                                serial_dmc, mode):
+                                                serial_dmc, mode,
+                                                monkeypatch, tmp_path):
         ref = serial_vmc if mode == "vmc" else serial_dmc
-        drv, *run = _run(spec, 2, mode, crash_plan={1: 2})
+        _crash_once(monkeypatch, str(tmp_path / "crashed"), 1, 2)
+        drv, *run = _run(spec, 2, mode)
         assert drv.respawns == 1
         assert run[0].extra["respawns"] == 1.0
         _assert_same_trace(ref, run, mode)
 
-    def test_crash_in_first_generation(self, spec, serial_vmc):
-        drv, *run = _run(spec, 3, "vmc", crash_plan={2: 1})
+    def test_crash_in_first_generation(self, spec, serial_vmc, monkeypatch,
+                                       tmp_path):
+        _crash_once(monkeypatch, str(tmp_path / "crashed"), 2, 1)
+        drv, *run = _run(spec, 3, "vmc")
         assert drv.respawns == 1
         _assert_same_trace(serial_vmc, run, "vmc")
 
-    def test_gives_up_after_max_respawns(self, spec, monkeypatch):
-        # incarnation 0 crashes worker 0; MAX_RESPAWNS = 0 forbids retry
+    def test_gives_up_after_max_respawns(self, spec, monkeypatch, tmp_path):
+        # worker 0 crashes once; MAX_RESPAWNS = 0 forbids retry
         monkeypatch.setattr(crowds, "MAX_RESPAWNS", 0)
+        _crash_once(monkeypatch, str(tmp_path / "crashed"), 0, 1)
         drv = ParallelCrowdDriver(spec, WALKERS, SEED, workers=2,
-                                  timestep=0.3, crash_plan={0: 1})
+                                  timestep=0.3)
         with pytest.raises(RuntimeError, match="gave up after 0 respawns"):
             drv.run(STEPS, mode="vmc")
 
@@ -194,13 +252,9 @@ class TestCrashRecovery:
         run_generation = BatchedCrowdDriver.run_generation
 
         def wedge_once(crowd, step, e_trial):
-            if step == 2:
-                try:  # the first crowd process to get here wedges, once
-                    os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
-                except FileExistsError:
-                    pass
-                else:
-                    time.sleep(60.0)  # until the parent terminates it
+            # the first crowd process to get here wedges, once
+            if step == 2 and _first_time(marker):
+                time.sleep(60.0)  # until the parent terminates it
             return run_generation(crowd, step, e_trial)
 
         # set before the fork, so the pool's children inherit both
@@ -215,6 +269,21 @@ class TestCrashRecovery:
         _assert_same_trace(serial_dmc, run, "dmc")
 
 
+def _skew_reply(monkeypatch, wrong):
+    """Patch before the fork: worker 1 answers generation 2 with the
+    wrong step or the wrong kind."""
+    send = Connection.send
+
+    def skewed(conn, msg):
+        if (mp.current_process().name == "repro-crowd-1"
+                and msg[:2] == ("done", 2)):
+            msg = (("done", 3) if wrong == "step"
+                   else ("final", 2)) + msg[2:]
+        return send(conn, msg)
+
+    monkeypatch.setattr(Connection, "send", skewed)
+
+
 class TestReplyCheck:
     """Every reply must answer the command the parent sent: the parent
     checks its kind and step on receipt, with the sanitizers off too."""
@@ -222,21 +291,47 @@ class TestReplyCheck:
     @pytest.mark.parametrize("wrong", ["step", "kind"])
     def test_mismatched_reply_raises(self, spec, monkeypatch, wrong):
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        send = Connection.send
-
-        def skewed(conn, msg):
-            if (mp.current_process().name == "repro-crowd-1"
-                    and msg[:2] == ("done", 2)):
-                msg = (("done", 3) if wrong == "step"
-                       else ("final", 2)) + msg[2:]
-            return send(conn, msg)
-
-        # set before the fork, so the pool's children inherit it
-        monkeypatch.setattr(Connection, "send", skewed)
+        _skew_reply(monkeypatch, wrong)
         before = _shm_segments()
         with pytest.raises(CollectiveOrderError, match="crowd 1 replied"):
             _run(spec, 2, "vmc")
         assert _shm_segments() == before
+
+
+class TestTeardown:
+    """Only workers told to "stop" leave their loop on their own; after a
+    crash or an error the survivors sit in ``recv``, so the pool
+    terminates them without joining them first."""
+
+    @pytest.mark.parametrize("path", ["crash", "reply"])
+    def test_no_join_before_terminate_without_stop(self, spec, monkeypatch,
+                                                   tmp_path, path):
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        terminated, waited = set(), []
+        join, terminate = BaseProcess.join, BaseProcess.terminate
+
+        def recording_terminate(proc):
+            terminated.add(proc.pid)
+            return terminate(proc)
+
+        def recording_join(proc, timeout=None):
+            if proc.pid not in terminated:
+                waited.append((proc.name, timeout))
+            return join(proc, timeout)
+
+        monkeypatch.setattr(BaseProcess, "terminate", recording_terminate)
+        monkeypatch.setattr(BaseProcess, "join", recording_join)
+        if path == "crash":
+            monkeypatch.setattr(crowds, "MAX_RESPAWNS", 0)
+            _crash_once(monkeypatch, str(tmp_path / "crashed"), 0, 1)
+            raised = pytest.raises(RuntimeError, match="gave up")
+        else:
+            _skew_reply(monkeypatch, "step")
+            raised = pytest.raises(CollectiveOrderError)
+        with raised:
+            _run(spec, 2, "vmc")
+        assert terminated  # a live worker was torn down...
+        assert waited == []  # ...and none was waited on first
 
 
 class TestMetricsMerge:
@@ -279,11 +374,12 @@ class TestMetricsMerge:
 
 
 class TestWireBytes:
-    """Walker arrays cross processes only through shared memory.  A
+    """Walker positions cross processes only through shared memory.  A
     generation's wire traffic is one ``("gen", step, e_trial)`` command
-    and one ``("done", step, accepts)`` reply per worker, so its pickled
-    size is the same at W = 8 and W = 64 up to the widths of pickled
-    integers."""
+    and one ``("done", step, (accepts, rows))`` reply per worker, where
+    ``rows`` holds E_L, the weight and the Hamiltonian components of the
+    crowd's walkers: a generation grows with W by those float64 columns
+    and by nothing the size of a walker's positions."""
 
     def _wire(self, spec, monkeypatch, walkers, steps):
         """(messages, pickled bytes) the parent sends and receives over
@@ -313,8 +409,7 @@ class TestWireBytes:
                 drv.run(steps, mode="dmc")
         return len(sizes), sum(sizes)
 
-    def test_generation_bytes_independent_of_walker_count(self, spec,
-                                                          monkeypatch):
+    def test_walker_positions_never_ride_the_pipe(self, spec, monkeypatch):
         G, extra = 2, 4
         per_gen = {}
         for walkers in (8, 64):
@@ -325,8 +420,14 @@ class TestWireBytes:
             per_gen[walkers] = ((m1 - m0) / extra, (b1 - b0) / extra)
         # one command out and one reply back per worker (2 workers)
         assert all(msgs == 2 * 2 for msgs, _ in per_gen.values()), per_gen
-        assert all(b < 1024 for _, b in per_gen.values()), per_gen
-        assert per_gen[64][1] - per_gen[8][1] <= 16, per_gen
+        growth = per_gen[64][1] - per_gen[8][1]
+        ncomp = len(BatchedHamiltonian.BASE_NAMES)  # the spec has no NLPP
+        rows = (64 - 8) * (2 + ncomp) * 8
+        positions = (64 - 8) * N * 3 * 8
+        # pickled float64 rows are their raw bytes; the slack covers
+        # the widths of pickled integers
+        assert rows <= growth <= rows + 64, per_gen
+        assert growth < positions, per_gen
 
 
 class TestArgumentHandling:
@@ -363,33 +464,58 @@ class TestRuntimeSanitizers:
 
     def test_injected_out_of_epoch_write_is_caught(self, spec, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
-        with pytest.raises(ShmRaceError, match="local_energy"):
-            _run(spec, 2, "vmc", race_plan={0: 2})
+        _scribble_at_stop(monkeypatch)
+        with pytest.raises(ShmRaceError, match="state/local_energy"):
+            _run(spec, 2, "vmc")
         assert _shm_segments() == []
 
-    def test_race_fixture_unarmed_corrupts_trace_silently(self, spec,
-                                                          serial_vmc,
-                                                          monkeypatch):
+    def test_unarmed_out_of_epoch_write_lands(self, spec, serial_vmc,
+                                              monkeypatch):
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        _scribble_at_stop(monkeypatch)
         kept = {}
         finalize = ParallelCrowdDriver._finalize
 
-        def keep_trace_block(drv):
-            payloads = finalize(drv)  # every worker is done writing
-            kept["local_energy"] = np.array(drv._trace.local_energy)
+        def keep_block(drv, step):
+            payloads = finalize(drv, step)  # every worker has replied
+            kept["local_energy"] = np.array(drv._state.local_energy)
             return payloads
 
-        monkeypatch.setattr(ParallelCrowdDriver, "_finalize",
-                            keep_trace_block)
-        # Sanitizer off: the injected write lands in the shared trace
-        # history and the run completes.  This proves the armed
-        # detection above is not a tautology.
-        _, res, series = _run(spec, 2, "vmc", race_plan={0: 2})
+        monkeypatch.setattr(ParallelCrowdDriver, "_finalize", keep_block)
+        # Sanitizer off: the injected write lands in the walker block and
+        # the run completes.  This proves the armed detection above is
+        # not a tautology.
+        _, res, series = _run(spec, 2, "vmc")
         ref, ref_series = serial_vmc
-        assert not np.array_equal(kept["local_energy"].ravel(),
-                                  ref_series["LocalEnergy"])
-        # The streamed samples were taken row by row as each generation
-        # ended, before the scribble on an older row.
+        # a VMC block ends holding the last generation's E_L
+        want = ref_series["LocalEnergy"][-WALKERS:].copy()
+        want[0] += 1.0
+        np.testing.assert_array_equal(kept["local_energy"], want)
+        # the write came after the last generation was recorded
         np.testing.assert_array_equal(series["LocalEnergy"],
                                       ref_series["LocalEnergy"])
-        assert res.energies == ref.energies  # live state untouched
+        assert res.energies == ref.energies
+
+
+def _scribble_at_stop(monkeypatch):
+    """Patch before the fork: worker 0 adds 1 to walker 0's E_L in the
+    walker block as it handles "stop", before its "final" reply — after
+    the parent sealed the block at the last generation's end and before
+    it verifies the seal, so an out-of-epoch write."""
+    hosted = []
+    host_crowd = crowds._host_crowd
+
+    def keep_block(spec, state, *args):
+        hosted.append(state)
+        return host_crowd(spec, state, *args)
+
+    send = Connection.send
+
+    def scribble(conn, msg):
+        if (msg[0] == "final"
+                and mp.current_process().name == "repro-crowd-0"):
+            hosted[-1].local_energy[0] += 1.0
+        return send(conn, msg)
+
+    monkeypatch.setattr(crowds, "_host_crowd", keep_block)
+    monkeypatch.setattr(Connection, "send", scribble)
