@@ -32,10 +32,9 @@ loc:
 
 # Isolated ratio guards (docs/observability.md): batched NLPP vs the
 # scalar oracle, fused sweep vs the loop oracle, per-walker SPO vgl GEMM
-# vs the per-orbital Ref, batched SPO vgl/vgh vs a per-point loop, and
-# the shared slab's per-worker private RSS.  Each timed guard asserts its
-# exactness contract, then that the fast path still beats the retained
-# oracle by its floor.  ~10 s; run on a quiet machine.
+# vs the per-orbital Ref, and batched SPO vgl/vgh vs a per-point loop.
+# Each guard asserts its exactness contract, then that the fast path
+# still beats the retained oracle by its floor.  ~10 s; run on a quiet machine.
 bench-check:
 	PYTHONPATH=src $(PYTHON) -m pytest -s benchmarks/test_ratio_guards.py
 

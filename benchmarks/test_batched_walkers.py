@@ -23,9 +23,9 @@ def _throughput_pair(nwalkers: int, flavor: str = "otf"):
     """(per-walker, batched) walker-steps/sec on the same spec."""
     spec = JastrowSystemSpec(n=N, seed=7, aa_flavor=flavor)
     t0 = time.perf_counter()
-    run_reference(spec, nwalkers, STEPS, SEED, use_drift=True)
+    run_reference(spec, nwalkers, STEPS, SEED)
     per_walker = STEPS * nwalkers / (time.perf_counter() - t0)
-    drv = BatchedCrowdDriver(spec, nwalkers, SEED, use_drift=True)
+    drv = BatchedCrowdDriver(spec, nwalkers, SEED)
     t0 = time.perf_counter()
     drv.run(STEPS)
     batched = STEPS * nwalkers / (time.perf_counter() - t0)
@@ -36,14 +36,14 @@ class TestBatchedThroughput:
     def test_bench_per_walker(self, benchmark):
         spec = JastrowSystemSpec(n=N, seed=7)
         benchmark.pedantic(
-            lambda: run_reference(spec, 8, 1, SEED, use_drift=True),
+            lambda: run_reference(spec, 8, 1, SEED),
             rounds=2, iterations=1)
 
     def test_bench_batched(self, benchmark):
         spec = JastrowSystemSpec(n=N, seed=7)
 
         def _run():
-            BatchedCrowdDriver(spec, 8, SEED, use_drift=True).run(1)
+            BatchedCrowdDriver(spec, 8, SEED).run(1)
 
         benchmark.pedantic(_run, rounds=3, iterations=1)
 
@@ -66,7 +66,7 @@ class TestBatchedThroughput:
             spec = JastrowSystemSpec(n=N, seed=7)
             out = {}
             for w in (4, 32):
-                drv = BatchedCrowdDriver(spec, w, SEED, use_drift=True)
+                drv = BatchedCrowdDriver(spec, w, SEED)
                 t0 = time.perf_counter()
                 drv.run(STEPS)
                 out[w] = STEPS * w / (time.perf_counter() - t0)

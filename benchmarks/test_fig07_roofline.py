@@ -40,7 +40,7 @@ def _points(measurement, version):
 
 
 def test_fig7_roofline(benchmark):
-    # Use a no-drift run so both Bspline-v (ratio path) and Bspline-vgh
+    # Use an NLPP run so both Bspline-v (ratio path) and Bspline-vgh
     # appear, as in real runs with pseudopotentials.
     ref = measure("NiO-32", CodeVersion.REF, with_nlpp=True)
     cur = measure("NiO-32", CodeVersion.CURRENT, with_nlpp=True)

@@ -10,8 +10,6 @@ retained oracle by a floor.  The floors sit well under today's ratios
 ``make bench-check`` on a quiet machine.
 """
 
-import os
-
 import numpy as np
 import pytest
 
@@ -79,7 +77,7 @@ def test_fused_sweep_over_loop():
 
     steps, floor = 3, 1.15
     spec = JastrowSystemSpec(n=24, seed=7, aa_flavor="soa")
-    drivers = {label: BatchedCrowdDriver(spec, 8, SEED, use_drift=True)
+    drivers = {label: BatchedCrowdDriver(spec, 8, SEED)
                for label in ("loop", "fused")}
     use_loop_sweep(drivers["loop"])
 
@@ -168,72 +166,3 @@ def test_batched_spo_over_points(nio32):
             f"SPO {kernel}: batched vs per-point (NiO-32 x0.25, "
             f"norb {sp.norb}, W=32)", best, "batched", "points", floor)
     assert min(ratios.values()) >= floor, ratios
-
-
-@pytest.fixture(scope="module")
-def slab():
-    """One M=256, grid-16 fp64 orbital table in a shared slab (~14 MB)."""
-    from repro.splines.bspline3d import BSpline3D
-    from repro.splines.slab import SharedCoefSlab
-
-    rng = np.random.default_rng(SEED)
-    source = BSpline3D.fit(rng.normal(size=(16, 16, 16, 256)),
-                           np.linalg.inv(np.eye(3) * 6.0), dtype=np.float64)
-    with SharedCoefSlab.promote(source) as shared:
-        yield shared
-
-
-def _private_rss_bytes() -> int:
-    """This process's private (unshared) resident bytes — what a table
-    copy moves and a shared-slab mapping does not."""
-    with open("/proc/self/smaps_rollup") as fh:
-        return 1024 * sum(int(line.split()[1]) for line in fh
-                          if line.startswith(("Private_Clean:",
-                                              "Private_Dirty:")))
-
-
-def _forked_rss_delta(descriptor, copy: bool) -> int:
-    """Private-RSS bytes a forked child gains by attaching the slab and
-    either copying the table or read-touching every page of the shared
-    mapping.  The child measures around only that, so inherited pages
-    cancel, and leaves through ``os._exit`` so the owner's unlink guard
-    never runs in it."""
-    from repro.splines.slab import SharedCoefSlab
-
-    rfd, wfd = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # pragma: no cover - exits via os._exit
-        status = 1
-        try:
-            attached = SharedCoefSlab.attach(descriptor)
-            base = _private_rss_bytes()
-            table = (np.array(attached.coefs) if copy
-                     else float(np.asarray(attached.coefs).sum()))
-            os.write(wfd, b"%d" % (_private_rss_bytes() - base))
-            del table
-            attached.close()
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(wfd)
-    with os.fdopen(rfd, "rb") as fh:
-        data = fh.read()
-    _, status = os.waitpid(pid, 0)
-    assert status == 0 and data, f"RSS probe child failed ({status})"
-    return int(data)
-
-
-@pytest.mark.skipif(
-    not hasattr(os, "fork") or not os.path.exists("/proc/self/smaps_rollup"),
-    reason="needs os.fork and /proc/self/smaps_rollup")
-def test_slab_attach_costs_no_private_memory(slab):
-    """What the shared slab saves per worker: a forked attacher reads
-    the whole table for ~no private memory, a copier pays for all of
-    it (docs/spline_memory.md)."""
-    attach = _forked_rss_delta(slab.descriptor, copy=False)
-    copy = _forked_rss_delta(slab.descriptor, copy=True)
-    heading(f"slab: per-worker private RSS (table {slab.nbytes / 2**20:.1f} MiB)")
-    row("attach", f"{attach / 2**20:.2f} MiB")
-    row("copy", f"{copy / 2**20:.2f} MiB")
-    assert attach <= 0.05 * slab.nbytes
-    assert copy >= 0.9 * slab.nbytes

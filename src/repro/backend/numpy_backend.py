@@ -277,14 +277,10 @@ class NumpyBackend:
     def accept_mask(self, rho, log_t, uniforms):
         """Fused Metropolis decision for the whole crowd.
 
-        ``A = min(1, rho^2 * exp(log_t))`` (``log_t is None`` for the
-        no-drift walk), accepted where ``uniforms < A`` and ``rho != 0``;
-        returns the (W,) boolean mask.
+        ``A = min(1, rho^2 * exp(log_t))``, accepted where
+        ``uniforms < A`` and ``rho != 0``; returns the (W,) boolean mask.
         """
-        if log_t is None:
-            A = np.minimum(1.0, rho * rho)
-        else:
-            A = np.minimum(1.0, rho * rho * self.exp_rows(log_t))
+        A = np.minimum(1.0, rho * rho * self.exp_rows(log_t))
         return (uniforms < A) & (rho != 0.0)
 
     # -- fused sweep pipeline --------------------------------------------------------
@@ -306,7 +302,7 @@ class NumpyBackend:
         """One whole particle-by-particle sweep (all ``plan.n``
         electrons) looping over ``repro.batched.sweep.fused_sweep_step``,
         one whole Metropolis move of an electron across the crowd
-        (propose -> table move -> ratio/ratio_grad product -> drift limit
+        (propose -> table move -> ratio_grad product -> drift limit
         -> log T -> accept_mask -> commit).  Returns
         ``(accepts_per_walker, accepted_total)`` — a fresh (W,) int64
         array and a Python int.

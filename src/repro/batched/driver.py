@@ -45,12 +45,8 @@ from repro.metrics.registry import METRICS
 class BatchedCrowdDriver(CrowdLoop):
     """One crowd: a WalkerBatch advanced with per-walker RNG streams."""
 
-    #: cap on the drift displacement per move, in units of sqrt(tau)
-    DRIFT_CAP = 2.0
-
     def __init__(self, spec: JastrowSystemSpec, nwalkers: int,
                  master_seed: int, timestep: float = 0.5,
-                 use_drift: bool = True,
                  batch: Optional[WalkerBatch] = None,
                  rngs: Optional[List[np.random.Generator]] = None):
         # per-call kernel temporaries: reuse freed heap, do not re-fault
@@ -60,7 +56,6 @@ class BatchedCrowdDriver(CrowdLoop):
         self.nw = int(nwalkers)
         self.n = spec.n
         self.tau = float(timestep)
-        self.use_drift = use_drift
         # A crowd hosting a subset of a larger population injects its
         # walkers' streams and a batch viewing shared storage; the
         # default standalone driver owns both (stream w of master_seed,
@@ -111,9 +106,7 @@ class BatchedCrowdDriver(CrowdLoop):
         # sweep_run call needs.
         self._workspace = SweepWorkspace(self.nw, self.n)
         self._plan = SweepPlan(self.batch, self.tables, self.components,
-                               self._workspace, tau=self.tau,
-                               drift_cap=self.DRIFT_CAP,
-                               use_drift=self.use_drift)
+                               self._workspace, tau=self.tau)
         self.resync_tables()
         self._evaluate_log()
 
@@ -319,7 +312,7 @@ class BatchedCrowdDriver(CrowdLoop):
         bitwise: the walker block, move counters, branch stream and DMC
         feedback are restored, the walker streams fast-forwarded, and
         generation numbering carries on; a checkpoint of another run
-        (mode, population, seed, time step, drift or model) is refused
+        (mode, population, seed, time step or model) is refused
         with a ValueError.  A further ``run`` on the same driver goes on
         from its walkers, walker streams and branch stream; generation
         numbering restarts at 1."""

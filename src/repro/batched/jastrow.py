@@ -120,14 +120,6 @@ class BatchedTwoBodyJastrow:
                                      k)
             return g
 
-    def ratio(self, tables, k: int) -> np.ndarray:
-        """(W,) Psi(R')/Psi(R) for the proposed crowd-wide move of k."""
-        with METRICS.scope("J2"):
-            table = tables[self.table_index]
-            u_new = self._rows_v(table.temp_rows(), k)
-            u_old = self._rows_v(table.dist_rows(k), k)
-            return exp_rows(-(u_new - u_old))
-
     def ratio_grad(self, tables, k: int):
         """((W,) ratio, (W, 3) gradient at the proposed positions)."""
         with METRICS.scope("J2"):
@@ -138,9 +130,9 @@ class BatchedTwoBodyJastrow:
             return exp_rows(-(u_new - u_old)), grad_new
 
     # -- fused-sweep API (repro.batched.sweep) -----------------------------------
-    # Same numerics as grad/ratio/ratio_grad with the per-call
+    # Same numerics as grad/ratio_grad with the per-call
     # METRICS.scope hoisted out and the Laplacian channel dropped
-    # (``_rows_vg``), plus the drift path's one redundancy fix:
+    # (``_rows_vg``), plus the sweep's one redundancy fix:
     # ``_rows_vg``'s value channel is bitwise the ``_rows_v`` row
     # sum (identical Horner, coefficient gather and per-slice pairwise
     # reduction), so ``sweep_grad`` hands its old-row value sum to
@@ -154,13 +146,6 @@ class BatchedTwoBodyJastrow:
         """Timer-free :meth:`grad`; returns ``(u_old, grad)``."""
         table = tables[self.table_index]
         return self._rows_vg(table.dist_rows(k), table.disp_rows(k), k)
-
-    def sweep_ratio(self, tables, k: int) -> np.ndarray:
-        """Timer-free :meth:`ratio` for the fused sweep pipeline."""
-        table = tables[self.table_index]
-        u_new = self._rows_v(table.temp_rows(), k)
-        u_old = self._rows_v(table.dist_rows(k), k)
-        return exp_rows(-(u_new - u_old))
 
     def sweep_ratio_grad(self, tables, k: int, u_old):
         """Timer-free :meth:`ratio_grad` reusing :meth:`sweep_grad`'s
@@ -295,10 +280,6 @@ class BatchedOneBodyJastrow:
         with METRICS.scope("J1"):
             return self.dU[:, k].copy()
 
-    def ratio(self, tables, k: int) -> np.ndarray:
-        with METRICS.scope("J1"):
-            return self.sweep_ratio(tables, k)
-
     def ratio_grad(self, tables, k: int):
         with METRICS.scope("J1"):
             return self.sweep_ratio_grad(tables, k, self.U[:, k])
@@ -309,21 +290,13 @@ class BatchedOneBodyJastrow:
         read from the carried arrays, no row evaluation."""
         return self.U[:, k], self.dU[:, k]
 
-    def _ratio_new(self, tables, k: int, u_old) -> np.ndarray:
-        """Evaluate the proposed rows, keep them for :meth:`accept_move`,
-        return the ratios against ``u_old``."""
-        table = tables[self.table_index]
-        self._new = self._rows_vgl(table.temp_rows(), table.temp_disp_rows())
-        return exp_rows(-(self._new[0] - u_old))
-
-    def sweep_ratio(self, tables, k: int) -> np.ndarray:
-        """Timer-free :meth:`ratio` for the fused sweep pipeline."""
-        return self._ratio_new(tables, k, self.U[:, k])
-
     def sweep_ratio_grad(self, tables, k: int, u_old):
         """Timer-free :meth:`ratio_grad`; ``u_old`` is
-        :meth:`sweep_grad`'s ``U[:, k]``."""
-        return self._ratio_new(tables, k, u_old), self._new[1]
+        :meth:`sweep_grad`'s ``U[:, k]``.  Keeps the proposed rows for
+        :meth:`accept_move`."""
+        table = tables[self.table_index]
+        self._new = self._rows_vgl(table.temp_rows(), table.temp_disp_rows())
+        return exp_rows(-(self._new[0] - u_old)), self._new[1]
 
     def accept_move(self, k: int, accepted: np.ndarray) -> None:
         """Commit the proposed rows of the accepted walkers — after the

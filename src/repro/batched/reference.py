@@ -24,6 +24,7 @@ import numpy as np
 from repro.backend import active
 from repro.batched.system import JastrowSystemSpec, walker_streams
 from repro.drivers.base import QMCDriverBase
+from repro.drivers.generation import DRIFT_CAP
 from repro.hamiltonian.nlpp import NonLocalPP, QuadratureRotations
 from repro.metrics.registry import METRICS
 from repro.particles.walker import Walker
@@ -46,12 +47,11 @@ class ReferenceTrace:
 
 
 def run_reference(spec: JastrowSystemSpec, nwalkers: int, steps: int,
-                  master_seed: int, timestep: float = 0.5,
-                  use_drift: bool = True) -> ReferenceTrace:
+                  master_seed: int, timestep: float = 0.5) -> ReferenceTrace:
     """Run the per-walker path over ``nwalkers`` independent RNG streams."""
     P, twf, ham = spec.build_scalar()
     driver = QMCDriverBase(P, twf, ham, np.random.default_rng(0),
-                           timestep=timestep, use_drift=use_drift)
+                           timestep=timestep)
     rngs = walker_streams(master_seed, nwalkers)
     # NLPP rotation contract: stateless streams keyed on the same master
     # seed, walker w / serial s — serial 0 is the setup evaluation, step
@@ -106,13 +106,6 @@ def _grad(drv, k: int) -> np.ndarray:
     return g
 
 
-def _ratio(drv, k: int) -> np.ndarray:
-    rho = np.ones(drv.nw)
-    for c in drv.components:
-        rho *= c.ratio(drv.tables, k)
-    return rho
-
-
 def _ratio_grad(drv, k: int):
     rho = np.ones(drv.nw)
     g = np.zeros((drv.nw, 3))
@@ -129,7 +122,7 @@ def loop_limited_drift(drv, g: np.ndarray) -> np.ndarray:
     drift = drv.tau * g
     norm = np.sqrt(np.matmul(drift[:, None, :],
                              drift[:, :, None])[:, 0, 0])
-    cap = drv.DRIFT_CAP * math.sqrt(drv.tau)
+    cap = DRIFT_CAP * math.sqrt(drv.tau)
     over = norm > cap
     if np.any(over):
         drift[over] *= (cap / norm[over])[:, None]
@@ -155,29 +148,20 @@ def loop_sweep(drv) -> int:
         for t in drv.tables:
             with METRICS.scope(t.category):
                 t.set_active(batch, k)
-        if drv.use_drift:
-            drift_old = loop_limited_drift(drv, _grad(drv, k))
-            rnew = batch.R[:, k] + drift_old + chi
-        else:
-            rnew = batch.R[:, k] + chi
+        drift_old = loop_limited_drift(drv, _grad(drv, k))
+        rnew = batch.R[:, k] + drift_old + chi
         for t in drv.tables:
             with METRICS.scope(t.category):
                 t.move(batch, rnew, k)
-        if drv.use_drift:
-            rho, g_new = _ratio_grad(drv, k)
-            drift_new = loop_limited_drift(drv, g_new)
-            # log T(R'->R) - log T(R->R'), batched over the crowd:
-            back = batch.R[:, k] - rnew - drift_new
-            fwd = rnew - batch.R[:, k] - drift_old
-            log_t = (-np.matmul(back[:, None, :], back[:, :, None])[:, 0, 0]
-                     + np.matmul(fwd[:, None, :],
-                                 fwd[:, :, None])[:, 0, 0]) / (2.0 * tau)
-        else:
-            rho = _ratio(drv, k)
-            log_t = None
-        acc = np.asarray(
-            active().accept_mask(
-                rho, log_t, uniforms[:, k]))
+        rho, g_new = _ratio_grad(drv, k)
+        drift_new = loop_limited_drift(drv, g_new)
+        # log T(R'->R) - log T(R->R'), batched over the crowd:
+        back = batch.R[:, k] - rnew - drift_new
+        fwd = rnew - batch.R[:, k] - drift_old
+        log_t = (-np.matmul(back[:, None, :], back[:, :, None])[:, 0, 0]
+                 + np.matmul(fwd[:, None, :],
+                             fwd[:, :, None])[:, 0, 0]) / (2.0 * tau)
+        acc = np.asarray(active().accept_mask(rho, log_t, uniforms[:, k]))
         if drv.move_log is not None:
             drv.move_log.append(acc.copy())
         for t in drv.tables:

@@ -6,7 +6,7 @@ managers, and a handful of fresh (W, 3)/(W,) allocations *per electron
 per sweep* — pure host-side dispatch overhead that grows linearly with
 N (ROADMAP item 1; the same observation drives QMCPACK's batched "move
 pipeline" redesign).  This module packages one whole Metropolis move —
-propose → table move → ratio/ratio_grad product → drift limit → log T →
+propose → table move → ratio_grad product → drift limit → log T →
 accept_mask → commit — as data (:class:`SweepPlan` + the preallocated
 :class:`SweepWorkspace`) plus the bitwise reference implementation the
 kernel class dispatches to, so the driver makes **one** kernel
@@ -18,7 +18,7 @@ same operands; the changes are *where* results land (reused workspace
 buffers instead of fresh allocations — identical values, elementwise
 ufunc semantics), the removal of per-electron ``METRICS.scope`` context
 managers (timers never touch numerics), and one eliminated redundancy:
-in the drift path the component's old-row value sum is taken from the
+the component's old-row value sum is taken from the
 ``sweep_grad`` evaluation instead of a second value-only pass — safe
 because the value channel is bitwise the value-only result (identical
 Horner, gather and reduction; see the fused-sweep notes in
@@ -43,6 +43,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.drivers.generation import DRIFT_CAP
 from repro.metrics.registry import METRICS
 
 
@@ -105,20 +106,17 @@ class SweepPlan:
     """
 
     __slots__ = ("batch", "tables", "components", "workspace", "tau",
-                 "sqrt_tau", "use_drift", "drift_cap", "n", "nw",
-                 "move_log", "sanitizers", "u_olds")
+                 "sqrt_tau", "n", "nw", "move_log", "sanitizers", "u_olds")
 
     def __init__(self, batch, tables, components, workspace: SweepWorkspace,
-                 tau: float, drift_cap: float, use_drift: bool,
-                 move_log: Optional[list] = None, sanitizers=None):
+                 tau: float, move_log: Optional[list] = None,
+                 sanitizers=None):
         self.batch = batch
         self.tables = tables
         self.components = components
         self.workspace = workspace
         self.tau = float(tau)
         self.sqrt_tau = math.sqrt(self.tau)
-        self.use_drift = bool(use_drift)
-        self.drift_cap = float(drift_cap)
         self.n = workspace.n
         self.nw = workspace.nw
         self.move_log = move_log
@@ -128,7 +126,7 @@ class SweepPlan:
         self.u_olds = [None] * len(components)
 
 
-def limited_drift(tau: float, drift_cap: float, g: np.ndarray,
+def limited_drift(tau: float, g: np.ndarray,
                   out: Optional[np.ndarray] = None) -> np.ndarray:
     """Norm-capped drift — op-for-op the driver's ``_limited_drift``.
 
@@ -142,7 +140,7 @@ def limited_drift(tau: float, drift_cap: float, g: np.ndarray,
         drift = np.multiply(tau, g, out=out)
     norm = np.sqrt(np.matmul(drift[:, None, :],
                              drift[:, :, None])[:, 0, 0])
-    cap = drift_cap * math.sqrt(tau)
+    cap = DRIFT_CAP * math.sqrt(tau)
     over = norm > cap
     if np.any(over):
         drift[over] *= (cap / norm[over])[:, None]
@@ -165,15 +163,6 @@ def _fused_grad(plan: SweepPlan, k: int) -> np.ndarray:
     return g
 
 
-def _fused_ratio(plan: SweepPlan, k: int) -> np.ndarray:
-    """Product of component ratios for the proposed move (timer-free)."""
-    rho = plan.workspace.rho
-    rho[...] = 1.0
-    for c in plan.components:
-        rho *= c.sweep_ratio(plan.tables, k)
-    return rho
-
-
 def _fused_ratio_grad(plan: SweepPlan, k: int):
     """(ratio product, summed gradient at the proposed positions)."""
     ws = plan.workspace
@@ -192,7 +181,7 @@ def fused_sweep_step(backend, plan: SweepPlan, k: int) -> np.ndarray:
     """One whole Metropolis move of electron k across the crowd.
 
     The op-for-op extraction of the pre-fusion loop body: activate row
-    k → propose → table move → ratio/ratio_grad product → drift limit →
+    k → propose → table move → ratio_grad product → drift limit →
     log T → accept_mask → commit, mutating the plan's batch/tables and
     returning the (W,) accept mask.  ``backend`` supplies
     ``accept_mask``; the table and component kernels dispatch through
@@ -204,30 +193,21 @@ def fused_sweep_step(backend, plan: SweepPlan, k: int) -> np.ndarray:
     chi = ws.chi_all[:, k]
     for t in plan.tables:
         t.set_active(batch, k)
-    if plan.use_drift:
-        drift_old = limited_drift(tau, plan.drift_cap, _fused_grad(plan, k),
-                                  out=ws.drift_old)
-        rnew = np.add(batch.R[:, k], drift_old, out=ws.rnew)
-        rnew += chi
-    else:
-        rnew = np.add(batch.R[:, k], chi, out=ws.rnew)
+    drift_old = limited_drift(tau, _fused_grad(plan, k), out=ws.drift_old)
+    rnew = np.add(batch.R[:, k], drift_old, out=ws.rnew)
+    rnew += chi
     for t in plan.tables:
         t.move(batch, rnew, k)
-    if plan.use_drift:
-        rho, g_new = _fused_ratio_grad(plan, k)
-        drift_new = limited_drift(tau, plan.drift_cap, g_new,
-                                  out=ws.drift_new)
-        # log T(R'->R) - log T(R->R'), batched over the crowd:
-        back = np.subtract(batch.R[:, k], rnew, out=ws.back)
-        back -= drift_new
-        fwd = np.subtract(rnew, batch.R[:, k], out=ws.fwd)
-        fwd -= drift_old
-        log_t = (-np.matmul(back[:, None, :], back[:, :, None])[:, 0, 0]
-                 + np.matmul(fwd[:, None, :],
-                             fwd[:, :, None])[:, 0, 0]) / (2.0 * tau)
-    else:
-        rho = _fused_ratio(plan, k)
-        log_t = None
+    rho, g_new = _fused_ratio_grad(plan, k)
+    drift_new = limited_drift(tau, g_new, out=ws.drift_new)
+    # log T(R'->R) - log T(R->R'), batched over the crowd:
+    back = np.subtract(batch.R[:, k], rnew, out=ws.back)
+    back -= drift_new
+    fwd = np.subtract(rnew, batch.R[:, k], out=ws.fwd)
+    fwd -= drift_old
+    log_t = (-np.matmul(back[:, None, :], back[:, :, None])[:, 0, 0]
+             + np.matmul(fwd[:, None, :],
+                         fwd[:, :, None])[:, 0, 0]) / (2.0 * tau)
     acc = np.asarray(backend.accept_mask(rho, log_t, ws.uniforms[:, k]))
     if plan.move_log is not None:
         plan.move_log.append(acc.copy())

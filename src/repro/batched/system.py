@@ -169,9 +169,13 @@ class BatchedHamiltonian:
     local energies agree bitwise in full precision.
     """
 
-    #: term names of the NLPP-free Hamiltonian; instances carrying a
-    #: BatchedNonLocalPP extend their ``names`` with "NonLocalECP".
-    BASE_NAMES = ("Kinetic", "ElecElec", "ElecIon")
+    @staticmethod
+    def term_names(with_nlpp: bool) -> tuple:
+        """The term names, in the order of ``names`` and of the rows a
+        crowd reports: the NLPP-free three, then "NonLocalECP" if the
+        Hamiltonian carries a BatchedNonLocalPP."""
+        return ("Kinetic", "ElecElec", "ElecIon") + (
+            ("NonLocalECP",) if with_nlpp else ())
 
     def __init__(self, nwalkers: int, ion_charges: np.ndarray,
                  nlpp=None, wf_components=None):
@@ -181,8 +185,7 @@ class BatchedHamiltonian:
         #: components its ratio-only slab evaluation consumes.
         self.nlpp = nlpp
         self.wf_components = list(wf_components) if wf_components else []
-        self.names = self.BASE_NAMES + \
-            (("NonLocalECP",) if nlpp is not None else ())
+        self.names = self.term_names(nlpp is not None)
         self.last_components = {}
         #: e-e Coulomb sum per walker, accumulated by :meth:`ee_row` over
         #: the AA row stream of the wavefunction pass before ``evaluate``

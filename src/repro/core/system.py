@@ -57,31 +57,30 @@ class QmcSystem:
 
 
 def _make_driver(driver_cls, parts: SystemParts, version: CodeVersion,
-                 timestep: float, use_drift: bool, seed: int):
+                 timestep: float, seed: int):
     cfg = VERSION_CONFIGS[version]
     rng = np.random.default_rng(seed)
     return driver_cls(parts.electrons, parts.twf, parts.ham, rng,
-                      timestep=timestep, use_drift=use_drift,
-                      precision=cfg.precision)
+                      timestep=timestep, precision=cfg.precision)
 
 
 def run_vmc(system: QmcSystem, version: CodeVersion = CodeVersion.CURRENT,
             walkers: int = 8, steps: int = 10, timestep: float = 0.3,
-            use_drift: bool = True, profile: bool = False,
+            profile: bool = False,
             seed: int = 99, parts: Optional[SystemParts] = None) -> QMCResult:
     """Build (or reuse) a system at ``version`` and run VMC."""
     parts = parts if parts is not None else system.build(version)
-    drv = _make_driver(VMCDriver, parts, version, timestep, use_drift, seed)
+    drv = _make_driver(VMCDriver, parts, version, timestep, seed)
     return drv.run(walkers=walkers, steps=steps, profile=profile,
                    label=f"{system.workload.name}/{version.label}/VMC")
 
 
 def run_dmc(system: QmcSystem, version: CodeVersion = CodeVersion.CURRENT,
             walkers: int = 16, steps: int = 20, timestep: float = 0.01,
-            use_drift: bool = True, profile: bool = False,
+            profile: bool = False,
             seed: int = 99, parts: Optional[SystemParts] = None) -> QMCResult:
     """Build (or reuse) a system at ``version`` and run DMC (Alg. 1)."""
     parts = parts if parts is not None else system.build(version)
-    drv = _make_driver(DMCDriver, parts, version, timestep, use_drift, seed)
+    drv = _make_driver(DMCDriver, parts, version, timestep, seed)
     return drv.run(walkers=walkers, steps=steps, profile=profile,
                    label=f"{system.workload.name}/{version.label}/DMC")

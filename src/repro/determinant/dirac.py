@@ -216,8 +216,8 @@ class DiracDeterminant:
         i = k - self.first
         v, g, l, rho = self._cache.pop(k)
         if g is None:
-            # ratio() was called without gradients (e.g. a no-drift VMC
-            # move); fetch them now so dpsiM/d2psiM stay current for the
+            # ratio() was called without gradients (a ratio-only move
+            # accepted by its caller); fetch them now so dpsiM/d2psiM stay current for the
             # measurement-time evaluate_gl.
             _, g, l = self.spo.evaluate_vgl(P.active_pos)
             g, l = g[: self.nel], l[: self.nel]

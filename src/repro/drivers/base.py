@@ -7,7 +7,8 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.drivers.generation import DMCPolicy, Generation, GenerationLoop
+from repro.drivers.generation import (DRIFT_CAP, DMCPolicy, Generation,
+                                      GenerationLoop)
 from repro.sanitizers import SanitizerSuite, sanitizers_enabled
 from repro.metrics.registry import METRICS
 from repro.particles.walker import Walker
@@ -25,22 +26,16 @@ class QMCDriverBase(GenerationLoop):
         The electron ParticleSet (with tables attached), trial
         wavefunction and Hamiltonian.
     timestep:
-        Monte Carlo time step tau.
-    use_drift:
-        Importance-sampled moves (r' = r + tau*grad log Psi + chi) with
-        the Green's-function detailed-balance correction, vs plain
-        symmetric Gaussian moves.
+        Monte Carlo time step tau of the importance-sampled moves
+        (r' = r + tau*grad log Psi + chi, with the Green's-function
+        detailed-balance correction).
     precision:
         PrecisionPolicy controlling the periodic from-scratch recompute
         of per-walker state (mixed precision needs it; Sec. 7.2).
     """
 
-    #: cap on the drift displacement per move, in units of sqrt(tau)
-    DRIFT_CAP = 2.0
-
     def __init__(self, P, twf, ham, rng: np.random.Generator,
-                 timestep: float = 0.5, use_drift: bool = True,
-                 precision: PrecisionPolicy = FULL):
+                 timestep: float = 0.5, precision: PrecisionPolicy = FULL):
         # per-call kernel temporaries: reuse freed heap, do not re-fault
         # (imported here: repro.memory's package import reaches back into
         # the drivers through repro.core)
@@ -51,7 +46,6 @@ class QMCDriverBase(GenerationLoop):
         self.ham = ham
         self.rng = rng
         self.tau = float(timestep)
-        self.use_drift = use_drift
         self.precision = precision
         self.n_accept = 0
         self.n_moves = 0
@@ -141,7 +135,8 @@ class QMCDriverBase(GenerationLoop):
                           {name: np.asarray(v) for name, v in comps.items()})
 
     def _run_meta(self) -> dict:
-        return {"timestep": self.tau, "use_drift": bool(self.use_drift),
+        # every run drifts; the key refuses older no-drift runs
+        return {"timestep": self.tau, "use_drift": True,
                 "precision": self.precision.name}
 
     def _checkpoint_state(self) -> dict:
@@ -195,24 +190,17 @@ class QMCDriverBase(GenerationLoop):
         for k in range(n):
             chi = chi_all[k]
             P.set_active(k)
-            if self.use_drift:
-                g_old = twf.grad(P, k)
-                drift_old = self._limited_drift(g_old)
-                rnew = P.R[k] + drift_old + chi
-            else:
-                rnew = P.R[k] + chi
+            g_old = twf.grad(P, k)
+            drift_old = self._limited_drift(g_old)
+            rnew = P.R[k] + drift_old + chi
             P.make_move(k, rnew)
-            if self.use_drift:
-                rho, g_new = twf.ratio_grad(P, k)
-                drift_new = self._limited_drift(g_new)
-                # log T(R'->R) - log T(R->R'):
-                back = P.R[k] - rnew - drift_new
-                fwd = rnew - P.R[k] - drift_old
-                log_t = (-(back @ back) + (fwd @ fwd)) / (2.0 * tau)
-                A = min(1.0, rho * rho * math.exp(log_t))
-            else:
-                rho = twf.ratio(P, k)
-                A = min(1.0, rho * rho)
+            rho, g_new = twf.ratio_grad(P, k)
+            drift_new = self._limited_drift(g_new)
+            # log T(R'->R) - log T(R->R'):
+            back = P.R[k] - rnew - drift_new
+            fwd = rnew - P.R[k] - drift_old
+            log_t = (-(back @ back) + (fwd @ fwd)) / (2.0 * tau)
+            A = min(1.0, rho * rho * math.exp(log_t))
             accept = uniforms[k] < A and rho != 0.0
             if self.move_log is not None:
                 self.move_log.append(bool(accept))
@@ -234,7 +222,7 @@ class QMCDriverBase(GenerationLoop):
         keeping rare huge gradients from catapulting walkers."""
         drift = self.tau * g
         norm = float(np.linalg.norm(drift))
-        cap = self.DRIFT_CAP * math.sqrt(self.tau)
+        cap = DRIFT_CAP * math.sqrt(self.tau)
         if norm > cap:
             drift *= cap / norm
         return drift

@@ -137,6 +137,11 @@ class DMCPolicy:
         self.target = int(scalars.get("target", self.target))
 
 
+#: cap on one move's drift displacement, in units of sqrt(tau): the one
+#: value both stacks' drift limiters read, as the bitwise
+#: per-walker/batched differential requires
+DRIFT_CAP = 2.0
+
 #: per-walker fields of a walker block (a ``WalkerBatch`` or a
 #: ``SharedWalkerState``), in layout order — what a crowd checkpoint carries
 STATE_FIELDS = ("R", "weight", "logpsi", "local_energy", "age")
@@ -289,8 +294,8 @@ class CrowdLoop(GenerationLoop):
     Both hosts — :class:`~repro.batched.driver.BatchedCrowdDriver` (the
     block is its own ``WalkerBatch``) and
     :class:`~repro.parallel.crowds.ParallelCrowdDriver` (a shared
-    ``SharedWalkerState``) — set ``spec``, ``nw``, ``master_seed``,
-    ``tau`` and ``use_drift``, keep ``n_moves``/``n_accept`` and provide
+    ``SharedWalkerState``) — set ``spec``, ``nw``, ``master_seed`` and
+    ``tau``, keep ``n_moves``/``n_accept`` and provide
     ``_walkers() -> (block, source)``: the walker block
     (:data:`STATE_FIELDS`) and where the last comb took each slot's
     walker from.  Everything else a crowd run owes the loop is here
@@ -393,5 +398,6 @@ class CrowdLoop(GenerationLoop):
     def _run_meta(self) -> dict:
         return {"mode": self._mode, "nwalkers": self.nw,
                 "seed": self.master_seed, "timestep": self.tau,
-                "use_drift": bool(self.use_drift),
+                # every run drifts; the key refuses older no-drift runs
+                "use_drift": True,
                 "spec": self.spec.checkpoint_key()}

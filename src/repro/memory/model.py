@@ -101,24 +101,19 @@ class MemoryModel:
 
     # -- totals --------------------------------------------------------------------------
     def breakdown(self, version: CodeVersion, n_threads: int,
-                  n_walkers: int, label: str = "", n_processes: int = 1,
-                  shared_tables: bool = False) -> MemoryBreakdown:
-        """Footprint at scale.  ``n_processes`` counts crowd *processes*
-        (each holding its own table copy unless ``shared_tables`` maps
-        one read-only slab across all of them — the
-        :class:`repro.splines.slab.SharedCoefSlab` configuration)."""
-        k = max(1, int(n_processes))
+                  n_walkers: int, label: str = "") -> MemoryBreakdown:
+        """Footprint at scale: one spline table (forked crowd processes
+        share the parent's pages), plus the walkers and threads."""
         table = self.spline_table_bytes(version)
-        table_total = table if shared_tables else table * k
         return MemoryBreakdown(
             label=label or f"{self.wl.name}/{version.label}",
-            spline_table=table_total,
+            spline_table=table,
             per_walker=self.walker_bytes(version),
             per_thread=self.thread_bytes(version),
             n_threads=n_threads,
             n_walkers=n_walkers,
             components={
-                "spline": table_total,
+                "spline": table,
                 "walker": self.walker_bytes(version),
                 "thread": self.thread_bytes(version),
             },

@@ -95,8 +95,7 @@ class _WorkerDown(RuntimeError):
 
 def _host_crowd(spec: JastrowSystemSpec, state: SharedWalkerState,
                 crowd: int, n_crowds: int, master_seed: int,
-                timestep: float, use_drift: bool,
-                start_generation: int) -> BatchedCrowdDriver:
+                timestep: float, start_generation: int) -> BatchedCrowdDriver:
     """Crowd ``crowd`` of ``n_crowds``: a batched driver over its strided
     views of the walker block, ready to run ``start_generation``; what
     every worker process hosts.  Set up exactly as the in-process
@@ -113,7 +112,7 @@ def _host_crowd(spec: JastrowSystemSpec, state: SharedWalkerState,
     # replaying the per-generation draw pattern of the sweep.
     streams = walker_streams(master_seed, state.nw)
     drv = BatchedCrowdDriver(
-        spec, len(ids), master_seed, timestep, use_drift, batch=batch,
+        spec, len(ids), master_seed, timestep, batch=batch,
         rngs=[streams[w] for w in ids])
     drv.skip_generations(start_generation - 1)
     # After a DMC comb the crowd gathers its tables from the slots the
@@ -149,7 +148,6 @@ class _WorkerConfig:
     crowd: int
     n_crowds: int
     timestep: float
-    use_drift: bool
     start_generation: int
     state_name: str
     #: this crowd's end of its pipe to the parent
@@ -177,7 +175,7 @@ def _worker_main(cfg: _WorkerConfig) -> None:
             cfg.state_name, cfg.total_walkers, cfg.spec.n)
         crowd = _host_crowd(
             cfg.spec, state, cfg.crowd, cfg.n_crowds, cfg.master_seed,
-            cfg.timestep, cfg.use_drift, cfg.start_generation)
+            cfg.timestep, cfg.start_generation)
         conn.send(("ready", cfg.start_generation, None))
         with METRICS.scope("Crowd"):
             while True:
@@ -221,8 +219,7 @@ class ParallelCrowdDriver(CrowdLoop):
     """
 
     def __init__(self, spec: JastrowSystemSpec, nwalkers: int,
-                 master_seed: int, workers: int = 0, timestep: float = 0.5,
-                 use_drift: bool = True):
+                 master_seed: int, workers: int = 0, timestep: float = 0.5):
         if nwalkers < 1:
             raise ValueError(f"need at least one walker, got {nwalkers}")
         if workers < 0:
@@ -232,13 +229,10 @@ class ParallelCrowdDriver(CrowdLoop):
         self.master_seed = int(master_seed)
         self.workers = min(int(workers), self.nw)
         self.tau = float(timestep)
-        self.use_drift = use_drift
         # fork where the platform has it: cheapest respawn; spawn also works
         self._ctx = mp.get_context(
             "fork" if "fork" in mp.get_all_start_methods() else None)
-        self._ham_names = tuple(BatchedHamiltonian.BASE_NAMES)
-        if getattr(spec, "with_nlpp", False):
-            self._ham_names += ("NonLocalECP",)
+        self._ham_names = BatchedHamiltonian.term_names(spec.with_nlpp)
         self.respawns = 0
         #: crowd -> worker process, and crowd -> the parent's pipe end
         self._procs: Dict[int, mp.process.BaseProcess] = {}
@@ -266,13 +260,13 @@ class ParallelCrowdDriver(CrowdLoop):
         1`` — the same fast-forward path that makes within-run crash
         recovery bitwise, so the continued trace and error bars equal an
         uninterrupted run's; a checkpoint of another run (mode,
-        population, seed, time step, drift or model) is refused with a
+        population, seed, time step or model) is refused with a
         ValueError.
         """
         if self.workers == 0:
             t_setup = time.perf_counter()
             crowd = BatchedCrowdDriver(self.spec, self.nw, self.master_seed,
-                                       self.tau, self.use_drift)
+                                       self.tau)
             setup_s = time.perf_counter() - t_setup
             result = crowd.run(steps, mode, streams, resume)
             result.extra.update(workers=0.0, respawns=0.0,
@@ -353,7 +347,6 @@ class ParallelCrowdDriver(CrowdLoop):
                 spec=self.spec, master_seed=self.master_seed,
                 total_walkers=self.nw, crowd=crowd,
                 n_crowds=self.workers, timestep=self.tau,
-                use_drift=self.use_drift,
                 start_generation=start_generation,
                 state_name=self._state.name, conn=child_end,
                 metrics_enabled=METRICS.enabled)

@@ -13,17 +13,16 @@ committed straight into shared memory by the batched driver's normal
 It is the only segment the crowd pool maps: each generation's
 per-walker estimator rows ride the crowds' replies instead.
 
-Lifecycle contract (see docs/parallel_crowds.md), written once in
-:class:`_SharedBlock` for the walker state and the B-spline coefficient
-slab (:mod:`repro.splines.slab`):
+Lifecycle contract (see docs/parallel_crowds.md):
 
-* the creating process calls :meth:`unlink` exactly once (idempotent);
-  a ``weakref.finalize`` guard unlinks on interpreter exit if the owner
-  forgot, so a crashed *parent* cannot leak ``/dev/shm`` segments;
-* attaching processes call :meth:`close` only — and their attachment is
-  excluded from the ``resource_tracker`` so a worker's exit (normal or
-  violent) neither unlinks the segment under the parent nor spams
-  tracker warnings;
+* the creating process calls :meth:`SharedWalkerState.unlink` exactly
+  once (idempotent); a ``weakref.finalize`` guard unlinks on interpreter
+  exit if the owner forgot, so a crashed *parent* cannot leak
+  ``/dev/shm`` segments;
+* attaching processes call :meth:`~SharedWalkerState.close` only — and
+  their attachment is excluded from the ``resource_tracker`` so a
+  worker's exit (normal or violent) neither unlinks the segment under
+  the parent nor spams tracker warnings;
 * a block built without a segment name has the same fields over plain
   process memory; only tests use it, to host crowds in process exactly
   as the workers host them (the in-process crowd driver owns a
@@ -94,23 +93,28 @@ def _unlink(shm: shared_memory.SharedMemory) -> None:
         pass
 
 
-def fresh_name(prefix: str) -> str:
-    """A new ``/dev/shm`` segment name under ``prefix``."""
-    return f"{prefix}-{secrets.token_hex(6)}"
+class SharedWalkerState:
+    """The population's canonical walker state in one block: the
+    :data:`~repro.drivers.generation.STATE_FIELDS`, then ``source``, the
+    slot the last comb took each walker from (a checkpoint does not
+    carry it).
 
+    Constructed without a segment name, the fields lie over plain heap
+    memory; otherwise over the shared-memory segment ``name``, which
+    this process either creates (zero-filled, owned, unlinked exactly
+    once — by ``close`` or by the ``weakref.finalize`` guard) or
+    attaches to (untracked, never unlinked)."""
 
-class _SharedBlock:
-    """Named numpy fields over one buffer, with the segment lifecycle.
-
-    ``name=None`` builds the fields over plain heap memory; otherwise
-    the buffer is the shared-memory segment ``name``, which this process
-    either creates (zero-filled, owned, unlinked exactly once — by
-    ``close`` or by the ``weakref.finalize`` guard) or attaches to
-    (untracked, never unlinked)."""
-
-    def __init__(self, fields, name: Optional[str] = None,
+    def __init__(self, nwalkers: int, n: int, name: Optional[str] = None,
                  create: bool = False):
-        layout, size = _pack(fields)
+        self.nw = nw = int(nwalkers)
+        self.n = int(n)
+        layout, size = _pack((("R", (nw, self.n, 3), "float64"),
+                              ("weight", (nw,), "float64"),
+                              ("logpsi", (nw,), "float64"),
+                              ("local_energy", (nw,), "float64"),
+                              ("age", (nw,), "int64"),
+                              ("source", (nw,), "int64")))
         self.owner = create
         self._fields = tuple(layout)
         self._shm = None
@@ -128,7 +132,27 @@ class _SharedBlock:
                 shape, dtype=dtype, buffer=buf, offset=offset))
         self._finalizer = (weakref.finalize(self, _unlink, self._shm)
                            if create else None)
+        if create or name is None:
+            self.weight[...] = 1.0
+            self.source[...] = np.arange(nw)
 
+    # -- construction -----------------------------------------------------------
+    @classmethod
+    def create(cls, nwalkers: int, n: int) -> "SharedWalkerState":
+        """Allocate a fresh zeroed segment (parent side)."""
+        return cls(nwalkers, n, f"repro-crowds-{secrets.token_hex(6)}",
+                   create=True)
+
+    @classmethod
+    def attach(cls, name: str, nwalkers: int, n: int) -> "SharedWalkerState":
+        """Map an existing segment (worker side), untracked."""
+        return cls(nwalkers, n, name)
+
+    def __repr__(self) -> str:
+        return (f"SharedWalkerState(nw={self.nw}, n={self.n}, "
+                f"name={self.name!r}, owner={self.owner})")
+
+    # -- the segment lifecycle ---------------------------------------------------
     @property
     def name(self) -> Optional[str]:
         """Segment name attachers map by (None for a heap block)."""
@@ -157,40 +181,3 @@ class _SharedBlock:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-
-class SharedWalkerState(_SharedBlock):
-    """The population's canonical walker state in one block: the
-    :data:`~repro.drivers.generation.STATE_FIELDS`, then ``source``, the
-    slot the last comb took each walker from (a checkpoint does not
-    carry it).  Over heap memory when constructed without a segment
-    name."""
-
-    def __init__(self, nwalkers: int, n: int, name: Optional[str] = None,
-                 create: bool = False):
-        self.nw = nw = int(nwalkers)
-        self.n = int(n)
-        super().__init__((("R", (nw, self.n, 3), "float64"),
-                          ("weight", (nw,), "float64"),
-                          ("logpsi", (nw,), "float64"),
-                          ("local_energy", (nw,), "float64"),
-                          ("age", (nw,), "int64"),
-                          ("source", (nw,), "int64")), name, create)
-        if create or name is None:
-            self.weight[...] = 1.0
-            self.source[...] = np.arange(nw)
-
-    # -- construction -----------------------------------------------------------
-    @classmethod
-    def create(cls, nwalkers: int, n: int) -> "SharedWalkerState":
-        """Allocate a fresh zeroed segment (parent side)."""
-        return cls(nwalkers, n, fresh_name("repro-crowds"), create=True)
-
-    @classmethod
-    def attach(cls, name: str, nwalkers: int, n: int) -> "SharedWalkerState":
-        """Map an existing segment (worker side), untracked."""
-        return cls(nwalkers, n, name)
-
-    def __repr__(self) -> str:
-        return (f"SharedWalkerState(nw={self.nw}, n={self.n}, "
-                f"name={self.name!r}, owner={self.owner})")

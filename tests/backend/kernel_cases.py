@@ -42,7 +42,7 @@ def _sweep_plan(rng, W, n):
 
     seed = int(rng.integers(2 ** 31 - 1))
     spec = JastrowSystemSpec(n=n, seed=seed)
-    drv = BatchedCrowdDriver(spec, W, master_seed=seed + 1, use_drift=True)
+    drv = BatchedCrowdDriver(spec, W, master_seed=seed + 1)
     plan = drv._plan
     plan.workspace.fill(drv.rngs, plan.sqrt_tau)
     return plan

@@ -47,17 +47,10 @@ class TestAcceptMask:
             A = min(1.0, rho[w] * rho[w] * math.exp(log_t[w]))
             assert acc[w] == (uniforms[w] < A and rho[w] != 0.0)
 
-    def test_no_drift_branch(self, rng):
-        rho = rng.normal(loc=0.9, scale=0.4, size=64)
-        uniforms = rng.uniform(size=64)
-        acc = np.asarray(B.accept_mask(rho, None, uniforms))
-        ref = (uniforms < np.minimum(1.0, rho * rho)) & (rho != 0.0)
-        assert np.array_equal(acc, ref)
-
     def test_node_touch_is_always_rejected(self):
         rho = np.array([0.0, 0.0])
         uniforms = np.array([0.0, 1e-300])  # would accept any A > 0
-        acc = np.asarray(B.accept_mask(rho, None, uniforms))
+        acc = np.asarray(B.accept_mask(rho, np.zeros(2), uniforms))
         assert not acc.any()
 
 

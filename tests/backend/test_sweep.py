@@ -4,7 +4,6 @@ oracle (``repro.batched.reference.loop_sweep``).
 """
 
 import numpy as np
-import pytest
 
 from repro.backend import get_backend
 from repro.batched import BatchedCrowdDriver, JastrowSystemSpec
@@ -14,19 +13,17 @@ from repro.batched.sweep import fused_sweep_step
 SEED = 17
 
 
-def _driver(n=10, W=4, use_drift=True):
+def _driver(n=10, W=4):
     spec = JastrowSystemSpec(n=n, seed=5)
-    return BatchedCrowdDriver(spec, W, SEED, use_drift=use_drift)
+    return BatchedCrowdDriver(spec, W, SEED)
 
 
 class TestNumpySweepExact:
     """sweep_run and its per-electron body vs the loop oracle."""
 
-    @pytest.mark.parametrize("use_drift", [False, True],
-                             ids=["diffusion", "drift"])
-    def test_sweep_run_bitwise_vs_loop(self, use_drift):
-        fused = _driver(use_drift=use_drift)
-        loop = _driver(use_drift=use_drift)
+    def test_sweep_run_bitwise_vs_loop(self):
+        fused = _driver()
+        loop = _driver()
         use_loop_sweep(loop)
         fused.move_log = []
         loop.move_log = []

@@ -50,7 +50,7 @@ def test_batched_arrays_equal_a_row_pass(flavor, timestep):
 def _crowds(spec, n_crowds):
     state = SharedWalkerState(W, spec.n)
     state.R[...] = spec.initial_positions(W)
-    return state, [_host_crowd(spec, state, c, n_crowds, 11, 0.1, True, 1)
+    return state, [_host_crowd(spec, state, c, n_crowds, 11, 0.1, 1)
                    for c in range(n_crowds)]
 
 

@@ -139,7 +139,7 @@ class TestCommitRows:
 def _crowd(spec):
     state = SharedWalkerState(W, spec.n)
     state.R[...] = spec.initial_positions(W)
-    return state, _host_crowd(spec, state, 0, 1, 11, 0.1, True, 1)
+    return state, _host_crowd(spec, state, 0, 1, 11, 0.1, 1)
 
 
 def _comb(state, seed=3):

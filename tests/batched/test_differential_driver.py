@@ -26,13 +26,10 @@ TOL = 1e4 * float(np.finfo(np.float64).eps)
 FP64 = pytest.mark.parametrize("dtype", [pytest.param(np.float64, id="fp64")])
 
 
-def _run_pair(flavor, use_drift, n=16, steps=STEPS, streams=None,
-              dtype=np.float64):
+def _run_pair(flavor, n=16, steps=STEPS, streams=None, dtype=np.float64):
     spec = JastrowSystemSpec(n=n, seed=7, aa_flavor=flavor)
-    ref = run_reference(spec, W, steps, SEED, timestep=0.5,
-                        use_drift=use_drift)
-    drv = BatchedCrowdDriver(spec, W, SEED, timestep=0.5,
-                             use_drift=use_drift)
+    ref = run_reference(spec, W, steps, SEED, timestep=0.5)
+    drv = BatchedCrowdDriver(spec, W, SEED, timestep=0.5)
     assert drv.batch.Rsoa.dtype == dtype
     drv.move_log = []
     result = drv.run(steps, streams=streams)
@@ -40,32 +37,29 @@ def _run_pair(flavor, use_drift, n=16, steps=STEPS, streams=None,
 
 
 @pytest.mark.parametrize("flavor", ["soa", "otf"])
-@pytest.mark.parametrize("use_drift", [False, True],
-                         ids=["diffusion", "drift"])
 @FP64
 class TestDifferentialDriver:
-    def test_accept_reject_sequences_exact(self, flavor, use_drift, dtype):
-        ref, drv, _ = _run_pair(flavor, use_drift, dtype=dtype)
+    def test_accept_reject_sequences_exact(self, flavor, dtype):
+        ref, drv, _ = _run_pair(flavor, dtype=dtype)
         batched = np.array(drv.move_log)  # (steps*n, W)
         for w in range(W):
             assert ref.move_log[w] == list(batched[:, w])
 
-    def test_energies_within_policy_tolerance(self, flavor, use_drift,
-                                              dtype):
-        ref, drv, result = _run_pair(flavor, use_drift, dtype=dtype)
+    def test_energies_within_policy_tolerance(self, flavor, dtype):
+        ref, drv, result = _run_pair(flavor, dtype=dtype)
         np.testing.assert_allclose(drv.batch.local_energy,
                                    ref.energies[-1], rtol=TOL, atol=TOL)
         np.testing.assert_allclose(result.energies,
                                    np.mean(ref.energies, axis=1),
                                    rtol=TOL, atol=TOL)
 
-    def test_final_positions_agree(self, flavor, use_drift, dtype):
-        ref, drv, _ = _run_pair(flavor, use_drift, dtype=dtype)
+    def test_final_positions_agree(self, flavor, dtype):
+        ref, drv, _ = _run_pair(flavor, dtype=dtype)
         np.testing.assert_allclose(drv.batch.R, ref.positions,
                                    rtol=0, atol=1e-12)
 
-    def test_move_counters_match(self, flavor, use_drift, dtype):
-        ref, drv, result = _run_pair(flavor, use_drift, dtype=dtype)
+    def test_move_counters_match(self, flavor, dtype):
+        ref, drv, result = _run_pair(flavor, dtype=dtype)
         assert drv.n_moves == ref.n_moves
         assert drv.n_accept == ref.n_accept
         assert result.extra["moves"] == float(ref.n_moves)
@@ -77,10 +71,8 @@ class TestFullPrecisionIsBitwise:
     sum/exp arithmetic is identical, so it is bitwise equal."""
 
     @pytest.mark.parametrize("flavor", ["soa", "otf"])
-    @pytest.mark.parametrize("use_drift", [False, True],
-                             ids=["diffusion", "drift"])
-    def test_per_step_energies_bitwise(self, flavor, use_drift):
-        ref, drv, result = _run_pair(flavor, use_drift)
+    def test_per_step_energies_bitwise(self, flavor):
+        ref, drv, result = _run_pair(flavor)
         assert np.array_equal(drv.batch.local_energy, ref.energies[-1])
 
     def test_estimator_series_match(self, tmp_path):
@@ -88,7 +80,7 @@ class TestFullPrecisionIsBitwise:
         (step, walker)-ordered, term by term."""
         path = str(tmp_path / "run.trace")
         with StreamSet(trace_path=path) as streams:
-            ref, _, _ = _run_pair("soa", True, streams=streams)
+            ref, _, _ = _run_pair("soa", streams=streams)
         expected = dict(ref.components, LocalEnergy=ref.energies)
         with TraceReader(path) as trace:
             # Row-sum terms are bitwise; Kinetic carries the BLAS G/L ulps.
@@ -107,7 +99,7 @@ class TestSanitized:
 
     @pytest.mark.parametrize("flavor", ["soa", "otf"])
     def test_sanitized_differential(self, sanitize, flavor):
-        ref, drv, _ = _run_pair(flavor, True, steps=2)
+        ref, drv, _ = _run_pair(flavor, steps=2)
         assert drv.sanitizers is not None  # actually armed
         batched = np.array(drv.move_log)
         for w in range(W):

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from repro.batched import BatchedCrowdDriver, JastrowSystemSpec
 from repro.batched.reference import loop_limited_drift, use_loop_sweep
 from repro.batched.sweep import SweepWorkspace, limited_drift
+from repro.drivers.generation import DRIFT_CAP
 from repro.output.stream import StreamSet, TraceReader
 from repro.parallel.crowds import ParallelCrowdDriver
 
@@ -38,11 +39,11 @@ def _assert_same_series(trace_a, trace_b, names):
             np.testing.assert_array_equal(a.series(name), b.series(name))
 
 
-def _pair(flavor="otf", use_drift=True, n=16, nwalkers=W):
+def _pair(flavor="otf", n=16, nwalkers=W):
     """(fused driver, loop-oracle driver) on identical specs/seeds."""
     spec = JastrowSystemSpec(n=n, seed=7, aa_flavor=flavor)
-    fused = BatchedCrowdDriver(spec, nwalkers, SEED, use_drift=use_drift)
-    loop = BatchedCrowdDriver(spec, nwalkers, SEED, use_drift=use_drift)
+    fused = BatchedCrowdDriver(spec, nwalkers, SEED)
+    loop = BatchedCrowdDriver(spec, nwalkers, SEED)
     use_loop_sweep(loop)
     fused.move_log = []
     loop.move_log = []
@@ -50,13 +51,11 @@ def _pair(flavor="otf", use_drift=True, n=16, nwalkers=W):
 
 
 @pytest.mark.parametrize("flavor", ["soa", "otf"])
-@pytest.mark.parametrize("use_drift", [False, True],
-                         ids=["diffusion", "drift"])
 class TestFusedSweepBitwise:
     """Fused pipeline vs the loop oracle: exact, not merely close."""
 
-    def test_trajectory_bitwise(self, flavor, use_drift):
-        fused, loop = _pair(flavor, use_drift)
+    def test_trajectory_bitwise(self, flavor):
+        fused, loop = _pair(flavor)
         for _ in range(3):
             a = fused.sweep()
             b = loop.sweep()
@@ -72,8 +71,8 @@ class TestFusedSweepBitwise:
         assert fused.n_accept == loop.n_accept
         assert fused.n_moves == loop.n_moves
 
-    def test_run_traces_bitwise(self, flavor, use_drift, tmp_path):
-        fused, loop = _pair(flavor, use_drift)
+    def test_run_traces_bitwise(self, flavor, tmp_path):
+        fused, loop = _pair(flavor)
         traces = [str(tmp_path / "fused.trace"), str(tmp_path / "loop.trace")]
         with StreamSet(trace_path=traces[0]) as streams:
             ra = fused.run(3, streams=streams)
@@ -83,13 +82,13 @@ class TestFusedSweepBitwise:
         assert ra.acceptance == rb.acceptance
         _assert_same_series(*traces, ra.online.names())
 
-    def test_streamed_run_traces_bitwise(self, flavor, use_drift, tmp_path):
+    def test_streamed_run_traces_bitwise(self, flavor, tmp_path):
         """Streaming observes, never perturbs: a run that writes the
         per-generation binary trace and feeds the online reblocker walks
         the trajectory of the in-memory run, and the file holds it."""
         spec = JastrowSystemSpec(n=16, seed=7, aa_flavor=flavor)
-        plain = BatchedCrowdDriver(spec, W, SEED, use_drift=use_drift)
-        streamed = BatchedCrowdDriver(spec, W, SEED, use_drift=use_drift)
+        plain = BatchedCrowdDriver(spec, W, SEED)
+        streamed = BatchedCrowdDriver(spec, W, SEED)
         trace = str(tmp_path / "run.trace")
         with StreamSet(trace_path=trace) as streams:
             rb = streamed.run(4, streams=streams)
@@ -170,17 +169,17 @@ def test_limited_drift_bitwise_property(w, dtype, scale, tau, seed):
     fp32/fp64 x W in {1,7,32} hypothesis sweep)."""
     rng = np.random.default_rng(seed)
     g = rng.normal(scale=scale, size=(w, 3)).astype(dtype)
-    host = SimpleNamespace(tau=tau, DRIFT_CAP=BatchedCrowdDriver.DRIFT_CAP)
-    want = loop_limited_drift(host, g.copy())
+    want = loop_limited_drift(SimpleNamespace(tau=tau), g.copy())
     out = np.empty_like(g)
-    got = limited_drift(tau, BatchedCrowdDriver.DRIFT_CAP, g.copy(),
-                        out=out)
+    got = limited_drift(tau, g.copy(), out=out)
     assert got is out
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
     # and the allocation-per-call variant used where no buffer exists
-    assert np.array_equal(
-        limited_drift(tau, BatchedCrowdDriver.DRIFT_CAP, g.copy()), want)
+    assert np.array_equal(limited_drift(tau, g.copy()), want)
+    # the one cap both stacks read bounds every drift
+    norm = np.linalg.norm(got.astype(np.float64), axis=1)
+    assert np.all(norm <= DRIFT_CAP * np.sqrt(tau) * (1 + 1e-6))
 
 
 class TestFusedCrowdSplit:

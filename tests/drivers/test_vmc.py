@@ -47,11 +47,6 @@ class TestVMCBasics:
                      seed=42)
         assert np.allclose(r1.energies, r2.energies, rtol=1e-12)
 
-    def test_no_drift_mode(self, small_sys):
-        res = run_vmc(small_sys, CodeVersion.CURRENT, walkers=2, steps=2,
-                      use_drift=False, seed=3)
-        assert np.all(np.isfinite(res.energies))
-
     def test_summary_text(self, small_sys):
         res = run_vmc(small_sys, CodeVersion.CURRENT, walkers=2, steps=2,
                       seed=1)

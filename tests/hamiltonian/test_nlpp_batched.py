@@ -191,10 +191,8 @@ class TestDriverDifferentialWithNlpp:
     def _run_pair(self, npoints, dtype, nwalkers=4, steps=2, streams=None):
         spec = JastrowSystemSpec(n=16, seed=7, aa_flavor="otf",
                                  with_nlpp=True, nlpp_npoints=npoints)
-        ref = run_reference(spec, nwalkers, steps, SEED, timestep=0.5,
-                            use_drift=True)
-        drv = BatchedCrowdDriver(spec, nwalkers, SEED, timestep=0.5,
-                                 use_drift=True)
+        ref = run_reference(spec, nwalkers, steps, SEED, timestep=0.5)
+        drv = BatchedCrowdDriver(spec, nwalkers, SEED, timestep=0.5)
         assert drv.batch.Rsoa.dtype == dtype
         drv.move_log = []
         drv.run(steps, streams=streams)

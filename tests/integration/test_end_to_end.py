@@ -48,7 +48,7 @@ class TestFullPipeline:
         totals = run_vmc(sys_, CodeVersion.CURRENT, walkers=1, steps=1,
                          seed=5, profile=True).profile.ops
         # Drift VMC exercises the vgh path; Bspline-v appears on the
-        # ratio-only paths (no-drift moves, NLPP probes).
+        # ratio-only path (NLPP probes).
         for cat in ("DistTable-AA", "DistTable-AB", "J1", "J2",
                     "Bspline-vgh", "DetUpdate"):
             assert cat in totals, cat
@@ -56,9 +56,9 @@ class TestFullPipeline:
 
     def test_bspline_v_counted_on_ratio_path(self):
         sys_ = QmcSystem.from_workload("NiO-32", scale=0.125, seed=8,
-                                       with_nlpp=False)
+                                       with_nlpp=True)
         prof = run_vmc(sys_, CodeVersion.CURRENT, walkers=1, steps=1,
-                       use_drift=False, seed=5, profile=True).profile
+                       seed=5, profile=True).profile
         assert prof.ops["Bspline-v"].flops > 0
         assert prof.seconds["Bspline-v"] > 0
 

@@ -52,16 +52,14 @@ def _read(path):
 # In-process drivers: kill simulated by abandoning the run mid-stream
 # ----------------------------------------------------------------------
 
-def _scalar_driver(mode, timestep=None, use_drift=True, precision=FULL,
-                   **spec):
+def _scalar_driver(mode, timestep=None, precision=FULL, **spec):
     """The driver of ``mode``; the keywords change the run parameters
     (``spec`` those of the batched model; ``precision`` only a
     per-walker driver's) from the battery's."""
     if mode.startswith("batched"):
         spec = JastrowSystemSpec(
             n=8, seed=7, **{"with_nlpp": mode == "batched-nlpp", **spec})
-        return BatchedCrowdDriver(spec, 6, 11, timestep=timestep or 0.3,
-                                  use_drift=use_drift)
+        return BatchedCrowdDriver(spec, 6, 11, timestep=timestep or 0.3)
     sys_ = QmcSystem.from_workload("Graphite", scale=0.125, seed=6,
                                    with_nlpp=False)
     parts = sys_.build(CodeVersion.CURRENT)
@@ -69,12 +67,11 @@ def _scalar_driver(mode, timestep=None, use_drift=True, precision=FULL,
         from repro.drivers.vmc import VMCDriver
         return VMCDriver(parts.electrons, parts.twf, parts.ham,
                          np.random.default_rng(99),
-                         timestep=timestep or 0.3, use_drift=use_drift,
-                         precision=precision)
+                         timestep=timestep or 0.3, precision=precision)
     from repro.drivers.dmc import DMCDriver
     return DMCDriver(parts.electrons, parts.twf, parts.ham,
                      np.random.default_rng(99), timestep=timestep or 0.02,
-                     use_drift=use_drift, precision=precision)
+                     precision=precision)
 
 
 def _run(mode, steps, streams, resume=None, drv=None):
@@ -243,7 +240,8 @@ class _ReapShm:
 class TestResumeRefusesAnotherRun:
     """A checkpoint records the run's time step, drift and model (and a
     per-walker run its precision policy); resuming it as a different run
-    is refused, naming the key."""
+    is refused, naming the key.  Every run drifts now, so a no-drift run
+    is a checkpoint of older code: one whose meta says so."""
 
     @pytest.mark.parametrize("kind, change, key", [
         ("crowd", {"timestep": 0.1}, "timestep"),
@@ -259,25 +257,33 @@ class TestResumeRefusesAnotherRun:
                                             tmp_path):
         root = str(tmp_path)
         ckpt_path = os.path.join(root, "run.ckpt")
+        change = dict(change)
+        old_meta = {k: change.pop(k) for k in ("use_drift",) if k in change}
+
+        def checkpoint():
+            ckpt = load_run_checkpoint(ckpt_path)
+            ckpt.meta.update(old_meta)
+            return ckpt
+
         mismatch = pytest.raises(
             ValueError, match=f"checkpoint {key} .* do not match")
         if kind != "crowd":
             _run(kind, CKPT_EVERY, StreamSet(checkpoint_path=ckpt_path,
                                              checkpoint_every=CKPT_EVERY))
             with mismatch:
-                _run(kind, 2, None, resume=load_run_checkpoint(ckpt_path),
+                _run(kind, 2, None, resume=checkpoint(),
                      drv=_scalar_driver(kind, **change))
             return
         with _ReapShm():
             _parallel_run(root, 0, "vmc", steps=CKPT_EVERY)
-        run = {"timestep": 0.3, "use_drift": True}
+        run = {"timestep": 0.3}
         spec = {k: v for k, v in change.items() if k not in run}
         run.update((k, v) for k, v in change.items() if k in run)
         drv = ParallelCrowdDriver(
             JastrowSystemSpec(n=N_ELECTRONS, seed=7, **spec),
             WALKERS, SEED, workers=0, **run)
         with drv, mismatch:
-            drv.run(2, mode="vmc", resume=load_run_checkpoint(ckpt_path))
+            drv.run(2, mode="vmc", resume=checkpoint())
 
 
 class TestParallelKillRestart:

@@ -3,7 +3,7 @@
 A single electron in a periodic box with the nodeless orbital
 phi(r) = 2 + cos(2 pi x / L) has |Psi(r)|^2 ~ phi(r)^2, which factorizes:
 the x-marginal is (2 + cos(2 pi x/L))^2 / (4.5 L), and y, z are uniform.
-Long Metropolis runs (with and without drift) must reproduce that
+Long drift-diffusion Metropolis runs must reproduce that
 distribution — this closes the loop on the whole move/ratio/accept
 machinery, not just its algebra.
 """
@@ -40,14 +40,13 @@ class NodelessSPO:
         return v, g, lap
 
 
-def _run_chain(use_drift: bool, steps: int, seed: int) -> np.ndarray:
+def _run_chain(steps: int, seed: int) -> np.ndarray:
     lat = CrystalLattice.cubic(L)
     P = ParticleSet("e", np.array([[1.0, 1.0, 1.0]]), lat)
     spo = NodelessSPO()
     twf = TrialWaveFunction([DiracDeterminant(spo, 0, 1)])
     ham = Hamiltonian([KineticEnergy()])
-    drv = VMCDriver(P, twf, ham, np.random.default_rng(seed),
-                    timestep=0.5, use_drift=use_drift)
+    drv = VMCDriver(P, twf, ham, np.random.default_rng(seed), timestep=0.5)
     twf.evaluate_log(P)
     xs = np.empty(steps)
     for i in range(steps):
@@ -65,11 +64,9 @@ def _expected_cdf(x):
     return f / (4.5 * L)
 
 
-@pytest.mark.parametrize("use_drift", [False, True],
-                         ids=["metropolis", "drift-diffusion"])
 @pytest.mark.slow
-def test_vmc_samples_psi_squared(use_drift):
-    xs = _run_chain(use_drift, steps=6000, seed=11)
+def test_vmc_samples_psi_squared():
+    xs = _run_chain(steps=6000, seed=11)
     xs = xs[500:]  # discard warmup
     # Kolmogorov-Smirnov against the analytic CDF.
     xs_sorted = np.sort(xs)
@@ -88,8 +85,7 @@ def test_yz_marginals_uniform():
     P = ParticleSet("e", np.array([[1.0, 1.0, 1.0]]), lat)
     twf = TrialWaveFunction([DiracDeterminant(NodelessSPO(), 0, 1)])
     ham = Hamiltonian([KineticEnergy()])
-    drv = VMCDriver(P, twf, ham, np.random.default_rng(3), timestep=0.5,
-                    use_drift=False)
+    drv = VMCDriver(P, twf, ham, np.random.default_rng(3), timestep=0.5)
     twf.evaluate_log(P)
     ys = np.empty(4000)
     for i in range(4000):

@@ -81,32 +81,3 @@ class TestFig8Fig9:
         assert "GB" in b.format_row()
         assert b.total_bytes == pytest.approx(
             b.spline_table + 512 * b.per_walker + 64 * b.per_thread)
-
-
-class TestSharedTables:
-    """The SharedCoefSlab accounting mode (docs/spline_memory.md)."""
-
-    def test_k_processes_replicate_the_table_by_default(self):
-        m = MemoryModel(NIO32)
-        one = m.breakdown(CodeVersion.CURRENT, 8, 64)
-        four = m.breakdown(CodeVersion.CURRENT, 8, 64, n_processes=4)
-        assert four.spline_table == pytest.approx(4 * one.spline_table)
-        assert four.components["spline"] == four.spline_table
-
-    def test_shared_tables_keep_one_physical_copy(self):
-        m = MemoryModel(NIO32)
-        one = m.breakdown(CodeVersion.CURRENT, 8, 64)
-        shared = m.breakdown(CodeVersion.CURRENT, 8, 64, n_processes=4,
-                             shared_tables=True)
-        assert shared.spline_table == one.spline_table
-        assert shared.components["spline"] == one.spline_table
-
-    def test_shared_saving_grows_with_k(self):
-        m = MemoryModel(NIO64)
-        totals = [
-            m.breakdown(CodeVersion.CURRENT, 8, 64, n_processes=k).total_gb
-            - m.breakdown(CodeVersion.CURRENT, 8, 64, n_processes=k,
-                          shared_tables=True).total_gb
-            for k in (1, 2, 4, 8)]
-        assert totals[0] == 0.0
-        assert totals == sorted(totals)

@@ -28,6 +28,7 @@ crowd processes than cores is fine — the scaling *performance* numbers
 are the end-to-end benchmark's (``j96-dmc-w2`` vs ``j96-dmc-serial``).
 """
 
+import gc
 import glob
 import multiprocessing as mp
 import os
@@ -59,6 +60,11 @@ SEED = 11
 def _shm_segments():
     """Names of the crowd pool's live shared-memory segments."""
     return sorted(glob.glob("/dev/shm/repro-crowds-*"))
+
+
+def _attach_and_die(name, nwalkers):
+    SharedWalkerState.attach(name, nwalkers, N)
+    os._exit(9)  # no close(), no interpreter shutdown
 
 
 def _first_time(marker):
@@ -213,6 +219,41 @@ class TestShmLifecycle:
         assert glob.glob(f"/dev/shm/{state.name}")  # attacher never unlinks
         state.close()
         assert not glob.glob(f"/dev/shm/{state.name}")
+
+    def test_owner_close_is_idempotent(self):
+        state = SharedWalkerState.create(4, N)
+        state.close()
+        state.close()
+        state.unlink()
+        assert not glob.glob(f"/dev/shm/{state.name}")
+
+    def test_violent_attacher_death_leaves_the_segment(self):
+        # A worker that maps the block and dies without cleanup must not
+        # reap the parent's segment; the owner still unlinks it once.
+        before = _shm_segments()
+        with SharedWalkerState.create(4, N) as state:
+            state.R[...] = 1.5
+            proc = mp.get_context("fork").Process(
+                target=_attach_and_die, args=(state.name, 4))
+            proc.start()
+            proc.join(timeout=30.0)
+            assert proc.exitcode == 9
+            assert glob.glob(f"/dev/shm/{state.name}")
+            assert np.all(state.R == 1.5)
+        assert _shm_segments() == before
+
+    def test_forgotten_owner_is_finalized(self):
+        before = _shm_segments()
+        state = SharedWalkerState.create(4, N)
+        assert len(_shm_segments()) == len(before) + 1
+        del state  # no close(): the weakref.finalize guard must unlink
+        gc.collect()
+        assert _shm_segments() == before
+
+    def test_repr_names_the_segment(self):
+        with SharedWalkerState.create(4, N) as state:
+            assert state.name in repr(state)
+            assert "owner=True" in repr(state)
 
 
 class TestCrashRecovery:
@@ -421,7 +462,7 @@ class TestWireBytes:
         # one command out and one reply back per worker (2 workers)
         assert all(msgs == 2 * 2 for msgs, _ in per_gen.values()), per_gen
         growth = per_gen[64][1] - per_gen[8][1]
-        ncomp = len(BatchedHamiltonian.BASE_NAMES)  # the spec has no NLPP
+        ncomp = len(BatchedHamiltonian.term_names(spec.with_nlpp))
         rows = (64 - 8) * (2 + ncomp) * 8
         positions = (64 - 8) * N * 3 * 8
         # pickled float64 rows are their raw bytes; the slack covers
@@ -431,6 +472,19 @@ class TestWireBytes:
 
 
 class TestArgumentHandling:
+    @pytest.mark.parametrize("with_nlpp", [False, True],
+                             ids=["plain", "nlpp"])
+    def test_parent_names_the_rows_as_a_crowd_orders_them(self, with_nlpp):
+        """The parent labels each reply's component rows with its own
+        name list; it must be the order a hosted crowd writes them in."""
+        spec = JastrowSystemSpec(n=N, seed=7, with_nlpp=with_nlpp)
+        drv = ParallelCrowdDriver(spec, WALKERS, SEED, workers=2)
+        state = SharedWalkerState(WALKERS, N)
+        state.R[...] = spec.initial_positions(WALKERS)
+        crowd = crowds._host_crowd(spec, state, 1, 2, SEED, 0.3, 1)
+        assert drv._ham_names == crowd.ham.names
+        assert ("NonLocalECP" in drv._ham_names) == with_nlpp
+
     def test_workers_clamped_to_population(self, spec):
         drv = ParallelCrowdDriver(spec, 2, SEED, workers=8)
         assert drv.workers == 2

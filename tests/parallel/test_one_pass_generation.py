@@ -71,7 +71,7 @@ def _crowds(spec, n_crowds=1):
     path), exactly as the worker processes host them over shm."""
     state = SharedWalkerState(WALKERS, spec.n)
     state.R[...] = spec.initial_positions(WALKERS)
-    crowds = [_host_crowd(spec, state, c, n_crowds, SEED, TAU, True, 1)
+    crowds = [_host_crowd(spec, state, c, n_crowds, SEED, TAU, 1)
               for c in range(n_crowds)]
     return state, crowds
 
